@@ -38,6 +38,7 @@ from .moments import (
     quadrature_mean,
     quadrature_second_moment,
     quadrature_stats,
+    trig_coefficients,
 )
 
 __all__ = [
@@ -68,6 +69,7 @@ __all__ = [
     "sensitivity_curve",
     "sql_hl",
     "total_photon_number",
+    "trig_coefficients",
 ]
 
 __version__ = "0.1.0"

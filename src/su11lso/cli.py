@@ -82,6 +82,12 @@ def _config_defaults(path: str) -> dict:
     return out
 
 
+_OPT_GRID_HELP = (
+    "accepted for compatibility (must be >= 2) and recorded; the phase "
+    "optimum is exact and does not depend on it"
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="su11lso", description=__doc__)
     parser.add_argument("--config", help="key=value file supplying flag defaults")
@@ -94,7 +100,7 @@ def build_parser() -> _Parser:
         default="delta_phi,N,sql,hl,qfi,qcrb",
         help="comma-separated subset of: " + ",".join(QUANTITIES),
     )
-    p_point.add_argument("--opt-grid", type=int, default=DEFAULT_OPT_GRID)
+    p_point.add_argument("--opt-grid", type=int, default=DEFAULT_OPT_GRID, help=_OPT_GRID_HELP)
 
     p_sweep = sub.add_parser("sweep", help="one-variable sweep to a file")
     _add_param_flags(p_sweep)
@@ -106,14 +112,14 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--series-r", default="", help="comma list of r values, one curve each")
     p_sweep.add_argument("--output", required=True)
     p_sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_sweep.add_argument("--opt-grid", type=int, default=DEFAULT_OPT_GRID)
+    p_sweep.add_argument("--opt-grid", type=int, default=DEFAULT_OPT_GRID, help=_OPT_GRID_HELP)
 
     p_fig = sub.add_parser("figure", help="run a named figure preset")
     p_fig.add_argument("preset", choices=sorted(FIGURE_PRESETS))
     p_fig.add_argument("--points", type=int, default=DEFAULT_POINTS)
     p_fig.add_argument("--output", required=True)
     p_fig.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_fig.add_argument("--opt-grid", type=int, default=DEFAULT_OPT_GRID)
+    p_fig.add_argument("--opt-grid", type=int, default=DEFAULT_OPT_GRID, help=_OPT_GRID_HELP)
 
     p_check = sub.add_parser("check", help="cross-validate analytic path against the Fock oracle")
     p_check.add_argument("--tolerance", type=float, default=1e-6)
@@ -142,13 +148,9 @@ def _cmd_point(args) -> int:
     if unknown:
         print(f"unknown quantities: {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        params = InterferometerParams(
-            g=args.g, alpha=args.alpha, r=args.r, t1=args.t1, t2=args.t2, phi=args.phi
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    params = InterferometerParams(
+        g=args.g, alpha=args.alpha, r=args.r, t1=args.t1, t2=args.t2, phi=args.phi
+    )
     values, flags = _evaluate_quantities(
         params, args.eta, quantities, (1e-3, math.pi - 1e-3), args.opt_grid
     )
@@ -167,7 +169,7 @@ def _cmd_point(args) -> int:
             v = "inf"
         payload[q] = v
     payload["flags"] = flags
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     if "divergent" in flags or "degenerate" in flags:
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -180,23 +182,19 @@ def _cmd_sweep(args) -> int:
         series = tuple(
             SweepSeries(label=f"r={r:g}", overrides={"r": r}) for r in _float_list(args.series_r)
         )
-    try:
-        spec = SweepSpec(
-            variable=args.var,
-            start=args.start,
-            stop=args.stop,
-            count=args.count,
-            fixed=InterferometerParams(
-                g=args.g, alpha=args.alpha, r=args.r, t1=args.t1, t2=args.t2, phi=args.phi
-            ),
-            quantities=quantities,
-            series=series,
-            eta=args.eta,
-            opt_grid=args.opt_grid,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    spec = SweepSpec(
+        variable=args.var,
+        start=args.start,
+        stop=args.stop,
+        count=args.count,
+        fixed=InterferometerParams(
+            g=args.g, alpha=args.alpha, r=args.r, t1=args.t1, t2=args.t2, phi=args.phi
+        ),
+        quantities=quantities,
+        series=series,
+        eta=args.eta,
+        opt_grid=args.opt_grid,
+    )
     write_sweep(spec, args.output, args.format)
     return EXIT_OK
 
@@ -258,6 +256,9 @@ def main(argv=None) -> int:
             return _cmd_check(args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergentSensitivityError as exc:
         print(str(exc), file=sys.stderr)

@@ -8,10 +8,12 @@ the optimized lossy Fisher information
 F_L = 4 F eta <n_a> / ((1 - eta) F + 4 eta <n_a>).
 
 N, the benchmarks, and F always refer to the ideal internal state before
-the second squeezer; loss and phase never enter them.  The phase search
-scans a grid over one period half and polishes the best point by golden
-section, which copes with the multiple stationary points the sensitivity
-curve develops at strong squeezing.
+the second squeezer; loss and phase never enter them.  The quadrature mean
+and variance are trigonometric polynomials of degree 1 and 2 in phi, so
+the phase of best sensitivity is exact: every stationary point of
+Var X / (d<X>/dphi)^2 is the angle of a root of one quartic in e^{i phi},
+which also covers the several stationary points the sensitivity curve
+develops at strong squeezing.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, DivergentSensitivityError
-from .moments import InterferometerParams, moment_table, quadrature_stats
+from .moments import InterferometerParams, moment_table, quadrature_stats, trig_coefficients
 
 SLOPE_FLOOR = 1e-12
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_BRACKET = (1e-3, math.pi - 1e-3)
 DEFAULT_OPT_GRID = 2001
@@ -129,7 +130,7 @@ def qfi_lossy(params: InterferometerParams, eta: float) -> LossyQfiReport:
     eta = 1 limits are returned exactly, and a vanishing F_L reports an
     unbounded phase uncertainty.
     """
-    if not 0.0 <= eta <= 1.0:
+    if not 0.0 <= eta <= 1.0:  # false for NaN too
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     tab = moment_table(params)
     n_a = tab.moment((1, 1, 0, 0)).real
@@ -151,37 +152,15 @@ def sensitivity_curve(
 ) -> np.ndarray:
     """Delta-phi over a phase grid; divergent points come back as +inf.
 
-    The moments are phase-independent, so the whole curve reuses one moment
-    table and only the e^{+-i phi} weights vary.
+    One array evaluation of the phase harmonics of ``trig_coefficients``.
     """
-    tab = moment_table(params)
-    q = tab.moment
-    cg, sg = math.cosh(params.g), math.sinh(params.g)
-    rt12 = math.sqrt(params.t1 * params.t2)
-    rt2 = math.sqrt(params.t2)
-    e1 = np.exp(1j * np.asarray(phis))
-    e1c = e1.conj()
-    e2 = e1 * e1
-
-    mean = (rt12 * cg) * (e1 * q((1, 0, 0, 0)) + e1c * q((0, 1, 0, 0)))
-    mean = mean + rt2 * sg * (q((0, 0, 0, 1)) + q((0, 0, 1, 0)))
-    second = (params.t1 * params.t2 * cg * cg) * (
-        2.0 * q((1, 1, 0, 0)) + e2 * q((2, 0, 0, 0)) + e2.conj() * q((0, 2, 0, 0))
-    )
-    second = second + (params.t2 * sg * sg) * (
-        2.0 * q((0, 0, 1, 1)) + 2.0 + q((0, 0, 2, 0)) + q((0, 0, 0, 2))
-    )
-    second = second + (2.0 * params.t2 * math.sqrt(params.t1) * sg * cg) * (
-        e1 * (q((1, 0, 0, 1)) + q((1, 0, 1, 0)))
-        + e1c * (q((0, 1, 1, 0)) + q((0, 1, 0, 1)))
-    )
-    second = second + 1.0
-    slope = (rt12 * cg) * 1j * (e1 * q((1, 0, 0, 0)) - e1c * q((0, 1, 0, 0)))
-
-    variance = np.maximum(second.real - mean.real**2, 0.0)
-    out = np.full(len(phis), np.inf)
-    ok = np.abs(slope.real) >= SLOPE_FLOOR
-    out[ok] = np.sqrt(variance[ok]) / np.abs(slope.real[ok])
+    m0, m1, v0, v1, v2 = trig_coefficients(params)
+    z = np.exp(1j * np.asarray(phis, dtype=float))
+    slope = 2.0 * np.abs((m1 * z).imag)
+    variance = v0 + 2.0 * (v1 * z + v2 * z * z).real
+    out = np.full(slope.shape, np.inf)
+    ok = slope >= SLOPE_FLOOR
+    out[ok] = np.sqrt(np.maximum(variance[ok], 0.0)) / slope[ok]
     return out
 
 
@@ -190,49 +169,49 @@ def optimal_phase(
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     n_grid: int = DEFAULT_OPT_GRID,
 ) -> OptimalPhaseResult:
-    """Phase minimizing delta-phi: grid scan plus golden-section polish.
+    """Phase minimizing delta-phi over the bracket, exactly.
 
-    Divergent grid points are skipped; if every point diverges (alpha = 0)
-    there is no informative phase and the search fails.  The refinement is
-    deterministic and polishes the best grid point to machine-level phase
-    resolution.
+    With V = Var X and S = d<X>/dphi, d(V/S^2)/dphi vanishes where
+    P = V'S - 2VS' does.  In z = e^{i phi}, P has Laurent coefficients
+    P_n = (3 - n) m1 V_{n-1} + (3 + n) conj(m1) V_{n+1}, where V_k are the
+    variance harmonics (v0, v1, v2 and conjugates).  The z^{+-3} terms cancel
+    identically, so z^2 P is a quartic.  The candidates are the angles of its
+    roots, folded by pi into the bracket, plus the two bracket ends; the
+    smallest delta-phi among them is the minimum.  If every candidate
+    diverges (alpha = 0 or t1 = 0) there is no informative phase and the
+    search fails.  ``n_grid`` is validated and recorded for compatibility;
+    it does not affect the result.
     """
     lo, hi = bracket
     if not (lo < hi and lo > 0.0 and hi < math.pi):
         raise ValueError("bracket must satisfy 0 < lo < hi < pi")
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
-    phis = np.linspace(lo, hi, n_grid)
+    _, m1, v0, v1, v2 = trig_coefficients(params)
+    mc = m1.conjugate()
+    quartic = np.array([
+        m1 * v1,
+        2.0 * m1 * v0 + 4.0 * mc * v2,
+        6.0 * (m1 * v1.conjugate()).real,
+        4.0 * m1 * v2.conjugate() + 2.0 * mc * v0,
+        mc * v1.conjugate(),
+    ])
+    scale = np.abs(quartic).max()
+    if scale > 0.0:
+        # terms below rounding on the unit circle are dropped: a near-zero
+        # leading coefficient would otherwise overflow the companion matrix
+        quartic = np.where(np.abs(quartic) > 1e-15 * scale, quartic / scale, 0.0)
+    roots = np.angle(np.roots(quartic)) % math.pi
+    phis = np.concatenate(([lo, hi], roots[(roots >= lo) & (roots <= hi)]))
     curve = sensitivity_curve(params, phis)
-    if not np.any(np.isfinite(curve)):
+    best = int(np.argmin(curve))
+    if not math.isfinite(curve[best]):
         raise DivergentSensitivityError(
             "every phase in the bracket is uninformative (alpha = 0?)"
         )
-    best = int(np.argmin(curve))
-    a = phis[max(best - 1, 0)]
-    b = phis[min(best + 1, n_grid - 1)]
-
-    def f(phi: float) -> float:
-        return float(sensitivity_curve(params, np.array([phi]))[0])
-
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    phi_opt = 0.5 * (a + b)
-    candidates = [(f(phi_opt), phi_opt), (float(curve[best]), float(phis[best]))]
-    delta_min, phi_opt = min(candidates)
     return OptimalPhaseResult(
-        phi_opt=phi_opt,
-        delta_phi_min=delta_min,
+        phi_opt=float(phis[best]),
+        delta_phi_min=float(curve[best]),
         bracket=bracket,
         n_grid=n_grid,
     )

@@ -12,10 +12,10 @@ polynomial in four formal variables (lam1 <-> a', lam2 <-> a, lam3 <-> b',
 lam4 <-> b) whose coefficients are hyperbolic functions of g and r and
 linear/antilinear in alpha.  Homodyne statistics of the full circuit
 (phase shift phi, fictitious-beam-splitter transmittances t1 internal and
-t2 external, second squeezer at gain g, phase pi) then assemble from a
-fixed set of 15 moments with e^{+-i phi} and sqrt(t) weights; phi enters
-only through those phase factors, so d<X>/dphi is available in closed
-form.
+t2 external, second squeezer at gain g, phase pi) are trigonometric
+polynomials in phi whose coefficients come straight from that exponent:
+the mean from its linear part, the variance from its pair part with
+sqrt(t) weights.  So d<X>/dphi is available in closed form.
 """
 
 from __future__ import annotations
@@ -27,13 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InternalConsistencyError
 from .series import TruncatedSeries, extract_derivative, series_exp, total_degree
 
 DEFAULT_DEGREE_CAP = 4
-
-# tolerance on the imaginary part of Hermitian-observable expectations
-_REALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,6 +52,10 @@ class InterferometerParams:
     phi: float = 0.0
 
     def __post_init__(self):
+        for name in ("g", "alpha", "r", "t1", "t2", "phi"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.g < 0:
             raise ValueError("gain g must be >= 0")
         if self.r < 0:
@@ -146,13 +146,15 @@ class MomentTable:
 
     The generating-function exponential is expanded once at construction;
     every requested moment is a coefficient lookup times factorials, cached.
-    Immutable after construction.
+    The exponent itself stays available as ``w_form``.  Immutable after
+    construction.
     """
 
     def __init__(self, params: InterferometerParams, degree_cap: int = DEFAULT_DEGREE_CAP):
         self.params = params
         self.degree_cap = degree_cap
-        self._expansion = series_exp(build_w_form(params).to_series(degree_cap))
+        self.w_form = build_w_form(params)
+        self._expansion = series_exp(self.w_form.to_series(degree_cap))
         self._cache: dict = {}
 
     def moment(self, key) -> complex:
@@ -183,6 +185,35 @@ def q_moment(params: InterferometerParams, key, degree_cap: int = DEFAULT_DEGREE
     return moment_table(params, degree_cap).moment(key)
 
 
+def trig_coefficients(
+    params: InterferometerParams,
+) -> tuple[float, complex, float, complex, complex]:
+    """Phase harmonics (m0, m1, v0, v1, v2) of X = a' + a at the output port.
+
+    With z = e^{i phi}: <X> = m0 + 2 Re(m1 z), d<X>/dphi = -2 Im(m1 z) and
+    Var X = v0 + 2 Re(v1 z + v2 z^2).  The m's are the generating exponent's
+    linear coefficients (the internal first moments); the v's are its
+    connected pair parts 2 quadratic[i, j], so the variance never cancels
+    against <X>^2 and does not depend on alpha.  The constant 1 + 2 t2 sinh^2 g
+    is the vacuum unit from the commutators.
+    """
+    w = moment_table(params).w_form
+    lin, pair = w.linear, 2.0 * w.quadratic
+    # output mode: sqrt(t1 t2) cosh g e^{-i phi} a + sqrt(t2) sinh g b' + noise
+    amp_a = math.sqrt(params.t1 * params.t2) * math.cosh(params.g)
+    amp_b = math.sqrt(params.t2) * math.sinh(params.g)
+    m0 = amp_b * (lin[2] + lin[3]).real
+    v0 = 1.0 + amp_a * amp_a * 2.0 * pair[0, 1].real
+    v0 += amp_b * amp_b * (2.0 * pair[2, 3] + 2.0 + pair[2, 2] + pair[3, 3]).real
+    return (
+        float(m0),
+        complex(amp_a * lin[0]),
+        float(v0),
+        complex(2.0 * amp_a * amp_b * (pair[0, 2] + pair[0, 3])),
+        complex(amp_a * amp_a * pair[0, 0]),
+    )
+
+
 @dataclass(frozen=True)
 class QuadratureStats:
     """Homodyne statistics of X = a' + a at the output port."""
@@ -193,59 +224,17 @@ class QuadratureStats:
     dmean_dphi: float
 
 
-def _require_real(value: complex, what: str) -> float:
-    if abs(value.imag) > _REALITY_TOL * max(1.0, abs(value.real)):
-        raise InternalConsistencyError(
-            f"{what} should be real, got imaginary part {value.imag:.3e}"
-        )
-    return value.real
-
-
 def quadrature_stats(params: InterferometerParams) -> QuadratureStats:
-    """Mean, second moment, variance and phase slope of X = a' + a.
-
-    Assembles the output-port expectations from the 15 internal moments:
-    the mean is sqrt(t1 t2) (e^{i phi} Q1000 + e^{-i phi} Q0100) cosh g
-    + sqrt(t2) (Q0001 + Q0010) sinh g, and the second moment carries the
-    corresponding two-phase and cross terms plus the vacuum unit from the
-    commutator.  The phase derivative differentiates the e^{+-i phi}
-    factors only, which is exact.
-    """
-    tab = moment_table(params)
-    q = tab.moment
-    cg, sg = math.cosh(params.g), math.sinh(params.g)
-    rt12 = math.sqrt(params.t1 * params.t2)
-    rt2 = math.sqrt(params.t2)
-    e1 = cmath.exp(1j * params.phi)
-    e1c = e1.conjugate()
-    e2 = e1 * e1
-    e2c = e2.conjugate()
-
-    mean_c = rt12 * (e1 * q((1, 0, 0, 0)) + e1c * q((0, 1, 0, 0))) * cg
-    mean_c += rt2 * (q((0, 0, 0, 1)) + q((0, 0, 1, 0))) * sg
-
-    second_c = params.t1 * params.t2 * cg * cg * (
-        2.0 * q((1, 1, 0, 0)) + e2 * q((2, 0, 0, 0)) + e2c * q((0, 2, 0, 0))
-    )
-    second_c += params.t2 * sg * sg * (
-        2.0 * q((0, 0, 1, 1)) + 2.0 + q((0, 0, 2, 0)) + q((0, 0, 0, 2))
-    )
-    second_c += 2.0 * params.t2 * math.sqrt(params.t1) * sg * cg * (
-        e1 * (q((1, 0, 0, 1)) + q((1, 0, 1, 0)))
-        + e1c * (q((0, 1, 1, 0)) + q((0, 1, 0, 1)))
-    )
-    second_c += 1.0
-
-    slope_c = rt12 * cg * 1j * (e1 * q((1, 0, 0, 0)) - e1c * q((0, 1, 0, 0)))
-
-    mean = _require_real(mean_c, "<X>")
-    second = _require_real(second_c, "<X^2>")
-    slope = _require_real(slope_c, "d<X>/dphi")
+    """Mean, second moment, variance and exact phase slope of X = a' + a."""
+    m0, m1, v0, v1, v2 = trig_coefficients(params)
+    z = cmath.exp(1j * params.phi)
+    mean = m0 + 2.0 * (m1 * z).real
+    variance = v0 + 2.0 * (v1 * z + v2 * z * z).real
     return QuadratureStats(
         mean=mean,
-        second_moment=second,
-        variance=second - mean * mean,
-        dmean_dphi=slope,
+        second_moment=variance + mean * mean,
+        variance=variance,
+        dmean_dphi=-2.0 * (m1 * z).imag,
     )
 
 

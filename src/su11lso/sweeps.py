@@ -83,8 +83,8 @@ class SweepSpec:
             raise ValueError(f"unknown quantities: {sorted(unknown)}")
         if self.count < 2:
             raise ValueError("count must be at least 2")
-        if not self.start < self.stop:
-            raise ValueError("start must be below stop")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
+            raise ValueError("start and stop must be finite, with start below stop")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -129,6 +129,8 @@ def _evaluate_quantities(
     opt_bracket,
     opt_grid,
 ) -> tuple[dict, list[str]]:
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
     values: dict = {}
     flags: list[str] = []
     for q in quantities:
@@ -224,7 +226,7 @@ def render_jsonl(rows: list[dict], columns: list[str]) -> str:
             if isinstance(v, complex):
                 v = v.real if v.imag == 0 else [v.real, v.imag]
             obj[c] = v
-        out.append(json.dumps(obj))
+        out.append(json.dumps(obj, allow_nan=False))
     return "\n".join(out) + "\n"
 
 

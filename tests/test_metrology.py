@@ -1,5 +1,6 @@
 """Sensitivity, photon-number benchmarks, and Fisher information."""
 
+import cmath
 import math
 
 import numpy as np
@@ -146,6 +147,11 @@ class TestQfiLossy:
         with pytest.raises(ValueError):
             qfi_lossy(params(), 1.2)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_eta_non_finite(self, eta):
+        with pytest.raises(ValueError):
+            qfi_lossy(params(), eta)
+
     def test_vacuum_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
             qfi_lossy(params(g=0, alpha=0, r=0), 0.5)
@@ -176,6 +182,66 @@ class TestOptimalPhase:
         res = optimal_phase(params(r=0.3), n_grid=501)
         curve = sensitivity_curve(params(r=0.3), np.linspace(*res.bracket, 501))
         assert res.delta_phi_min <= float(np.min(curve)) + 1e-12
+
+
+def _random_lossy_points(count, seed):
+    """Seeded points with g <= 1.5, complex |alpha| <= 2, r <= 1.2, t1, t2 in [0.2, 1]."""
+    rng = np.random.default_rng(seed)
+    return [
+        params(
+            g=rng.uniform(0.0, 1.5),
+            alpha=2.0 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform()),
+            r=rng.uniform(0.0, 1.2),
+            t1=rng.uniform(0.2, 1.0),
+            t2=rng.uniform(0.2, 1.0),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestExactOptimum:
+    POINTS = _random_lossy_points(300, seed=11)
+
+    def test_no_worse_than_dense_grid(self):
+        for p in self.POINTS:
+            res = optimal_phase(p)
+            dense = sensitivity_curve(p, np.linspace(*res.bracket, 20001))
+            assert res.delta_phi_min <= float(np.min(dense)) * (1.0 + 1e-12), p
+
+    def test_optimum_inside_bracket(self):
+        for p in self.POINTS:
+            res = optimal_phase(p)
+            assert res.bracket[0] <= res.phi_opt <= res.bracket[1]
+            assert res.delta_phi_min == float(sensitivity_curve(p, np.array([res.phi_opt]))[0])
+
+    def test_optimum_is_bracket_end_or_stationary(self):
+        h = 1e-5
+        interior = 0
+        for p in self.POINTS:
+            res = optimal_phase(p)
+            if res.phi_opt in res.bracket:
+                continue
+            interior += 1
+            f_minus, f_0, f_plus = sensitivity_curve(p, res.phi_opt + np.array([-h, 0.0, h]))
+            centred = (f_plus - f_minus) / (2.0 * h)
+            # the centred difference's own error: second-order term plus rounding
+            step_error = abs(f_plus - 2.0 * f_0 + f_minus) / h + 1e-13 * f_0 / h
+            assert abs(centred) <= step_error, (p, centred, step_error)
+        assert interior > 0
+
+    def test_n_grid_recorded_without_effect(self):
+        p = params(r=0.6, t1=0.8)
+        coarse, fine = optimal_phase(p, n_grid=2), optimal_phase(p, n_grid=20001)
+        assert (coarse.n_grid, fine.n_grid) == (2, 20001)
+        assert coarse.delta_phi_min == fine.delta_phi_min
+        with pytest.raises(ValueError):
+            optimal_phase(p, n_grid=1)
+
+    @pytest.mark.parametrize("t1", [0.0, 2.2e-311])
+    def test_no_information_without_internal_transmission(self, t1):
+        # a subnormal t1 leaves the quartic's outer coefficients subnormal
+        with pytest.raises(DivergentSensitivityError):
+            optimal_phase(params(alpha=1j, t1=t1))
 
 
 class TestTrendInvariants:

@@ -1,5 +1,6 @@
 """Generating-function moments and homodyne statistics."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11lso.errors import InternalConsistencyError
 from su11lso.moments import (
     InterferometerParams,
     MomentTable,
@@ -33,6 +33,16 @@ class TestParams:
             InterferometerParams(g=-0.5, alpha=1, r=0)
         with pytest.raises(ValueError):
             InterferometerParams(g=0.5, alpha=1, r=-0.1)
+
+    @pytest.mark.parametrize("name", ["g", "alpha", "r", "t1", "t2", "phi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
+    def test_non_finite_rejected(self, name, value):
+        fields = dict(g=1.0, alpha=1.0, r=0.3, t1=1.0, t2=1.0, phi=0.2)
+        if name != "alpha":
+            value = value.imag if isinstance(value, complex) else value
+        fields[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            InterferometerParams(**fields)
 
     def test_replace(self):
         p = InterferometerParams(g=1, alpha=1, r=0.3)
@@ -185,6 +195,26 @@ class TestQuadrature:
             assert stats.second_moment >= stats.mean**2 - 1e-9
 
 
+def _assembled_from_moments(p):
+    """Complex <X> and <X^2> assembled from the raw normally ordered moments."""
+
+    def q(*key):
+        return q_moment(p, key)
+
+    e1 = cmath.exp(1j * p.phi)
+    e1c = e1.conjugate()
+    amp_a = math.sqrt(p.t1 * p.t2) * math.cosh(p.g)
+    amp_b = math.sqrt(p.t2) * math.sinh(p.g)
+    mean = amp_a * (e1 * q(1, 0, 0, 0) + e1c * q(0, 1, 0, 0))
+    mean += amp_b * (q(0, 0, 0, 1) + q(0, 0, 1, 0))
+    second = 1.0 + amp_a**2 * (2 * q(1, 1, 0, 0) + e1**2 * q(2, 0, 0, 0) + e1c**2 * q(0, 2, 0, 0))
+    second += amp_b**2 * (2 * q(0, 0, 1, 1) + 2 + q(0, 0, 2, 0) + q(0, 0, 0, 2))
+    second += 2 * amp_a * amp_b * (
+        e1 * (q(1, 0, 0, 1) + q(1, 0, 1, 0)) + e1c * (q(0, 1, 1, 0) + q(0, 1, 0, 1))
+    )
+    return mean, second
+
+
 @given(
     g=st.floats(0, 1.2),
     re_a=st.floats(-1, 1),
@@ -196,12 +226,41 @@ class TestQuadrature:
 )
 @settings(max_examples=60, deadline=None)
 def test_reality_everywhere(g, re_a, im_a, r, t1, t2, phi):
-    """Hermitian expectations never trip the imaginary-part guard."""
+    """Hermitian expectations from the raw moments are real and equal the
+    phase-harmonic statistics."""
     p = InterferometerParams(g=g, alpha=complex(re_a, im_a), r=r, t1=t1, t2=t2, phi=phi)
-    try:
-        quadrature_stats(p)
-    except InternalConsistencyError as exc:  # pragma: no cover
-        pytest.fail(f"reality violated: {exc}")
+    mean, second = _assembled_from_moments(p)
+    stats = quadrature_stats(p)
+    for raw, value in ((mean, stats.mean), (second, stats.second_moment)):
+        assert abs(raw.imag) <= 1e-9 * max(1.0, abs(raw.real))
+        assert value == pytest.approx(raw.real, rel=1e-9, abs=1e-9)
+
+
+@given(
+    g=st.floats(0, 1.5),
+    r=st.floats(0, 1.2),
+    t1=st.floats(0, 1),
+    t2=st.floats(0, 1),
+    phi=st.floats(-math.pi, math.pi),
+    size=st.floats(0, 1e4),
+    angle=st.floats(0, 2 * math.pi),
+)
+@settings(max_examples=100, deadline=None)
+def test_variance_independent_of_alpha(g, r, t1, t2, phi, size, angle):
+    """A displacement moves the mean only: Var X at |alpha| <= 1e4 equals its
+    alpha = 0 value to 1e-12."""
+    p = InterferometerParams(g=g, alpha=size * cmath.exp(1j * angle), r=r, t1=t1, t2=t2, phi=phi)
+    vacuum = quadrature_stats(p.replace(alpha=0)).variance
+    assert quadrature_stats(p).variance == pytest.approx(vacuum, rel=1e-12)
+
+
+def test_variance_exact_at_large_alpha():
+    # the mean-subtracted assembly lost 8e-8 relative here
+    p = InterferometerParams(g=1, alpha=1e4, r=0.6, t1=0.7, t2=0.9, phi=0.8)
+    for alpha in (1e4, -1e4j, 7e3 + 7e3j):
+        assert quadrature_stats(p.replace(alpha=alpha)).variance == pytest.approx(
+            quadrature_stats(p.replace(alpha=0)).variance, rel=1e-12
+        )
 
 
 def test_slope_matches_finite_difference():

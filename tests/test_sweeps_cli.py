@@ -1,5 +1,7 @@
 """Sweep engine, figure presets, output formats, and the CLI surface."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,11 +9,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from su11lso.cli import main
 from su11lso.metrology import qfi_ideal, qfi_lossy
 from su11lso.moments import InterferometerParams
 from su11lso.sweeps import (
     FIGURE_PRESETS,
+    QUANTITIES,
     R_SERIES,
     SweepSeries,
     SweepSpec,
@@ -273,3 +279,73 @@ class TestCli:
         )
         assert proc.returncode == 3
         assert "FAIL" in proc.stdout
+
+
+def run_main(*args):
+    """In-process CLI run: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+PARAM_FLAGS = ("g", "alpha", "r", "t1", "t2", "phi", "eta")
+
+
+class TestInputDomain:
+    @given(
+        g=st.floats(0, 2),
+        re_a=st.floats(-3, 3),
+        im_a=st.floats(-3, 3),
+        r=st.floats(0, 1.5),
+        t1=st.floats(0, 1),
+        t2=st.floats(0, 1),
+        phi=st.floats(-10, 10),
+        eta=st.floats(0, 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_finite_point_gives_valid_json(self, g, re_a, im_a, r, t1, t2, phi, eta):
+        values = dict(g=g, alpha=complex(re_a, im_a), r=r, t1=t1, t2=t2, phi=phi, eta=eta)
+        code, out, _ = run_main(
+            "point", *[f"--{k}={v!r}" for k, v in values.items()],
+            "--quantities", ",".join(QUANTITIES),
+        )
+        assert code in (0, 2)
+        payload = _strict_json(out)
+        assert set(QUANTITIES) <= set(payload)
+
+    @given(
+        name=st.sampled_from(PARAM_FLAGS),
+        value=st.sampled_from(["nan", "inf", "-inf"]),
+        quantities=st.sampled_from(["delta_phi", "qfi_lossy", "delta_phi_min,N"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_point_is_usage_error(self, name, value, quantities):
+        code, out, err = run_main("point", f"--{name}={value}", "--quantities", quantities)
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value", [("r", "nan"), ("series-r", "0,nan"), ("eta", "inf"), ("stop", "inf")]
+    )
+    def test_non_finite_sweep_is_usage_error(self, tmp_path, flag, value):
+        out = tmp_path / "sweep.csv"
+        args = {"var": "phi", "start": "0.1", "stop": "1", "count": "3", flag: value}
+        argv = [f"--{k}={v}" for k, v in args.items()]
+        code, _, err = run_main("sweep", *argv, "--output", str(out))
+        assert code == 1
+        assert "finite" in err
+        assert not out.exists()
+
+    def test_out_of_range_eta_is_usage_error(self):
+        code, _, err = run_main("point", "--eta", "1.5", "--quantities", "qfi_lossy")
+        assert code == 1
+        assert "eta" in err
