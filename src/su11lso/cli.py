@@ -18,6 +18,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .crosscheck import run_cross_check
 from .errors import (
     DegenerateConfigurationError,
@@ -246,14 +248,16 @@ def main(argv=None) -> int:
             sub.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
-        if args.command == "point":
-            return _cmd_point(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "check":
-            return _cmd_check(args)
+        # overflow is reported by the finiteness checks, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "point":
+                return _cmd_point(args)
+            if args.command == "sweep":
+                return _cmd_sweep(args)
+            if args.command == "figure":
+                return _cmd_figure(args)
+            if args.command == "check":
+                return _cmd_check(args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_USAGE

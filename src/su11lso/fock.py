@@ -494,7 +494,11 @@ def _loss_kraus_rows(
     """Rows Pi_l |psi> of the loss channel, stacked (L, dim), plus weights.
 
     Stops once the neglected Kraus weight falls below weight_tol; by channel
-    completeness the weights sum to the squared norm of the input.
+    completeness the weights sum to the squared norm of the input.  Each
+    lowering step carries its factor sqrt((1 - t) / l), so the running
+    sqrt((1 - t)^l / l!) a^l |psi> stays bounded where a^l |psi> alone
+    overflows; a row that is still non-finite raises
+    NonconvergedOracleError.
     """
     t = transmittance
     axis = 0 if mode == "a" else 1
@@ -515,30 +519,32 @@ def _loss_kraus_rows(
     lowered = state.grid.copy()
     scratch = np.empty_like(lowered)
     accumulated = 0.0
-    log_fail = 0.0  # log of (1-t)^l / l!
     count = 0
     for l in range(max_order + 1):
         if l > 0:
             if t == 1.0:
                 break
             # in-place annihilation: shift down along the loss axis
+            step = shift_f * math.sqrt((1.0 - t) / l)
             if axis == 0:
-                np.multiply(shift_f, lowered[1:, :], out=scratch[: d - 1, :])
+                np.multiply(step, lowered[1:, :], out=scratch[: d - 1, :])
                 scratch[d - 1 :, :] = 0.0
             else:
-                np.multiply(shift_f, lowered[:, 1:], out=scratch[:, : d - 1])
+                np.multiply(step, lowered[:, 1:], out=scratch[:, : d - 1])
                 scratch[:, d - 1 :] = 0.0
             lowered, scratch = scratch, lowered
             if not lowered.any():
                 break
-            log_fail += math.log(1.0 - t) - math.log(l)
         if count == out.shape[0]:
             grown = np.empty((int(out.shape[0] * 1.5) + 1, dim), dtype=complex)
             grown[: out.shape[0]] = out
             out = grown
         np.multiply(damp, lowered, out=out[count].reshape(lowered.shape))
-        out[count] *= math.exp(0.5 * log_fail)
         w = float(np.vdot(out[count], out[count]).real)
+        if not math.isfinite(w):
+            raise NonconvergedOracleError(
+                f"loss Kraus row {l} overflows at cutoff {state.cutoff_a}x{state.cutoff_b}"
+            )
         weights.append(w)
         accumulated += w
         count += 1
@@ -562,17 +568,15 @@ def _single_mode_kraus_matrices(
     a = np.zeros((d, d))
     a[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1.0, d))
     ops = []
-    power = np.eye(d)
-    log_fail = 0.0
+    power = np.eye(d)  # sqrt((1-t)^l / l!) a^l
     for l in range(max_order + 1):
         if l > 0:
             if t == 1.0:
                 break
-            power = a @ power
+            power = math.sqrt((1.0 - t) / l) * (a @ power)
             if not power.any():
                 break
-            log_fail += math.log(1.0 - t) - math.log(l)
-        ops.append(math.exp(0.5 * log_fail) * (damp[:, None] * power))
+        ops.append(damp[:, None] * power)
     return ops
 
 

@@ -3,8 +3,8 @@
 Phase sensitivity by error propagation on the output quadrature, total
 internal photon number with its shot-noise (1/sqrt(N)) and Heisenberg
 (1/N) benchmarks, the pure-state quantum Fisher information
-F = 4(Q2200 + Q1100) - 4 Q1100^2 with the Cramer-Rao bound 1/sqrt(F), and
-the optimized lossy Fisher information
+F = 4 Var(n_a), read cancellation-free from the generating exponent, with
+the Cramer-Rao bound 1/sqrt(F), and the optimized lossy Fisher information
 F_L = 4 F eta <n_a> / ((1 - eta) F + 4 eta <n_a>).
 
 N, the benchmarks, and F always refer to the ideal internal state before
@@ -83,11 +83,19 @@ def phase_sensitivity(params: InterferometerParams) -> SensitivityReport:
     )
 
 
+def _require_finite(name: str, value: float, params: InterferometerParams) -> float:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{name} overflows at g={params.g:g}, alpha={complex(params.alpha):g}, r={params.r:g}"
+        )
+    return value
+
+
 def total_photon_number(params: InterferometerParams) -> float:
     """Mean photon number of the internal state, N = Q1100 + Q0011."""
     tab = moment_table(params)
     n = tab.moment((1, 1, 0, 0)) + tab.moment((0, 0, 1, 1))
-    return float(n.real)
+    return _require_finite("photon number N", float(n.real), params)
 
 
 def sql_hl(params: InterferometerParams) -> tuple[float, float]:
@@ -101,13 +109,20 @@ def sql_hl(params: InterferometerParams) -> tuple[float, float]:
 def qfi_ideal(params: InterferometerParams) -> QfiReport:
     """Pure-state Fisher information and the associated bounds.
 
-    F = 4 (Q2200 + Q1100) - 4 Q1100^2 is 4 Var(n_a) of the internal state;
-    the Cramer-Rao bound uses a single measurement (v = 1).
+    F = 4 Var(n_a) of the internal state, in connected form from the
+    exponent's pair part P = 2 quadratic and linear part l:
+    Var n_a = P01 (P01 + 1) + P00 P11 + P00 l1^2 + P11 l0^2 + (2 P01 + 1) l0 l1,
+    which is Q2200 + Q1100 - Q1100^2 with the O(|alpha|^4) terms cancelled
+    exactly.  The Cramer-Rao bound uses a single measurement (v = 1).
     """
-    tab = moment_table(params)
-    q1100 = tab.moment((1, 1, 0, 0)).real
-    q2200 = tab.moment((2, 2, 0, 0)).real
-    fisher = 4.0 * (q2200 + q1100) - 4.0 * q1100 * q1100
+    w = moment_table(params).w_form
+    pair, (l0, l1) = 2.0 * w.quadratic, w.linear[:2]
+    p00, p01, p11 = pair[0, 0], pair[0, 1], pair[1, 1]
+    var_na = (
+        p01 * (p01 + 1.0) + p00 * p11 + p00 * l1 * l1 + p11 * l0 * l0
+        + (2.0 * p01 + 1.0) * l0 * l1
+    )
+    fisher = _require_finite("Fisher information", 4.0 * float(var_na.real), params)
     if fisher <= 0.0:
         raise DegenerateConfigurationError(
             f"Fisher information {fisher:.3e} <= 0: vacuum-degenerate configuration"
@@ -143,6 +158,7 @@ def qfi_lossy(params: InterferometerParams, eta: float) -> LossyQfiReport:
         fl = 0.0
     else:
         fl = 4.0 * fisher * eta * n_a / ((1.0 - eta) * fisher + 4.0 * eta * n_a)
+        _require_finite("lossy Fisher information", fl, params)
     qcrb = math.inf if fl == 0.0 else 1.0 / math.sqrt(fl)
     return LossyQfiReport(eta=eta, fisher_lossy=fl, qcrb_lossy=qcrb)
 

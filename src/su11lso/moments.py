@@ -10,12 +10,13 @@ normally ordered moments
 derive from one generating function exp(w), where w is a quadratic+linear
 polynomial in four formal variables (lam1 <-> a', lam2 <-> a, lam3 <-> b',
 lam4 <-> b) whose coefficients are hyperbolic functions of g and r and
-linear/antilinear in alpha.  Homodyne statistics of the full circuit
-(phase shift phi, fictitious-beam-splitter transmittances t1 internal and
-t2 external, second squeezer at gain g, phase pi) are trigonometric
-polynomials in phi whose coefficients come straight from that exponent:
-the mean from its linear part, the variance from its pair part with
-sqrt(t) weights.  So d<X>/dphi is available in closed form.
+linear/antilinear in alpha.  Each moment is a pairing sum over those
+coefficients (``series.series_exp``).  Homodyne statistics of the full
+circuit (phase shift phi, fictitious-beam-splitter transmittances t1
+internal and t2 external, second squeezer at gain g, phase pi) are
+trigonometric polynomials in phi whose coefficients come straight from
+that exponent: the mean from its linear part, the variance from its pair
+part with sqrt(t) weights.  So d<X>/dphi is available in closed form.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import TruncatedSeries, extract_derivative, series_exp, total_degree
-
-DEFAULT_DEGREE_CAP = 4
+from .series import DEGREE_CAP, series_exp
 
 
 @dataclass(frozen=True)
@@ -90,29 +89,21 @@ class WForm:
             return complex(self.quadratic[i, i])
         return complex(2.0 * self.quadratic[i, j])
 
-    def to_series(self, degree_cap: int = DEFAULT_DEGREE_CAP) -> TruncatedSeries:
-        terms: dict = {}
-        for i in range(4):
-            for j in range(i, 4):
-                c = self.monomial_coefficient(i, j)
-                if c != 0:
-                    idx = [0, 0, 0, 0]
-                    idx[i] += 1
-                    idx[j] += 1
-                    terms[tuple(idx)] = c
-        for i in range(4):
-            c = complex(self.linear[i])
-            if c != 0:
-                idx = [0, 0, 0, 0]
-                idx[i] = 1
-                terms[tuple(idx)] = c
-        return TruncatedSeries.from_terms(terms, degree_cap)
+
+def _cosh_sinh(name: str, value: float) -> tuple[float, float]:
+    try:
+        return math.cosh(value), math.sinh(value)
+    except OverflowError:
+        raise ValueError(f"{name}={value:g} is too large: cosh/sinh overflow") from None
 
 
 def build_w_form(params: InterferometerParams) -> WForm:
-    """Exponent of the moment generating function for (g, r, alpha)."""
-    cr, sr = math.cosh(params.r), math.sinh(params.r)
-    cg, sg = math.cosh(params.g), math.sinh(params.g)
+    """Exponent of the moment generating function for (g, r, alpha).
+
+    Raises ValueError naming (g, alpha, r) when a coefficient overflows.
+    """
+    cr, sr = _cosh_sinh("r", params.r)
+    cg, sg = _cosh_sinh("g", params.g)
     alpha = complex(params.alpha)
     ac = alpha.conjugate()
 
@@ -138,51 +129,48 @@ def build_w_form(params: InterferometerParams) -> WForm:
         ],
         dtype=complex,
     )
+    if not (np.isfinite(quad).all() and np.isfinite(lin).all()):
+        raise ValueError(
+            f"generating exponent overflows at g={params.g:g}, alpha={alpha:g}, r={params.r:g}"
+        )
     return WForm(quadratic=quad, linear=lin)
 
 
 class MomentTable:
-    """Moments of one (g, r, alpha) point, all read from a single expansion.
+    """Every moment of degree <= 4 of one (g, r, alpha) point.
 
-    The generating-function exponential is expanded once at construction;
-    every requested moment is a coefficient lookup times factorials, cached.
-    The exponent itself stays available as ``w_form``.  Immutable after
-    construction.
+    All 70 moments are expanded once at construction (``series_exp``), so a
+    moment is a dict lookup.  The exponent itself stays available as
+    ``w_form``.  Immutable after construction.
     """
 
-    def __init__(self, params: InterferometerParams, degree_cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(self, params: InterferometerParams):
         self.params = params
-        self.degree_cap = degree_cap
         self.w_form = build_w_form(params)
-        self._expansion = series_exp(self.w_form.to_series(degree_cap))
-        self._cache: dict = {}
+        self._moments = series_exp(self.w_form.linear, 2.0 * self.w_form.quadratic)
 
     def moment(self, key) -> complex:
         key = tuple(int(k) for k in key)
         if len(key) != 4 or any(k < 0 for k in key):
             raise ValueError(f"moment key must be 4 non-negative integers, got {key!r}")
-        if total_degree(key) > self.degree_cap:
-            raise ValueError(
-                f"moment order {key} exceeds degree cap {self.degree_cap}"
-            )
-        if key not in self._cache:
-            self._cache[key] = extract_derivative(self._expansion, key)
-        return self._cache[key]
+        if sum(key) > DEGREE_CAP:
+            raise ValueError(f"moment order {key} exceeds degree cap {DEGREE_CAP}")
+        return self._moments[key]
 
 
 @lru_cache(maxsize=512)
-def _table(g: float, alpha: complex, r: float, degree_cap: int) -> MomentTable:
-    return MomentTable(InterferometerParams(g=g, alpha=alpha, r=r), degree_cap)
+def _table(g: float, alpha: complex, r: float) -> MomentTable:
+    return MomentTable(InterferometerParams(g=g, alpha=alpha, r=r))
 
 
-def moment_table(params: InterferometerParams, degree_cap: int = DEFAULT_DEGREE_CAP) -> MomentTable:
+def moment_table(params: InterferometerParams) -> MomentTable:
     """Memoized moment table; phi, t1, t2 are irrelevant to the moments."""
-    return _table(float(params.g), complex(params.alpha), float(params.r), degree_cap)
+    return _table(float(params.g), complex(params.alpha), float(params.r))
 
 
-def q_moment(params: InterferometerParams, key, degree_cap: int = DEFAULT_DEGREE_CAP) -> complex:
+def q_moment(params: InterferometerParams, key) -> complex:
     """Normally ordered moment ``< a'^x1 a^y1 b'^x2 b^y2 >`` of the internal state."""
-    return moment_table(params, degree_cap).moment(key)
+    return moment_table(params).moment(key)
 
 
 def trig_coefficients(
@@ -205,13 +193,19 @@ def trig_coefficients(
     m0 = amp_b * (lin[2] + lin[3]).real
     v0 = 1.0 + amp_a * amp_a * 2.0 * pair[0, 1].real
     v0 += amp_b * amp_b * (2.0 * pair[2, 3] + 2.0 + pair[2, 2] + pair[3, 3]).real
-    return (
+    coeffs = (
         float(m0),
         complex(amp_a * lin[0]),
         float(v0),
         complex(2.0 * amp_a * amp_b * (pair[0, 2] + pair[0, 3])),
         complex(amp_a * amp_a * pair[0, 0]),
     )
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise ValueError(
+            f"homodyne statistics overflow at g={params.g:g}, "
+            f"alpha={complex(params.alpha):g}, r={params.r:g}"
+        )
+    return coeffs
 
 
 @dataclass(frozen=True)

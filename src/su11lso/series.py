@@ -1,185 +1,43 @@
-"""Sparse truncated power series in four formal variables.
+"""Normally ordered moments of a Gaussian generating function.
 
-Generating-function bookkeeping for normally ordered operator moments: a
-series holds complex coefficients of monomials lam1^i1 lam2^i2 lam3^i3
-lam4^i4 up to a total-degree cap, and mixed partial derivatives at the
-origin are read off as coefficient * product of factorials.  Everything is
-exact polynomial arithmetic in double-precision complex; terms above the
-cap are discarded, never wrapped.
+For w(lam) = sum_i linear[i] lam_i + (1/2) sum_ij pair[i][j] lam_i lam_j in
+four formal variables, every mixed derivative of exp(w) at the origin is a
+sum over the ways to split its indices into singletons, each worth
+linear[i], and pairs, each worth pair[i][j] (Isserlis' theorem; a loop
+hafnian).  With at most four indices that is at most 10 products, so each
+moment is exact up to rounding: nothing is truncated.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from itertools import product
 
-NVARS = 4
-ZERO_INDEX = (0, 0, 0, 0)
+DEGREE_CAP = 4
 
-# factorial(k) for k <= 20; degree caps beyond that are outside any use here
-_FACTORIALS = [math.factorial(k) for k in range(21)]
+# the 70 multi-indices (x1, y1, x2, y2) of total degree <= DEGREE_CAP
+_KEYS = tuple(k for k in product(range(DEGREE_CAP + 1), repeat=4) if sum(k) <= DEGREE_CAP)
 
 
-def total_degree(index: tuple[int, int, int, int]) -> int:
-    return sum(index)
+def series_exp(linear, pair) -> dict[tuple[int, int, int, int], complex]:
+    """Every derivative of exp(w) at the origin up to total order DEGREE_CAP.
 
-
-def _check_index(index) -> tuple[int, int, int, int]:
-    idx = tuple(int(e) for e in index)
-    if len(idx) != NVARS or any(e < 0 for e in idx):
-        raise ValueError(f"multi-index must be {NVARS} non-negative integers, got {index!r}")
-    return idx
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Polynomial truncated at total degree ``degree_cap``, sparse storage.
-
-    ``coeffs`` maps a multi-index (i1, i2, i3, i4) to the coefficient of the
-    corresponding monomial; absent keys mean zero.  Instances are treated as
-    immutable values.
+    ``linear`` holds the first derivatives of w and ``pair`` (symmetric 4x4)
+    its second derivatives; the result maps each multi-index to its moment.
     """
-
-    degree_cap: int
-    coeffs: dict
-
-    def __post_init__(self):
-        if self.degree_cap < 0:
-            raise ValueError("degree cap must be >= 0")
-        for idx in self.coeffs:
-            if total_degree(idx) > self.degree_cap:
-                raise ValueError(f"stored index {idx} exceeds degree cap {self.degree_cap}")
-
-    @classmethod
-    def from_terms(cls, terms: dict, degree_cap: int) -> "TruncatedSeries":
-        """Build a series, dropping above-cap terms and exact zeros."""
-        kept = {}
-        for index, value in terms.items():
-            idx = _check_index(index)
-            c = complex(value)
-            if c != 0 and total_degree(idx) <= degree_cap:
-                kept[idx] = c
-        return cls(degree_cap, kept)
-
-    @classmethod
-    def zero(cls, degree_cap: int) -> "TruncatedSeries":
-        return cls(degree_cap, {})
-
-    @classmethod
-    def constant(cls, value, degree_cap: int) -> "TruncatedSeries":
-        return cls.from_terms({ZERO_INDEX: value}, degree_cap)
-
-    @classmethod
-    def variable(cls, var: int, degree_cap: int) -> "TruncatedSeries":
-        """The monomial lam_(var+1) for var in 0..3."""
-        if not 0 <= var < NVARS:
-            raise ValueError("variable index must be in 0..3")
-        idx = tuple(1 if i == var else 0 for i in range(NVARS))
-        return cls.from_terms({idx: 1.0}, degree_cap)
-
-    def coefficient(self, index) -> complex:
-        return self.coeffs.get(_check_index(index), 0j)
-
-    def scale(self, factor) -> "TruncatedSeries":
-        c = complex(factor)
-        if c == 0:
-            return TruncatedSeries.zero(self.degree_cap)
-        return TruncatedSeries(self.degree_cap, {k: v * c for k, v in self.coeffs.items()})
-
-    def evaluate(self, lams) -> complex:
-        """Numeric value at a point (used by finite-difference checks)."""
-        if len(lams) != NVARS:
-            raise ValueError("need one value per formal variable")
-        out = 0j
-        for idx, c in self.coeffs.items():
-            term = c
-            for lam, e in zip(lams, idx):
-                term *= lam ** e
-            out += term
-        return out
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_add(self, other)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_add(self, other.scale(-1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return series_mul(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
+    lin = [complex(v) for v in linear]
+    pr = [[complex(v) for v in row] for row in pair]
+    return {
+        key: _pairing_sum(tuple(i for i in range(4) for _ in range(key[i])), lin, pr)
+        for key in _KEYS
+    }
 
 
-def _require_same_cap(a: TruncatedSeries, b: TruncatedSeries):
-    if a.degree_cap != b.degree_cap:
-        raise ValueError(f"mismatched degree caps: {a.degree_cap} != {b.degree_cap}")
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficient-wise sum; exact cancellations are pruned."""
-    _require_same_cap(a, b)
-    out = dict(a.coeffs)
-    for idx, c in b.coeffs.items():
-        s = out.get(idx, 0j) + c
-        if s == 0:
-            out.pop(idx, None)
-        else:
-            out[idx] = s
-    return TruncatedSeries(a.degree_cap, out)
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product with terms above the degree cap dropped."""
-    _require_same_cap(a, b)
-    cap = a.degree_cap
-    out: dict = {}
-    for ia, ca in a.coeffs.items():
-        da = total_degree(ia)
-        for ib, cb in b.coeffs.items():
-            if da + total_degree(ib) > cap:
-                continue
-            idx = (ia[0] + ib[0], ia[1] + ib[1], ia[2] + ib[2], ia[3] + ib[3])
-            s = out.get(idx, 0j) + ca * cb
-            if s == 0:
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-    return TruncatedSeries(cap, out)
-
-
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp(s) = sum_k s^k / k! truncated at the cap.
-
-    Requires a vanishing constant term, so s^k has minimum degree k and the
-    sum terminates exactly at k = degree_cap.
-    """
-    if s.coeffs.get(ZERO_INDEX, 0j) != 0:
-        raise ValueError("series_exp requires a zero constant term")
-    cap = s.degree_cap
-    acc = TruncatedSeries.constant(1.0, cap)
-    power = TruncatedSeries.constant(1.0, cap)
-    for k in range(1, cap + 1):
-        power = series_mul(power, s)
-        if not power.coeffs:
-            break
-        acc = series_add(acc, power.scale(1.0 / _FACTORIALS[k]))
-    return acc
-
-
-def extract_derivative(s: TruncatedSeries, index) -> complex:
-    """Mixed partial derivative of s at the origin for the given orders.
-
-    d^{i1+i2+i3+i4} s / d lam1^{i1} ... d lam4^{i4} at lam = 0, which is
-    coeff(index) times the product of the factorials of the orders.
-    """
-    idx = _check_index(index)
-    if total_degree(idx) > s.degree_cap:
-        raise ValueError(
-            f"derivative order {idx} exceeds degree cap {s.degree_cap}: not representable"
-        )
-    c = s.coeffs.get(idx, 0j)
-    for e in idx:
-        c *= _FACTORIALS[e]
-    return c
+def _pairing_sum(idx: tuple[int, ...], lin: list, pr: list) -> complex:
+    """Sum over the partitions of ``idx`` into singletons and pairs."""
+    if not idx:
+        return 1.0 + 0j
+    first, rest = idx[0], idx[1:]
+    total = lin[first] * _pairing_sum(rest, lin, pr)
+    for k, other in enumerate(rest):
+        total += pr[first][other] * _pairing_sum(rest[:k] + rest[k + 1 :], lin, pr)
+    return total

@@ -162,6 +162,14 @@ def _evaluate_quantities(
         except DegenerateConfigurationError:
             values[q] = None
             flags.append("degenerate")
+        v = values[q]
+        # an infinite qcrb_lossy is the documented "unbounded" result
+        if v is not None and (math.isnan(v) or (math.isinf(v) and q != "qcrb_lossy")):
+            raise ValueError(
+                f"{q} = {v} is not finite at g={params.g:g}, alpha={complex(params.alpha):g}, "
+                f"r={params.r:g}, t1={params.t1:g}, t2={params.t2:g}, phi={params.phi:g}, "
+                f"eta={eta:g}"
+            )
     return values, sorted(set(flags))
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from su11lso import fock
-from su11lso.errors import InsufficientCutoffError
+from su11lso.errors import InsufficientCutoffError, NonconvergedOracleError
 from su11lso.metrology import phase_sensitivity, qfi_ideal
 from su11lso.moments import InterferometerParams, q_moment, quadrature_stats
 
@@ -251,6 +251,23 @@ class TestQfiOracles:
     def test_mixed_vanishes_at_complete_loss(self):
         f = fock.oracle_qfi_mixed(InterferometerParams(g=0.5, alpha=0.5, r=0.5), 0.0)
         assert abs(f) < 1e-10
+
+    @pytest.mark.parametrize("eta", [0.5, 0.2, 0.1])
+    def test_mixed_lossy_squeezed_vacuum_closed_form(self, eta):
+        # a lossy squeezed vacuum is Gaussian with quadrature variances a, b
+        # (vacuum 1), whose phase QFI is (a - b)^2 / (ab + 1).  At r = 2 the
+        # cutoff is ~856, where unnormalised a^l |psi> rows overflow
+        r = 2.0
+        a = eta * math.exp(2 * r) + 1 - eta
+        b = eta * math.exp(-2 * r) + 1 - eta
+        f = fock.oracle_qfi_mixed(InterferometerParams(g=0, alpha=0, r=r), eta)
+        assert f == pytest.approx((a - b) ** 2 / (a * b + 1), rel=1e-7)
+
+    def test_non_finite_kraus_row_raises(self):
+        st = fock.build_input(0.5, 20, 1)
+        st.grid[3, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NonconvergedOracleError, match="overflow"):
+            fock._loss_kraus_rows(st, 0.5, "a")
 
     def test_phase_placement_irrelevant(self):
         p = InterferometerParams(g=0.6, alpha=0.8, r=0.4, phi=0.9)

@@ -114,6 +114,17 @@ class TestQfiIdeal:
         with pytest.raises(DegenerateConfigurationError):
             qfi_ideal(params(g=0, alpha=0, r=0))
 
+    @pytest.mark.parametrize("alpha", [1e2, 1e3, 1e4])
+    def test_displacement_part_is_exactly_quadratic(self, alpha):
+        # Var n_a is quadratic in alpha, so F(2 alpha) - F(0) = 4 (F(alpha) - F(0));
+        # subtracting the O(alpha^4) moments Q2200 and Q1100^2 loses this
+        # (4.3e-8 relative at alpha = 1e4)
+        def fisher(a):
+            return qfi_ideal(params(g=0.5, alpha=a, r=0.6)).fisher
+
+        f0 = fisher(0.0)
+        assert fisher(2 * alpha) - f0 == pytest.approx(4 * (fisher(alpha) - f0), rel=1e-12)
+
 
 class TestQfiLossy:
     def test_lossless_limit_exact(self):

@@ -1,6 +1,7 @@
 """Generating-function moments and homodyne statistics."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -144,6 +145,33 @@ def test_normalization_and_hermiticity_on_grid(params):
         direct = tab.moment(key)
         swapped = tab.moment((y1, x1, y2, x2))
         assert abs(swapped - direct.conjugate()) <= 1e-10 * max(1.0, abs(direct))
+
+
+def test_moments_match_cauchy_integral():
+    """All 70 moments against the Taylor coefficients of exp(w), taken by an
+    FFT over a 32^4 torus of radius 0.3 and multiplied by the factorials."""
+    n, rho = 32, 0.3
+    z = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    lam = [z.reshape([-1 if k == i else 1 for k in range(4)]) for i in range(4)]
+    keys = [k for k in itertools.product(range(5), repeat=4) if sum(k) <= 4]
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        p = InterferometerParams(
+            g=rng.uniform(0, 1.2), alpha=complex(*rng.uniform(-1.5, 1.5, 2)), r=rng.uniform(0, 1)
+        )
+        tab = MomentTable(p)
+        w = tab.w_form
+        exponent = sum(w.linear[i] * lam[i] for i in range(4))
+        exponent = exponent + sum(
+            w.quadratic[i, j] * lam[i] * lam[j] for i in range(4) for j in range(4)
+        )
+        coeffs = np.fft.fftn(np.exp(exponent)) / n**4
+        ref = {
+            k: coeffs[k] / rho ** sum(k) * math.prod(math.factorial(e) for e in k) for k in keys
+        }
+        floor = 1e-6 * max(abs(v) for v in ref.values())
+        for k in keys:
+            assert abs(tab.moment(k) - ref[k]) <= max(1e-8 * abs(ref[k]), floor), (p, k)
 
 
 class TestQuadrature:

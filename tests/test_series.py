@@ -1,212 +1,86 @@
-"""Truncated-series arithmetic: examples, errors, and algebraic properties."""
+"""Pairing-sum moments of exp(w): examples and algebraic properties."""
 
 import math
+from itertools import product
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11lso.series import (
-    TruncatedSeries,
-    extract_derivative,
-    series_add,
-    series_exp,
-    series_mul,
-)
+from su11lso.series import DEGREE_CAP, series_exp
+
+ZERO = (0, 0, 0, 0)
 
 
-def s_(terms, cap=4):
-    return TruncatedSeries.from_terms(terms, cap)
+def exp_moments(linear=(0, 0, 0, 0), pairs=None):
+    """series_exp of w with the given linear part and {(i, j): d2w/dlam_i dlam_j}."""
+    pair = np.zeros((4, 4), dtype=complex)
+    for (i, j), v in (pairs or {}).items():
+        pair[i, j] = pair[j, i] = v
+    return series_exp(np.asarray(linear, dtype=complex), pair)
 
 
-class TestAdd:
-    def test_collects_coefficients(self):
-        a = s_({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
-        b = s_({(1, 0, 0, 0): 1})
-        assert series_add(a, b).coeffs == {(0, 0, 0, 0): 1, (1, 0, 0, 0): 2}
-
-    def test_additive_identity(self):
-        a = s_({(1, 1, 0, 0): 2.5 - 1j})
-        assert series_add(a, TruncatedSeries.zero(4)).coeffs == a.coeffs
-
-    def test_exact_cancellation_prunes(self):
-        a = s_({(1, 1, 0, 0): 1.0})
-        b = s_({(1, 1, 0, 0): -1.0})
-        assert series_add(a, b).coeffs == {}
-
-    def test_cap_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatched"):
-            series_add(TruncatedSeries.zero(4), TruncatedSeries.zero(3))
-
-
-class TestMul:
-    def test_binomial_expansion(self):
-        a = s_({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
-        b = s_({(0, 0, 0, 0): 1, (0, 1, 0, 0): 1})
-        assert series_mul(a, b).coeffs == {
-            (0, 0, 0, 0): 1,
-            (1, 0, 0, 0): 1,
-            (0, 1, 0, 0): 1,
-            (1, 1, 0, 0): 1,
-        }
-
-    def test_overflow_beyond_cap_drops(self):
-        a = s_({(2, 0, 0, 0): 1})
-        b = s_({(0, 3, 0, 0): 1})
-        assert series_mul(a, b).coeffs == {}
-
-    def test_multiplicative_identity(self):
-        a = s_({(1, 0, 2, 0): 3j, (0, 0, 0, 1): -2})
-        one = TruncatedSeries.constant(1.0, 4)
-        assert series_mul(a, one).coeffs == a.coeffs
-
-    def test_cap_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatched"):
-            series_mul(TruncatedSeries.zero(4), TruncatedSeries.zero(2))
+def nonzero(moments):
+    return {k: v for k, v in moments.items() if v != 0}
 
 
 class TestExp:
     def test_single_variable(self):
-        e = series_exp(TruncatedSeries.variable(0, 2))
-        assert e.coeffs == {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1, (2, 0, 0, 0): 0.5}
+        c = 0.5 - 0.25j  # dyadic: every power is exact
+        out = nonzero(exp_moments(linear=(c, 0, 0, 0)))
+        assert out == {(k, 0, 0, 0): c**k for k in range(DEGREE_CAP + 1)}
 
     def test_exp_of_zero(self):
-        assert series_exp(TruncatedSeries.zero(4)).coeffs == {(0, 0, 0, 0): 1}
+        assert nonzero(exp_moments()) == {ZERO: 1}
 
     def test_quadratic_argument(self):
-        e = series_exp(s_({(1, 1, 0, 0): 1.0}, cap=4))
-        assert e.coeffs == {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (2, 2, 0, 0): 0.5}
-
-    def test_constant_term_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            series_exp(TruncatedSeries.constant(0.1, 4))
+        # w = lam1 lam2: exp(w) = 1 + lam1 lam2 + (lam1 lam2)^2 / 2
+        out = nonzero(exp_moments(pairs={(0, 1): 1.0}))
+        assert out == {ZERO: 1, (1, 1, 0, 0): 1, (2, 2, 0, 0): 2}
 
 
 class TestDerivative:
     def test_second_derivative(self):
-        s = s_({(0, 0, 0, 0): 1, (2, 0, 0, 0): 3})
-        assert extract_derivative(s, (2, 0, 0, 0)) == 6
+        # w = 3 lam1^2
+        assert exp_moments(pairs={(0, 0): 6.0})[(2, 0, 0, 0)] == 6
 
     def test_mixed_first_order(self):
-        assert extract_derivative(s_({(1, 1, 0, 0): 1}), (1, 1, 0, 0)) == 1
-
-    def test_zeroth_order_is_constant_term(self):
-        s = s_({(0, 0, 0, 0): 4.2, (1, 0, 0, 0): 7})
-        assert extract_derivative(s, (0, 0, 0, 0)) == 4.2
-
-    def test_order_above_cap_rejected(self):
-        with pytest.raises(ValueError, match="cap"):
-            extract_derivative(TruncatedSeries.zero(2), (2, 1, 0, 0))
+        assert exp_moments(pairs={(0, 1): 1.0})[(1, 1, 0, 0)] == 1
 
 
-def _random_series(rng, cap=4, zero_constant=True, nterms=6, scale=1.0):
-    terms = {}
-    for _ in range(nterms):
-        idx = tuple(rng.integers(0, 3, size=4))
-        if sum(idx) > cap or (zero_constant and sum(idx) == 0):
-            continue
-        terms[idx] = scale * complex(rng.normal(), rng.normal())
-    return TruncatedSeries.from_terms(terms, cap)
-
-
-coeff = st.complex_numbers(
-    min_magnitude=0.0, max_magnitude=2.0, allow_nan=False, allow_infinity=False
+coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+linears = st.lists(coeff, min_size=4, max_size=4)
+# keys (i, j) with i <= j, one per symmetric pair
+pair_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda ij: tuple(sorted(ij))),
+    coeff,
+    max_size=6,
 )
-index4 = st.tuples(*[st.integers(0, 2)] * 4).filter(lambda t: 0 < sum(t) <= 4)
-series_terms = st.dictionaries(index4, coeff, min_size=1, max_size=6)
-
-
-@given(series_terms, series_terms)
-@settings(max_examples=60, deadline=None)
-def test_exp_is_multiplicative(ta, tb):
-    """exp(a + b) = exp(a) exp(b) for commuting formal variables."""
-    a = TruncatedSeries.from_terms(ta, 4)
-    b = TruncatedSeries.from_terms(tb, 4)
-    lhs = series_exp(series_add(a, b))
-    rhs = series_mul(series_exp(a), series_exp(b))
-    keys = set(lhs.coeffs) | set(rhs.coeffs)
-    for k in keys:
-        va, vb = lhs.coeffs.get(k, 0j), rhs.coeffs.get(k, 0j)
-        assert abs(va - vb) <= 1e-12 * max(1.0, abs(va), abs(vb))
-
-
-@given(series_terms, series_terms, series_terms)
-@settings(max_examples=60, deadline=None)
-def test_mul_commutative_associative(ta, tb, tc):
-    a = TruncatedSeries.from_terms(ta, 4)
-    b = TruncatedSeries.from_terms(tb, 4)
-    c = TruncatedSeries.from_terms(tc, 4)
-    ab = series_mul(a, b)
-    ba = series_mul(b, a)
-    for k in set(ab.coeffs) | set(ba.coeffs):
-        va, vb = ab.coeffs.get(k, 0j), ba.coeffs.get(k, 0j)
-        assert abs(va - vb) <= 1e-12 * max(1.0, abs(va), abs(vb))
-    abc1 = series_mul(ab, c)
-    abc2 = series_mul(a, series_mul(b, c))
-    for k in set(abc1.coeffs) | set(abc2.coeffs):
-        va, vb = abc1.coeffs.get(k, 0j), abc2.coeffs.get(k, 0j)
-        assert abs(va - vb) <= 1e-12 * max(1.0, abs(va), abs(vb))
-
-
-@given(series_terms)
-@settings(max_examples=40, deadline=None)
-def test_exp_constant_term_is_one(terms):
-    s = TruncatedSeries.from_terms(terms, 4)
-    assert extract_derivative(series_exp(s), (0, 0, 0, 0)) == 1
-
-
-def _central_difference(f, point, orders, h):
-    """Mixed central finite difference of a scalar function of 4 variables."""
-    fn = f
-    for var, order in enumerate(orders):
-        for _ in range(order):
-            fn = _single_diff(fn, var, h)
-    return fn(point)
-
-
-def _single_diff(f, var, h):
-    def diff(x):
-        up = list(x)
-        dn = list(x)
-        up[var] += h
-        dn[var] -= h
-        return (f(up) - f(dn)) / (2.0 * h)
-
-    return diff
-
-
-def test_derivatives_match_finite_differences():
-    """Coefficients extracted from exp(w) agree with numeric differentiation."""
-    rng = np.random.default_rng(42)
-    h = 1e-3
-    for _ in range(5):
-        w = _random_series(rng, cap=4, scale=0.7)
-        e = series_exp(w)
-
-        def f(x, w=w):
-            return np.exp(w.evaluate(x))
-
-        for orders in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 1)]:
-            exact = extract_derivative(e, orders)
-            approx = _central_difference(f, [0.0, 0.0, 0.0, 0.0], orders, h)
-            assert abs(exact - approx) <= 1e-6 * max(1.0, abs(exact)), (
-                orders,
-                exact,
-                approx,
-            )
-
-
-def test_evaluate_matches_horner_by_hand():
-    s = s_({(1, 0, 0, 0): 2.0, (0, 2, 0, 0): 1j})
-    val = s.evaluate([0.5, 0.25, 0.0, 0.0])
-    assert val == pytest.approx(1.0 + 1j * 0.0625)
 
 
 def test_degree_cap_invariant_holds_after_arithmetic():
-    a = s_({(2, 0, 0, 0): 1, (0, 0, 1, 1): 1}, cap=4)
-    prod = series_mul(a, a)
-    assert all(sum(k) <= 4 for k in prod.coeffs)
-    assert (4, 0, 0, 0) in prod.coeffs
-    assert (2, 0, 1, 1) in prod.coeffs
-    assert all(sum(k) <= 4 for k in series_exp(a).coeffs)
+    out = exp_moments(linear=(1, 2, 3, 4), pairs={(0, 1): 1, (2, 3): 1})
+    assert set(out) == {k for k in product(range(5), repeat=4) if sum(k) <= DEGREE_CAP}
+    assert len(out) == 70
+
+
+@given(linears, pair_terms)
+@settings(max_examples=40, deadline=None)
+def test_exp_constant_term_is_one(linear, pairs):
+    assert exp_moments(linear, pairs)[ZERO] == 1
+
+
+@given(linears, pair_terms, linears, pair_terms)
+@settings(max_examples=60, deadline=None)
+def test_exp_is_multiplicative(la, pa, lb, pb):
+    """exp(a + b) = exp(a) exp(b): derivatives of the sum obey Leibniz's rule."""
+    a, b = exp_moments(la, pa), exp_moments(lb, pb)
+    pab = {k: pa.get(k, 0) + pb.get(k, 0) for k in set(pa) | set(pb)}
+    lhs = exp_moments(np.add(la, lb), pab)
+    for key, value in lhs.items():
+        rhs = 0j
+        for low in product(*(range(k + 1) for k in key)):
+            high = tuple(k - j for k, j in zip(key, low))
+            binom = math.prod(math.comb(k, j) for k, j in zip(key, low))
+            rhs += binom * a[low] * b[high]
+        assert abs(value - rhs) <= 1e-12 * max(1.0, abs(value), abs(rhs))

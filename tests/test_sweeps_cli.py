@@ -345,6 +345,35 @@ class TestInputDomain:
         assert "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("--g", "800"), "g=800"),
+            (("--alpha", "1e200"), "alpha=1e+200"),
+            (("--r", "400", "--quantities", "delta_phi_min"), "r=400"),
+        ],
+    )
+    def test_overflowing_point_names_the_parameter(self, argv, name):
+        code, out, err = run_main("point", *argv)
+        assert code == 1
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("invalid input:") and name in lines[0]
+
+    def test_overflowing_sweep_names_the_quantity(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_main(
+            "sweep", "--var", "alpha", "--start", "1e150", "--stop", "1e200", "--count", "3",
+            "--quantities", "N", "--output", str(out),
+        )
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("invalid input:")
+        assert "photon number N" in lines[0] and "alpha=5e+199" in lines[0]
+        assert not out.exists()
+
     def test_out_of_range_eta_is_usage_error(self):
         code, _, err = run_main("point", "--eta", "1.5", "--quantities", "qfi_lossy")
         assert code == 1
