@@ -10,7 +10,6 @@ from .errors import (
     DegenerateConfigurationError,
     DivergentSensitivityError,
     InsufficientCutoffError,
-    InternalConsistencyError,
     NonconvergedOracleError,
 )
 from .metrology import (
@@ -32,11 +31,8 @@ from .moments import (
     QuadratureStats,
     WForm,
     build_w_form,
-    dmean_dphi,
     moment_table,
     q_moment,
-    quadrature_mean,
-    quadrature_second_moment,
     quadrature_stats,
     trig_coefficients,
 )
@@ -45,7 +41,6 @@ __all__ = [
     "DegenerateConfigurationError",
     "DivergentSensitivityError",
     "InsufficientCutoffError",
-    "InternalConsistencyError",
     "InterferometerParams",
     "LossyQfiReport",
     "MomentTable",
@@ -56,15 +51,12 @@ __all__ = [
     "SensitivityReport",
     "WForm",
     "build_w_form",
-    "dmean_dphi",
     "moment_table",
     "optimal_phase",
     "phase_sensitivity",
     "q_moment",
     "qfi_ideal",
     "qfi_lossy",
-    "quadrature_mean",
-    "quadrature_second_moment",
     "quadrature_stats",
     "sensitivity_curve",
     "sql_hl",

@@ -9,10 +9,6 @@ class DegenerateConfigurationError(RuntimeError):
     """Vacuum-only configuration: the requested benchmark is undefined."""
 
 
-class InternalConsistencyError(RuntimeError):
-    """A Hermitian expectation came out with a non-negligible imaginary part."""
-
-
 class InsufficientCutoffError(RuntimeError):
     """The requested Fock cutoff cannot hold the state to the required tail mass."""
 

@@ -28,6 +28,7 @@ tests pin that.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -212,14 +213,14 @@ def _pair_sector_indices(d_a: int, d_b: int, k: int):
     return flat, coupling
 
 
-_GATE_CACHE_BUDGET = 5.0e7  # total eigenvector floats held per gate cache
+_GATE_CACHE_FLOATS = 8.0e7  # eigenvector floats one gate cache may hold
 _GATE_CACHE_MIN_SECTOR = 96  # below this, recomputing beats caching
 _BATCH_BYTES_LIMIT = 700_000_000
-_GATE_MEM_CAP_BYTES = 1_500_000_000  # batch plus eigenvector cache ceiling
 
-# converged work-grid sizes observed by earlier engines, so neighbouring
-# parameter points skip the escalation probe; deterministic within a run
-_DIMS_HINTS: dict = {}
+try:  # glibc only; elsewhere freed memory is left to the allocator
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 def _skew_exp_factors(sub: np.ndarray):
@@ -293,7 +294,6 @@ def apply_two_mode_squeezer_batch(
     d_a: int,
     d_b: int,
     cache: dict | None = None,
-    cache_budget: float = _GATE_CACHE_BUDGET,
 ) -> np.ndarray:
     """exp(xi* ab - xi a'b') applied to (d_a*d_b, C) column-stacked states.
 
@@ -305,7 +305,7 @@ def apply_two_mode_squeezer_batch(
     mutated and returned.  All-zero sectors are skipped.
 
     A caller-owned cache dict (valid for fixed g, theta, d_a, d_b) can hold
-    the per-sector factorizations across calls, up to a size budget.
+    the per-sector factorizations across calls, up to _GATE_CACHE_FLOATS.
     """
     if g == 0.0:
         return batch
@@ -345,7 +345,7 @@ def apply_two_mode_squeezer_batch(
             if (
                 cache is not None
                 and s >= _GATE_CACHE_MIN_SECTOR
-                and cache_load + _entry_size(factors) <= cache_budget
+                and cache_load + _entry_size(factors) <= _GATE_CACHE_FLOATS
             ):
                 cache[k] = (flat, factors)
                 cache_load += _entry_size(factors)
@@ -843,7 +843,9 @@ class SensitivityOracle:
     quadratic forms against the externally-lossed observable.  One work
     grid serves all loss groups; it escalates until the estimated relative
     moment error of the worst phase block drops below tail_tol, which is
-    where the post-gate amplification bites.
+    where the post-gate amplification bites.  Escalation starts from the
+    engine's own prep state and only grows the grid; engines share no
+    state, so a result does not depend on which engines ran before.
     """
 
     def __init__(
@@ -869,7 +871,8 @@ class SensitivityOracle:
         prep_tol = prep_tail_tol if prep_tail_tol is not None else min(tail_tol, DEFAULT_TAIL_TOL)
         self.prep, self.prep_diag = auto_prepared_state(alpha, g, r, prep_tol, max_dim)
         self._work_dims: tuple | None = None
-        self._gate_caches: dict = {}
+        self._gate_dims: tuple | None = None  # the grid _gate_cache serves
+        self._gate_cache: dict = {}
         self._kraus_cache: dict = {}
         self.last_diag: CutoffDiagnostics | None = None
         self.last_kraus_deficit = 0.0
@@ -877,8 +880,15 @@ class SensitivityOracle:
     # -- pure-state quantities ----------------------------------------------
 
     def drop_caches(self) -> None:
-        """Release cached gate eigendecompositions (memory hygiene)."""
-        self._gate_caches.clear()
+        """Release cached gate eigendecompositions (memory hygiene).
+
+        They are hundreds of mid-sized heap blocks; once freed, small
+        long-lived allocations above them keep the heap from shrinking, so
+        the free pages are handed back to the system explicitly.
+        """
+        self._gate_cache = {}
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
     def _kraus_rows_for(self, t1: float):
         """Compressed Kraus family of the unphased prep state, prep grid.
@@ -908,19 +918,6 @@ class SensitivityOracle:
             self._kraus_cache[t1] = (rows, kept_weight)
         return self._kraus_cache[t1]
 
-    def _gate_cache_for(self, dims, batch_bytes: int) -> tuple[dict | None, float]:
-        budget = min(
-            8.0e7, max(_GATE_CACHE_BUDGET, (_GATE_MEM_CAP_BYTES - batch_bytes) / 8.0)
-        )
-        load = sum(
-            f[1][1].size + (f[1][2].size if f[1][2] is not None else 0)
-            for cache in self._gate_caches.values()
-            for f in cache.values()
-        )
-        if load > budget:
-            return self._gate_caches.get(dims), budget
-        return self._gate_caches.setdefault(dims, {}), budget
-
     def photon_number(self) -> float:
         na, _, nb = photon_number_stats(self.prep)
         return na + nb
@@ -934,25 +931,11 @@ class SensitivityOracle:
 
     # -- lossy output statistics ----------------------------------------------
 
-    def _hint_key(self):
-        return (
-            round(self.g, 9),
-            round(self.r, 9),
-            round(math.log10(self.tail_tol), 3),
-        )
-
     def _start_dims(self) -> tuple[int, int]:
         if self.g == 0.0:
             return self.prep.cutoff_a, self.prep.cutoff_b
         if self._work_dims is not None:
             return self._work_dims
-        hint = _DIMS_HINTS.get(self._hint_key())
-        if hint is not None:
-            # neighbouring amplitudes shift the needed grid by roughly their
-            # prep-cutoff difference
-            prep_a, d_a, d_b = hint
-            pad = max(0, self.prep.cutoff_a - prep_a)
-            return d_a + pad + 6, d_b + pad + 6
         d = self.prep.cutoff_a + 2 * self.prep.cutoff_b + 12
         return d, d
 
@@ -991,10 +974,6 @@ class SensitivityOracle:
                     self._work_dims = (int(d_a * 1.05) + 6, int(d_b * 1.05) + 6)
                 else:
                     self._work_dims = (d_a, d_b)
-                key = self._hint_key()
-                prev = _DIMS_HINTS.get(key)
-                if prev is None or prev[1] * prev[2] < d_a * d_b:
-                    _DIMS_HINTS[key] = (self.prep.cutoff_a, d_a, d_b)
                 self.last_diag = diag
                 self.last_kraus_deficit = deficit
                 return result
@@ -1043,8 +1022,11 @@ class SensitivityOracle:
         # both live on the prep grid and are zero-padded into the work grid
         base3t = np.ascontiguousarray(base.reshape(width, d_a0, d_b0).transpose(1, 2, 0))
         n_small = np.arange(d_a0)
-        sweep_bytes = min(nphi, phis_per_sweep) * width * dim * 16
-        gate_cache, gate_budget = self._gate_cache_for((d_a, d_b), sweep_bytes)
+        # escalation only grows the grid, so an abandoned grid's
+        # factorizations are never needed again
+        if self._gate_dims != (d_a, d_b):
+            self.drop_caches()
+            self._gate_dims = (d_a, d_b)
         corr_parts = {o: [] for o in (0, 1, 2)}
         marg_b_blocks = np.zeros((nphi, d_b))
         for lo in range(0, nphi, phis_per_sweep):
@@ -1058,8 +1040,7 @@ class SensitivityOracle:
                     out=grid_view[:d_a0, :d_b0, j * width : (j + 1) * width],
                 )
             apply_two_mode_squeezer_batch(
-                batch, self.g, math.pi, d_a, d_b,
-                cache=gate_cache, cache_budget=gate_budget,
+                batch, self.g, math.pi, d_a, d_b, cache=self._gate_cache
             )
             part = _mode_a_correlations(batch, d_a, d_b)
             for o in corr_parts:

@@ -231,17 +231,3 @@ def quadrature_stats(params: InterferometerParams) -> QuadratureStats:
         dmean_dphi=-2.0 * (m1 * z).imag,
     )
 
-
-def quadrature_mean(params: InterferometerParams) -> float:
-    """Output-port <a' + a>; real by Hermiticity (checked)."""
-    return quadrature_stats(params).mean
-
-
-def quadrature_second_moment(params: InterferometerParams) -> float:
-    """Output-port <(a' + a)^2>; real by Hermiticity (checked)."""
-    return quadrature_stats(params).second_moment
-
-
-def dmean_dphi(params: InterferometerParams) -> float:
-    """Exact phase derivative of the output-port quadrature mean."""
-    return quadrature_stats(params).dmean_dphi

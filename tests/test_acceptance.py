@@ -22,7 +22,7 @@ from su11lso.metrology import (
     sql_hl,
     total_photon_number,
 )
-from su11lso.moments import InterferometerParams, dmean_dphi, quadrature_mean
+from su11lso.moments import InterferometerParams, quadrature_stats
 from su11lso.sweeps import R_SERIES, figure_preset, render_csv, run_sweep, sweep_columns
 
 
@@ -173,10 +173,10 @@ def test_criterion_08_derivative_correctness():
             t2=rng.uniform(0.2, 1.0),
             phi=rng.uniform(0.1, 3.0),
         )
-        analytic = dmean_dphi(p)
+        analytic = quadrature_stats(p).dmean_dphi
         fd = (
-            quadrature_mean(p.replace(phi=p.phi + h))
-            - quadrature_mean(p.replace(phi=p.phi - h))
+            quadrature_stats(p.replace(phi=p.phi + h)).mean
+            - quadrature_stats(p.replace(phi=p.phi - h)).mean
         ) / (2 * h)
         worst = max(worst, abs(analytic - fd) / max(abs(fd), 1e-9))
     _report(8, "analytic phase derivative vs central differences (1e-7)",

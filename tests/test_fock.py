@@ -221,6 +221,38 @@ class TestOracleAgainstAnalyticPath:
         assert second_fast == pytest.approx(second_lit, abs=1e-12)
 
 
+class TestOracleIsHistoryFree:
+    def test_result_does_not_depend_on_earlier_engines(self):
+        args = (0.7, (1.0, 0.7), (0.3, 0.3 + 1e-5, 0.3 - 1e-5))
+        alone = fock.SensitivityOracle(0.5, 0.5, 0.5)
+        first = alone.quadrature_statistics(*args)
+        fock.SensitivityOracle(0.0, 0.5, 0.5).quadrature_statistics(*args)
+        later = fock.SensitivityOracle(0.5, 0.5, 0.5)
+        second = later.quadrature_statistics(*args)
+        assert later._work_dims == alone._work_dims
+        assert second == first
+
+    def test_escalated_engine_holds_one_grid_of_gate_factorizations(self, monkeypatch):
+        engine = fock.SensitivityOracle(0.5, 1.0, 0.5)
+        probed = []
+        evaluate = engine._evaluate_at_dims
+
+        def recording(t1, t2_values, phi_values, d_a, d_b):
+            probed.append((d_a, d_b))
+            return evaluate(t1, t2_values, phi_values, d_a, d_b)
+
+        monkeypatch.setattr(engine, "_evaluate_at_dims", recording)
+        phis = tuple(p for phi in (0.3, 0.8, 1.5) for p in (phi, phi + 1e-5, phi - 1e-5))
+        engine.quadrature_statistics(1.0, (1.0, 0.7), phis)
+        assert len(set(probed)) >= 2, probed
+        assert engine._gate_dims == probed[-1]
+        assert engine._gate_cache
+        for k, (flat, _) in engine._gate_cache.items():
+            np.testing.assert_array_equal(
+                flat, fock._pair_sector_indices(*engine._gate_dims, k)[0]
+            )
+
+
 class TestQfiOracles:
     def test_pure_coherent(self):
         f = fock.oracle_qfi_pure(InterferometerParams(g=0, alpha=1, r=0))

@@ -13,11 +13,8 @@ from su11lso.moments import (
     InterferometerParams,
     MomentTable,
     build_w_form,
-    dmean_dphi,
     moment_table,
     q_moment,
-    quadrature_mean,
-    quadrature_second_moment,
     quadrature_stats,
 )
 
@@ -186,24 +183,24 @@ class TestQuadrature:
         for phi in (0.0, 0.7, 2.1):
             p = InterferometerParams(g=0, alpha=alpha, r=0, phi=phi)
             expected = 2.0 * (alpha * np.exp(-1j * phi)).real
-            assert quadrature_mean(p) == pytest.approx(expected)
+            assert quadrature_stats(p).mean == pytest.approx(expected)
             slope = 2.0 * (-1j * alpha * np.exp(-1j * phi)).real
-            assert dmean_dphi(p) == pytest.approx(slope)
+            assert quadrature_stats(p).dmean_dphi == pytest.approx(slope)
 
     def test_vacuum_second_moment_is_one(self):
         p = InterferometerParams(g=0, alpha=0, r=0, phi=0.3)
-        assert quadrature_second_moment(p) == pytest.approx(1.0)
+        assert quadrature_stats(p).second_moment == pytest.approx(1.0)
 
     def test_coherent_second_moment(self):
         p = InterferometerParams(g=0, alpha=1, r=0, phi=0.0)
-        assert quadrature_second_moment(p) == pytest.approx(5.0)
+        assert quadrature_stats(p).second_moment == pytest.approx(5.0)
 
     def test_frozen_values_from_fock_oracle(self):
         # pinned by the converged Fock simulation (tail mass < 1e-12)
         p = InterferometerParams(g=1, alpha=1, r=0.6, phi=0.3)
-        assert quadrature_mean(p) == pytest.approx(5.527532537764433, rel=1e-12)
+        assert quadrature_stats(p).mean == pytest.approx(5.527532537764433, rel=1e-12)
         p2 = InterferometerParams(g=1, alpha=1, r=1, phi=0.5, t1=0.7, t2=1.0)
-        assert quadrature_second_moment(p2) == pytest.approx(
+        assert quadrature_stats(p2).second_moment == pytest.approx(
             60.99760928971997, rel=1e-10
         )
 
@@ -295,7 +292,7 @@ def test_slope_matches_finite_difference():
     p = InterferometerParams(g=1, alpha=1, r=0.6, phi=0.3)
     h = 1e-5
     fd = (
-        quadrature_mean(p.replace(phi=p.phi + h))
-        - quadrature_mean(p.replace(phi=p.phi - h))
+        quadrature_stats(p.replace(phi=p.phi + h)).mean
+        - quadrature_stats(p.replace(phi=p.phi - h)).mean
     ) / (2 * h)
-    assert dmean_dphi(p) == pytest.approx(fd, rel=1e-7)
+    assert quadrature_stats(p).dmean_dphi == pytest.approx(fd, rel=1e-7)
