@@ -22,7 +22,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="figures")
     parser.add_argument("--points", type=int, default=200)
-    parser.add_argument("--opt-grid", type=int, default=2001)
     parser.add_argument("--only", nargs="*", help="subset of presets to run")
     args = parser.parse_args()
 
@@ -30,7 +29,7 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     names = args.only or sorted(FIGURE_PRESETS)
     for name in names:
-        spec = figure_preset(name, points=args.points, opt_grid=args.opt_grid)
+        spec = figure_preset(name, points=args.points)
         path = outdir / f"{name}.csv"
         t0 = time.time()
         rows = write_sweep(spec, str(path), "csv")

@@ -26,7 +26,6 @@ from .errors import (
     DivergentSensitivityError,
     NonconvergedOracleError,
 )
-from .metrology import DEFAULT_OPT_GRID
 from .moments import InterferometerParams
 from .sweeps import (
     DEFAULT_POINTS,
@@ -84,12 +83,6 @@ def _config_defaults(path: str) -> dict:
     return out
 
 
-_OPT_GRID_HELP = (
-    "accepted for compatibility (must be >= 2) and recorded; the phase "
-    "optimum is exact and does not depend on it"
-)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="su11lso", description=__doc__)
     parser.add_argument("--config", help="key=value file supplying flag defaults")
@@ -102,7 +95,6 @@ def build_parser() -> _Parser:
         default="delta_phi,N,sql,hl,qfi,qcrb",
         help="comma-separated subset of: " + ",".join(QUANTITIES),
     )
-    p_point.add_argument("--opt-grid", type=int, default=DEFAULT_OPT_GRID, help=_OPT_GRID_HELP)
 
     p_sweep = sub.add_parser("sweep", help="one-variable sweep to a file")
     _add_param_flags(p_sweep)
@@ -114,14 +106,17 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--series-r", default="", help="comma list of r values, one curve each")
     p_sweep.add_argument("--output", required=True)
     p_sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_sweep.add_argument("--opt-grid", type=int, default=DEFAULT_OPT_GRID, help=_OPT_GRID_HELP)
 
     p_fig = sub.add_parser("figure", help="run a named figure preset")
     p_fig.add_argument("preset", choices=sorted(FIGURE_PRESETS))
     p_fig.add_argument("--points", type=int, default=DEFAULT_POINTS)
     p_fig.add_argument("--output", required=True)
     p_fig.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_fig.add_argument("--opt-grid", type=int, default=DEFAULT_OPT_GRID, help=_OPT_GRID_HELP)
+    for p in (p_point, p_sweep, p_fig):
+        p.add_argument(
+            "--opt-grid", type=int,
+            help="deprecated and ignored (must be >= 2): the phase optimum is exact",
+        )
 
     p_check = sub.add_parser("check", help="cross-validate analytic path against the Fock oracle")
     p_check.add_argument("--tolerance", type=float, default=1e-6)
@@ -153,9 +148,7 @@ def _cmd_point(args) -> int:
     params = InterferometerParams(
         g=args.g, alpha=args.alpha, r=args.r, t1=args.t1, t2=args.t2, phi=args.phi
     )
-    values, flags = _evaluate_quantities(
-        params, args.eta, quantities, (1e-3, math.pi - 1e-3), args.opt_grid
-    )
+    values, flags = _evaluate_quantities(params, args.eta, quantities)
     payload = {
         "g": params.g,
         "alpha": params.alpha.real if params.alpha.imag == 0 else [params.alpha.real, params.alpha.imag],
@@ -195,14 +188,13 @@ def _cmd_sweep(args) -> int:
         quantities=quantities,
         series=series,
         eta=args.eta,
-        opt_grid=args.opt_grid,
     )
     write_sweep(spec, args.output, args.format)
     return EXIT_OK
 
 
 def _cmd_figure(args) -> int:
-    spec = figure_preset(args.preset, points=args.points, opt_grid=args.opt_grid)
+    spec = figure_preset(args.preset, points=args.points)
     write_sweep(spec, args.output, args.format)
     return EXIT_OK
 
@@ -247,6 +239,11 @@ def main(argv=None) -> int:
         for sub in parser.sub_map.values():
             sub.set_defaults(**defaults)
     args = parser.parse_args(argv)
+    opt_grid = getattr(args, "opt_grid", None)  # from the flag or a config file
+    if opt_grid is not None and not (isinstance(opt_grid, int) and opt_grid >= 2):
+        parser.sub_map[args.command].error(
+            f"argument --opt-grid: must be at least 2, got {opt_grid!r}"
+        )
     try:
         # overflow is reported by the finiteness checks, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):

@@ -19,7 +19,7 @@ from .errors import (
     DivergentSensitivityError,
     NonconvergedOracleError,
 )
-from .fock import DEFAULT_FD_STEP, DEFAULT_MAX_DIM, SensitivityOracle
+from .fock import DEFAULT_MAX_DIM, SensitivityOracle
 from .metrology import SLOPE_FLOOR, phase_sensitivity, qfi_ideal, total_photon_number
 from .moments import InterferometerParams
 
@@ -29,12 +29,9 @@ DEFAULT_RS = (0.0, 0.5, 1.0)
 DEFAULT_T_PAIRS = ((1.0, 1.0), (1.0, 0.7), (0.7, 1.0), (0.7, 0.7))
 DEFAULT_PHIS = (0.3, 0.8, 1.5)
 
-# work-grid tolerance: a decay-scaled beyond-cutoff mass estimate; across
-# the grid this maps to relative sensitivity errors within a factor ~14 of
-# itself, keeping several times under the comparison tolerance
-DEFAULT_WORK_ERR_TOL = 2e-8
-DEFAULT_KRAUS_TOL = 1e-9
-DEFAULT_PREP_TAIL_TOL = 1e-10
+# Kraus weight each engine may drop per loss family (fock's default is 1e-11);
+# the work-grid and prep tolerances are fock's defaults
+_KRAUS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,10 +97,6 @@ def run_cross_check(
     t_pairs=DEFAULT_T_PAIRS,
     phis=DEFAULT_PHIS,
     rel_tol: float = 1e-6,
-    work_err_tol: float = DEFAULT_WORK_ERR_TOL,
-    kraus_tol: float = DEFAULT_KRAUS_TOL,
-    prep_tail_tol: float = DEFAULT_PREP_TAIL_TOL,
-    fd_step: float = DEFAULT_FD_STEP,
     max_dim: int = DEFAULT_MAX_DIM,
     progress=None,
 ) -> CrossCheckResult:
@@ -116,7 +109,6 @@ def run_cross_check(
     """
     t0 = time.time()
     result = CrossCheckResult(tolerance=rel_tol)
-    h = fd_step
 
     t1_groups: dict[float, list[float]] = {}
     for t1, t2 in t_pairs:
@@ -126,14 +118,7 @@ def run_cross_check(
         for g in gs:
             for r in rs:
                 engine = SensitivityOracle(
-                    alpha,
-                    g,
-                    r,
-                    tail_tol=work_err_tol,
-                    kraus_tol=kraus_tol,
-                    fd_step=fd_step,
-                    max_dim=max_dim,
-                    prep_tail_tol=prep_tail_tol,
+                    alpha, g, r, kraus_tol=_KRAUS_TOL, max_dim=max_dim
                 )
                 base = InterferometerParams(g=g, alpha=alpha, r=r)
                 _compare_state_quantities(result, base, engine)
@@ -146,7 +131,6 @@ def run_cross_check(
                         t1,
                         tuple(t2_list),
                         tuple(phis),
-                        h,
                         check_divergence=not divergence_checked,
                     )
                     divergence_checked = divergence_checked or checked
@@ -190,7 +174,7 @@ def _compare_state_quantities(result, base, engine):
 
 
 def _compare_sensitivity_group(
-    result, base, engine, t1, t2_values, phis, h, check_divergence
+    result, base, engine, t1, t2_values, phis, check_divergence
 ):
     """Delta-phi cells for one t1 group, all phases in one oracle batch."""
     analytic: dict[tuple[float, float], float | None] = {}
@@ -215,13 +199,11 @@ def _compare_sensitivity_group(
         result.cells.extend(cells)
         return cells, False
 
-    phi_batch = tuple(p for phi in phis for p in (phi, phi + h, phi - h))
-    stats = engine.quadrature_statistics(t1, t2_values, phi_batch)
+    stats = engine.sensitivity_statistics(t1, t2_values, phis)
     cells = []
     for t2 in t2_values:
         for phi in phis:
-            mean, second = stats[(t2, phi)]
-            slope = (stats[(t2, phi + h)][0] - stats[(t2, phi - h)][0]) / (2.0 * h)
+            _, variance, slope = stats[(t2, phi)]
             oracle_divergent = abs(slope) < SLOPE_FLOOR
             ref = analytic[(t2, phi)]
             if ref is None or oracle_divergent:
@@ -240,8 +222,7 @@ def _compare_sensitivity_group(
                     )
                 )
                 continue
-            variance = max(second - mean * mean, 0.0)
-            oracle_delta = math.sqrt(variance) / abs(slope)
+            oracle_delta = math.sqrt(max(variance, 0.0)) / abs(slope)
             cells.append(
                 CellResult(
                     "delta_phi", base.alpha.real, base.g, base.r, t1, t2, phi,

@@ -16,6 +16,16 @@ hundred, which strong squeezing genuinely demands: the internal state
 reaches mean photon numbers ~25 with heavy super-Poissonian tails, and the
 second squeezer roughly doubles that.
 
+Two routes compute these exponentials, on purpose.  The two-mode sectors
+carry most of the oracle's run time, so they use half-size factors of the
+even/odd split (``_skew_exp_factors``).  The single-mode squeezer, which
+prepares the state, uses the full eigendecomposition (``_apply_skew_exp``):
+it keeps the prepared state unitary to about 1e-14, whereas the half-size
+route rebuilds one set of singular vectors as M V / sigma, which loses
+orthogonality at about cond(M) * eps and lifts the prep norm deficit by one
+to two decades.  Near-singular two-mode chains (tiny gain) fall back to the
+full route as well.
+
 Loss is a Kraus map.  Mixed-state evaluations never materialize a density
 operator at large cutoff: the post-loss state is a rank-L mixture of Kraus
 vectors, external loss acts on the measured observable through the
@@ -48,6 +58,9 @@ _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 _DENSITY_DIM_LIMIT = 4096
 
 DEFAULT_TAIL_TOL = 1e-10
+# work-grid tolerance: a decay-scaled beyond-cutoff mass estimate; across
+# the cross-check grid this maps to relative sensitivity errors within a
+# factor ~14 of itself, keeping several times under the comparison tolerance
 DEFAULT_WORK_ERR_TOL = 2e-8
 DEFAULT_KRAUS_TOL = 1e-11
 DEFAULT_MAX_DIM = 1_400_000
@@ -127,7 +140,6 @@ class KrausChannel:
 
     transmittance: float
     mode: str = "a"
-    max_loss_order: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.transmittance <= 1.0:
@@ -297,9 +309,10 @@ def apply_two_mode_squeezer_batch(
 ) -> np.ndarray:
     """exp(xi* ab - xi a'b') applied to (d_a*d_b, C) column-stacked states.
 
-    xi = g e^{i theta}.  The generator conserves n_a - n_b; each conserved
-    sector is a real skew-symmetric tridiagonal chain (after a phase gauge
-    when theta is not a multiple of pi), exponentiated exactly through the
+    xi = g e^{i theta} with theta in {0, pi}: the first squeezer and the
+    phase-flipped second one; any other theta raises ValueError.  The
+    generator conserves n_a - n_b; each conserved sector is a real
+    skew-symmetric tridiagonal chain, exponentiated exactly through the
     half-spectrum factors of its even/odd split.  The transform runs in
     place sector by sector (sectors are disjoint); the input array is
     mutated and returned.  All-zero sectors are skipped.
@@ -307,20 +320,19 @@ def apply_two_mode_squeezer_batch(
     A caller-owned cache dict (valid for fixed g, theta, d_a, d_b) can hold
     the per-sector factorizations across calls, up to _GATE_CACHE_FLOATS.
     """
+    if theta == 0.0:
+        sign = 1.0
+    elif theta == math.pi:
+        sign = -1.0
+    else:
+        raise ValueError(f"two-mode squeezer phase must be 0 or pi, got {theta}")
     if g == 0.0:
         return batch
-    half_turns = theta / math.pi
-    exact_half = half_turns == round(half_turns)
-    sign = 1.0 if (not exact_half or round(half_turns) % 2 == 0) else -1.0
-    max_len = min(d_a, d_b)
-    pattern = _I_POW[np.arange(max_len) % 4]
+    pattern = _I_POW[np.arange(min(d_a, d_b)) % 4]
     pattern_c = pattern.conj()
-    gauge_full = None
-    if not exact_half:
-        gauge_full = np.exp(1j * theta * np.arange(max_len))
 
     def _entry_size(factors):
-        return factors[1].size + (factors[2].size if factors[2] is not None else 0)
+        return factors[1].size + factors[2].size
 
     cache_load = sum(_entry_size(f[1]) for f in cache.values()) if cache else 0
     for k in range(-(d_b - 1), d_a):
@@ -331,17 +343,15 @@ def apply_two_mode_squeezer_batch(
         s = len(flat)
         if s == 1 or not np.any(coupling):
             continue
-        if not exact_half:
-            x *= gauge_full[:s].conj()[:, None]
         if cache is not None and k in cache:
             _, factors = cache[k]
         else:
-            sub = (-sign * g) * coupling if exact_half else -g * coupling
+            sub = (-sign * g) * coupling
             factors = _skew_exp_factors(sub)
             if factors is None:
-                # near-singular block: full-spectrum route, not worth caching
-                lam, vec = eigh_tridiagonal(np.zeros(s), sub)
-                factors = (lam, vec, None, None)
+                # near-singular chain (tiny gain): full spectrum, not cached
+                batch[flat] = _apply_skew_exp(sub, x)
+                continue
             if (
                 cache is not None
                 and s >= _GATE_CACHE_MIN_SECTOR
@@ -350,16 +360,8 @@ def apply_two_mode_squeezer_batch(
                 cache[k] = (flat, factors)
                 cache_load += _entry_size(factors)
         x *= pattern_c[:s][:, None]
-        if factors[2] is None:
-            lam, vec = factors[0], factors[1]
-            t = _mul_real(vec.T, x)
-            t *= np.exp(-1j * lam)[:, None]
-            x = _mul_real(vec, t)
-        else:
-            x = _apply_split_factors(x, factors)
+        x = _apply_split_factors(x, factors)
         x *= pattern[:s][:, None]
-        if not exact_half:
-            x *= gauge_full[:s][:, None]
         batch[flat] = x
     return batch
 
@@ -395,14 +397,12 @@ def single_mode_squeezer_matrix(r: float, d_a: int) -> np.ndarray:
 # gates on states
 
 
-def build_input(alpha: complex, cutoff_a: int, cutoff_b: int | None = None) -> FockStateVector:
+def build_input(alpha: complex, cutoff_a: int, cutoff_b: int) -> FockStateVector:
     """|alpha>_a |0>_b with Poisson amplitudes; rejects leaky cutoffs.
 
     Raises InsufficientCutoffError unless the coherent tail beyond the
     cutoff is below 1e-12.
     """
-    if cutoff_b is None:
-        cutoff_b = cutoff_a
     alpha = complex(alpha)
     nbar = abs(alpha) ** 2
     amps = np.zeros(cutoff_a, dtype=complex)
@@ -419,9 +419,10 @@ def build_input(alpha: complex, cutoff_a: int, cutoff_b: int | None = None) -> F
     return FockStateVector(cutoff_a, cutoff_b, grid.reshape(-1))
 
 
-def apply_two_mode_squeezer(state: FockStateVector, g: float, theta: float = 0.0) -> FockStateVector:
+def apply_two_mode_squeezer(state: FockStateVector, g: float) -> FockStateVector:
+    """The first squeezer (theta = 0) on a copy of the state."""
     batch = state.amplitudes.copy()[:, None]
-    out = apply_two_mode_squeezer_batch(batch, g, theta, state.cutoff_a, state.cutoff_b)
+    out = apply_two_mode_squeezer_batch(batch, g, 0.0, state.cutoff_a, state.cutoff_b)
     return FockStateVector(state.cutoff_a, state.cutoff_b, out[:, 0])
 
 
@@ -488,7 +489,6 @@ def _loss_kraus_rows(
     state: FockStateVector,
     transmittance: float,
     mode: str = "a",
-    max_order: int | None = None,
     weight_tol: float = DEFAULT_KRAUS_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows Pi_l |psi> of the loss channel, stacked (L, dim), plus weights.
@@ -504,8 +504,6 @@ def _loss_kraus_rows(
     axis = 0 if mode == "a" else 1
     d = state.cutoff_a if mode == "a" else state.cutoff_b
     dim = state.cutoff_a * state.cutoff_b
-    if max_order is None:
-        max_order = d - 1
     n_axis = np.arange(d, dtype=float)
     damp = np.power(t, n_axis / 2.0)
     damp_shape = [1, 1]
@@ -520,7 +518,7 @@ def _loss_kraus_rows(
     scratch = np.empty_like(lowered)
     accumulated = 0.0
     count = 0
-    for l in range(max_order + 1):
+    for l in range(d):
         if l > 0:
             if t == 1.0:
                 break
@@ -557,19 +555,15 @@ def _loss_kraus_rows(
     return out, np.asarray(weights)
 
 
-def _single_mode_kraus_matrices(
-    t: float, d: int, max_order: int | None = None
-) -> list[np.ndarray]:
-    """Dense single-mode loss Kraus operators Pi_l up to max_order."""
-    if max_order is None:
-        max_order = d - 1
+def _single_mode_kraus_matrices(t: float, d: int) -> list[np.ndarray]:
+    """Dense single-mode loss Kraus operators Pi_l, l < d."""
     n = np.arange(d, dtype=float)
     damp = np.power(t, n / 2.0)
     a = np.zeros((d, d))
     a[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1.0, d))
     ops = []
     power = np.eye(d)  # sqrt((1-t)^l / l!) a^l
-    for l in range(max_order + 1):
+    for l in range(d):
         if l > 0:
             if t == 1.0:
                 break
@@ -589,11 +583,7 @@ def apply_loss(target, channel: KrausChannel) -> FockDensityOperator:
                 f"density-operator path is limited to dim <= {_DENSITY_DIM_LIMIT}"
             )
         rows, _ = _loss_kraus_rows(
-            target,
-            channel.transmittance,
-            channel.mode,
-            channel.max_loss_order,
-            weight_tol=1e-16,
+            target, channel.transmittance, channel.mode, weight_tol=1e-16
         )
         rho = rows.T @ rows.conj()
         return FockDensityOperator(target.cutoff_a, target.cutoff_b, rho)
@@ -606,7 +596,6 @@ def apply_loss(target, channel: KrausChannel) -> FockDensityOperator:
         kraus = _single_mode_kraus_matrices(
             channel.transmittance,
             target.cutoff_a if channel.mode == "a" else target.cutoff_b,
-            channel.max_loss_order,
         )
         da, db = target.cutoff_a, target.cutoff_b
         rho4 = target.matrix.reshape(da, db, da, db)
@@ -624,8 +613,8 @@ def apply_loss(target, channel: KrausChannel) -> FockDensityOperator:
 # cutoff diagnostics and state preparation
 
 
-def cutoff_check(target, tolerance: float = DEFAULT_TAIL_TOL, layers: int = 2) -> CutoffDiagnostics:
-    """Norm/trace deficit plus occupation mass of the top Fock layers."""
+def cutoff_check(target, tolerance: float = DEFAULT_TAIL_TOL) -> CutoffDiagnostics:
+    """Norm/trace deficit plus occupation mass of the top two Fock layers."""
     if isinstance(target, FockStateVector):
         deficit = abs(1.0 - float(np.vdot(target.amplitudes, target.amplitudes).real))
         pa, pb = target.marginal_a(), target.marginal_b()
@@ -634,8 +623,8 @@ def cutoff_check(target, tolerance: float = DEFAULT_TAIL_TOL, layers: int = 2) -
         pa, pb = target.marginal_a(), target.marginal_b()
     else:
         raise TypeError("cutoff_check expects a FockStateVector or FockDensityOperator")
-    la = min(layers, len(pa) - 1)
-    lb = min(layers, len(pb) - 1)
+    la = min(2, len(pa) - 1)
+    lb = min(2, len(pb) - 1)
     return CutoffDiagnostics(
         norm_deficit=deficit,
         top_mass_a=float(np.sum(pa[len(pa) - la :])),
@@ -649,7 +638,7 @@ def prepared_state(
 ) -> FockStateVector:
     """Fixed-cutoff internal state: single-mode squeeze after the first squeezer."""
     psi = build_input(alpha, cutoff_a, cutoff_b)
-    psi = apply_two_mode_squeezer(psi, g, 0.0)
+    psi = apply_two_mode_squeezer(psi, g)
     return apply_single_mode_squeezer(psi, r)
 
 
@@ -659,15 +648,12 @@ def auto_prepared_state(
     r: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
     max_dim: int = DEFAULT_MAX_DIM,
-    start: tuple[int, int] | None = None,
 ) -> tuple[FockStateVector, CutoffDiagnostics]:
     """Internal state with per-mode cutoffs escalated until the top-layer
     masses drop below tail_tol."""
     nbar = abs(alpha) ** 2
     d_a = max(14, int(math.ceil(nbar + 8.0 * abs(alpha) + 12.0)))
     d_b = 6
-    if start is not None:
-        d_a, d_b = max(d_a, start[0]), max(d_b, start[1])
     last = None
     while d_a * d_b <= max_dim:
         psi = prepared_state(alpha, g, r, d_a, d_b)
@@ -855,7 +841,6 @@ class SensitivityOracle:
         r: float,
         tail_tol: float = DEFAULT_WORK_ERR_TOL,
         kraus_tol: float = DEFAULT_KRAUS_TOL,
-        fd_step: float = DEFAULT_FD_STEP,
         max_dim: int = DEFAULT_MAX_DIM,
         prep_tail_tol: float | None = None,
     ):
@@ -864,7 +849,6 @@ class SensitivityOracle:
         self.r = float(r)
         self.tail_tol = tail_tol
         self.kraus_tol = kraus_tol
-        self.fd_step = fd_step
         self.max_dim = max_dim
         # the prep tolerance is a raw tail mass; photon-number moments lean
         # on the prep tails harder than the output quadratures do
@@ -1085,12 +1069,31 @@ class SensitivityOracle:
         )
         return result, diag, deficit, marg_a, marg_b
 
+    def sensitivity_statistics(
+        self,
+        t1: float,
+        t2_values: tuple[float, ...],
+        phis: tuple[float, ...],
+    ) -> dict[tuple[float, float], tuple[float, float, float]]:
+        """{(t2, phi): (<X>, Var X, d<X>/dphi)} at the output, one t1 group.
+
+        The slope is the central difference over phi +- DEFAULT_FD_STEP; the
+        three phases of every phi ride in one quadrature_statistics batch.
+        """
+        h = DEFAULT_FD_STEP
+        stats = self.quadrature_statistics(
+            t1, t2_values, tuple(p for phi in phis for p in (phi, phi + h, phi - h))
+        )
+        out = {}
+        for t2 in t2_values:
+            for phi in phis:
+                mean, second = stats[(t2, phi)]
+                slope = (stats[(t2, phi + h)][0] - stats[(t2, phi - h)][0]) / (2.0 * h)
+                out[(t2, phi)] = (mean, second - mean * mean, slope)
+        return out
+
     def sensitivity(self, t1: float, t2: float, phi: float) -> OracleReport:
-        h = self.fd_step
-        stats = self.quadrature_statistics(t1, (t2,), (phi, phi + h, phi - h))
-        mean, second = stats[(t2, phi)]
-        slope = (stats[(t2, phi + h)][0] - stats[(t2, phi - h)][0]) / (2.0 * h)
-        variance = second - mean * mean
+        mean, variance, slope = self.sensitivity_statistics(t1, (t2,), (phi,))[(t2, phi)]
         if abs(slope) < _SLOPE_FLOOR:
             raise DivergentSensitivityError(
                 f"oracle quadrature slope {slope:.2e} below {_SLOPE_FLOOR}"
@@ -1119,25 +1122,9 @@ class SensitivityOracle:
         )
 
 
-def oracle_sensitivity(
-    params: InterferometerParams,
-    tail_tol: float = DEFAULT_WORK_ERR_TOL,
-    kraus_tol: float = DEFAULT_KRAUS_TOL,
-    fd_step: float = DEFAULT_FD_STEP,
-    max_dim: int = DEFAULT_MAX_DIM,
-    prep_tail_tol: float | None = None,
-) -> OracleReport:
+def oracle_sensitivity(params: InterferometerParams) -> OracleReport:
     """Full-circuit homodyne sensitivity from the Fock simulation."""
-    engine = SensitivityOracle(
-        params.alpha,
-        params.g,
-        params.r,
-        tail_tol,
-        kraus_tol,
-        fd_step,
-        max_dim,
-        prep_tail_tol=prep_tail_tol,
-    )
+    engine = SensitivityOracle(params.alpha, params.g, params.r)
     return engine.sensitivity(params.t1, params.t2, params.phi)
 
 
@@ -1145,42 +1132,31 @@ def oracle_sensitivity(
 # Fisher information oracles
 
 
-def oracle_qfi_pure(
-    params: InterferometerParams,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> float:
+def oracle_qfi_pure(params: InterferometerParams, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """4 Var(n_a) of the internal state: the pure-state Fisher information."""
-    psi, _ = auto_prepared_state(params.alpha, params.g, params.r, tail_tol, max_dim)
+    psi, _ = auto_prepared_state(params.alpha, params.g, params.r, tail_tol)
     na, na2, _ = photon_number_stats(psi)
     return 4.0 * (na2 - na * na)
 
 
 def oracle_qfi_mixed(
-    params: InterferometerParams,
-    eta: float,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    eig_floor: float = 1e-12,
-    max_dim: int = DEFAULT_MAX_DIM,
+    params: InterferometerParams, eta: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> float:
     """Exact mixed-state Fisher information after loss eta on mode a."""
-    psi, _ = auto_prepared_state(params.alpha, params.g, params.r, tail_tol, max_dim)
+    psi, _ = auto_prepared_state(params.alpha, params.g, params.r, tail_tol)
     psi = apply_phase(psi, params.phi)
-    return mixed_qfi_from_state(psi, eta, eig_floor=eig_floor, weight_tol=min(tail_tol, 1e-12))
+    return mixed_qfi_from_state(psi, eta, weight_tol=min(tail_tol, 1e-12))
 
 
 def mixed_qfi_from_state(
-    psi: FockStateVector,
-    eta: float,
-    eig_floor: float = 1e-12,
-    weight_tol: float = 1e-12,
+    psi: FockStateVector, eta: float, weight_tol: float = 1e-12
 ) -> float:
     """Mixed-state Fisher information of a prepared state under loss eta.
 
     rho = sum_l |kappa_l><kappa_l| has rank at most the Kraus count, and
     d rho / d phi = -i [n_a, rho] lives in span{kappa, n kappa}; the
     spectral sum F = 2 sum |<i| drho |j>|^2 / (p_i + p_j) restricted to
-    p_i + p_j > eig_floor is evaluated in an orthonormal basis of that
+    p_i + p_j > 1e-12 is evaluated in an orthonormal basis of that
     subspace, where it is exact (matrix elements to its complement vanish).
     """
     if not 0.0 <= eta <= 1.0:
@@ -1202,7 +1178,7 @@ def mixed_qfi_from_state(
     p = np.clip(p, 0.0, None)
     d = v.conj().T @ drho_s @ v
     denom = p[:, None] + p[None, :]
-    mask = denom > eig_floor
+    mask = denom > 1e-12
     return float(2.0 * np.sum((np.abs(d) ** 2)[mask] / denom[mask]))
 
 

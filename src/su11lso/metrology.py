@@ -29,7 +29,6 @@ from .moments import InterferometerParams, moment_table, quadrature_stats, trig_
 SLOPE_FLOOR = 1e-12
 
 DEFAULT_BRACKET = (1e-3, math.pi - 1e-3)
-DEFAULT_OPT_GRID = 2001
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class OptimalPhaseResult:
     phi_opt: float
     delta_phi_min: float
     bracket: tuple[float, float]
-    n_grid: int
 
 
 def phase_sensitivity(params: InterferometerParams) -> SensitivityReport:
@@ -183,7 +181,6 @@ def sensitivity_curve(
 def optimal_phase(
     params: InterferometerParams,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
-    n_grid: int = DEFAULT_OPT_GRID,
 ) -> OptimalPhaseResult:
     """Phase minimizing delta-phi over the bracket, exactly.
 
@@ -195,14 +192,12 @@ def optimal_phase(
     roots, folded by pi into the bracket, plus the two bracket ends; the
     smallest delta-phi among them is the minimum.  If every candidate
     diverges (alpha = 0 or t1 = 0) there is no informative phase and the
-    search fails.  ``n_grid`` is validated and recorded for compatibility;
-    it does not affect the result.
+    search fails.  No grid is scanned, so the result has no resolution
+    setting.
     """
     lo, hi = bracket
     if not (lo < hi and lo > 0.0 and hi < math.pi):
         raise ValueError("bracket must satisfy 0 < lo < hi < pi")
-    if n_grid < 2:
-        raise ValueError("n_grid must be at least 2")
     _, m1, v0, v1, v2 = trig_coefficients(params)
     mc = m1.conjugate()
     quartic = np.array([
@@ -229,5 +224,4 @@ def optimal_phase(
         phi_opt=float(phis[best]),
         delta_phi_min=float(curve[best]),
         bracket=bracket,
-        n_grid=n_grid,
     )

@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .metrology import (
-    DEFAULT_BRACKET,
-    DEFAULT_OPT_GRID,
     optimal_phase,
     phase_sensitivity,
     qfi_ideal,
@@ -72,8 +70,6 @@ class SweepSpec:
     quantities: tuple[str, ...]
     series: tuple[SweepSeries, ...] = (SweepSeries(),)
     eta: float = 1.0
-    opt_bracket: tuple[float, float] = DEFAULT_BRACKET
-    opt_grid: int = DEFAULT_OPT_GRID
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
@@ -126,8 +122,6 @@ def _evaluate_quantities(
     params: InterferometerParams,
     eta: float,
     quantities: tuple[str, ...],
-    opt_bracket,
-    opt_grid,
 ) -> tuple[dict, list[str]]:
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta}")
@@ -138,7 +132,7 @@ def _evaluate_quantities(
             if q == "delta_phi":
                 values[q] = phase_sensitivity(params).delta_phi
             elif q == "delta_phi_min":
-                values[q] = optimal_phase(params, opt_bracket, opt_grid).delta_phi_min
+                values[q] = optimal_phase(params).delta_phi_min
             elif q == "N":
                 values[q] = total_photon_number(params)
             elif q == "sql":
@@ -179,9 +173,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     for series in spec.series:
         for value in spec.grid():
             params, eta = _apply_point(spec, series, float(value))
-            values, flags = _evaluate_quantities(
-                params, eta, spec.quantities, spec.opt_bracket, spec.opt_grid
-            )
+            values, flags = _evaluate_quantities(params, eta, spec.quantities)
             row = {
                 "series": series.label,
                 "g": params.g,
@@ -268,25 +260,19 @@ def _base(g=1.0, alpha=1.0, r=0.0, t1=1.0, t2=1.0, phi=0.0) -> InterferometerPar
     return InterferometerParams(g=g, alpha=alpha, r=r, t1=t1, t2=t2, phi=phi)
 
 
-def _preset_fig2(points, opt_grid):
-    return SweepSpec(
-        "phi", 0.0, 3.0, points, _base(), ("delta_phi",), _r_series(), opt_grid=opt_grid
-    )
+def _preset_fig2(points):
+    return SweepSpec("phi", 0.0, 3.0, points, _base(), ("delta_phi",), _r_series())
 
 
-def _preset_fig3(points, opt_grid):
-    return SweepSpec(
-        "g", 0.0, 1.5, points, _base(), ("delta_phi_min",), _r_series(), opt_grid=opt_grid
-    )
+def _preset_fig3(points):
+    return SweepSpec("g", 0.0, 1.5, points, _base(), ("delta_phi_min",), _r_series())
 
 
-def _preset_fig4(points, opt_grid):
-    return SweepSpec(
-        "alpha", 0.0, 2.0, points, _base(), ("delta_phi_min",), _r_series(), opt_grid=opt_grid
-    )
+def _preset_fig4(points):
+    return SweepSpec("alpha", 0.0, 2.0, points, _base(), ("delta_phi_min",), _r_series())
 
 
-def _preset_fig5(points, opt_grid):
+def _preset_fig5(points):
     series = []
     for r in R_SERIES:
         series.append(
@@ -301,51 +287,47 @@ def _preset_fig5(points, opt_grid):
                 overrides={"r": r, "sweep_target": "t2", "t1": 1.0},
             )
         )
-    return SweepSpec(
-        "t_k", 0.2, 1.0, points, _base(), ("delta_phi_min",), tuple(series), opt_grid=opt_grid
-    )
+    return SweepSpec("t_k", 0.2, 1.0, points, _base(), ("delta_phi_min",), tuple(series))
 
 
-def _preset_fig6a(points, opt_grid):
-    return SweepSpec(
-        "phi", 0.0, 3.0, points, _base(), ("delta_phi", "sql", "hl"), _r_series(), opt_grid=opt_grid
-    )
+def _preset_fig6a(points):
+    return SweepSpec("phi", 0.0, 3.0, points, _base(), ("delta_phi", "sql", "hl"), _r_series())
 
 
-def _preset_fig6b(points, opt_grid):
+def _preset_fig6b(points):
     return SweepSpec(
         "phi", 0.0, 3.0, points, _base(t1=0.5, t2=0.5),
-        ("delta_phi", "sql", "hl"), _r_series(), opt_grid=opt_grid,
+        ("delta_phi", "sql", "hl"), _r_series(),
     )
 
 
-def _preset_fig7a(points, opt_grid):
+def _preset_fig7a(points):
     return SweepSpec("g", 0.0, 1.5, points, _base(), ("qfi",), _r_series())
 
 
-def _preset_fig7b(points, opt_grid):
+def _preset_fig7b(points):
     return SweepSpec("alpha", 0.0, 2.0, points, _base(), ("qfi",), _r_series())
 
 
-def _preset_fig8a(points, opt_grid):
+def _preset_fig8a(points):
     return SweepSpec("g", 0.0, 1.5, points, _base(), ("qcrb",), _r_series())
 
 
-def _preset_fig8b(points, opt_grid):
+def _preset_fig8b(points):
     return SweepSpec("alpha", 0.0, 2.0, points, _base(), ("qcrb",), _r_series())
 
 
-def _preset_fig10(points, opt_grid):
+def _preset_fig10(points):
     return SweepSpec(
         "eta", 0.0, 1.0, points, _base(), ("qfi_lossy", "qcrb_lossy"), _r_series()
     )
 
 
-def _preset_fig11a(points, opt_grid):
+def _preset_fig11a(points):
     return SweepSpec("g", 0.0, 1.5, points, _base(), ("qfi_lossy",), _r_series(), eta=0.5)
 
 
-def _preset_fig11b(points, opt_grid):
+def _preset_fig11b(points):
     return SweepSpec("alpha", 0.0, 2.0, points, _base(), ("qfi_lossy",), _r_series(), eta=0.5)
 
 
@@ -366,7 +348,7 @@ FIGURE_PRESETS = {
 }
 
 
-def figure_preset(name: str, points: int = DEFAULT_POINTS, opt_grid: int = DEFAULT_OPT_GRID) -> SweepSpec:
+def figure_preset(name: str, points: int = DEFAULT_POINTS) -> SweepSpec:
     if name not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure preset {name!r}; known: {sorted(FIGURE_PRESETS)}")
-    return FIGURE_PRESETS[name](points, opt_grid)
+    return FIGURE_PRESETS[name](points)

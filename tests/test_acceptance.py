@@ -85,8 +85,8 @@ def test_criterion_03_sensitivity_gain_with_squeezing():
 def test_criterion_04_loss_trends():
     base = InterferometerParams(g=1, alpha=1, r=0.6)
     ts = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-    internal = [optimal_phase(base.replace(t1=t), n_grid=801).delta_phi_min for t in ts]
-    external = [optimal_phase(base.replace(t2=t), n_grid=801).delta_phi_min for t in ts]
+    internal = [optimal_phase(base.replace(t1=t)).delta_phi_min for t in ts]
+    external = [optimal_phase(base.replace(t2=t)).delta_phi_min for t in ts]
     non_increasing = all(b <= a + 1e-12 for a, b in zip(internal, internal[1:]))
     non_increasing &= all(b <= a + 1e-12 for a, b in zip(external, external[1:]))
     internal_worse = all(i >= e - 1e-12 for i, e in zip(internal[:-1], external[:-1]))

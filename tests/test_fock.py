@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from su11lso import fock
+from su11lso import crosscheck, fock
 from su11lso.errors import InsufficientCutoffError, NonconvergedOracleError
 from su11lso.metrology import phase_sensitivity, qfi_ideal
 from su11lso.moments import InterferometerParams, q_moment, quadrature_stats
@@ -39,7 +39,10 @@ class TestBuildInput:
 class TestGatesAgainstDenseExpm:
     """The sector-eigendecomposition exponentials against scipy expm."""
 
-    @pytest.mark.parametrize("g,theta", [(0.7, 0.0), (0.5, math.pi), (0.9, 1.3)])
+    # the two tiny gains take the near-singular full-spectrum fallback
+    @pytest.mark.parametrize(
+        "g,theta", [(0.7, 0.0), (0.5, math.pi), (1e-9, math.pi), (1e-200, 0.0)]
+    )
     @pytest.mark.parametrize("d_a,d_b", [(9, 7), (10, 8)])
     def test_two_mode_squeezer(self, g, theta, d_a, d_b):
         a = np.kron(dense_ladder(d_a), np.eye(d_b))
@@ -53,6 +56,11 @@ class TestGatesAgainstDenseExpm:
         assert np.abs(got - u_ref @ x).max() < 1e-12
         cached = fock.apply_two_mode_squeezer_batch(x.copy(), g, theta, d_a, d_b, cache=cache)
         assert np.abs(cached - u_ref @ x).max() < 1e-12
+
+    def test_two_mode_squeezer_rejects_other_phases(self):
+        x = np.ones((9 * 7, 1), dtype=complex)
+        with pytest.raises(ValueError, match="0 or pi"):
+            fock.apply_two_mode_squeezer_batch(x, 0.9, 1.3, 9, 7)
 
     def test_single_mode_squeezer(self):
         d = 12
@@ -207,6 +215,15 @@ class TestOracleAgainstAnalyticPath:
         assert rep.delta_phi == pytest.approx(
             phase_sensitivity(p).delta_phi, rel=1e-6
         )
+
+    def test_sensitivity_equals_cross_check_cell(self):
+        # one central difference serves both callers, bit for bit
+        res = crosscheck.run_cross_check(
+            alphas=(0.5,), gs=(0.5,), rs=(0.5,), t_pairs=((0.7, 0.7),), phis=(0.8,)
+        )
+        (cell,) = [c for c in res.cells if c.quantity == "delta_phi"]
+        engine = fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=crosscheck._KRAUS_TOL)
+        assert engine.sensitivity(0.7, 0.7, 0.8).delta_phi == cell.oracle
 
     def test_production_route_equals_literal_density_route(self):
         # trace cyclicity: identical matrices, reordered

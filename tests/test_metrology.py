@@ -190,7 +190,7 @@ class TestOptimalPhase:
             optimal_phase(params(alpha=0))
 
     def test_minimum_bounded_by_evaluated_grid(self):
-        res = optimal_phase(params(r=0.3), n_grid=501)
+        res = optimal_phase(params(r=0.3))
         curve = sensitivity_curve(params(r=0.3), np.linspace(*res.bracket, 501))
         assert res.delta_phi_min <= float(np.min(curve)) + 1e-12
 
@@ -240,14 +240,6 @@ class TestExactOptimum:
             assert abs(centred) <= step_error, (p, centred, step_error)
         assert interior > 0
 
-    def test_n_grid_recorded_without_effect(self):
-        p = params(r=0.6, t1=0.8)
-        coarse, fine = optimal_phase(p, n_grid=2), optimal_phase(p, n_grid=20001)
-        assert (coarse.n_grid, fine.n_grid) == (2, 20001)
-        assert coarse.delta_phi_min == fine.delta_phi_min
-        with pytest.raises(ValueError):
-            optimal_phase(p, n_grid=1)
-
     @pytest.mark.parametrize("t1", [0.0, 2.2e-311])
     def test_no_information_without_internal_transmission(self, t1):
         # a subnormal t1 leaves the quartic's outer coefficients subnormal
@@ -259,18 +251,18 @@ class TestTrendInvariants:
     def test_loss_degrades_sensitivity_monotonically(self):
         ts = np.linspace(0.2, 1.0, 9)
         internal = [
-            optimal_phase(params(r=0.6, t1=t), n_grid=801).delta_phi_min for t in ts
+            optimal_phase(params(r=0.6, t1=t)).delta_phi_min for t in ts
         ]
         external = [
-            optimal_phase(params(r=0.6, t2=t), n_grid=801).delta_phi_min for t in ts
+            optimal_phase(params(r=0.6, t2=t)).delta_phi_min for t in ts
         ]
         assert all(b <= a + 1e-12 for a, b in zip(internal, internal[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(external, external[1:]))
 
     def test_internal_loss_hurts_more(self):
         for t in np.linspace(0.2, 0.9, 8):
-            internal = optimal_phase(params(r=0.6, t1=t), n_grid=801).delta_phi_min
-            external = optimal_phase(params(r=0.6, t2=t), n_grid=801).delta_phi_min
+            internal = optimal_phase(params(r=0.6, t1=t)).delta_phi_min
+            external = optimal_phase(params(r=0.6, t2=t)).delta_phi_min
             assert internal >= external - 1e-12
 
     def test_cramer_rao_consistency(self):

@@ -251,6 +251,31 @@ class TestCli:
         assert rows[0]["qcrb_lossy"] == "inf"
         assert rows[0]["flags"] == "unbounded"
 
+    def test_opt_grid_is_deprecated_and_ignored(self, tmp_path, capsys):
+        sweep_out, fig_out = tmp_path / "sweep.csv", tmp_path / "fig3.csv"
+        cfg = tmp_path / "opt_grid.cfg"
+        cfg.write_text("opt_grid = 1\n")
+        commands = [
+            (("point", "--r", "0.6", "--phi", "0.3", "--quantities", "delta_phi,delta_phi_min"),
+             None),
+            (("sweep", "--var", "g", "--start", "0.1", "--stop", "1.5", "--count", "4",
+              "--r", "0.6", "--quantities", "delta_phi_min", "--output", str(sweep_out)),
+             sweep_out),
+            (("figure", "fig3", "--points", "4", "--output", str(fig_out)), fig_out),
+        ]
+        for argv, out in commands:
+            outputs = []
+            for extra in ((), ("--opt-grid", "2"), ("--opt-grid", "20001")):
+                code, stdout, _ = run_main(*argv, *extra)
+                assert code == 0
+                outputs.append(stdout if out is None else out.read_bytes())
+            assert outputs[0] == outputs[1] == outputs[2], argv[0]
+            for bad in ([*argv, "--opt-grid", "1"], ["--config", str(cfg), *argv]):
+                with pytest.raises(SystemExit) as exc:
+                    main(bad)
+                assert exc.value.code == 1
+                assert "--opt-grid" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         assert run_cli("sweep", "--var", "nope").returncode == 1
         assert run_cli("frobnicate").returncode == 1
