@@ -99,8 +99,8 @@ def total_photon_number(params: InterferometerParams) -> float:
 def sql_hl(params: InterferometerParams) -> tuple[float, float]:
     """(1/sqrt(N), 1/N) benchmarks from the ideal internal photon number."""
     n = total_photon_number(params)
-    if n <= 0.0:
-        raise DegenerateConfigurationError("benchmarks undefined at N = 0")
+    if n <= 0.0 or not math.isfinite(1.0 / n):
+        raise DegenerateConfigurationError(f"benchmarks undefined at N = {n:g}")
     return 1.0 / math.sqrt(n), 1.0 / n
 
 
@@ -208,6 +208,11 @@ def optimal_phase(
         mc * v1.conjugate(),
     ])
     scale = np.abs(quartic).max()
+    if 0.0 < scale < 2.0**-600:
+        # numpy divides a complex by multiplying with 1/scale, which overflows
+        # for subnormal coefficients; lift them by an exact power of two
+        quartic = quartic * 2.0**600
+        scale = np.abs(quartic).max()
     if scale > 0.0:
         # terms below rounding on the unit circle are dropped: a near-zero
         # leading coefficient would otherwise overflow the companion matrix

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su11lso.cli import main
@@ -335,6 +335,12 @@ class TestInputDomain:
         phi=st.floats(-10, 10),
         eta=st.floats(0, 1),
     )
+    # subnormal phase coefficients (the optimum's quartic) and an N whose
+    # reciprocal overflows (the Heisenberg benchmark)
+    @example(g=0.0, re_a=2.7236848377039103e-261, im_a=0.0, r=1.0, t1=1.0,
+             t2=4.411651276914472e-127, phi=0.0, eta=0.0)
+    @example(g=0.0, re_a=0.0, im_a=0.0, r=3.993930816541486e-156, t1=0.0, t2=0.0,
+             phi=0.0, eta=0.0)
     @settings(max_examples=60, deadline=None)
     def test_finite_point_gives_valid_json(self, g, re_a, im_a, r, t1, t2, phi, eta):
         values = dict(g=g, alpha=complex(re_a, im_a), r=r, t1=t1, t2=t2, phi=phi, eta=eta)
