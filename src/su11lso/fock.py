@@ -30,10 +30,10 @@ Loss is a Kraus map.  Mixed-state evaluations never materialize a density
 operator at large cutoff: the post-loss state is a rank-L mixture of Kraus
 vectors, external loss acts on the measured observable through the
 numerically built adjoint channel, and the lossy Fisher information is
-evaluated exactly in the low-rank subspace spanned by the Kraus vectors
-and their number-weighted images.  A literal density-operator route exists
-for small cutoffs; the production route equals it by trace cyclicity, and
-tests pin that.
+evaluated exactly in the span of the Kraus vectors K and their images N K:
+in the basis Q of W = [K, N K] = Q R their coordinates are R = Q^H W.  A
+literal density-operator route exists for small cutoffs; the production
+route equals it by trace cyclicity, and tests pin that.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, qr
 
 from .errors import (
     DivergentSensitivityError,
@@ -367,13 +367,11 @@ def apply_two_mode_squeezer_batch(
 
 
 def _mul_real(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """v @ x for real v and complex x as two real products (half the flops).
+    """v @ x for real v and complex 2-D x: one real GEMM on x's float view.
 
-    Small blocks skip the split: the copies cost more than they save.
+    x's real and imaginary parts interleave along its rows; half ZGEMM's flops.
     """
-    if x.size < 16384:
-        return v @ x
-    return v @ np.ascontiguousarray(x.real) + 1j * (v @ np.ascontiguousarray(x.imag))
+    return (v @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
 def single_mode_squeezer_matrix(r: float, d_a: int) -> np.ndarray:
@@ -1158,20 +1156,22 @@ def mixed_qfi_from_state(
     spectral sum F = 2 sum |<i| drho |j>|^2 / (p_i + p_j) restricted to
     p_i + p_j > 1e-12 is evaluated in an orthonormal basis of that
     subspace, where it is exact (matrix elements to its complement vanish).
+    That basis is Q of W = [K, N K] = Q R, and only the coordinates
+    R = Q^H W are formed.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     rows, _ = _loss_kraus_rows(psi, eta, "a", weight_tol=weight_tol)
-    cols = rows.T.copy()
+    count = len(rows)
     n_col = np.repeat(np.arange(psi.cutoff_a, dtype=float), psi.cutoff_b)
-    ncols = n_col[:, None] * cols
-    w = np.concatenate([cols, ncols], axis=1)
-    # full orthonormal basis of span{kappa, n kappa}: near-dependent columns
-    # yield null directions that the eigenvalue floor sifts out; dropping
-    # them by R-diagonal size would lose span carried by later columns
-    q = np.linalg.qr(w)[0]
-    ks = q.conj().T @ cols
-    ms = q.conj().T @ ncols
+    # W^T row by row is W in Fortran order, which the QR overwrites.  Keep all
+    # of R: near-dependent columns yield null directions that the eigenvalue
+    # floor sifts out; dropping them by R-diagonal size loses later span
+    wt = np.empty((2 * count, rows.shape[1]), dtype=complex)
+    wt[:count] = rows
+    np.multiply(n_col, rows, out=wt[count:])
+    r = qr(wt.T, mode="raw", overwrite_a=True, check_finite=False)[1]
+    ks, ms = r[:, :count], r[:, count:]
     rho_s = ks @ ks.conj().T
     drho_s = -1j * (ms @ ks.conj().T - ks @ ms.conj().T)
     p, v = np.linalg.eigh(rho_s)

@@ -1,6 +1,7 @@
 """Fock-space oracle: gates, channels, diagnostics, and cross-path locks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,3 +325,57 @@ class TestQfiOracles:
         f1 = fock.oracle_qfi_mixed(p, 0.6)
         f2 = fock.oracle_qfi_mixed(p.replace(phi=0.0), 0.6)
         assert f1 == pytest.approx(f2, rel=1e-10)
+
+    @pytest.mark.parametrize("eta", [0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("d_b", [12, 1], ids=["two-mode", "fewer-rows-than-columns"])
+    def test_mixed_matches_dense_spectral_sum(self, d_b, eta):
+        # independent of the R route: the spectral sum on the full density
+        # operator, with d rho / d phi = -i [N, rho] formed densely.  At
+        # d_b = 1 the 2L columns [K, N K] outnumber the dim rows
+        psi = fock.prepared_state(0.5, 0.5, 0.5, 24, d_b)
+        rho = fock.apply_loss(psi, fock.KrausChannel(eta, "a")).matrix
+        n = np.repeat(np.arange(24, dtype=float), d_b)
+        drho = -1j * (n[:, None] * rho - rho * n[None, :])
+        p, v = np.linalg.eigh(rho)
+        p = np.clip(p, 0.0, None)
+        d = v.conj().T @ drho @ v
+        denom = p[:, None] + p[None, :]
+        mask = denom > 1e-12
+        dense = 2.0 * np.sum((np.abs(d) ** 2)[mask] / denom[mask])
+        assert fock.mixed_qfi_from_state(psi, eta) == pytest.approx(dense, rel=1e-9)
+
+    def test_mixed_peak_memory_is_a_few_kraus_blocks(self):
+        # one (2L, dim) buffer overwritten by the QR, not Q and its products
+        psi, _ = fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=1e-12)
+        rows, _ = fock._loss_kraus_rows(psi, 0.3, "a", weight_tol=1e-12)
+        block = rows.nbytes
+        del rows
+        tracemalloc.start()
+        try:
+            fock.mixed_qfi_from_state(psi, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * block
+
+
+class TestMulReal:
+    """The real-times-complex product on the float view against ZGEMM."""
+
+    @pytest.mark.parametrize(
+        "shape, rows",
+        [((40, 7), slice(None)), ((80, 7), slice(0, None, 2)), ((40, 1), slice(None)),
+         ((300, 120), slice(None))],
+        ids=["contiguous", "row-strided", "single-column", "large"],
+    )
+    def test_matches_complex_product(self, shape, rows):
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = base[rows]
+        v = rng.standard_normal((33, x.shape[0]))
+        got = fock._mul_real(v, x)
+        want = v.astype(complex) @ x
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        bound = 1e-13 * np.linalg.norm(v) * np.linalg.norm(x)
+        assert np.max(np.abs(got - want)) <= bound
