@@ -2,10 +2,10 @@
 """Benchmark a change against its parent commit in alternating pairs.
 
 Usage:
-    python scripts/bench_pairs.py --parent REV [--pairs 10] [--output BENCH_N.json]
+    python scripts/bench_pairs.py --parent REV [--output BENCH_N.json]
 
 The parent side is ``git archive REV`` unpacked into a temporary directory,
-removed afterwards; the change side is this checkout.  For seed k = 1..N
+removed afterwards; the change side is this checkout.  For seed k = 1..10
 each workload of BENCHMARK.json runs ``perfbench/run.py --trace 0`` once per side, parent
 first for odd k and change first for even k, one run after another.  Then
 one ``--trace 1`` run of ``validate`` at seed 0 per side gives the
@@ -17,7 +17,6 @@ medians.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
@@ -25,11 +24,12 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# Ten alternating pairs is the least the pairing rule accepts.
+PAIRS = 10
 
 
 def side_stats(values: list[float]) -> dict:
@@ -42,10 +42,11 @@ def summarize(parent_runs: list, change_runs: list, spec: list[dict]) -> dict:
 
     parent_runs[i] and change_runs[i] are the metric values ({name: value})
     of pair i, or None where that run failed; a pair counts only when both
-    sides ran.  spec is BENCHMARK.json's ``end_to_end`` list.
+    sides ran.  spec is BENCHMARK.json's ``end_to_end`` list.  Quartiles
+    need two pairs; with fewer the result is empty.
     """
     pairs = [(p, c) for p, c in zip(parent_runs, change_runs) if p is not None and c is not None]
-    if not pairs:
+    if len(pairs) < 2:
         return {}
     out = {}
     for metric in spec:
@@ -91,18 +92,14 @@ def unpack(rev: str, dest: Path) -> None:
     archive = subprocess.run(
         ["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=subprocess.PIPE, check=True
     ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--output", type=Path, help="JSON file (default: standard output)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
@@ -111,14 +108,14 @@ def main(argv=None) -> int:
         stdout=subprocess.PIPE, check=True, text=True,
     ).stdout.strip()
 
-    seeds = list(range(1, args.pairs + 1))
+    seeds = list(range(1, PAIRS + 1))
     report = {
         "what": "perfbench end-to-end metrics, parent commit vs this change, "
-                f"{args.pairs} alternating pairs per workload over the same seeds; "
+                f"{PAIRS} alternating pairs per workload over the same seeds; "
                 "validate traced layer numbers from one --trace 1 run per side",
         "commands": [
             f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
-            f"--seed {{1..{args.pairs}}} --seconds {seconds} --trace 0",
+            f"--seed {{1..{PAIRS}}} --seconds {seconds} --trace 0",
             f"python3 perfbench/run.py --workload validate --seed 0 --seconds {seconds} --trace 1",
         ],
         "pairing": "seed k runs parent first for odd k, change first for even k; "

@@ -42,3 +42,6 @@ def test_failed_run_drops_its_pair():
     assert out["wall_s"]["pairs"] == 2
     assert out["wall_s"]["change_wins"] == 2
     assert bench_pairs.summarize(runs([None], [1.0]), runs([9.0], [1.0]), SPEC) == {}
+    # one surviving pair has no quartiles: an empty summary, not an error
+    one = bench_pairs.summarize(runs([10.0, None], [1.0] * 2), runs([9.0, 8.0], [1.0] * 2), SPEC)
+    assert one == {}
