@@ -112,11 +112,6 @@ def build_parser() -> _Parser:
     p_fig.add_argument("--points", type=int, default=DEFAULT_POINTS)
     p_fig.add_argument("--output", required=True)
     p_fig.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    for p in (p_point, p_sweep, p_fig):
-        p.add_argument(
-            "--opt-grid", type=int,
-            help="deprecated and ignored (must be >= 2): the phase optimum is exact",
-        )
 
     p_check = sub.add_parser("check", help="cross-validate analytic path against the Fock oracle")
     p_check.add_argument("--tolerance", type=float, default=1e-6)
@@ -234,16 +229,21 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        # one file may serve every subcommand, so a key need only be known to one
+        known = {
+            action.dest
+            for p in (parser, *parser.sub_map.values())
+            for action in p._actions
+        }
+        unknown = sorted(set(defaults) - known)
+        if unknown:
+            print(f"config error: unknown key(s) {', '.join(unknown)}", file=sys.stderr)
+            return EXIT_USAGE
         # subcommands parse into fresh namespaces, so defaults go everywhere
         parser.set_defaults(**defaults)
         for sub in parser.sub_map.values():
             sub.set_defaults(**defaults)
     args = parser.parse_args(argv)
-    opt_grid = getattr(args, "opt_grid", None)  # from the flag or a config file
-    if opt_grid is not None and not (isinstance(opt_grid, int) and opt_grid >= 2):
-        parser.sub_map[args.command].error(
-            f"argument --opt-grid: must be at least 2, got {opt_grid!r}"
-        )
     try:
         # overflow is reported by the finiteness checks, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):

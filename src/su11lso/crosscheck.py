@@ -9,7 +9,6 @@ divergence itself verified on both routes once per state.
 
 from __future__ import annotations
 
-import gc
 import math
 import time
 from dataclasses import dataclass, field
@@ -105,7 +104,7 @@ def run_cross_check(
     One oracle engine serves each (alpha, g, r); transmittance pairs are
     grouped by internal loss so a single second-squeezer pass covers both
     external-loss values, and the three finite-difference phases of each
-    requested phi ride in the same batch.
+    requested phi go through that same pass.
     """
     t0 = time.time()
     result = CrossCheckResult(tolerance=rel_tol)
@@ -136,9 +135,6 @@ def run_cross_check(
                     divergence_checked = divergence_checked or checked
                     if progress is not None:
                         progress(cells)
-                engine.drop_caches()
-                del engine
-                gc.collect()
     result.runtime = time.time() - t0
     return result
 

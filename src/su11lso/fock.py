@@ -29,16 +29,18 @@ full route as well.
 Loss is a Kraus map.  Mixed-state evaluations never materialize a density
 operator at large cutoff: the post-loss state is a rank-L mixture of Kraus
 vectors, external loss acts on the measured observable through the
-numerically built adjoint channel, and the lossy Fisher information is
-evaluated exactly in the span of the Kraus vectors K and their images N K:
-in the basis Q of W = [K, N K] = Q R their coordinates are R = Q^H W.  A
-literal density-operator route exists for small cutoffs; the production
-route equals it by trace cyclicity, and tests pin that.
+numerically built adjoint channel, and the second squeezer is swept one
+n_a - n_b sector at a time, so only a sector's worth of those vectors and
+the mode-a correlations they leave behind are ever held.  The lossy
+Fisher information is evaluated exactly in the span of the Kraus vectors K
+and their images N K: in the basis Q of W = [K, N K] = Q R their
+coordinates are R = Q^H W.  A literal density-operator route exists for
+small cutoffs; the production route equals it by trace cyclicity, and
+tests pin that.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -66,8 +68,6 @@ DEFAULT_KRAUS_TOL = 1e-11
 DEFAULT_MAX_DIM = 1_400_000
 DEFAULT_FD_STEP = 1e-5
 _SLOPE_FLOOR = 1e-12
-
-_FORM_CHUNK = 48  # columns per chunk in banded quadratic forms
 
 
 # ---------------------------------------------------------------------------
@@ -209,30 +209,12 @@ def _apply_skew_exp(sub: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _pair_sector_indices(d_a: int, d_b: int, k: int):
-    """Flat indices and couplings of the n_a - n_b = k chain."""
-    if k >= 0:
-        s = min(d_a - k, d_b)
-        m = np.arange(s)
-        na = m + k
-        nb = m
-    else:
-        s = min(d_a, d_b + k)
-        m = np.arange(s)
-        na = m
-        nb = m - k
-    flat = na * d_b + nb
+    """(n_a, n_b) along the n_a - n_b = k chain, and its couplings."""
+    s = min(d_a - k, d_b) if k >= 0 else min(d_a, d_b + k)
+    nb = np.arange(s) + max(-k, 0)
+    na = nb + k
     coupling = np.sqrt((na[:-1] + 1.0) * (nb[:-1] + 1.0))
-    return flat, coupling
-
-
-_GATE_CACHE_FLOATS = 8.0e7  # eigenvector floats one gate cache may hold
-_GATE_CACHE_MIN_SECTOR = 96  # below this, recomputing beats caching
-_BATCH_BYTES_LIMIT = 700_000_000
-
-try:  # glibc only; elsewhere freed memory is left to the allocator
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
+    return na, nb, coupling
 
 
 def _skew_exp_factors(sub: np.ndarray):
@@ -299,26 +281,39 @@ def _apply_split_factors(x: np.ndarray, factors) -> np.ndarray:
     return out
 
 
+def _sector_exp(x: np.ndarray, coupling: np.ndarray, g_signed: float) -> np.ndarray:
+    """Two-mode squeezer on the (s, C) columns of one n_a - n_b chain.
+
+    g_signed is g for theta = 0 and -g for theta = pi.  The chain generator
+    is real skew-symmetric tridiagonal with sub-diagonal -g_signed *
+    coupling, exponentiated through the half-spectrum factors of its
+    even/odd split, or the full spectrum when the chain is near-singular.
+    x may be overwritten.
+    """
+    s = x.shape[0]
+    if s == 1 or g_signed == 0.0:
+        return x
+    sub = -g_signed * coupling
+    factors = _skew_exp_factors(sub)
+    if factors is None:
+        return _apply_skew_exp(sub, x)
+    pattern = _I_POW[np.arange(s) % 4][:, None]
+    x *= pattern.conj()
+    x = _apply_split_factors(x, factors)
+    x *= pattern
+    return x
+
+
 def apply_two_mode_squeezer_batch(
-    batch: np.ndarray,
-    g: float,
-    theta: float,
-    d_a: int,
-    d_b: int,
-    cache: dict | None = None,
+    batch: np.ndarray, g: float, theta: float, d_a: int, d_b: int
 ) -> np.ndarray:
     """exp(xi* ab - xi a'b') applied to (d_a*d_b, C) column-stacked states.
 
     xi = g e^{i theta} with theta in {0, pi}: the first squeezer and the
     phase-flipped second one; any other theta raises ValueError.  The
-    generator conserves n_a - n_b; each conserved sector is a real
-    skew-symmetric tridiagonal chain, exponentiated exactly through the
-    half-spectrum factors of its even/odd split.  The transform runs in
-    place sector by sector (sectors are disjoint); the input array is
-    mutated and returned.  All-zero sectors are skipped.
-
-    A caller-owned cache dict (valid for fixed g, theta, d_a, d_b) can hold
-    the per-sector factorizations across calls, up to _GATE_CACHE_FLOATS.
+    generator conserves n_a - n_b, so the transform runs in place one
+    sector at a time (``_sector_exp``); the input array is mutated and
+    returned.  All-zero sectors are skipped.
     """
     if theta == 0.0:
         sign = 1.0
@@ -328,41 +323,12 @@ def apply_two_mode_squeezer_batch(
         raise ValueError(f"two-mode squeezer phase must be 0 or pi, got {theta}")
     if g == 0.0:
         return batch
-    pattern = _I_POW[np.arange(min(d_a, d_b)) % 4]
-    pattern_c = pattern.conj()
-
-    def _entry_size(factors):
-        return factors[1].size + factors[2].size
-
-    cache_load = sum(_entry_size(f[1]) for f in cache.values()) if cache else 0
     for k in range(-(d_b - 1), d_a):
-        flat, coupling = _pair_sector_indices(d_a, d_b, k)
+        na, nb, coupling = _pair_sector_indices(d_a, d_b, k)
+        flat = na * d_b + nb
         x = batch[flat]
-        if not x.any():
-            continue
-        s = len(flat)
-        if s == 1 or not np.any(coupling):
-            continue
-        if cache is not None and k in cache:
-            _, factors = cache[k]
-        else:
-            sub = (-sign * g) * coupling
-            factors = _skew_exp_factors(sub)
-            if factors is None:
-                # near-singular chain (tiny gain): full spectrum, not cached
-                batch[flat] = _apply_skew_exp(sub, x)
-                continue
-            if (
-                cache is not None
-                and s >= _GATE_CACHE_MIN_SECTOR
-                and cache_load + _entry_size(factors) <= _GATE_CACHE_FLOATS
-            ):
-                cache[k] = (flat, factors)
-                cache_load += _entry_size(factors)
-        x *= pattern_c[:s][:, None]
-        x = _apply_split_factors(x, factors)
-        x *= pattern[:s][:, None]
-        batch[flat] = x
+        if x.any():
+            batch[flat] = _sector_exp(x, coupling, sign * g)
     return batch
 
 
@@ -728,37 +694,18 @@ def loss_adjoint_bands(bands: dict[int, np.ndarray], t: float, d: int) -> dict[i
     return out
 
 
-def _mode_a_correlations(batch: np.ndarray, d_a: int, d_b: int, offsets=(0, 1, 2)):
-    """Per-column correlations C_o[c, i] = sum_b conj(x[i,b,c]) x[i+o,b,c].
-
-    Any banded mode-a observable expectation is a weighted sum of these;
-    for real symmetric bands the -o band pairs with +o through 2 Re C_o.
-    Columns are processed in chunks to bound transient memory.
-    """
-    ncols = batch.shape[1]
-    grid = batch.reshape(d_a, d_b, ncols)
-    corr = {o: np.zeros((ncols, d_a - o), dtype=complex) for o in offsets}
-    for lo in range(0, ncols, _FORM_CHUNK):
-        hi = min(lo + _FORM_CHUNK, ncols)
-        x = np.ascontiguousarray(grid[:, :, lo:hi])
-        xc = x.conj()
-        for o in offsets:
-            corr[o][lo:hi] = np.einsum("abc,abc->ca", xc[: d_a - o], x[o:])
-    return corr
-
-
 def _forms_from_correlations(bands: dict[int, np.ndarray], corr) -> np.ndarray:
-    """Per-row <row| M |row> for a real symmetric banded M from correlations."""
-    ncols = corr[0].shape[0]
-    out = np.zeros(ncols)
+    """Per-column <col| M |col> for a real symmetric banded mode-a M.
+
+    corr[o][i, c] = Re sum_b conj(x[i,b,c]) x[i+o,b,c] for o = 0, 1, 2; the
+    -o band pairs with the +o one, so it is folded into 2 Re C_o.
+    """
+    out = np.zeros(corr[0].shape[1])
     for o, v in bands.items():
-        if o < 0:
-            continue  # folded into the +o term below
-        c = corr[o]
         if o == 0:
-            out += c.real @ v
-        else:
-            out += 2.0 * (c.real @ v)
+            out += v @ corr[0]
+        elif o > 0:
+            out += 2.0 * (v @ corr[o])
     return out
 
 
@@ -822,8 +769,8 @@ class SensitivityOracle:
     """Reusable output-port evaluator for one (alpha, g, r).
 
     Prepares the internal state once.  Each measurement phases it, expands
-    internal loss into Kraus columns, pushes every column through the
-    second squeezer in one in-place sector sweep, and takes banded
+    internal loss into Kraus columns, streams every column through the
+    second squeezer one conserved sector at a time, and takes banded
     quadratic forms against the externally-lossed observable.  One work
     grid serves all loss groups; it escalates until the estimated relative
     moment error of the worst phase block drops below tail_tol, which is
@@ -853,24 +800,11 @@ class SensitivityOracle:
         prep_tol = prep_tail_tol if prep_tail_tol is not None else min(tail_tol, DEFAULT_TAIL_TOL)
         self.prep, self.prep_diag = auto_prepared_state(alpha, g, r, prep_tol, max_dim)
         self._work_dims: tuple | None = None
-        self._gate_dims: tuple | None = None  # the grid _gate_cache serves
-        self._gate_cache: dict = {}
         self._kraus_cache: dict = {}
         self.last_diag: CutoffDiagnostics | None = None
         self.last_kraus_deficit = 0.0
 
     # -- pure-state quantities ----------------------------------------------
-
-    def drop_caches(self) -> None:
-        """Release cached gate eigendecompositions (memory hygiene).
-
-        They are hundreds of mid-sized heap blocks; once freed, small
-        long-lived allocations above them keep the heap from shrinking, so
-        the free pages are handed back to the system explicitly.
-        """
-        self._gate_cache = {}
-        if _malloc_trim is not None:
-            _malloc_trim(0)
 
     def _kraus_rows_for(self, t1: float):
         """Compressed Kraus family of the unphased prep state, prep grid.
@@ -908,9 +842,6 @@ class SensitivityOracle:
         na, na2, _ = photon_number_stats(self.prep)
         return 4.0 * (na2 - na * na)
 
-    def moment(self, key) -> complex:
-        return pure_moment(self.prep, key)
-
     # -- lossy output statistics ----------------------------------------------
 
     def _start_dims(self) -> tuple[int, int]:
@@ -929,10 +860,10 @@ class SensitivityOracle:
     ) -> dict[tuple[float, float], tuple[float, float]]:
         """{(t2, phi): (<X>, <X^2>)} at the output, one t1 group per call.
 
-        One work grid serves every loss group of the engine (the lossless
-        group needs the largest grid and warms the gate cache for the rest).
-        Convergence is judged on the estimated relative second-moment error
-        of the worst phase block.
+        One work grid serves every loss group of the engine: the first group
+        escalates it and later groups start from it.  Convergence is judged
+        on the estimated relative second-moment error of the worst phase
+        block.
         """
         d_a, d_b = self._start_dims()
         for _ in range(16):
@@ -980,10 +911,17 @@ class SensitivityOracle:
         raise NonconvergedOracleError("cutoff escalation failed to settle")
 
     def _evaluate_at_dims(self, t1, t2_values, phi_values, d_a, d_b):
-        dim = d_a * d_b
+        """Output statistics at one work grid, streamed sector by sector.
+
+        The second squeezer conserves n_a - n_b.  Each sector's columns,
+        one per phase and Kraus vector, are filled from the prep grid (the
+        chain's prefix inside it; the rest is zero), transformed, and folded
+        into the mode-a correlations and mode-b marginals before the next
+        sector.  Offset-o correlations pair sector k with sector k - o at
+        equal n_b, so only the last two outputs are kept.
+        """
         nphi = len(phi_values)
         d_a0, d_b0 = self.prep.cutoff_a, self.prep.cutoff_b
-
         if t1 == 1.0:
             width = 1
             deficit = 0.0
@@ -992,69 +930,58 @@ class SensitivityOracle:
             base, kept_weight = self._kraus_rows_for(t1)
             width = base.shape[0]
             deficit = float(self.prep.norm() ** 2 - kept_weight)
-        if width * dim * 16 > _BATCH_BYTES_LIMIT:
-            raise NonconvergedOracleError(
-                f"one Kraus family of {width} columns at {d_a}x{d_b} exceeds "
-                "the memory budget"
-            )
-        phis_per_sweep = max(1, _BATCH_BYTES_LIMIT // (width * dim * 16))
-
+        ncols = nphi * width
         # the Kraus vectors of the phased state are the phased Kraus vectors,
-        # up to per-vector global phases that cancel in the quadratic forms;
-        # both live on the prep grid and are zero-padded into the work grid
-        base3t = np.ascontiguousarray(base.reshape(width, d_a0, d_b0).transpose(1, 2, 0))
-        n_small = np.arange(d_a0)
-        # escalation only grows the grid, so an abandoned grid's
-        # factorizations are never needed again
-        if self._gate_dims != (d_a, d_b):
-            self.drop_caches()
-            self._gate_dims = (d_a, d_b)
-        corr_parts = {o: [] for o in (0, 1, 2)}
-        marg_b_blocks = np.zeros((nphi, d_b))
-        for lo in range(0, nphi, phis_per_sweep):
-            chunk = phi_values[lo : lo + phis_per_sweep]
-            batch = np.zeros((dim, len(chunk) * width), dtype=complex)
-            grid_view = batch.reshape(d_a, d_b, len(chunk) * width)
-            for j, phi in enumerate(chunk):
-                np.multiply(
-                    base3t,
-                    np.exp(-1j * phi * n_small)[:, None, None],
-                    out=grid_view[:d_a0, :d_b0, j * width : (j + 1) * width],
-                )
-            apply_two_mode_squeezer_batch(
-                batch, self.g, math.pi, d_a, d_b, cache=self._gate_cache
+        # up to per-vector global phases that cancel in the quadratic forms
+        base3t = base.reshape(width, d_a0, d_b0).transpose(1, 2, 0)
+        phis = np.asarray(phi_values, dtype=float)
+
+        corr = [np.zeros((d_a - o, ncols)) for o in (0, 1, 2)]
+        marg_b_blocks = np.zeros((d_b, nphi))
+        kept = {}  # sector -> (its first n_b, its gate output)
+        for k in range(-(d_b0 - 1), d_a0):
+            kept.pop(k - 3, None)
+            na, nb, coupling = _pair_sector_indices(d_a, d_b, k)
+            inside = min(d_a0 - na[0], d_b0 - nb[0])
+            filled = base3t[na[:inside], nb[:inside]]
+            if not filled.any():  # e.g. every odd sector at alpha = 0
+                continue
+            s = len(na)
+            x = np.zeros((s, nphi, width), dtype=complex)
+            np.multiply(
+                np.exp(-1j * np.outer(na[:inside], phis))[:, :, None],
+                filled[:, None, :],
+                out=x[:inside],
             )
-            part = _mode_a_correlations(batch, d_a, d_b)
-            for o in corr_parts:
-                corr_parts[o].append(part[o])
-            for blo in range(0, batch.shape[1], _FORM_CHUNK):
-                bhi = min(blo + _FORM_CHUNK, batch.shape[1])
-                x = np.ascontiguousarray(grid_view[:, :, blo:bhi])
-                piece = np.einsum("abc,abc->cb", x.conj(), x).real
-                for col in range(blo, bhi):
-                    marg_b_blocks[(lo * width + col) // width] += piece[col - blo]
-            del batch, grid_view
-        del base
-        corr = {o: np.concatenate(parts, axis=0) for o, parts in corr_parts.items()}
+            y = _sector_exp(x.reshape(s, ncols), coupling, -self.g)  # theta = pi
+            dens = y.real**2 + y.imag**2
+            corr[0][na[0] : na[0] + s] += dens
+            marg_b_blocks[nb[0] : nb[0] + s] += dens.reshape(s, nphi, width).sum(axis=2)
+            for o in (1, 2):
+                if k - o not in kept:
+                    continue
+                nb_lo, y_lo = kept[k - o]
+                lo, hi = max(nb[0], nb_lo), min(nb[0] + s, nb_lo + len(y_lo))
+                if lo < hi:
+                    a = y_lo[lo - nb_lo : hi - nb_lo]
+                    b = y[lo - nb[0] : hi - nb[0]]
+                    corr[o][lo + k - o : hi + k - o] += a.real * b.real + a.imag * b.imag
+            kept[k] = (nb[0], y)
 
         result = {}
         for t2 in t2_values:
             x_bands = loss_adjoint_bands(_quadrature_bands(d_a), t2, d_a)
             xsq_bands = loss_adjoint_bands(_quadrature_sq_bands(d_a), t2, d_a)
-            means = _forms_from_correlations(x_bands, corr)
-            seconds = _forms_from_correlations(xsq_bands, corr)
+            means = _forms_from_correlations(x_bands, corr).reshape(nphi, width)
+            seconds = _forms_from_correlations(xsq_bands, corr).reshape(nphi, width)
             for j, phi in enumerate(phi_values):
-                sl = slice(j * width, (j + 1) * width)
-                result[(t2, phi)] = (
-                    float(means[sl].sum()),
-                    float(seconds[sl].sum()),
-                )
+                result[(t2, phi)] = (float(means[j].sum()), float(seconds[j].sum()))
 
         # convergence evidence: decay-scaled beyond-cutoff mass estimate of
         # the worst phase block; the decay factor matters because heavy
         # squeezed tails park most of the truncated mass past the top layers
-        dens = corr[0].real
-        marg_a_blocks = dens.reshape(nphi, width, d_a).sum(axis=1)
+        marg_a_blocks = corr[0].reshape(d_a, nphi, width).sum(axis=2).T
+        marg_b_blocks = marg_b_blocks.T
         marg_a = marg_a_blocks.mean(axis=0)
         marg_b = marg_b_blocks.mean(axis=0)
         diag = CutoffDiagnostics(

@@ -58,11 +58,8 @@ class TestGatesAgainstDenseExpm:
             with pytest.raises(ValueError, match="0 or pi"):
                 fock.apply_two_mode_squeezer_batch(x, g, theta, d_a, d_b)
             return
-        cache = {}
-        got = fock.apply_two_mode_squeezer_batch(x.copy(), g, theta, d_a, d_b, cache=cache)
+        got = fock.apply_two_mode_squeezer_batch(x.copy(), g, theta, d_a, d_b)
         assert np.abs(got - u_ref @ x).max() < 1e-12
-        cached = fock.apply_two_mode_squeezer_batch(x.copy(), g, theta, d_a, d_b, cache=cache)
-        assert np.abs(cached - u_ref @ x).max() < 1e-12
 
     def test_single_mode_squeezer(self):
         d = 12
@@ -227,17 +224,49 @@ class TestOracleAgainstAnalyticPath:
         engine = fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=crosscheck._KRAUS_TOL)
         assert engine.sensitivity(0.7, 0.7, 0.8).delta_phi == cell.oracle
 
-    def test_production_route_equals_literal_density_route(self):
-        # trace cyclicity: identical matrices, reordered
-        p = InterferometerParams(g=0.6, alpha=0.8, r=0.4, t1=0.75, t2=0.85, phi=0.9)
-        rho = fock.output_density_operator(p, 14, 12)
-        mean_lit, second_lit = fock.density_quadrature_stats(rho)
-        eng = fock.SensitivityOracle(0.8, 0.6, 0.4)
-        eng.prep = fock.prepared_state(0.8, 0.6, 0.4, 14, 12)
-        res, *_ = eng._evaluate_at_dims(0.75, (0.85,), (0.9,), 14, 12)
-        mean_fast, second_fast = res[(0.85, 0.9)]
-        assert mean_fast == pytest.approx(mean_lit, abs=1e-13)
-        assert second_fast == pytest.approx(second_lit, abs=1e-12)
+    @pytest.mark.parametrize("alpha", [0.8, 0.0], ids=["alpha0.8", "alpha0-empty-sectors"])
+    def test_production_route_equals_literal_density_route(self, alpha):
+        # trace cyclicity: identical matrices, reordered.  A 10x8 prep state
+        # (the corner of a larger one, as the coherent input needs more than
+        # 10 levels) padded into a 14x12 work grid; at alpha = 0 every odd
+        # sector is empty
+        g, r, t1, t2, phis = 0.6, 0.4, 0.75, 0.85, (0.9, 0.4, 1.7)
+        d_a, d_b = 14, 12
+        corner = fock.prepared_state(alpha, g, r, 20, 8).grid[:10]
+        prep = fock.FockStateVector(10, 8, corner.reshape(-1).copy())
+        a = np.kron(dense_ladder(d_a), np.eye(d_b))
+        b = np.kron(np.eye(d_a), dense_ladder(d_b))
+        u2 = expm(-g * (a @ b) + g * (a.T @ b.T))  # the phase-flipped squeezer
+        eng = fock.SensitivityOracle(alpha, g, r)
+        eng.prep = prep
+        res, *_ = eng._evaluate_at_dims(t1, (t2,), phis, d_a, d_b)
+        for phi in phis:
+            psi = fock.apply_phase(prep.padded(d_a, d_b), phi)
+            rho = fock.apply_loss(psi, fock.KrausChannel(t1, "a"))
+            rho = fock.FockDensityOperator(d_a, d_b, u2 @ rho.matrix @ u2.conj().T)
+            rho = fock.apply_loss(rho, fock.KrausChannel(t2, "a"))
+            mean_lit, second_lit = fock.density_quadrature_stats(rho)
+            mean_fast, second_fast = res[(t2, phi)]
+            assert mean_fast == pytest.approx(mean_lit, abs=1e-13)
+            assert second_fast == pytest.approx(second_lit, abs=1e-12)
+
+    def test_sector_sweep_peak_memory_is_a_few_sector_blocks(self):
+        # one sector's columns at a time plus the correlations, never the
+        # (dim, columns) batch of every phase and Kraus vector
+        eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
+        d_a, d_b = eng.prep.cutoff_a + 40, eng.prep.cutoff_b + 40
+        phis = (0.3, 0.8, 1.5)
+        ncols = len(phis) * eng._kraus_rows_for(0.7)[0].shape[0]
+        block = min(d_a, d_b) * ncols * 16
+        corr = 3 * d_a * ncols * 8
+        batch = d_a * d_b * ncols * 16
+        tracemalloc.start()
+        try:
+            eng._evaluate_at_dims(0.7, (1.0, 0.7), phis, d_a, d_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= corr + 12 * block < batch / 4
 
 
 class TestOracleIsHistoryFree:
@@ -250,26 +279,6 @@ class TestOracleIsHistoryFree:
         second = later.quadrature_statistics(*args)
         assert later._work_dims == alone._work_dims
         assert second == first
-
-    def test_escalated_engine_holds_one_grid_of_gate_factorizations(self, monkeypatch):
-        engine = fock.SensitivityOracle(0.5, 1.0, 0.5)
-        probed = []
-        evaluate = engine._evaluate_at_dims
-
-        def recording(t1, t2_values, phi_values, d_a, d_b):
-            probed.append((d_a, d_b))
-            return evaluate(t1, t2_values, phi_values, d_a, d_b)
-
-        monkeypatch.setattr(engine, "_evaluate_at_dims", recording)
-        phis = tuple(p for phi in (0.3, 0.8, 1.5) for p in (phi, phi + 1e-5, phi - 1e-5))
-        engine.quadrature_statistics(1.0, (1.0, 0.7), phis)
-        assert len(set(probed)) >= 2, probed
-        assert engine._gate_dims == probed[-1]
-        assert engine._gate_cache
-        for k, (flat, _) in engine._gate_cache.items():
-            np.testing.assert_array_equal(
-                flat, fock._pair_sector_indices(*engine._gate_dims, k)[0]
-            )
 
 
 class TestQfiOracles:

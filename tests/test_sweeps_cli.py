@@ -251,43 +251,46 @@ class TestCli:
         assert rows[0]["qcrb_lossy"] == "inf"
         assert rows[0]["flags"] == "unbounded"
 
-    def test_opt_grid_is_deprecated_and_ignored(self, tmp_path, capsys):
-        sweep_out, fig_out = tmp_path / "sweep.csv", tmp_path / "fig3.csv"
+    def test_retired_opt_grid_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "opt_grid.cfg"
-        cfg.write_text("opt_grid = 1\n")
-        commands = [
-            (("point", "--r", "0.6", "--phi", "0.3", "--quantities", "delta_phi,delta_phi_min"),
-             None),
-            (("sweep", "--var", "g", "--start", "0.1", "--stop", "1.5", "--count", "4",
-              "--r", "0.6", "--quantities", "delta_phi_min", "--output", str(sweep_out)),
-             sweep_out),
-            (("figure", "fig3", "--points", "4", "--output", str(fig_out)), fig_out),
-        ]
-        for argv, out in commands:
-            outputs = []
-            for extra in ((), ("--opt-grid", "2"), ("--opt-grid", "20001")):
-                code, stdout, _ = run_main(*argv, *extra)
-                assert code == 0
-                outputs.append(stdout if out is None else out.read_bytes())
-            assert outputs[0] == outputs[1] == outputs[2], argv[0]
-            for bad in ([*argv, "--opt-grid", "1"], ["--config", str(cfg), *argv]):
-                with pytest.raises(SystemExit) as exc:
-                    main(bad)
-                assert exc.value.code == 1
-                assert "--opt-grid" in capsys.readouterr().err
+        cfg.write_text("opt_grid = 5\n")
+        for argv in (
+            ("point", "--quantities", "N"),
+            ("sweep", "--var", "g", "--start", "0.1", "--stop", "1", "--count", "2",
+             "--output", str(tmp_path / "s.csv")),
+            ("figure", "fig3", "--points", "4", "--output", str(tmp_path / "f.csv")),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--opt-grid", "5"])
+            assert exc.value.code == 1
+            assert "--opt-grid" in capsys.readouterr().err
+            code, _, err = run_main("--config", str(cfg), *argv)
+            assert code == 1
+            assert "opt_grid" in err
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "f.csv").exists()
 
     def test_usage_error_exit_code(self):
         assert run_cli("sweep", "--var", "nope").returncode == 1
         assert run_cli("frobnicate").returncode == 1
 
     def test_config_file_supplies_defaults(self, tmp_path):
+        # one file serves every subcommand: figure's points and check's
+        # tolerance are valid keys for point too
         cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("r = 0.6\nphi = 0.3\n")
+        cfg.write_text("r = 0.6\nphi = 0.3\npoints = 4\ntolerance = 1e-6\n")
         with_cfg = run_cli("--config", str(cfg), "point", "--quantities", "N")
         explicit = run_cli("point", "--r", "0.6", "--phi", "0.3", "--quantities", "N")
         assert json.loads(with_cfg.stdout)["N"] == json.loads(explicit.stdout)["N"]
         override = run_cli("--config", str(cfg), "point", "--r", "0", "--quantities", "N")
         assert json.loads(override.stdout)["r"] == 0.0
+
+    def test_config_file_rejects_unknown_key(self, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("r = 0.6\nalpah = 2\n")
+        code, stdout, err = run_main("--config", str(cfg), "point", "--quantities", "N")
+        assert code == 1
+        assert stdout == ""
+        assert "alpah" in err
 
     def test_check_small_grid(self):
         proc = run_cli(
