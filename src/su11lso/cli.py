@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 ok, 1 usage or I/O error, 2 divergent or degenerate physics,
 3 oracle non-convergence.  A flat key=value config file may supply flag
-defaults; explicit flags win.
+defaults of any subcommand; explicit flags win, and an unknown key is a
+usage error.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _coerce(text: str):
     return text
 
 
-def _config_defaults(path: str) -> dict:
+def _config_defaults(path: str, known: set[str]) -> dict:
     out = {}
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -80,6 +81,9 @@ def _config_defaults(path: str) -> dict:
                 raise ValueError(f"config line without '=': {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             out[key.replace("-", "_")] = _coerce(value)
+    unknown = sorted(set(out) - known)
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)}")
     return out
 
 
@@ -224,20 +228,12 @@ def main(argv=None) -> int:
     # config defaults: parse once to find --config, then re-parse with defaults
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
+        # one file may serve every subcommand, so a key need only be known to one
+        known = {a.dest for p in (parser, *parser.sub_map.values()) for a in p._actions}
         try:
-            defaults = _config_defaults(probe.config)
+            defaults = _config_defaults(probe.config, known)
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        # one file may serve every subcommand, so a key need only be known to one
-        known = {
-            action.dest
-            for p in (parser, *parser.sub_map.values())
-            for action in p._actions
-        }
-        unknown = sorted(set(defaults) - known)
-        if unknown:
-            print(f"config error: unknown key(s) {', '.join(unknown)}", file=sys.stderr)
             return EXIT_USAGE
         # subcommands parse into fresh namespaces, so defaults go everywhere
         parser.set_defaults(**defaults)

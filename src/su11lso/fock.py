@@ -1113,26 +1113,6 @@ def mixed_qfi_from_state(
 # literal small-cutoff output route (bridging/testing)
 
 
-def output_density_operator(
-    params: InterferometerParams, cutoff_a: int, cutoff_b: int
-) -> FockDensityOperator:
-    """Schroedinger-picture output density operator at small cutoffs.
-
-    Builds the state gate by gate with the loss channels as explicit Kraus
-    sums.  The production route reorders the same matrices by trace
-    cyclicity; tests pin the two against each other.
-    """
-    psi = prepared_state(params.alpha, params.g, params.r, cutoff_a, cutoff_b)
-    psi = apply_phase(psi, params.phi)
-    rho = apply_loss(psi, KrausChannel(params.t1, "a"))
-    dim = cutoff_a * cutoff_b
-    u2 = apply_two_mode_squeezer_batch(
-        np.eye(dim, dtype=complex), params.g, math.pi, cutoff_a, cutoff_b
-    )
-    rho = FockDensityOperator(cutoff_a, cutoff_b, u2 @ rho.matrix @ u2.conj().T)
-    return apply_loss(rho, KrausChannel(params.t2, "a"))
-
-
 def density_quadrature_stats(rho: FockDensityOperator) -> tuple[float, float]:
     """(<X>, <X^2>) of a density operator, X = a + a' on mode a."""
     d_a, d_b = rho.cutoff_a, rho.cutoff_b
