@@ -79,8 +79,14 @@ class CrossCheckResult:
                 f"{q:<10} {len(cells):>6} {flagged:>8} {self.max_deviation(q):>14.3e}"
             )
         verdict = "PASS" if self.passed else "FAIL"
+        worst = self.max_deviation()
+        if self.tolerance > 0:
+            margin = worst / self.tolerance
+        else:
+            margin = math.inf if worst > 0 else 0.0
         lines.append(
-            f"overall: {verdict} (tolerance {self.tolerance:g}, runtime {self.runtime:.1f}s)"
+            f"overall: {verdict} (tolerance {self.tolerance:g}, worst margin {margin:.3g}, "
+            f"runtime {self.runtime:.1f}s)"
         )
         return lines
 
@@ -104,8 +110,20 @@ def run_cross_check(
     One oracle engine serves each (alpha, g, r); transmittance pairs are
     grouped by internal loss so a single second-squeezer pass covers both
     external-loss values, and the three finite-difference phases of each
-    requested phi go through that same pass.
+    requested phi go through that same pass.  A tolerance that is negative
+    or not finite, a max_dim below 1, or an empty grid axis raises
+    ValueError before any engine runs.
     """
+    # a zero tolerance asks for exact agreement: it runs, and reports FAIL
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {rel_tol!r}")
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be at least 1, got {max_dim!r}")
+    for name, values in (
+        ("alphas", alphas), ("gs", gs), ("rs", rs), ("t_pairs", t_pairs), ("phis", phis)
+    ):
+        if len(values) == 0:
+            raise ValueError(f"the {name} grid is empty")
     t0 = time.time()
     result = CrossCheckResult(tolerance=rel_tol)
 

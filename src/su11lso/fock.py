@@ -37,11 +37,25 @@ and their images N K: in the basis Q of W = [K, N K] = Q R their
 coordinates are R = Q^H W.  A literal density-operator route exists for
 small cutoffs; the production route equals it by trace cyclicity, and
 tests pin that.
+
+The second-squeezer sweep runs with every loaded OpenBLAS set to one
+thread (``_one_blas_thread``), restored when the sweep returns or raises.
+Its products are small (a sector of a few hundred rows times a few dozen
+columns), so a second BLAS thread costs more in hand-off than it saves,
+and while it spins it slows the tridiagonal eigensolver on the main
+thread about twofold.  On a 2-core host the lossless group of the
+(alpha 0.5, g 1, r 1) engine took 4.6 s wall and 4.6 s CPU on one thread
+against 10.7 s and 19.8 s on two, with bit-identical results.  State
+preparation and the mixed QFI keep the default count; the QFI's tall QR
+gains from it.  Without OpenBLAS (or off Linux) the scope does nothing
+and only the speed is lost.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -762,6 +776,61 @@ def _predicted_dim(
 
 
 # ---------------------------------------------------------------------------
+# BLAS thread scope
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS in this process.
+
+    Found afresh on each call from the shared objects mapped into the
+    process (Linux only; elsewhere the list is empty).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split()[-1] for line in f if "openblas" in line.lower()}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths if ".so" in p):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # numpy's 64-bit-index scipy-openblas, scipy's 32-bit one, a plain OpenBLAS
+        for get_name, set_name in (
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        ):
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body, or each call of a decorated function, with every
+    loaded OpenBLAS on one thread.
+
+    The libraries are found on entry and their earlier counts come back in
+    a ``finally``.  The counts are process-global, so the scope is not
+    meant for concurrent callers.
+    """
+    saved = []
+    try:
+        for get, set_ in _openblas_thread_controls():
+            saved.append((set_, get()))
+            set_(1)
+        yield
+    finally:
+        for set_, count in saved:
+            set_(count)
+
+
+# ---------------------------------------------------------------------------
 # sensitivity oracle
 
 
@@ -852,6 +921,7 @@ class SensitivityOracle:
         d = self.prep.cutoff_a + 2 * self.prep.cutoff_b + 12
         return d, d
 
+    @_one_blas_thread()
     def quadrature_statistics(
         self,
         t1: float,
@@ -863,7 +933,7 @@ class SensitivityOracle:
         One work grid serves every loss group of the engine: the first group
         escalates it and later groups start from it.  Convergence is judged
         on the estimated relative second-moment error of the worst phase
-        block.
+        block.  The whole escalation runs on one BLAS thread.
         """
         d_a, d_b = self._start_dims()
         for _ in range(16):

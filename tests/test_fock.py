@@ -281,6 +281,46 @@ class TestOracleIsHistoryFree:
         assert second == first
 
 
+class TestBlasThreadScope:
+    """The sweep runs on one OpenBLAS thread and restores the counts after."""
+
+    @staticmethod
+    def _counts():
+        return [get() for get, _ in fock._openblas_thread_controls()]
+
+    def test_sweep_runs_on_one_thread_and_restores_counts(self, monkeypatch):
+        controls = fock._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        seen = []
+        evaluate = fock.SensitivityOracle._evaluate_at_dims
+
+        def recording(engine, *args):
+            seen.append(self._counts())
+            return evaluate(engine, *args)
+
+        monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", recording)
+        original = self._counts()
+        try:
+            # two threads before the call, so restoring is not a no-op
+            for _, set_ in controls:
+                set_(2)
+            eng = fock.SensitivityOracle(0.5, 0.3, 0.2)
+            eng.quadrature_statistics(0.7, (1.0,), (0.8,))
+            assert seen and all(c == [1] * len(controls) for c in seen)
+            assert self._counts() == [2] * len(controls)
+            # an escalation that cannot converge raises out of the scope
+            seen.clear()
+            eng.tail_tol, eng.max_dim = 1e-300, 1
+            with pytest.raises(NonconvergedOracleError, match="dim budget"):
+                eng.quadrature_statistics(1.0, (1.0,), (0.8,))
+            assert seen and all(c == [1] * len(controls) for c in seen)
+            assert self._counts() == [2] * len(controls)
+        finally:
+            for (_, set_), count in zip(controls, original):
+                set_(count)
+
+
 class TestQfiOracles:
     def test_pure_coherent(self):
         f = fock.oracle_qfi_pure(InterferometerParams(g=0, alpha=1, r=0))

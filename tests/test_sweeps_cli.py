@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su11lso.cli import main
+from su11lso.crosscheck import CellResult, CrossCheckResult
 from su11lso.metrology import qfi_ideal, qfi_lossy
 from su11lso.moments import InterferometerParams
 from su11lso.sweeps import (
@@ -307,6 +308,36 @@ class TestCli:
         )
         assert proc.returncode == 3
         assert "FAIL" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "flag,value,named",
+        [
+            ("--tolerance", "nan", "tolerance"),
+            ("--tolerance", "-1", "tolerance"),
+            ("--tolerance", "inf", "tolerance"),
+            ("--max-dim", "0", "max_dim"),
+            ("--alphas", ",", "alphas"),
+            ("--phis", "", "phis"),
+            ("--ts", ",", "t_pairs"),
+        ],
+    )
+    def test_check_rejects_invalid_argument(self, flag, value, named):
+        grid = {"--alphas": "0.5", "--gs": "0.6", "--rs": "0.4", "--ts": "1", "--phis": "0.8"}
+        grid[flag] = value
+        code, stdout, err = run_main("check", *[tok for kv in grid.items() for tok in kv])
+        assert code == 1
+        assert stdout == ""
+        assert named in err
+
+    def test_check_summary_reports_worst_margin(self):
+        result = CrossCheckResult(tolerance=1e-6)
+        for dev, flag in ((2e-8, ""), (5e-8, ""), (math.inf, "divergent")):
+            result.cells.append(
+                CellResult("N", 0.5, 0.5, 0.5, None, None, None, 1.0, 1.0, dev, flag)
+            )
+        assert "overall: PASS (tolerance 1e-06, worst margin 0.05," in result.summary_lines()[-1]
+        result.tolerance = 0.0
+        assert "overall: FAIL (tolerance 0, worst margin inf," in result.summary_lines()[-1]
 
 
 def run_main(*args):
