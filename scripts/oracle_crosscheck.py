@@ -37,7 +37,10 @@ def main() -> int:
             flush=True,
         )
 
-    result = run_cross_check(progress=progress, **kwargs)
+    try:
+        result = run_cross_check(progress=progress, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
     print()
     print("\n".join(result.summary_lines()))
     return 0 if result.passed else 1
