@@ -111,8 +111,9 @@ def run_cross_check(
     grouped by internal loss so a single second-squeezer pass covers both
     external-loss values, and the three finite-difference phases of each
     requested phi go through that same pass.  A tolerance that is negative
-    or not finite, a max_dim below 1, or an empty grid axis raises
-    ValueError before any engine runs.
+    or not finite, a max_dim below 1, an empty grid axis, or a grid point
+    that is no valid configuration or overflows the analytic route raises
+    ValueError, naming the argument or parameter, before any engine runs.
     """
     # a zero tolerance asks for exact agreement: it runs, and reports FAIL
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
@@ -124,6 +125,16 @@ def run_cross_check(
     ):
         if len(values) == 0:
             raise ValueError(f"the {name} grid is empty")
+    # every grid point is checked before the first engine, which may run
+    # long (or never finish) on a point the analytic route already rejects
+    for alpha in alphas:
+        for g in gs:
+            for r in rs:
+                base = InterferometerParams(g=g, alpha=alpha, r=r)
+                _check_analytic_route(base)
+    for t1, t2 in t_pairs:
+        for phi in phis:
+            base.replace(t1=t1, t2=t2, phi=phi)  # raises on a bad t1, t2 or phi
     t0 = time.time()
     result = CrossCheckResult(tolerance=rel_tol)
 
@@ -155,6 +166,15 @@ def run_cross_check(
                         progress(cells)
     result.runtime = time.time() - t0
     return result
+
+
+def _check_analytic_route(base):
+    """Raise ValueError where N or F of the analytic route overflows."""
+    total_photon_number(base)
+    try:
+        qfi_ideal(base)
+    except DegenerateConfigurationError:
+        pass
 
 
 def _compare_state_quantities(result, base, engine):

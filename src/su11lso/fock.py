@@ -26,17 +26,17 @@ orthogonality at about cond(M) * eps and lifts the prep norm deficit by one
 to two decades.  Near-singular two-mode chains (tiny gain) fall back to the
 full route as well.
 
-Loss is a Kraus map.  Mixed-state evaluations never materialize a density
-operator at large cutoff: the post-loss state is a rank-L mixture of Kraus
-vectors, external loss acts on the measured observable through the
-numerically built adjoint channel, and the second squeezer is swept one
-n_a - n_b sector at a time, so only a sector's worth of those vectors and
-the mode-a correlations they leave behind are ever held.  The lossy
-Fisher information is evaluated exactly in the span of the Kraus vectors K
-and their images N K: in the basis Q of W = [K, N K] = Q R their
-coordinates are R = Q^H W.  A literal density-operator route exists for
-small cutoffs; the production route equals it by trace cyclicity, and
-tests pin that.
+Loss is a Kraus map.  No evaluation materializes a density operator: the
+post-loss state is a rank-L mixture of Kraus vectors, external loss acts
+on the measured observable through the numerically built adjoint channel,
+and the second squeezer is swept one n_a - n_b sector at a time, so only a
+sector's worth of those vectors and the mode-a correlations they leave
+behind are ever held.  The lossy Fisher information does without the
+Kraus vectors altogether: loss and the phase generator N = n_a act on
+mode a only, so it follows exactly from the L x L Gram matrices
+K^H N^k K (k = 0, 1, 2), which are sums over the d_a x d_a mode-a reduced
+matrix.  The tests hold both routes to a literal density-operator
+construction at small cutoffs.
 
 The second-squeezer sweep runs with every loaded OpenBLAS set to one
 thread (``_one_blas_thread``), restored when the sweep returns or raises.
@@ -46,9 +46,8 @@ and while it spins it slows the tridiagonal eigensolver on the main
 thread about twofold.  On a 2-core host the lossless group of the
 (alpha 0.5, g 1, r 1) engine took 4.6 s wall and 4.6 s CPU on one thread
 against 10.7 s and 19.8 s on two, with bit-identical results.  State
-preparation and the mixed QFI keep the default count; the QFI's tall QR
-gains from it.  Without OpenBLAS (or off Linux) the scope does nothing
-and only the speed is lost.
+preparation and the mixed QFI keep the default count.  Without OpenBLAS
+(or off Linux) the scope does nothing and only the speed is lost.
 """
 
 from __future__ import annotations
@@ -59,7 +58,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, qr
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import zherk
 
 from .errors import (
     DivergentSensitivityError,
@@ -69,9 +70,6 @@ from .errors import (
 from .moments import InterferometerParams
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
-
-# largest d_a*d_b for which the explicit density-operator path is allowed
-_DENSITY_DIM_LIMIT = 4096
 
 DEFAULT_TAIL_TOL = 1e-10
 # work-grid tolerance: a decay-scaled beyond-cutoff mass estimate; across
@@ -123,48 +121,9 @@ class FockStateVector:
         return FockStateVector(cutoff_a, cutoff_b, g.reshape(-1))
 
 
-@dataclass
-class FockDensityOperator:
-    """Two-mode density operator at small cutoff (bridging/testing use)."""
-
-    cutoff_a: int
-    cutoff_b: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = self.cutoff_a * self.cutoff_b
-        if self.matrix.shape != (dim, dim):
-            raise ValueError("density matrix does not match the cutoffs")
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def marginal_a(self) -> np.ndarray:
-        diag = np.diag(self.matrix).real.reshape(self.cutoff_a, self.cutoff_b)
-        return diag.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        diag = np.diag(self.matrix).real.reshape(self.cutoff_a, self.cutoff_b)
-        return diag.sum(axis=0)
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """Photon-loss channel on one mode: Pi_l = sqrt((1-T)^l / l!) T^{n/2} a^l."""
-
-    transmittance: float
-    mode: str = "a"
-
-    def __post_init__(self):
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError("transmittance must lie in [0, 1]")
-        if self.mode not in ("a", "b"):
-            raise ValueError("mode must be 'a' or 'b'")
-
-
 @dataclass(frozen=True)
 class CutoffDiagnostics:
-    """Convergence evidence for a truncated state or density operator."""
+    """Convergence evidence for a truncated state."""
 
     norm_deficit: float
     top_mass_a: float
@@ -533,74 +492,14 @@ def _loss_kraus_rows(
     return out, np.asarray(weights)
 
 
-def _single_mode_kraus_matrices(t: float, d: int) -> list[np.ndarray]:
-    """Dense single-mode loss Kraus operators Pi_l, l < d."""
-    n = np.arange(d, dtype=float)
-    damp = np.power(t, n / 2.0)
-    a = np.zeros((d, d))
-    a[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1.0, d))
-    ops = []
-    power = np.eye(d)  # sqrt((1-t)^l / l!) a^l
-    for l in range(d):
-        if l > 0:
-            if t == 1.0:
-                break
-            power = math.sqrt((1.0 - t) / l) * (a @ power)
-            if not power.any():
-                break
-        ops.append(damp[:, None] * power)
-    return ops
-
-
-def apply_loss(target, channel: KrausChannel) -> FockDensityOperator:
-    """Loss channel as an explicit density operator (small cutoffs only)."""
-    if isinstance(target, FockStateVector):
-        dim = target.cutoff_a * target.cutoff_b
-        if dim > _DENSITY_DIM_LIMIT:
-            raise ValueError(
-                f"density-operator path is limited to dim <= {_DENSITY_DIM_LIMIT}"
-            )
-        rows, _ = _loss_kraus_rows(
-            target, channel.transmittance, channel.mode, weight_tol=1e-16
-        )
-        rho = rows.T @ rows.conj()
-        return FockDensityOperator(target.cutoff_a, target.cutoff_b, rho)
-    if isinstance(target, FockDensityOperator):
-        dim = target.cutoff_a * target.cutoff_b
-        if dim > _DENSITY_DIM_LIMIT:
-            raise ValueError(
-                f"density-operator path is limited to dim <= {_DENSITY_DIM_LIMIT}"
-            )
-        kraus = _single_mode_kraus_matrices(
-            channel.transmittance,
-            target.cutoff_a if channel.mode == "a" else target.cutoff_b,
-        )
-        da, db = target.cutoff_a, target.cutoff_b
-        rho4 = target.matrix.reshape(da, db, da, db)
-        out = np.zeros_like(rho4)
-        for k in kraus:
-            if channel.mode == "a":
-                out += np.einsum("ij,jklm,nl->iknm", k, rho4, k.conj())
-            else:
-                out += np.einsum("ij,kjlm,nm->kiln", k, rho4, k.conj())
-        return FockDensityOperator(da, db, out.reshape(da * db, da * db))
-    raise TypeError("apply_loss expects a FockStateVector or FockDensityOperator")
-
-
 # ---------------------------------------------------------------------------
 # cutoff diagnostics and state preparation
 
 
-def cutoff_check(target, tolerance: float = DEFAULT_TAIL_TOL) -> CutoffDiagnostics:
-    """Norm/trace deficit plus occupation mass of the top two Fock layers."""
-    if isinstance(target, FockStateVector):
-        deficit = abs(1.0 - float(np.vdot(target.amplitudes, target.amplitudes).real))
-        pa, pb = target.marginal_a(), target.marginal_b()
-    elif isinstance(target, FockDensityOperator):
-        deficit = abs(1.0 - target.trace())
-        pa, pb = target.marginal_a(), target.marginal_b()
-    else:
-        raise TypeError("cutoff_check expects a FockStateVector or FockDensityOperator")
+def cutoff_check(state: FockStateVector, tolerance: float = DEFAULT_TAIL_TOL) -> CutoffDiagnostics:
+    """Norm deficit plus occupation mass of the top two Fock layers."""
+    deficit = abs(1.0 - float(np.vdot(state.amplitudes, state.amplitudes).real))
+    pa, pb = state.marginal_a(), state.marginal_b()
     la = min(2, len(pa) - 1)
     lb = min(2, len(pb) - 1)
     return CutoffDiagnostics(
@@ -643,6 +542,10 @@ def auto_prepared_state(
             d_a = _predicted_dim(psi.marginal_a(), tail_tol, d_a)
         if diag.top_mass_b > tail_tol:
             d_b = _predicted_dim(psi.marginal_b(), tail_tol, d_b)
+    if last is None:
+        raise NonconvergedOracleError(
+            f"state preparation start grid {d_a}x{d_b} exceeds dim budget {max_dim}"
+        )
     raise NonconvergedOracleError(
         f"state preparation not converged within dim budget {max_dim}: {last}"
     )
@@ -674,16 +577,17 @@ def _quadrature_sq_bands(d: int) -> dict[int, np.ndarray]:
     return {0: diag, 2: v2, -2: v2}
 
 
-def loss_adjoint_bands(bands: dict[int, np.ndarray], t: float, d: int) -> dict[int, np.ndarray]:
-    """Adjoint loss channel of a banded, real-symmetric single-mode observable.
+def _loss_amplitudes(t: float, d: int):
+    """Yield the loss amplitudes u_m of Kraus orders m = 0, 1, ... on d levels.
 
-    sum_m Pi_m' M Pi_m keeps the band structure; Kraus order m contributes
-    u_m(i) u_m(i+|o|) M_o[i] shifted up by m, with
-    u_m(i) = sqrt((1-t)^m / m!) t^{i/2} sqrt((i+m)!/i!).
+    u_m(i) = sqrt((1-t)^m / m!) t^{i/2} sqrt((i+m)!/i!) for i < d - m, so
+    Pi_m |i+m> = u_m(i) |i>.  Built in log space, where u_m^2 is a binomial
+    probability and cannot overflow; stops once every entry is below 1e-160.
+    At t = 1 only u_0 = 1 exists.
     """
     if t == 1.0:
-        return {o: v.copy() for o, v in bands.items()}
-    out = {o: np.zeros(d - abs(o)) for o in bands}
+        yield np.ones(d)
+        return
     i = np.arange(d, dtype=float)
     if t > 0.0:
         log_damp = i * math.log(t)
@@ -695,10 +599,23 @@ def loss_adjoint_bands(bands: dict[int, np.ndarray], t: float, d: int) -> dict[i
         if m > 0:
             log_fall = log_fall[:-1] + np.log(i[m:])
             log_fail += math.log(1.0 - t) - math.log(m)
-        width = d - m
-        u = np.exp(0.5 * (log_fail + log_damp[:width] + log_fall))
+        u = np.exp(0.5 * (log_fail + log_damp[: d - m] + log_fall))
         if not np.any(u > 1e-160):
-            break
+            return
+        yield u
+
+
+def loss_adjoint_bands(bands: dict[int, np.ndarray], t: float, d: int) -> dict[int, np.ndarray]:
+    """Adjoint loss channel of a banded, real-symmetric single-mode observable.
+
+    sum_m Pi_m' M Pi_m keeps the band structure; Kraus order m contributes
+    u_m(i) u_m(i+|o|) M_o[i] shifted up by m (``_loss_amplitudes``).
+    """
+    if t == 1.0:
+        return {o: v.copy() for o, v in bands.items()}
+    out = {o: np.zeros(d - abs(o)) for o in bands}
+    for m, u in enumerate(_loss_amplitudes(t, d)):
+        width = d - m
         for o, v in bands.items():
             oo = abs(o)
             ln = width - oo
@@ -1148,48 +1065,63 @@ def mixed_qfi_from_state(
 ) -> float:
     """Mixed-state Fisher information of a prepared state under loss eta.
 
-    rho = sum_l |kappa_l><kappa_l| has rank at most the Kraus count, and
-    d rho / d phi = -i [n_a, rho] lives in span{kappa, n kappa}; the
-    spectral sum F = 2 sum |<i| drho |j>|^2 / (p_i + p_j) restricted to
-    p_i + p_j > 1e-12 is evaluated in an orthonormal basis of that
-    subspace, where it is exact (matrix elements to its complement vanish).
-    That basis is Q of W = [K, N K] = Q R, and only the coordinates
-    R = Q^H W are formed.
+    rho = K K^H for the Kraus vectors K = [Pi_0 psi, Pi_1 psi, ...], and
+    d rho / d phi = -i [N, rho] with N = n_a.  Loss and N act on mode a
+    only, so F depends on psi only through the Gram matrices
+    G_k = K^H N^k K (k = 0, 1, 2), sums over n of
+    n^k u_l(n) u_l'(n) sigma[n+l, n+l'] with the mode-a reduced matrix
+    sigma = conj(Psi) Psi^T.  With G_0 = V diag(lam) V^H, the components
+    above L eps lam_max are kept whole, and C = V^H G_1 V,
+
+        F = 4 sum_i (V^H G_2 V)_ii - 8 sum_ij |C_ij|^2 / (lam_i + lam_j),
+
+    the Braunstein-Caves form 4 tr(rho N^2) - 8 sum p_i p_j / (p_i + p_j)
+    |N_ij|^2 of rho restricted to those components.  The Kraus count L
+    stops once the neglected weight falls below weight_tol.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    rows, _ = _loss_kraus_rows(psi, eta, "a", weight_tol=weight_tol)
-    count = len(rows)
-    n_col = np.repeat(np.arange(psi.cutoff_a, dtype=float), psi.cutoff_b)
-    # W^T row by row is W in Fortran order, which the QR overwrites.  Keep all
-    # of R: near-dependent columns yield null directions that the eigenvalue
-    # floor sifts out; dropping them by R-diagonal size loses later span
-    wt = np.empty((2 * count, rows.shape[1]), dtype=complex)
-    wt[:count] = rows
-    np.multiply(n_col, rows, out=wt[count:])
-    r = qr(wt.T, mode="raw", overwrite_a=True, check_finite=False)[1]
-    ks, ms = r[:, :count], r[:, count:]
-    rho_s = ks @ ks.conj().T
-    drho_s = -1j * (ms @ ks.conj().T - ks @ ms.conj().T)
-    p, v = np.linalg.eigh(rho_s)
-    p = np.clip(p, 0.0, None)
-    d = v.conj().T @ drho_s @ v
-    denom = p[:, None] + p[None, :]
-    mask = denom > 1e-12
-    return float(2.0 * np.sum((np.abs(d) ** 2)[mask] / denom[mask]))
-
-
-# ---------------------------------------------------------------------------
-# literal small-cutoff output route (bridging/testing)
-
-
-def density_quadrature_stats(rho: FockDensityOperator) -> tuple[float, float]:
-    """(<X>, <X^2>) of a density operator, X = a + a' on mode a."""
-    d_a, d_b = rho.cutoff_a, rho.cutoff_b
-    x1 = np.zeros((d_a, d_a))
-    x1[np.arange(d_a - 1), np.arange(1, d_a)] = np.sqrt(np.arange(1.0, d_a))
-    x1 += x1.T
-    x = np.kron(x1, np.eye(d_b))
-    mean = float(np.trace(x @ rho.matrix).real)
-    second = float(np.trace(x @ x @ rho.matrix).real)
-    return mean, second
+    d = psi.cutoff_a
+    # upper triangle of sigma in one rank-k update, without copying psi
+    sigma = zherk(1.0, psi.grid.T, trans=2)
+    occupation = sigma.diagonal().real
+    if not np.isfinite(occupation).all():
+        raise NonconvergedOracleError(
+            f"mode-a reduced state overflows at cutoff {psi.cutoff_a}x{psi.cutoff_b}"
+        )
+    total = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
+    amps = []
+    accumulated = 0.0
+    for l, amp in enumerate(_loss_amplitudes(eta, d)):
+        if l > 0 and not occupation[l:].any():
+            break
+        amps.append(amp)
+        accumulated += float(amp**2 @ occupation[l:])
+        if total - accumulated < weight_tol:
+            break
+    count = len(amps)
+    u = np.zeros((d, count))  # u[n, l] = u_l(n)
+    for l, amp in enumerate(amps):
+        u[: d - l, l] = amp
+    # G_k[l, l + delta] pairs u_l(n) u_{l+delta}(n), zero from n = d - delta
+    # on, with the delta-th diagonal of sigma read from n + l; the lower
+    # triangles are the conjugates
+    powers = np.arange(d, dtype=float) ** np.arange(3.0)[:, None]
+    gram = np.zeros((3, count, count), dtype=complex)
+    padded = np.zeros(d + count, dtype=complex)
+    windows = sliding_window_view(padded, count)  # windows[n, l] = padded[n + l]
+    for delta in range(count):
+        padded[: d - delta] = sigma.diagonal(delta)
+        padded[d - delta : d] = 0.0
+        rows, cols = count - delta, d - delta
+        band = (u[:cols, :rows] * u[:cols, delta:]) * windows[:cols, :rows]
+        upper = _mul_real(powers[:, :cols], band)
+        idx = np.arange(rows)
+        gram[:, idx, idx + delta] = upper
+        gram[:, idx + delta, idx] = upper.conj()
+    lam, vec = np.linalg.eigh(gram[0])
+    keep = lam > count * np.finfo(float).eps * lam[-1]
+    lam, vec = lam[keep], vec[:, keep]
+    c = vec.conj().T @ gram[1] @ vec
+    second = np.sum(vec.conj() * (gram[2] @ vec)).real
+    return float(4.0 * second - 8.0 * np.sum(np.abs(c) ** 2 / (lam[:, None] + lam[None, :])))

@@ -1,0 +1,110 @@
+"""Literal density-operator route of the Fock oracle, for small cutoffs.
+
+The oracle never forms a density operator; these helpers do, so tests can
+check its streamed sector sweep and its mixed-state Fisher information
+against the plain textbook construction.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from su11lso import fock
+
+# largest d_a*d_b for which the explicit density operator is formed
+DENSITY_DIM_LIMIT = 4096
+
+
+@dataclass
+class FockDensityOperator:
+    """Two-mode density operator at small cutoff."""
+
+    cutoff_a: int
+    cutoff_b: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        dim = self.cutoff_a * self.cutoff_b
+        if self.matrix.shape != (dim, dim):
+            raise ValueError("density matrix does not match the cutoffs")
+
+    def trace(self) -> float:
+        return float(np.trace(self.matrix).real)
+
+    def marginal_a(self) -> np.ndarray:
+        diag = np.diag(self.matrix).real.reshape(self.cutoff_a, self.cutoff_b)
+        return diag.sum(axis=1)
+
+    def marginal_b(self) -> np.ndarray:
+        diag = np.diag(self.matrix).real.reshape(self.cutoff_a, self.cutoff_b)
+        return diag.sum(axis=0)
+
+
+@dataclass(frozen=True)
+class KrausChannel:
+    """Photon-loss channel on one mode: Pi_l = sqrt((1-T)^l / l!) T^{n/2} a^l."""
+
+    transmittance: float
+    mode: str = "a"
+
+    def __post_init__(self):
+        if not 0.0 <= self.transmittance <= 1.0:
+            raise ValueError("transmittance must lie in [0, 1]")
+        if self.mode not in ("a", "b"):
+            raise ValueError("mode must be 'a' or 'b'")
+
+
+def single_mode_kraus_matrices(t: float, d: int) -> list[np.ndarray]:
+    """Dense single-mode loss Kraus operators Pi_l, l < d."""
+    n = np.arange(d, dtype=float)
+    damp = np.power(t, n / 2.0)
+    a = np.zeros((d, d))
+    a[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1.0, d))
+    ops = []
+    power = np.eye(d)  # sqrt((1-t)^l / l!) a^l
+    for l in range(d):
+        if l > 0:
+            if t == 1.0:
+                break
+            power = math.sqrt((1.0 - t) / l) * (a @ power)
+            if not power.any():
+                break
+        ops.append(damp[:, None] * power)
+    return ops
+
+
+def apply_loss(target, channel: KrausChannel) -> FockDensityOperator:
+    """Loss channel as an explicit density operator."""
+    dim = target.cutoff_a * target.cutoff_b
+    if dim > DENSITY_DIM_LIMIT:
+        raise ValueError(f"density-operator route is limited to dim <= {DENSITY_DIM_LIMIT}")
+    if isinstance(target, fock.FockStateVector):
+        rows, _ = fock._loss_kraus_rows(
+            target, channel.transmittance, channel.mode, weight_tol=1e-16
+        )
+        return FockDensityOperator(target.cutoff_a, target.cutoff_b, rows.T @ rows.conj())
+    da, db = target.cutoff_a, target.cutoff_b
+    kraus = single_mode_kraus_matrices(channel.transmittance, da if channel.mode == "a" else db)
+    rho4 = target.matrix.reshape(da, db, da, db)
+    out = np.zeros_like(rho4)
+    for k in kraus:
+        if channel.mode == "a":
+            out += np.einsum("ij,jklm,nl->iknm", k, rho4, k.conj())
+        else:
+            out += np.einsum("ij,kjlm,nm->kiln", k, rho4, k.conj())
+    return FockDensityOperator(da, db, out.reshape(da * db, da * db))
+
+
+def density_quadrature_stats(rho: FockDensityOperator) -> tuple[float, float]:
+    """(<X>, <X^2>) of a density operator, X = a + a' on mode a."""
+    d_a, d_b = rho.cutoff_a, rho.cutoff_b
+    x1 = np.zeros((d_a, d_a))
+    x1[np.arange(d_a - 1), np.arange(1, d_a)] = np.sqrt(np.arange(1.0, d_a))
+    x1 += x1.T
+    x = np.kron(x1, np.eye(d_b))
+    mean = float(np.trace(x @ rho.matrix).real)
+    second = float(np.trace(x @ x @ rho.matrix).real)
+    return mean, second

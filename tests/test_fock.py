@@ -5,6 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from density_route import (
+    FockDensityOperator,
+    KrausChannel,
+    apply_loss,
+    density_quadrature_stats,
+)
 from scipy.linalg import expm
 
 from su11lso import crosscheck, fock
@@ -117,13 +123,13 @@ class TestGatePhysics:
 class TestLossChannel:
     def test_identity_at_full_transmission(self):
         st = fock.prepared_state(0.5, 0.4, 0.3, 12, 8)
-        rho = fock.apply_loss(st, fock.KrausChannel(1.0, "a"))
+        rho = apply_loss(st, KrausChannel(1.0, "a"))
         expected = np.outer(st.amplitudes, st.amplitudes.conj())
         assert np.abs(rho.matrix - expected).max() < 1e-14
 
     def test_coherent_state_stays_coherent(self):
         st = fock.build_input(0.9, 20, 1)
-        rho = fock.apply_loss(st, fock.KrausChannel(0.7, "a"))
+        rho = apply_loss(st, KrausChannel(0.7, "a"))
         na = float((np.diag(rho.matrix).real * np.arange(20)).sum())
         assert na == pytest.approx(0.7 * 0.81, abs=1e-12)
         # purity of a coherent state survives loss
@@ -131,16 +137,16 @@ class TestLossChannel:
 
     def test_complete_absorption(self):
         st = fock.prepared_state(0.5, 0.4, 0.3, 12, 8)
-        rho = fock.apply_loss(st, fock.KrausChannel(0.0, "a"))
+        rho = apply_loss(st, KrausChannel(0.0, "a"))
         pa = rho.marginal_a()
         assert pa[0] == pytest.approx(1.0, abs=1e-12)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_preserved(self):
         st = fock.prepared_state(0.6, 0.5, 0.4, 14, 10)
-        rho = fock.apply_loss(st, fock.KrausChannel(0.63, "a"))
+        rho = apply_loss(st, KrausChannel(0.63, "a"))
         assert rho.trace() == pytest.approx(1.0, abs=1e-10)
-        rho2 = fock.apply_loss(rho, fock.KrausChannel(0.8, "b"))
+        rho2 = apply_loss(rho, KrausChannel(0.8, "b"))
         assert rho2.trace() == pytest.approx(1.0, abs=1e-10)
 
     def test_kraus_completeness_on_populated_subspace(self):
@@ -161,8 +167,8 @@ class TestLossChannel:
         rho_ref = np.einsum(
             "iv,jv->ij", joint.reshape(d, d), joint.reshape(d, d).conj()
         )
-        rho = fock.apply_loss(
-            fock.FockStateVector(d, 1, vec.copy()), fock.KrausChannel(t, "a")
+        rho = apply_loss(
+            fock.FockStateVector(d, 1, vec.copy()), KrausChannel(t, "a")
         )
         assert np.abs(rho.matrix - rho_ref).max() < 1e-12
 
@@ -242,10 +248,10 @@ class TestOracleAgainstAnalyticPath:
         res, *_ = eng._evaluate_at_dims(t1, (t2,), phis, d_a, d_b)
         for phi in phis:
             psi = fock.apply_phase(prep.padded(d_a, d_b), phi)
-            rho = fock.apply_loss(psi, fock.KrausChannel(t1, "a"))
-            rho = fock.FockDensityOperator(d_a, d_b, u2 @ rho.matrix @ u2.conj().T)
-            rho = fock.apply_loss(rho, fock.KrausChannel(t2, "a"))
-            mean_lit, second_lit = fock.density_quadrature_stats(rho)
+            rho = apply_loss(psi, KrausChannel(t1, "a"))
+            rho = FockDensityOperator(d_a, d_b, u2 @ rho.matrix @ u2.conj().T)
+            rho = apply_loss(rho, KrausChannel(t2, "a"))
+            mean_lit, second_lit = density_quadrature_stats(rho)
             mean_fast, second_fast = res[(t2, phi)]
             assert mean_fast == pytest.approx(mean_lit, abs=1e-13)
             assert second_fast == pytest.approx(second_lit, abs=1e-12)
@@ -379,11 +385,11 @@ class TestQfiOracles:
     @pytest.mark.parametrize("eta", [0.3, 0.7, 0.95])
     @pytest.mark.parametrize("d_b", [12, 1], ids=["two-mode", "fewer-rows-than-columns"])
     def test_mixed_matches_dense_spectral_sum(self, d_b, eta):
-        # independent of the R route: the spectral sum on the full density
-        # operator, with d rho / d phi = -i [N, rho] formed densely.  At
-        # d_b = 1 the 2L columns [K, N K] outnumber the dim rows
+        # independent of the Gram-matrix route: the spectral sum on the full
+        # density operator, with d rho / d phi = -i [N, rho] formed densely.
+        # At d_b = 1 the Kraus vectors span up to the whole 24-level space
         psi = fock.prepared_state(0.5, 0.5, 0.5, 24, d_b)
-        rho = fock.apply_loss(psi, fock.KrausChannel(eta, "a")).matrix
+        rho = apply_loss(psi, KrausChannel(eta, "a")).matrix
         n = np.repeat(np.arange(24, dtype=float), d_b)
         drho = -1j * (n[:, None] * rho - rho * n[None, :])
         p, v = np.linalg.eigh(rho)
@@ -395,7 +401,7 @@ class TestQfiOracles:
         assert fock.mixed_qfi_from_state(psi, eta) == pytest.approx(dense, rel=1e-9)
 
     def test_mixed_peak_memory_is_a_few_kraus_blocks(self):
-        # one (2L, dim) buffer overwritten by the QR, not Q and its products
+        # the (L, dim) Kraus vectors are never formed
         psi, _ = fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=1e-12)
         rows, _ = fock._loss_kraus_rows(psi, 0.3, "a", weight_tol=1e-12)
         block = rows.nbytes
@@ -407,6 +413,39 @@ class TestQfiOracles:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * block
+
+    def test_mixed_invariant_under_mode_b_unitary(self):
+        # F depends on psi only through the mode-a reduced matrix, which a
+        # unitary on mode b leaves unchanged
+        psi = fock.prepared_state(0.6, 0.7, 0.4, 40, 16)
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        rotated = fock.FockStateVector(40, 16, (psi.grid @ u.T).reshape(-1))
+        for eta in (0.2, 0.6):
+            f = fock.mixed_qfi_from_state(psi, eta)
+            assert fock.mixed_qfi_from_state(rotated, eta) == pytest.approx(f, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_mixed_non_finite_amplitude_raises(self, bad):
+        st = fock.build_input(0.5, 20, 2)
+        st.grid[3, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NonconvergedOracleError, match="overflows"):
+            fock.mixed_qfi_from_state(st, 0.5)
+
+    @pytest.mark.parametrize("widen", [1, 2], ids=["d_b", "2d_b"])
+    def test_mixed_peak_memory_is_a_few_mode_a_blocks(self, widen):
+        # O(d_a^2 + L^2) whatever the mode-b cutoff: nothing of size d_a d_b
+        psi, _ = fock.auto_prepared_state(1.0, 1.0, 0.6)
+        psi = psi.padded(psi.cutoff_a, widen * psi.cutoff_b)
+        count = len(fock._loss_kraus_rows(psi, 0.3, "a", weight_tol=1e-12)[0])
+        blocks = (psi.cutoff_a**2 + count**2) * 16
+        tracemalloc.start()
+        try:
+            fock.mixed_qfi_from_state(psi, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * blocks < psi.amplitudes.nbytes * count / 4
 
 
 class TestMulReal:

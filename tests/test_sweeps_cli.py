@@ -319,6 +319,15 @@ class TestCli:
             ("--alphas", ",", "alphas"),
             ("--phis", "", "phis"),
             ("--ts", ",", "t_pairs"),
+            # grid points are checked before any oracle engine runs
+            ("--alphas", "inf", "alpha must be finite"),
+            ("--alphas", "nan", "alpha must be finite"),
+            ("--alphas", "1e200", "alpha=1e+200"),
+            ("--gs", "inf", "g must be finite"),
+            ("--rs", "nan", "r must be finite"),
+            ("--rs", "1e300", "r=1e+300"),
+            ("--ts", "2", "transmittance t1"),
+            ("--phis", "nan", "phi must be finite"),
         ],
     )
     def test_check_rejects_invalid_argument(self, flag, value, named):
@@ -328,6 +337,15 @@ class TestCli:
         assert code == 1
         assert stdout == ""
         assert named in err
+
+    def test_check_names_a_start_grid_over_the_budget(self):
+        # a valid point whose oracle cannot even start inside max_dim
+        code, stdout, err = run_main(
+            "check", "--alphas", "1e10", "--gs", "0.6", "--rs", "0.4", "--ts", "1", "--phis", "0.8"
+        )
+        assert code == 3
+        assert stdout == ""
+        assert "start grid" in err and "exceeds dim budget 1400000" in err
 
     def test_check_summary_reports_worst_margin(self):
         result = CrossCheckResult(tolerance=1e-6)
