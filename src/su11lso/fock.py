@@ -31,12 +31,14 @@ post-loss state is a rank-L mixture of Kraus vectors, external loss acts
 on the measured observable through the numerically built adjoint channel,
 and the second squeezer is swept one n_a - n_b sector at a time, so only a
 sector's worth of those vectors and the mode-a correlations they leave
-behind are ever held.  The lossy Fisher information does without the
-Kraus vectors altogether: loss and the phase generator N = n_a act on
-mode a only, so it follows exactly from the L x L Gram matrices
-K^H N^k K (k = 0, 1, 2), which are sums over the d_a x d_a mode-a reduced
-matrix.  The tests hold both routes to a literal density-operator
-construction at small cutoffs.
+behind are ever held.  Loss and the phase generator N = n_a act on mode a
+only, so every Kraus family comes from one place: one amplitude routine
+(``_loss_amplitudes``) and one stop rule give the family, and one builder
+gives its L x L Gram matrices K^H N^k K from the d_a x d_a mode-a reduced
+matrix.  The sweep's family is the orthogonal recombination that
+diagonalizes G_0; the lossy Fisher information needs only G_0, G_1 and
+G_2 and never forms the Kraus vectors.  The tests hold both to a literal
+density-operator construction at small cutoffs.
 
 The second-squeezer sweep runs with every loaded OpenBLAS set to one
 thread (``_one_blas_thread``), restored when the sweep returns or raises.
@@ -157,7 +159,6 @@ class OracleReport:
     norm_deficit: float
     tail_mass: float
     kraus_weight_deficit: float
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -419,77 +420,100 @@ def photon_number_stats(state: FockStateVector) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# loss channels
+# loss Kraus families
 
 
-def _loss_kraus_rows(
-    state: FockStateVector,
-    transmittance: float,
-    mode: str = "a",
-    weight_tol: float = DEFAULT_KRAUS_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows Pi_l |psi> of the loss channel, stacked (L, dim), plus weights.
+def _loss_amplitudes(t: float, d: int):
+    """Yield the loss amplitudes u_m of Kraus orders m = 0, 1, ... on d levels.
 
-    Stops once the neglected Kraus weight falls below weight_tol; by channel
-    completeness the weights sum to the squared norm of the input.  Each
-    lowering step carries its factor sqrt((1 - t) / l), so the running
-    sqrt((1 - t)^l / l!) a^l |psi> stays bounded where a^l |psi> alone
-    overflows; a row that is still non-finite raises
-    NonconvergedOracleError.
+    u_m(i) = sqrt((1-t)^m / m!) t^{i/2} sqrt((i+m)!/i!) for i < d - m, so
+    Pi_m |i+m> = u_m(i) |i>.  Built in log space, where u_m^2 is a binomial
+    probability and cannot overflow; stops once every entry is below 1e-160.
+    At t = 1 only u_0 = 1 exists.
     """
-    t = transmittance
-    axis = 0 if mode == "a" else 1
-    d = state.cutoff_a if mode == "a" else state.cutoff_b
-    dim = state.cutoff_a * state.cutoff_b
-    n_axis = np.arange(d, dtype=float)
-    damp = np.power(t, n_axis / 2.0)
-    damp_shape = [1, 1]
-    damp_shape[axis] = -1
-    damp = damp.reshape(damp_shape)
-    shift_f = np.sqrt(np.arange(1.0, d)).reshape(damp_shape)
+    if t == 1.0:
+        yield np.ones(d)
+        return
+    i = np.arange(d, dtype=float)
+    if t > 0.0:
+        log_damp = i * math.log(t)
+    else:
+        log_damp = np.where(i == 0, 0.0, -np.inf)
+    log_fall = np.zeros(d)  # log((i+m)!/i!) as m grows
+    log_fail = 0.0
+    for m in range(d):
+        if m > 0:
+            log_fall = log_fall[:-1] + np.log(i[m:])
+            log_fail += math.log(1.0 - t) - math.log(m)
+        u = np.exp(0.5 * (log_fail + log_damp[: d - m] + log_fall))
+        if not np.any(u > 1e-160):
+            return
+        yield u
 
-    total = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    out = np.empty((32, dim), dtype=complex)
-    weights = []
-    lowered = state.grid.copy()
-    scratch = np.empty_like(lowered)
+
+def _loss_family(occupation: np.ndarray, t: float, total: float, weight_tol: float) -> np.ndarray:
+    """Loss amplitudes of the Kraus orders a state needs, as columns u[n, l] = u_l(n).
+
+    occupation is the state's mode-a photon-number distribution and total
+    its squared norm.  Order l carries the weight sum_n u_l(n)^2
+    occupation[n + l]; the family stops once the weight left out falls below
+    weight_tol, or where no photons are left to lose.
+    """
+    d = len(occupation)
+    amps = []
     accumulated = 0.0
-    count = 0
-    for l in range(d):
-        if l > 0:
-            if t == 1.0:
-                break
-            # in-place annihilation: shift down along the loss axis
-            step = shift_f * math.sqrt((1.0 - t) / l)
-            if axis == 0:
-                np.multiply(step, lowered[1:, :], out=scratch[: d - 1, :])
-                scratch[d - 1 :, :] = 0.0
-            else:
-                np.multiply(step, lowered[:, 1:], out=scratch[:, : d - 1])
-                scratch[:, d - 1 :] = 0.0
-            lowered, scratch = scratch, lowered
-            if not lowered.any():
-                break
-        if count == out.shape[0]:
-            grown = np.empty((int(out.shape[0] * 1.5) + 1, dim), dtype=complex)
-            grown[: out.shape[0]] = out
-            out = grown
-        np.multiply(damp, lowered, out=out[count].reshape(lowered.shape))
-        w = float(np.vdot(out[count], out[count]).real)
-        if not math.isfinite(w):
-            raise NonconvergedOracleError(
-                f"loss Kraus row {l} overflows at cutoff {state.cutoff_a}x{state.cutoff_b}"
-            )
-        weights.append(w)
-        accumulated += w
-        count += 1
+    for l, amp in enumerate(_loss_amplitudes(t, d)):
+        if l > 0 and not occupation[l:].any():
+            break
+        amps.append(amp)
+        accumulated += float(amp**2 @ occupation[l:])
         if total - accumulated < weight_tol:
             break
-    if count < 0.8 * out.shape[0]:
-        out = out[:count].copy()  # release the over-allocated buffer
-    else:
-        out = out[:count]
-    return out, np.asarray(weights)
+    u = np.zeros((d, len(amps)))
+    for l, amp in enumerate(amps):
+        u[: d - l, l] = amp
+    return u
+
+
+def _mode_a_sigma(psi: FockStateVector) -> np.ndarray:
+    """Upper triangle of the mode-a reduced matrix sigma = conj(Psi) Psi^T.
+
+    One rank-k update, without copying psi.  A non-finite occupation raises
+    NonconvergedOracleError.
+    """
+    sigma = zherk(1.0, psi.grid.T, trans=2)
+    if not np.isfinite(sigma.diagonal().real).all():
+        raise NonconvergedOracleError(
+            f"mode-a reduced state overflows at cutoff {psi.cutoff_a}x{psi.cutoff_b}"
+        )
+    return sigma
+
+
+def _loss_grams(sigma: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+    """Gram matrices G_j = K^H n_a^j K (j < k) of the Kraus vectors K_l = Pi_l psi.
+
+    G_j[l, l'] is the sum over n of n^j u_l(n) u_l'(n) sigma[n+l, n+l'],
+    from the upper triangle of sigma (``_mode_a_sigma``) and the loss
+    family u (``_loss_family``); one real GEMM per diagonal offset.
+    """
+    d, count = u.shape
+    # G_j[l, l + delta] pairs u_l(n) u_{l+delta}(n), zero from n = d - delta
+    # on, with the delta-th diagonal of sigma read from n + l; the lower
+    # triangles are the conjugates
+    powers = np.arange(d, dtype=float) ** np.arange(float(k))[:, None]
+    gram = np.zeros((k, count, count), dtype=complex)
+    padded = np.zeros(d + count, dtype=complex)
+    windows = sliding_window_view(padded, count)  # windows[n, l] = padded[n + l]
+    for delta in range(count):
+        padded[: d - delta] = sigma.diagonal(delta)
+        padded[d - delta : d] = 0.0
+        rows, cols = count - delta, d - delta
+        band = (u[:cols, :rows] * u[:cols, delta:]) * windows[:cols, :rows]
+        upper = _mul_real(powers[:, :cols], band)
+        idx = np.arange(rows)
+        gram[:, idx, idx + delta] = upper
+        gram[:, idx + delta, idx] = upper.conj()
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -527,27 +551,31 @@ def auto_prepared_state(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> tuple[FockStateVector, CutoffDiagnostics]:
     """Internal state with per-mode cutoffs escalated until the top-layer
-    masses drop below tail_tol."""
-    nbar = abs(alpha) ** 2
-    d_a = max(14, int(math.ceil(nbar + 8.0 * abs(alpha) + 12.0)))
-    d_b = 6
-    last = None
+    masses drop below tail_tol.
+
+    (alpha, g, r) are checked as in InterferometerParams, which raises
+    ValueError naming a bad one; a start grid already over max_dim raises
+    NonconvergedOracleError.
+    """
+    InterferometerParams(g=g, alpha=alpha, r=r)
+    a = abs(alpha)
+    start = a * a + 8.0 * a + 12.0  # a float: inf for a huge alpha, no OverflowError
+    d_a, d_b = max(14, math.ceil(min(start, max_dim + 1.0))), 6
+    if d_a * d_b > max_dim:
+        raise NonconvergedOracleError(
+            f"state preparation start grid {start:.6g}x{d_b} exceeds dim budget {max_dim}"
+        )
     while d_a * d_b <= max_dim:
         psi = prepared_state(alpha, g, r, d_a, d_b)
         diag = cutoff_check(psi, tail_tol)
-        last = diag
         if diag.converged:
             return psi, diag
         if diag.top_mass_a > tail_tol:
             d_a = _predicted_dim(psi.marginal_a(), tail_tol, d_a)
         if diag.top_mass_b > tail_tol:
             d_b = _predicted_dim(psi.marginal_b(), tail_tol, d_b)
-    if last is None:
-        raise NonconvergedOracleError(
-            f"state preparation start grid {d_a}x{d_b} exceeds dim budget {max_dim}"
-        )
     raise NonconvergedOracleError(
-        f"state preparation not converged within dim budget {max_dim}: {last}"
+        f"state preparation not converged within dim budget {max_dim}: {diag}"
     )
 
 
@@ -575,34 +603,6 @@ def _quadrature_sq_bands(d: int) -> dict[int, np.ndarray]:
     diag[d - 1] = d - 1.0
     v2 = np.sqrt((n[: d - 2] + 1.0) * (n[: d - 2] + 2.0))
     return {0: diag, 2: v2, -2: v2}
-
-
-def _loss_amplitudes(t: float, d: int):
-    """Yield the loss amplitudes u_m of Kraus orders m = 0, 1, ... on d levels.
-
-    u_m(i) = sqrt((1-t)^m / m!) t^{i/2} sqrt((i+m)!/i!) for i < d - m, so
-    Pi_m |i+m> = u_m(i) |i>.  Built in log space, where u_m^2 is a binomial
-    probability and cannot overflow; stops once every entry is below 1e-160.
-    At t = 1 only u_0 = 1 exists.
-    """
-    if t == 1.0:
-        yield np.ones(d)
-        return
-    i = np.arange(d, dtype=float)
-    if t > 0.0:
-        log_damp = i * math.log(t)
-    else:
-        log_damp = np.where(i == 0, 0.0, -np.inf)
-    log_fall = np.zeros(d)  # log((i+m)!/i!) as m grows
-    log_fail = 0.0
-    for m in range(d):
-        if m > 0:
-            log_fall = log_fall[:-1] + np.log(i[m:])
-            log_fail += math.log(1.0 - t) - math.log(m)
-        u = np.exp(0.5 * (log_fail + log_damp[: d - m] + log_fall))
-        if not np.any(u > 1e-160):
-            return
-        yield u
 
 
 def loss_adjoint_bands(bands: dict[int, np.ndarray], t: float, d: int) -> dict[int, np.ndarray]:
@@ -798,26 +798,31 @@ class SensitivityOracle:
         Phasing commutes with the loss Kraus family up to per-vector global
         phases, and padding commutes with both, so one family serves every
         phase and every work grid.  The family is heavily rank-deficient;
-        an orthogonal recombination (SVD frame) representing the same
-        mixture up to the Kraus weight tolerance cuts the column count.
+        the orthogonal recombination that diagonalizes its Gram matrix G_0
+        represents the same mixture, and its leading components, up to the
+        Kraus weight tolerance, cut the column count.  At t1 = 1 the family
+        is the prep state itself.
         """
         if t1 not in self._kraus_cache:
-            rows, w = _loss_kraus_rows(self.prep, t1, "a", weight_tol=self.kraus_tol)
-            kept_weight = float(w.sum())
-            if rows.shape[0] > 8:
-                # mixture spectrum from the small Gram matrix of the kets
-                gram = rows.conj() @ rows.T
-                lam, mix = np.linalg.eigh(gram)
-                lam = np.clip(lam[::-1], 0.0, None)
-                mix = mix[:, ::-1]
-                # keep the leading mixture components; the dropped weight
-                # obeys the same budget as the dropped Kraus tail
-                dropped_from = np.cumsum(lam[::-1])[::-1]
-                keep = int(np.searchsorted(-dropped_from, -self.kraus_tol))
-                keep = min(max(keep, 2), len(lam))
-                rows = mix[:, :keep].T @ rows
-                kept_weight = float(lam[:keep].sum())
-            self._kraus_cache[t1] = (rows, kept_weight)
+            psi = self.prep
+            sigma = _mode_a_sigma(psi)
+            total = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
+            u = _loss_family(sigma.diagonal().real, t1, total, self.kraus_tol)
+            lam, mix = np.linalg.eigh(_loss_grams(sigma, u, 1)[0])
+            lam = np.clip(lam[::-1], 0.0, None)
+            mix = mix[:, ::-1]
+            # keep the leading mixture components; the dropped weight obeys
+            # the same budget as the dropped Kraus tail
+            dropped_from = np.cumsum(lam[::-1])[::-1]
+            keep = int(np.searchsorted(-dropped_from, -self.kraus_tol))
+            keep = min(max(keep, 2), len(lam))
+            # row j = sum_l mix[l, j] Pi_l psi, with Pi_l psi = u_l * psi[l:]
+            d_a = psi.cutoff_a
+            rows = np.zeros((keep, d_a, psi.cutoff_b), dtype=complex)
+            for l in range(u.shape[1]):
+                kraus = u[: d_a - l, l, None] * psi.grid[l:]
+                rows[:, : d_a - l] += mix[l, :keep, None, None] * kraus
+            self._kraus_cache[t1] = (rows.reshape(keep, -1), float(lam[:keep].sum()))
         return self._kraus_cache[t1]
 
     def photon_number(self) -> float:
@@ -909,14 +914,9 @@ class SensitivityOracle:
         """
         nphi = len(phi_values)
         d_a0, d_b0 = self.prep.cutoff_a, self.prep.cutoff_b
-        if t1 == 1.0:
-            width = 1
-            deficit = 0.0
-            base = self.prep.amplitudes[None, :]
-        else:
-            base, kept_weight = self._kraus_rows_for(t1)
-            width = base.shape[0]
-            deficit = float(self.prep.norm() ** 2 - kept_weight)
+        base, kept_weight = self._kraus_rows_for(t1)
+        width = base.shape[0]
+        deficit = float(self.prep.norm() ** 2 - kept_weight)
         ncols = nphi * width
         # the Kraus vectors of the phased state are the phased Kraus vectors,
         # up to per-vector global phases that cancel in the quadratic forms
@@ -1030,7 +1030,6 @@ class SensitivityOracle:
             norm_deficit=self.prep_diag.norm_deficit,
             tail_mass=diag.worst if diag else self.prep_diag.worst,
             kraus_weight_deficit=self.last_kraus_deficit,
-            converged=True,
         )
 
 
@@ -1081,46 +1080,12 @@ def mixed_qfi_from_state(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    d = psi.cutoff_a
-    # upper triangle of sigma in one rank-k update, without copying psi
-    sigma = zherk(1.0, psi.grid.T, trans=2)
-    occupation = sigma.diagonal().real
-    if not np.isfinite(occupation).all():
-        raise NonconvergedOracleError(
-            f"mode-a reduced state overflows at cutoff {psi.cutoff_a}x{psi.cutoff_b}"
-        )
+    sigma = _mode_a_sigma(psi)
     total = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
-    amps = []
-    accumulated = 0.0
-    for l, amp in enumerate(_loss_amplitudes(eta, d)):
-        if l > 0 and not occupation[l:].any():
-            break
-        amps.append(amp)
-        accumulated += float(amp**2 @ occupation[l:])
-        if total - accumulated < weight_tol:
-            break
-    count = len(amps)
-    u = np.zeros((d, count))  # u[n, l] = u_l(n)
-    for l, amp in enumerate(amps):
-        u[: d - l, l] = amp
-    # G_k[l, l + delta] pairs u_l(n) u_{l+delta}(n), zero from n = d - delta
-    # on, with the delta-th diagonal of sigma read from n + l; the lower
-    # triangles are the conjugates
-    powers = np.arange(d, dtype=float) ** np.arange(3.0)[:, None]
-    gram = np.zeros((3, count, count), dtype=complex)
-    padded = np.zeros(d + count, dtype=complex)
-    windows = sliding_window_view(padded, count)  # windows[n, l] = padded[n + l]
-    for delta in range(count):
-        padded[: d - delta] = sigma.diagonal(delta)
-        padded[d - delta : d] = 0.0
-        rows, cols = count - delta, d - delta
-        band = (u[:cols, :rows] * u[:cols, delta:]) * windows[:cols, :rows]
-        upper = _mul_real(powers[:, :cols], band)
-        idx = np.arange(rows)
-        gram[:, idx, idx + delta] = upper
-        gram[:, idx + delta, idx] = upper.conj()
+    u = _loss_family(sigma.diagonal().real, eta, total, weight_tol)
+    gram = _loss_grams(sigma, u, 3)
     lam, vec = np.linalg.eigh(gram[0])
-    keep = lam > count * np.finfo(float).eps * lam[-1]
+    keep = lam > u.shape[1] * np.finfo(float).eps * lam[-1]
     lam, vec = lam[keep], vec[:, keep]
     c = vec.conj().T @ gram[1] @ vec
     second = np.sum(vec.conj() * (gram[2] @ vec)).real

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -65,9 +65,7 @@ class InterferometerParams:
                 raise ValueError(f"transmittance {name} must lie in [0, 1], got {t}")
 
     def replace(self, **kw) -> "InterferometerParams":
-        fields = dict(g=self.g, alpha=self.alpha, r=self.r, t1=self.t1, t2=self.t2, phi=self.phi)
-        fields.update(kw)
-        return InterferometerParams(**fields)
+        return replace(self, **kw)
 
 
 @dataclass(frozen=True, eq=False)

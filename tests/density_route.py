@@ -1,8 +1,8 @@
 """Literal density-operator route of the Fock oracle, for small cutoffs.
 
 The oracle never forms a density operator; these helpers do, so tests can
-check its streamed sector sweep and its mixed-state Fisher information
-against the plain textbook construction.
+check its streamed sector sweep, its Kraus family and its mixed-state
+Fisher information against the plain textbook construction.
 """
 
 from __future__ import annotations
@@ -76,17 +76,51 @@ def single_mode_kraus_matrices(t: float, d: int) -> list[np.ndarray]:
     return ops
 
 
+def loss_kraus_rows(
+    state: fock.FockStateVector, transmittance: float, weight_tol: float = fock.DEFAULT_KRAUS_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows Pi_l |psi> of the loss channel on mode a, stacked (L, dim), plus weights.
+
+    The reference for the oracle's Kraus family: each row comes from the one
+    before by a lowering step in linear space that carries its factor
+    sqrt((1 - t) / l), so sqrt((1 - t)^l / l!) a^l |psi> stays bounded.
+    Stops once the neglected Kraus weight falls below weight_tol; by channel
+    completeness the weights sum to the squared norm of the input.
+    """
+    t = transmittance
+    d = state.cutoff_a
+    damp = np.power(t, np.arange(d) / 2.0)[:, None]
+    lower = np.sqrt(np.arange(1.0, d))[:, None]
+    total = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    rows, weights = [], []
+    lowered = state.grid
+    for l in range(d):
+        if l > 0:
+            if t == 1.0:
+                break
+            step = np.zeros_like(lowered)
+            step[:-1] = math.sqrt((1.0 - t) / l) * lower * lowered[1:]
+            lowered = step
+            if not lowered.any():
+                break
+        rows.append((damp * lowered).reshape(-1))
+        weights.append(float(np.vdot(rows[-1], rows[-1]).real))
+        if total - sum(weights) < weight_tol:
+            break
+    return np.array(rows), np.array(weights)
+
+
 def apply_loss(target, channel: KrausChannel) -> FockDensityOperator:
     """Loss channel as an explicit density operator."""
     dim = target.cutoff_a * target.cutoff_b
     if dim > DENSITY_DIM_LIMIT:
         raise ValueError(f"density-operator route is limited to dim <= {DENSITY_DIM_LIMIT}")
-    if isinstance(target, fock.FockStateVector):
-        rows, _ = fock._loss_kraus_rows(
-            target, channel.transmittance, channel.mode, weight_tol=1e-16
-        )
-        return FockDensityOperator(target.cutoff_a, target.cutoff_b, rows.T @ rows.conj())
     da, db = target.cutoff_a, target.cutoff_b
+    if isinstance(target, fock.FockStateVector):
+        if channel.mode == "a":
+            rows, _ = loss_kraus_rows(target, channel.transmittance, weight_tol=1e-16)
+            return FockDensityOperator(da, db, rows.T @ rows.conj())
+        target = FockDensityOperator(da, db, np.outer(target.amplitudes, target.amplitudes.conj()))
     kraus = single_mode_kraus_matrices(channel.transmittance, da if channel.mode == "a" else db)
     rho4 = target.matrix.reshape(da, db, da, db)
     out = np.zeros_like(rho4)

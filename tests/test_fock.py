@@ -10,6 +10,7 @@ from density_route import (
     KrausChannel,
     apply_loss,
     density_quadrature_stats,
+    loss_kraus_rows,
 )
 from scipy.linalg import expm
 
@@ -151,7 +152,7 @@ class TestLossChannel:
 
     def test_kraus_completeness_on_populated_subspace(self):
         st = fock.prepared_state(0.7, 0.6, 0.5, 16, 10)
-        _, w = fock._loss_kraus_rows(st, 0.7, "a", weight_tol=1e-15)
+        _, w = loss_kraus_rows(st, 0.7, weight_tol=1e-15)
         assert w.sum() == pytest.approx(st.norm() ** 2, abs=1e-12)
 
     def test_matches_explicit_beam_splitter_ancilla(self):
@@ -171,6 +172,48 @@ class TestLossChannel:
             fock.FockStateVector(d, 1, vec.copy()), KrausChannel(t, "a")
         )
         assert np.abs(rho.matrix - rho_ref).max() < 1e-12
+
+
+class TestSweepKrausFamily:
+    """The sweep's compressed Kraus family against the reference Kraus rows."""
+
+    @pytest.mark.parametrize("t1", [0.0, 0.3, 0.7])
+    def test_mixture_matches_reference_rows(self, t1):
+        # a tolerance under the 1e-12 comparison, so truncation cannot hide in it
+        eng = fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=1e-13)
+        eng.prep = fock.prepared_state(0.7, 0.6, 0.5, 16, 10)
+        rows, kept_weight = eng._kraus_rows_for(t1)
+        ref, _ = loss_kraus_rows(eng.prep, t1, weight_tol=1e-16)
+        mixture = rows.T @ rows.conj()
+        assert np.abs(mixture - ref.T @ ref.conj()).max() < 1e-12
+        assert abs(kept_weight - eng.prep.norm() ** 2) <= eng.kraus_tol
+
+    def test_lossless_family_is_the_prep_state(self):
+        eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
+        rows, _ = eng._kraus_rows_for(1.0)
+        assert rows.shape == (1, eng.prep.amplitudes.size)
+        assert np.array_equal(rows[0], eng.prep.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: fock.SensitivityOracle(1e200, 0.5, 0.5), NonconvergedOracleError, "start grid"),
+        (
+            lambda: fock.oracle_qfi_pure(InterferometerParams(g=0.5, alpha=1e200, r=0.5)),
+            NonconvergedOracleError,
+            "start grid",
+        ),
+        (lambda: fock.SensitivityOracle(math.nan, 0.5, 0.5), ValueError, "alpha must be finite"),
+        (lambda: fock.SensitivityOracle(math.inf, 0.5, 0.5), ValueError, "alpha must be finite"),
+        (lambda: fock.SensitivityOracle(0.5, math.nan, 0.5), ValueError, "g must be finite"),
+        (lambda: fock.SensitivityOracle(0.5, 0.5, -1.0), ValueError, "squeezing r"),
+    ],
+    ids=["alpha-huge", "qfi-alpha-huge", "alpha-nan", "alpha-inf", "g-nan", "r-negative"],
+)
+def test_oracle_rejects_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestCutoffCheck:
@@ -371,10 +414,10 @@ class TestQfiOracles:
         assert f == pytest.approx((a - b) ** 2 / (a * b + 1), rel=1e-7)
 
     def test_non_finite_kraus_row_raises(self):
-        st = fock.build_input(0.5, 20, 1)
-        st.grid[3, 0] = np.inf
+        eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
+        eng.prep.grid[3, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NonconvergedOracleError, match="overflow"):
-            fock._loss_kraus_rows(st, 0.5, "a")
+            eng.quadrature_statistics(0.5, (1.0,), (0.8,))
 
     def test_phase_placement_irrelevant(self):
         p = InterferometerParams(g=0.6, alpha=0.8, r=0.4, phi=0.9)
@@ -403,7 +446,7 @@ class TestQfiOracles:
     def test_mixed_peak_memory_is_a_few_kraus_blocks(self):
         # the (L, dim) Kraus vectors are never formed
         psi, _ = fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=1e-12)
-        rows, _ = fock._loss_kraus_rows(psi, 0.3, "a", weight_tol=1e-12)
+        rows, _ = loss_kraus_rows(psi, 0.3, weight_tol=1e-12)
         block = rows.nbytes
         del rows
         tracemalloc.start()
@@ -437,7 +480,7 @@ class TestQfiOracles:
         # O(d_a^2 + L^2) whatever the mode-b cutoff: nothing of size d_a d_b
         psi, _ = fock.auto_prepared_state(1.0, 1.0, 0.6)
         psi = psi.padded(psi.cutoff_a, widen * psi.cutoff_b)
-        count = len(fock._loss_kraus_rows(psi, 0.3, "a", weight_tol=1e-12)[0])
+        count = len(loss_kraus_rows(psi, 0.3, weight_tol=1e-12)[0])
         blocks = (psi.cutoff_a**2 + count**2) * 16
         tracemalloc.start()
         try:
