@@ -27,6 +27,7 @@ from .errors import (
     DivergentSensitivityError,
     NonconvergedOracleError,
 )
+from .fock import DEFAULT_MAX_DIM
 from .moments import InterferometerParams
 from .sweeps import (
     DEFAULT_POINTS,
@@ -102,7 +103,10 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="one-variable sweep to a file")
     _add_param_flags(p_sweep)
-    p_sweep.add_argument("--var", required=True, choices=SWEEP_VARIABLES)
+    # a t_k sweep needs a per-series sweep_target, which only presets set
+    p_sweep.add_argument(
+        "--var", required=True, choices=[v for v in SWEEP_VARIABLES if v != "t_k"]
+    )
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--count", type=int, required=True)
@@ -124,7 +128,7 @@ def build_parser() -> _Parser:
     p_check.add_argument("--rs", default="0,0.5,1")
     p_check.add_argument("--ts", default="1,0.7", help="transmittance values; all pairs are checked")
     p_check.add_argument("--phis", default="0.3,0.8,1.5")
-    p_check.add_argument("--max-dim", type=int, default=1_400_000)
+    p_check.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     parser.sub_map = {
         "point": p_point,
         "sweep": p_sweep,

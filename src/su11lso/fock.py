@@ -27,12 +27,14 @@ to two decades.  Near-singular two-mode chains (tiny gain) fall back to the
 full route as well.
 
 Loss is a Kraus map.  No evaluation materializes a density operator: the
-post-loss state is a rank-L mixture of Kraus vectors, external loss acts
-on the measured observable through the numerically built adjoint channel,
-and the second squeezer is swept one n_a - n_b sector at a time, so only a
-sector's worth of those vectors and the mode-a correlations they leave
-behind are ever held.  Loss and the phase generator N = n_a act on mode a
-only, so every Kraus family comes from one place: one amplitude routine
+post-loss state is a rank-L mixture of Kraus vectors, and the second
+squeezer is swept one n_a - n_b sector at a time, so only a sector's worth
+of those vectors and the mode-a correlations they leave behind are ever
+held.  One read-out routine (``_quadrature_moments``) turns those
+correlations into each column's <X> and <X^2>: external loss acts on X and
+X^2 through the adjoint loss channel, which keeps their bands at offsets
+0, 1 and 2.  Loss and the phase generator N = n_a act on mode a only, so
+every Kraus family comes from one place: one amplitude routine
 (``_loss_amplitudes``) and one stop rule give the family, and one builder
 gives its L x L Gram matrices K^H N^k K from the d_a x d_a mode-a reduced
 matrix.  The sweep's family is the orthogonal recombination that
@@ -64,11 +66,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import zherk
 
-from .errors import (
-    DivergentSensitivityError,
-    InsufficientCutoffError,
-    NonconvergedOracleError,
-)
+from .errors import InsufficientCutoffError, NonconvergedOracleError
 from .moments import InterferometerParams
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
@@ -81,7 +79,6 @@ DEFAULT_WORK_ERR_TOL = 2e-8
 DEFAULT_KRAUS_TOL = 1e-11
 DEFAULT_MAX_DIM = 1_400_000
 DEFAULT_FD_STEP = 1e-5
-_SLOPE_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -133,32 +130,8 @@ class CutoffDiagnostics:
     tolerance: float
 
     @property
-    def worst(self) -> float:
-        return max(self.norm_deficit, self.top_mass_a, self.top_mass_b)
-
-    @property
     def converged(self) -> bool:
-        return self.worst <= self.tolerance
-
-
-@dataclass
-class OracleReport:
-    """Everything the oracle measured at one parameter point."""
-
-    params: InterferometerParams
-    delta_phi: float
-    mean: float
-    variance: float
-    dmean_dphi: float
-    n_total: float
-    fisher: float
-    cutoff_a: int
-    cutoff_b: int
-    work_cutoff_a: int
-    work_cutoff_b: int
-    norm_deficit: float
-    tail_mass: float
-    kraus_weight_deficit: float
+        return max(self.norm_deficit, self.top_mass_a, self.top_mass_b) <= self.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +516,12 @@ def prepared_state(
     return apply_single_mode_squeezer(psi, r)
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    """Raise ValueError unless value is finite and non-negative (zero is valid)."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 def auto_prepared_state(
     alpha: complex,
     g: float,
@@ -554,10 +533,12 @@ def auto_prepared_state(
     masses drop below tail_tol.
 
     (alpha, g, r) are checked as in InterferometerParams, which raises
-    ValueError naming a bad one; a start grid already over max_dim raises
+    ValueError naming a bad one, and a tail_tol that is negative or not
+    finite raises ValueError; a start grid already over max_dim raises
     NonconvergedOracleError.
     """
     InterferometerParams(g=g, alpha=alpha, r=r)
+    _check_tolerance("tail_tol", tail_tol)
     a = abs(alpha)
     start = a * a + 8.0 * a + 12.0  # a float: inf for a huge alpha, no OverflowError
     d_a, d_b = max(14, math.ceil(min(start, max_dim + 1.0))), 6
@@ -580,64 +561,38 @@ def auto_prepared_state(
 
 
 # ---------------------------------------------------------------------------
-# banded observables and the adjoint of external loss
+# quadrature read-out after external loss
 
 
-def _quadrature_bands(d: int) -> dict[int, np.ndarray]:
-    """X = a + a' as {offset: diagonal}; M[i, i+o] = band[o][i] for o >= 0,
-    M[i+|o|, i] = band[o][i] for o < 0."""
-    v = np.sqrt(np.arange(1.0, d))
-    return {1: v, -1: v}
+def _quadrature_moments(corr, t2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column <X> and <X^2>, X = a + a', after external loss t2 on mode a.
 
-
-def _quadrature_sq_bands(d: int) -> dict[int, np.ndarray]:
-    """X^2 = a^2 + a'^2 + 2 n + 1, as the truncated-space matrix product.
-
-    The product truncation shaves the (cut) a a' contribution off the top
-    diagonal entry, which keeps this observable identical to squaring the
-    truncated X; the difference only matters when top levels are populated,
-    which the convergence checks exclude.
+    corr[o][i, c] = Re sum_b conj(x[i,b,c]) x[i+o,b,c] for o = 0, 1, 2.  X
+    has the band X_1[i] = sqrt(i+1) and X^2, the truncated-space square of
+    X, the bands X^2_0 and X^2_2; both are real symmetric, so each -o band
+    pairs with the +o one into 2 corr[o].  The adjoint loss channel
+    sum_m Pi_m' M Pi_m keeps the bands: Kraus order m adds
+    u_m(i) u_m(i+o) M_o[i] at row i + m (``_loss_amplitudes``).
     """
+    d = len(corr[0])
     n = np.arange(d, dtype=float)
+    # squaring the truncated X shaves the (cut) a a' term off the top
+    # diagonal entry; it only matters when top levels are populated, which
+    # the convergence checks exclude
     diag = 2.0 * n + 1.0
     diag[d - 1] = d - 1.0
-    v2 = np.sqrt((n[: d - 2] + 1.0) * (n[: d - 2] + 2.0))
-    return {0: diag, 2: v2, -2: v2}
+    bands = (diag, np.sqrt(n[1:]), np.sqrt((n[: d - 2] + 1.0) * (n[: d - 2] + 2.0)))
+    lossy = [np.zeros(d - o) for o in (0, 1, 2)]
+    for m, u in enumerate(_loss_amplitudes(t2, d)):
+        for o, band in enumerate(bands):
+            ln = d - m - o
+            if ln > 0:
+                lossy[o][m : m + ln] += u[:ln] * u[o : o + ln] * band[:ln]
+    return 2.0 * (lossy[1] @ corr[1]), lossy[0] @ corr[0] + 2.0 * (lossy[2] @ corr[2])
 
 
-def loss_adjoint_bands(bands: dict[int, np.ndarray], t: float, d: int) -> dict[int, np.ndarray]:
-    """Adjoint loss channel of a banded, real-symmetric single-mode observable.
-
-    sum_m Pi_m' M Pi_m keeps the band structure; Kraus order m contributes
-    u_m(i) u_m(i+|o|) M_o[i] shifted up by m (``_loss_amplitudes``).
-    """
-    if t == 1.0:
-        return {o: v.copy() for o, v in bands.items()}
-    out = {o: np.zeros(d - abs(o)) for o in bands}
-    for m, u in enumerate(_loss_amplitudes(t, d)):
-        width = d - m
-        for o, v in bands.items():
-            oo = abs(o)
-            ln = width - oo
-            if ln <= 0:
-                continue
-            out[o][m : m + ln] += u[:ln] * u[oo : oo + ln] * v[:ln]
-    return out
-
-
-def _forms_from_correlations(bands: dict[int, np.ndarray], corr) -> np.ndarray:
-    """Per-column <col| M |col> for a real symmetric banded mode-a M.
-
-    corr[o][i, c] = Re sum_b conj(x[i,b,c]) x[i+o,b,c] for o = 0, 1, 2; the
-    -o band pairs with the +o one, so it is folded into 2 Re C_o.
-    """
-    out = np.zeros(corr[0].shape[1])
-    for o, v in bands.items():
-        if o == 0:
-            out += v @ corr[0]
-        elif o > 0:
-            out += 2.0 * (v @ corr[o])
-    return out
+# ---------------------------------------------------------------------------
+# work-grid escalation
 
 
 def _tail_slope(marginal: np.ndarray) -> float | None:
@@ -673,16 +628,17 @@ def _predicted_dim(
     """Extrapolate the cutoff at which the convergence estimate reaches tol.
 
     Fits the exponential decay of the occupation tail over its top stretch;
-    falls back to a fixed growth factor when no clean decay is visible.
-    ``estimate`` is the current value of whatever convergence figure the
-    caller tracks (defaults to the decay-scaled top-layer mass).
+    falls back to a fixed growth factor when no clean decay is visible, or
+    when tol is zero and no cutoff reaches it.  ``estimate`` is the current
+    value of whatever convergence figure the caller tracks (defaults to the
+    decay-scaled top-layer mass).
     """
     fallback = int(current * 1.45) + 8
     m = np.asarray(marginal, dtype=float)
     slope = _tail_slope(m)
     if estimate is None:
         estimate = float(m[-2:].sum()) * _beyond_cutoff_factor(m)
-    if estimate <= 0.0 or slope is None:
+    if estimate <= 0.0 or slope is None or tol == 0.0:
         return fallback
     extra = (math.log(estimate) - math.log(0.45 * tol)) / (-slope)
     # mild overshoot: amplified states need headroom and repeat callers at
@@ -756,13 +712,15 @@ class SensitivityOracle:
 
     Prepares the internal state once.  Each measurement phases it, expands
     internal loss into Kraus columns, streams every column through the
-    second squeezer one conserved sector at a time, and takes banded
-    quadratic forms against the externally-lossed observable.  One work
-    grid serves all loss groups; it escalates until the estimated relative
-    moment error of the worst phase block drops below tail_tol, which is
-    where the post-gate amplification bites.  Escalation starts from the
-    engine's own prep state and only grows the grid; engines share no
-    state, so a result does not depend on which engines ran before.
+    second squeezer one conserved sector at a time, and reads <X> and <X^2>
+    after external loss off the mode-a correlations (``_quadrature_moments``);
+    ``su11lso.crosscheck`` forms delta-phi from them.  One work grid serves
+    all loss groups; it escalates until the estimated relative moment error
+    of the worst phase block drops below tail_tol, which is where the
+    post-gate amplification bites.  Escalation starts from the engine's own
+    prep state and only grows the grid; engines share no state, so a result
+    does not depend on which engines ran before.  A tolerance that is
+    negative or not finite raises ValueError naming it.
     """
 
     def __init__(
@@ -775,6 +733,10 @@ class SensitivityOracle:
         max_dim: int = DEFAULT_MAX_DIM,
         prep_tail_tol: float | None = None,
     ):
+        _check_tolerance("tail_tol", tail_tol)
+        _check_tolerance("kraus_tol", kraus_tol)
+        if prep_tail_tol is not None:
+            _check_tolerance("prep_tail_tol", prep_tail_tol)
         self.alpha = complex(alpha)
         self.g = float(g)
         self.r = float(r)
@@ -787,13 +749,11 @@ class SensitivityOracle:
         self.prep, self.prep_diag = auto_prepared_state(alpha, g, r, prep_tol, max_dim)
         self._work_dims: tuple | None = None
         self._kraus_cache: dict = {}
-        self.last_diag: CutoffDiagnostics | None = None
-        self.last_kraus_deficit = 0.0
 
     # -- pure-state quantities ----------------------------------------------
 
     def _kraus_rows_for(self, t1: float):
-        """Compressed Kraus family of the unphased prep state, prep grid.
+        """Compressed Kraus family of the unphased prep state, (columns, d_a*d_b).
 
         Phasing commutes with the loss Kraus family up to per-vector global
         phases, and padding commutes with both, so one family serves every
@@ -822,7 +782,7 @@ class SensitivityOracle:
             for l in range(u.shape[1]):
                 kraus = u[: d_a - l, l, None] * psi.grid[l:]
                 rows[:, : d_a - l] += mix[l, :keep, None, None] * kraus
-            self._kraus_cache[t1] = (rows.reshape(keep, -1), float(lam[:keep].sum()))
+            self._kraus_cache[t1] = rows.reshape(keep, -1)
         return self._kraus_cache[t1]
 
     def photon_number(self) -> float:
@@ -859,7 +819,7 @@ class SensitivityOracle:
         """
         d_a, d_b = self._start_dims()
         for _ in range(16):
-            result, diag, deficit, marg_a, marg_b = self._evaluate_at_dims(
+            result, diag, marg_a, marg_b = self._evaluate_at_dims(
                 t1, t2_values, phi_values, d_a, d_b
             )
             # the norm deficit carries the prep truncation and the dropped
@@ -879,8 +839,6 @@ class SensitivityOracle:
                     self._work_dims = (int(d_a * 1.05) + 6, int(d_b * 1.05) + 6)
                 else:
                     self._work_dims = (d_a, d_b)
-                self.last_diag = diag
-                self.last_kraus_deficit = deficit
                 return result
             if not tails_ok:
                 if diag.top_mass_a > self.tail_tol:
@@ -914,9 +872,8 @@ class SensitivityOracle:
         """
         nphi = len(phi_values)
         d_a0, d_b0 = self.prep.cutoff_a, self.prep.cutoff_b
-        base, kept_weight = self._kraus_rows_for(t1)
+        base = self._kraus_rows_for(t1)
         width = base.shape[0]
-        deficit = float(self.prep.norm() ** 2 - kept_weight)
         ncols = nphi * width
         # the Kraus vectors of the phased state are the phased Kraus vectors,
         # up to per-vector global phases that cancel in the quadratic forms
@@ -957,10 +914,7 @@ class SensitivityOracle:
 
         result = {}
         for t2 in t2_values:
-            x_bands = loss_adjoint_bands(_quadrature_bands(d_a), t2, d_a)
-            xsq_bands = loss_adjoint_bands(_quadrature_sq_bands(d_a), t2, d_a)
-            means = _forms_from_correlations(x_bands, corr).reshape(nphi, width)
-            seconds = _forms_from_correlations(xsq_bands, corr).reshape(nphi, width)
+            means, seconds = (v.reshape(nphi, width) for v in _quadrature_moments(corr, t2))
             for j, phi in enumerate(phi_values):
                 result[(t2, phi)] = (float(means[j].sum()), float(seconds[j].sum()))
 
@@ -979,7 +933,7 @@ class SensitivityOracle:
             * _beyond_cutoff_factor(marg_b),
             tolerance=self.tail_tol,
         )
-        return result, diag, deficit, marg_a, marg_b
+        return result, diag, marg_a, marg_b
 
     def sensitivity_statistics(
         self,
@@ -1003,40 +957,6 @@ class SensitivityOracle:
                 slope = (stats[(t2, phi + h)][0] - stats[(t2, phi - h)][0]) / (2.0 * h)
                 out[(t2, phi)] = (mean, second - mean * mean, slope)
         return out
-
-    def sensitivity(self, t1: float, t2: float, phi: float) -> OracleReport:
-        mean, variance, slope = self.sensitivity_statistics(t1, (t2,), (phi,))[(t2, phi)]
-        if abs(slope) < _SLOPE_FLOOR:
-            raise DivergentSensitivityError(
-                f"oracle quadrature slope {slope:.2e} below {_SLOPE_FLOOR}"
-            )
-        na, na2, nb = photon_number_stats(self.prep)
-        wa, wb = self._work_dims or (self.prep.cutoff_a, self.prep.cutoff_b)
-        diag = self.last_diag
-        return OracleReport(
-            params=InterferometerParams(
-                g=self.g, alpha=self.alpha, r=self.r, t1=t1, t2=t2, phi=phi
-            ),
-            delta_phi=math.sqrt(max(variance, 0.0)) / abs(slope),
-            mean=mean,
-            variance=variance,
-            dmean_dphi=slope,
-            n_total=na + nb,
-            fisher=4.0 * (na2 - na * na),
-            cutoff_a=self.prep.cutoff_a,
-            cutoff_b=self.prep.cutoff_b,
-            work_cutoff_a=wa,
-            work_cutoff_b=wb,
-            norm_deficit=self.prep_diag.norm_deficit,
-            tail_mass=diag.worst if diag else self.prep_diag.worst,
-            kraus_weight_deficit=self.last_kraus_deficit,
-        )
-
-
-def oracle_sensitivity(params: InterferometerParams) -> OracleReport:
-    """Full-circuit homodyne sensitivity from the Fock simulation."""
-    engine = SensitivityOracle(params.alpha, params.g, params.r)
-    return engine.sensitivity(params.t1, params.t2, params.phi)
 
 
 # ---------------------------------------------------------------------------

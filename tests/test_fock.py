@@ -1,6 +1,7 @@
 """Fock-space oracle: gates, channels, diagnostics, and cross-path locks."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.linalg import expm
 
 from su11lso import crosscheck, fock
 from su11lso.errors import InsufficientCutoffError, NonconvergedOracleError
-from su11lso.metrology import phase_sensitivity, qfi_ideal
+from su11lso.metrology import qfi_ideal
 from su11lso.moments import InterferometerParams, q_moment, quadrature_stats
 
 
@@ -182,15 +183,16 @@ class TestSweepKrausFamily:
         # a tolerance under the 1e-12 comparison, so truncation cannot hide in it
         eng = fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=1e-13)
         eng.prep = fock.prepared_state(0.7, 0.6, 0.5, 16, 10)
-        rows, kept_weight = eng._kraus_rows_for(t1)
+        rows = eng._kraus_rows_for(t1)
         ref, _ = loss_kraus_rows(eng.prep, t1, weight_tol=1e-16)
         mixture = rows.T @ rows.conj()
         assert np.abs(mixture - ref.T @ ref.conj()).max() < 1e-12
+        kept_weight = np.vdot(rows, rows).real
         assert abs(kept_weight - eng.prep.norm() ** 2) <= eng.kraus_tol
 
     def test_lossless_family_is_the_prep_state(self):
         eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
-        rows, _ = eng._kraus_rows_for(1.0)
+        rows = eng._kraus_rows_for(1.0)
         assert rows.shape == (1, eng.prep.amplitudes.size)
         assert np.array_equal(rows[0], eng.prep.amplitudes)
 
@@ -208,12 +210,45 @@ class TestSweepKrausFamily:
         (lambda: fock.SensitivityOracle(math.inf, 0.5, 0.5), ValueError, "alpha must be finite"),
         (lambda: fock.SensitivityOracle(0.5, math.nan, 0.5), ValueError, "g must be finite"),
         (lambda: fock.SensitivityOracle(0.5, 0.5, -1.0), ValueError, "squeezing r"),
+        (lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, tail_tol=math.nan), ValueError, "tail_tol"),
+        (lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, tail_tol=-1.0), ValueError, "tail_tol"),
+        (lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=math.nan), ValueError, "kraus_tol"),
+        (lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=-1.0), ValueError, "kraus_tol"),
+        (
+            lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, prep_tail_tol=math.inf),
+            ValueError,
+            "prep_tail_tol",
+        ),
+        (
+            lambda: fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=math.nan),
+            ValueError,
+            "tail_tol",
+        ),
+        (
+            lambda: fock.oracle_qfi_mixed(InterferometerParams(g=0.5, alpha=0.5, r=0.5), 0.5, -1.0),
+            ValueError,
+            "tail_tol",
+        ),
     ],
-    ids=["alpha-huge", "qfi-alpha-huge", "alpha-nan", "alpha-inf", "g-nan", "r-negative"],
+    ids=[
+        "alpha-huge", "qfi-alpha-huge", "alpha-nan", "alpha-inf", "g-nan", "r-negative",
+        "tail_tol-nan", "tail_tol-negative", "kraus_tol-nan", "kraus_tol-negative",
+        "prep_tail_tol-inf", "auto-prep-tail_tol-nan", "qfi-tail_tol-negative",
+    ],
 )
 def test_oracle_rejects_bad_input(call, error, match):
+    # before any state is prepared: a NaN tolerance once escalated for minutes
+    start = time.perf_counter()
     with pytest.raises(error, match=match):
         call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_oracle_accepts_zero_tolerance():
+    # zero asks for exact truncation: it is valid input, and unattainable
+    fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=0.0)
+    with pytest.raises(NonconvergedOracleError, match="dim budget"):
+        fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=0.0, max_dim=2_000)
 
 
 class TestCutoffCheck:
@@ -250,36 +285,23 @@ class TestOracleAgainstAnalyticPath:
             oracle = fock.pure_moment(psi, key)
             assert abs(analytic - oracle) <= 1e-8 * max(1.0, abs(oracle)), key
 
-    def test_sensitivity_cross_path_lossless(self):
-        p = InterferometerParams(g=1, alpha=1, r=0.5, phi=0.5)
-        rep = fock.oracle_sensitivity(p)
-        assert rep.delta_phi == pytest.approx(
-            phase_sensitivity(p).delta_phi, rel=1e-6
-        )
-
-    def test_sensitivity_cross_path_internal_loss(self):
-        p = InterferometerParams(g=1, alpha=1, r=0.5, t1=0.5, t2=0.9, phi=0.8)
-        rep = fock.oracle_sensitivity(p)
-        assert rep.delta_phi == pytest.approx(
-            phase_sensitivity(p).delta_phi, rel=1e-6
-        )
-
-    def test_sensitivity_equals_cross_check_cell(self):
-        # one central difference serves both callers, bit for bit
+    @pytest.mark.parametrize(
+        "t1, t2, phi", [(1.0, 1.0, 0.5), (0.5, 0.9, 0.8)], ids=["lossless", "internal-loss"]
+    )
+    def test_sensitivity_cross_path(self, t1, t2, phi):
         res = crosscheck.run_cross_check(
-            alphas=(0.5,), gs=(0.5,), rs=(0.5,), t_pairs=((0.7, 0.7),), phis=(0.8,)
+            alphas=(1.0,), gs=(1.0,), rs=(0.5,), t_pairs=((t1, t2),), phis=(phi,)
         )
-        (cell,) = [c for c in res.cells if c.quantity == "delta_phi"]
-        engine = fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=crosscheck._KRAUS_TOL)
-        assert engine.sensitivity(0.7, 0.7, 0.8).delta_phi == cell.oracle
+        assert [c.flag for c in res.cells if c.quantity == "delta_phi"] == [""]
+        assert res.max_deviation("delta_phi") <= 1e-6
 
     @pytest.mark.parametrize("alpha", [0.8, 0.0], ids=["alpha0.8", "alpha0-empty-sectors"])
     def test_production_route_equals_literal_density_route(self, alpha):
         # trace cyclicity: identical matrices, reordered.  A 10x8 prep state
         # (the corner of a larger one, as the coherent input needs more than
         # 10 levels) padded into a 14x12 work grid; at alpha = 0 every odd
-        # sector is empty
-        g, r, t1, t2, phis = 0.6, 0.4, 0.75, 0.85, (0.9, 0.4, 1.7)
+        # sector is empty.  t2 = 1 takes the read-out's lossless case
+        g, r, t1, t2_values, phis = 0.6, 0.4, 0.75, (0.85, 1.0), (0.9, 0.4, 1.7)
         d_a, d_b = 14, 12
         corner = fock.prepared_state(alpha, g, r, 20, 8).grid[:10]
         prep = fock.FockStateVector(10, 8, corner.reshape(-1).copy())
@@ -288,16 +310,17 @@ class TestOracleAgainstAnalyticPath:
         u2 = expm(-g * (a @ b) + g * (a.T @ b.T))  # the phase-flipped squeezer
         eng = fock.SensitivityOracle(alpha, g, r)
         eng.prep = prep
-        res, *_ = eng._evaluate_at_dims(t1, (t2,), phis, d_a, d_b)
+        res, *_ = eng._evaluate_at_dims(t1, t2_values, phis, d_a, d_b)
         for phi in phis:
             psi = fock.apply_phase(prep.padded(d_a, d_b), phi)
             rho = apply_loss(psi, KrausChannel(t1, "a"))
             rho = FockDensityOperator(d_a, d_b, u2 @ rho.matrix @ u2.conj().T)
-            rho = apply_loss(rho, KrausChannel(t2, "a"))
-            mean_lit, second_lit = density_quadrature_stats(rho)
-            mean_fast, second_fast = res[(t2, phi)]
-            assert mean_fast == pytest.approx(mean_lit, abs=1e-13)
-            assert second_fast == pytest.approx(second_lit, abs=1e-12)
+            for t2 in t2_values:
+                lossy = apply_loss(rho, KrausChannel(t2, "a"))
+                mean_lit, second_lit = density_quadrature_stats(lossy)
+                mean_fast, second_fast = res[(t2, phi)]
+                assert mean_fast == pytest.approx(mean_lit, abs=1e-13)
+                assert second_fast == pytest.approx(second_lit, abs=1e-12)
 
     def test_sector_sweep_peak_memory_is_a_few_sector_blocks(self):
         # one sector's columns at a time plus the correlations, never the
@@ -305,7 +328,7 @@ class TestOracleAgainstAnalyticPath:
         eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
         d_a, d_b = eng.prep.cutoff_a + 40, eng.prep.cutoff_b + 40
         phis = (0.3, 0.8, 1.5)
-        ncols = len(phis) * eng._kraus_rows_for(0.7)[0].shape[0]
+        ncols = len(phis) * eng._kraus_rows_for(0.7).shape[0]
         block = min(d_a, d_b) * ncols * 16
         corr = 3 * d_a * ncols * 8
         batch = d_a * d_b * ncols * 16

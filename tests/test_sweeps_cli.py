@@ -274,6 +274,20 @@ class TestCli:
         assert run_cli("sweep", "--var", "nope").returncode == 1
         assert run_cli("frobnicate").returncode == 1
 
+    def test_sweep_var_omits_t_k(self, tmp_path, capsys):
+        # a t_k sweep needs a per-series sweep_target, which no flag sets
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "t_k" not in capsys.readouterr().out
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--var", "t_k", "--start", "0.5", "--stop", "1", "--count", "2",
+                  "--output", str(out)])
+        assert exc.value.code == 1
+        assert "invalid choice: 't_k'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_supplies_defaults(self, tmp_path):
         # one file serves every subcommand: figure's points and check's
         # tolerance are valid keys for point too
