@@ -16,6 +16,11 @@ hundred, which strong squeezing genuinely demands: the internal state
 reaches mean photon numbers ~25 with heavy super-Poissonian tails, and the
 second squeezer roughly doubles that.
 
+A pure state is a (d_a, d_b) complex array psi[n_a, n_b].  The prep and
+the work grid escalate their cutoffs in one loop (``_escalate``), which
+checks the cell budget before every probe and grows each failing mode
+along its extrapolated occupation decay (``_predicted_dim``).
+
 Two routes compute these exponentials, on purpose.  The two-mode sectors
 carry most of the oracle's run time, so they use half-size factors of the
 even/odd split (``_skew_exp_factors``).  The single-mode squeezer, which
@@ -82,42 +87,7 @@ DEFAULT_FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
-# state containers
-
-
-@dataclass
-class FockStateVector:
-    """Two-mode pure state, amplitudes flat in row-major order over n_a."""
-
-    cutoff_a: int
-    cutoff_b: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.cutoff_a < 2 or self.cutoff_b < 1:
-            raise ValueError("cutoffs too small for a meaningful state")
-        if self.amplitudes.shape != (self.cutoff_a * self.cutoff_b,):
-            raise ValueError("amplitude vector does not match the cutoffs")
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.cutoff_a, self.cutoff_b)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def marginal_a(self) -> np.ndarray:
-        return np.sum(np.abs(self.grid) ** 2, axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        return np.sum(np.abs(self.grid) ** 2, axis=0)
-
-    def padded(self, cutoff_a: int, cutoff_b: int) -> "FockStateVector":
-        if cutoff_a < self.cutoff_a or cutoff_b < self.cutoff_b:
-            raise ValueError("padding may only grow the cutoffs")
-        g = np.zeros((cutoff_a, cutoff_b), dtype=complex)
-        g[: self.cutoff_a, : self.cutoff_b] = self.grid
-        return FockStateVector(cutoff_a, cutoff_b, g.reshape(-1))
+# cutoff diagnostics
 
 
 @dataclass(frozen=True)
@@ -308,8 +278,8 @@ def single_mode_squeezer_matrix(r: float, d_a: int) -> np.ndarray:
 # gates on states
 
 
-def build_input(alpha: complex, cutoff_a: int, cutoff_b: int) -> FockStateVector:
-    """|alpha>_a |0>_b with Poisson amplitudes; rejects leaky cutoffs.
+def build_input(alpha: complex, cutoff_a: int, cutoff_b: int) -> np.ndarray:
+    """|alpha>_a |0>_b as a (cutoff_a, cutoff_b) array; rejects leaky cutoffs.
 
     Raises InsufficientCutoffError unless the coherent tail beyond the
     cutoff is below 1e-12.
@@ -325,70 +295,40 @@ def build_input(alpha: complex, cutoff_a: int, cutoff_b: int) -> FockStateVector
         raise InsufficientCutoffError(
             f"coherent tail mass {tail:.2e} beyond cutoff {cutoff_a} exceeds 1e-12"
         )
-    grid = np.zeros((cutoff_a, cutoff_b), dtype=complex)
-    grid[:, 0] = amps
-    return FockStateVector(cutoff_a, cutoff_b, grid.reshape(-1))
+    psi = np.zeros((cutoff_a, cutoff_b), dtype=complex)
+    psi[:, 0] = amps
+    return psi
 
 
-def apply_two_mode_squeezer(state: FockStateVector, g: float) -> FockStateVector:
+def apply_two_mode_squeezer(psi: np.ndarray, g: float) -> np.ndarray:
     """The first squeezer (theta = 0) on a copy of the state."""
-    batch = state.amplitudes.copy()[:, None]
-    out = apply_two_mode_squeezer_batch(batch, g, 0.0, state.cutoff_a, state.cutoff_b)
-    return FockStateVector(state.cutoff_a, state.cutoff_b, out[:, 0])
+    d_a, d_b = psi.shape
+    batch = psi.reshape(-1, 1).copy()
+    return apply_two_mode_squeezer_batch(batch, g, 0.0, d_a, d_b).reshape(d_a, d_b)
 
 
-def apply_single_mode_squeezer(state: FockStateVector, r: float) -> FockStateVector:
+def apply_single_mode_squeezer(psi: np.ndarray, r: float) -> np.ndarray:
     if r == 0.0:
-        return FockStateVector(state.cutoff_a, state.cutoff_b, state.amplitudes.copy())
-    u = single_mode_squeezer_matrix(r, state.cutoff_a)
-    grid = u @ state.grid
-    return FockStateVector(state.cutoff_a, state.cutoff_b, grid.reshape(-1))
+        return psi.copy()
+    return single_mode_squeezer_matrix(r, psi.shape[0]) @ psi
 
 
-def apply_phase(state: FockStateVector, phi: float) -> FockStateVector:
+def apply_phase(psi: np.ndarray, phi: float) -> np.ndarray:
     """Multiply by e^{-i phi n_a}."""
-    phases = np.exp(-1j * phi * np.arange(state.cutoff_a))
-    grid = phases[:, None] * state.grid
-    return FockStateVector(state.cutoff_a, state.cutoff_b, grid.reshape(-1))
+    return np.exp(-1j * phi * np.arange(psi.shape[0]))[:, None] * psi
 
 
-def _lower_once(grid: np.ndarray, axis: int) -> np.ndarray:
-    """Annihilation operator of one mode applied to a (possibly stacked) grid."""
-    d = grid.shape[axis]
-    shape = [1] * grid.ndim
-    shape[axis] = d - 1
-    factors = np.sqrt(np.arange(1.0, d)).reshape(shape)
-    out = np.zeros_like(grid)
-    src = [slice(None)] * grid.ndim
-    dst = [slice(None)] * grid.ndim
-    src[axis] = slice(1, None)
-    dst[axis] = slice(0, d - 1)
-    out[tuple(dst)] = factors * grid[tuple(src)]
-    return out
+def _marginals(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Photon-number distributions (mode a, mode b) of a state."""
+    dens = np.abs(psi) ** 2
+    return np.sum(dens, axis=1), np.sum(dens, axis=0)
 
 
-def pure_moment(state: FockStateVector, key) -> complex:
-    """< a'^x1 a^y1 b'^x2 b^y2 > on a pure state via ladder applications."""
-    x1, y1, x2, y2 = (int(k) for k in key)
-    right = state.grid
-    for _ in range(y1):
-        right = _lower_once(right, 0)
-    for _ in range(y2):
-        right = _lower_once(right, 1)
-    left = state.grid
-    for _ in range(x1):
-        left = _lower_once(left, 0)
-    for _ in range(x2):
-        left = _lower_once(left, 1)
-    return complex(np.vdot(left, right))
-
-
-def photon_number_stats(state: FockStateVector) -> tuple[float, float, float]:
+def photon_number_stats(psi: np.ndarray) -> tuple[float, float, float]:
     """(<n_a>, <n_a^2>, <n_b>) from the marginals."""
-    pa = state.marginal_a()
-    pb = state.marginal_b()
-    na = np.arange(state.cutoff_a)
-    nb = np.arange(state.cutoff_b)
+    pa, pb = _marginals(psi)
+    na = np.arange(len(pa))
+    nb = np.arange(len(pb))
     return float(pa @ na), float(pa @ na**2), float(pb @ nb)
 
 
@@ -448,17 +388,16 @@ def _loss_family(occupation: np.ndarray, t: float, total: float, weight_tol: flo
     return u
 
 
-def _mode_a_sigma(psi: FockStateVector) -> np.ndarray:
-    """Upper triangle of the mode-a reduced matrix sigma = conj(Psi) Psi^T.
+def _mode_a_sigma(psi: np.ndarray) -> np.ndarray:
+    """Upper triangle of the mode-a reduced matrix sigma = conj(psi) psi^T.
 
     One rank-k update, without copying psi.  A non-finite occupation raises
     NonconvergedOracleError.
     """
-    sigma = zherk(1.0, psi.grid.T, trans=2)
+    sigma = zherk(1.0, psi.T, trans=2)
     if not np.isfinite(sigma.diagonal().real).all():
-        raise NonconvergedOracleError(
-            f"mode-a reduced state overflows at cutoff {psi.cutoff_a}x{psi.cutoff_b}"
-        )
+        d_a, d_b = psi.shape
+        raise NonconvergedOracleError(f"mode-a reduced state overflows at cutoff {d_a}x{d_b}")
     return sigma
 
 
@@ -490,13 +429,13 @@ def _loss_grams(sigma: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cutoff diagnostics and state preparation
+# state preparation
 
 
-def cutoff_check(state: FockStateVector, tolerance: float = DEFAULT_TAIL_TOL) -> CutoffDiagnostics:
+def cutoff_check(psi: np.ndarray, tolerance: float = DEFAULT_TAIL_TOL) -> CutoffDiagnostics:
     """Norm deficit plus occupation mass of the top two Fock layers."""
-    deficit = abs(1.0 - float(np.vdot(state.amplitudes, state.amplitudes).real))
-    pa, pb = state.marginal_a(), state.marginal_b()
+    deficit = abs(1.0 - float(np.vdot(psi, psi).real))
+    pa, pb = _marginals(psi)
     la = min(2, len(pa) - 1)
     lb = min(2, len(pb) - 1)
     return CutoffDiagnostics(
@@ -509,7 +448,7 @@ def cutoff_check(state: FockStateVector, tolerance: float = DEFAULT_TAIL_TOL) ->
 
 def prepared_state(
     alpha: complex, g: float, r: float, cutoff_a: int, cutoff_b: int
-) -> FockStateVector:
+) -> np.ndarray:
     """Fixed-cutoff internal state: single-mode squeeze after the first squeezer."""
     psi = build_input(alpha, cutoff_a, cutoff_b)
     psi = apply_two_mode_squeezer(psi, g)
@@ -528,36 +467,30 @@ def auto_prepared_state(
     r: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
     max_dim: int = DEFAULT_MAX_DIM,
-) -> tuple[FockStateVector, CutoffDiagnostics]:
-    """Internal state with per-mode cutoffs escalated until the top-layer
-    masses drop below tail_tol.
+) -> tuple[np.ndarray, CutoffDiagnostics]:
+    """Internal state with per-mode cutoffs escalated (``_escalate``) until
+    the top-layer masses and the norm deficit drop below tail_tol.
 
     (alpha, g, r) are checked as in InterferometerParams, which raises
     ValueError naming a bad one, and a tail_tol that is negative or not
-    finite raises ValueError; a start grid already over max_dim raises
-    NonconvergedOracleError.
+    finite raises ValueError.  A grid over max_dim, or a norm deficit over
+    tail_tol once the tails pass, raises NonconvergedOracleError.
     """
     InterferometerParams(g=g, alpha=alpha, r=r)
     _check_tolerance("tail_tol", tail_tol)
     a = abs(alpha)
     start = a * a + 8.0 * a + 12.0  # a float: inf for a huge alpha, no OverflowError
-    d_a, d_b = max(14, math.ceil(min(start, max_dim + 1.0))), 6
-    if d_a * d_b > max_dim:
-        raise NonconvergedOracleError(
-            f"state preparation start grid {start:.6g}x{d_b} exceeds dim budget {max_dim}"
-        )
-    while d_a * d_b <= max_dim:
+
+    def probe(d_a, d_b):
         psi = prepared_state(alpha, g, r, d_a, d_b)
-        diag = cutoff_check(psi, tail_tol)
-        if diag.converged:
-            return psi, diag
-        if diag.top_mass_a > tail_tol:
-            d_a = _predicted_dim(psi.marginal_a(), tail_tol, d_a)
-        if diag.top_mass_b > tail_tol:
-            d_b = _predicted_dim(psi.marginal_b(), tail_tol, d_b)
-    raise NonconvergedOracleError(
-        f"state preparation not converged within dim budget {max_dim}: {diag}"
-    )
+        # the raw top-layer masses are tested, the decay-scaled ones steer growth
+        marginals = _marginals(psi)
+        estimates = [float(m[-2:].sum()) * _beyond_cutoff_factor(m) for m in marginals]
+        return psi, cutoff_check(psi, tail_tol), marginals, estimates
+
+    dims = (max(14, math.ceil(min(start, max_dim + 1.0))), 6)
+    psi, diag, _ = _escalate(probe, dims, tail_tol, max_dim, "state preparation")
+    return psi, diag
 
 
 # ---------------------------------------------------------------------------
@@ -622,22 +555,17 @@ def _beyond_cutoff_factor(marginal: np.ndarray) -> float:
     return min(max(q / (1.0 - q), 1.0), 200.0)
 
 
-def _predicted_dim(
-    marginal: np.ndarray, tol: float, current: int, estimate: float | None = None
-) -> int:
+def _predicted_dim(marginal: np.ndarray, tol: float, current: int, estimate: float) -> int:
     """Extrapolate the cutoff at which the convergence estimate reaches tol.
 
     Fits the exponential decay of the occupation tail over its top stretch;
     falls back to a fixed growth factor when no clean decay is visible, or
     when tol is zero and no cutoff reaches it.  ``estimate`` is the current
-    value of whatever convergence figure the caller tracks (defaults to the
-    decay-scaled top-layer mass).
+    value of the decay-scaled beyond-cutoff mass.  The result always
+    exceeds ``current``.
     """
     fallback = int(current * 1.45) + 8
-    m = np.asarray(marginal, dtype=float)
-    slope = _tail_slope(m)
-    if estimate is None:
-        estimate = float(m[-2:].sum()) * _beyond_cutoff_factor(m)
+    slope = _tail_slope(marginal)
     if estimate <= 0.0 or slope is None or tol == 0.0:
         return fallback
     extra = (math.log(estimate) - math.log(0.45 * tol)) / (-slope)
@@ -646,6 +574,40 @@ def _predicted_dim(
     target = int((current + math.ceil(extra) + 8) * 1.06)
     target = min(target, int(current * 2.6) + 16)
     return max(target, int(current * 1.15) + 4)
+
+
+def _escalate(probe, dims: tuple[int, int], norm_budget: float, max_dim: int, what: str):
+    """Probe growing (d_a, d_b) grids until both tails pass; (result, diag, dims).
+
+    probe(d_a, d_b) returns (result, diag, marginals, estimates): the
+    CutoffDiagnostics whose top masses are tested against its tolerance,
+    and per mode the marginal and beyond-cutoff estimate that a failing
+    mode grows from (``_predicted_dim``, always upward, so the budget
+    checked before every probe ends every escalation).  Once the tails
+    pass, a norm deficit over norm_budget raises: no larger grid recovers it.
+    """
+    d_a, d_b = dims
+    diag = None
+    while True:
+        if d_a * d_b > max_dim:
+            last = "start" if diag is None else f"next (after {diag})"
+            raise NonconvergedOracleError(
+                f"{what}: {last} grid {d_a}x{d_b} exceeds dim budget {max_dim}"
+            )
+        result, diag, (marg_a, marg_b), (est_a, est_b) = probe(d_a, d_b)
+        tol = diag.tolerance
+        if diag.top_mass_a <= tol and diag.top_mass_b <= tol:
+            if not diag.norm_deficit <= norm_budget:
+                raise NonconvergedOracleError(
+                    f"{what}: norm deficit {diag.norm_deficit:.3g} exceeds its budget "
+                    f"{norm_budget:.3g} at grid {d_a}x{d_b}, and no larger grid "
+                    f"recovers it: {diag}"
+                )
+            return result, diag, (d_a, d_b)
+        if not diag.top_mass_a <= tol:
+            d_a = _predicted_dim(marg_a, tol, d_a, est_a)
+        if not diag.top_mass_b <= tol:
+            d_b = _predicted_dim(marg_b, tol, d_b, est_b)
 
 
 # ---------------------------------------------------------------------------
@@ -710,17 +672,18 @@ def _one_blas_thread():
 class SensitivityOracle:
     """Reusable output-port evaluator for one (alpha, g, r).
 
-    Prepares the internal state once.  Each measurement phases it, expands
-    internal loss into Kraus columns, streams every column through the
-    second squeezer one conserved sector at a time, and reads <X> and <X^2>
-    after external loss off the mode-a correlations (``_quadrature_moments``);
-    ``su11lso.crosscheck`` forms delta-phi from them.  One work grid serves
-    all loss groups; it escalates until the estimated relative moment error
-    of the worst phase block drops below tail_tol, which is where the
-    post-gate amplification bites.  Escalation starts from the engine's own
-    prep state and only grows the grid; engines share no state, so a result
-    does not depend on which engines ran before.  A tolerance that is
-    negative or not finite raises ValueError naming it.
+    Prepares the internal state once, a (d_a, d_b) array ``prep``.  Each
+    measurement phases it, expands internal loss into Kraus columns,
+    streams every column through the second squeezer one conserved sector
+    at a time, and reads <X> and <X^2> after external loss off the mode-a
+    correlations (``_quadrature_moments``); ``su11lso.crosscheck`` forms
+    delta-phi from them.  One work grid serves all loss groups; it
+    escalates until the estimated relative moment error of the worst phase
+    block drops below tail_tol, which is where the post-gate amplification
+    bites.  Escalation starts from the engine's own prep state and only
+    grows the grid; engines share no state, so a result does not depend on
+    which engines ran before.  A tolerance that is negative or not finite
+    raises ValueError naming it.
     """
 
     def __init__(
@@ -766,7 +729,7 @@ class SensitivityOracle:
         if t1 not in self._kraus_cache:
             psi = self.prep
             sigma = _mode_a_sigma(psi)
-            total = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
+            total = float(np.vdot(psi, psi).real)
             u = _loss_family(sigma.diagonal().real, t1, total, self.kraus_tol)
             lam, mix = np.linalg.eigh(_loss_grams(sigma, u, 1)[0])
             lam = np.clip(lam[::-1], 0.0, None)
@@ -777,10 +740,10 @@ class SensitivityOracle:
             keep = int(np.searchsorted(-dropped_from, -self.kraus_tol))
             keep = min(max(keep, 2), len(lam))
             # row j = sum_l mix[l, j] Pi_l psi, with Pi_l psi = u_l * psi[l:]
-            d_a = psi.cutoff_a
-            rows = np.zeros((keep, d_a, psi.cutoff_b), dtype=complex)
+            d_a = psi.shape[0]
+            rows = np.zeros((keep,) + psi.shape, dtype=complex)
             for l in range(u.shape[1]):
-                kraus = u[: d_a - l, l, None] * psi.grid[l:]
+                kraus = u[: d_a - l, l, None] * psi[l:]
                 rows[:, : d_a - l] += mix[l, :keep, None, None] * kraus
             self._kraus_cache[t1] = rows.reshape(keep, -1)
         return self._kraus_cache[t1]
@@ -797,10 +760,10 @@ class SensitivityOracle:
 
     def _start_dims(self) -> tuple[int, int]:
         if self.g == 0.0:
-            return self.prep.cutoff_a, self.prep.cutoff_b
+            return self.prep.shape
         if self._work_dims is not None:
             return self._work_dims
-        d = self.prep.cutoff_a + 2 * self.prep.cutoff_b + 12
+        d = self.prep.shape[0] + 2 * self.prep.shape[1] + 12
         return d, d
 
     @_one_blas_thread()
@@ -813,52 +776,21 @@ class SensitivityOracle:
         """{(t2, phi): (<X>, <X^2>)} at the output, one t1 group per call.
 
         One work grid serves every loss group of the engine: the first group
-        escalates it and later groups start from it.  Convergence is judged
-        on the estimated relative second-moment error of the worst phase
-        block.  The whole escalation runs on one BLAS thread.
+        escalates it (``_escalate``, one ``_evaluate_at_dims`` sweep per
+        probe) and later groups start from it.  Convergence is judged on the
+        estimated relative second-moment error of the worst phase block; the
+        norm deficit, the prep truncation plus the dropped Kraus weight, may
+        reach four times their sum.  It all runs on one BLAS thread.
         """
-        d_a, d_b = self._start_dims()
-        for _ in range(16):
-            result, diag, marg_a, marg_b = self._evaluate_at_dims(
-                t1, t2_values, phi_values, d_a, d_b
-            )
-            # the norm deficit carries the prep truncation and the dropped
-            # Kraus weight, which larger work grids cannot recover; only the
-            # tail estimates are grid-fixable
-            tails_ok = (
-                diag.top_mass_a <= self.tail_tol and diag.top_mass_b <= self.tail_tol
-            )
-            norm_ok = diag.norm_deficit <= 4.0 * (
-                self.kraus_tol + self.prep_diag.norm_deficit + 1e-13
-            )
-            if tails_ok and norm_ok:
-                # thin margin: other phases drift the tail, so pre-pad the
-                # cached grid rather than pay a wasted probe later
-                worst_tail = max(diag.top_mass_a, diag.top_mass_b)
-                if worst_tail > 0.35 * self.tail_tol:
-                    self._work_dims = (int(d_a * 1.05) + 6, int(d_b * 1.05) + 6)
-                else:
-                    self._work_dims = (d_a, d_b)
-                return result
-            if not tails_ok:
-                if diag.top_mass_a > self.tail_tol:
-                    d_a = _predicted_dim(
-                        marg_a, self.tail_tol, d_a, estimate=diag.top_mass_a
-                    )
-                if diag.top_mass_b > self.tail_tol:
-                    d_b = _predicted_dim(
-                        marg_b, self.tail_tol, d_b, estimate=diag.top_mass_b
-                    )
-            else:
-                raise NonconvergedOracleError(
-                    f"norm deficit {diag.norm_deficit:.2e} exceeds the combined "
-                    f"truncation budget; tighten kraus_tol/prep tolerances: {diag}"
-                )
-            if d_a * d_b > self.max_dim:
-                raise NonconvergedOracleError(
-                    f"output not converged within dim budget {self.max_dim}: {diag}"
-                )
-        raise NonconvergedOracleError("cutoff escalation failed to settle")
+        norm_budget = 4.0 * (self.kraus_tol + self.prep_diag.norm_deficit + 1e-13)
+        result, _, self._work_dims = _escalate(
+            lambda d_a, d_b: self._evaluate_at_dims(t1, t2_values, phi_values, d_a, d_b),
+            self._start_dims(),
+            norm_budget,
+            self.max_dim,
+            "output statistics",
+        )
+        return result
 
     def _evaluate_at_dims(self, t1, t2_values, phi_values, d_a, d_b):
         """Output statistics at one work grid, streamed sector by sector.
@@ -868,10 +800,12 @@ class SensitivityOracle:
         chain's prefix inside it; the rest is zero), transformed, and folded
         into the mode-a correlations and mode-b marginals before the next
         sector.  Offset-o correlations pair sector k with sector k - o at
-        equal n_b, so only the last two outputs are kept.
+        equal n_b, so only the last two outputs are kept.  Returns a probe
+        for ``_escalate``: the results, their diagnostics, the mean mode
+        marginals, and the tested tails again as the growth estimates.
         """
         nphi = len(phi_values)
-        d_a0, d_b0 = self.prep.cutoff_a, self.prep.cutoff_b
+        d_a0, d_b0 = self.prep.shape
         base = self._kraus_rows_for(t1)
         width = base.shape[0]
         ncols = nphi * width
@@ -933,7 +867,7 @@ class SensitivityOracle:
             * _beyond_cutoff_factor(marg_b),
             tolerance=self.tail_tol,
         )
-        return result, diag, marg_a, marg_b
+        return result, diag, (marg_a, marg_b), (diag.top_mass_a, diag.top_mass_b)
 
     def sensitivity_statistics(
         self,
@@ -979,9 +913,7 @@ def oracle_qfi_mixed(
     return mixed_qfi_from_state(psi, eta, weight_tol=min(tail_tol, 1e-12))
 
 
-def mixed_qfi_from_state(
-    psi: FockStateVector, eta: float, weight_tol: float = 1e-12
-) -> float:
+def mixed_qfi_from_state(psi: np.ndarray, eta: float, weight_tol: float = 1e-12) -> float:
     """Mixed-state Fisher information of a prepared state under loss eta.
 
     rho = K K^H for the Kraus vectors K = [Pi_0 psi, Pi_1 psi, ...], and
@@ -996,12 +928,14 @@ def mixed_qfi_from_state(
 
     the Braunstein-Caves form 4 tr(rho N^2) - 8 sum p_i p_j / (p_i + p_j)
     |N_ij|^2 of rho restricted to those components.  The Kraus count L
-    stops once the neglected weight falls below weight_tol.
+    stops once the neglected weight falls below weight_tol; a weight_tol
+    that is negative or not finite raises ValueError.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
+    _check_tolerance("weight_tol", weight_tol)
     sigma = _mode_a_sigma(psi)
-    total = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
+    total = float(np.vdot(psi, psi).real)
     u = _loss_family(sigma.diagonal().real, eta, total, weight_tol)
     gram = _loss_grams(sigma, u, 3)
     lam, vec = np.linalg.eigh(gram[0])

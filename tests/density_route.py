@@ -2,7 +2,9 @@
 
 The oracle never forms a density operator; these helpers do, so tests can
 check its streamed sector sweep, its Kraus family and its mixed-state
-Fisher information against the plain textbook construction.
+Fisher information against the plain textbook construction.  Pure states
+are the oracle's (d_a, d_b) arrays; ``pure_moment`` reads normally ordered
+moments off them by explicit ladder applications.
 """
 
 from __future__ import annotations
@@ -76,8 +78,39 @@ def single_mode_kraus_matrices(t: float, d: int) -> list[np.ndarray]:
     return ops
 
 
+def _lower_once(grid: np.ndarray, axis: int) -> np.ndarray:
+    """Annihilation operator of one mode applied to a (possibly stacked) grid."""
+    d = grid.shape[axis]
+    shape = [1] * grid.ndim
+    shape[axis] = d - 1
+    factors = np.sqrt(np.arange(1.0, d)).reshape(shape)
+    out = np.zeros_like(grid)
+    src = [slice(None)] * grid.ndim
+    dst = [slice(None)] * grid.ndim
+    src[axis] = slice(1, None)
+    dst[axis] = slice(0, d - 1)
+    out[tuple(dst)] = factors * grid[tuple(src)]
+    return out
+
+
+def pure_moment(psi: np.ndarray, key) -> complex:
+    """< a'^x1 a^y1 b'^x2 b^y2 > on a (d_a, d_b) pure state via ladder applications."""
+    x1, y1, x2, y2 = (int(k) for k in key)
+    right = psi
+    for _ in range(y1):
+        right = _lower_once(right, 0)
+    for _ in range(y2):
+        right = _lower_once(right, 1)
+    left = psi
+    for _ in range(x1):
+        left = _lower_once(left, 0)
+    for _ in range(x2):
+        left = _lower_once(left, 1)
+    return complex(np.vdot(left, right))
+
+
 def loss_kraus_rows(
-    state: fock.FockStateVector, transmittance: float, weight_tol: float = fock.DEFAULT_KRAUS_TOL
+    psi: np.ndarray, transmittance: float, weight_tol: float = fock.DEFAULT_KRAUS_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows Pi_l |psi> of the loss channel on mode a, stacked (L, dim), plus weights.
 
@@ -88,12 +121,12 @@ def loss_kraus_rows(
     completeness the weights sum to the squared norm of the input.
     """
     t = transmittance
-    d = state.cutoff_a
+    d = psi.shape[0]
     damp = np.power(t, np.arange(d) / 2.0)[:, None]
     lower = np.sqrt(np.arange(1.0, d))[:, None]
-    total = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    total = float(np.vdot(psi, psi).real)
     rows, weights = [], []
-    lowered = state.grid
+    lowered = psi
     for l in range(d):
         if l > 0:
             if t == 1.0:
@@ -111,16 +144,17 @@ def loss_kraus_rows(
 
 
 def apply_loss(target, channel: KrausChannel) -> FockDensityOperator:
-    """Loss channel as an explicit density operator."""
-    dim = target.cutoff_a * target.cutoff_b
-    if dim > DENSITY_DIM_LIMIT:
+    """Loss channel on a (d_a, d_b) pure state or a density operator, as an
+    explicit density operator."""
+    da, db = target.shape if isinstance(target, np.ndarray) else (target.cutoff_a, target.cutoff_b)
+    if da * db > DENSITY_DIM_LIMIT:
         raise ValueError(f"density-operator route is limited to dim <= {DENSITY_DIM_LIMIT}")
-    da, db = target.cutoff_a, target.cutoff_b
-    if isinstance(target, fock.FockStateVector):
+    if isinstance(target, np.ndarray):
         if channel.mode == "a":
             rows, _ = loss_kraus_rows(target, channel.transmittance, weight_tol=1e-16)
             return FockDensityOperator(da, db, rows.T @ rows.conj())
-        target = FockDensityOperator(da, db, np.outer(target.amplitudes, target.amplitudes.conj()))
+        flat = target.reshape(-1)
+        target = FockDensityOperator(da, db, np.outer(flat, flat.conj()))
     kraus = single_mode_kraus_matrices(channel.transmittance, da if channel.mode == "a" else db)
     rho4 = target.matrix.reshape(da, db, da, db)
     out = np.zeros_like(rho4)

@@ -12,6 +12,7 @@ from density_route import (
     apply_loss,
     density_quadrature_stats,
     loss_kraus_rows,
+    pure_moment,
 )
 from scipy.linalg import expm
 
@@ -28,8 +29,9 @@ def dense_ladder(d):
 class TestBuildInput:
     def test_vacuum(self):
         st = fock.build_input(0.0, 6, 4)
-        assert st.grid[0, 0] == 1.0
-        assert np.count_nonzero(st.amplitudes) == 1
+        assert st.shape == (6, 4)
+        assert st[0, 0] == 1.0
+        assert np.count_nonzero(st) == 1
 
     def test_poisson_mean(self):
         st = fock.build_input(1.0, 20, 2)
@@ -38,7 +40,7 @@ class TestBuildInput:
 
     def test_normalized(self):
         st = fock.build_input(1.5, 25, 2)
-        assert st.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(st) == pytest.approx(1.0, abs=1e-12)
 
     def test_leaky_cutoff_rejected(self):
         with pytest.raises(InsufficientCutoffError):
@@ -82,7 +84,7 @@ class TestGatePhysics:
     def test_two_mode_identity_at_zero_gain(self):
         st = fock.build_input(0.7, 16, 4)
         out = fock.apply_two_mode_squeezer(st, 0.0)
-        assert np.array_equal(out.amplitudes, st.amplitudes)
+        assert np.array_equal(out, st)
 
     def test_two_mode_vacuum_photon_number(self):
         st = fock.apply_two_mode_squeezer(fock.build_input(0.0, 30, 30), 1.0)
@@ -92,13 +94,11 @@ class TestGatePhysics:
 
     def test_unitarity(self):
         st = fock.prepared_state(0.8, 0.9, 0.6, 120, 60)
-        assert abs(st.norm() - 1.0) < 1e-9
+        assert abs(np.linalg.norm(st) - 1.0) < 1e-9
 
     def test_single_mode_identity_and_photon_number(self):
         st = fock.build_input(0.0, 40, 2)
-        assert np.array_equal(
-            fock.apply_single_mode_squeezer(st, 0.0).amplitudes, st.amplitudes
-        )
+        assert np.array_equal(fock.apply_single_mode_squeezer(st, 0.0), st)
         sq = fock.apply_single_mode_squeezer(st, 0.6)
         na, _, _ = fock.photon_number_stats(sq)
         assert na == pytest.approx(math.sinh(0.6) ** 2, abs=1e-10)
@@ -107,17 +107,17 @@ class TestGatePhysics:
         # <a^2> = +cosh(r) sinh(r) locks the squeezer phase convention to the
         # generating-function coefficients
         sq = fock.apply_single_mode_squeezer(fock.build_input(0.0, 40, 2), 0.6)
-        got = fock.pure_moment(sq, (0, 2, 0, 0))
+        got = pure_moment(sq, (0, 2, 0, 0))
         assert got.real == pytest.approx(math.cosh(0.6) * math.sinh(0.6), abs=1e-9)
         assert abs(got.imag) < 1e-12
 
     def test_phase_gate(self):
         st = fock.build_input(1.0, 20, 2)
-        assert np.array_equal(fock.apply_phase(st, 0.0).amplitudes, st.amplitudes)
+        assert np.array_equal(fock.apply_phase(st, 0.0), st)
         full_turn = fock.apply_phase(st, 2 * math.pi)
-        assert np.abs(full_turn.amplitudes - st.amplitudes).max() < 1e-12
+        assert np.abs(full_turn - st).max() < 1e-12
         rotated = fock.apply_phase(st, 0.7)
-        assert fock.pure_moment(rotated, (0, 1, 0, 0)) == pytest.approx(
+        assert pure_moment(rotated, (0, 1, 0, 0)) == pytest.approx(
             np.exp(-1j * 0.7)
         )
 
@@ -126,7 +126,7 @@ class TestLossChannel:
     def test_identity_at_full_transmission(self):
         st = fock.prepared_state(0.5, 0.4, 0.3, 12, 8)
         rho = apply_loss(st, KrausChannel(1.0, "a"))
-        expected = np.outer(st.amplitudes, st.amplitudes.conj())
+        expected = np.outer(st, st.conj())
         assert np.abs(rho.matrix - expected).max() < 1e-14
 
     def test_coherent_state_stays_coherent(self):
@@ -154,13 +154,13 @@ class TestLossChannel:
     def test_kraus_completeness_on_populated_subspace(self):
         st = fock.prepared_state(0.7, 0.6, 0.5, 16, 10)
         _, w = loss_kraus_rows(st, 0.7, weight_tol=1e-15)
-        assert w.sum() == pytest.approx(st.norm() ** 2, abs=1e-12)
+        assert w.sum() == pytest.approx(np.linalg.norm(st) ** 2, abs=1e-12)
 
     def test_matches_explicit_beam_splitter_ancilla(self):
         # fictitious-BS picture with an explicit vacuum ancilla at d = 8
         d, t = 8, 0.7
         st = fock.apply_single_mode_squeezer(fock.build_input(0.3, d, 1), 0.3)
-        vec = st.grid[:, 0]
+        vec = st[:, 0]
         a = np.kron(dense_ladder(d), np.eye(d))
         v = np.kron(np.eye(d), dense_ladder(d))
         theta = math.acos(math.sqrt(t))
@@ -169,9 +169,7 @@ class TestLossChannel:
         rho_ref = np.einsum(
             "iv,jv->ij", joint.reshape(d, d), joint.reshape(d, d).conj()
         )
-        rho = apply_loss(
-            fock.FockStateVector(d, 1, vec.copy()), KrausChannel(t, "a")
-        )
+        rho = apply_loss(st, KrausChannel(t, "a"))
         assert np.abs(rho.matrix - rho_ref).max() < 1e-12
 
 
@@ -188,13 +186,13 @@ class TestSweepKrausFamily:
         mixture = rows.T @ rows.conj()
         assert np.abs(mixture - ref.T @ ref.conj()).max() < 1e-12
         kept_weight = np.vdot(rows, rows).real
-        assert abs(kept_weight - eng.prep.norm() ** 2) <= eng.kraus_tol
+        assert abs(kept_weight - np.linalg.norm(eng.prep) ** 2) <= eng.kraus_tol
 
     def test_lossless_family_is_the_prep_state(self):
         eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
         rows = eng._kraus_rows_for(1.0)
-        assert rows.shape == (1, eng.prep.amplitudes.size)
-        assert np.array_equal(rows[0], eng.prep.amplitudes)
+        assert rows.shape == (1, eng.prep.size)
+        assert np.array_equal(rows[0], eng.prep.reshape(-1))
 
 
 @pytest.mark.parametrize(
@@ -229,15 +227,43 @@ class TestSweepKrausFamily:
             ValueError,
             "tail_tol",
         ),
+        (
+            lambda: fock.mixed_qfi_from_state(
+                fock.prepared_state(0.5, 0.5, 0.5, 40, 20), 0.5, weight_tol=math.nan
+            ),
+            ValueError,
+            "weight_tol",
+        ),
+        (
+            lambda: fock.mixed_qfi_from_state(
+                fock.prepared_state(0.5, 0.5, 0.5, 40, 20), 0.5, weight_tol=-1.0
+            ),
+            ValueError,
+            "weight_tol",
+        ),
+        # tails pass at 95x36, but rounding leaves a deficit no grid recovers
+        (
+            lambda: fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=1e-14),
+            NonconvergedOracleError,
+            "norm deficit 3.75e-13",
+        ),
+        (
+            lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, tail_tol=1e-14),
+            NonconvergedOracleError,
+            "norm deficit 3.75e-13",
+        ),
     ],
     ids=[
         "alpha-huge", "qfi-alpha-huge", "alpha-nan", "alpha-inf", "g-nan", "r-negative",
         "tail_tol-nan", "tail_tol-negative", "kraus_tol-nan", "kraus_tol-negative",
         "prep_tail_tol-inf", "auto-prep-tail_tol-nan", "qfi-tail_tol-negative",
+        "qfi-weight_tol-nan", "qfi-weight_tol-negative", "auto-prep-norm-deficit",
+        "engine-norm-deficit",
     ],
 )
 def test_oracle_rejects_bad_input(call, error, match):
-    # before any state is prepared: a NaN tolerance once escalated for minutes
+    # promptly: a NaN tolerance once escalated for minutes, and an
+    # unattainable norm deficit re-ran one prep grid forever
     start = time.perf_counter()
     with pytest.raises(error, match=match):
         call()
@@ -249,6 +275,23 @@ def test_oracle_accepts_zero_tolerance():
     fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=0.0)
     with pytest.raises(NonconvergedOracleError, match="dim budget"):
         fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=0.0, max_dim=2_000)
+
+
+def test_work_grid_budget_checked_before_the_first_probe(monkeypatch):
+    # the (alpha 1, g 1.5, r 1) start grid is 1734^2 cells, over the
+    # budget; it once ran a 37 s probe before raising
+    probes = []
+    evaluate = fock.SensitivityOracle._evaluate_at_dims
+
+    def counting(engine, *args):
+        probes.append(args)
+        return evaluate(engine, *args)
+
+    monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", counting)
+    eng = fock.SensitivityOracle(1.0, 1.5, 1.0)
+    with pytest.raises(NonconvergedOracleError, match="1734x1734 exceeds dim budget 1400000"):
+        eng.quadrature_statistics(1.0, (1.0,), (0.8,))
+    assert probes == []
 
 
 class TestCutoffCheck:
@@ -265,7 +308,7 @@ class TestCutoffCheck:
         assert not fock.cutoff_check(small, 1e-10).converged
         converged, diag = fock.auto_prepared_state(1.0, 1.0, 1.0, 1e-10)
         assert diag.converged
-        assert converged.cutoff_a > 200  # heavy super-Poissonian tail
+        assert converged.shape[0] > 200  # heavy super-Poissonian tail
 
 
 class TestOracleAgainstAnalyticPath:
@@ -282,7 +325,7 @@ class TestOracleAgainstAnalyticPath:
             (2, 2, 0, 0),
         ]:
             analytic = q_moment(p, key)
-            oracle = fock.pure_moment(psi, key)
+            oracle = pure_moment(psi, key)
             assert abs(analytic - oracle) <= 1e-8 * max(1.0, abs(oracle)), key
 
     @pytest.mark.parametrize(
@@ -303,8 +346,7 @@ class TestOracleAgainstAnalyticPath:
         # sector is empty.  t2 = 1 takes the read-out's lossless case
         g, r, t1, t2_values, phis = 0.6, 0.4, 0.75, (0.85, 1.0), (0.9, 0.4, 1.7)
         d_a, d_b = 14, 12
-        corner = fock.prepared_state(alpha, g, r, 20, 8).grid[:10]
-        prep = fock.FockStateVector(10, 8, corner.reshape(-1).copy())
+        prep = fock.prepared_state(alpha, g, r, 20, 8)[:10].copy()
         a = np.kron(dense_ladder(d_a), np.eye(d_b))
         b = np.kron(np.eye(d_a), dense_ladder(d_b))
         u2 = expm(-g * (a @ b) + g * (a.T @ b.T))  # the phase-flipped squeezer
@@ -312,7 +354,7 @@ class TestOracleAgainstAnalyticPath:
         eng.prep = prep
         res, *_ = eng._evaluate_at_dims(t1, t2_values, phis, d_a, d_b)
         for phi in phis:
-            psi = fock.apply_phase(prep.padded(d_a, d_b), phi)
+            psi = fock.apply_phase(np.pad(prep, ((0, d_a - 10), (0, d_b - 8))), phi)
             rho = apply_loss(psi, KrausChannel(t1, "a"))
             rho = FockDensityOperator(d_a, d_b, u2 @ rho.matrix @ u2.conj().T)
             for t2 in t2_values:
@@ -326,7 +368,7 @@ class TestOracleAgainstAnalyticPath:
         # one sector's columns at a time plus the correlations, never the
         # (dim, columns) batch of every phase and Kraus vector
         eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
-        d_a, d_b = eng.prep.cutoff_a + 40, eng.prep.cutoff_b + 40
+        d_a, d_b = eng.prep.shape[0] + 40, eng.prep.shape[1] + 40
         phis = (0.3, 0.8, 1.5)
         ncols = len(phis) * eng._kraus_rows_for(0.7).shape[0]
         block = min(d_a, d_b) * ncols * 16
@@ -384,7 +426,8 @@ class TestBlasThreadScope:
             assert self._counts() == before
             # an escalation that cannot converge raises out of the scope
             seen.clear()
-            eng.tail_tol, eng.max_dim = 1e-300, 1
+            # a budget of exactly the carried grid: one probe, then the raise
+            eng.tail_tol, eng.max_dim = 1e-300, math.prod(eng._start_dims())
             with pytest.raises(NonconvergedOracleError, match="dim budget"):
                 eng.quadrature_statistics(1.0, (1.0,), (0.8,))
             assert seen and all(c == [1] * len(controls) for c in seen)
@@ -438,7 +481,7 @@ class TestQfiOracles:
 
     def test_non_finite_kraus_row_raises(self):
         eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
-        eng.prep.grid[3, 0] = np.inf
+        eng.prep[3, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NonconvergedOracleError, match="overflow"):
             eng.quadrature_statistics(0.5, (1.0,), (0.8,))
 
@@ -486,7 +529,7 @@ class TestQfiOracles:
         psi = fock.prepared_state(0.6, 0.7, 0.4, 40, 16)
         rng = np.random.default_rng(3)
         u, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
-        rotated = fock.FockStateVector(40, 16, (psi.grid @ u.T).reshape(-1))
+        rotated = psi @ u.T
         for eta in (0.2, 0.6):
             f = fock.mixed_qfi_from_state(psi, eta)
             assert fock.mixed_qfi_from_state(rotated, eta) == pytest.approx(f, rel=1e-12)
@@ -494,7 +537,7 @@ class TestQfiOracles:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_mixed_non_finite_amplitude_raises(self, bad):
         st = fock.build_input(0.5, 20, 2)
-        st.grid[3, 1] = bad
+        st[3, 1] = bad
         with np.errstate(invalid="ignore"), pytest.raises(NonconvergedOracleError, match="overflows"):
             fock.mixed_qfi_from_state(st, 0.5)
 
@@ -502,16 +545,16 @@ class TestQfiOracles:
     def test_mixed_peak_memory_is_a_few_mode_a_blocks(self, widen):
         # O(d_a^2 + L^2) whatever the mode-b cutoff: nothing of size d_a d_b
         psi, _ = fock.auto_prepared_state(1.0, 1.0, 0.6)
-        psi = psi.padded(psi.cutoff_a, widen * psi.cutoff_b)
+        psi = np.pad(psi, ((0, 0), (0, (widen - 1) * psi.shape[1])))
         count = len(loss_kraus_rows(psi, 0.3, weight_tol=1e-12)[0])
-        blocks = (psi.cutoff_a**2 + count**2) * 16
+        blocks = (psi.shape[0] ** 2 + count**2) * 16
         tracemalloc.start()
         try:
             fock.mixed_qfi_from_state(psi, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * blocks < psi.amplitudes.nbytes * count / 4
+        assert peak <= 4 * blocks < psi.nbytes * count / 4
 
 
 class TestMulReal:
