@@ -8,10 +8,10 @@ The parent side is ``git archive REV`` unpacked into a temporary directory,
 removed afterwards; the change side is this checkout.  For seed k = 1..10
 each workload of BENCHMARK.json runs ``perfbench/run.py --trace 0`` once per side, parent
 first for odd k and change first for even k, one run after another.  Then
-one ``--trace 1`` run of ``validate`` at seed 0 per side gives the
-per-layer numbers.  The output holds each end-to-end metric's median and
-quartiles per side, the pairs the change won or tied, and the ratio of the
-medians.
+one ``--trace 1`` run of each workload at seed 0 per side gives the
+per-layer numbers (``<workload>_trace_seed0``).  The output holds each
+end-to-end metric's median and quartiles per side, the pairs the change won
+or tied, and the ratio of the medians.
 """
 
 from __future__ import annotations
@@ -112,11 +112,12 @@ def main(argv=None) -> int:
     report = {
         "what": "perfbench end-to-end metrics, parent commit vs this change, "
                 f"{PAIRS} alternating pairs per workload over the same seeds; "
-                "validate traced layer numbers from one --trace 1 run per side",
+                "traced layer numbers of each workload from one --trace 1 run per side",
         "commands": [
             f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
             f"--seed {{1..{PAIRS}}} --seconds {seconds} --trace 0",
-            f"python3 perfbench/run.py --workload validate --seed 0 --seconds {seconds} --trace 1",
+            f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
+            f"--seed 0 --seconds {seconds} --trace 1",
         ],
         "pairing": "seed k runs parent first for odd k, change first for even k; "
                    "runs one after another, never side by side",
@@ -146,9 +147,11 @@ def main(argv=None) -> int:
                 "failed_runs": {side: runs[side].count(None) for side in runs},
                 "metrics": summarize(runs["parent"], runs["change"], spec["end_to_end"]),
             }
-        report["validate_trace_seed0"] = {
-            side: run_bench(sides[side], "validate", 0, seconds, 1) for side in ("parent", "change")
-        }
+        for workload in workloads:
+            report[f"{workload}_trace_seed0"] = {
+                side: run_bench(sides[side], workload, 0, seconds, 1)
+                for side in ("parent", "change")
+            }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     text = json.dumps(report, indent=1) + "\n"

@@ -473,8 +473,10 @@ def auto_prepared_state(
 
     (alpha, g, r) are checked as in InterferometerParams, which raises
     ValueError naming a bad one, and a tail_tol that is negative or not
-    finite raises ValueError.  A grid over max_dim, or a norm deficit over
-    tail_tol once the tails pass, raises NonconvergedOracleError.
+    finite raises ValueError.  A grid over max_dim, or a dense squeezer
+    matrix (d_a^2 cells) over it, raises NonconvergedOracleError before
+    its probe runs; so does a norm deficit over tail_tol once the tails
+    pass.
     """
     InterferometerParams(g=g, alpha=alpha, r=r)
     _check_tolerance("tail_tol", tail_tol)
@@ -482,6 +484,12 @@ def auto_prepared_state(
     start = a * a + 8.0 * a + 12.0  # a float: inf for a huge alpha, no OverflowError
 
     def probe(d_a, d_b):
+        # the single-mode squeezer is a dense d_a x d_a matrix
+        if d_a * d_a > max_dim:
+            raise NonconvergedOracleError(
+                f"state preparation: grid {d_a}x{d_b} needs a {d_a}x{d_a} squeezer "
+                f"matrix, over dim budget {max_dim}"
+            )
         psi = prepared_state(alpha, g, r, d_a, d_b)
         # the raw top-layer masses are tested, the decay-scaled ones steer growth
         marginals = _marginals(psi)

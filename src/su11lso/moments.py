@@ -11,7 +11,8 @@ derive from one generating function exp(w), where w is a quadratic+linear
 polynomial in four formal variables (lam1 <-> a', lam2 <-> a, lam3 <-> b',
 lam4 <-> b) whose coefficients are hyperbolic functions of g and r and
 linear/antilinear in alpha.  Each moment is a pairing sum over those
-coefficients (``series.series_exp``).  Homodyne statistics of the full
+coefficients, built from lower moments by a recurrence
+(``series.series_exp``).  Homodyne statistics of the full
 circuit (phase shift phi, fictitious-beam-splitter transmittances t1
 internal and t2 external, second squeezer at gain g, phase pi) are
 trigonometric polynomials in phi whose coefficients come straight from
@@ -137,9 +138,10 @@ def build_w_form(params: InterferometerParams) -> WForm:
 class MomentTable:
     """Every moment of degree <= 4 of one (g, r, alpha) point.
 
-    All 70 moments are expanded once at construction (``series_exp``), so a
-    moment is a dict lookup.  The exponent itself stays available as
-    ``w_form``.  Immutable after construction.
+    All 70 moments are built once at construction, in one pass of the
+    Isserlis recurrence (``series_exp``), so a moment is a dict lookup; a
+    key is validated only when that lookup misses.  The exponent itself
+    stays available as ``w_form``.  Immutable after construction.
     """
 
     def __init__(self, params: InterferometerParams):
@@ -148,6 +150,10 @@ class MomentTable:
         self._moments = series_exp(self.w_form.linear, 2.0 * self.w_form.quadratic)
 
     def moment(self, key) -> complex:
+        try:
+            return self._moments[key]
+        except (KeyError, TypeError):  # not a hashable valid key: validate it
+            pass
         key = tuple(int(k) for k in key)
         if len(key) != 4 or any(k < 0 for k in key):
             raise ValueError(f"moment key must be 4 non-negative integers, got {key!r}")

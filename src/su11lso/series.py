@@ -1,11 +1,17 @@
 """Normally ordered moments of a Gaussian generating function.
 
 For w(lam) = sum_i linear[i] lam_i + (1/2) sum_ij pair[i][j] lam_i lam_j in
-four formal variables, every mixed derivative of exp(w) at the origin is a
-sum over the ways to split its indices into singletons, each worth
+four formal variables, every mixed derivative M(k) of exp(w) at the origin
+is a sum over the ways to split its indices into singletons, each worth
 linear[i], and pairs, each worth pair[i][j] (Isserlis' theorem; a loop
-hafnian).  With at most four indices that is at most 10 products, so each
-moment is exact up to rounding: nothing is truncated.
+hafnian).  Pairing the first index i of k with the rest, p = k - e_i, gives
+the recurrence
+
+    M(k) = linear[i] M(p) + sum_j p_j pair[i][j] M(p - e_j),
+
+so each moment is a few products of lower ones and nothing is truncated.
+The order of evaluation and the lower moments each key reads are fixed
+once at import (``_PLAN``); a build is one pass over that plan.
 """
 
 from __future__ import annotations
@@ -14,8 +20,26 @@ from itertools import product
 
 DEGREE_CAP = 4
 
-# the 70 multi-indices (x1, y1, x2, y2) of total degree <= DEGREE_CAP
-_KEYS = tuple(k for k in product(range(DEGREE_CAP + 1), repeat=4) if sum(k) <= DEGREE_CAP)
+
+def _compile_plan():
+    """Keys in order of total degree, and per key after the first (the
+    origin) the step (i, position of p, ((p_j, j, position of p - e_j), ...))."""
+    # the 70 multi-indices (x1, y1, x2, y2) of total degree <= DEGREE_CAP
+    keys = (k for k in product(range(DEGREE_CAP + 1), repeat=4) if sum(k) <= DEGREE_CAP)
+    order = tuple(sorted(keys, key=sum))
+    position = {key: n for n, key in enumerate(order)}
+    steps = []
+    for key in order[1:]:
+        i = next(n for n, count in enumerate(key) if count)
+        p = key[:i] + (key[i] - 1,) + key[i + 1 :]
+        terms = tuple(
+            (p[j], j, position[p[:j] + (p[j] - 1,) + p[j + 1 :]]) for j in range(4) if p[j]
+        )
+        steps.append((i, position[p], terms))
+    return order, tuple(steps)
+
+
+_ORDER, _PLAN = _compile_plan()
 
 
 def series_exp(linear, pair) -> dict[tuple[int, int, int, int], complex]:
@@ -26,18 +50,14 @@ def series_exp(linear, pair) -> dict[tuple[int, int, int, int], complex]:
     """
     lin = [complex(v) for v in linear]
     pr = [[complex(v) for v in row] for row in pair]
-    return {
-        key: _pairing_sum(tuple(i for i in range(4) for _ in range(key[i])), lin, pr)
-        for key in _KEYS
-    }
-
-
-def _pairing_sum(idx: tuple[int, ...], lin: list, pr: list) -> complex:
-    """Sum over the partitions of ``idx`` into singletons and pairs."""
-    if not idx:
-        return 1.0 + 0j
-    first, rest = idx[0], idx[1:]
-    total = lin[first] * _pairing_sum(rest, lin, pr)
-    for k, other in enumerate(rest):
-        total += pr[first][other] * _pairing_sum(rest[:k] + rest[k + 1 :], lin, pr)
-    return total
+    m = [1.0 + 0j]
+    for i, p, terms in _PLAN:
+        row = pr[i]
+        total = lin[i] * m[p]
+        for count, j, q in terms:
+            # a count of 1 is not multiplied in, so degree <= 2 keys round
+            # exactly as the pairing sum does
+            term = row[j] * m[q]
+            total += term if count == 1 else count * term
+        m.append(total)
+    return dict(zip(_ORDER, m))

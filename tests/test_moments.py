@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,25 @@ class TestMoments:
         p = InterferometerParams(g=0.5, alpha=1, r=0.2)
         with pytest.raises(ValueError, match="cap"):
             q_moment(p, (3, 2, 0, 0))
+
+    def test_key_forms_give_the_same_moment(self):
+        tab = MomentTable(InterferometerParams(g=0.5, alpha=0.7 - 0.3j, r=0.2))
+        want = tab.moment((1, 1, 0, 0))
+        for key in ([1, 1, 0, 0], np.array([1, 1, 0, 0]), (1.0, 1, 0, 0)):
+            assert repr(tab.moment(key)) == repr(want), key
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ((1, 1, 0), "moment key must be 4 non-negative integers, got (1, 1, 0)"),
+            ((-1, 1, 0, 0), "moment key must be 4 non-negative integers, got (-1, 1, 0, 0)"),
+            ((2, 2, 1, 0), "moment order (2, 2, 1, 0) exceeds degree cap 4"),
+        ],
+    )
+    def test_bad_keys_rejected(self, key, message):
+        tab = MomentTable(InterferometerParams(g=0.5, alpha=1, r=0.2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tab.moment(key)
 
     def test_table_is_memoized_per_state(self):
         p = InterferometerParams(g=0.5, alpha=1, r=0.2, phi=0.1)

@@ -1,4 +1,5 @@
-"""Pairing-sum moments of exp(w): examples and algebraic properties."""
+"""Recurrence moments of exp(w): examples, algebraic properties, and
+agreement with the direct pairing sum."""
 
 import math
 from itertools import product
@@ -84,3 +85,51 @@ def test_exp_is_multiplicative(la, pa, lb, pb):
             binom = math.prod(math.comb(k, j) for k, j in zip(key, low))
             rhs += binom * a[low] * b[high]
         assert abs(value - rhs) <= 1e-12 * max(1.0, abs(value), abs(rhs))
+
+
+def pairing_sum(idx: tuple[int, ...], lin, pr) -> complex:
+    """Sum over the partitions of ``idx`` into singletons and pairs.
+
+    The direct Isserlis expansion, enumerating every pairing: the
+    reference that series_exp's recurrence must reproduce.
+    """
+    if not idx:
+        return 1.0 + 0j
+    first, rest = idx[0], idx[1:]
+    total = lin[first] * pairing_sum(rest, lin, pr)
+    for k, other in enumerate(rest):
+        total += pr[first][other] * pairing_sum(rest[:k] + rest[k + 1 :], lin, pr)
+    return total
+
+
+def indices(key):
+    return tuple(i for i in range(4) for _ in range(key[i]))
+
+
+# complex coefficients from 1e-3 to 1e3 in magnitude
+spread = st.builds(
+    lambda re, im, decade: complex(re, im) * 10.0**decade,
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.integers(-3, 3),
+)
+
+
+@given(st.lists(spread, min_size=4, max_size=4), st.lists(spread, min_size=10, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_recurrence_matches_pairing_sum(linear, upper):
+    pair = [[0j] * 4 for _ in range(4)]
+    for (i, j), v in zip(((i, j) for i in range(4) for j in range(i, 4)), upper):
+        pair[i][j] = pair[j][i] = v
+    out = series_exp(linear, pair)
+    abs_lin = [abs(v) for v in linear]
+    abs_pair = [[abs(v) for v in row] for row in pair]
+    for key, value in out.items():
+        want = pairing_sum(indices(key), linear, pair)
+        if sum(key) <= 2:
+            # the same products in the same order
+            assert value == want, key
+        else:
+            # rounding only: bounded by the size of the terms, not of the sum
+            scale = pairing_sum(indices(key), abs_lin, abs_pair).real
+            assert abs(value - want) <= 1e-13 * scale, key
