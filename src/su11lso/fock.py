@@ -83,6 +83,10 @@ DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_WORK_ERR_TOL = 2e-8
 DEFAULT_KRAUS_TOL = 1e-11
 DEFAULT_MAX_DIM = 1_400_000
+# the state preparation's dense single-mode squeezer (r > 0) is a d_a x d_a
+# matrix, about 30 bytes per cell at its peak while built: 0.5 GB at this
+# bound, twice the paper's largest preparation (1985 at alpha 2, g 1.5, r 1)
+MAX_SQUEEZER_DIM = 4096
 DEFAULT_FD_STEP = 1e-5
 
 
@@ -473,10 +477,10 @@ def auto_prepared_state(
 
     (alpha, g, r) are checked as in InterferometerParams, which raises
     ValueError naming a bad one, and a tail_tol that is negative or not
-    finite raises ValueError.  A grid over max_dim, or a dense squeezer
-    matrix (d_a^2 cells) over it, raises NonconvergedOracleError before
-    its probe runs; so does a norm deficit over tail_tol once the tails
-    pass.
+    finite raises ValueError.  A grid over max_dim, or for r > 0 a d_a over
+    MAX_SQUEEZER_DIM (the dense squeezer matrix), raises
+    NonconvergedOracleError before its probe runs; so does a norm deficit
+    over tail_tol once the tails pass.
     """
     InterferometerParams(g=g, alpha=alpha, r=r)
     _check_tolerance("tail_tol", tail_tol)
@@ -484,11 +488,10 @@ def auto_prepared_state(
     start = a * a + 8.0 * a + 12.0  # a float: inf for a huge alpha, no OverflowError
 
     def probe(d_a, d_b):
-        # the single-mode squeezer is a dense d_a x d_a matrix
-        if d_a * d_a > max_dim:
+        if r != 0.0 and d_a > MAX_SQUEEZER_DIM:
             raise NonconvergedOracleError(
                 f"state preparation: grid {d_a}x{d_b} needs a {d_a}x{d_a} squeezer "
-                f"matrix, over dim budget {max_dim}"
+                f"matrix, over its bound {MAX_SQUEEZER_DIM}x{MAX_SQUEEZER_DIM}"
             )
         psi = prepared_state(alpha, g, r, d_a, d_b)
         # the raw top-layer masses are tested, the decay-scaled ones steer growth

@@ -278,9 +278,8 @@ def test_oracle_accepts_zero_tolerance():
 
 
 def test_work_grid_budget_checked_before_the_first_probe(monkeypatch):
-    # the (alpha 1, g 1.4, r 1) prep fits (1157^2 squeezer cells) but its
-    # start grid is 1475^2 cells, over the budget; at g 1.5 such a grid
-    # once ran a 37 s probe before raising
+    # the (alpha 1, g 1.5, r 1) start grid is 1734^2 cells, over the
+    # budget; it once ran a 37 s probe before raising
     probes = []
     evaluate = fock.SensitivityOracle._evaluate_at_dims
 
@@ -289,19 +288,35 @@ def test_work_grid_budget_checked_before_the_first_probe(monkeypatch):
         return evaluate(engine, *args)
 
     monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", counting)
-    eng = fock.SensitivityOracle(1.0, 1.4, 1.0)
-    with pytest.raises(NonconvergedOracleError, match="1475x1475 exceeds dim budget 1400000"):
+    eng = fock.SensitivityOracle(1.0, 1.5, 1.0)
+    with pytest.raises(NonconvergedOracleError, match="1734x1734 exceeds dim budget 1400000"):
         eng.quadrature_statistics(1.0, (1.0,), (0.8,))
     assert probes == []
 
 
-def test_prep_budget_counts_the_squeezer_matrix():
+def test_prep_bounds_the_squeezer_matrix():
     # at r = 1e300 mode a escalates while d_a * d_b stays in budget; the
     # dense d_a x d_a squeezer once grew to 12906^2 cells (1.3 GB) and kept going
     start = time.perf_counter()
-    with pytest.raises(NonconvergedOracleError, match="1901x1901 squeezer matrix, over dim budget"):
+    with pytest.raises(NonconvergedOracleError, match="4958x4958 squeezer matrix, over its bound"):
         fock.auto_prepared_state(0.5, 0.5, 1e300)
     assert time.perf_counter() - start < 5.0
+
+
+def test_squeezer_bound_keeps_the_figure_domain_preparations():
+    # the (alpha 1, g 1.5, r 1) prep needs a 1394^2 squeezer matrix, over
+    # the work-grid budget max_dim but well inside the squeezer bound
+    p = InterferometerParams(g=1.5, alpha=1.0, r=1.0)
+    oracle = fock.oracle_qfi_pure(p)
+    assert abs(oracle - qfi_ideal(p).fisher) <= 1e-6 * oracle
+
+
+def test_squeezer_bound_skips_r_zero():
+    # at r = 0 no squeezer matrix is built, so a 1517-level coherent start
+    # grid is not refused; Var n_a of a coherent state is |alpha|^2
+    psi, diag = fock.auto_prepared_state(35.0, 0.0, 0.0)
+    assert psi.shape[0] > 1400 and diag.converged
+    assert fock.oracle_qfi_pure(InterferometerParams(g=0, alpha=35.0, r=0)) == pytest.approx(4900.0, rel=1e-9)
 
 
 class TestCutoffCheck:
