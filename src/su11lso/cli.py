@@ -8,15 +8,14 @@ Subcommands:
 
 Exit codes: 0 ok, 1 usage or I/O error, 2 divergent or degenerate physics,
 3 oracle non-convergence.  A flat key=value config file may supply flag
-defaults of any subcommand; explicit flags win, and an unknown key is a
-usage error.
+defaults of any subcommand, parsed as the flags are; explicit flags win,
+and an unknown key is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -31,13 +30,16 @@ from .fock import DEFAULT_MAX_DIM
 from .moments import InterferometerParams
 from .sweeps import (
     DEFAULT_POINTS,
+    FIGURE_PRESETS,
     QUANTITIES,
     SWEEP_VARIABLES,
-    FIGURE_PRESETS,
     SweepSeries,
     SweepSpec,
     _evaluate_quantities,
     figure_preset,
+    json_value,
+    point_row,
+    r_series,
     write_sweep,
 )
 
@@ -62,16 +64,8 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--eta", type=float, default=1.0, help="loss transmittance for lossy Fisher information")
 
 
-def _coerce(text: str):
-    for convert in (int, float, complex):
-        try:
-            return convert(text)
-        except ValueError:
-            continue
-    return text
-
-
 def _config_defaults(path: str, known: set[str]) -> dict:
+    """Raw string values by flag dest; argparse converts each through its flag's type."""
     out = {}
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -81,7 +75,7 @@ def _config_defaults(path: str, known: set[str]) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = _coerce(value)
+            out[key.replace("-", "_")] = value
     unknown = sorted(set(out) - known)
     if unknown:
         raise ValueError(f"unknown key(s) {', '.join(unknown)}")
@@ -93,7 +87,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_point = sub.add_parser("point", parents=[], help="single-point evaluation (JSON)")
+    p_point = sub.add_parser("point", help="single-point evaluation (JSON)")
+    p_point.set_defaults(run=_cmd_point)
     _add_param_flags(p_point)
     p_point.add_argument(
         "--quantities",
@@ -102,6 +97,7 @@ def build_parser() -> _Parser:
     )
 
     p_sweep = sub.add_parser("sweep", help="one-variable sweep to a file")
+    p_sweep.set_defaults(run=_cmd_sweep)
     _add_param_flags(p_sweep)
     # a t_k sweep needs a per-series sweep_target, which only presets set
     p_sweep.add_argument(
@@ -116,12 +112,14 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
     p_fig = sub.add_parser("figure", help="run a named figure preset")
+    p_fig.set_defaults(run=_cmd_figure)
     p_fig.add_argument("preset", choices=sorted(FIGURE_PRESETS))
     p_fig.add_argument("--points", type=int, default=DEFAULT_POINTS)
     p_fig.add_argument("--output", required=True)
     p_fig.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
     p_check = sub.add_parser("check", help="cross-validate analytic path against the Fock oracle")
+    p_check.set_defaults(run=_cmd_check)
     p_check.add_argument("--tolerance", type=float, default=1e-6)
     p_check.add_argument("--alphas", default="0,0.5,1")
     p_check.add_argument("--gs", default="0,0.5,1")
@@ -129,12 +127,7 @@ def build_parser() -> _Parser:
     p_check.add_argument("--ts", default="1,0.7", help="transmittance values; all pairs are checked")
     p_check.add_argument("--phis", default="0.3,0.8,1.5")
     p_check.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
-    parser.sub_map = {
-        "point": p_point,
-        "sweep": p_sweep,
-        "figure": p_fig,
-        "check": p_check,
-    }
+    parser.sub_map = (p_point, p_sweep, p_fig, p_check)
     return parser
 
 
@@ -142,30 +135,25 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(q.strip() for q in text.split(",") if q.strip())
+
+
+def _params(args) -> InterferometerParams:
+    return InterferometerParams(
+        g=args.g, alpha=args.alpha, r=args.r, t1=args.t1, t2=args.t2, phi=args.phi
+    )
+
+
 def _cmd_point(args) -> int:
-    quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
+    quantities = _names(args.quantities)
     unknown = set(quantities) - set(QUANTITIES)
     if unknown:
         print(f"unknown quantities: {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
-    params = InterferometerParams(
-        g=args.g, alpha=args.alpha, r=args.r, t1=args.t1, t2=args.t2, phi=args.phi
-    )
+    params = _params(args)
     values, flags = _evaluate_quantities(params, args.eta, quantities)
-    payload = {
-        "g": params.g,
-        "alpha": params.alpha.real if params.alpha.imag == 0 else [params.alpha.real, params.alpha.imag],
-        "r": params.r,
-        "t1": params.t1,
-        "t2": params.t2,
-        "phi": params.phi,
-        "eta": args.eta,
-    }
-    for q in quantities:
-        v = values.get(q)
-        if isinstance(v, float) and math.isinf(v):
-            v = "inf"
-        payload[q] = v
+    payload = {k: json_value(v) for k, v in point_row(params, args.eta, values).items()}
     payload["flags"] = flags
     print(json.dumps(payload, allow_nan=False))
     if "divergent" in flags or "degenerate" in flags:
@@ -174,21 +162,14 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
-    series: tuple[SweepSeries, ...] = (SweepSeries(),)
-    if args.series_r:
-        series = tuple(
-            SweepSeries(label=f"r={r:g}", overrides={"r": r}) for r in _float_list(args.series_r)
-        )
+    series = r_series(_float_list(args.series_r)) if args.series_r else (SweepSeries(),)
     spec = SweepSpec(
         variable=args.var,
         start=args.start,
         stop=args.stop,
         count=args.count,
-        fixed=InterferometerParams(
-            g=args.g, alpha=args.alpha, r=args.r, t1=args.t1, t2=args.t2, phi=args.phi
-        ),
-        quantities=quantities,
+        fixed=_params(args),
+        quantities=_names(args.quantities),
         series=series,
         eta=args.eta,
     )
@@ -233,7 +214,7 @@ def main(argv=None) -> int:
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
         # one file may serve every subcommand, so a key need only be known to one
-        known = {a.dest for p in (parser, *parser.sub_map.values()) for a in p._actions}
+        known = {a.dest for p in (parser, *parser.sub_map) for a in p._actions}
         try:
             defaults = _config_defaults(probe.config, known)
         except (OSError, ValueError) as exc:
@@ -241,36 +222,25 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         # subcommands parse into fresh namespaces, so defaults go everywhere
         parser.set_defaults(**defaults)
-        for sub in parser.sub_map.values():
+        for sub in parser.sub_map:
             sub.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
         # overflow is reported by the finiteness checks, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "point":
-                return _cmd_point(args)
-            if args.command == "sweep":
-                return _cmd_sweep(args)
-            if args.command == "figure":
-                return _cmd_figure(args)
-            if args.command == "check":
-                return _cmd_check(args)
+            return args.run(args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DivergentSensitivityError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DEGENERATE
-    except DegenerateConfigurationError as exc:
+    except (DivergentSensitivityError, DegenerateConfigurationError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DEGENERATE
     except NonconvergedOracleError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NONCONVERGED
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,17 +31,21 @@ from .metrology import (
 )
 from .moments import InterferometerParams
 
-QUANTITIES = (
-    "delta_phi",
-    "delta_phi_min",
-    "N",
-    "sql",
-    "hl",
-    "qfi",
-    "qcrb",
-    "qfi_lossy",
-    "qcrb_lossy",
-)
+# The lambdas look the metrology functions up in this module's namespace at
+# call time, so a wrapper installed there (perfbench's tracer) sees every call.
+_QUANTITY_TABLE = {
+    "delta_phi": lambda p, eta: phase_sensitivity(p).delta_phi,
+    "delta_phi_min": lambda p, eta: optimal_phase(p).delta_phi_min,
+    "N": lambda p, eta: total_photon_number(p),
+    "sql": lambda p, eta: sql_hl(p)[0],
+    "hl": lambda p, eta: sql_hl(p)[1],
+    "qfi": lambda p, eta: qfi_ideal(p).fisher,
+    "qcrb": lambda p, eta: qfi_ideal(p).qcrb,
+    "qfi_lossy": lambda p, eta: qfi_lossy(p, eta).fisher_lossy,
+    "qcrb_lossy": lambda p, eta: qfi_lossy(p, eta).qcrb_lossy,
+}
+
+QUANTITIES = tuple(_QUANTITY_TABLE)
 
 SWEEP_VARIABLES = ("phi", "g", "alpha", "r", "t1", "t2", "t_k", "eta")
 
@@ -90,31 +94,18 @@ def _apply_point(
     spec: SweepSpec, series: SweepSeries, value: float
 ) -> tuple[InterferometerParams, float]:
     """Parameters and eta for one grid point of one series."""
-    fields = {
-        "g": spec.fixed.g,
-        "alpha": spec.fixed.alpha,
-        "r": spec.fixed.r,
-        "t1": spec.fixed.t1,
-        "t2": spec.fixed.t2,
-        "phi": spec.fixed.phi,
-    }
-    eta = spec.eta
+    f = spec.fixed
+    fields = {"g": f.g, "alpha": f.alpha, "r": f.r, "t1": f.t1, "t2": f.t2, "phi": f.phi}
+    fields["eta"] = spec.eta
+    fields.update(series.overrides)
+    sweep_target = fields.pop("sweep_target", None)
     target = spec.variable
-    overrides = dict(series.overrides)
-    sweep_target = overrides.pop("sweep_target", None)
-    for key, val in overrides.items():
-        if key == "eta":
-            eta = val
-        else:
-            fields[key] = val
     if target == "t_k":
         if sweep_target not in ("t1", "t2"):
             raise ValueError("t_k sweeps need a series sweep_target of t1 or t2")
         target = sweep_target
-    if target == "eta":
-        eta = value
-    else:
-        fields[target] = value
+    fields[target] = value
+    eta = fields.pop("eta")
     return InterferometerParams(**fields), eta
 
 
@@ -123,48 +114,46 @@ def _evaluate_quantities(
     eta: float,
     quantities: tuple[str, ...],
 ) -> tuple[dict, list[str]]:
-    if not math.isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta}")
+    if not 0.0 <= eta <= 1.0:  # false for NaN too
+        raise ValueError(f"eta must be finite and lie in [0, 1], got {eta}")
     values: dict = {}
     flags: list[str] = []
     for q in quantities:
         try:
-            if q == "delta_phi":
-                values[q] = phase_sensitivity(params).delta_phi
-            elif q == "delta_phi_min":
-                values[q] = optimal_phase(params).delta_phi_min
-            elif q == "N":
-                values[q] = total_photon_number(params)
-            elif q == "sql":
-                values[q] = sql_hl(params)[0]
-            elif q == "hl":
-                values[q] = sql_hl(params)[1]
-            elif q == "qfi":
-                values[q] = qfi_ideal(params).fisher
-            elif q == "qcrb":
-                values[q] = qfi_ideal(params).qcrb
-            elif q == "qfi_lossy":
-                values[q] = qfi_lossy(params, eta).fisher_lossy
-            elif q == "qcrb_lossy":
-                val = qfi_lossy(params, eta).qcrb_lossy
-                values[q] = val
-                if math.isinf(val):
-                    flags.append("unbounded")
+            v = _QUANTITY_TABLE[q](params, eta)
         except DivergentSensitivityError:
-            values[q] = None
+            v = None
             flags.append("divergent")
         except DegenerateConfigurationError:
-            values[q] = None
+            v = None
             flags.append("degenerate")
-        v = values[q]
+        values[q] = v
+        if v is None or math.isfinite(v):
+            continue
         # an infinite qcrb_lossy is the documented "unbounded" result
-        if v is not None and (math.isnan(v) or (math.isinf(v) and q != "qcrb_lossy")):
-            raise ValueError(
-                f"{q} = {v} is not finite at g={params.g:g}, alpha={complex(params.alpha):g}, "
-                f"r={params.r:g}, t1={params.t1:g}, t2={params.t2:g}, phi={params.phi:g}, "
-                f"eta={eta:g}"
-            )
+        if q == "qcrb_lossy" and math.isinf(v):
+            flags.append("unbounded")
+            continue
+        raise ValueError(
+            f"{q} = {v} is not finite at g={params.g:g}, alpha={complex(params.alpha):g}, "
+            f"r={params.r:g}, t1={params.t1:g}, t2={params.t2:g}, phi={params.phi:g}, "
+            f"eta={eta:g}"
+        )
     return values, sorted(set(flags))
+
+
+def point_row(params: InterferometerParams, eta: float, values: dict) -> dict:
+    """One output row: the parameter columns, then the quantity values."""
+    return {
+        "g": params.g,
+        "alpha": params.alpha.real if params.alpha.imag == 0 else params.alpha,
+        "r": params.r,
+        "t1": params.t1,
+        "t2": params.t2,
+        "phi": params.phi,
+        "eta": eta,
+        **values,
+    }
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -174,17 +163,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         for value in spec.grid():
             params, eta = _apply_point(spec, series, float(value))
             values, flags = _evaluate_quantities(params, eta, spec.quantities)
-            row = {
-                "series": series.label,
-                "g": params.g,
-                "alpha": params.alpha.real if params.alpha.imag == 0 else params.alpha,
-                "r": params.r,
-                "t1": params.t1,
-                "t2": params.t2,
-                "phi": params.phi,
-                "eta": eta,
-            }
-            row.update(values)
+            row = {"series": series.label, **point_row(params, eta, values)}
             row["flags"] = ";".join(flags)
             rows.append(row)
     return rows
@@ -199,13 +178,18 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, str):
         return f'"{value}"' if ("," in value or '"' in value) else value
-    if isinstance(value, complex):
-        return format(value, ".15g")
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
+    if isinstance(value, (float, complex)):  # infinities format as inf / -inf
         return format(value, ".15g")
     return str(value)
+
+
+def json_value(value):
+    """A row cell as strict JSON: infinities as strings, complex as [re, im]."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, complex):
+        return value.real if value.imag == 0 else [value.real, value.imag]
+    return value
 
 
 def render_csv(rows: list[dict], columns: list[str]) -> str:
@@ -216,23 +200,18 @@ def render_csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def render_jsonl(rows: list[dict], columns: list[str]) -> str:
-    out = []
-    for row in rows:
-        obj = {}
-        for c in columns:
-            v = row.get(c)
-            if isinstance(v, float) and math.isinf(v):
-                v = "inf" if v > 0 else "-inf"
-            if isinstance(v, complex):
-                v = v.real if v.imag == 0 else [v.real, v.imag]
-            obj[c] = v
-        out.append(json.dumps(obj, allow_nan=False))
+    out = [
+        json.dumps({c: json_value(row.get(c)) for c in columns}, allow_nan=False)
+        for row in rows
+    ]
     return "\n".join(out) + "\n"
 
 
 def write_sweep(spec: SweepSpec, path: str, fmt: str = "csv") -> list[dict]:
     rows = run_sweep(spec)
     columns = sweep_columns(spec)
+    # called by name, not through a lookup table, so a wrapper installed on
+    # this module's render_csv / render_jsonl sees the call
     if fmt == "csv":
         text = render_csv(rows, columns)
     elif fmt == "jsonl":
@@ -252,103 +231,45 @@ R_SERIES = (0.0, 0.3, 0.6, 1.0)
 DEFAULT_POINTS = 200
 
 
-def _r_series() -> tuple[SweepSeries, ...]:
-    return tuple(SweepSeries(label=f"r={r:g}", overrides={"r": r}) for r in R_SERIES)
+def r_series(values) -> tuple[SweepSeries, ...]:
+    """One curve per internal squeezing value r, labelled ``r=<value>``."""
+    return tuple(SweepSeries(label=f"r={r:g}", overrides={"r": r}) for r in values)
 
 
-def _base(g=1.0, alpha=1.0, r=0.0, t1=1.0, t2=1.0, phi=0.0) -> InterferometerParams:
-    return InterferometerParams(g=g, alpha=alpha, r=r, t1=t1, t2=t2, phi=phi)
+_R_CURVES = r_series(R_SERIES)
 
+# each r curve twice: the swept transmittance placed inside (t1) or after (t2)
+_LOSS_PLACEMENT = tuple(
+    SweepSeries(label=f"r={r:g} {side}", overrides={"r": r, "sweep_target": swept, kept: 1.0})
+    for r in R_SERIES
+    for side, swept, kept in (("internal", "t1", "t2"), ("external", "t2", "t1"))
+)
 
-def _preset_fig2(points):
-    return SweepSpec("phi", 0.0, 3.0, points, _base(), ("delta_phi",), _r_series())
-
-
-def _preset_fig3(points):
-    return SweepSpec("g", 0.0, 1.5, points, _base(), ("delta_phi_min",), _r_series())
-
-
-def _preset_fig4(points):
-    return SweepSpec("alpha", 0.0, 2.0, points, _base(), ("delta_phi_min",), _r_series())
-
-
-def _preset_fig5(points):
-    series = []
-    for r in R_SERIES:
-        series.append(
-            SweepSeries(
-                label=f"r={r:g} internal",
-                overrides={"r": r, "sweep_target": "t1", "t2": 1.0},
-            )
-        )
-        series.append(
-            SweepSeries(
-                label=f"r={r:g} external",
-                overrides={"r": r, "sweep_target": "t2", "t1": 1.0},
-            )
-        )
-    return SweepSpec("t_k", 0.2, 1.0, points, _base(), ("delta_phi_min",), tuple(series))
-
-
-def _preset_fig6a(points):
-    return SweepSpec("phi", 0.0, 3.0, points, _base(), ("delta_phi", "sql", "hl"), _r_series())
-
-
-def _preset_fig6b(points):
-    return SweepSpec(
-        "phi", 0.0, 3.0, points, _base(t1=0.5, t2=0.5),
-        ("delta_phi", "sql", "hl"), _r_series(),
-    )
-
-
-def _preset_fig7a(points):
-    return SweepSpec("g", 0.0, 1.5, points, _base(), ("qfi",), _r_series())
-
-
-def _preset_fig7b(points):
-    return SweepSpec("alpha", 0.0, 2.0, points, _base(), ("qfi",), _r_series())
-
-
-def _preset_fig8a(points):
-    return SweepSpec("g", 0.0, 1.5, points, _base(), ("qcrb",), _r_series())
-
-
-def _preset_fig8b(points):
-    return SweepSpec("alpha", 0.0, 2.0, points, _base(), ("qcrb",), _r_series())
-
-
-def _preset_fig10(points):
-    return SweepSpec(
-        "eta", 0.0, 1.0, points, _base(), ("qfi_lossy", "qcrb_lossy"), _r_series()
-    )
-
-
-def _preset_fig11a(points):
-    return SweepSpec("g", 0.0, 1.5, points, _base(), ("qfi_lossy",), _r_series(), eta=0.5)
-
-
-def _preset_fig11b(points):
-    return SweepSpec("alpha", 0.0, 2.0, points, _base(), ("qfi_lossy",), _r_series(), eta=0.5)
-
-
+# name: (variable, start, stop, quantities, fixed overrides, eta, series);
+# the fixed parameters are g = 1, alpha = 1, r = 0, t1 = t2 = 1, phi = 0
+# unless overridden
 FIGURE_PRESETS = {
-    "fig2": _preset_fig2,
-    "fig3": _preset_fig3,
-    "fig4": _preset_fig4,
-    "fig5": _preset_fig5,
-    "fig6a": _preset_fig6a,
-    "fig6b": _preset_fig6b,
-    "fig7a": _preset_fig7a,
-    "fig7b": _preset_fig7b,
-    "fig8a": _preset_fig8a,
-    "fig8b": _preset_fig8b,
-    "fig10": _preset_fig10,
-    "fig11a": _preset_fig11a,
-    "fig11b": _preset_fig11b,
+    "fig2": ("phi", 0.0, 3.0, ("delta_phi",), {}, 1.0, _R_CURVES),
+    "fig3": ("g", 0.0, 1.5, ("delta_phi_min",), {}, 1.0, _R_CURVES),
+    "fig4": ("alpha", 0.0, 2.0, ("delta_phi_min",), {}, 1.0, _R_CURVES),
+    "fig5": ("t_k", 0.2, 1.0, ("delta_phi_min",), {}, 1.0, _LOSS_PLACEMENT),
+    "fig6a": ("phi", 0.0, 3.0, ("delta_phi", "sql", "hl"), {}, 1.0, _R_CURVES),
+    "fig6b": (
+        "phi", 0.0, 3.0, ("delta_phi", "sql", "hl"), {"t1": 0.5, "t2": 0.5}, 1.0, _R_CURVES
+    ),
+    "fig7a": ("g", 0.0, 1.5, ("qfi",), {}, 1.0, _R_CURVES),
+    "fig7b": ("alpha", 0.0, 2.0, ("qfi",), {}, 1.0, _R_CURVES),
+    "fig8a": ("g", 0.0, 1.5, ("qcrb",), {}, 1.0, _R_CURVES),
+    "fig8b": ("alpha", 0.0, 2.0, ("qcrb",), {}, 1.0, _R_CURVES),
+    "fig10": ("eta", 0.0, 1.0, ("qfi_lossy", "qcrb_lossy"), {}, 1.0, _R_CURVES),
+    "fig11a": ("g", 0.0, 1.5, ("qfi_lossy",), {}, 0.5, _R_CURVES),
+    "fig11b": ("alpha", 0.0, 2.0, ("qfi_lossy",), {}, 0.5, _R_CURVES),
 }
 
 
 def figure_preset(name: str, points: int = DEFAULT_POINTS) -> SweepSpec:
     if name not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure preset {name!r}; known: {sorted(FIGURE_PRESETS)}")
-    return FIGURE_PRESETS[name](points)
+    variable, start, stop, quantities, fixed, eta, series = FIGURE_PRESETS[name]
+    params = InterferometerParams(**{"g": 1.0, "alpha": 1.0, "r": 0.0, **fixed})
+    return SweepSpec(variable, start, stop, points, params, quantities, series, eta)

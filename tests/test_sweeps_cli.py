@@ -299,6 +299,33 @@ class TestCli:
         override = run_cli("--config", str(cfg), "point", "--r", "0", "--quantities", "N")
         assert json.loads(override.stdout)["r"] == 0.0
 
+    @pytest.mark.parametrize(
+        "config, argv, code, expected",
+        [
+            # one-item lists and a single r curve
+            ("alphas = 0.5\ngs = 0.5\nrs = 0.5\nts = 1\nphis = 0.8\n", ("check",), 0, "PASS"),
+            ("series_r = 0.3\n", ("sweep", "--var", "phi", "--start", "0.1", "--stop", "1",
+                                   "--count", "2", "--output", "{out}"), 0, ""),
+            # printed as the flags print them, not as ints
+            ("alpha = 1\neta = 1\n", ("point", "--quantities", "N"), 0,
+             '"alpha": 1.0, "r": 0.0, "t1": 1.0, "t2": 1.0, "phi": 0.0, "eta": 1.0,'),
+            ("points = 3.5\n", ("figure", "fig3", "--output", "{out}"), 1,
+             "su11lso figure: error: argument --points: invalid int value: '3.5'"),
+            ("g = abc\n", ("point",), 1,
+             "su11lso point: error: argument --g: invalid float value: 'abc'"),
+        ],
+        ids=["one-point-grid", "one-r-curve", "integer-values", "fractional-points", "word-g"],
+    )
+    def test_config_values_take_each_flags_type(self, tmp_path, config, argv, code, expected):
+        cfg = tmp_path / "values.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out.csv"
+        proc = run_cli("--config", str(cfg), *[a.format(out=out) for a in argv])
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert expected in (proc.stdout if code == 0 else proc.stderr)
+        assert out.exists() == (code == 0 and "--output" in argv)
+
     def test_config_file_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("r = 0.6\nalpah = 2\n")
@@ -475,3 +502,57 @@ class TestInputDomain:
         code, _, err = run_main("point", "--eta", "1.5", "--quantities", "qfi_lossy")
         assert code == 1
         assert "eta" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("point", "--eta", "2", "--quantities", "N"),
+            ("point", "--eta", "-0.5", "--quantities", "delta_phi,sql"),
+            ("sweep", "--var", "eta", "--start", "-1", "--stop", "1", "--count", "3",
+             "--quantities", "N"),
+            ("sweep", "--var", "phi", "--start", "0.1", "--stop", "1", "--count", "3",
+             "--eta", "1.5", "--quantities", "delta_phi"),
+        ],
+    )
+    def test_eta_outside_unit_interval_is_usage_error_for_any_quantity(self, tmp_path, argv):
+        out = tmp_path / "sweep.csv"
+        extra = ("--output", str(out)) if argv[0] == "sweep" else ()
+        code, stdout, err = run_main(*argv, *extra)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("invalid input: eta must be finite and lie in [0, 1], got ")
+        assert not out.exists()
+
+
+ALL_QUANTITIES = ",".join(QUANTITIES)
+
+
+class TestPointMatchesSweepRow:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--g", "1", "--alpha", "1", "--r", "0.6", "--phi", "0.3"),
+            ("--g", "0.5", "--alpha", "0.7+0.3j", "--r", "0.2", "--t1", "0.8", "--t2", "0.6",
+             "--phi", "1.2", "--eta", "0.3"),
+            # divergent phase response, unbounded lossy bound
+            ("--alpha", "0", "--phi", "0.4", "--eta", "0"),
+            # vacuum in, nothing out: degenerate benchmarks
+            ("--g", "0", "--alpha", "0", "--r", "0", "--phi", "0.4", "--eta", "0.5"),
+        ],
+    )
+    def test_point_json_equals_first_sweep_row(self, tmp_path, flags):
+        code, stdout, _ = run_main("point", *flags, "--quantities", ALL_QUANTITIES)
+        point = json.loads(stdout)
+        assert code == (2 if {"divergent", "degenerate"} & set(point["flags"]) else 0)
+        out = tmp_path / "row.jsonl"
+        sweep_code, _, err = run_main(
+            "sweep", *flags, "--var", "phi", "--start", str(point["phi"]),
+            "--stop", str(point["phi"] + 1),
+            "--count", "2", "--quantities", ALL_QUANTITIES, "--format", "jsonl",
+            "--output", str(out),
+        )
+        assert sweep_code == 0, err
+        row = json.loads(out.read_text().splitlines()[0])
+        assert row.pop("series") == ""
+        assert row.pop("flags") == ";".join(point.pop("flags"))
+        assert row == point
