@@ -7,9 +7,10 @@ Subcommands:
   check    analytic-versus-oracle cross validation over a parameter grid
 
 Exit codes: 0 ok, 1 usage or I/O error, 2 divergent or degenerate physics,
-3 oracle non-convergence.  A flat key=value config file may supply flag
-defaults of any subcommand, parsed as the flags are; explicit flags win,
-and an unknown key is a usage error.
+3 oracle non-convergence or a failed check.  A flat key=value config file
+may supply flag defaults of any subcommand, parsed as the flags are;
+explicit flags win, and an unknown key or a value that any flag owning its
+key rejects is a usage error, whichever subcommand runs.
 """
 
 from __future__ import annotations
@@ -185,26 +186,25 @@ def _cmd_figure(args) -> int:
 
 def _cmd_check(args) -> int:
     ts = _float_list(args.ts)
-    t_pairs = tuple((t1, t2) for t1 in ts for t2 in ts)
-    try:
-        result = run_cross_check(
-            alphas=_float_list(args.alphas),
-            gs=_float_list(args.gs),
-            rs=_float_list(args.rs),
-            t_pairs=t_pairs,
-            phis=_float_list(args.phis),
-            rel_tol=args.tolerance,
-            max_dim=args.max_dim,
-        )
-    except NonconvergedOracleError as exc:
-        print(f"oracle non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
+    result = run_cross_check(
+        alphas=_float_list(args.alphas),
+        gs=_float_list(args.gs),
+        rs=_float_list(args.rs),
+        t_pairs=tuple((t1, t2) for t1 in ts for t2 in ts),
+        phis=_float_list(args.phis),
+        rel_tol=args.tolerance,
+        max_dim=args.max_dim,
+        progress=_report_group,
+    )
     print("\n".join(result.summary_lines()))
-    mismatches = [c for c in result.cells if c.flag.endswith("mismatch")]
-    if mismatches:
-        print(f"{len(mismatches)} divergence/degeneracy mismatches", file=sys.stderr)
-        return EXIT_NONCONVERGED
     return EXIT_OK if result.passed else EXIT_NONCONVERGED
+
+
+def _report_group(cells):
+    c = cells[0]
+    print(
+        f"  checked alpha={c.alpha:g} g={c.g:g} r={c.r:g} t1={c.t1:g}", file=sys.stderr, flush=True
+    )
 
 
 def main(argv=None) -> int:
@@ -220,9 +220,15 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        # subcommands parse into fresh namespaces, so defaults go everywhere
-        parser.set_defaults(**defaults)
-        for sub in parser.sub_map:
+        # subcommands parse into fresh namespaces, so defaults go everywhere;
+        # each value passes every flag that owns its key, whichever command runs
+        for sub in (parser, *parser.sub_map):
+            for action in sub._actions:
+                if action.dest in defaults:
+                    try:
+                        sub._check_value(action, sub._get_value(action, defaults[action.dest]))
+                    except argparse.ArgumentError as exc:
+                        sub.error(str(exc))
             sub.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
@@ -239,7 +245,7 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_DEGENERATE
     except NonconvergedOracleError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"oracle non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
 
 

@@ -2,9 +2,10 @@
 
 Runs sensitivity, photon number, and Fisher information through both
 computation routes over a parameter grid and reports the worst relative
-deviation per quantity.  Points with no phase information (alpha = 0) are
-flagged divergent and excluded from the deviation statistics, with the
-divergence itself verified on both routes once per state.
+deviation per quantity.  A cell where neither route has information (no
+phase slope, as at alpha = 0, or zero Fisher information) is flagged and
+left out of the deviation statistics; a cell where only one route has
+none is a mismatch, and any mismatch fails the check.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .errors import (
-    DegenerateConfigurationError,
-    DivergentSensitivityError,
-    NonconvergedOracleError,
-)
+from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .fock import DEFAULT_MAX_DIM, SensitivityOracle
 from .metrology import SLOPE_FLOOR, phase_sensitivity, qfi_ideal, total_photon_number
 from .moments import InterferometerParams
@@ -32,9 +29,22 @@ DEFAULT_PHIS = (0.3, 0.8, 1.5)
 # the work-grid and prep tolerances are fock's defaults
 _KRAUS_TOL = 1e-9
 
+# kind of missing information: (flag where both routes lack it, the value
+# a route without it reads)
+_NO_INFORMATION = {"divergence": ("divergent", math.inf), "degeneracy": ("degenerate", 0.0)}
+
 
 @dataclass(frozen=True)
 class CellResult:
+    """One quantity at one grid point on both routes.
+
+    flag is "" for a compared cell; "divergent" (no phase slope) or
+    "degenerate" (zero F) where both routes lack information, with rel_dev
+    0.0; "divergence-mismatch" or "degeneracy-mismatch" where one does, with
+    rel_dev inf.  A route without information reads inf for delta_phi, 0.0
+    for F.
+    """
+
     quantity: str
     alpha: float
     g: float
@@ -67,8 +77,12 @@ class CrossCheckResult:
         return tuple(sorted({c.quantity for c in self.cells}))
 
     @property
+    def mismatches(self) -> int:
+        return sum(c.flag.endswith("mismatch") for c in self.cells)
+
+    @property
     def passed(self) -> bool:
-        return self.max_deviation() <= self.tolerance
+        return not self.mismatches and self.max_deviation() <= self.tolerance
 
     def summary_lines(self) -> list[str]:
         lines = [f"{'quantity':<10} {'cells':>6} {'flagged':>8} {'max rel dev':>14}"]
@@ -84,15 +98,30 @@ class CrossCheckResult:
             margin = worst / self.tolerance
         else:
             margin = math.inf if worst > 0 else 0.0
+        mismatches = f", mismatches {self.mismatches}" if self.mismatches else ""
         lines.append(
-            f"overall: {verdict} (tolerance {self.tolerance:g}, worst margin {margin:.3g}, "
-            f"runtime {self.runtime:.1f}s)"
+            f"overall: {verdict} (tolerance {self.tolerance:g}, worst margin {margin:.3g}"
+            f"{mismatches}, runtime {self.runtime:.1f}s)"
         )
         return lines
 
 
-def _rel(analytic: float, oracle: float) -> float:
-    return abs(analytic - oracle) / max(abs(oracle), 1e-12)
+def _cell(quantity, kind, base, analytic, oracle, where=(None, None, None)):
+    """The cell of two route values, each None where its route has no information."""
+    if analytic is None or oracle is None:
+        agreed, missing = _NO_INFORMATION[kind]
+        if analytic is None and oracle is None:
+            flag, rel_dev = agreed, 0.0
+        else:
+            flag, rel_dev = f"{kind}-mismatch", math.inf
+        analytic = missing if analytic is None else analytic
+        oracle = missing if oracle is None else oracle
+    else:
+        flag = ""
+        rel_dev = abs(analytic - oracle) / max(abs(oracle), 1e-12)
+    return CellResult(
+        quantity, base.alpha.real, base.g, base.r, *where, analytic, oracle, rel_dev, flag
+    )
 
 
 def run_cross_check(
@@ -110,10 +139,15 @@ def run_cross_check(
     One oracle engine serves each (alpha, g, r); transmittance pairs are
     grouped by internal loss so a single second-squeezer pass covers both
     external-loss values, and the three finite-difference phases of each
-    requested phi go through that same pass.  A tolerance that is negative
-    or not finite, a max_dim below 1, an empty grid axis, or a grid point
-    that is no valid configuration or overflows the analytic route raises
-    ValueError, naming the argument or parameter, before any engine runs.
+    requested phi go through that same pass.  A t1 group that the analytic
+    route finds divergent throughout skips the oracle only once an earlier
+    such group of the same engine had its divergence confirmed by the
+    oracle.  progress, if given, receives each finished group's cells.
+
+    A tolerance that is negative or not finite, a max_dim below 1, an
+    empty grid axis, or a grid point that is no valid configuration or
+    overflows the analytic route raises ValueError, naming the argument or
+    parameter, before any engine runs.
     """
     # a zero tolerance asks for exact agreement: it runs, and reports FAIL
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
@@ -127,11 +161,17 @@ def run_cross_check(
             raise ValueError(f"the {name} grid is empty")
     # every grid point is checked before the first engine, which may run
     # long (or never finish) on a point the analytic route already rejects
+    states = []  # (alpha, g, r, base, analytic N, analytic F or None)
     for alpha in alphas:
         for g in gs:
             for r in rs:
                 base = InterferometerParams(g=g, alpha=alpha, r=r)
-                _check_analytic_route(base)
+                n = total_photon_number(base)
+                try:
+                    f = qfi_ideal(base).fisher
+                except DegenerateConfigurationError:
+                    f = None
+                states.append((alpha, g, r, base, n, f))
     for t1, t2 in t_pairs:
         for phi in phis:
             base.replace(t1=t1, t2=t2, phi=phi)  # raises on a bad t1, t2 or phi
@@ -142,126 +182,44 @@ def run_cross_check(
     for t1, t2 in t_pairs:
         t1_groups.setdefault(t1, []).append(t2)
 
-    for alpha in alphas:
-        for g in gs:
-            for r in rs:
-                engine = SensitivityOracle(
-                    alpha, g, r, kraus_tol=_KRAUS_TOL, max_dim=max_dim
-                )
-                base = InterferometerParams(g=g, alpha=alpha, r=r)
-                _compare_state_quantities(result, base, engine)
-                divergence_checked = False
-                for t1, t2_list in t1_groups.items():
-                    cells, checked = _compare_sensitivity_group(
-                        result,
-                        base,
-                        engine,
-                        t1,
-                        tuple(t2_list),
-                        tuple(phis),
-                        check_divergence=not divergence_checked,
-                    )
-                    divergence_checked = divergence_checked or checked
-                    if progress is not None:
-                        progress(cells)
+    for alpha, g, r, base, n_analytic, f_analytic in states:
+        engine = SensitivityOracle(alpha, g, r, kraus_tol=_KRAUS_TOL, max_dim=max_dim)
+        result.cells.append(_cell("N", "", base, n_analytic, engine.photon_number()))
+        f_oracle = engine.fisher_pure()
+        f_oracle = f_oracle if abs(f_oracle) >= 1e-9 else None
+        result.cells.append(_cell("F", "degeneracy", base, f_analytic, f_oracle))
+        divergence_confirmed = False
+        for t1, t2_values in t1_groups.items():
+            cells = _sensitivity_group(
+                base, engine, t1, tuple(t2_values), tuple(phis), divergence_confirmed
+            )
+            divergence_confirmed = divergence_confirmed or all(
+                c.flag == "divergent" for c in cells
+            )
+            result.cells.extend(cells)
+            if progress is not None:
+                progress(cells)
     result.runtime = time.time() - t0
     return result
 
 
-def _check_analytic_route(base):
-    """Raise ValueError where N or F of the analytic route overflows."""
-    total_photon_number(base)
-    try:
-        qfi_ideal(base)
-    except DegenerateConfigurationError:
-        pass
-
-
-def _compare_state_quantities(result, base, engine):
-    n_analytic = total_photon_number(base)
-    n_oracle = engine.photon_number()
-    result.cells.append(
-        CellResult(
-            "N", base.alpha.real, base.g, base.r, None, None, None,
-            n_analytic, n_oracle, _rel(n_analytic, n_oracle),
-        )
-    )
-    try:
-        f_analytic = qfi_ideal(base).fisher
-    except DegenerateConfigurationError:
-        f_oracle = engine.fisher_pure()
-        flag = "degenerate" if abs(f_oracle) < 1e-9 else "degeneracy-mismatch"
-        result.cells.append(
-            CellResult(
-                "F", base.alpha.real, base.g, base.r, None, None, None,
-                0.0, f_oracle, 0.0 if flag == "degenerate" else math.inf, flag,
-            )
-        )
-        return
-    f_oracle = engine.fisher_pure()
-    result.cells.append(
-        CellResult(
-            "F", base.alpha.real, base.g, base.r, None, None, None,
-            f_analytic, f_oracle, _rel(f_analytic, f_oracle),
-        )
-    )
-
-
-def _compare_sensitivity_group(
-    result, base, engine, t1, t2_values, phis, check_divergence
-):
+def _sensitivity_group(base, engine, t1, t2_values, phis, divergence_confirmed):
     """Delta-phi cells for one t1 group, all phases in one oracle batch."""
-    analytic: dict[tuple[float, float], float | None] = {}
-    for t2 in t2_values:
-        for phi in phis:
-            params = base.replace(t1=t1, t2=t2, phi=phi)
-            try:
-                analytic[(t2, phi)] = phase_sensitivity(params).delta_phi
-            except DivergentSensitivityError:
-                analytic[(t2, phi)] = None
-
-    all_divergent = all(v is None for v in analytic.values())
-    if all_divergent and not check_divergence:
-        cells = [
-            CellResult(
-                "delta_phi", base.alpha.real, base.g, base.r, t1, t2, phi,
-                math.inf, math.inf, 0.0, "divergent",
-            )
-            for t2 in t2_values
-            for phi in phis
-        ]
-        result.cells.extend(cells)
-        return cells, False
-
-    stats = engine.sensitivity_statistics(t1, t2_values, phis)
-    cells = []
-    for t2 in t2_values:
-        for phi in phis:
-            _, variance, slope = stats[(t2, phi)]
-            oracle_divergent = abs(slope) < SLOPE_FLOOR
-            ref = analytic[(t2, phi)]
-            if ref is None or oracle_divergent:
-                flag = (
-                    "divergent"
-                    if (ref is None and oracle_divergent)
-                    else "divergence-mismatch"
-                )
-                cells.append(
-                    CellResult(
-                        "delta_phi", base.alpha.real, base.g, base.r, t1, t2, phi,
-                        math.inf if ref is None else ref,
-                        math.inf if oracle_divergent else math.nan,
-                        0.0 if flag == "divergent" else math.inf,
-                        flag,
-                    )
-                )
-                continue
-            oracle_delta = math.sqrt(max(variance, 0.0)) / abs(slope)
-            cells.append(
-                CellResult(
-                    "delta_phi", base.alpha.real, base.g, base.r, t1, t2, phi,
-                    ref, oracle_delta, _rel(ref, oracle_delta),
-                )
-            )
-    result.cells.extend(cells)
-    return cells, True
+    keys = [(t2, phi) for t2 in t2_values for phi in phis]
+    analytic = {}
+    for t2, phi in keys:
+        try:
+            analytic[t2, phi] = phase_sensitivity(base.replace(t1=t1, t2=t2, phi=phi)).delta_phi
+        except DivergentSensitivityError:
+            analytic[t2, phi] = None
+    oracle = dict.fromkeys(keys)
+    if not (divergence_confirmed and all(v is None for v in analytic.values())):
+        stats = engine.sensitivity_statistics(t1, t2_values, phis)
+        for key in keys:
+            _, variance, slope = stats[key]
+            if abs(slope) >= SLOPE_FLOOR:
+                oracle[key] = math.sqrt(max(variance, 0.0)) / abs(slope)
+    return [
+        _cell("delta_phi", "divergence", base, analytic[key], oracle[key], (t1, *key))
+        for key in keys
+    ]

@@ -205,11 +205,11 @@ def _apply_split_factors(x: np.ndarray, factors) -> np.ndarray:
 def _sector_exp(x: np.ndarray, coupling: np.ndarray, g_signed: float) -> np.ndarray:
     """Two-mode squeezer on the (s, C) columns of one n_a - n_b chain.
 
-    g_signed is g for theta = 0 and -g for theta = pi.  The chain generator
-    is real skew-symmetric tridiagonal with sub-diagonal -g_signed *
-    coupling, exponentiated through the half-spectrum factors of its
-    even/odd split, or the full spectrum when the chain is near-singular.
-    x may be overwritten.
+    g_signed is g for the first squeezer, -g for the phase-flipped second
+    one.  The chain generator is real skew-symmetric tridiagonal with
+    sub-diagonal -g_signed * coupling, exponentiated through the
+    half-spectrum factors of its even/odd split, or the full spectrum when
+    the chain is near-singular.  x may be overwritten.
     """
     s = x.shape[0]
     if s == 1 or g_signed == 0.0:
@@ -226,22 +226,15 @@ def _sector_exp(x: np.ndarray, coupling: np.ndarray, g_signed: float) -> np.ndar
 
 
 def apply_two_mode_squeezer_batch(
-    batch: np.ndarray, g: float, theta: float, d_a: int, d_b: int
+    batch: np.ndarray, g: float, d_a: int, d_b: int
 ) -> np.ndarray:
-    """exp(xi* ab - xi a'b') applied to (d_a*d_b, C) column-stacked states.
+    """exp(g ab - g a'b') applied to (d_a*d_b, C) column-stacked states.
 
-    xi = g e^{i theta} with theta in {0, pi}: the first squeezer and the
-    phase-flipped second one; any other theta raises ValueError.  The
-    generator conserves n_a - n_b, so the transform runs in place one
+    g is signed: g >= 0 is the first squeezer, -g its phase-flipped twin.
+    The generator conserves n_a - n_b, so the transform runs in place one
     sector at a time (``_sector_exp``); the input array is mutated and
     returned.  All-zero sectors are skipped.
     """
-    if theta == 0.0:
-        sign = 1.0
-    elif theta == math.pi:
-        sign = -1.0
-    else:
-        raise ValueError(f"two-mode squeezer phase must be 0 or pi, got {theta}")
     if g == 0.0:
         return batch
     for k in range(-(d_b - 1), d_a):
@@ -249,7 +242,7 @@ def apply_two_mode_squeezer_batch(
         flat = na * d_b + nb
         x = batch[flat]
         if x.any():
-            batch[flat] = _sector_exp(x, coupling, sign * g)
+            batch[flat] = _sector_exp(x, coupling, g)
     return batch
 
 
@@ -305,10 +298,10 @@ def build_input(alpha: complex, cutoff_a: int, cutoff_b: int) -> np.ndarray:
 
 
 def apply_two_mode_squeezer(psi: np.ndarray, g: float) -> np.ndarray:
-    """The first squeezer (theta = 0) on a copy of the state."""
+    """The first squeezer on a copy of the state."""
     d_a, d_b = psi.shape
     batch = psi.reshape(-1, 1).copy()
-    return apply_two_mode_squeezer_batch(batch, g, 0.0, d_a, d_b).reshape(d_a, d_b)
+    return apply_two_mode_squeezer_batch(batch, g, d_a, d_b).reshape(d_a, d_b)
 
 
 def apply_single_mode_squeezer(psi: np.ndarray, r: float) -> np.ndarray:
@@ -842,7 +835,7 @@ class SensitivityOracle:
                 filled[:, None, :],
                 out=x[:inside],
             )
-            y = _sector_exp(x.reshape(s, ncols), coupling, -self.g)  # theta = pi
+            y = _sector_exp(x.reshape(s, ncols), coupling, -self.g)  # the phase-flipped squeezer
             dens = y.real**2 + y.imag**2
             corr[0][na[0] : na[0] + s] += dens
             marg_b_blocks[nb[0] : nb[0] + s] += dens.reshape(s, nphi, width).sum(axis=2)

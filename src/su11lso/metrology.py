@@ -28,7 +28,8 @@ from .moments import InterferometerParams, moment_table, quadrature_stats, trig_
 
 SLOPE_FLOOR = 1e-12
 
-DEFAULT_BRACKET = (1e-3, math.pi - 1e-3)
+# the phase interval that optimal_phase searches
+PHASE_BRACKET = (1e-3, math.pi - 1e-3)
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class LossyQfiReport:
 class OptimalPhaseResult:
     phi_opt: float
     delta_phi_min: float
-    bracket: tuple[float, float]
 
 
 def phase_sensitivity(params: InterferometerParams) -> SensitivityReport:
@@ -178,11 +178,8 @@ def sensitivity_curve(
     return out
 
 
-def optimal_phase(
-    params: InterferometerParams,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-) -> OptimalPhaseResult:
-    """Phase minimizing delta-phi over the bracket, exactly.
+def optimal_phase(params: InterferometerParams) -> OptimalPhaseResult:
+    """Phase minimizing delta-phi over PHASE_BRACKET, exactly.
 
     With V = Var X and S = d<X>/dphi, d(V/S^2)/dphi vanishes where
     P = V'S - 2VS' does.  In z = e^{i phi}, P has Laurent coefficients
@@ -195,9 +192,7 @@ def optimal_phase(
     search fails.  No grid is scanned, so the result has no resolution
     setting.
     """
-    lo, hi = bracket
-    if not (lo < hi and lo > 0.0 and hi < math.pi):
-        raise ValueError("bracket must satisfy 0 < lo < hi < pi")
+    lo, hi = PHASE_BRACKET
     _, m1, v0, v1, v2 = trig_coefficients(params)
     mc = m1.conjugate()
     quartic = np.array([
@@ -225,8 +220,4 @@ def optimal_phase(
         raise DivergentSensitivityError(
             "every phase in the bracket is uninformative (alpha = 0?)"
         )
-    return OptimalPhaseResult(
-        phi_opt=float(phis[best]),
-        delta_phi_min=float(curve[best]),
-        bracket=bracket,
-    )
+    return OptimalPhaseResult(phi_opt=float(phis[best]), delta_phi_min=float(curve[best]))

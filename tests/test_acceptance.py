@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from su11lso import fock
-from su11lso.crosscheck import run_cross_check
+from su11lso.crosscheck import CellResult, CrossCheckResult, run_cross_check
 from su11lso.errors import DivergentSensitivityError
 from su11lso.metrology import (
     optimal_phase,
@@ -34,17 +34,22 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_cross_path_equivalence():
     res = run_cross_check(rel_tol=1e-6)
-    mismatches = [c for c in res.cells if c.flag.endswith("mismatch")]
     detail = (
         f"max dev: N {res.max_deviation('N'):.2e}, F {res.max_deviation('F'):.2e}, "
-        f"delta_phi {res.max_deviation('delta_phi'):.2e}; runtime {res.runtime:.0f}s"
+        f"delta_phi {res.max_deviation('delta_phi'):.2e}; mismatches {res.mismatches}; "
+        f"runtime {res.runtime:.0f}s"
     )
-    ok = (
-        res.max_deviation() <= 1e-6
-        and not mismatches
-        and res.runtime <= 300.0
-    )
+    ok = res.passed and res.runtime <= 300.0
     _report(1, "cross-path equivalence (1e-6, <=5min)", ok, detail)
+
+
+def test_criterion_01_reads_the_check_verdict(monkeypatch):
+    # the criterion takes the check's own verdict, not a recount of its cells
+    cell = CellResult("N", 0.5, 0.5, 0.5, None, None, None, 1.0, 1.0, 0.0)
+    monkeypatch.setitem(globals(), "run_cross_check", lambda **kw: CrossCheckResult(1e-6, [cell]))
+    monkeypatch.setattr(CrossCheckResult, "passed", property(lambda self: False))
+    with pytest.raises(AssertionError, match="criterion 1 "):
+        test_criterion_01_cross_path_equivalence()
 
 
 def test_criterion_02_standard_interferometer_reduction():

@@ -8,6 +8,7 @@ import pytest
 
 from su11lso.errors import DegenerateConfigurationError, DivergentSensitivityError
 from su11lso.metrology import (
+    PHASE_BRACKET,
     optimal_phase,
     phase_sensitivity,
     qfi_ideal,
@@ -181,7 +182,7 @@ class TestOptimalPhase:
 
     def test_beats_dense_grid(self):
         res = optimal_phase(params(r=0.6))
-        phis = np.linspace(*res.bracket, 20001)
+        phis = np.linspace(*PHASE_BRACKET, 20001)
         dense_min = float(np.min(sensitivity_curve(params(r=0.6), phis)))
         assert res.delta_phi_min <= dense_min + 1e-9
 
@@ -191,7 +192,7 @@ class TestOptimalPhase:
 
     def test_minimum_bounded_by_evaluated_grid(self):
         res = optimal_phase(params(r=0.3))
-        curve = sensitivity_curve(params(r=0.3), np.linspace(*res.bracket, 501))
+        curve = sensitivity_curve(params(r=0.3), np.linspace(*PHASE_BRACKET, 501))
         assert res.delta_phi_min <= float(np.min(curve)) + 1e-12
 
 
@@ -216,13 +217,13 @@ class TestExactOptimum:
     def test_no_worse_than_dense_grid(self):
         for p in self.POINTS:
             res = optimal_phase(p)
-            dense = sensitivity_curve(p, np.linspace(*res.bracket, 20001))
+            dense = sensitivity_curve(p, np.linspace(*PHASE_BRACKET, 20001))
             assert res.delta_phi_min <= float(np.min(dense)) * (1.0 + 1e-12), p
 
     def test_optimum_inside_bracket(self):
         for p in self.POINTS:
             res = optimal_phase(p)
-            assert res.bracket[0] <= res.phi_opt <= res.bracket[1]
+            assert PHASE_BRACKET[0] <= res.phi_opt <= PHASE_BRACKET[1]
             assert res.delta_phi_min == float(sensitivity_curve(p, np.array([res.phi_opt]))[0])
 
     def test_optimum_is_bracket_end_or_stationary(self):
@@ -230,7 +231,7 @@ class TestExactOptimum:
         interior = 0
         for p in self.POINTS:
             res = optimal_phase(p)
-            if res.phi_opt in res.bracket:
+            if res.phi_opt in PHASE_BRACKET:
                 continue
             interior += 1
             f_minus, f_0, f_plus = sensitivity_curve(p, res.phi_opt + np.array([-h, 0.0, h]))

@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su11lso.cli import main
+from su11lso import crosscheck
 from su11lso.crosscheck import CellResult, CrossCheckResult
-from su11lso.metrology import qfi_ideal, qfi_lossy
+from su11lso.metrology import qfi_ideal, qfi_lossy, total_photon_number
 from su11lso.moments import InterferometerParams
 from su11lso.sweeps import (
     FIGURE_PRESETS,
@@ -313,8 +314,12 @@ class TestCli:
              "su11lso figure: error: argument --points: invalid int value: '3.5'"),
             ("g = abc\n", ("point",), 1,
              "su11lso point: error: argument --g: invalid float value: 'abc'"),
+            # a value is checked by the flag that owns it, whichever command runs
+            ("points = abc\n", ("point", "--quantities", "N"), 1,
+             "su11lso figure: error: argument --points: invalid int value: 'abc'"),
         ],
-        ids=["one-point-grid", "one-r-curve", "integer-values", "fractional-points", "word-g"],
+        ids=["one-point-grid", "one-r-curve", "integer-values", "fractional-points", "word-g",
+             "other-commands-value"],
     )
     def test_config_values_take_each_flags_type(self, tmp_path, config, argv, code, expected):
         cfg = tmp_path / "values.cfg"
@@ -397,6 +402,92 @@ class TestCli:
         assert "overall: PASS (tolerance 1e-06, worst margin 0.05," in result.summary_lines()[-1]
         result.tolerance = 0.0
         assert "overall: FAIL (tolerance 0, worst margin inf," in result.summary_lines()[-1]
+
+
+def _stub_oracle(fisher, runs):
+    """A stand-in Fock oracle: the analytic N, the given F (the analytic one
+    where None) and no phase slope anywhere; it records each (alpha, t1)
+    group it is asked for in runs."""
+
+    class StubOracle:
+        def __init__(self, alpha, g, r, **_):
+            self.base = InterferometerParams(g=g, alpha=alpha, r=r)
+
+        def photon_number(self):
+            return total_photon_number(self.base)
+
+        def fisher_pure(self):
+            return qfi_ideal(self.base).fisher if fisher is None else fisher
+
+        def sensitivity_statistics(self, t1, t2_values, phis):
+            runs.append((self.base.alpha.real, t1))
+            return {(t2, phi): (0.0, 1.0, 0.0) for t2 in t2_values for phi in phis}
+
+    return StubOracle
+
+
+class TestCheckVerdict:
+    @pytest.mark.parametrize(
+        "alpha, g, r, fisher, flag",
+        [
+            # the analytic route finds a phase slope, the oracle none
+            ("0.5", "0.5", "0.5", None, "divergence-mismatch"),
+            # vacuum: the analytic F is degenerate, the oracle's is not
+            ("0", "0", "0", 1.0, "degeneracy-mismatch"),
+        ],
+        ids=["divergence", "degeneracy"],
+    )
+    def test_mismatch_fails_the_check(self, monkeypatch, alpha, g, r, fisher, flag):
+        monkeypatch.setattr(crosscheck, "SensitivityOracle", _stub_oracle(fisher, []))
+        result = crosscheck.run_cross_check(
+            alphas=(float(alpha),), gs=(float(g),), rs=(float(r),), t_pairs=((1.0, 1.0),),
+            phis=(0.8,),
+        )
+        assert [c.flag for c in result.cells if c.flag.endswith("mismatch")] == [flag]
+        assert not result.passed
+        assert result.summary_lines()[-1].startswith("overall: FAIL (")
+        assert "mismatches 1," in result.summary_lines()[-1]
+        code, stdout, err = run_main(
+            "check", "--alphas", alpha, "--gs", g, "--rs", r, "--ts", "1,0.7", "--phis", "0.8"
+        )
+        assert code == 3
+        assert "overall: FAIL (" in stdout
+        # one progress line per (alpha, g, r, t1) group, on stderr only
+        assert err.count(f"  checked alpha={alpha} g={g} r={r} t1=") == 2
+        assert "checked" not in stdout
+
+    @pytest.mark.parametrize(
+        "t_pairs", [((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 1.0))],
+        ids=["t1-0-last", "t1-0-first"],
+    )
+    def test_unconfirmed_divergent_group_runs_the_oracle(self, monkeypatch, t_pairs):
+        # at t1 = 0 no phase reaches the output, so the analytic route is
+        # divergent throughout; only the oracle can confirm it
+        runs = []
+        monkeypatch.setattr(crosscheck, "SensitivityOracle", _stub_oracle(None, runs))
+        crosscheck.run_cross_check(
+            alphas=(0.5,), gs=(0.5,), rs=(0.5,), t_pairs=t_pairs, phis=(0.8,)
+        )
+        assert sorted(runs) == [(0.5, 0.0), (0.5, 1.0)]
+        # the Fock oracle finds no slope there either
+        monkeypatch.undo()
+        result = crosscheck.run_cross_check(
+            alphas=(0.5,), gs=(0.5,), rs=(0.5,), t_pairs=t_pairs, phis=(0.8,)
+        )
+        assert [c.flag for c in result.cells if c.t1 == 0.0] == ["divergent"]
+        assert result.passed
+
+    def test_confirmed_divergence_is_reused(self, monkeypatch):
+        # alpha = 0: the first group's divergence is confirmed by the
+        # oracle, so the engine's later divergent groups skip it
+        runs = []
+        monkeypatch.setattr(crosscheck, "SensitivityOracle", _stub_oracle(None, runs))
+        result = crosscheck.run_cross_check(
+            alphas=(0.0,), gs=(0.5,), rs=(0.5,), t_pairs=((1.0, 1.0), (0.7, 1.0)), phis=(0.8,)
+        )
+        assert runs == [(0.0, 1.0)]
+        assert [c.flag for c in result.cells if c.quantity == "delta_phi"] == ["divergent"] * 2
+        assert result.passed
 
 
 def run_main(*args):
