@@ -145,9 +145,9 @@ def run_cross_check(
     oracle.  progress, if given, receives each finished group's cells.
 
     A tolerance that is negative or not finite, a max_dim below 1, an
-    empty grid axis, or a grid point that is no valid configuration or
-    overflows the analytic route raises ValueError, naming the argument or
-    parameter, before any engine runs.
+    empty grid axis, a non-real alpha, or a grid point that is no valid
+    configuration or overflows the analytic route raises ValueError, naming
+    the argument or parameter, before any engine runs.
     """
     # a zero tolerance asks for exact agreement: it runs, and reports FAIL
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
@@ -163,6 +163,9 @@ def run_cross_check(
     # long (or never finish) on a point the analytic route already rejects
     states = []  # (alpha, g, r, base, analytic N, analytic F or None)
     for alpha in alphas:
+        # cells and progress lines report alpha as a real number
+        if complex(alpha).imag != 0.0:
+            raise ValueError(f"alpha must be real, got {alpha!r}")
         for g in gs:
             for r in rs:
                 base = InterferometerParams(g=g, alpha=alpha, r=r)

@@ -161,14 +161,26 @@ def qfi_lossy(params: InterferometerParams, eta: float) -> LossyQfiReport:
     return LossyQfiReport(eta=eta, fisher_lossy=fl, qcrb_lossy=qcrb)
 
 
-def sensitivity_curve(
-    params: InterferometerParams, phis: np.ndarray
-) -> np.ndarray:
+def _harmonics(params) -> tuple[np.ndarray, ...]:
+    """(m1, v0, v1, v2) of ``trig_coefficients``: scalars for one point, (n, 1) for n."""
+    if isinstance(params, InterferometerParams):
+        c = np.array(trig_coefficients(params))
+    else:
+        c = np.array([trig_coefficients(p) for p in params], dtype=complex).reshape(-1, 5)
+        c = c.T[:, :, None]
+    return c[1], c[2].real, c[3], c[4]
+
+
+def sensitivity_curve(params, phis) -> np.ndarray:
     """Delta-phi over a phase grid; divergent points come back as +inf.
 
-    One array evaluation of the phase harmonics of ``trig_coefficients``.
+    ``params`` is one point, evaluated at every phase of ``phis``, or a
+    sequence of n points, for which ``phis`` broadcasts against shape (n, 1):
+    row i of the result is point i at ``phis`` (shape (k,)) or at ``phis[i]``
+    (shape (n, k)).  One array evaluation of the phase harmonics of
+    ``trig_coefficients``.
     """
-    m0, m1, v0, v1, v2 = trig_coefficients(params)
+    m1, v0, v1, v2 = _harmonics(params)
     z = np.exp(1j * np.asarray(phis, dtype=float))
     slope = 2.0 * np.abs((m1 * z).imag)
     variance = v0 + 2.0 * (v1 * z + v2 * z * z).real
@@ -178,7 +190,29 @@ def sensitivity_curve(
     return out
 
 
-def optimal_phase(params: InterferometerParams) -> OptimalPhaseResult:
+def _quartic_roots(quartic: np.ndarray) -> np.ndarray:
+    """Roots of each row of an (n, 5) array as ``np.roots`` finds them, NaN-padded.
+
+    Leading and trailing zeros are stripped per row; the rows whose
+    companion matrices share a size go through one stacked eigensolve.
+    Roots at zero from trailing zeros are left out: their angle lies
+    outside PHASE_BRACKET.
+    """
+    nonzero = quartic != 0.0
+    lead = np.argmax(nonzero, axis=1)
+    size = np.where(nonzero.any(axis=1), 4 - lead - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    roots = np.full((len(quartic), 4), np.nan, dtype=complex)
+    for k in set(size.tolist()) - {0}:
+        rows = np.flatnonzero(size == k)
+        p = quartic[rows[:, None], lead[rows, None] + np.arange(k + 1)]
+        companion = np.zeros((rows.size, k, k), dtype=complex)
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        roots[rows, :k] = np.linalg.eigvals(companion)
+    return roots
+
+
+def optimal_phase(params):
     """Phase minimizing delta-phi over PHASE_BRACKET, exactly.
 
     With V = Var X and S = d<X>/dphi, d(V/S^2)/dphi vanishes where
@@ -187,37 +221,67 @@ def optimal_phase(params: InterferometerParams) -> OptimalPhaseResult:
     variance harmonics (v0, v1, v2 and conjugates).  The z^{+-3} terms cancel
     identically, so z^2 P is a quartic.  The candidates are the angles of its
     roots, folded by pi into the bracket, plus the two bracket ends; the
-    smallest delta-phi among them is the minimum.  If every candidate
-    diverges (alpha = 0 or t1 = 0) there is no informative phase and the
-    search fails.  No grid is scanned, so the result has no resolution
-    setting.
+    smallest delta-phi among them (the first, on a tie) is the minimum.  No
+    grid is scanned, so the result has no resolution setting.
+
+    ``params`` is one point or a sequence of points; a sequence is solved
+    as one batch (one stacked eigensolve per companion size, one
+    ``sensitivity_curve`` call) and returns one result per point, with
+    ``delta_phi_min`` = inf and ``phi_opt`` = nan where every candidate
+    diverges (alpha = 0 or t1 = 0).  For a single point that case raises
+    ``DivergentSensitivityError``.  A point's result does not depend on the
+    batch it is solved in.
     """
+    single = isinstance(params, InterferometerParams)
+    points = [params] if single else list(params)
     lo, hi = PHASE_BRACKET
-    _, m1, v0, v1, v2 = trig_coefficients(params)
+    m1, v0, v1, v2 = (c[:, 0] for c in _harmonics(points))
     mc = m1.conjugate()
-    quartic = np.array([
-        m1 * v1,
-        2.0 * m1 * v0 + 4.0 * mc * v2,
-        6.0 * (m1 * v1.conjugate()).real,
-        4.0 * m1 * v2.conjugate() + 2.0 * mc * v0,
-        mc * v1.conjugate(),
-    ])
-    scale = np.abs(quartic).max()
-    if 0.0 < scale < 2.0**-600:
-        # numpy divides a complex by multiplying with 1/scale, which overflows
-        # for subnormal coefficients; lift them by an exact power of two
-        quartic = quartic * 2.0**600
-        scale = np.abs(quartic).max()
-    if scale > 0.0:
-        # terms below rounding on the unit circle are dropped: a near-zero
-        # leading coefficient would otherwise overflow the companion matrix
-        quartic = np.where(np.abs(quartic) > 1e-15 * scale, quartic / scale, 0.0)
-    roots = np.angle(np.roots(quartic)) % math.pi
-    phis = np.concatenate(([lo, hi], roots[(roots >= lo) & (roots <= hi)]))
-    curve = sensitivity_curve(params, phis)
-    best = int(np.argmin(curve))
-    if not math.isfinite(curve[best]):
+    # the five products of two complex harmonics, from real parts: numpy's
+    # complex multiply fuses multiply-adds where the CPU has them, so its
+    # last bit would depend on the machine
+    a = np.array([m1, 4.0 * mc, m1, 4.0 * m1, mc])
+    b = np.array([v1, v2, v1.conjugate(), v2.conjugate(), v1.conjugate()])
+    prod = np.empty_like(a)
+    prod.real = a.real * b.real - a.imag * b.imag
+    prod.imag = a.real * b.imag + a.imag * b.real
+    quartic = np.stack([
+        prod[0],
+        2.0 * m1 * v0 + prod[1],
+        6.0 * prod[2].real,
+        prod[3] + 2.0 * mc * v0,
+        prod[4],
+    ], axis=1)
+    scale = np.abs(quartic).max(axis=1)
+    # numpy divides a complex by multiplying with 1/scale, which overflows
+    # for subnormal coefficients; lift them by an exact power of two
+    lift = (scale > 0.0) & (scale < 2.0**-600)
+    quartic[lift] *= 2.0**600
+    scale[lift] = np.abs(quartic[lift]).max(axis=1)
+    # terms below rounding on the unit circle are dropped: a near-zero
+    # leading coefficient would otherwise overflow the companion matrix
+    keep = np.abs(quartic) > 1e-15 * scale[:, None]
+    quartic = np.where(keep, quartic / np.where(scale > 0.0, scale, 1.0)[:, None], 0.0)
+    roots = np.angle(_quartic_roots(quartic)) % math.pi
+    inside = (roots >= lo) & (roots <= hi)
+    phis = np.empty((len(points), 6))
+    phis[:, 0], phis[:, 1] = lo, hi
+    # out-of-bracket roots are evaluated at lo and then ruled out
+    phis[:, 2:] = np.where(inside, roots, lo)
+    curve = sensitivity_curve(points, phis)
+    curve[:, 2:][~inside] = np.inf
+    rows = np.arange(len(points))
+    best = np.argmin(curve, axis=1)
+    value = curve[rows, best]
+    phi_opt = np.where(np.isfinite(value), phis[rows, best], np.nan)
+    results = [
+        OptimalPhaseResult(phi_opt=float(phi), delta_phi_min=float(v))
+        for phi, v in zip(phi_opt, value)
+    ]
+    if not single:
+        return results
+    if math.isinf(results[0].delta_phi_min):
         raise DivergentSensitivityError(
             "every phase in the bracket is uninformative (alpha = 0?)"
         )
-    return OptimalPhaseResult(phi_opt=float(phis[best]), delta_phi_min=float(curve[best]))
+    return results[0]

@@ -109,18 +109,25 @@ def _apply_point(
     return InterferometerParams(**fields), eta
 
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:  # false for NaN too
+        raise ValueError(f"eta must be finite and lie in [0, 1], got {eta}")
+
+
 def _evaluate_quantities(
     params: InterferometerParams,
     eta: float,
     quantities: tuple[str, ...],
+    known: dict | None = None,
 ) -> tuple[dict, list[str]]:
-    if not 0.0 <= eta <= 1.0:  # false for NaN too
-        raise ValueError(f"eta must be finite and lie in [0, 1], got {eta}")
+    """Values and flags of one point; ``known`` holds values solved for a whole series."""
+    _check_eta(eta)
+    known = known or {}
     values: dict = {}
     flags: list[str] = []
     for q in quantities:
         try:
-            v = _QUANTITY_TABLE[q](params, eta)
+            v = known[q] if q in known else _QUANTITY_TABLE[q](params, eta)
         except DivergentSensitivityError:
             v = None
             flags.append("divergent")
@@ -129,6 +136,11 @@ def _evaluate_quantities(
             flags.append("degenerate")
         values[q] = v
         if v is None or math.isfinite(v):
+            continue
+        # a batch optimum reads inf where no phase is informative
+        if q == "delta_phi_min" and math.isinf(v):
+            values[q] = None
+            flags.append("divergent")
             continue
         # an infinite qcrb_lossy is the documented "unbounded" result
         if q == "qcrb_lossy" and math.isinf(v):
@@ -157,12 +169,24 @@ def point_row(params: InterferometerParams, eta: float, values: dict) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the sweep; series-major, grid-minor row order, deterministic."""
+    """Evaluate the sweep; series-major, grid-minor row order, deterministic.
+
+    ``delta_phi_min`` is solved for a whole series in one ``optimal_phase``
+    call; every other quantity is evaluated point by point.
+    """
     rows = []
     for series in spec.series:
-        for value in spec.grid():
-            params, eta = _apply_point(spec, series, float(value))
-            values, flags = _evaluate_quantities(params, eta, spec.quantities)
+        points = [_apply_point(spec, series, float(value)) for value in spec.grid()]
+        for _, eta in points:
+            _check_eta(eta)
+        optima = (
+            optimal_phase([params for params, _ in points])
+            if "delta_phi_min" in spec.quantities
+            else [None] * len(points)
+        )
+        for (params, eta), best in zip(points, optima):
+            known = {} if best is None else {"delta_phi_min": best.delta_phi_min}
+            values, flags = _evaluate_quantities(params, eta, spec.quantities, known)
             row = {"series": series.label, **point_row(params, eta, values)}
             row["flags"] = ";".join(flags)
             rows.append(row)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from su11lso.errors import DegenerateConfigurationError, DivergentSensitivityError
 from su11lso.metrology import (
@@ -17,7 +19,8 @@ from su11lso.metrology import (
     sql_hl,
     total_photon_number,
 )
-from su11lso.moments import InterferometerParams
+from su11lso.moments import InterferometerParams, trig_coefficients
+from su11lso.sweeps import SweepSpec, run_sweep
 
 
 def params(g=1.0, alpha=1.0, r=0.0, t1=1.0, t2=1.0, phi=0.0):
@@ -246,6 +249,102 @@ class TestExactOptimum:
         # a subnormal t1 leaves the quartic's outer coefficients subnormal
         with pytest.raises(DivergentSensitivityError):
             optimal_phase(params(alpha=1j, t1=t1))
+
+
+# the point domain the command line accepts (see test_sweeps_cli)
+_CLI_POINTS = st.builds(
+    lambda g, re_a, im_a, r, t1, t2: params(g=g, alpha=complex(re_a, im_a), r=r, t1=t1, t2=t2),
+    g=st.floats(0, 2),
+    re_a=st.floats(-3, 3),
+    im_a=st.floats(-3, 3),
+    r=st.floats(0, 1.5),
+    t1=st.one_of(st.just(2.2e-311), st.floats(0, 1)),
+    t2=st.floats(0, 1),
+)
+
+
+def _reference_optimum(p):
+    """One point through np.roots, with Python complex arithmetic: the
+    batch must reproduce it bit for bit; None where no phase is informative."""
+    _, m1, v0, v1, v2 = trig_coefficients(p)
+    mc = m1.conjugate()
+    quartic = np.array([
+        m1 * v1,
+        2.0 * m1 * v0 + 4.0 * mc * v2,
+        6.0 * (m1 * v1.conjugate()).real,
+        4.0 * m1 * v2.conjugate() + 2.0 * mc * v0,
+        mc * v1.conjugate(),
+    ])
+    scale = np.abs(quartic).max()
+    if 0.0 < scale < 2.0**-600:
+        quartic = quartic * 2.0**600
+        scale = np.abs(quartic).max()
+    if scale > 0.0:
+        quartic = np.where(np.abs(quartic) > 1e-15 * scale, quartic / scale, 0.0)
+    roots = np.angle(np.roots(quartic)) % math.pi
+    lo, hi = PHASE_BRACKET
+    phis = np.concatenate(([lo, hi], roots[(roots >= lo) & (roots <= hi)]))
+    curve = sensitivity_curve(p, phis)
+    best = int(np.argmin(curve))
+    return (float(phis[best]), float(curve[best])) if math.isfinite(curve[best]) else None
+
+
+class TestBatchOptimum:
+    @given(points=st.lists(_CLI_POINTS, min_size=1, max_size=12))
+    @example(points=[
+        params(g=0.0),  # v1 = 0: zero outer coefficients, a quadratic
+        params(alpha=0, r=0.6),  # m1 = 0: no root at all, divergent
+        params(alpha=1j, t1=2.2e-311),
+        # subnormal coefficients: lifted by 2^600 before scaling
+        params(g=0.0, alpha=2.7236848377039103e-261, r=1.0, t2=4.411651276914472e-127),
+        params(r=0.0, t1=0.4),
+        params(g=0.7, alpha=0.3 - 1.1j, r=0.9, t1=0.6, t2=0.8),
+    ])
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_one_point_at_a_time(self, points):
+        batch = optimal_phase(points)
+        assert len(batch) == len(points)
+        for p, res in zip(points, batch):
+            reference = _reference_optimum(p)
+            try:
+                one = optimal_phase(p)
+            except DivergentSensitivityError:
+                assert reference is None, p
+                assert res.delta_phi_min == math.inf and math.isnan(res.phi_opt), p
+                continue
+            assert (res.phi_opt, res.delta_phi_min) == (one.phi_opt, one.delta_phi_min), p
+            assert (res.phi_opt, res.delta_phi_min) == reference, p
+
+    def test_batch_curve_rows_are_single_point_curves(self):
+        points = _random_lossy_points(20, seed=3)
+        phis = np.linspace(0.0, 3.0, 7)
+        batch = sensitivity_curve(points, phis)
+        assert batch.shape == (20, 7)
+        for p, row in zip(points, batch):
+            assert np.array_equal(row, sensitivity_curve(p, phis))
+
+    @pytest.mark.parametrize(
+        "variable, start, shapes",
+        [
+            # alpha = 0 has an all-zero quartic: no companion at all
+            ("alpha", 0.0, [(199, 4, 4)]),
+            # g = 0 keeps np.roots' stripped 2x2 companion
+            ("g", 0.0, [(199, 4, 4), (1, 2, 2)]),
+        ],
+    )
+    def test_one_stacked_eigensolve_per_series(self, monkeypatch, variable, start, shapes):
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            seen.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        spec = SweepSpec(variable, start, 1.5, 200, params(r=0.6), ("delta_phi_min",))
+        rows = run_sweep(spec)
+        assert sorted(seen, reverse=True) == shapes
+        assert [row["flags"] for row in rows].count("divergent") == (variable == "alpha")
 
 
 class TestTrendInvariants:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from su11lso.cli import main
 from su11lso import crosscheck
 from su11lso.crosscheck import CellResult, CrossCheckResult
-from su11lso.metrology import qfi_ideal, qfi_lossy, total_photon_number
+from su11lso.metrology import optimal_phase, qfi_ideal, qfi_lossy, total_photon_number
 from su11lso.moments import InterferometerParams
 from su11lso.sweeps import (
     FIGURE_PRESETS,
@@ -75,6 +76,17 @@ class TestRunSweep:
         assert rows[0]["delta_phi"] is None
         assert rows[1]["flags"] == ""
         assert rows[1]["delta_phi"] > 0
+
+    def test_series_optimum_matches_point_optimum(self):
+        # one optimal_phase call solves the series; alpha = 0 reads inf there
+        rows = run_sweep(
+            spec_(variable="alpha", start=0.0, stop=1.0, count=5, quantities=("delta_phi_min",))
+        )
+        assert rows[0]["flags"] == "divergent" and rows[0]["delta_phi_min"] is None
+        for row in rows[1:]:
+            p = InterferometerParams(g=1, alpha=row["alpha"], r=0.3)
+            assert row["flags"] == ""
+            assert row["delta_phi_min"] == optimal_phase(p).delta_phi_min
 
     def test_eta_sweep_hits_exact_limits(self):
         rows = run_sweep(
@@ -252,6 +264,24 @@ class TestCli:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert rows[0]["qcrb_lossy"] == "inf"
         assert rows[0]["flags"] == "unbounded"
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("--only", "fig99"), 2, "argument --only: invalid choice: 'fig99'"),
+            (("--points", "1"), 1, "invalid input: count must be at least 2"),
+        ],
+    )
+    def test_reproduce_figures_rejects_bad_input(self, tmp_path, argv, code, message):
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--outdir", str(tmp_path), *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_retired_opt_grid_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "opt_grid.cfg"
@@ -488,6 +518,19 @@ class TestCheckVerdict:
         assert runs == [(0.0, 1.0)]
         assert [c.flag for c in result.cells if c.quantity == "delta_phi"] == ["divergent"] * 2
         assert result.passed
+
+    @pytest.mark.parametrize("alphas", [(0.5j,), (0.5, 1 + 1e-9j)], ids=["imaginary", "second"])
+    def test_non_real_alpha_rejected_before_any_engine(self, monkeypatch, alphas):
+        # cells carry alpha as a real number: 0.5j would read as alpha = 0
+        engines = []
+        monkeypatch.setattr(
+            crosscheck, "SensitivityOracle", lambda *a, **kw: engines.append(a)
+        )
+        with pytest.raises(ValueError, match=r"alpha must be real, got .*j"):
+            crosscheck.run_cross_check(
+                alphas=alphas, gs=(0.5,), rs=(0.5,), t_pairs=((1.0, 1.0),), phis=(0.8,)
+            )
+        assert engines == []
 
 
 def run_main(*args):
