@@ -21,13 +21,11 @@ import sys
 
 import numpy as np
 
-from .crosscheck import run_cross_check
 from .errors import (
     DegenerateConfigurationError,
     DivergentSensitivityError,
     NonconvergedOracleError,
 )
-from .fock import DEFAULT_MAX_DIM
 from .moments import InterferometerParams
 from .sweeps import (
     DEFAULT_POINTS,
@@ -127,7 +125,7 @@ def build_parser() -> _Parser:
     p_check.add_argument("--rs", default="0,0.5,1")
     p_check.add_argument("--ts", default="1,0.7", help="transmittance values; all pairs are checked")
     p_check.add_argument("--phis", default="0.3,0.8,1.5")
-    p_check.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    p_check.add_argument("--max-dim", type=int, help="cell budget per oracle grid")
     parser.sub_map = (p_point, p_sweep, p_fig, p_check)
     return parser
 
@@ -185,6 +183,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # the oracle loads scipy, which the analytic subcommands never need
+    from .crosscheck import DEFAULT_MAX_DIM, run_cross_check
+
     ts = _float_list(args.ts)
     result = run_cross_check(
         alphas=_float_list(args.alphas),
@@ -193,7 +194,7 @@ def _cmd_check(args) -> int:
         t_pairs=tuple((t1, t2) for t1 in ts for t2 in ts),
         phis=_float_list(args.phis),
         rel_tol=args.tolerance,
-        max_dim=args.max_dim,
+        max_dim=DEFAULT_MAX_DIM if args.max_dim is None else args.max_dim,
         progress=_report_group,
     )
     print("\n".join(result.summary_lines()))

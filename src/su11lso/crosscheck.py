@@ -138,11 +138,12 @@ def run_cross_check(
 
     One oracle engine serves each (alpha, g, r); transmittance pairs are
     grouped by internal loss so a single second-squeezer pass covers both
-    external-loss values, and the three finite-difference phases of each
-    requested phi go through that same pass.  A t1 group that the analytic
-    route finds divergent throughout skips the oracle only once an earlier
-    such group of the same engine had its divergence confirmed by the
-    oracle.  progress, if given, receives each finished group's cells.
+    external-loss values and every requested phi.  The oracle returns <X>,
+    <X^2> and the exact phase slope d<X>/dphi, from which each cell forms
+    Var X and delta-phi.  A t1 group that the analytic route finds
+    divergent throughout skips the oracle only once an earlier such group
+    of the same engine had its divergence confirmed by the oracle.
+    progress, if given, receives each finished group's cells.
 
     A tolerance that is negative or not finite, a max_dim below 1, an
     empty grid axis, a non-real alpha, or a grid point that is no valid
@@ -217,11 +218,11 @@ def _sensitivity_group(base, engine, t1, t2_values, phis, divergence_confirmed):
             analytic[t2, phi] = None
     oracle = dict.fromkeys(keys)
     if not (divergence_confirmed and all(v is None for v in analytic.values())):
-        stats = engine.sensitivity_statistics(t1, t2_values, phis)
+        stats = engine.quadrature_statistics(t1, t2_values, phis)
         for key in keys:
-            _, variance, slope = stats[key]
+            mean, second, slope = stats[key]
             if abs(slope) >= SLOPE_FLOOR:
-                oracle[key] = math.sqrt(max(variance, 0.0)) / abs(slope)
+                oracle[key] = math.sqrt(max(second - mean * mean, 0.0)) / abs(slope)
     return [
         _cell("delta_phi", "divergence", base, analytic[key], oracle[key], (t1, *key))
         for key in keys

@@ -35,10 +35,12 @@ Loss is a Kraus map.  No evaluation materializes a density operator: the
 post-loss state is a rank-L mixture of Kraus vectors, and the second
 squeezer is swept one n_a - n_b sector at a time, so only a sector's worth
 of those vectors and the mode-a correlations they leave behind are ever
-held.  One read-out routine (``_quadrature_moments``) turns those
-correlations into each column's <X> and <X^2>: external loss acts on X and
-X^2 through the adjoint loss channel, which keeps their bands at offsets
-0, 1 and 2.  Loss and the phase generator N = n_a act on mode a only, so
+held.  Each column streams together with its phase derivative -i n_a x,
+so the same sweep gives the exact slope of the truncated model.  One
+read-out routine (``_quadrature_moments``) turns those correlations into
+each column's <X>, <X^2> and d<X>/dphi: external loss acts on X and X^2
+through the adjoint loss channel, which keeps their bands at offsets 0, 1
+and 2.  Loss and the phase generator N = n_a act on mode a only, so
 every Kraus family comes from one place: one amplitude routine
 (``_loss_amplitudes``) and one stop rule give the family, and one builder
 gives its L x L Gram matrices K^H N^k K from the d_a x d_a mode-a reduced
@@ -87,7 +89,6 @@ DEFAULT_MAX_DIM = 1_400_000
 # matrix, about 30 bytes per cell at its peak while built: 0.5 GB at this
 # bound, twice the paper's largest preparation (1985 at alpha 2, g 1.5, r 1)
 MAX_SQUEEZER_DIM = 4096
-DEFAULT_FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +502,17 @@ def auto_prepared_state(
 # quadrature read-out after external loss
 
 
-def _quadrature_moments(corr, t2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column <X> and <X^2>, X = a + a', after external loss t2 on mode a.
+def _quadrature_moments(corr, t2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column <X>, <X^2> and d<X>/dphi, X = a + a', after external loss t2 on mode a.
 
-    corr[o][i, c] = Re sum_b conj(x[i,b,c]) x[i+o,b,c] for o = 0, 1, 2.  X
-    has the band X_1[i] = sqrt(i+1) and X^2, the truncated-space square of
-    X, the bands X^2_0 and X^2_2; both are real symmetric, so each -o band
-    pairs with the +o one into 2 corr[o].  The adjoint loss channel
+    corr[o][i, c] = Re sum_b conj(x[i,b,c]) x[i+o,b,c] for o = 0, 1, 2, and
+    corr[3] is the phase derivative of corr[1].  X has the band
+    X_1[i] = sqrt(i+1) and X^2, the truncated-space square of X, the bands
+    X^2_0 and X^2_2; both are real symmetric, so each -o band pairs with
+    the +o one into 2 corr[o].  The adjoint loss channel
     sum_m Pi_m' M Pi_m keeps the bands: Kraus order m adds
-    u_m(i) u_m(i+o) M_o[i] at row i + m (``_loss_amplitudes``).
+    u_m(i) u_m(i+o) M_o[i] at row i + m (``_loss_amplitudes``).  The slope
+    reads corr[3] through the same lossy band as the mean.
     """
     d = len(corr[0])
     n = np.arange(d, dtype=float)
@@ -525,7 +528,8 @@ def _quadrature_moments(corr, t2: float) -> tuple[np.ndarray, np.ndarray]:
             ln = d - m - o
             if ln > 0:
                 lossy[o][m : m + ln] += u[:ln] * u[o : o + ln] * band[:ln]
-    return 2.0 * (lossy[1] @ corr[1]), lossy[0] @ corr[0] + 2.0 * (lossy[2] @ corr[2])
+    odd = 2.0 * lossy[1]
+    return odd @ corr[1], lossy[0] @ corr[0] + 2.0 * (lossy[2] @ corr[2]), odd @ corr[3]
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +683,9 @@ class SensitivityOracle:
     Prepares the internal state once, a (d_a, d_b) array ``prep``.  Each
     measurement phases it, expands internal loss into Kraus columns,
     streams every column through the second squeezer one conserved sector
-    at a time, and reads <X> and <X^2> after external loss off the mode-a
-    correlations (``_quadrature_moments``); ``su11lso.crosscheck`` forms
+    at a time together with its phase derivative, and reads <X>, <X^2> and
+    the exact d<X>/dphi after external loss off the mode-a correlations
+    (``_quadrature_moments``); ``su11lso.crosscheck`` forms Var X and
     delta-phi from them.  One work grid serves all loss groups; it
     escalates until the estimated relative moment error of the worst phase
     block drops below tail_tol, which is where the post-gate amplification
@@ -776,10 +781,11 @@ class SensitivityOracle:
         t1: float,
         t2_values: tuple[float, ...],
         phi_values: tuple[float, ...],
-    ) -> dict[tuple[float, float], tuple[float, float]]:
-        """{(t2, phi): (<X>, <X^2>)} at the output, one t1 group per call.
+    ) -> dict[tuple[float, float], tuple[float, float, float]]:
+        """{(t2, phi): (<X>, <X^2>, d<X>/dphi)} at the output, one t1 group per call.
 
-        One work grid serves every loss group of the engine: the first group
+        The slope is the exact derivative of the truncated model.  One work
+        grid serves every loss group of the engine: the first group
         escalates it (``_escalate``, one ``_evaluate_at_dims`` sweep per
         probe) and later groups start from it.  Convergence is judged on the
         estimated relative second-moment error of the worst phase block; the
@@ -801,12 +807,15 @@ class SensitivityOracle:
 
         The second squeezer conserves n_a - n_b.  Each sector's columns,
         one per phase and Kraus vector, are filled from the prep grid (the
-        chain's prefix inside it; the rest is zero), transformed, and folded
-        into the mode-a correlations and mode-b marginals before the next
-        sector.  Offset-o correlations pair sector k with sector k - o at
-        equal n_b, so only the last two outputs are kept.  Returns a probe
-        for ``_escalate``: the results, their diagnostics, the mean mode
-        marginals, and the tested tails again as the growth estimates.
+        chain's prefix inside it; the rest is zero) and joined by their phase
+        derivatives -i n_a x, transformed in one pass, and folded into the
+        mode-a correlations and mode-b marginals before the next sector.
+        Offset-o correlations pair sector k with sector k - o at equal n_b,
+        so only the last two outputs are kept; the offset-1 pairing also
+        gives the phase derivative of corr[1].  Diagnostics read the value
+        columns only.  Returns a probe for ``_escalate``: the results, their
+        diagnostics, the mean mode marginals, and the tested tails again as
+        the growth estimates.
         """
         nphi = len(phi_values)
         d_a0, d_b0 = self.prep.shape
@@ -818,9 +827,10 @@ class SensitivityOracle:
         base3t = base.reshape(width, d_a0, d_b0).transpose(1, 2, 0)
         phis = np.asarray(phi_values, dtype=float)
 
-        corr = [np.zeros((d_a - o, ncols)) for o in (0, 1, 2)]
+        # offsets 0, 1, 2, then the phase derivative of offset 1
+        corr = [np.zeros((d_a - o, ncols)) for o in (0, 1, 2, 1)]
         marg_b_blocks = np.zeros((d_b, nphi))
-        kept = {}  # sector -> (its first n_b, its gate output)
+        kept = {}  # sector -> (its first n_b, its gate output, their derivative)
         for k in range(-(d_b0 - 1), d_a0):
             kept.pop(k - 3, None)
             na, nb, coupling = _pair_sector_indices(d_a, d_b, k)
@@ -829,32 +839,38 @@ class SensitivityOracle:
             if not filled.any():  # e.g. every odd sector at alpha = 0
                 continue
             s = len(na)
-            x = np.zeros((s, nphi, width), dtype=complex)
+            x = np.zeros((s, 2, nphi, width), dtype=complex)  # values, then d/dphi
             np.multiply(
                 np.exp(-1j * np.outer(na[:inside], phis))[:, :, None],
                 filled[:, None, :],
-                out=x[:inside],
+                out=x[:inside, 0],
             )
-            y = _sector_exp(x.reshape(s, ncols), coupling, -self.g)  # the phase-flipped squeezer
+            np.multiply(-1j * na[:inside, None, None], x[:inside, 0], out=x[:inside, 1])
+            out = _sector_exp(x.reshape(s, -1), coupling, -self.g)  # the phase-flipped squeezer
+            y, dy = out[:, :ncols], out[:, ncols:]
             dens = y.real**2 + y.imag**2
             corr[0][na[0] : na[0] + s] += dens
             marg_b_blocks[nb[0] : nb[0] + s] += dens.reshape(s, nphi, width).sum(axis=2)
             for o in (1, 2):
                 if k - o not in kept:
                     continue
-                nb_lo, y_lo = kept[k - o]
+                nb_lo, y_lo, dy_lo = kept[k - o]
                 lo, hi = max(nb[0], nb_lo), min(nb[0] + s, nb_lo + len(y_lo))
                 if lo < hi:
-                    a = y_lo[lo - nb_lo : hi - nb_lo]
-                    b = y[lo - nb[0] : hi - nb[0]]
-                    corr[o][lo + k - o : hi + k - o] += a.real * b.real + a.imag * b.imag
-            kept[k] = (nb[0], y)
+                    rows = slice(lo + k - o, hi + k - o)
+                    a, da = y_lo[lo - nb_lo : hi - nb_lo], dy_lo[lo - nb_lo : hi - nb_lo]
+                    b, db = y[lo - nb[0] : hi - nb[0]], dy[lo - nb[0] : hi - nb[0]]
+                    corr[o][rows] += a.real * b.real + a.imag * b.imag
+                    if o == 1:
+                        corr[3][rows] += a.real * db.real + a.imag * db.imag
+                        corr[3][rows] += da.real * b.real + da.imag * b.imag
+            kept[k] = (nb[0], y, dy)
 
         result = {}
         for t2 in t2_values:
-            means, seconds = (v.reshape(nphi, width) for v in _quadrature_moments(corr, t2))
+            moments = [v.reshape(nphi, width) for v in _quadrature_moments(corr, t2)]
             for j, phi in enumerate(phi_values):
-                result[(t2, phi)] = (float(means[j].sum()), float(seconds[j].sum()))
+                result[(t2, phi)] = tuple(float(m[j].sum()) for m in moments)
 
         # convergence evidence: decay-scaled beyond-cutoff mass estimate of
         # the worst phase block; the decay factor matters because heavy
@@ -872,29 +888,6 @@ class SensitivityOracle:
             tolerance=self.tail_tol,
         )
         return result, diag, (marg_a, marg_b), (diag.top_mass_a, diag.top_mass_b)
-
-    def sensitivity_statistics(
-        self,
-        t1: float,
-        t2_values: tuple[float, ...],
-        phis: tuple[float, ...],
-    ) -> dict[tuple[float, float], tuple[float, float, float]]:
-        """{(t2, phi): (<X>, Var X, d<X>/dphi)} at the output, one t1 group.
-
-        The slope is the central difference over phi +- DEFAULT_FD_STEP; the
-        three phases of every phi ride in one quadrature_statistics batch.
-        """
-        h = DEFAULT_FD_STEP
-        stats = self.quadrature_statistics(
-            t1, t2_values, tuple(p for phi in phis for p in (phi, phi + h, phi - h))
-        )
-        out = {}
-        for t2 in t2_values:
-            for phi in phis:
-                mean, second = stats[(t2, phi)]
-                slope = (stats[(t2, phi + h)][0] - stats[(t2, phi - h)][0]) / (2.0 * h)
-                out[(t2, phi)] = (mean, second - mean * mean, slope)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -371,30 +371,36 @@ class TestOracleAgainstAnalyticPath:
         a = np.kron(dense_ladder(d_a), np.eye(d_b))
         b = np.kron(np.eye(d_a), dense_ladder(d_b))
         u2 = expm(-g * (a @ b) + g * (a.T @ b.T))  # the phase-flipped squeezer
+        n_a = np.repeat(np.arange(d_a, dtype=float), d_b)
         eng = fock.SensitivityOracle(alpha, g, r)
         eng.prep = prep
         res, *_ = eng._evaluate_at_dims(t1, t2_values, phis, d_a, d_b)
         for phi in phis:
             psi = fock.apply_phase(np.pad(prep, ((0, d_a - 10), (0, d_b - 8))), phi)
-            rho = apply_loss(psi, KrausChannel(t1, "a"))
-            rho = FockDensityOperator(d_a, d_b, u2 @ rho.matrix @ u2.conj().T)
+            rho = apply_loss(psi, KrausChannel(t1, "a")).matrix
+            # the exact slope: d rho / d phi = -i [n_a, rho] before the squeezer
+            drho = -1j * (n_a[:, None] * rho - rho * n_a[None, :])
+            rho, drho = (FockDensityOperator(d_a, d_b, u2 @ m @ u2.conj().T) for m in (rho, drho))
             for t2 in t2_values:
-                lossy = apply_loss(rho, KrausChannel(t2, "a"))
-                mean_lit, second_lit = density_quadrature_stats(lossy)
-                mean_fast, second_fast = res[(t2, phi)]
+                mean_lit, second_lit = density_quadrature_stats(apply_loss(rho, KrausChannel(t2, "a")))
+                slope_lit, _ = density_quadrature_stats(apply_loss(drho, KrausChannel(t2, "a")))
+                mean_fast, second_fast, slope_fast = res[(t2, phi)]
                 assert mean_fast == pytest.approx(mean_lit, abs=1e-13)
                 assert second_fast == pytest.approx(second_lit, abs=1e-12)
+                assert slope_fast == pytest.approx(slope_lit, abs=1e-12)
 
     def test_sector_sweep_peak_memory_is_a_few_sector_blocks(self):
         # one sector's columns at a time plus the correlations, never the
-        # (dim, columns) batch of every phase and Kraus vector
+        # (dim, columns) batch of every phase and Kraus vector.  Each column
+        # streams with its phase derivative, and the offset-1 correlation
+        # has its derivative too
         eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
         d_a, d_b = eng.prep.shape[0] + 40, eng.prep.shape[1] + 40
         phis = (0.3, 0.8, 1.5)
         ncols = len(phis) * eng._kraus_rows_for(0.7).shape[0]
-        block = min(d_a, d_b) * ncols * 16
-        corr = 3 * d_a * ncols * 8
-        batch = d_a * d_b * ncols * 16
+        block = min(d_a, d_b) * 2 * ncols * 16
+        corr = 4 * d_a * ncols * 8
+        batch = d_a * d_b * 2 * ncols * 16
         tracemalloc.start()
         try:
             eng._evaluate_at_dims(0.7, (1.0, 0.7), phis, d_a, d_b)

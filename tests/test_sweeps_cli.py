@@ -231,6 +231,16 @@ class TestCli:
         payload = json.loads(proc.stdout)
         assert payload["qfi_lossy"] == payload["qfi"]
 
+    def test_import_leaves_the_oracle_unloaded(self):
+        # point, sweep and figure never run the Fock oracle, so importing the
+        # front end loads neither it nor scipy
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, su11lso.cli; sys.exit('scipy' in sys.modules or 'su11lso.fock' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_figure_deterministic_bytes(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -449,7 +459,7 @@ def _stub_oracle(fisher, runs):
         def fisher_pure(self):
             return qfi_ideal(self.base).fisher if fisher is None else fisher
 
-        def sensitivity_statistics(self, t1, t2_values, phis):
+        def quadrature_statistics(self, t1, t2_values, phis):
             runs.append((self.base.alpha.real, t1))
             return {(t2, phi): (0.0, 1.0, 0.0) for t2 in t2_values for phi in phis}
 
@@ -518,6 +528,16 @@ class TestCheckVerdict:
         assert runs == [(0.0, 1.0)]
         assert [c.flag for c in result.cells if c.quantity == "delta_phi"] == ["divergent"] * 2
         assert result.passed
+
+    @pytest.mark.parametrize("phi", ["1e-4", "1e-6", "1e-8"])
+    def test_near_stationary_phase_passes(self, phi):
+        # near phi = 0 the slope is tiny, so only an exact oracle slope holds
+        # the 1e-6 tolerance there
+        code, stdout, _ = run_main(
+            "check", "--alphas", "0.5", "--gs", "0.5", "--rs", "0.5", "--ts", "1,0.7", "--phis", phi
+        )
+        assert code == 0
+        assert stdout.splitlines()[-1].startswith("overall: PASS (")
 
     @pytest.mark.parametrize("alphas", [(0.5j,), (0.5, 1 + 1e-9j)], ids=["imaginary", "second"])
     def test_non_real_alpha_rejected_before_any_engine(self, monkeypatch, alphas):
