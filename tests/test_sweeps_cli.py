@@ -539,6 +539,16 @@ class TestCheckVerdict:
         assert code == 0
         assert stdout.splitlines()[-1].startswith("overall: PASS (")
 
+    @pytest.mark.parametrize("phi", ["1234567890123.4567", "1.2345e100"])
+    def test_large_phase_passes(self, phi):
+        # the oracle phases each level by e^{-i phi n_a}; built from n_a phi,
+        # phi's rounding grew n_a-fold and failed the check at 1.2e12
+        code, stdout, _ = run_main(
+            "check", "--alphas", "0.5", "--gs", "0.5", "--rs", "0.5", "--ts", "1,0.7", "--phis", phi
+        )
+        assert code == 0
+        assert stdout.splitlines()[-1].startswith("overall: PASS (")
+
     @pytest.mark.parametrize("alphas", [(0.5j,), (0.5, 1 + 1e-9j)], ids=["imaginary", "second"])
     def test_non_real_alpha_rejected_before_any_engine(self, monkeypatch, alphas):
         # cells carry alpha as a real number: 0.5j would read as alpha = 0
