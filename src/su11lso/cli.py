@@ -125,9 +125,7 @@ def build_parser() -> _Parser:
     p_check.add_argument("--rs", default="0,0.5,1")
     p_check.add_argument("--ts", default="1,0.7", help="transmittance values; all pairs are checked")
     p_check.add_argument("--phis", default="0.3,0.8,1.5")
-    p_check.add_argument(
-        "--max-dim", type=int, help="cells d_a * d_b of the grid bounding an oracle probe"
-    )
+    p_check.add_argument("--max-dim", type=int, help="cells d_a * d_b per oracle work grid")
     parser.sub_map = (p_point, p_sweep, p_fig, p_check)
     return parser
 

@@ -17,20 +17,16 @@ reaches mean photon numbers ~25 with heavy super-Poissonian tails, and the
 second squeezer roughly doubles that.
 
 A pure state is a (d_a, d_b) complex array psi[n_a, n_b].  The prep and
-the work state escalate their cutoffs in one loop (``_escalate``), which
-checks the cell budget of the (d_a, d_b) grid before every probe and grows
-each failing mode along its extrapolated occupation decay
-(``_predicted_dim``).  The second squeezer's work state is that grid plus
-one length per n_a - n_b chain: each chain bounds its own truncation error
-from its last entry over the gate (Duhamel's formula), and a chain whose
-bound is negligible keeps its length, and its sums, while the grid grows.
+the work grid escalate their cutoffs in one loop (``_escalate``), which
+checks the cell budget before every probe and grows each failing mode
+along its extrapolated occupation decay (``_predicted_dim``).
 
 Two routes compute these exponentials, on purpose.  The two-mode sectors
 carry most of the oracle's run time, so they use half-size factors of the
 even/odd split (``_skew_exp_factors``).  The single-mode squeezer, which
 prepares the state, uses the full eigendecomposition (``_apply_skew_exp``):
 it keeps the prepared state unitary to about 1e-14, whereas the half-size
-route applies one set of singular vectors as M V / sigma, which loses
+route rebuilds one set of singular vectors as M V / sigma, which loses
 orthogonality at about cond(M) * eps and lifts the prep norm deficit by one
 to two decades.  Near-singular two-mode chains (tiny gain) fall back to the
 full route as well.
@@ -117,14 +113,8 @@ class CutoffDiagnostics:
 # skew-tridiagonal exponentials (the gate engine)
 
 
-# midpoints of [0, 1] at which a gate's last row is sampled
-_GATE_TIMES = (np.arange(8) + 0.5) / 8
-
-
-def _apply_skew_exp(sub: np.ndarray, block: np.ndarray, edge: bool = False):
-    """exp(A) @ block for real skew-symmetric tridiagonal A, and with edge
-    the mean over t in [0, 1] of |(exp(tA) @ block)[-1]| per column,
-    sampled at _GATE_TIMES (else None).
+def _apply_skew_exp(sub: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """exp(A) @ block for real skew-symmetric tridiagonal A.
 
     A has A[j+1, j] = sub[j], A[j, j+1] = -sub[j].  Conjugating by
     D = diag(i^j) turns A into -i S with S real symmetric tridiagonal
@@ -132,32 +122,17 @@ def _apply_skew_exp(sub: np.ndarray, block: np.ndarray, edge: bool = False):
     """
     s = block.shape[0]
     if s == 1 or not np.any(sub):
-        return block.copy(), np.abs(block[-1]) if edge else None
+        return block.copy()
     lam, vec = eigh_tridiagonal(np.zeros(s), sub)
     d = _I_POW[np.arange(s) % 4]
     t = vec.T @ (d.conj()[:, None] * block)
-    amps = None
-    if edge:
-        waves = vec[-1] * np.exp(-1j * np.multiply.outer(_GATE_TIMES, lam))
-        amps = np.abs(waves @ t).mean(axis=0)
     t *= np.exp(-1j * lam)[:, None]
-    return d[:, None] * (vec @ t), amps
+    return d[:, None] * (vec @ t)
 
 
-def _chain_starts(d_a: int, d_b: int):
-    """(k, first n_a, first n_b) of every n_a - n_b = k chain crossing a (d_a, d_b) grid."""
-    k = np.arange(-(d_b - 1), d_a)
-    nb0 = np.maximum(-k, 0)
-    return k, nb0 + k, nb0
-
-
-def _grid_lengths(d_a: int, d_b: int, na0: np.ndarray, nb0: np.ndarray) -> np.ndarray:
-    """Lengths at which a (d_a, d_b) grid cuts the chains starting at (na0, nb0)."""
-    return np.minimum(d_a - na0, d_b - nb0)
-
-
-def _chain_indices(k: int, s: int):
-    """(n_a, n_b) along the first s levels of the n_a - n_b = k chain, and its couplings."""
+def _pair_sector_indices(d_a: int, d_b: int, k: int):
+    """(n_a, n_b) along the n_a - n_b = k chain, and its couplings."""
+    s = min(d_a - k, d_b) if k >= 0 else min(d_a, d_b + k)
     nb = np.arange(s) + max(-k, 0)
     na = nb + k
     coupling = np.sqrt((na[:-1] + 1.0) * (nb[:-1] + 1.0))
@@ -168,12 +143,11 @@ def _skew_exp_factors(sub: np.ndarray):
     """Half-spectrum factors of exp(-i S), S zero-diagonal tridiagonal.
 
     The even/odd index permutation maps S to [[0, M], [M^T, 0]] with M
-    lower bidiagonal (diagonal diag_m, M[j + 1, j] = sub_m[j]), whose
-    singular triplets give the +-sigma eigenpairs of S; sigma^2 and the
-    right vectors V come from the half-size tridiagonal M^T M, the left
-    vectors are U = M V / sigma, plus one exact null mode on the even block
-    when the chain length is odd.  Returns (sigma, V, diag_m, sub_m,
-    w_null_or_None); the caller applies
+    lower bidiagonal, whose singular triplets give the +-sigma eigenpairs
+    of S; sigma^2 and the right vectors come from the half-size tridiagonal
+    M^T M, the left vectors from U = M V / sigma, plus one exact null mode
+    on the even block when the chain length is odd.  Returns
+    (sigma, U, V, w_null_or_None); the caller applies
 
         x_even' = U (cos A - i sin B) + w (w . x_even)
         x_odd'  = V (cos B - i sin A)
@@ -197,63 +171,39 @@ def _skew_exp_factors(sub: np.ndarray):
     sigma = np.sqrt(np.clip(sig2, 0.0, None))
     if sigma.size and sigma.min() < 1e-8 * max(1.0, float(sigma.max())):
         return None
+    p = s - q
+    mv = np.zeros((p, q))
+    mv[:q] = diag_m[:, None] * v
+    if len(sub_m):
+        mv[1 : len(sub_m) + 1] += sub_m[:, None] * v[: len(sub_m)]
+    u = mv / sigma[None, :]
     w = None
-    if s - q > q:
-        w = np.ones(s - q)
+    if p > q:
+        w = np.ones(p)
         w[1:] = np.cumprod(-diag_m / sub_m)
         w /= np.linalg.norm(w)
-    return sigma, v, diag_m, sub_m, w
+    return sigma, u, v, w
 
 
-def _apply_split_factors(x: np.ndarray, factors, edge: bool = False):
-    """exp(-i S) applied in place to (s, C) columns using half-spectrum
-    factors, and with edge the mean of |(exp(-i t S) x)[-1]| over
-    _GATE_TIMES per column (else None).  U = M V / sigma is applied through
-    M and V, never formed."""
-    sigma, v, diag_m, sub_m, w = factors
+def _apply_split_factors(x: np.ndarray, factors) -> np.ndarray:
+    """exp(-i S) applied to (s, C) columns using half-spectrum factors."""
+    sigma, u, v, w = factors
     xe = x[0::2]
     xo = x[1::2]
-    mt_xe = diag_m[:, None] * xe[: len(diag_m)]  # M^T x_even
-    mt_xe[: len(sub_m)] += sub_m[:, None] * xe[1 : len(sub_m) + 1]
-    a = _mul_real(v.T, mt_xe)
-    del mt_xe
-    a /= sigma[:, None]
+    a = _mul_real(u.T, xe)
     b = _mul_real(v.T, xo)
-    w_xe = None if w is None else w @ xe
     cos_s = np.cos(sigma)[:, None]
     sin_s = np.sin(sigma)[:, None]
-    c = a * cos_s
-    c -= 1j * (b * sin_s)
-    c /= sigma[:, None]
-    vc = _mul_real(v, c)  # x_even' = M V c, written over x_even
-    del c
-    np.multiply(diag_m[:, None], vc, out=xe[: len(diag_m)])
-    xe[len(diag_m) :] = 0.0
-    xe[1 : len(sub_m) + 1] += sub_m[:, None] * vc[: len(sub_m)]
-    del vc
+    out = np.empty_like(x)
+    e_new = _mul_real(u, a * cos_s - 1j * (b * sin_s))
     if w is not None:
-        xe += np.outer(w, w_xe)
-    xo[:] = _mul_real(v, b * cos_s - 1j * (a * sin_s))
-    if not edge:
-        return x, None
-    # the last row is the last of the even block (U, w) or of the odd one
-    # (V); e^{-i sigma t} at the sample times, the odd multiples of a half
-    # step, by recurrence
-    steps = np.empty((len(_GATE_TIMES), len(sigma)), dtype=complex)
-    steps[0] = np.exp(-1j * _GATE_TIMES[0] * sigma)
-    steps[1:] = steps[0] * steps[0]
-    waves = np.cumprod(steps, axis=0)  # cos(sigma t) - i sin(sigma t)
-    if len(x) % 2:
-        u_last = sub_m[-1] * v[-1] / sigma  # the last row of M V / sigma
-        last = _mul_real(waves.real * u_last, a) + 1j * _mul_real(waves.imag * u_last, b)
-        if w is not None:
-            last += w[-1] * w_xe
-    else:
-        last = _mul_real(waves.real * v[-1], b) + 1j * _mul_real(waves.imag * v[-1], a)
-    return x, np.abs(last).mean(axis=0)
+        e_new += np.outer(w, w @ xe)
+    out[0::2] = e_new
+    out[1::2] = _mul_real(v, b * cos_s - 1j * (a * sin_s))
+    return out
 
 
-def _sector_exp(x: np.ndarray, coupling: np.ndarray, g_signed: float, edge: bool = False):
+def _sector_exp(x: np.ndarray, coupling: np.ndarray, g_signed: float) -> np.ndarray:
     """Two-mode squeezer on the (s, C) columns of one n_a - n_b chain.
 
     g_signed is g for the first squeezer, -g for the phase-flipped second
@@ -261,25 +211,19 @@ def _sector_exp(x: np.ndarray, coupling: np.ndarray, g_signed: float, edge: bool
     sub-diagonal -g_signed * coupling, exponentiated through the
     half-spectrum factors of its even/odd split, or the full spectrum when
     the chain is near-singular.  x may be overwritten.
-
-    Returns the columns and, with edge, each column's last entry averaged
-    over the gate (the mean of its modulus at _GATE_TIMES; else None).  By
-    Duhamel's formula the chain differs from its uncut continuation by at
-    most the hop out of the last row integrated over the gate, so that hop
-    times the averaged entry bounds each column's truncation error.
     """
     s = x.shape[0]
     if s == 1 or g_signed == 0.0:
-        return x, np.abs(x[-1]) if edge else None
+        return x
     sub = -g_signed * coupling
     factors = _skew_exp_factors(sub)
     if factors is None:
-        return _apply_skew_exp(sub, x, edge)
+        return _apply_skew_exp(sub, x)
     pattern = _I_POW[np.arange(s) % 4][:, None]
     x *= pattern.conj()
-    x, edge = _apply_split_factors(x, factors, edge)
+    x = _apply_split_factors(x, factors)
     x *= pattern
-    return x, edge
+    return x
 
 
 def apply_two_mode_squeezer_batch(
@@ -294,13 +238,12 @@ def apply_two_mode_squeezer_batch(
     """
     if g == 0.0:
         return batch
-    ks, na0, nb0 = _chain_starts(d_a, d_b)
-    for k, s in zip(ks.tolist(), _grid_lengths(d_a, d_b, na0, nb0).tolist()):
-        na, nb, coupling = _chain_indices(k, s)
+    for k in range(-(d_b - 1), d_a):
+        na, nb, coupling = _pair_sector_indices(d_a, d_b, k)
         flat = na * d_b + nb
         x = batch[flat]
         if x.any():
-            batch[flat], _ = _sector_exp(x, coupling, g)
+            batch[flat] = _sector_exp(x, coupling, g)
     return batch
 
 
@@ -324,7 +267,7 @@ def single_mode_squeezer_matrix(r: float, d_a: int) -> np.ndarray:
         if len(ns) == 0:
             continue
         sub = 0.5 * r * np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0))
-        block, _ = _apply_skew_exp(sub, np.eye(len(ns), dtype=complex))
+        block = _apply_skew_exp(sub, np.eye(len(ns), dtype=complex))
         u[np.ix_(ns, ns)] = block.real
     return u
 
@@ -549,25 +492,17 @@ def auto_prepared_state(
     a = abs(alpha)
     start = a * a + 8.0 * a + 12.0  # a float: inf for a huge alpha, no OverflowError
 
-    def probe(dims):
-        d_a, d_b = dims
+    def probe(d_a, d_b):
         if r != 0.0 and d_a > MAX_SQUEEZER_DIM:
             raise NonconvergedOracleError(
                 f"state preparation: grid {d_a}x{d_b} needs a {d_a}x{d_a} squeezer "
                 f"matrix, over its bound {MAX_SQUEEZER_DIM}x{MAX_SQUEEZER_DIM}"
             )
         psi = prepared_state(alpha, g, r, d_a, d_b)
-        diag = cutoff_check(psi, tail_tol)
-        tops = (diag.top_mass_a, diag.top_mass_b)
-        if all(top <= tail_tol for top in tops):
-            return psi, diag, None
         # the raw top-layer masses are tested, the decay-scaled ones steer growth
-        grown = tuple(
-            d if top <= tail_tol
-            else _predicted_dim(m, tail_tol, d, float(m[-2:].sum()) * _beyond_cutoff_factor(m))
-            for d, top, m in zip((d_a, d_b), tops, _marginals(psi))
-        )
-        return psi, diag, grown
+        marginals = _marginals(psi)
+        estimates = [float(m[-2:].sum()) * _beyond_cutoff_factor(m) for m in marginals]
+        return psi, cutoff_check(psi, tail_tol), marginals, estimates
 
     dims = (max(14, math.ceil(min(start, max_dim + 1.0))), 6)
     psi, diag, _ = _escalate(probe, dims, tail_tol, max_dim, "state preparation")
@@ -660,36 +595,38 @@ def _predicted_dim(marginal: np.ndarray, tol: float, current: int, estimate: flo
     return max(target, int(current * 1.15) + 4)
 
 
-def _escalate(probe, state: tuple, norm_budget: float, max_dim: int, what: str):
-    """Probe growing truncations until both tails pass; (result, diag, state).
+def _escalate(probe, dims: tuple[int, int], norm_budget: float, max_dim: int, what: str):
+    """Probe growing (d_a, d_b) grids until both tails pass; (result, diag, dims).
 
-    A state starts with its (d_a, d_b) grid, whose cell count is checked
-    against max_dim before every probe.  probe(state) returns (result,
-    diag, grown): grown is None once the tails pass, and otherwise the next
-    state, whose grid is larger wherever a tail failed, so the budget ends
-    every escalation.  (A work state may also take one step on the same
-    grid, to lengthen its short unsettled chains to the edge.)  Once the
-    tails pass, a diag.norm_deficit over norm_budget raises: no larger grid
-    recovers it.
+    probe(d_a, d_b) returns (result, diag, marginals, estimates): the
+    CutoffDiagnostics whose top masses are tested against its tolerance,
+    and per mode the marginal and beyond-cutoff estimate that a failing
+    mode grows from (``_predicted_dim``, always upward, so the budget
+    checked before every probe ends every escalation).  Once the tails
+    pass, a norm deficit over norm_budget raises: no larger grid recovers it.
     """
+    d_a, d_b = dims
     diag = None
     while True:
-        d_a, d_b = state[:2]
         if d_a * d_b > max_dim:
             last = "start" if diag is None else f"next (after {diag})"
             raise NonconvergedOracleError(
                 f"{what}: {last} grid {d_a}x{d_b} exceeds dim budget {max_dim}"
             )
-        result, diag, grown = probe(state)
-        if grown is None:
+        result, diag, (marg_a, marg_b), (est_a, est_b) = probe(d_a, d_b)
+        tol = diag.tolerance
+        if diag.top_mass_a <= tol and diag.top_mass_b <= tol:
             if not diag.norm_deficit <= norm_budget:
                 raise NonconvergedOracleError(
                     f"{what}: norm deficit {diag.norm_deficit:.3g} exceeds its budget "
                     f"{norm_budget:.3g} at grid {d_a}x{d_b}, and no larger grid "
                     f"recovers it: {diag}"
                 )
-            return result, diag, state
-        state = grown
+            return result, diag, (d_a, d_b)
+        if not diag.top_mass_a <= tol:
+            d_a = _predicted_dim(marg_a, tol, d_a, est_a)
+        if not diag.top_mass_b <= tol:
+            d_b = _predicted_dim(marg_b, tol, d_b, est_b)
 
 
 # ---------------------------------------------------------------------------
@@ -751,51 +688,22 @@ def _one_blas_thread():
 # sensitivity oracle
 
 
-# what a chain is in a work probe, ordered so that a pair of chains takes
-# the later: settled (its truncation-error bound within its share of the
-# tolerance), unsettled at the grid's edge, unsettled and shorter
-_SETTLED, _AT_EDGE, _SHORT = 0, 1, 2
-
-
-@dataclass
-class _ChainSweep:
-    """What a work probe leaves for the next probe of its escalation.
-
-    Each chain's length and kind (``_SETTLED`` ...).  sums maps each kind
-    whose chains keep their lengths to the contributions (corr[0..3], then
-    the mode-b marginals) that involve only chains of that kind or earlier
-    ones; the next probe reuses them.
-    """
-
-    lengths: np.ndarray
-    kinds: np.ndarray
-    sums: dict
-
-
 class SensitivityOracle:
     """Reusable output-port evaluator for one (alpha, g, r).
 
     Prepares the internal state once, a (d_a, d_b) array ``prep``.  Each
     measurement phases it, expands internal loss into Kraus columns,
-    streams every column through the second squeezer one conserved
-    n_a - n_b = k chain at a time together with its phase derivative, and
-    reads <X>, <X^2> and the exact d<X>/dphi after external loss off the
-    mode-a correlations (``_quadrature_moments``); ``su11lso.crosscheck``
-    forms Var X and delta-phi from them.
-
-    The work state is a (d_a, d_b) grid and one length per chain, at most
-    where the grid cuts it.  The grid escalates until the estimated
-    relative moment error of the worst phase block drops below tail_tol,
-    which is where the post-gate amplification bites.  Each chain also
-    bounds its own truncation error (``_sector_exp``).  A chain whose bound
-    is within its share of a thousandth of tail_tol keeps its length when
-    the grid grows, and the next probe reuses its sums; every other chain
-    runs to the grid's edge.  The accepted state starts the engine's next
-    loss group, whose first probe checks every chain again: a chain shorter
-    than the grid's cut whose bound now exceeds its share runs to the edge.
-    Engines share no state, so a result does not depend on which engines
-    ran before.  A tolerance that is negative or not finite raises
-    ValueError naming it.
+    streams every column through the second squeezer one conserved sector
+    at a time together with its phase derivative, and reads <X>, <X^2> and
+    the exact d<X>/dphi after external loss off the mode-a correlations
+    (``_quadrature_moments``); ``su11lso.crosscheck`` forms Var X and
+    delta-phi from them.  One work grid serves all loss groups; it
+    escalates until the estimated relative moment error of the worst phase
+    block drops below tail_tol, which is where the post-gate amplification
+    bites.  Escalation starts from a grid around the engine's own prep
+    state (``_start_dims``) and only grows the grid; engines share no
+    state, so a result does not depend on which engines ran before.  A
+    tolerance that is negative or not finite raises ValueError naming it.
     """
 
     def __init__(
@@ -822,8 +730,7 @@ class SensitivityOracle:
         # on the prep tails harder than the output quadratures do
         prep_tol = prep_tail_tol if prep_tail_tol is not None else min(tail_tol, DEFAULT_TAIL_TOL)
         self.prep, self.prep_diag = auto_prepared_state(alpha, g, r, prep_tol, max_dim)
-        # the (d_a, d_b, chain lengths) work state that starts the next loss group
-        self._work: tuple | None = None
+        self._work_dims: tuple | None = None
         self._kraus_cache: dict = {}
 
     # -- pure-state quantities ----------------------------------------------
@@ -871,8 +778,8 @@ class SensitivityOracle:
 
     # -- lossy output statistics ----------------------------------------------
 
-    def _start_state(self, t1: float = 1.0) -> tuple:
-        """The carried work state, or a grid around the prep, uncut.
+    def _start_dims(self, t1: float = 1.0) -> tuple[int, int]:
+        """The carried work grid, or a grid around the prep.
 
         The grid is square, d_a0 + 2 d_b0 + 12 for a (d_a0, d_b0) prep, with
         mode a widened to cosh(g)^2 t1 d_a0 where that is larger and the
@@ -881,17 +788,15 @@ class SensitivityOracle:
         g = 1, r > 0 engine of the check grid failed a square start probe
         at t1 = 1 and grew mode a 1.25 to 1.7 fold.
         """
-        if self._work is not None:
-            return self._work
+        if self.g == 0.0:
+            return self.prep.shape
+        if self._work_dims is not None:
+            return self._work_dims
         d_a0, d_b0 = self.prep.shape
-        d_a, d_b = d_a0, d_b0
-        if self.g != 0.0:
-            d_a = d_b = d_a0 + 2 * d_b0 + 12
-            if d_a * d_b <= self.max_dim:
-                widened = math.ceil(math.cosh(self.g) ** 2 * t1 * d_a0)
-                d_a = max(d_a, min(widened, self.max_dim // d_b))
-        _, na0, nb0 = _chain_starts(d_a0, d_b0)
-        return d_a, d_b, _grid_lengths(d_a, d_b, na0, nb0)
+        d = d_a0 + 2 * d_b0 + 12
+        if d * d > self.max_dim:
+            return d, d
+        return max(d, min(math.ceil(math.cosh(self.g) ** 2 * t1 * d_a0), self.max_dim // d)), d
 
     @_one_blas_thread()
     def quadrature_statistics(
@@ -902,47 +807,38 @@ class SensitivityOracle:
     ) -> dict[tuple[float, float], tuple[float, float, float]]:
         """{(t2, phi): (<X>, <X^2>, d<X>/dphi)} at the output, one t1 group per call.
 
-        The slope is the exact derivative of the truncated model.  The work
-        state escalates (``_escalate``, one ``_evaluate_at_dims`` sweep per
-        probe, each reusing the settled chains of the one before) from the
-        state the engine's last group left.  Convergence is judged on the
+        The slope is the exact derivative of the truncated model.  One work
+        grid serves every loss group of the engine: the first group
+        escalates it (``_escalate``, one ``_evaluate_at_dims`` sweep per
+        probe) and later groups start from it.  Convergence is judged on the
         estimated relative second-moment error of the worst phase block; the
         norm deficit, the prep truncation plus the dropped Kraus weight, may
         reach four times their sum.  It all runs on one BLAS thread.
         """
         norm_budget = 4.0 * (self.kraus_tol + self.prep_diag.norm_deficit + 1e-13)
-        sweep = None
-
-        def probe(state):
-            nonlocal sweep
-            result, diag, grown, sweep = self._evaluate_at_dims(
-                t1, t2_values, phi_values, *state, sweep
-            )
-            return result, diag, grown
-
-        result, _, self._work = _escalate(
-            probe, self._start_state(t1), norm_budget, self.max_dim, "output statistics"
+        result, _, self._work_dims = _escalate(
+            lambda d_a, d_b: self._evaluate_at_dims(t1, t2_values, phi_values, d_a, d_b),
+            self._start_dims(t1),
+            norm_budget,
+            self.max_dim,
+            "output statistics",
         )
         return result
 
-    def _evaluate_at_dims(self, t1, t2_values, phi_values, d_a, d_b, lengths=None, last=None):
-        """Output statistics on a (d_a, d_b) grid, streamed chain by chain.
+    def _evaluate_at_dims(self, t1, t2_values, phi_values, d_a, d_b):
+        """Output statistics at one work grid, streamed sector by sector.
 
-        Chain k = n_a - n_b runs to lengths[k] (default: the grid's edge).
-        Each chain's columns, one per phase and Kraus vector, are filled
-        from the prep grid (the chain's prefix inside it; the rest is zero)
-        and joined by their phase derivatives -i n_a x, transformed in one
-        pass, and folded into the mode-a correlations and mode-b marginals
-        before the next chain.  Offset-o correlations pair chain k with
-        chain k - o at equal n_b, so only the last two outputs are kept; the
-        offset-1 pairing also gives the phase derivative of corr[1].
-
-        last, the ``_ChainSweep`` of the escalation's previous probe, lends
-        the sums of its settled chains wherever their lengths are unchanged,
-        so only the other chains, and the settled ones paired with them, are
-        swept.  Returns a probe for ``_escalate`` (the results, their
-        diagnostics, and the next (d_a, d_b, lengths) or None) and this
-        probe's ``_ChainSweep``.
+        The second squeezer conserves n_a - n_b.  Each sector's columns,
+        one per phase and Kraus vector, are filled from the prep grid (the
+        chain's prefix inside it; the rest is zero) and joined by their phase
+        derivatives -i n_a x, transformed in one pass, and folded into the
+        mode-a correlations and mode-b marginals before the next sector.
+        Offset-o correlations pair sector k with sector k - o at equal n_b,
+        so only the last two outputs are kept; the offset-1 pairing also
+        gives the phase derivative of corr[1].  Diagnostics read the value
+        columns only.  Returns a probe for ``_escalate``: the results, their
+        diagnostics, the mean mode marginals, and the tested tails again as
+        the growth estimates.
         """
         nphi = len(phi_values)
         d_a0, d_b0 = self.prep.shape
@@ -952,47 +848,19 @@ class SensitivityOracle:
         # the Kraus vectors of the phased state are the phased Kraus vectors,
         # up to per-vector global phases that cancel in the quadratic forms
         base3t = base.reshape(width, d_a0, d_b0).transpose(1, 2, 0)
-        ks, na0, nb0 = _chain_starts(d_a0, d_b0)
-        full = _grid_lengths(d_a, d_b, na0, nb0)  # each chain cut at the grid's edge
-        lengths = full if lengths is None else lengths
-        # a chain settles once its error bound is within its share of a
-        # thousandth of the tolerance, so the settled chains together may
-        # add no more than that
-        share = 1e-3 * self.tail_tol / len(ks)
 
-        sums = {}  # kind -> its contributions: corr offsets 0, 1, 2, the phase
-        # derivative of offset 1, then the mode-b marginals
-
-        def sums_of(kind):
-            if kind not in sums:
-                sums[kind] = [np.zeros((d_a - o, ncols)) for o in (0, 1, 2, 1)]
-                sums[kind].append(np.zeros((d_b, nphi)))
-            return sums[kind]
-
-        if last is None:
-            reused = np.zeros(len(ks), dtype=bool)
-            kinds = np.zeros(len(ks), dtype=int)
-        else:
-            reused = np.isin(last.kinds, list(last.sums)) & (last.lengths == lengths)
-            kinds = last.kinds.copy()
-            for kind, carried in last.sums.items():
-                for new, old in zip(sums_of(kind), carried):
-                    new[: len(old)] = old
-        swept = ~reused
-        paired = swept.copy()  # swept chains and their offset-1, 2 partners
-        for o in (1, 2):
-            paired[o:] |= swept[:-o]
-            paired[:-o] |= swept[o:]
-        kept = {}  # chain -> (its first n_b, its gate output, their derivative)
-        for j in np.flatnonzero(paired).tolist():
-            k, s = int(ks[j]), int(lengths[j])
-            kept = {c: v for c, v in kept.items() if c >= k - 2}
-            na, nb, coupling = _chain_indices(k, s)
-            inside = min(d_a0 - na[0], d_b0 - nb[0], s)
+        # offsets 0, 1, 2, then the phase derivative of offset 1
+        corr = [np.zeros((d_a - o, ncols)) for o in (0, 1, 2, 1)]
+        marg_b_blocks = np.zeros((d_b, nphi))
+        kept = {}  # sector -> (its first n_b, its gate output, their derivative)
+        for k in range(-(d_b0 - 1), d_a0):
+            kept.pop(k - 3, None)
+            na, nb, coupling = _pair_sector_indices(d_a, d_b, k)
+            inside = min(d_a0 - na[0], d_b0 - nb[0])
             filled = base3t[na[:inside], nb[:inside]]
-            if not filled.any():  # e.g. every odd chain at alpha = 0
-                kinds[j] = _SETTLED
+            if not filled.any():  # e.g. every odd sector at alpha = 0
                 continue
+            s = len(na)
             x = np.zeros((s, 2, nphi, width), dtype=complex)  # values, then d/dphi
             np.multiply(
                 _phase_factors(na[:inside], phi_values)[:, :, None],
@@ -1000,24 +868,14 @@ class SensitivityOracle:
                 out=x[:inside, 0],
             )
             np.multiply(-1j * na[:inside, None, None], x[:inside, 0], out=x[:inside, 1])
-            # the phase-flipped squeezer
-            out, edge = _sector_exp(x.reshape(s, -1), coupling, -self.g, edge=True)
+            out = _sector_exp(x.reshape(s, -1), coupling, -self.g)  # the phase-flipped squeezer
             y, dy = out[:, :ncols], out[:, ncols:]
-            if swept[j]:
-                # the bound on the squared truncation error (``_sector_exp``)
-                # of the worst phase block, over its Kraus columns; the
-                # squared hop out of the last row is g^2 (n_a + 1)(n_b + 1)
-                hop = self.g * self.g * (na[-1] + 1.0) * (nb[-1] + 1.0)
-                bound = hop * (edge[:ncols] ** 2).reshape(nphi, width).sum(axis=1).max()
-                kinds[j] = _SETTLED if bound <= share else _AT_EDGE if s == full[j] else _SHORT
-                dens = y.real**2 + y.imag**2
-                part = sums_of(kinds[j])
-                part[0][na[0] : na[0] + s] += dens
-                part[4][nb[0] : nb[0] + s] += dens.reshape(s, nphi, width).sum(axis=2)
+            dens = y.real**2 + y.imag**2
+            corr[0][na[0] : na[0] + s] += dens
+            marg_b_blocks[nb[0] : nb[0] + s] += dens.reshape(s, nphi, width).sum(axis=2)
             for o in (1, 2):
-                if k - o not in kept or not (swept[j] or swept[j - o]):
+                if k - o not in kept:
                     continue
-                corr = sums_of(max(kinds[j], kinds[j - o]))
                 nb_lo, y_lo, dy_lo = kept[k - o]
                 lo, hi = max(nb[0], nb_lo), min(nb[0] + s, nb_lo + len(y_lo))
                 if lo < hi:
@@ -1030,48 +888,28 @@ class SensitivityOracle:
                         corr[3][rows] += da.real * b.real + da.imag * b.imag
             kept[k] = (nb[0], y, dy)
 
-        # convergence evidence: decay-scaled beyond-cutoff mass estimate of
-        # the worst phase block; the decay factor matters because heavy
-        # squeezed tails park most of the truncated mass past the top layers
-        marg_a_blocks = sum(p[0].reshape(d_a, nphi, width).sum(axis=2) for p in sums.values()).T
-        marg_b_blocks = sum(p[4] for p in sums.values()).T
-        marginals = (marg_a_blocks.mean(axis=0), marg_b_blocks.mean(axis=0))
-        tops = [float(m[:, -2:].sum(axis=1).max()) for m in (marg_a_blocks, marg_b_blocks)]
-        estimates = [top * _beyond_cutoff_factor(m) for top, m in zip(tops, marginals)]
-        diag = CutoffDiagnostics(
-            norm_deficit=float(np.abs(1.0 - marg_a_blocks.sum(axis=1)).max()),
-            top_mass_a=estimates[0],
-            top_mass_b=estimates[1],
-            tolerance=self.tail_tol,
-        )
-        # a failing tail grows the grid, and every unsettled chain then runs
-        # to its new edge; otherwise only the short unsettled ones run to the
-        # edge, and are all that the next probe sweeps
-        failing = [not e <= self.tail_tol for e in estimates]
-        if any(failing):
-            carried = (_SETTLED,)
-        elif _SHORT in sums:
-            carried = (_SETTLED, _AT_EDGE)
-        else:
-            carried = ()
-
         result = {}
         for t2 in t2_values:
-            # the read-out is linear in the correlations: sum it over kinds
-            parts = [_quadrature_moments(p[:4], t2) for p in sums.values()]
-            moments = [sum(m).reshape(nphi, width) for m in zip(*parts)]
+            moments = [v.reshape(nphi, width) for v in _quadrature_moments(corr, t2)]
             for j, phi in enumerate(phi_values):
                 result[(t2, phi)] = tuple(float(m[j].sum()) for m in moments)
 
-        sweep = _ChainSweep(lengths, kinds, {kind: sums[kind] for kind in carried if kind in sums})
-        if not carried:
-            return result, diag, None, sweep
-        grid = [
-            _predicted_dim(m, self.tail_tol, d, e) if fail else d
-            for m, d, e, fail in zip(marginals, (d_a, d_b), estimates, failing)
-        ]
-        grown = np.where(np.isin(kinds, carried), lengths, _grid_lengths(*grid, na0, nb0))
-        return result, diag, (*grid, grown), sweep
+        # convergence evidence: decay-scaled beyond-cutoff mass estimate of
+        # the worst phase block; the decay factor matters because heavy
+        # squeezed tails park most of the truncated mass past the top layers
+        marg_a_blocks = corr[0].reshape(d_a, nphi, width).sum(axis=2).T
+        marg_b_blocks = marg_b_blocks.T
+        marg_a = marg_a_blocks.mean(axis=0)
+        marg_b = marg_b_blocks.mean(axis=0)
+        diag = CutoffDiagnostics(
+            norm_deficit=float(np.abs(1.0 - marg_a_blocks.sum(axis=1)).max()),
+            top_mass_a=float(marg_a_blocks[:, -2:].sum(axis=1).max())
+            * _beyond_cutoff_factor(marg_a),
+            top_mass_b=float(marg_b_blocks[:, -2:].sum(axis=1).max())
+            * _beyond_cutoff_factor(marg_b),
+            tolerance=self.tail_tol,
+        )
+        return result, diag, (marg_a, marg_b), (diag.top_mass_a, diag.top_mass_b)
 
 
 # ---------------------------------------------------------------------------

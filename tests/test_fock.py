@@ -389,44 +389,6 @@ class TestOracleAgainstAnalyticPath:
                 assert second_fast == pytest.approx(second_lit, abs=1e-12)
                 assert slope_fast == pytest.approx(slope_lit, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.8, 0.0], ids=["alpha0.8", "alpha0-empty-sectors"])
-    def test_ragged_chains_equal_literal_density_route(self, alpha):
-        # chains cut at unequal lengths, some inside the prep state's
-        # support: the exponential of the generator restricted to the kept
-        # (n_a, n_b) levels, applied to the state restricted to them
-        g, r, t1, t2_values, phis = 0.6, 0.4, 0.75, (0.85, 1.0), (0.9, 0.4, 1.7)
-        d_a, d_b = 14, 12
-        prep = fock.prepared_state(alpha, g, r, 20, 8)[:10].copy()
-        ks, na0, nb0 = fock._chain_starts(10, 8)
-        full = fock._grid_lengths(d_a, d_b, na0, nb0)
-        lengths = np.maximum(full - np.arange(len(ks)) * 5 % 7, 1)
-        assert len(set(lengths.tolist())) > 3 and (lengths < full).any()
-        kept = np.zeros((d_a, d_b), dtype=bool)
-        for k, n0, length in zip(ks, nb0, lengths):
-            kept[n0 + k + np.arange(length), n0 + np.arange(length)] = True
-        keep = np.diag(kept.reshape(-1).astype(float))
-        a = np.kron(dense_ladder(d_a), np.eye(d_b))
-        b = np.kron(np.eye(d_a), dense_ladder(d_b))
-        u2 = expm(keep @ (-g * (a @ b) + g * (a.T @ b.T)) @ keep)  # the phase-flipped squeezer
-        n_a = np.repeat(np.arange(d_a, dtype=float), d_b)
-        eng = fock.SensitivityOracle(alpha, g, r)
-        eng.prep = prep
-        res, *_ = eng._evaluate_at_dims(t1, t2_values, phis, d_a, d_b, lengths)
-        for phi in phis:
-            psi = fock.apply_phase(np.pad(prep, ((0, d_a - 10), (0, d_b - 8))), phi)
-            rho = apply_loss(psi, KrausChannel(t1, "a")).matrix
-            drho = -1j * (n_a[:, None] * rho - rho * n_a[None, :])
-            rho, drho = (
-                FockDensityOperator(d_a, d_b, u2 @ keep @ m @ keep @ u2.conj().T) for m in (rho, drho)
-            )
-            for t2 in t2_values:
-                mean_lit, second_lit = density_quadrature_stats(apply_loss(rho, KrausChannel(t2, "a")))
-                slope_lit, _ = density_quadrature_stats(apply_loss(drho, KrausChannel(t2, "a")))
-                mean_fast, second_fast, slope_fast = res[(t2, phi)]
-                assert mean_fast == pytest.approx(mean_lit, abs=1e-13)
-                assert second_fast == pytest.approx(second_lit, abs=1e-12)
-                assert slope_fast == pytest.approx(slope_lit, abs=1e-12)
-
     def test_sector_sweep_peak_memory_is_a_few_sector_blocks(self):
         # one sector's columns at a time plus the correlations, never the
         # (dim, columns) batch of every phase and Kraus vector.  Each column
@@ -456,56 +418,8 @@ class TestOracleIsHistoryFree:
         fock.SensitivityOracle(0.0, 0.5, 0.5).quadrature_statistics(*args)
         later = fock.SensitivityOracle(0.5, 0.5, 0.5)
         second = later.quadrature_statistics(*args)
-        # the carried grid and chain lengths
-        assert later._work[:2] == alone._work[:2]
-        np.testing.assert_array_equal(later._work[2], alone._work[2])
+        assert later._work_dims == alone._work_dims
         assert second == first
-
-
-class TestChainEscalation:
-    def test_a_failed_probe_resweeps_only_the_unsettled_chains(self, monkeypatch):
-        # the start fails mode b's tail; the next probe sweeps only the
-        # chains over their error share (and the settled ones paired with
-        # them), and every settled chain keeps its length and its sums
-        probes, swept = [], []
-        evaluate, indices = fock.SensitivityOracle._evaluate_at_dims, fock._chain_indices
-
-        def recording(engine, *args):
-            swept.append([])
-            out = evaluate(engine, *args)
-            probes.append((args[3:6], out[2], out[3]))
-            return out
-
-        def chain(k, s):
-            if swept:  # the prep's squeezer runs before any probe
-                swept[-1].append(k)
-            return indices(k, s)
-
-        monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", recording)
-        monkeypatch.setattr(fock, "_chain_indices", chain)
-        eng = fock.SensitivityOracle(0.5, 1.2, 0.3)
-        args = (1.0, (1.0, 0.7), (0.8, 1.5))
-        result = eng.quadrature_statistics(*args)
-        assert len(probes) == 2
-        (first, grown, sweep), (second, accepted, _) = probes
-        assert grown is not None and accepted is None
-        assert second[0] == first[0] and second[1] > first[1]  # mode b grew
-        ks, na0, nb0 = fock._chain_starts(*eng.prep.shape)
-        settled = sweep.kinds == fock._SETTLED
-        unsettled = ks[~settled].tolist()
-        assert 0 < len(unsettled) < len(ks)
-        # settled chains keep their lengths, the others run to the new edge
-        lengths = second[2]
-        assert (lengths[settled] == first[2][settled]).all()
-        assert (lengths[settled] < fock._grid_lengths(*second[:2], na0, nb0)[settled]).any()
-        assert (lengths[~settled] == fock._grid_lengths(*second[:2], na0, nb0)[~settled]).all()
-        partners = {k + o for k in unsettled for o in (-2, -1, 1, 2)}
-        assert set(unsettled) <= set(swept[1]) <= set(unsettled) | partners
-        assert len(swept[1]) < len(ks)
-        # the reused sums give what a full sweep at those lengths gives
-        fresh, *_ = evaluate(eng, *args, *second[:2], lengths)
-        for key, values in result.items():
-            assert values == pytest.approx(fresh[key], rel=1e-12, abs=1e-14)
 
 
 class TestBlasThreadScope:
@@ -540,7 +454,7 @@ class TestBlasThreadScope:
             # an escalation that cannot converge raises out of the scope
             seen.clear()
             # a budget of exactly the carried grid: one probe, then the raise
-            eng.tail_tol, eng.max_dim = 1e-300, math.prod(eng._start_state()[:2])
+            eng.tail_tol, eng.max_dim = 1e-300, math.prod(eng._start_dims())
             with pytest.raises(NonconvergedOracleError, match="dim budget"):
                 eng.quadrature_statistics(1.0, (1.0,), (0.8,))
             assert seen and all(c == [1] * len(controls) for c in seen)

@@ -549,6 +549,30 @@ class TestCheckVerdict:
         assert code == 0
         assert stdout.splitlines()[-1].startswith("overall: PASS (")
 
+    def test_escalating_engine_passes(self, monkeypatch):
+        # the lossless group outgrows its start grid, and the lossy group
+        # starts from the grid it left
+        from su11lso import fock
+
+        probes = []
+        evaluate = fock.SensitivityOracle._evaluate_at_dims
+
+        def recording(engine, t1, t2_values, phi_values, d_a, d_b):
+            probes.append((t1, d_a, d_b))
+            return evaluate(engine, t1, t2_values, phi_values, d_a, d_b)
+
+        monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", recording)
+        code, stdout, _ = run_main(
+            "check", "--alphas", "0.5", "--gs", "1.2", "--rs", "0.3", "--ts", "1,0.7",
+            "--phis", "0.8,1.5",
+        )
+        assert code == 0
+        assert stdout.splitlines()[-1].startswith("overall: PASS (")
+        (t1_a, *start), (t1_b, *grown), (t1_c, *carried) = probes
+        assert (t1_a, t1_b, t1_c) == (1.0, 1.0, 0.7)
+        assert grown != start and all(g >= s for g, s in zip(grown, start))
+        assert carried == grown
+
     @pytest.mark.parametrize("alphas", [(0.5j,), (0.5, 1 + 1e-9j)], ids=["imaginary", "second"])
     def test_non_real_alpha_rejected_before_any_engine(self, monkeypatch, alphas):
         # cells carry alpha as a real number: 0.5j would read as alpha = 0
