@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import DEGREE_CAP, series_exp
+from .series import _ORDER, DEGREE_CAP, series_exp
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class InterferometerParams:
         return replace(self, **kw)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class WForm:
     """Quadratic + linear exponent of the moment generating function.
 
@@ -135,23 +135,31 @@ def build_w_form(params: InterferometerParams) -> WForm:
     return WForm(quadratic=quad, linear=lin)
 
 
+# position of each moment key in a table's array, in series_exp's order
+_POSITION = {key: n for n, key in enumerate(_ORDER)}
+
+
 class MomentTable:
     """Every moment of degree <= 4 of one (g, r, alpha) point.
 
     All 70 moments are built once at construction, in one pass of the
-    Isserlis recurrence (``series_exp``), so a moment is a dict lookup; a
-    key is validated only when that lookup misses.  The exponent itself
+    Isserlis recurrence (``series_exp``), and kept as one complex array in
+    the recurrence's key order, so a moment is a dict lookup of its position;
+    a key is validated only when that lookup misses.  The exponent itself
     stays available as ``w_form``.  Immutable after construction.
     """
 
+    __slots__ = ("w_form", "_moments")
+
     def __init__(self, params: InterferometerParams):
-        self.params = params
-        self.w_form = build_w_form(params)
-        self._moments = series_exp(self.w_form.linear, 2.0 * self.w_form.quadratic)
+        w = self.w_form = build_w_form(params)
+        # Python complexes in, so the recurrence converts no numpy scalars
+        moments = series_exp(w.linear.tolist(), (2.0 * w.quadratic).tolist())
+        self._moments = np.fromiter(moments.values(), complex, len(_ORDER))
 
     def moment(self, key) -> complex:
         try:
-            return self._moments[key]
+            return self._moments.item(_POSITION[key])
         except (KeyError, TypeError):  # not a hashable valid key: validate it
             pass
         key = tuple(int(k) for k in key)
@@ -159,10 +167,15 @@ class MomentTable:
             raise ValueError(f"moment key must be 4 non-negative integers, got {key!r}")
         if sum(key) > DEGREE_CAP:
             raise ValueError(f"moment order {key} exceeds degree cap {DEGREE_CAP}")
-        return self._moments[key]
+        return self._moments.item(_POSITION[key])
 
 
-@lru_cache(maxsize=512)
+# A default figure run sweeps g (figs 3, 7a, 8a, 11a) and alpha (figs 4, 7b,
+# 8b, 11b) over the same four r curves: 2 grids x 4 curves x 200 points, plus
+# the fixed points of the other presets, is 1,604 distinct (g, alpha, r).  So
+# each is built once per run, and optimal_phase's two passes over a series
+# (the quartic, then sensitivity_curve) hit for series of up to 2,048 points.
+@lru_cache(maxsize=2048)
 def _table(g: float, alpha: complex, r: float) -> MomentTable:
     return MomentTable(InterferometerParams(g=g, alpha=alpha, r=r))
 

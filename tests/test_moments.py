@@ -4,20 +4,24 @@ import cmath
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su11lso.moments import (
     InterferometerParams,
     MomentTable,
+    _table,
     build_w_form,
     moment_table,
     q_moment,
     quadrature_stats,
 )
+from su11lso.series import series_exp
+from su11lso.sweeps import FIGURE_PRESETS, figure_preset, run_sweep
 
 
 class TestParams:
@@ -135,6 +139,91 @@ class TestMoments:
         assert q_moment(p, (2, 2, 0, 0)).real == pytest.approx(
             224.2386836611047, rel=1e-11
         )
+
+
+def _bits(value) -> bytes:
+    return np.array([value], dtype=complex).tobytes()
+
+
+def _bad_key_message(key):
+    """The message a table raises for an invalid key, None for a valid one."""
+    key = tuple(key)
+    if len(key) != 4 or any(k < 0 for k in key):
+        return f"moment key must be 4 non-negative integers, got {key!r}"
+    if sum(key) > 4:
+        return f"moment order {key} exceeds degree cap 4"
+    return None
+
+
+@given(
+    g=st.floats(0, 4),
+    re_a=st.floats(-10, 10),
+    im_a=st.floats(-10, 10),
+    r=st.floats(0, 4),
+    key=st.lists(st.integers(-2, 5), max_size=6),
+)
+@example(g=0.0, re_a=0.7, im_a=-0.2, r=0.5, key=[1, 1, 0, 0])
+@example(g=0.8, re_a=0.0, im_a=0.0, r=0.5, key=[0, 0, 2, 2])
+@example(g=0.8, re_a=-0.0, im_a=0.0, r=0.5, key=[2, 2, 1, 0])
+@example(g=0.8, re_a=-0.0, im_a=-0.0, r=0.5, key=[1, 1, 0])
+@example(g=0.8, re_a=0.7, im_a=-0.2, r=0.0, key=[-1, 1, 0, 0])
+@example(g=0.0, re_a=-0.0, im_a=0.0, r=0.0, key=[0, 0, 0, 0])
+@settings(max_examples=60, deadline=None)
+def test_compact_table_keeps_every_bit(g, re_a, im_a, r, key):
+    """Each of the 70 moments is a Python complex with the bits of the
+    recurrence run on the numpy exponent; any key a table rejects, it rejects
+    with the message a dict-backed table gave."""
+    tab = MomentTable(InterferometerParams(g=g, alpha=complex(re_a, im_a), r=r))
+    ref = series_exp(tab.w_form.linear, 2.0 * tab.w_form.quadratic)
+    assert len(ref) == 70
+    for k, value in ref.items():
+        got = tab.moment(k)
+        assert type(got) is complex and _bits(got) == _bits(value), k
+    message = _bad_key_message(key)
+    if message is None:
+        assert _bits(tab.moment(key)) == _bits(ref[tuple(key)])
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tab.moment(key)
+
+
+class TestTableCache:
+    """A figure run builds each distinct (g, alpha, r) once, and the cache
+    holds a whole run without growing the process much."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["sorted", "reversed"])
+    def test_figure_run_builds_each_distinct_point_once(self, reverse):
+        # the g grid and the alpha grid, 4 r curves of 200 points each, plus
+        # the fixed points of the other presets
+        _table.cache_clear()
+        for name in sorted(FIGURE_PRESETS, reverse=reverse):
+            run_sweep(figure_preset(name))
+        assert _table.cache_info().misses == 1604
+
+    def test_long_series_reads_each_table_once(self):
+        # optimal_phase reads a series twice (the quartic, then
+        # sensitivity_curve); 513 points per series over 4 curves fit
+        _table.cache_clear()
+        run_sweep(figure_preset("fig3", points=513))
+        info = _table.cache_info()
+        assert (info.misses, info.hits) == (2052, 2052)
+
+    def test_table_footprint(self):
+        rng = np.random.default_rng(11)
+        points = [
+            InterferometerParams(
+                g=rng.uniform(0, 2), alpha=complex(*rng.uniform(-2, 2, 2)), r=rng.uniform(0, 2)
+            )
+            for _ in range(200)
+        ]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tables = [MomentTable(p) for p in points]
+            per_table = (tracemalloc.get_traced_memory()[0] - before) / len(tables)
+        finally:
+            tracemalloc.stop()
+        assert per_table <= 2500, per_table
 
 
 GRID = [
