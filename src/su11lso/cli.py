@@ -119,12 +119,13 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="cross-validate analytic path against the Fock oracle")
     p_check.set_defaults(run=_cmd_check)
-    p_check.add_argument("--tolerance", type=float, default=1e-6)
-    p_check.add_argument("--alphas", default="0,0.5,1")
-    p_check.add_argument("--gs", default="0,0.5,1")
-    p_check.add_argument("--rs", default="0,0.5,1")
-    p_check.add_argument("--ts", default="1,0.7", help="transmittance values; all pairs are checked")
-    p_check.add_argument("--phis", default="0.3,0.8,1.5")
+    # an omitted flag keeps run_cross_check's own default: the acceptance grid
+    p_check.add_argument("--tolerance", type=float)
+    p_check.add_argument("--alphas")
+    p_check.add_argument("--gs")
+    p_check.add_argument("--rs")
+    p_check.add_argument("--ts", help="transmittance values; all pairs are checked")
+    p_check.add_argument("--phis")
     p_check.add_argument("--max-dim", type=int, help="cells d_a * d_b per oracle work grid")
     parser.sub_map = (p_point, p_sweep, p_fig, p_check)
     return parser
@@ -184,19 +185,18 @@ def _cmd_figure(args) -> int:
 
 def _cmd_check(args) -> int:
     # the oracle loads scipy, which the analytic subcommands never need
-    from .crosscheck import DEFAULT_MAX_DIM, run_cross_check
+    from .crosscheck import run_cross_check
 
-    ts = _float_list(args.ts)
-    result = run_cross_check(
-        alphas=_float_list(args.alphas),
-        gs=_float_list(args.gs),
-        rs=_float_list(args.rs),
-        t_pairs=tuple((t1, t2) for t1 in ts for t2 in ts),
-        phis=_float_list(args.phis),
-        rel_tol=args.tolerance,
-        max_dim=DEFAULT_MAX_DIM if args.max_dim is None else args.max_dim,
-        progress=_report_group,
-    )
+    lists = ("alphas", "gs", "rs", "phis")
+    kwargs = {k: _float_list(getattr(args, k)) for k in lists if getattr(args, k) is not None}
+    if args.ts is not None:
+        ts = _float_list(args.ts)
+        kwargs["t_pairs"] = tuple((t1, t2) for t1 in ts for t2 in ts)
+    if args.tolerance is not None:
+        kwargs["rel_tol"] = args.tolerance
+    if args.max_dim is not None:
+        kwargs["max_dim"] = args.max_dim
+    result = run_cross_check(**kwargs, progress=_report_group)
     print("\n".join(result.summary_lines()))
     return EXIT_OK if result.passed else EXIT_NONCONVERGED
 

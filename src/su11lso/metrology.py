@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .moments import InterferometerParams, moment_table, quadrature_stats, trig_coefficients
+from .moments import _homodyne
 
 SLOPE_FLOOR = 1e-12
 
@@ -34,7 +35,6 @@ PHASE_BRACKET = (1e-3, math.pi - 1e-3)
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    params: InterferometerParams
     delta_phi: float
     mean: float
     variance: float
@@ -73,11 +73,7 @@ def phase_sensitivity(params: InterferometerParams) -> SensitivityReport:
         )
     delta = math.sqrt(max(stats.variance, 0.0)) / abs(stats.dmean_dphi)
     return SensitivityReport(
-        params=params,
-        delta_phi=delta,
-        mean=stats.mean,
-        variance=stats.variance,
-        dmean_dphi=stats.dmean_dphi,
+        delta_phi=delta, mean=stats.mean, variance=stats.variance, dmean_dphi=stats.dmean_dphi
     )
 
 
@@ -161,14 +157,9 @@ def qfi_lossy(params: InterferometerParams, eta: float) -> LossyQfiReport:
     return LossyQfiReport(eta=eta, fisher_lossy=fl, qcrb_lossy=qcrb)
 
 
-def _harmonics(params) -> tuple[np.ndarray, ...]:
-    """(m1, v0, v1, v2) of ``trig_coefficients``: scalars for one point, (n, 1) for n."""
-    if isinstance(params, InterferometerParams):
-        c = np.array(trig_coefficients(params))
-    else:
-        c = np.array([trig_coefficients(p) for p in params], dtype=complex).reshape(-1, 5)
-        c = c.T[:, :, None]
-    return c[1], c[2].real, c[3], c[4]
+def _harmonics(points) -> np.ndarray:
+    """The ``trig_coefficients`` (m0, m1, v0, v1, v2) of n points, as a (5, n) array."""
+    return np.array([trig_coefficients(p) for p in points], dtype=complex).reshape(-1, 5).T
 
 
 def sensitivity_curve(params, phis) -> np.ndarray:
@@ -177,13 +168,13 @@ def sensitivity_curve(params, phis) -> np.ndarray:
     ``params`` is one point, evaluated at every phase of ``phis``, or a
     sequence of n points, for which ``phis`` broadcasts against shape (n, 1):
     row i of the result is point i at ``phis`` (shape (k,)) or at ``phis[i]``
-    (shape (n, k)).  One array evaluation of the phase harmonics of
-    ``trig_coefficients``.
+    (shape (n, k)).  One array evaluation of ``quadrature_stats``' arithmetic,
+    so a phase of the grid gives ``phase_sensitivity``'s delta-phi bit for bit.
     """
-    m1, v0, v1, v2 = _harmonics(params)
-    z = np.exp(1j * np.asarray(phis, dtype=float))
-    slope = 2.0 * np.abs((m1 * z).imag)
-    variance = v0 + 2.0 * (v1 * z + v2 * z * z).real
+    single = isinstance(params, InterferometerParams)  # a batch of one, as scalars
+    harmonics = _harmonics([params])[:, 0] if single else _harmonics(params)[:, :, None]
+    _, variance, slope = _homodyne(*harmonics, np.exp(1j * np.asarray(phis, dtype=float)))
+    slope = np.abs(slope)
     out = np.full(slope.shape, np.inf)
     ok = slope >= SLOPE_FLOOR
     out[ok] = np.sqrt(np.maximum(variance[ok], 0.0)) / slope[ok]
@@ -235,7 +226,7 @@ def optimal_phase(params):
     single = isinstance(params, InterferometerParams)
     points = [params] if single else list(params)
     lo, hi = PHASE_BRACKET
-    m1, v0, v1, v2 = (c[:, 0] for c in _harmonics(points))
+    _, m1, v0, v1, v2 = _harmonics(points)
     mc = m1.conjugate()
     # the five products of two complex harmonics, from real parts: numpy's
     # complex multiply fuses multiply-adds where the CPU has them, so its

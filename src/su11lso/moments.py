@@ -182,7 +182,8 @@ def _table(g: float, alpha: complex, r: float) -> MomentTable:
 
 def moment_table(params: InterferometerParams) -> MomentTable:
     """Memoized moment table; phi, t1, t2 are irrelevant to the moments."""
-    return _table(float(params.g), complex(params.alpha), float(params.r))
+    # -0.0 keys as +0.0: they hash alike, and the table must not depend on call order
+    return _table(float(params.g) + 0.0, complex(params.alpha) + 0j, float(params.r) + 0.0)
 
 
 def q_moment(params: InterferometerParams, key) -> complex:
@@ -225,6 +226,22 @@ def trig_coefficients(
     return coeffs
 
 
+def _homodyne(m0, m1, v0, v1, v2, z):
+    """(<X>, Var X, d<X>/dphi) from ``trig_coefficients`` at z = e^{i phi}.
+
+    Complex products are written out in Python's real arithmetic and operand
+    order, so numbers and numpy arrays (whose complex multiply may fuse
+    multiply-adds) give the same bits.  Callers take z from exp(1j phi), not
+    cos/sin, which give z.imag = -0.0 at phi = -0.0 and can flip a zero slope.
+    """
+    zr, zi = z.real, z.imag
+    v2z_r = v2.real * zr - v2.imag * zi
+    v2z_i = v2.real * zi + v2.imag * zr
+    mean = m0.real + 2.0 * (m1.real * zr - m1.imag * zi)
+    variance = v0.real + 2.0 * ((v1.real * zr - v1.imag * zi) + (v2z_r * zr - v2z_i * zi))
+    return mean, variance, -2.0 * (m1.real * zi + m1.imag * zr)
+
+
 @dataclass(frozen=True)
 class QuadratureStats:
     """Homodyne statistics of X = a' + a at the output port."""
@@ -237,14 +254,6 @@ class QuadratureStats:
 
 def quadrature_stats(params: InterferometerParams) -> QuadratureStats:
     """Mean, second moment, variance and exact phase slope of X = a' + a."""
-    m0, m1, v0, v1, v2 = trig_coefficients(params)
-    z = cmath.exp(1j * params.phi)
-    mean = m0 + 2.0 * (m1 * z).real
-    variance = v0 + 2.0 * (v1 * z + v2 * z * z).real
-    return QuadratureStats(
-        mean=mean,
-        second_moment=variance + mean * mean,
-        variance=variance,
-        dmean_dphi=-2.0 * (m1 * z).imag,
-    )
+    mean, variance, slope = _homodyne(*trig_coefficients(params), cmath.exp(1j * params.phi))
+    return QuadratureStats(mean, variance + mean * mean, variance, slope)
 

@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +220,38 @@ def _random_lossy_points(count, seed):
 class TestExactOptimum:
     POINTS = _random_lossy_points(300, seed=11)
 
+    def test_optimum_is_phase_sensitivity_at_phi_opt(self):
+        # delta_phi_min and delta_phi come from the same arithmetic
+        points = _random_lossy_points(1000, seed=24)
+        for p, res in zip(points, optimal_phase(points)):
+            report = phase_sensitivity(p.replace(phi=res.phi_opt))
+            assert res.delta_phi_min == report.delta_phi, p
+
+    def test_curve_does_not_depend_on_numpy_cpu_dispatch(self):
+        umath = (getattr(np, "_core", None) or np.core)._multiarray_umath  # numpy 2 or 1
+        dispatch = getattr(umath, "__cpu_dispatch__", [])
+        if not dispatch:
+            pytest.skip("numpy dispatches no CPU-specific kernels here")
+        script = (
+            "import math, random, sys, numpy as np\n"
+            "from su11lso.metrology import sensitivity_curve\n"
+            "from su11lso.moments import InterferometerParams\n"
+            "u = random.Random(5).uniform\n"
+            "points = [InterferometerParams(g=u(0, 1.5), alpha=complex(u(-2, 2), u(-2, 2)),\n"
+            "          r=u(0, 1.2), t1=u(0.2, 1), t2=u(0.2, 1)) for _ in range(500)]\n"
+            "curve = sensitivity_curve(points, np.linspace(0, math.pi, 12))\n"
+            "sys.stdout.write(curve.tobytes().hex())\n"
+        )
+        base = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        out = []
+        for env in (base, dict(base, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch))):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
+
     def test_no_worse_than_dense_grid(self):
         for p in self.POINTS:
             res = optimal_phase(p)
@@ -322,6 +357,9 @@ class TestBatchOptimum:
         assert batch.shape == (20, 7)
         for p, row in zip(points, batch):
             assert np.array_equal(row, sensitivity_curve(p, phis))
+            # a scalar phase gives a scalar, the row's bits at that phase
+            one = sensitivity_curve(p, phis[2])
+            assert np.shape(one) == () and one.tobytes() == row[2].tobytes()
 
     @pytest.mark.parametrize(
         "variable, start, shapes",

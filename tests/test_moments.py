@@ -208,6 +208,27 @@ class TestTableCache:
         info = _table.cache_info()
         assert (info.misses, info.hits) == (2052, 2052)
 
+    @pytest.mark.parametrize(
+        "g, alpha, r", [(0.5, -0.0, 0.2), (-0.0, -0.0 - 0.0j, 0.3), (0.4, 1.0, -0.0)]
+    )
+    def test_signed_zero_table_does_not_depend_on_call_order(self, g, alpha, r):
+        # -0.0 and +0.0 share a cache entry; whichever sign runs first must
+        # not decide the table the other gets
+        signed = InterferometerParams(g=g, alpha=alpha, r=r)
+        plain = InterferometerParams(g=g + 0.0, alpha=complex(alpha) + 0j, r=r + 0.0)
+        tables = []
+        for order in ((signed,), (plain, signed)):
+            _table.cache_clear()
+            for p in order:
+                tab = moment_table(p)
+            tables.append(tab._moments.tobytes())
+        assert tables[0] == tables[1]
+        _table.cache_clear()
+        first = repr(q_moment(signed, (0, 0, 0, 1)))
+        _table.cache_clear()
+        q_moment(plain, (0, 0, 0, 1))
+        assert repr(q_moment(signed, (0, 0, 0, 1))) == first
+
     def test_table_footprint(self):
         rng = np.random.default_rng(11)
         points = [

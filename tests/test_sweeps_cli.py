@@ -1,6 +1,7 @@
 """Sweep engine, figure presets, output formats, and the CLI surface."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -386,6 +387,25 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "PASS" in proc.stdout
+
+    def test_bare_check_runs_the_cross_check_defaults(self, monkeypatch):
+        # the default grid has one definition, run_cross_check's signature
+        signature = inspect.signature(crosscheck.run_cross_check)
+        calls = []
+
+        def recording(**kwargs):
+            bound = signature.bind(**kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return CrossCheckResult(tolerance=bound.arguments["rel_tol"])
+
+        monkeypatch.setattr(crosscheck, "run_cross_check", recording)
+        code, stdout, err = run_main("check")
+        assert code == 0 and "PASS" in stdout, err
+        (used,) = calls
+        for name, param in signature.parameters.items():
+            if name != "progress":  # DEFAULT_ALPHAS, ..., DEFAULT_MAX_DIM, rel_tol
+                assert used[name] is param.default, name
 
     def test_check_zero_tolerance_fails(self):
         proc = run_cli(
