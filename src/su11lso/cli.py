@@ -34,7 +34,7 @@ from .sweeps import (
     SWEEP_VARIABLES,
     SweepSeries,
     SweepSpec,
-    _evaluate_quantities,
+    _evaluate_series,
     figure_preset,
     json_value,
     point_row,
@@ -152,8 +152,10 @@ def _cmd_point(args) -> int:
         print(f"unknown quantities: {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
     params = _params(args)
-    values, flags = _evaluate_quantities(params, args.eta, quantities)
+    cells, flags = _evaluate_series([params], [args.eta], quantities)
+    values = {q: cells[q][0] for q in quantities}
     payload = {k: json_value(v) for k, v in point_row(params, args.eta, values).items()}
+    flags = flags[0].split(";") if flags[0] else []
     payload["flags"] = flags
     print(json.dumps(payload, allow_nan=False))
     if "divergent" in flags or "degenerate" in flags:

@@ -14,6 +14,17 @@ the phase of best sensitivity is exact: every stationary point of
 Var X / (d<X>/dphi)^2 is the angle of a root of one quartic in e^{i phi},
 which also covers the several stationary points the sensitivity curve
 develops at strong squeezing.
+
+Every function takes one ``InterferometerParams`` or a sequence of them.
+One point is evaluated on Python numbers: it returns floats and raises
+``DivergentSensitivityError`` or ``DegenerateConfigurationError`` where the
+quantity is undefined.  A sequence of n points is evaluated in one array
+pass, each point to its single-point bits.  It returns the same report with
+(n,) array fields, and ``sql_hl`` returns (sql, hl, status); in place of
+those errors ``status`` reads "divergent" or "degenerate" (else "ok") and
+the undefined fields read nan.  ``optimal_phase`` returns one result per
+point instead.  A sequence's ValueError (overflow) is the one its first
+failing point raises alone.
 """
 
 from __future__ import annotations
@@ -24,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, DivergentSensitivityError
-from .moments import InterferometerParams, moment_table, quadrature_stats, trig_coefficients
-from .moments import _homodyne
+from .moments import InterferometerParams, quadrature_stats, trig_coefficients
+from .moments import _check_finite, _exponent_of, _homodyne, _raise_first_point, _re_product
 
 SLOPE_FLOOR = 1e-12
 
@@ -39,6 +50,7 @@ class SensitivityReport:
     mean: float
     variance: float
     dmean_dphi: float
+    status: str = "ok"
 
 
 @dataclass(frozen=True)
@@ -48,6 +60,7 @@ class QfiReport:
     hl: float
     fisher: float
     qcrb: float
+    status: str = "ok"
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,7 @@ class LossyQfiReport:
     eta: float
     fisher_lossy: float
     qcrb_lossy: float
+    status: str = "ok"
 
 
 @dataclass(frozen=True)
@@ -63,44 +77,76 @@ class OptimalPhaseResult:
     delta_phi_min: float
 
 
-def phase_sensitivity(params: InterferometerParams) -> SensitivityReport:
-    """Error-propagation sensitivity sqrt(Var X) / |d<X>/dphi| at the output."""
+def _status(flagged: np.ndarray, word: str) -> np.ndarray:
+    """Per-point status of a sequence: ``word`` where flagged, else "ok"."""
+    return np.where(flagged, word, "ok")
+
+
+def phase_sensitivity(params) -> SensitivityReport:
+    """Error-propagation sensitivity sqrt(Var X) / |d<X>/dphi| at the output.
+
+    A sequence of points gives (n,) arrays with status "divergent" (and
+    delta_phi nan) where the slope is below SLOPE_FLOOR; one point raises
+    ``DivergentSensitivityError`` there.
+    """
     stats = quadrature_stats(params)
-    if abs(stats.dmean_dphi) < SLOPE_FLOOR:
-        raise DivergentSensitivityError(
-            f"|d<X>/dphi| = {abs(stats.dmean_dphi):.2e} below {SLOPE_FLOOR}: "
-            "no phase information at this operating point"
-        )
-    delta = math.sqrt(max(stats.variance, 0.0)) / abs(stats.dmean_dphi)
+    slope = abs(stats.dmean_dphi)
+    if isinstance(params, InterferometerParams):
+        if slope < SLOPE_FLOOR:
+            raise DivergentSensitivityError(
+                f"|d<X>/dphi| = {slope:.2e} below {SLOPE_FLOOR}: "
+                "no phase information at this operating point"
+            )
+        delta = math.sqrt(max(stats.variance, 0.0)) / slope
+        return SensitivityReport(delta, stats.mean, stats.variance, stats.dmean_dphi)
+    divergent = slope < SLOPE_FLOOR
+    delta = np.full(slope.shape, np.nan)
+    np.divide(np.sqrt(np.maximum(stats.variance, 0.0)), slope, out=delta, where=~divergent)
     return SensitivityReport(
-        delta_phi=delta, mean=stats.mean, variance=stats.variance, dmean_dphi=stats.dmean_dphi
+        delta, stats.mean, stats.variance, stats.dmean_dphi, _status(divergent, "divergent")
     )
 
 
-def _require_finite(name: str, value: float, params: InterferometerParams) -> float:
-    if not math.isfinite(value):
-        raise ValueError(
-            f"{name} overflows at g={params.g:g}, alpha={complex(params.alpha):g}, r={params.r:g}"
-        )
-    return value
+def _mode_a_number(e):
+    """<n_a> = Re Q1100 = Re(l0 l1) + P01, in the pairing order of ``series_exp``."""
+    return _re_product(e.l0, e.l1) + e.p01
 
 
-def total_photon_number(params: InterferometerParams) -> float:
-    """Mean photon number of the internal state, N = Q1100 + Q0011."""
-    tab = moment_table(params)
-    n = tab.moment((1, 1, 0, 0)) + tab.moment((0, 0, 1, 1))
-    return _require_finite("photon number N", float(n.real), params)
+def total_photon_number(params):
+    """Mean photon number of the internal state, N = Q1100 + Q0011.
+
+    A sequence of points gives an (n,) array.
+    """
+    try:
+        e = _exponent_of(params)
+        n = _mode_a_number(e) + (_re_product(e.l2, e.l3) + e.p23)
+        _check_finite("photon number N overflows", (n,), params)
+    except ValueError:
+        _raise_first_point(total_photon_number, params)
+        raise
+    return n
 
 
-def sql_hl(params: InterferometerParams) -> tuple[float, float]:
-    """(1/sqrt(N), 1/N) benchmarks from the ideal internal photon number."""
+def sql_hl(params):
+    """(1/sqrt(N), 1/N) benchmarks from the ideal internal photon number.
+
+    A sequence of points gives (sql, hl, status) with (n,) arrays, status
+    "degenerate" (and nan benchmarks) where one point raises
+    ``DegenerateConfigurationError``.
+    """
     n = total_photon_number(params)
-    if n <= 0.0 or not math.isfinite(1.0 / n):
-        raise DegenerateConfigurationError(f"benchmarks undefined at N = {n:g}")
-    return 1.0 / math.sqrt(n), 1.0 / n
+    if isinstance(params, InterferometerParams):
+        if n <= 0.0 or not math.isfinite(1.0 / n):
+            raise DegenerateConfigurationError(f"benchmarks undefined at N = {n:g}")
+        return 1.0 / math.sqrt(n), 1.0 / n
+    with np.errstate(divide="ignore"):
+        hl = 1.0 / n
+    degenerate = ~((n > 0.0) & np.isfinite(hl))
+    n = np.where(degenerate, np.nan, n)
+    return 1.0 / np.sqrt(n), np.where(degenerate, np.nan, hl), _status(degenerate, "degenerate")
 
 
-def qfi_ideal(params: InterferometerParams) -> QfiReport:
+def qfi_ideal(params) -> QfiReport:
     """Pure-state Fisher information and the associated bounds.
 
     F = 4 Var(n_a) of the internal state, in connected form from the
@@ -108,58 +154,91 @@ def qfi_ideal(params: InterferometerParams) -> QfiReport:
     Var n_a = P01 (P01 + 1) + P00 P11 + P00 l1^2 + P11 l0^2 + (2 P01 + 1) l0 l1,
     which is Q2200 + Q1100 - Q1100^2 with the O(|alpha|^4) terms cancelled
     exactly.  The Cramer-Rao bound uses a single measurement (v = 1).
+
+    A sequence of points gives (n,) arrays with status "degenerate" (and nan
+    in every field but N) where one point raises
+    ``DegenerateConfigurationError``.
     """
-    w = moment_table(params).w_form
-    pair, (l0, l1) = 2.0 * w.quadratic, w.linear[:2]
-    p00, p01, p11 = pair[0, 0], pair[0, 1], pair[1, 1]
-    var_na = (
-        p01 * (p01 + 1.0) + p00 * p11 + p00 * l1 * l1 + p11 * l0 * l0
-        + (2.0 * p01 + 1.0) * l0 * l1
-    )
-    fisher = _require_finite("Fisher information", 4.0 * float(var_na.real), params)
-    if fisher <= 0.0:
-        raise DegenerateConfigurationError(
-            f"Fisher information {fisher:.3e} <= 0: vacuum-degenerate configuration"
+    try:
+        e = _exponent_of(params)
+        var_na = (
+            e.p01 * (e.p01 + 1.0) + e.p00 * e.p11 + _re_product(e.p00 * e.l1, e.l1)
+            + _re_product(e.p11 * e.l0, e.l0) + _re_product((2.0 * e.p01 + 1.0) * e.l0, e.l1)
         )
-    n = total_photon_number(params)
-    sql, hl = sql_hl(params)
-    return QfiReport(
-        n_total=n,
-        sql=sql,
-        hl=hl,
-        fisher=fisher,
-        qcrb=1.0 / math.sqrt(fisher),
-    )
+        fisher = 4.0 * var_na
+        _check_finite("Fisher information overflows", (fisher,), params)
+        if isinstance(params, InterferometerParams):
+            if fisher <= 0.0:
+                raise DegenerateConfigurationError(
+                    f"Fisher information {fisher:.3e} <= 0: vacuum-degenerate configuration"
+                )
+            n = total_photon_number(params)
+            sql, hl = sql_hl(params)
+            return QfiReport(n, sql, hl, fisher, 1.0 / math.sqrt(fisher))
+        # F <= 0 only in the vacuum, whose N = 0 cannot overflow, so N is
+        # read at every point
+        n = total_photon_number(params)
+        sql, hl, status = sql_hl(params)
+    except ValueError:
+        _raise_first_point(qfi_ideal, params)
+        raise
+    degenerate = (fisher <= 0.0) | (status != "ok")
+    sql, hl, fisher = (np.where(degenerate, np.nan, v) for v in (sql, hl, fisher))
+    return QfiReport(n, sql, hl, fisher, 1.0 / np.sqrt(fisher), _status(degenerate, "degenerate"))
 
 
-def qfi_lossy(params: InterferometerParams, eta: float) -> LossyQfiReport:
+def _lossy_fisher(fisher, eta, n_a):
+    return 4.0 * fisher * eta * n_a / ((1.0 - eta) * fisher + 4.0 * eta * n_a)
+
+
+def qfi_lossy(params, eta) -> LossyQfiReport:
     """Optimized lossy Fisher information F_L and its Cramer-Rao bound.
 
     F_L = 4 F eta <n_a> / ((1 - eta) F + 4 eta <n_a>); the eta = 0 and
     eta = 1 limits are returned exactly, and a vanishing F_L reports an
     unbounded phase uncertainty.
+
+    A sequence of points takes one eta or one per point and gives (n,)
+    arrays with status "degenerate" (and nan F_L) where one point raises
+    ``DegenerateConfigurationError``.
     """
-    if not 0.0 <= eta <= 1.0:  # false for NaN too
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    tab = moment_table(params)
-    n_a = tab.moment((1, 1, 0, 0)).real
-    fisher = qfi_ideal(params).fisher
-    if n_a <= 0.0 and fisher <= 0.0:
-        raise DegenerateConfigurationError("lossy Fisher information undefined for vacuum")
-    if eta == 1.0:
-        fl = fisher
-    elif eta == 0.0:
-        fl = 0.0
-    else:
-        fl = 4.0 * fisher * eta * n_a / ((1.0 - eta) * fisher + 4.0 * eta * n_a)
-        _require_finite("lossy Fisher information", fl, params)
-    qcrb = math.inf if fl == 0.0 else 1.0 / math.sqrt(fl)
-    return LossyQfiReport(eta=eta, fisher_lossy=fl, qcrb_lossy=qcrb)
-
-
-def _harmonics(points) -> np.ndarray:
-    """The ``trig_coefficients`` (m0, m1, v0, v1, v2) of n points, as a (5, n) array."""
-    return np.array([trig_coefficients(p) for p in points], dtype=complex).reshape(-1, 5).T
+    single = isinstance(params, InterferometerParams)
+    if not single:
+        eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(params),))
+    try:
+        if single:
+            if not 0.0 <= eta <= 1.0:  # false for NaN too
+                raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        else:
+            outside = ~((0.0 <= eta) & (eta <= 1.0))
+            if outside.any():
+                raise ValueError(f"eta must lie in [0, 1], got {eta[outside][0]}")
+        n_a = _mode_a_number(_exponent_of(params))
+        report = qfi_ideal(params)
+        fisher = report.fisher
+        if single:
+            if eta == 1.0:
+                fl = fisher
+            elif eta == 0.0:
+                fl = 0.0
+            else:
+                fl = _lossy_fisher(fisher, eta, n_a)
+                _check_finite("lossy Fisher information overflows", (fl,), params)
+            qcrb = math.inf if fl == 0.0 else 1.0 / math.sqrt(fl)
+            return LossyQfiReport(eta, fl, qcrb)
+        ok = report.status == "ok"
+        between = ok & (eta != 1.0) & (eta != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fl = _lossy_fisher(fisher, eta, n_a)
+        _check_finite("lossy Fisher information overflows", (np.where(between, fl, 0.0),), params)
+    except ValueError:
+        _raise_first_point(qfi_lossy, params, eta)
+        raise
+    # fisher is nan where the status is not ok
+    fl = np.where(between, fl, np.where(ok & (eta == 0.0), 0.0, fisher))
+    with np.errstate(divide="ignore"):
+        qcrb = 1.0 / np.sqrt(fl)
+    return LossyQfiReport(eta, fl, qcrb, report.status)
 
 
 def sensitivity_curve(params, phis) -> np.ndarray:
@@ -171,8 +250,9 @@ def sensitivity_curve(params, phis) -> np.ndarray:
     (shape (n, k)).  One array evaluation of ``quadrature_stats``' arithmetic,
     so a phase of the grid gives ``phase_sensitivity``'s delta-phi bit for bit.
     """
-    single = isinstance(params, InterferometerParams)  # a batch of one, as scalars
-    harmonics = _harmonics([params])[:, 0] if single else _harmonics(params)[:, :, None]
+    harmonics = trig_coefficients(params)
+    if not isinstance(params, InterferometerParams):
+        harmonics = [h[:, None] for h in harmonics]
     _, variance, slope = _homodyne(*harmonics, np.exp(1j * np.asarray(phis, dtype=float)))
     slope = np.abs(slope)
     out = np.full(slope.shape, np.inf)
@@ -226,7 +306,7 @@ def optimal_phase(params):
     single = isinstance(params, InterferometerParams)
     points = [params] if single else list(params)
     lo, hi = PHASE_BRACKET
-    _, m1, v0, v1, v2 = _harmonics(points)
+    _, m1, v0, v1, v2 = trig_coefficients(points)
     mc = m1.conjugate()
     # the five products of two complex harmonics, from real parts: numpy's
     # complex multiply fuses multiply-adds where the CPU has them, so its

@@ -26,9 +26,11 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .series import _ORDER, DEGREE_CAP, series_exp
 
 
@@ -139,6 +141,30 @@ def build_w_form(params: InterferometerParams) -> WForm:
 _POSITION = {key: n for n, key in enumerate(_ORDER)}
 
 
+class _Exponent(NamedTuple):
+    """The exponent's linear part l_i and the entries p_ij of its pair part
+    P = 2 quadratic that the closed forms read (P is real).
+
+    Python numbers for one point; (n,) arrays for a sequence of n points.
+    """
+
+    l0: complex
+    l1: complex
+    l2: complex
+    l3: complex
+    p00: float
+    p01: float
+    p02: float
+    p03: float
+    p11: float
+    p22: float
+    p23: float
+    p33: float
+
+
+_PAIR_ENTRIES = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (2, 3), (3, 3))
+
+
 class MomentTable:
     """Every moment of degree <= 4 of one (g, r, alpha) point.
 
@@ -146,16 +172,18 @@ class MomentTable:
     Isserlis recurrence (``series_exp``), and kept as one complex array in
     the recurrence's key order, so a moment is a dict lookup of its position;
     a key is validated only when that lookup misses.  The exponent itself
-    stays available as ``w_form``.  Immutable after construction.
+    stays available as ``w_form``, and its entries as Python numbers for the
+    closed forms.  Immutable after construction.
     """
 
-    __slots__ = ("w_form", "_moments")
+    __slots__ = ("w_form", "_exponent", "_moments")
 
     def __init__(self, params: InterferometerParams):
         w = self.w_form = build_w_form(params)
         # Python complexes in, so the recurrence converts no numpy scalars
-        moments = series_exp(w.linear.tolist(), (2.0 * w.quadratic).tolist())
-        self._moments = np.fromiter(moments.values(), complex, len(_ORDER))
+        lin, pair = w.linear.tolist(), (2.0 * w.quadratic).tolist()
+        self._moments = np.fromiter(series_exp(lin, pair).values(), complex, len(_ORDER))
+        self._exponent = _Exponent(*lin, *(pair[i][j].real for i, j in _PAIR_ENTRIES))
 
     def moment(self, key) -> complex:
         try:
@@ -191,9 +219,87 @@ def q_moment(params: InterferometerParams, key) -> complex:
     return moment_table(params).moment(key)
 
 
-def trig_coefficients(
-    params: InterferometerParams,
-) -> tuple[float, complex, float, complex, complex]:
+def _exponent_of(params) -> _Exponent:
+    """The exponent entries of one point, or of a sequence as (n,) arrays.
+
+    A sequence reads each point's cached table.
+    """
+    if isinstance(params, InterferometerParams):
+        return moment_table(params)._exponent
+    forms = [moment_table(p).w_form for p in params]
+    lin = np.array([w.linear for w in forms], dtype=complex).reshape(-1, 4)
+    quad = np.array([w.quadratic for w in forms], dtype=complex).reshape(-1, 4, 4)
+    pair = 2.0 * quad.real
+    return _Exponent(*lin.T, *(pair[:, i, j] for i, j in _PAIR_ENTRIES))
+
+
+def _re_product(a, b):
+    """Re(a b) of complex numbers or arrays, without fused multiply-adds.
+
+    numpy's complex multiply fuses them where the CPU has them, which moves
+    the last bit of a general product.  A real times a complex keeps its
+    value, since one of its two partial products is an exact zero; only the
+    sign of a zero part may differ (``_scaled`` keeps that too).
+    """
+    return a.real * b.real - a.imag * b.imag
+
+
+def _scaled(c, z):
+    """c z for real c, as Python multiplies complex(c, 0) by z, for numbers or arrays.
+
+    numpy's complex multiply can give a zero part of the product the other sign.
+    """
+    re = c * z.real - 0.0 * z.imag
+    im = c * z.imag + 0.0 * z.real
+    if isinstance(re, float):
+        return complex(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _check_finite(what, values, params) -> None:
+    """Raise ValueError naming the first point at which one of ``values`` is not finite."""
+    if isinstance(params, InterferometerParams):
+        if all(map(cmath.isfinite, values)):
+            return
+        point = params
+    else:
+        finite = np.logical_and.reduce([np.isfinite(v) for v in values])
+        if finite.all():
+            return
+        point = params[int(np.argmin(finite))]
+    raise ValueError(
+        f"{what} at g={point.g:g}, alpha={complex(point.alpha):g}, r={point.r:g}"
+    )
+
+
+def _raise_first_point(fn, params, *args) -> None:
+    """Raise the ValueError that a failed sequence call's first failing point
+    raises alone.
+
+    A sequence call runs each check over every point before the next check,
+    so its own ValueError can name a later point.  ``args`` hold one value
+    per point; one point, or none that fails alone, returns.
+    """
+    if isinstance(params, InterferometerParams):
+        return
+    for point, *point_args in zip(params, *args):
+        try:
+            fn(point, *point_args)
+        except (DivergentSensitivityError, DegenerateConfigurationError):
+            pass
+
+
+def _amplitudes(params: InterferometerParams) -> tuple[float, float]:
+    """Weights sqrt(t1 t2) cosh g of a and sqrt(t2) sinh g of b' in the output mode."""
+    return (
+        math.sqrt(params.t1 * params.t2) * math.cosh(params.g),
+        math.sqrt(params.t2) * math.sinh(params.g),
+    )
+
+
+def trig_coefficients(params):
     """Phase harmonics (m0, m1, v0, v1, v2) of X = a' + a at the output port.
 
     With z = e^{i phi}: <X> = m0 + 2 Re(m1 z), d<X>/dphi = -2 Im(m1 z) and
@@ -202,27 +308,33 @@ def trig_coefficients(
     connected pair parts 2 quadratic[i, j], so the variance never cancels
     against <X>^2 and does not depend on alpha.  The constant 1 + 2 t2 sinh^2 g
     is the vacuum unit from the commutators.
+
+    ``params`` is one point, giving (float, complex, float, complex, complex),
+    or a sequence of n points, giving (n,) arrays in those places.  Raises
+    ValueError naming the first point whose harmonics overflow.
     """
-    w = moment_table(params).w_form
-    lin, pair = w.linear, 2.0 * w.quadratic
-    # output mode: sqrt(t1 t2) cosh g e^{-i phi} a + sqrt(t2) sinh g b' + noise
-    amp_a = math.sqrt(params.t1 * params.t2) * math.cosh(params.g)
-    amp_b = math.sqrt(params.t2) * math.sinh(params.g)
-    m0 = amp_b * (lin[2] + lin[3]).real
-    v0 = 1.0 + amp_a * amp_a * 2.0 * pair[0, 1].real
-    v0 += amp_b * amp_b * (2.0 * pair[2, 3] + 2.0 + pair[2, 2] + pair[3, 3]).real
-    coeffs = (
-        float(m0),
-        complex(amp_a * lin[0]),
-        float(v0),
-        complex(2.0 * amp_a * amp_b * (pair[0, 2] + pair[0, 3])),
-        complex(amp_a * amp_a * pair[0, 0]),
-    )
-    if not all(cmath.isfinite(c) for c in coeffs):
-        raise ValueError(
-            f"homodyne statistics overflow at g={params.g:g}, "
-            f"alpha={complex(params.alpha):g}, r={params.r:g}"
+    try:
+        e = _exponent_of(params)
+        # output mode: sqrt(t1 t2) cosh g e^{-i phi} a + sqrt(t2) sinh g b' + noise
+        if isinstance(params, InterferometerParams):
+            amp_a, amp_b = _amplitudes(params)
+        else:
+            amps = np.array([_amplitudes(p) for p in params], dtype=float)
+            amp_a, amp_b = amps.reshape(-1, 2).T
+        m0 = amp_b * (e.l2 + e.l3).real
+        v0 = 1.0 + amp_a * amp_a * 2.0 * e.p01
+        v0 += amp_b * amp_b * (2.0 * e.p23 + 2.0 + e.p22 + e.p33)
+        coeffs = (
+            m0,
+            _scaled(amp_a, e.l0),
+            v0,
+            _scaled(2.0 * amp_a * amp_b, e.p02 + e.p03),
+            _scaled(amp_a * amp_a, e.p00),
         )
+        _check_finite("homodyne statistics overflow", coeffs, params)
+    except ValueError:
+        _raise_first_point(trig_coefficients, params)
+        raise
     return coeffs
 
 
@@ -252,8 +364,14 @@ class QuadratureStats:
     dmean_dphi: float
 
 
-def quadrature_stats(params: InterferometerParams) -> QuadratureStats:
-    """Mean, second moment, variance and exact phase slope of X = a' + a."""
-    mean, variance, slope = _homodyne(*trig_coefficients(params), cmath.exp(1j * params.phi))
-    return QuadratureStats(mean, variance + mean * mean, variance, slope)
+def quadrature_stats(params) -> QuadratureStats:
+    """Mean, second moment, variance and exact phase slope of X = a' + a.
 
+    A sequence of points gives the same fields as (n,) arrays.
+    """
+    if isinstance(params, InterferometerParams):
+        z = cmath.exp(1j * params.phi)
+    else:
+        z = np.exp(1j * np.array([p.phi for p in params], dtype=float))
+    mean, variance, slope = _homodyne(*trig_coefficients(params), z)
+    return QuadratureStats(mean, variance + mean * mean, variance, slope)

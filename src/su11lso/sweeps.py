@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .metrology import (
     optimal_phase,
     phase_sensitivity,
@@ -31,18 +30,26 @@ from .metrology import (
 )
 from .moments import InterferometerParams
 
-# The lambdas look the metrology functions up in this module's namespace at
-# call time, so a wrapper installed there (perfbench's tracer) sees every call.
+
+def _cells(report, name):
+    return getattr(report, name), report.status
+
+
+# Each entry evaluates one quantity over a series of points (with its etas),
+# giving (values, status): status "ok", "divergent" or "degenerate" per
+# point, or None when every point is ok.  The lambdas look the metrology
+# functions up in this module's namespace at call time, so a wrapper
+# installed there (perfbench's tracer) sees every call.
 _QUANTITY_TABLE = {
-    "delta_phi": lambda p, eta: phase_sensitivity(p).delta_phi,
-    "delta_phi_min": lambda p, eta: optimal_phase(p).delta_phi_min,
-    "N": lambda p, eta: total_photon_number(p),
-    "sql": lambda p, eta: sql_hl(p)[0],
-    "hl": lambda p, eta: sql_hl(p)[1],
-    "qfi": lambda p, eta: qfi_ideal(p).fisher,
-    "qcrb": lambda p, eta: qfi_ideal(p).qcrb,
-    "qfi_lossy": lambda p, eta: qfi_lossy(p, eta).fisher_lossy,
-    "qcrb_lossy": lambda p, eta: qfi_lossy(p, eta).qcrb_lossy,
+    "delta_phi": lambda p, eta: _cells(phase_sensitivity(p), "delta_phi"),
+    "delta_phi_min": lambda p, eta: ([o.delta_phi_min for o in optimal_phase(p)], None),
+    "N": lambda p, eta: (total_photon_number(p), None),
+    "sql": lambda p, eta: sql_hl(p)[::2],
+    "hl": lambda p, eta: sql_hl(p)[1:],
+    "qfi": lambda p, eta: _cells(qfi_ideal(p), "fisher"),
+    "qcrb": lambda p, eta: _cells(qfi_ideal(p), "qcrb"),
+    "qfi_lossy": lambda p, eta: _cells(qfi_lossy(p, eta), "fisher_lossy"),
+    "qcrb_lossy": lambda p, eta: _cells(qfi_lossy(p, eta), "qcrb_lossy"),
 }
 
 QUANTITIES = tuple(_QUANTITY_TABLE)
@@ -90,10 +97,10 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-def _apply_point(
-    spec: SweepSpec, series: SweepSeries, value: float
-) -> tuple[InterferometerParams, float]:
-    """Parameters and eta for one grid point of one series."""
+def _series_points(
+    spec: SweepSpec, series: SweepSeries
+) -> tuple[list[InterferometerParams], list[float]]:
+    """Parameters and eta of each grid point of one series."""
     f = spec.fixed
     fields = {"g": f.g, "alpha": f.alpha, "r": f.r, "t1": f.t1, "t2": f.t2, "phi": f.phi}
     fields["eta"] = spec.eta
@@ -104,9 +111,16 @@ def _apply_point(
         if sweep_target not in ("t1", "t2"):
             raise ValueError("t_k sweeps need a series sweep_target of t1 or t2")
         target = sweep_target
-    fields[target] = value
     eta = fields.pop("eta")
-    return InterferometerParams(**fields), eta
+    points, etas = [], []
+    for value in spec.grid().tolist():
+        if target == "eta":
+            eta = value
+        else:
+            fields[target] = value
+        points.append(InterferometerParams(**fields))
+        etas.append(eta)
+    return points, etas
 
 
 def _check_eta(eta: float) -> None:
@@ -114,49 +128,72 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and lie in [0, 1], got {eta}")
 
 
-def _evaluate_quantities(
-    params: InterferometerParams,
-    eta: float,
+_FLAG_BITS = {"divergent": 1, "degenerate": 2, "unbounded": 4}
+
+# the flags cell of each combination of flag bits: names sorted, ";"-joined
+_FLAG_TEXT = tuple(
+    ";".join(sorted(name for name, bit in _FLAG_BITS.items() if bits & bit))
+    for bits in range(8)
+)
+
+
+def _evaluate_series(
+    points: list[InterferometerParams],
+    etas: list[float],
     quantities: tuple[str, ...],
     known: dict | None = None,
 ) -> tuple[dict, list[str]]:
-    """Values and flags of one point; ``known`` holds values solved for a whole series."""
-    _check_eta(eta)
+    """Cells of each quantity and the flags cell of each point of a series.
+
+    Each quantity is evaluated over the whole series in one call; ``known``
+    holds the (values, status) of quantities solved for the series
+    beforehand.  A flagged point's cell is None.  A value that is not finite
+    where its status is ok means overflow: ValueError names the first such
+    point of the first quantity that has one (``run_sweep`` turns that into
+    the point-by-point order).
+    """
+    for eta in etas:
+        _check_eta(eta)
     known = known or {}
-    values: dict = {}
-    flags: list[str] = []
+    bits = np.zeros(len(points), dtype=int)
+    cells = {}
     for q in quantities:
-        try:
-            v = known[q] if q in known else _QUANTITY_TABLE[q](params, eta)
-        except DivergentSensitivityError:
-            v = None
-            flags.append("divergent")
-        except DegenerateConfigurationError:
-            v = None
-            flags.append("degenerate")
-        values[q] = v
-        if v is None or math.isfinite(v):
-            continue
-        # a batch optimum reads inf where no phase is informative
-        if q == "delta_phi_min" and math.isinf(v):
-            values[q] = None
-            flags.append("divergent")
-            continue
-        # an infinite qcrb_lossy is the documented "unbounded" result
-        if q == "qcrb_lossy" and math.isinf(v):
-            flags.append("unbounded")
-            continue
-        raise ValueError(
-            f"{q} = {v} is not finite at g={params.g:g}, alpha={complex(params.alpha):g}, "
-            f"r={params.r:g}, t1={params.t1:g}, t2={params.t2:g}, phi={params.phi:g}, "
-            f"eta={eta:g}"
-        )
-    return values, sorted(set(flags))
+        values, status = known[q] if q in known else _QUANTITY_TABLE[q](points, etas)
+        values = np.asarray(values, dtype=float)
+        flagged = np.zeros(len(points), dtype=bool)
+        if status is not None:
+            for name in ("divergent", "degenerate"):
+                hit = status == name
+                bits |= _FLAG_BITS[name] * hit
+                flagged |= hit
+        overflow = ~(flagged | np.isfinite(values))
+        inf = overflow & np.isinf(values)
+        if q == "delta_phi_min":  # a batch optimum reads inf where no phase informs
+            bits |= _FLAG_BITS["divergent"] * inf
+            flagged |= inf
+            overflow &= ~inf
+        elif q == "qcrb_lossy":  # an infinite bound is the documented "unbounded"
+            bits |= _FLAG_BITS["unbounded"] * inf
+            overflow &= ~inf
+        if overflow.any():
+            i = int(np.argmax(overflow))
+            p, eta = points[i], etas[i]
+            raise ValueError(
+                f"{q} = {float(values[i])} is not finite at g={p.g:g}, "
+                f"alpha={complex(p.alpha):g}, r={p.r:g}, t1={p.t1:g}, t2={p.t2:g}, "
+                f"phi={p.phi:g}, eta={eta:g}"
+            )
+        column = values.tolist()
+        for i in np.flatnonzero(flagged).tolist():
+            column[i] = None
+        cells[q] = column
+    return cells, [_FLAG_TEXT[b] for b in bits.tolist()]
 
 
-def point_row(params: InterferometerParams, eta: float, values: dict) -> dict:
-    """One output row: the parameter columns, then the quantity values."""
-    return {
+def point_row(params: InterferometerParams, eta: float, values) -> dict:
+    """One output row: the parameter columns, then the quantity values
+    (a dict or (quantity, value) pairs)."""
+    row = {
         "g": params.g,
         "alpha": params.alpha.real if params.alpha.imag == 0 else params.alpha,
         "r": params.r,
@@ -164,33 +201,48 @@ def point_row(params: InterferometerParams, eta: float, values: dict) -> dict:
         "t2": params.t2,
         "phi": params.phi,
         "eta": eta,
-        **values,
     }
+    row.update(values)
+    return row
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the sweep; series-major, grid-minor row order, deterministic.
 
-    ``delta_phi_min`` is solved for a whole series in one ``optimal_phase``
-    call; every other quantity is evaluated point by point.
+    Every quantity is evaluated over a whole series in one call, and
+    ``delta_phi_min`` first (one ``optimal_phase`` call per series), so its
+    overflow is reported before any other quantity's.  Any other overflow
+    raises the ValueError that evaluating the series point by point, each
+    point's quantities in order, meets first.
     """
     rows = []
     for series in spec.series:
-        points = [_apply_point(spec, series, float(value)) for value in spec.grid()]
-        for _, eta in points:
+        points, etas = _series_points(spec, series)
+        for eta in etas:
             _check_eta(eta)
-        optima = (
-            optimal_phase([params for params, _ in points])
-            if "delta_phi_min" in spec.quantities
-            else [None] * len(points)
-        )
-        for (params, eta), best in zip(points, optima):
-            known = {} if best is None else {"delta_phi_min": best.delta_phi_min}
-            values, flags = _evaluate_quantities(params, eta, spec.quantities, known)
-            row = {"series": series.label, **point_row(params, eta, values)}
-            row["flags"] = ";".join(flags)
+        # overflow is reported by the finiteness checks, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            known = {}
+            if "delta_phi_min" in spec.quantities:
+                known["delta_phi_min"] = _QUANTITY_TABLE["delta_phi_min"](points, etas)
+            try:
+                cells, flags = _evaluate_series(points, etas, spec.quantities, known)
+            except ValueError:
+                # the series ran quantity by quantity: raise what the
+                # point-by-point order meets first
+                for i in range(len(points)):
+                    one = {q: (values[i : i + 1], None) for q, (values, _) in known.items()}
+                    _evaluate_series(points[i : i + 1], etas[i : i + 1], spec.quantities, one)
+                raise
+        columns = [cells[q] for q in spec.quantities]
+        for params, eta, flag, *values in zip(points, etas, flags, *columns):
+            row = {"series": series.label, **point_row(params, eta, zip(spec.quantities, values))}
+            row["flags"] = flag
             rows.append(row)
     return rows
+
+
+_NUMBER_FORMAT = ".15g"
 
 
 def sweep_columns(spec: SweepSpec) -> list[str]:
@@ -203,7 +255,7 @@ def _format_cell(value) -> str:
     if isinstance(value, str):
         return f'"{value}"' if ("," in value or '"' in value) else value
     if isinstance(value, (float, complex)):  # infinities format as inf / -inf
-        return format(value, ".15g")
+        return format(value, _NUMBER_FORMAT)
     return str(value)
 
 
@@ -219,7 +271,12 @@ def json_value(value):
 def render_csv(rows: list[dict], columns: list[str]) -> str:
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_format_cell(row.get(c)) for c in columns))
+        # an exact float, nearly every cell, skips the general formatter
+        cells = [
+            format(v, _NUMBER_FORMAT) if type(v) is float else _format_cell(v)
+            for v in map(row.get, columns)
+        ]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,7 @@ from su11lso.metrology import (
     sql_hl,
     total_photon_number,
 )
-from su11lso.moments import InterferometerParams, trig_coefficients
+from su11lso.moments import InterferometerParams, quadrature_stats, trig_coefficients
 from su11lso.sweeps import SweepSpec, run_sweep
 
 
@@ -383,6 +383,91 @@ class TestBatchOptimum:
         rows = run_sweep(spec)
         assert sorted(seen, reverse=True) == shapes
         assert [row["flags"] for row in rows].count("divergent") == (variable == "alpha")
+
+
+def _bits(value):
+    """The exact bits of a number, signed zeros included."""
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def _one(fn, *args):
+    """(status, result) of a single-point call, the status a sequence reports."""
+    try:
+        return "ok", fn(*args)
+    except DivergentSensitivityError:
+        return "divergent", None
+    except DegenerateConfigurationError:
+        return "degenerate", None
+
+
+class TestSequenceForms:
+    """A sequence of points gives each point's single-point bits as (n,)
+    arrays, and a status where the single point raises."""
+
+    @given(points=st.lists(_CLI_POINTS, min_size=1, max_size=12), eta=st.floats(0, 1))
+    @example(points=[
+        params(g=0.0, alpha=0.0, r=0.0),  # the vacuum: divergent and degenerate
+        params(alpha=-0.0, t1=0.0),
+        params(g=-0.0, alpha=complex(-0.0, -0.0), r=0.3),
+        params(alpha=1e-200, r=0.0, g=0.0),  # N below the smallest normal
+    ], eta=0.0)
+    @example(points=[params(alpha=0.4 - 0.2j, r=0.7, t2=0.0)], eta=1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_sequence_equals_one_point_at_a_time(self, points, eta):
+        trig = trig_coefficients(points)
+        stats = quadrature_stats(points)
+        sens = phase_sensitivity(points)
+        n_total = total_photon_number(points)
+        sql, hl, bench = sql_hl(points)
+        qfi = qfi_ideal(points)
+        lossy = qfi_lossy(points, eta)
+        for i, p in enumerate(points):
+            one = trig_coefficients(p)
+            assert [type(c) for c in one] == [float, complex, float, complex, complex]
+            assert [_bits(c[i]) for c in trig] == [_bits(c) for c in one], p
+            one = quadrature_stats(p)
+            for name in ("mean", "second_moment", "variance", "dmean_dphi"):
+                assert type(getattr(one, name)) is float
+                assert _bits(getattr(stats, name)[i]) == _bits(getattr(one, name)), (p, name)
+            cases = [
+                (sens, _one(phase_sensitivity, p), ("delta_phi",)),
+                (qfi, _one(qfi_ideal, p), ("n_total", "sql", "hl", "fisher", "qcrb")),
+                (lossy, _one(qfi_lossy, p, eta), ("fisher_lossy", "qcrb_lossy")),
+            ]
+            for report, (status, single), names in cases:
+                assert report.status[i] == status, (p, names)
+                for name in names:
+                    if single is None:
+                        assert math.isnan(getattr(report, name)[i]) != (name == "n_total")
+                        continue
+                    assert type(getattr(single, name)) is float
+                    assert _bits(getattr(report, name)[i]) == _bits(getattr(single, name))
+            assert _bits(n_total[i]) == _bits(total_photon_number(p))
+            status, single = _one(sql_hl, p)
+            assert bench[i] == status
+            if single is not None:
+                assert (_bits(sql[i]), _bits(hl[i])) == (_bits(single[0]), _bits(single[1]))
+
+    @pytest.mark.parametrize(
+        "fn, alpha, message",
+        [
+            (total_photon_number, 1e160, "photon number N overflows"),
+            (qfi_ideal, 1e160, "Fisher information overflows"),
+            (lambda p: qfi_lossy(p, 0.5), 1e160, "Fisher information overflows"),
+            (phase_sensitivity, 1e307, "homodyne statistics overflow"),
+        ],
+    )
+    def test_sequence_overflow_names_the_first_point(self, fn, alpha, message):
+        # the first point overflows nothing, the second this quantity, the
+        # third the generating exponent itself
+        points = [params(g=2.0, alpha=a, phi=0.5) for a in (1.0, alpha, 1e308)]
+        with pytest.raises(ValueError) as one:
+            fn(points[1])
+        with pytest.raises(ValueError) as sequence:
+            fn(points)
+        assert str(sequence.value) == str(one.value)
+        assert str(one.value).startswith(message) and f"alpha={alpha:g}" in str(one.value)
 
 
 class TestTrendInvariants:

@@ -11,18 +11,27 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from su11lso.cli import main
 from su11lso import crosscheck
 from su11lso.crosscheck import CellResult, CrossCheckResult
-from su11lso.metrology import optimal_phase, qfi_ideal, qfi_lossy, total_photon_number
+from su11lso.errors import DegenerateConfigurationError, DivergentSensitivityError
+from su11lso.metrology import (
+    optimal_phase,
+    phase_sensitivity,
+    qfi_ideal,
+    qfi_lossy,
+    sql_hl,
+    total_photon_number,
+)
 from su11lso.moments import InterferometerParams
 from su11lso.sweeps import (
     FIGURE_PRESETS,
     QUANTITIES,
     R_SERIES,
+    SWEEP_VARIABLES,
     SweepSeries,
     SweepSpec,
     figure_preset,
@@ -122,6 +131,13 @@ class TestCsv:
         rows = [{"phi": 0.0, "qcrb_lossy": math.inf, "delta_phi": None, "flags": "unbounded"}]
         text = render_csv(rows, ["phi", "qcrb_lossy", "delta_phi", "flags"])
         assert text.splitlines()[1] == "0,inf,,unbounded"
+
+    def test_cell_types_format_as_before(self):
+        # exact floats take the fast path; numpy floats, complexes and ints
+        # keep the general formatter's output
+        rows = [{"a": 1 / 3, "b": np.float64(1 / 3), "c": complex(0.5, -0.25), "d": 7}]
+        text = render_csv(rows, ["a", "b", "c", "d"])
+        assert text.splitlines()[1] == "0.333333333333333,0.333333333333333,0.5-0.25j,7"
 
     def test_quotes_cells_with_commas(self):
         rows = [{"series": "a,b", "flags": ""}]
@@ -764,3 +780,175 @@ class TestPointMatchesSweepRow:
         assert row.pop("series") == ""
         assert row.pop("flags") == ";".join(point.pop("flags"))
         assert row == point
+
+
+# each quantity of one point through the scalar API, as sweeps evaluated it
+# point by point
+SCALAR_QUANTITY = {
+    "delta_phi": lambda p, eta: phase_sensitivity(p).delta_phi,
+    "delta_phi_min": lambda p, eta: optimal_phase(p).delta_phi_min,
+    "N": lambda p, eta: total_photon_number(p),
+    "sql": lambda p, eta: sql_hl(p)[0],
+    "hl": lambda p, eta: sql_hl(p)[1],
+    "qfi": lambda p, eta: qfi_ideal(p).fisher,
+    "qcrb": lambda p, eta: qfi_ideal(p).qcrb,
+    "qfi_lossy": lambda p, eta: qfi_lossy(p, eta).fisher_lossy,
+    "qcrb_lossy": lambda p, eta: qfi_lossy(p, eta).qcrb_lossy,
+}
+
+
+def scalar_row(p, eta, quantities):
+    """(cells, flags) of one point through the scalar API."""
+    cells, flags = {}, set()
+    for q in quantities:
+        try:
+            v = SCALAR_QUANTITY[q](p, eta)
+        except DivergentSensitivityError:
+            v = None
+            flags.add("divergent")
+        except DegenerateConfigurationError:
+            v = None
+            flags.add("degenerate")
+        if v is not None and math.isinf(v):
+            if q == "delta_phi_min":
+                v = None
+                flags.add("divergent")
+            elif q == "qcrb_lossy":
+                flags.add("unbounded")
+        cells[q] = v
+    return cells, ";".join(sorted(flags))
+
+
+def series_points(spec):
+    """(point, eta) of every row of a sweep, series-major, built one by one."""
+    f = spec.fixed
+    for series in spec.series:
+        overrides = dict(series.overrides)
+        target = overrides.pop("sweep_target", spec.variable)
+        for value in spec.grid().tolist():
+            fields = dict(g=f.g, alpha=f.alpha, r=f.r, t1=f.t1, t2=f.t2, phi=f.phi, eta=spec.eta)
+            fields.update(overrides)
+            fields[target] = value
+            eta = fields.pop("eta")
+            yield InterferometerParams(**fields), eta
+
+
+def bits(value):
+    """A cell's exact bits, signed zeros included; None stays None."""
+    return None if value is None else float(value).hex()
+
+
+# the command-line domain of each sweep variable
+SWEEP_RANGES = {
+    "phi": (-10.0, 10.0), "g": (0.0, 2.0), "alpha": (-3.0, 3.0), "r": (0.0, 1.5),
+    "t1": (0.0, 1.0), "t2": (0.0, 1.0), "t_k": (0.0, 1.0), "eta": (0.0, 1.0),
+}
+
+T_K_SERIES = (
+    SweepSeries("internal", {"sweep_target": "t1"}),
+    SweepSeries("external", {"sweep_target": "t2"}),
+)
+
+
+class TestBatchEqualsScalar:
+    """run_sweep evaluates each quantity of a series in one call; every row
+    must still be the scalar API's point, bit for bit."""
+
+    @given(
+        variable=st.sampled_from(SWEEP_VARIABLES),
+        ends=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        count=st.integers(2, 40),
+        g=st.floats(0, 2),
+        re_a=st.floats(-3, 3),
+        im_a=st.floats(-3, 3),
+        r=st.floats(0, 1.5),
+        t1=st.floats(0, 1),
+        t2=st.floats(0, 1),
+        phi=st.floats(-10, 10),
+        eta=st.floats(0, 1),
+    )
+    # the grid starts at a zero of the swept variable, and the fixed point
+    # sits on a zero: alpha = 0 and -0.0, g = 0, r = 0, t1 = 0, eta 0 and 1,
+    # and the vacuum g = alpha = r = 0
+    @example(variable="phi", ends=(0.4, 0.6), count=5, g=0.0, re_a=0.0, im_a=0.0, r=0.0,
+             t1=1.0, t2=1.0, phi=0.0, eta=0.5)
+    @example(variable="g", ends=(0.0, 0.5), count=7, g=0.0, re_a=-0.0, im_a=0.0, r=0.3,
+             t1=0.8, t2=0.9, phi=0.7, eta=0.0)
+    @example(variable="alpha", ends=(0.25, 0.75), count=9, g=0.0, re_a=0.0, im_a=-0.0, r=0.0,
+             t1=1.0, t2=1.0, phi=1.1, eta=1.0)
+    @example(variable="r", ends=(0.0, 1.0), count=6, g=0.6, re_a=0.5, im_a=-0.5, r=0.0,
+             t1=0.0, t2=0.7, phi=0.9, eta=0.3)
+    @example(variable="eta", ends=(0.0, 1.0), count=3, g=0.0, re_a=0.0, im_a=0.0, r=0.0,
+             t1=1.0, t2=1.0, phi=0.4, eta=1.0)
+    @example(variable="t_k", ends=(0.0, 1.0), count=4, g=1.0, re_a=-0.0, im_a=-0.0, r=0.6,
+             t1=1.0, t2=1.0, phi=0.3, eta=0.0)
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_the_scalar_api(
+        self, variable, ends, count, g, re_a, im_a, r, t1, t2, phi, eta
+    ):
+        lo, hi = SWEEP_RANGES[variable]
+        start, stop = (lo + (hi - lo) * u for u in sorted(ends))
+        assume(start < stop)
+        spec = SweepSpec(
+            variable, start, stop, count,
+            InterferometerParams(g=g, alpha=complex(re_a, im_a), r=r, t1=t1, t2=t2, phi=phi),
+            QUANTITIES, T_K_SERIES if variable == "t_k" else (SweepSeries(),), eta,
+        )
+        rows = run_sweep(spec)
+        points = list(series_points(spec))
+        assert len(rows) == len(points)
+        for row, (p, point_eta) in zip(rows, points):
+            cells, flags = scalar_row(p, point_eta, QUANTITIES)
+            assert row["flags"] == flags, p
+            assert {q: bits(row[q]) for q in QUANTITIES} == {
+                q: bits(v) for q, v in cells.items()
+            }, p
+
+    @pytest.mark.parametrize(
+        "variable, start, stop, count, fixed, quantities",
+        [
+            # N overflows from the second point on, the harmonics from the
+            # seventh: quantity by quantity, delta_phi's would come first
+            ("alpha", 1e150, 1e308, 9, {}, ("delta_phi", "N")),
+            # the harmonics overflow at g = 212.5, the exponent at g = 362.5
+            ("g", 100.0, 400.0, 9, {"phi": 0.5}, ("N", "delta_phi")),
+            # delta_phi is inf at r = 354 (no function raises), N overflows at 354.5
+            ("r", 350.0, 356.0, 13, {"phi": 0.5}, ("sql", "delta_phi")),
+            # delta_phi_min is solved for the whole series before the rest
+            ("alpha", 1e150, 1e308, 9, {}, ("N", "delta_phi_min")),
+        ],
+    )
+    def test_overflow_names_the_point_by_point_first(
+        self, variable, start, stop, count, fixed, quantities
+    ):
+        fixed = InterferometerParams(**{"g": 1.0, "alpha": 1.0, "r": 0.0, **fixed})
+        spec = SweepSpec(variable, start, stop, count, fixed, quantities, eta=0.5)
+        points = list(series_points(spec))
+        expected = None
+        if "delta_phi_min" in quantities:  # solved for the whole series first
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    optimal_phase([p for p, _ in points])
+            except ValueError as exc:
+                expected = str(exc)
+        for p, eta in points:
+            for q in quantities:
+                if expected is not None:
+                    break
+                try:
+                    v = SCALAR_QUANTITY[q](p, eta)
+                except (DivergentSensitivityError, DegenerateConfigurationError):
+                    continue
+                except ValueError as exc:
+                    expected = str(exc)
+                    break
+                if not math.isfinite(v) and not (
+                    math.isinf(v) and q in ("delta_phi_min", "qcrb_lossy")
+                ):
+                    expected = f"{q} = {v} is not finite at g={p.g:g}, " \
+                        f"alpha={complex(p.alpha):g}, r={p.r:g}, t1={p.t1:g}, t2={p.t2:g}, " \
+                        f"phi={p.phi:g}, eta={eta:g}"
+        assert expected is not None
+        with pytest.raises(ValueError) as sweep:
+            run_sweep(spec)
+        assert str(sweep.value) == expected
