@@ -310,8 +310,9 @@ def trig_coefficients(params):
     is the vacuum unit from the commutators.
 
     ``params`` is one point, giving (float, complex, float, complex, complex),
-    or a sequence of n points, giving (n,) arrays in those places.  Raises
-    ValueError naming the first point whose harmonics overflow.
+    or a sequence of n points, giving (n,) arrays in those places.  An
+    overflow raises ValueError naming the point (for a sequence, the one its
+    first failing point raises alone).
     """
     try:
         e = _exponent_of(params)
