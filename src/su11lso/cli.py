@@ -19,8 +19,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import (
     DegenerateConfigurationError,
     DivergentSensitivityError,
@@ -210,12 +208,17 @@ def _report_group(cells):
     )
 
 
+# one parser serves every call; a --config call builds its own for its defaults
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _PARSER
     # config defaults: parse once to find --config, then re-parse with defaults
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
+        parser = build_parser()
         # one file may serve every subcommand, so a key need only be known to one
         known = {a.dest for p in (parser, *parser.sub_map) for a in p._actions}
         try:
@@ -235,9 +238,7 @@ def main(argv=None) -> int:
             sub.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
-        # overflow is reported by the finiteness checks, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.run(args)
+        return args.run(args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,7 +24,9 @@ pass, each point to its single-point bits.  It returns the same report with
 those errors ``status`` reads "divergent" or "degenerate" (else "ok") and
 the undefined fields read nan.  ``optimal_phase`` returns one result per
 point instead.  A sequence's ValueError (overflow) is the one its first
-failing point raises alone.
+failing point raises alone.  A sequence's arithmetic runs with numpy's
+floating-point warnings off: its overflow shows as that ValueError or a
+non-finite value, never as a warning (Python numbers warn of nothing).
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ def phase_sensitivity(params) -> SensitivityReport:
         delta = math.sqrt(max(stats.variance, 0.0)) / slope
         return SensitivityReport(delta, stats.mean, stats.variance, stats.dmean_dphi)
     divergent = slope < SLOPE_FLOOR
-    delta = np.full(slope.shape, np.nan)
-    np.divide(np.sqrt(np.maximum(stats.variance, 0.0)), slope, out=delta, where=~divergent)
+    with np.errstate(all="ignore"):  # inf / inf where the statistics overflow
+        delta = np.where(divergent, np.nan, np.sqrt(np.maximum(stats.variance, 0.0)) / slope)
     return SensitivityReport(
         delta, stats.mean, stats.variance, stats.dmean_dphi, _status(divergent, "divergent")
     )
@@ -112,14 +114,18 @@ def _mode_a_number(e):
     return _re_product(e.l0, e.l1) + e.p01
 
 
+def _photon_number(e):
+    """N = <n_a> + <n_b>, each in the pairing order of ``series_exp``."""
+    return (_re_product(e.l0, e.l1) + e.p01) + (_re_product(e.l2, e.l3) + e.p23)
+
+
 def total_photon_number(params):
     """Mean photon number of the internal state, N = Q1100 + Q0011.
 
     A sequence of points gives an (n,) array.
     """
     try:
-        e = _exponent_of(params)
-        n = _mode_a_number(e) + (_re_product(e.l2, e.l3) + e.p23)
+        n = _exponent_of(params, _photon_number)
         _check_finite("photon number N overflows", (n,), params)
     except ValueError:
         _raise_first_point(total_photon_number, params)
@@ -139,7 +145,7 @@ def sql_hl(params):
         if n <= 0.0 or not math.isfinite(1.0 / n):
             raise DegenerateConfigurationError(f"benchmarks undefined at N = {n:g}")
         return 1.0 / math.sqrt(n), 1.0 / n
-    with np.errstate(divide="ignore"):
+    with np.errstate(all="ignore"):  # 1/N overflows at N = 0 and at a subnormal N
         hl = 1.0 / n
     degenerate = ~((n > 0.0) & np.isfinite(hl))
     n = np.where(degenerate, np.nan, n)
@@ -160,12 +166,7 @@ def qfi_ideal(params) -> QfiReport:
     ``DegenerateConfigurationError``.
     """
     try:
-        e = _exponent_of(params)
-        var_na = (
-            e.p01 * (e.p01 + 1.0) + e.p00 * e.p11 + _re_product(e.p00 * e.l1, e.l1)
-            + _re_product(e.p11 * e.l0, e.l0) + _re_product((2.0 * e.p01 + 1.0) * e.l0, e.l1)
-        )
-        fisher = 4.0 * var_na
+        fisher = _exponent_of(params, _ideal_fisher)
         _check_finite("Fisher information overflows", (fisher,), params)
         if isinstance(params, InterferometerParams):
             if fisher <= 0.0:
@@ -185,6 +186,14 @@ def qfi_ideal(params) -> QfiReport:
     degenerate = (fisher <= 0.0) | (status != "ok")
     sql, hl, fisher = (np.where(degenerate, np.nan, v) for v in (sql, hl, fisher))
     return QfiReport(n, sql, hl, fisher, 1.0 / np.sqrt(fisher), _status(degenerate, "degenerate"))
+
+
+def _ideal_fisher(e):
+    """F = 4 Var(n_a) from the exponent entries (see ``qfi_ideal``)."""
+    return 4.0 * (
+        e.p01 * (e.p01 + 1.0) + e.p00 * e.p11 + _re_product(e.p00 * e.l1, e.l1)
+        + _re_product(e.p11 * e.l0, e.l0) + _re_product((2.0 * e.p01 + 1.0) * e.l0, e.l1)
+    )
 
 
 def _lossy_fisher(fisher, eta, n_a):
@@ -213,7 +222,7 @@ def qfi_lossy(params, eta) -> LossyQfiReport:
             outside = ~((0.0 <= eta) & (eta <= 1.0))
             if outside.any():
                 raise ValueError(f"eta must lie in [0, 1], got {eta[outside][0]}")
-        n_a = _mode_a_number(_exponent_of(params))
+        n_a = _exponent_of(params, _mode_a_number)
         report = qfi_ideal(params)
         fisher = report.fisher
         if single:
@@ -228,16 +237,15 @@ def qfi_lossy(params, eta) -> LossyQfiReport:
             return LossyQfiReport(eta, fl, qcrb)
         ok = report.status == "ok"
         between = ok & (eta != 1.0) & (eta != 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fl = _lossy_fisher(fisher, eta, n_a)
-        _check_finite("lossy Fisher information overflows", (np.where(between, fl, 0.0),), params)
+        with np.errstate(all="ignore"):  # overflow is checked below; F_L = 0 bounds nothing
+            raw = _lossy_fisher(fisher, eta, n_a)
+            # fisher is nan where the status is not ok
+            fl = np.where(between, raw, np.where(ok & (eta == 0.0), 0.0, fisher))
+            qcrb = 1.0 / np.sqrt(fl)
+        _check_finite("lossy Fisher information overflows", (np.where(between, raw, 0.0),), params)
     except ValueError:
         _raise_first_point(qfi_lossy, params, eta)
         raise
-    # fisher is nan where the status is not ok
-    fl = np.where(between, fl, np.where(ok & (eta == 0.0), 0.0, fisher))
-    with np.errstate(divide="ignore"):
-        qcrb = 1.0 / np.sqrt(fl)
     return LossyQfiReport(eta, fl, qcrb, report.status)
 
 
@@ -253,12 +261,11 @@ def sensitivity_curve(params, phis) -> np.ndarray:
     harmonics = trig_coefficients(params)
     if not isinstance(params, InterferometerParams):
         harmonics = [h[:, None] for h in harmonics]
-    _, variance, slope = _homodyne(*harmonics, np.exp(1j * np.asarray(phis, dtype=float)))
-    slope = np.abs(slope)
-    out = np.full(slope.shape, np.inf)
-    ok = slope >= SLOPE_FLOOR
-    out[ok] = np.sqrt(np.maximum(variance[ok], 0.0)) / slope[ok]
-    return out
+    with np.errstate(all="ignore"):  # array arithmetic: overflow reads inf or nan
+        stats = _homodyne(*harmonics, np.exp(1j * np.asarray(phis, dtype=float)))
+        slope = np.abs(stats.dmean_dphi)
+        delta = np.sqrt(np.maximum(stats.variance, 0.0)) / slope
+    return np.where(slope >= SLOPE_FLOOR, delta, np.inf)
 
 
 def _quartic_roots(quartic: np.ndarray) -> np.ndarray:
@@ -307,33 +314,34 @@ def optimal_phase(params):
     points = [params] if single else list(params)
     lo, hi = PHASE_BRACKET
     _, m1, v0, v1, v2 = trig_coefficients(points)
-    mc = m1.conjugate()
-    # the five products of two complex harmonics, from real parts: numpy's
-    # complex multiply fuses multiply-adds where the CPU has them, so its
-    # last bit would depend on the machine
-    a = np.array([m1, 4.0 * mc, m1, 4.0 * m1, mc])
-    b = np.array([v1, v2, v1.conjugate(), v2.conjugate(), v1.conjugate()])
-    prod = np.empty_like(a)
-    prod.real = a.real * b.real - a.imag * b.imag
-    prod.imag = a.real * b.imag + a.imag * b.real
-    quartic = np.stack([
-        prod[0],
-        2.0 * m1 * v0 + prod[1],
-        6.0 * prod[2].real,
-        prod[3] + 2.0 * mc * v0,
-        prod[4],
-    ], axis=1)
-    scale = np.abs(quartic).max(axis=1)
-    # numpy divides a complex by multiplying with 1/scale, which overflows
-    # for subnormal coefficients; lift them by an exact power of two
-    lift = (scale > 0.0) & (scale < 2.0**-600)
-    quartic[lift] *= 2.0**600
-    scale[lift] = np.abs(quartic[lift]).max(axis=1)
-    # terms below rounding on the unit circle are dropped: a near-zero
-    # leading coefficient would otherwise overflow the companion matrix
-    keep = np.abs(quartic) > 1e-15 * scale[:, None]
-    quartic = np.where(keep, quartic / np.where(scale > 0.0, scale, 1.0)[:, None], 0.0)
-    roots = np.angle(_quartic_roots(quartic)) % math.pi
+    with np.errstate(all="ignore"):  # array arithmetic: overflow reads inf or nan
+        mc = m1.conjugate()
+        # the five products of two complex harmonics, from real parts: numpy's
+        # complex multiply fuses multiply-adds where the CPU has them, so its
+        # last bit would depend on the machine
+        a = np.array([m1, 4.0 * mc, m1, 4.0 * m1, mc])
+        b = np.array([v1, v2, v1.conjugate(), v2.conjugate(), v1.conjugate()])
+        prod = np.empty_like(a)
+        prod.real = a.real * b.real - a.imag * b.imag
+        prod.imag = a.real * b.imag + a.imag * b.real
+        quartic = np.stack([
+            prod[0],
+            2.0 * m1 * v0 + prod[1],
+            6.0 * prod[2].real,
+            prod[3] + 2.0 * mc * v0,
+            prod[4],
+        ], axis=1)
+        scale = np.abs(quartic).max(axis=1)
+        # numpy divides a complex by multiplying with 1/scale, which overflows
+        # for subnormal coefficients; lift them by an exact power of two
+        lift = (scale > 0.0) & (scale < 2.0**-600)
+        quartic[lift] *= 2.0**600
+        scale[lift] = np.abs(quartic[lift]).max(axis=1)
+        # terms below rounding on the unit circle are dropped: a near-zero
+        # leading coefficient would otherwise overflow the companion matrix
+        keep = np.abs(quartic) > 1e-15 * scale[:, None]
+        quartic = np.where(keep, quartic / np.where(scale > 0.0, scale, 1.0)[:, None], 0.0)
+        roots = np.angle(_quartic_roots(quartic)) % math.pi
     inside = (roots >= lo) & (roots <= hi)
     phis = np.empty((len(points), 6))
     phis[:, 0], phis[:, 1] = lo, hi

@@ -26,6 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -219,18 +220,17 @@ def q_moment(params: InterferometerParams, key) -> complex:
     return moment_table(params).moment(key)
 
 
-def _exponent_of(params) -> _Exponent:
-    """The exponent entries of one point, or of a sequence as (n,) arrays.
-
-    A sequence reads each point's cached table.
-    """
+def _exponent_of(params, formula):
+    """``formula(e)`` of the exponent entries e of one point, or of a sequence
+    as (n,) arrays from each point's cached table, with numpy's floating-point
+    warnings off: the callers' finiteness checks report its overflow."""
     if isinstance(params, InterferometerParams):
-        return moment_table(params)._exponent
-    forms = [moment_table(p).w_form for p in params]
-    lin = np.array([w.linear for w in forms], dtype=complex).reshape(-1, 4)
-    quad = np.array([w.quadratic for w in forms], dtype=complex).reshape(-1, 4, 4)
-    pair = 2.0 * quad.real
-    return _Exponent(*lin.T, *(pair[:, i, j] for i, j in _PAIR_ENTRIES))
+        return formula(moment_table(params)._exponent)
+    entries = chain.from_iterable(moment_table(p)._exponent for p in params)
+    table = np.fromiter(entries, complex, 12 * len(params)).reshape(-1, 12)
+    e = _Exponent(*table[:, :4].T, *table[:, 4:].real.T)
+    with np.errstate(all="ignore"):
+        return formula(e)
 
 
 def _re_product(a, b):
@@ -279,12 +279,12 @@ def _raise_first_point(fn, params, *args) -> None:
     raises alone.
 
     A sequence call runs each check over every point before the next check,
-    so its own ValueError can name a later point.  ``args`` hold one value
-    per point; one point, or none that fails alone, returns.
+    so its own ValueError can name a later point.  ``args`` are (n,) arrays,
+    replayed as Python numbers; one point, or none that fails alone, returns.
     """
     if isinstance(params, InterferometerParams):
         return
-    for point, *point_args in zip(params, *args):
+    for point, *point_args in zip(params, *(a.tolist() for a in args)):
         try:
             fn(point, *point_args)
         except (DivergentSensitivityError, DegenerateConfigurationError):
@@ -315,23 +315,7 @@ def trig_coefficients(params):
     first failing point raises alone).
     """
     try:
-        e = _exponent_of(params)
-        # output mode: sqrt(t1 t2) cosh g e^{-i phi} a + sqrt(t2) sinh g b' + noise
-        if isinstance(params, InterferometerParams):
-            amp_a, amp_b = _amplitudes(params)
-        else:
-            amps = np.array([_amplitudes(p) for p in params], dtype=float)
-            amp_a, amp_b = amps.reshape(-1, 2).T
-        m0 = amp_b * (e.l2 + e.l3).real
-        v0 = 1.0 + amp_a * amp_a * 2.0 * e.p01
-        v0 += amp_b * amp_b * (2.0 * e.p23 + 2.0 + e.p22 + e.p33)
-        coeffs = (
-            m0,
-            _scaled(amp_a, e.l0),
-            v0,
-            _scaled(2.0 * amp_a * amp_b, e.p02 + e.p03),
-            _scaled(amp_a * amp_a, e.p00),
-        )
+        coeffs = _exponent_of(params, lambda e: _harmonics(e, params))
         _check_finite("homodyne statistics overflow", coeffs, params)
     except ValueError:
         _raise_first_point(trig_coefficients, params)
@@ -339,8 +323,27 @@ def trig_coefficients(params):
     return coeffs
 
 
-def _homodyne(m0, m1, v0, v1, v2, z):
-    """(<X>, Var X, d<X>/dphi) from ``trig_coefficients`` at z = e^{i phi}.
+def _harmonics(e, params):
+    """``trig_coefficients`` from the exponent entries e of ``params``."""
+    # output mode: sqrt(t1 t2) cosh g e^{-i phi} a + sqrt(t2) sinh g b' + noise
+    if isinstance(params, InterferometerParams):
+        amp_a, amp_b = _amplitudes(params)
+    else:
+        amp_a, amp_b = np.array([_amplitudes(p) for p in params], dtype=float).reshape(-1, 2).T
+    m0 = amp_b * (e.l2 + e.l3).real
+    v0 = 1.0 + amp_a * amp_a * 2.0 * e.p01
+    v0 += amp_b * amp_b * (2.0 * e.p23 + 2.0 + e.p22 + e.p33)
+    return (
+        m0,
+        _scaled(amp_a, e.l0),
+        v0,
+        _scaled(2.0 * amp_a * amp_b, e.p02 + e.p03),
+        _scaled(amp_a * amp_a, e.p00),
+    )
+
+
+def _homodyne(m0, m1, v0, v1, v2, z) -> QuadratureStats:
+    """The statistics from ``trig_coefficients`` at z = e^{i phi}.
 
     Complex products are written out in Python's real arithmetic and operand
     order, so numbers and numpy arrays (whose complex multiply may fuse
@@ -352,7 +355,8 @@ def _homodyne(m0, m1, v0, v1, v2, z):
     v2z_i = v2.real * zi + v2.imag * zr
     mean = m0.real + 2.0 * (m1.real * zr - m1.imag * zi)
     variance = v0.real + 2.0 * ((v1.real * zr - v1.imag * zi) + (v2z_r * zr - v2z_i * zi))
-    return mean, variance, -2.0 * (m1.real * zi + m1.imag * zr)
+    slope = -2.0 * (m1.real * zi + m1.imag * zr)
+    return QuadratureStats(mean, variance + mean * mean, variance, slope)
 
 
 @dataclass(frozen=True)
@@ -371,8 +375,7 @@ def quadrature_stats(params) -> QuadratureStats:
     A sequence of points gives the same fields as (n,) arrays.
     """
     if isinstance(params, InterferometerParams):
-        z = cmath.exp(1j * params.phi)
-    else:
-        z = np.exp(1j * np.array([p.phi for p in params], dtype=float))
-    mean, variance, slope = _homodyne(*trig_coefficients(params), z)
-    return QuadratureStats(mean, variance + mean * mean, variance, slope)
+        return _homodyne(*trig_coefficients(params), cmath.exp(1j * params.phi))
+    z = np.exp(1j * np.array([p.phi for p in params], dtype=float))
+    with np.errstate(all="ignore"):  # overflow is the callers' to report
+        return _homodyne(*trig_coefficients(params), z)

@@ -10,6 +10,10 @@ Rows carry every parameter column plus the requested quantities and a
 flags column; points with no phase information or vacuum-degenerate
 benchmarks stay in the output as flagged rows with the affected cells
 empty, never as silent omissions.
+
+One evaluator, ``_evaluate_series``, fills a series' cells, one call per
+quantity; ``point`` evaluates its point as a series of one, so it prints
+the values, flags and overflow error of the sweep row at that point.
 """
 
 from __future__ import annotations
@@ -123,11 +127,6 @@ def _series_points(
     return points, etas
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:  # false for NaN too
-        raise ValueError(f"eta must be finite and lie in [0, 1], got {eta}")
-
-
 _FLAG_BITS = {"divergent": 1, "degenerate": 2, "unbounded": 4}
 
 # the flags cell of each combination of flag bits: names sorted, ";"-joined
@@ -138,55 +137,61 @@ _FLAG_TEXT = tuple(
 
 
 def _evaluate_series(
-    points: list[InterferometerParams],
-    etas: list[float],
-    quantities: tuple[str, ...],
-    known: dict | None = None,
+    points: list[InterferometerParams], etas: list[float], quantities: tuple[str, ...]
 ) -> tuple[dict, list[str]]:
     """Cells of each quantity and the flags cell of each point of a series.
 
-    Each quantity is evaluated over the whole series in one call; ``known``
-    holds the (values, status) of quantities solved for the series
-    beforehand.  A flagged point's cell is None.  A value that is not finite
-    where its status is ok means overflow: ValueError names the first such
-    point of the first quantity that has one (``run_sweep`` turns that into
-    the point-by-point order).
+    Each quantity is evaluated over the whole series in one call, and
+    ``delta_phi_min`` first (one ``optimal_phase`` call), so its overflow is
+    reported before any other quantity's.  A flagged point's cell is None.
+    A value that is not finite where its status is ok means overflow.  Any
+    other overflow raises the ValueError that evaluating the series point by
+    point, each point's quantities in order, meets first: on a ValueError
+    the series is replayed one point at a time to find it.
     """
     for eta in etas:
-        _check_eta(eta)
-    known = known or {}
+        if not 0.0 <= eta <= 1.0:  # false for NaN too
+            raise ValueError(f"eta must be finite and lie in [0, 1], got {eta}")
+    if "delta_phi_min" in quantities:  # solved for the whole series before the rest
+        optimum = _QUANTITY_TABLE["delta_phi_min"](points, etas)
     bits = np.zeros(len(points), dtype=int)
     cells = {}
-    for q in quantities:
-        values, status = known[q] if q in known else _QUANTITY_TABLE[q](points, etas)
-        values = np.asarray(values, dtype=float)
-        flagged = np.zeros(len(points), dtype=bool)
-        if status is not None:
-            for name in ("divergent", "degenerate"):
-                hit = status == name
-                bits |= _FLAG_BITS[name] * hit
-                flagged |= hit
-        overflow = ~(flagged | np.isfinite(values))
-        inf = overflow & np.isinf(values)
-        if q == "delta_phi_min":  # a batch optimum reads inf where no phase informs
-            bits |= _FLAG_BITS["divergent"] * inf
-            flagged |= inf
-            overflow &= ~inf
-        elif q == "qcrb_lossy":  # an infinite bound is the documented "unbounded"
-            bits |= _FLAG_BITS["unbounded"] * inf
-            overflow &= ~inf
-        if overflow.any():
-            i = int(np.argmax(overflow))
-            p, eta = points[i], etas[i]
-            raise ValueError(
-                f"{q} = {float(values[i])} is not finite at g={p.g:g}, "
-                f"alpha={complex(p.alpha):g}, r={p.r:g}, t1={p.t1:g}, t2={p.t2:g}, "
-                f"phi={p.phi:g}, eta={eta:g}"
-            )
-        column = values.tolist()
-        for i in np.flatnonzero(flagged).tolist():
-            column[i] = None
-        cells[q] = column
+    try:
+        for q in quantities:
+            values, status = optimum if q == "delta_phi_min" else _QUANTITY_TABLE[q](points, etas)
+            values = np.asarray(values, dtype=float)
+            flagged = np.zeros(len(points), dtype=bool)
+            if status is not None:
+                for name in ("divergent", "degenerate"):
+                    hit = status == name
+                    bits |= _FLAG_BITS[name] * hit
+                    flagged |= hit
+            overflow = ~(flagged | np.isfinite(values))
+            inf = overflow & np.isinf(values)
+            if q == "delta_phi_min":  # a batch optimum reads inf where no phase informs
+                bits |= _FLAG_BITS["divergent"] * inf
+                flagged |= inf
+                overflow &= ~inf
+            elif q == "qcrb_lossy":  # an infinite bound is the documented "unbounded"
+                bits |= _FLAG_BITS["unbounded"] * inf
+                overflow &= ~inf
+            if overflow.any():
+                i = int(np.argmax(overflow))
+                p, eta = points[i], etas[i]
+                raise ValueError(
+                    f"{q} = {float(values[i])} is not finite at g={p.g:g}, "
+                    f"alpha={complex(p.alpha):g}, r={p.r:g}, t1={p.t1:g}, t2={p.t2:g}, "
+                    f"phi={p.phi:g}, eta={eta:g}"
+                )
+            column = values.tolist()
+            for i in np.flatnonzero(flagged).tolist():
+                column[i] = None
+            cells[q] = column
+    except ValueError:
+        if len(points) > 1:
+            for i in range(len(points)):
+                _evaluate_series(points[i : i + 1], etas[i : i + 1], quantities)
+        raise
     return cells, [_FLAG_TEXT[b] for b in bits.tolist()]
 
 
@@ -209,31 +214,13 @@ def point_row(params: InterferometerParams, eta: float, values) -> dict:
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the sweep; series-major, grid-minor row order, deterministic.
 
-    Every quantity is evaluated over a whole series in one call, and
-    ``delta_phi_min`` first (one ``optimal_phase`` call per series), so its
-    overflow is reported before any other quantity's.  Any other overflow
-    raises the ValueError that evaluating the series point by point, each
-    point's quantities in order, meets first.
+    Each series is one ``_evaluate_series`` call, which also decides which
+    overflow a failing sweep reports.
     """
     rows = []
     for series in spec.series:
         points, etas = _series_points(spec, series)
-        for eta in etas:
-            _check_eta(eta)
-        # overflow is reported by the finiteness checks, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            known = {}
-            if "delta_phi_min" in spec.quantities:
-                known["delta_phi_min"] = _QUANTITY_TABLE["delta_phi_min"](points, etas)
-            try:
-                cells, flags = _evaluate_series(points, etas, spec.quantities, known)
-            except ValueError:
-                # the series ran quantity by quantity: raise what the
-                # point-by-point order meets first
-                for i in range(len(points)):
-                    one = {q: (values[i : i + 1], None) for q, (values, _) in known.items()}
-                    _evaluate_series(points[i : i + 1], etas[i : i + 1], spec.quantities, one)
-                raise
+        cells, flags = _evaluate_series(points, etas, spec.quantities)
         columns = [cells[q] for q in spec.quantities]
         for params, eta, flag, *values in zip(points, etas, flags, *columns):
             row = {"series": series.label, **point_row(params, eta, zip(spec.quantities, values))}

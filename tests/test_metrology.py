@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -464,10 +465,44 @@ class TestSequenceForms:
         points = [params(g=2.0, alpha=a, phi=0.5) for a in (1.0, alpha, 1e308)]
         with pytest.raises(ValueError) as one:
             fn(points[1])
-        with pytest.raises(ValueError) as sequence, np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as sequence:
             fn(points)
         assert str(sequence.value) == str(one.value)
         assert str(one.value).startswith(message) and f"alpha={alpha:g}" in str(one.value)
+
+    @pytest.mark.parametrize(
+        "fn, alpha",
+        [
+            (total_photon_number, 1e160),
+            (sql_hl, 1e160),
+            (qfi_ideal, 1e160),
+            (lambda p: qfi_lossy(p, 0.5), 1e160),
+            (lambda p: qfi_lossy(p, 0.5), 1e100),  # F and <n_a> finite, F_L not
+            (trig_coefficients, 1e307),
+            (quadrature_stats, 1e307),
+            (phase_sensitivity, 1e307),
+            (lambda p: sensitivity_curve(p, [0.5, 1.0]), 1e307),
+            (optimal_phase, 1e307),
+        ],
+        ids=["N", "sql_hl", "qfi", "qfi_lossy", "F_L", "trig", "stats", "delta_phi", "curve",
+             "optimum"],
+    )
+    def test_sequence_overflow_is_no_warning(self, fn, alpha):
+        # numpy's overflow inside a sequence call stays silent: the call
+        # raises its ValueError under an "error" warning filter too
+        points = [params(g=2.0, alpha=a, phi=0.5) for a in (1.0, alpha)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                fn(points)
+        assert "overflow" in str(exc.value) and f"alpha={alpha:g}" in str(exc.value)
+
+    def test_benchmark_overflow_is_no_warning(self):
+        # 1/N overflows at a subnormal N: degenerate benchmarks, not a warning
+        points = [params(g=0.0, alpha=0.0, r=r) for r in (0.0, 3.993930816541486e-156)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sql_hl(points)[2].tolist() == ["degenerate", "degenerate"]
 
 
 class TestTrendInvariants:

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from su11lso.cli import main
-from su11lso import crosscheck
+from su11lso import cli, crosscheck
 from su11lso.crosscheck import CellResult, CrossCheckResult
 from su11lso.errors import DegenerateConfigurationError, DivergentSensitivityError
 from su11lso.metrology import (
@@ -387,6 +387,23 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert expected in (proc.stdout if code == 0 else proc.stderr)
         assert out.exists() == (code == 0 and "--output" in argv)
+
+    def test_config_defaults_stay_with_their_call(self, tmp_path, monkeypatch):
+        # one parser serves every call of a process; a --config call sets its
+        # defaults on a parser of its own
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("r = 0.6\nphi = 0.3\n")
+        code, stdout, _ = run_main("--config", str(cfg), "point", "--quantities", "N")
+        assert code == 0
+        assert (json.loads(stdout)["r"], json.loads(stdout)["phi"]) == (0.6, 0.3)
+        for _ in range(2):
+            code, stdout, _ = run_main("point", "--quantities", "N")
+            assert code == 0
+            assert (json.loads(stdout)["r"], json.loads(stdout)["phi"]) == (0.0, 0.0)
+        assert len(builds) == 1
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "typo.cfg"
@@ -781,6 +798,20 @@ class TestPointMatchesSweepRow:
         assert row.pop("flags") == ";".join(point.pop("flags"))
         assert row == point
 
+    def test_point_overflow_is_the_sweep_rows(self, tmp_path):
+        # N, asked for first, overflows too; both solve delta_phi_min first
+        flags = ("--g", "200", "--alpha", "1e100", "--quantities", "N,delta_phi_min")
+        code, stdout, err = run_main("point", *flags)
+        out = tmp_path / "row.csv"
+        sweep_code, _, sweep_err = run_main(
+            "sweep", *flags, "--var", "phi", "--start", "0", "--stop", "1", "--count", "2",
+            "--output", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert (sweep_code, sweep_err) == (code, err)
+        assert err == "invalid input: homodyne statistics overflow at g=200, alpha=1e+100+0j, r=0\n"
+        assert not out.exists()
+
 
 # each quantity of one point through the scalar API, as sweeps evaluated it
 # point by point
@@ -927,8 +958,7 @@ class TestBatchEqualsScalar:
         expected = None
         if "delta_phi_min" in quantities:  # solved for the whole series first
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    optimal_phase([p for p, _ in points])
+                optimal_phase([p for p, _ in points])
             except ValueError as exc:
                 expected = str(exc)
         for p, eta in points:
