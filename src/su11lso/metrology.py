@@ -22,11 +22,11 @@ quantity is undefined.  A sequence of n points is evaluated in one array
 pass, each point to its single-point bits.  It returns the same report with
 (n,) array fields, and ``sql_hl`` returns (sql, hl, status); in place of
 those errors ``status`` reads "divergent" or "degenerate" (else "ok") and
-the undefined fields read nan.  ``optimal_phase`` returns one result per
-point instead.  A sequence's ValueError (overflow) is the one its first
-failing point raises alone.  A sequence's arithmetic runs with numpy's
-floating-point warnings off: its overflow shows as that ValueError or a
-non-finite value, never as a warning (Python numbers warn of nothing).
+the undefined fields read nan.  A sequence's ValueError (overflow) is one
+that some failing point raises alone; sweeps find the first such point.
+A sequence's arithmetic runs with numpy's floating-point warnings off: its
+overflow shows as that ValueError or a non-finite value, never as a
+warning (Python numbers warn of nothing).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .moments import InterferometerParams, quadrature_stats, trig_coefficients
-from .moments import _check_finite, _exponent_of, _homodyne, _raise_first_point, _re_product
+from .moments import _check_finite, _exponent_of, _homodyne, _re_product
 
 SLOPE_FLOOR = 1e-12
 
@@ -77,6 +77,7 @@ class LossyQfiReport:
 class OptimalPhaseResult:
     phi_opt: float
     delta_phi_min: float
+    status: str = "ok"
 
 
 def _status(flagged: np.ndarray, word: str) -> np.ndarray:
@@ -89,9 +90,11 @@ def phase_sensitivity(params) -> SensitivityReport:
 
     A sequence of points gives (n,) arrays with status "divergent" (and
     delta_phi nan) where the slope is below SLOPE_FLOOR; one point raises
-    ``DivergentSensitivityError`` there.
+    ``DivergentSensitivityError`` there.  A variance or slope that
+    overflows raises ValueError.
     """
     stats = quadrature_stats(params)
+    _check_finite("homodyne statistics overflow", (stats.variance, stats.dmean_dphi), params)
     slope = abs(stats.dmean_dphi)
     if isinstance(params, InterferometerParams):
         if slope < SLOPE_FLOOR:
@@ -102,7 +105,7 @@ def phase_sensitivity(params) -> SensitivityReport:
         delta = math.sqrt(max(stats.variance, 0.0)) / slope
         return SensitivityReport(delta, stats.mean, stats.variance, stats.dmean_dphi)
     divergent = slope < SLOPE_FLOOR
-    with np.errstate(all="ignore"):  # inf / inf where the statistics overflow
+    with np.errstate(all="ignore"):  # x / 0 at a vanishing slope
         delta = np.where(divergent, np.nan, np.sqrt(np.maximum(stats.variance, 0.0)) / slope)
     return SensitivityReport(
         delta, stats.mean, stats.variance, stats.dmean_dphi, _status(divergent, "divergent")
@@ -124,12 +127,8 @@ def total_photon_number(params):
 
     A sequence of points gives an (n,) array.
     """
-    try:
-        n = _exponent_of(params, _photon_number)
-        _check_finite("photon number N overflows", (n,), params)
-    except ValueError:
-        _raise_first_point(total_photon_number, params)
-        raise
+    n = _exponent_of(params, _photon_number)
+    _check_finite("photon number N overflows", (n,), params)
     return n
 
 
@@ -165,24 +164,20 @@ def qfi_ideal(params) -> QfiReport:
     in every field but N) where one point raises
     ``DegenerateConfigurationError``.
     """
-    try:
-        fisher = _exponent_of(params, _ideal_fisher)
-        _check_finite("Fisher information overflows", (fisher,), params)
-        if isinstance(params, InterferometerParams):
-            if fisher <= 0.0:
-                raise DegenerateConfigurationError(
-                    f"Fisher information {fisher:.3e} <= 0: vacuum-degenerate configuration"
-                )
-            n = total_photon_number(params)
-            sql, hl = sql_hl(params)
-            return QfiReport(n, sql, hl, fisher, 1.0 / math.sqrt(fisher))
-        # F <= 0 only in the vacuum, whose N = 0 cannot overflow, so N is
-        # read at every point
+    fisher = _exponent_of(params, _ideal_fisher)
+    _check_finite("Fisher information overflows", (fisher,), params)
+    if isinstance(params, InterferometerParams):
+        if fisher <= 0.0:
+            raise DegenerateConfigurationError(
+                f"Fisher information {fisher:.3e} <= 0: vacuum-degenerate configuration"
+            )
         n = total_photon_number(params)
-        sql, hl, status = sql_hl(params)
-    except ValueError:
-        _raise_first_point(qfi_ideal, params)
-        raise
+        sql, hl = sql_hl(params)
+        return QfiReport(n, sql, hl, fisher, 1.0 / math.sqrt(fisher))
+    # F <= 0 only in the vacuum, whose N = 0 cannot overflow, so N is read at
+    # every point
+    n = total_photon_number(params)
+    sql, hl, status = sql_hl(params)
     degenerate = (fisher <= 0.0) | (status != "ok")
     sql, hl, fisher = (np.where(degenerate, np.nan, v) for v in (sql, hl, fisher))
     return QfiReport(n, sql, hl, fisher, 1.0 / np.sqrt(fisher), _status(degenerate, "degenerate"))
@@ -212,40 +207,36 @@ def qfi_lossy(params, eta) -> LossyQfiReport:
     ``DegenerateConfigurationError``.
     """
     single = isinstance(params, InterferometerParams)
-    if not single:
+    if single:
+        eta = float(eta)  # a numpy scalar would warn where F_L overflows
+        if not 0.0 <= eta <= 1.0:  # false for NaN too
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    else:
         eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(params),))
-    try:
-        if single:
-            if not 0.0 <= eta <= 1.0:  # false for NaN too
-                raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        outside = ~((0.0 <= eta) & (eta <= 1.0))
+        if outside.any():
+            raise ValueError(f"eta must lie in [0, 1], got {eta[outside][0]}")
+    n_a = _exponent_of(params, _mode_a_number)
+    report = qfi_ideal(params)
+    fisher = report.fisher
+    if single:
+        if eta == 1.0:
+            fl = fisher
+        elif eta == 0.0:
+            fl = 0.0
         else:
-            outside = ~((0.0 <= eta) & (eta <= 1.0))
-            if outside.any():
-                raise ValueError(f"eta must lie in [0, 1], got {eta[outside][0]}")
-        n_a = _exponent_of(params, _mode_a_number)
-        report = qfi_ideal(params)
-        fisher = report.fisher
-        if single:
-            if eta == 1.0:
-                fl = fisher
-            elif eta == 0.0:
-                fl = 0.0
-            else:
-                fl = _lossy_fisher(fisher, eta, n_a)
-                _check_finite("lossy Fisher information overflows", (fl,), params)
-            qcrb = math.inf if fl == 0.0 else 1.0 / math.sqrt(fl)
-            return LossyQfiReport(eta, fl, qcrb)
-        ok = report.status == "ok"
-        between = ok & (eta != 1.0) & (eta != 0.0)
-        with np.errstate(all="ignore"):  # overflow is checked below; F_L = 0 bounds nothing
-            raw = _lossy_fisher(fisher, eta, n_a)
-            # fisher is nan where the status is not ok
-            fl = np.where(between, raw, np.where(ok & (eta == 0.0), 0.0, fisher))
-            qcrb = 1.0 / np.sqrt(fl)
-        _check_finite("lossy Fisher information overflows", (np.where(between, raw, 0.0),), params)
-    except ValueError:
-        _raise_first_point(qfi_lossy, params, eta)
-        raise
+            fl = _lossy_fisher(fisher, eta, n_a)
+            _check_finite("lossy Fisher information overflows", (fl,), params)
+        qcrb = math.inf if fl == 0.0 else 1.0 / math.sqrt(fl)
+        return LossyQfiReport(eta, fl, qcrb)
+    ok = report.status == "ok"
+    between = ok & (eta != 1.0) & (eta != 0.0)
+    with np.errstate(all="ignore"):  # overflow is checked below; F_L = 0 bounds nothing
+        raw = _lossy_fisher(fisher, eta, n_a)
+        # fisher is nan where the status is not ok
+        fl = np.where(between, raw, np.where(ok & (eta == 0.0), 0.0, fisher))
+        qcrb = 1.0 / np.sqrt(fl)
+    _check_finite("lossy Fisher information overflows", (np.where(between, raw, 0.0),), params)
     return LossyQfiReport(eta, fl, qcrb, report.status)
 
 
@@ -304,11 +295,10 @@ def optimal_phase(params):
 
     ``params`` is one point or a sequence of points; a sequence is solved
     as one batch (one stacked eigensolve per companion size, one
-    ``sensitivity_curve`` call) and returns one result per point, with
-    ``delta_phi_min`` = inf and ``phi_opt`` = nan where every candidate
-    diverges (alpha = 0 or t1 = 0).  For a single point that case raises
-    ``DivergentSensitivityError``.  A point's result does not depend on the
-    batch it is solved in.
+    ``sensitivity_curve`` call) into (n,) arrays, with status "divergent"
+    (and nan fields) where every candidate diverges (alpha = 0 or t1 = 0);
+    one point raises ``DivergentSensitivityError`` there.  A point's result
+    does not depend on the batch it is solved in.
     """
     single = isinstance(params, InterferometerParams)
     points = [params] if single else list(params)
@@ -353,14 +343,12 @@ def optimal_phase(params):
     best = np.argmin(curve, axis=1)
     value = curve[rows, best]
     phi_opt = np.where(np.isfinite(value), phis[rows, best], np.nan)
-    results = [
-        OptimalPhaseResult(phi_opt=float(phi), delta_phi_min=float(v))
-        for phi, v in zip(phi_opt, value)
-    ]
+    divergent = np.isinf(value)
     if not single:
-        return results
-    if math.isinf(results[0].delta_phi_min):
+        value = np.where(divergent, np.nan, value)
+        return OptimalPhaseResult(phi_opt, value, _status(divergent, "divergent"))
+    if divergent[0]:
         raise DivergentSensitivityError(
             "every phase in the bracket is uninformative (alpha = 0?)"
         )
-    return results[0]
+    return OptimalPhaseResult(float(phi_opt[0]), float(value[0]))

@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .series import _ORDER, DEGREE_CAP, series_exp
 
 
@@ -274,23 +273,6 @@ def _check_finite(what, values, params) -> None:
     )
 
 
-def _raise_first_point(fn, params, *args) -> None:
-    """Raise the ValueError that a failed sequence call's first failing point
-    raises alone.
-
-    A sequence call runs each check over every point before the next check,
-    so its own ValueError can name a later point.  ``args`` are (n,) arrays,
-    replayed as Python numbers; one point, or none that fails alone, returns.
-    """
-    if isinstance(params, InterferometerParams):
-        return
-    for point, *point_args in zip(params, *(a.tolist() for a in args)):
-        try:
-            fn(point, *point_args)
-        except (DivergentSensitivityError, DegenerateConfigurationError):
-            pass
-
-
 def _amplitudes(params: InterferometerParams) -> tuple[float, float]:
     """Weights sqrt(t1 t2) cosh g of a and sqrt(t2) sinh g of b' in the output mode."""
     return (
@@ -311,15 +293,11 @@ def trig_coefficients(params):
 
     ``params`` is one point, giving (float, complex, float, complex, complex),
     or a sequence of n points, giving (n,) arrays in those places.  An
-    overflow raises ValueError naming the point (for a sequence, the one its
-    first failing point raises alone).
+    overflow raises ValueError naming a point: a sequence names the first
+    point whose exponent overflows, else the first whose harmonics do.
     """
-    try:
-        coeffs = _exponent_of(params, lambda e: _harmonics(e, params))
-        _check_finite("homodyne statistics overflow", coeffs, params)
-    except ValueError:
-        _raise_first_point(trig_coefficients, params)
-        raise
+    coeffs = _exponent_of(params, lambda e: _harmonics(e, params))
+    _check_finite("homodyne statistics overflow", coeffs, params)
     return coeffs
 
 

@@ -12,8 +12,10 @@ benchmarks stay in the output as flagged rows with the affected cells
 empty, never as silent omissions.
 
 One evaluator, ``_evaluate_series``, fills a series' cells, one call per
-quantity; ``point`` evaluates its point as a series of one, so it prints
-the values, flags and overflow error of the sweep row at that point.
+quantity, and alone decides which overflow a failing series reports: the
+first that evaluating it point by point meets, ``delta_phi_min`` first.
+``point`` evaluates its point as a series of one, so it prints the values,
+flags and overflow error of the sweep row at that point.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _cells(report, name):
 # installed there (perfbench's tracer) sees every call.
 _QUANTITY_TABLE = {
     "delta_phi": lambda p, eta: _cells(phase_sensitivity(p), "delta_phi"),
-    "delta_phi_min": lambda p, eta: ([o.delta_phi_min for o in optimal_phase(p)], None),
+    "delta_phi_min": lambda p, eta: _cells(optimal_phase(p), "delta_phi_min"),
     "N": lambda p, eta: (total_photon_number(p), None),
     "sql": lambda p, eta: sql_hl(p)[::2],
     "hl": lambda p, eta: sql_hl(p)[1:],
@@ -144,16 +146,21 @@ def _evaluate_series(
     Each quantity is evaluated over the whole series in one call, and
     ``delta_phi_min`` first (one ``optimal_phase`` call), so its overflow is
     reported before any other quantity's.  A flagged point's cell is None.
-    A value that is not finite where its status is ok means overflow.  Any
-    other overflow raises the ValueError that evaluating the series point by
-    point, each point's quantities in order, meets first: on a ValueError
-    the series is replayed one point at a time to find it.
+    A value that is not finite where its status is ok means overflow.  A
+    failing call is replayed one point at a time, so a series raises the
+    ValueError met first in point order: ``delta_phi_min``'s, else the
+    first failing point's first failing quantity's.
     """
     for eta in etas:
         if not 0.0 <= eta <= 1.0:  # false for NaN too
             raise ValueError(f"eta must be finite and lie in [0, 1], got {eta}")
     if "delta_phi_min" in quantities:  # solved for the whole series before the rest
-        optimum = _QUANTITY_TABLE["delta_phi_min"](points, etas)
+        try:
+            optimum = _QUANTITY_TABLE["delta_phi_min"](points, etas)
+        except ValueError:
+            for p in points:  # raise the first point's own error
+                optimal_phase([p])
+            raise
     bits = np.zeros(len(points), dtype=int)
     cells = {}
     try:
@@ -167,12 +174,8 @@ def _evaluate_series(
                     bits |= _FLAG_BITS[name] * hit
                     flagged |= hit
             overflow = ~(flagged | np.isfinite(values))
-            inf = overflow & np.isinf(values)
-            if q == "delta_phi_min":  # a batch optimum reads inf where no phase informs
-                bits |= _FLAG_BITS["divergent"] * inf
-                flagged |= inf
-                overflow &= ~inf
-            elif q == "qcrb_lossy":  # an infinite bound is the documented "unbounded"
+            if q == "qcrb_lossy":  # an infinite bound is the documented "unbounded"
+                inf = overflow & np.isinf(values)
                 bits |= _FLAG_BITS["unbounded"] * inf
                 overflow &= ~inf
             if overflow.any():

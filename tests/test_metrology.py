@@ -56,6 +56,17 @@ class TestPhaseSensitivity:
         # mean 2|a|cos(phi), variance 1, slope 2|a|sin(phi)
         assert rep.delta_phi == pytest.approx(1.0 / (2 * alpha * math.sin(0.5)))
 
+    def test_statistics_overflow_raises(self):
+        # at r = 354 the harmonics are finite but the variance is not
+        p = params(r=354.0, phi=0.5)
+        assert all(map(cmath.isfinite, trig_coefficients(p)))
+        assert math.isinf(quadrature_stats(p).variance)
+        message = "homodyne statistics overflow at g=1, alpha=1+0j, r=354"
+        for form in (p, [params(phi=0.5), p]):
+            with pytest.raises(ValueError) as exc:
+                phase_sensitivity(form)
+            assert str(exc.value) == message
+
 
 class TestPhotonNumber:
     def test_coherent_input_only(self):
@@ -175,6 +186,17 @@ class TestQfiLossy:
         with pytest.raises(DegenerateConfigurationError):
             qfi_lossy(params(g=0, alpha=0, r=0), 0.5)
 
+    def test_numpy_scalar_eta_overflow_raises_not_warns(self):
+        # a numpy eta is read as a Python float, whose overflow does not warn
+        p = params(g=2.0, alpha=1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eta in (0.5, np.float64(0.5)):
+                with pytest.raises(ValueError, match="lossy Fisher information overflows"):
+                    qfi_lossy(p, eta)
+        report = qfi_lossy(params(), np.float64(0.5))
+        assert type(report.eta) is float and report == qfi_lossy(params(), 0.5)
+
 
 class TestOptimalPhase:
     def test_minimum_decreases_with_squeezing(self):
@@ -224,9 +246,10 @@ class TestExactOptimum:
     def test_optimum_is_phase_sensitivity_at_phi_opt(self):
         # delta_phi_min and delta_phi come from the same arithmetic
         points = _random_lossy_points(1000, seed=24)
-        for p, res in zip(points, optimal_phase(points)):
-            report = phase_sensitivity(p.replace(phi=res.phi_opt))
-            assert res.delta_phi_min == report.delta_phi, p
+        batch = optimal_phase(points)
+        assert (batch.status == "ok").all()
+        for p, phi, best in zip(points, batch.phi_opt.tolist(), batch.delta_phi_min.tolist()):
+            assert best == phase_sensitivity(p.replace(phi=phi)).delta_phi, p
 
     def test_curve_does_not_depend_on_numpy_cpu_dispatch(self):
         umath = (getattr(np, "_core", None) or np.core)._multiarray_umath  # numpy 2 or 1
@@ -339,17 +362,19 @@ class TestBatchOptimum:
     @settings(max_examples=60, deadline=None)
     def test_batch_equals_one_point_at_a_time(self, points):
         batch = optimal_phase(points)
-        assert len(batch) == len(points)
-        for p, res in zip(points, batch):
+        fields = (batch.phi_opt, batch.delta_phi_min, batch.status)
+        assert [f.shape for f in fields] == [(len(points),)] * 3
+        for p, phi, best, status in zip(points, *(f.tolist() for f in fields)):
             reference = _reference_optimum(p)
             try:
                 one = optimal_phase(p)
             except DivergentSensitivityError:
                 assert reference is None, p
-                assert res.delta_phi_min == math.inf and math.isnan(res.phi_opt), p
+                assert status == "divergent" and math.isnan(best) and math.isnan(phi), p
                 continue
-            assert (res.phi_opt, res.delta_phi_min) == (one.phi_opt, one.delta_phi_min), p
-            assert (res.phi_opt, res.delta_phi_min) == reference, p
+            assert status == "ok" and type(one.delta_phi_min) is float, p
+            assert (phi, best) == (one.phi_opt, one.delta_phi_min), p
+            assert (phi, best) == reference, p
 
     def test_batch_curve_rows_are_single_point_curves(self):
         points = _random_lossy_points(20, seed=3)
@@ -461,14 +486,22 @@ class TestSequenceForms:
     )
     def test_sequence_overflow_names_the_first_point(self, fn, alpha, message):
         # the first point overflows nothing, the second this quantity, the
-        # third the generating exponent itself
+        # third the generating exponent itself.  A sequence raises the error
+        # of some failing point alone (sweeps order them), so with one
+        # failing point it raises that point's
         points = [params(g=2.0, alpha=a, phi=0.5) for a in (1.0, alpha, 1e308)]
-        with pytest.raises(ValueError) as one:
-            fn(points[1])
-        with pytest.raises(ValueError) as sequence:
-            fn(points)
-        assert str(sequence.value) == str(one.value)
-        assert str(one.value).startswith(message) and f"alpha={alpha:g}" in str(one.value)
+        fn(points[0])
+        alone = []
+        for p in points[1:]:
+            with pytest.raises(ValueError) as one:
+                fn(p)
+            alone.append(str(one.value))
+        assert alone[0].startswith(message) and f"alpha={alpha:g}" in alone[0]
+        assert alone[1].startswith("generating exponent overflows")
+        for n in (2, 3):
+            with pytest.raises(ValueError) as sequence:
+                fn(points[:n])
+            assert str(sequence.value) in alone[: n - 1]
 
     @pytest.mark.parametrize(
         "fn, alpha",

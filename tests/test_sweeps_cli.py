@@ -88,7 +88,7 @@ class TestRunSweep:
         assert rows[1]["delta_phi"] > 0
 
     def test_series_optimum_matches_point_optimum(self):
-        # one optimal_phase call solves the series; alpha = 0 reads inf there
+        # one optimal_phase call solves the series; alpha = 0 is divergent there
         rows = run_sweep(
             spec_(variable="alpha", start=0.0, stop=1.0, count=5, quantities=("delta_phi_min",))
         )
@@ -943,10 +943,14 @@ class TestBatchEqualsScalar:
             ("alpha", 1e150, 1e308, 9, {}, ("delta_phi", "N")),
             # the harmonics overflow at g = 212.5, the exponent at g = 362.5
             ("g", 100.0, 400.0, 9, {"phi": 0.5}, ("N", "delta_phi")),
-            # delta_phi is inf at r = 354 (no function raises), N overflows at 354.5
+            # the homodyne variance overflows at r = 354 (the harmonics do
+            # not), N at 354.5
             ("r", 350.0, 356.0, 13, {"phi": 0.5}, ("sql", "delta_phi")),
             # delta_phi_min is solved for the whole series before the rest
             ("alpha", 1e150, 1e308, 9, {}, ("N", "delta_phi_min")),
+            # the series' optimum names the exponent at g = 362.5; point by
+            # point, the harmonics at g = 212.5 come first
+            ("g", 100.0, 400.0, 9, {"phi": 0.5}, ("delta_phi_min",)),
         ],
     )
     def test_overflow_names_the_point_by_point_first(
@@ -956,11 +960,15 @@ class TestBatchEqualsScalar:
         spec = SweepSpec(variable, start, stop, count, fixed, quantities, eta=0.5)
         points = list(series_points(spec))
         expected = None
-        if "delta_phi_min" in quantities:  # solved for the whole series first
-            try:
-                optimal_phase([p for p, _ in points])
-            except ValueError as exc:
-                expected = str(exc)
+        if "delta_phi_min" in quantities:  # solved for every point first
+            for p, _ in points:
+                try:
+                    optimal_phase(p)
+                except DivergentSensitivityError:
+                    continue
+                except ValueError as exc:
+                    expected = str(exc)
+                    break
         for p, eta in points:
             for q in quantities:
                 if expected is not None:
