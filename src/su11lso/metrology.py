@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .moments import InterferometerParams, quadrature_stats, trig_coefficients
-from .moments import _check_finite, _exponent_of, _homodyne, _re_product
+from .moments import _check_finite, _exponent_of, _homodyne, _re_product, _series
 
 SLOPE_FLOOR = 1e-12
 
@@ -297,11 +297,13 @@ def optimal_phase(params):
     as one batch (one stacked eigensolve per companion size, one
     ``sensitivity_curve`` call) into (n,) arrays, with status "divergent"
     (and nan fields) where every candidate diverges (alpha = 0 or t1 = 0);
-    one point raises ``DivergentSensitivityError`` there.  A point's result
-    does not depend on the batch it is solved in.
+    one point raises ``DivergentSensitivityError`` there.  Where no candidate
+    is finite because the statistics overflow (the quartic's coefficients
+    do), both forms raise ValueError.  A point's result does not depend on
+    the batch it is solved in.
     """
     single = isinstance(params, InterferometerParams)
-    points = [params] if single else list(params)
+    points = _series([params] if single else params)
     lo, hi = PHASE_BRACKET
     _, m1, v0, v1, v2 = trig_coefficients(points)
     with np.errstate(all="ignore"):  # array arithmetic: overflow reads inf or nan
@@ -344,6 +346,9 @@ def optimal_phase(params):
     value = curve[rows, best]
     phi_opt = np.where(np.isfinite(value), phis[rows, best], np.nan)
     divergent = np.isinf(value)
+    # no finite candidate, and a quartic that overflowed: the variance
+    # overflows there (a point without phase information has a finite quartic)
+    _check_finite("homodyne statistics overflow", (np.where(divergent, scale, 0.0),), points)
     if not single:
         value = np.where(divergent, np.nan, value)
         return OptimalPhaseResult(phi_opt, value, _status(divergent, "divergent"))

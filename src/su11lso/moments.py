@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -34,7 +34,7 @@ import numpy as np
 from .series import _ORDER, DEGREE_CAP, series_exp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterferometerParams:
     """Physical configuration of the interferometer.
 
@@ -54,6 +54,18 @@ class InterferometerParams:
     phi: float = 0.0
 
     def __post_init__(self):
+        # one comparison chain accepts every valid point; the field checks
+        # below run only for a point it rejects (or fails to compare), and
+        # name what is wrong
+        try:
+            if (
+                0.0 <= self.g < math.inf and 0.0 <= self.r < math.inf
+                and 0.0 <= self.t1 <= 1.0 and 0.0 <= self.t2 <= 1.0
+                and -math.inf < self.phi < math.inf and cmath.isfinite(self.alpha)
+            ):
+                return
+        except (TypeError, ValueError, ArithmeticError):
+            pass
         for name in ("g", "alpha", "r", "t1", "t2", "phi"):
             value = getattr(self, name)
             if not cmath.isfinite(value):
@@ -201,8 +213,8 @@ class MomentTable:
 # A default figure run sweeps g (figs 3, 7a, 8a, 11a) and alpha (figs 4, 7b,
 # 8b, 11b) over the same four r curves: 2 grids x 4 curves x 200 points, plus
 # the fixed points of the other presets, is 1,604 distinct (g, alpha, r).  So
-# each is built once per run, and optimal_phase's two passes over a series
-# (the quartic, then sensitivity_curve) hit for series of up to 2,048 points.
+# each is built once per run; a sweep series reads each of its points' tables
+# once (``_Series``).
 @lru_cache(maxsize=2048)
 def _table(g: float, alpha: complex, r: float) -> MomentTable:
     return MomentTable(InterferometerParams(g=g, alpha=alpha, r=r))
@@ -219,15 +231,50 @@ def q_moment(params: InterferometerParams, key) -> complex:
     return moment_table(params).moment(key)
 
 
+class _Series(tuple):
+    """The points of a series, and what every sequence call on them reads.
+
+    Each part is computed on first use and kept: the exponent entries as
+    (n,) arrays, stacked from each point's cached table; the output
+    amplitudes; the phase factors e^{i phi}; the raw harmonics, which
+    ``trig_coefficients`` checks on every call.  A sequence call on a plain
+    list evaluates it through a state of its own; sweeps build one state per
+    series and pass it to every quantity, so each table is read once.
+    """
+
+    @cached_property
+    def exponent(self) -> _Exponent:
+        entries = chain.from_iterable(moment_table(p)._exponent for p in self)
+        table = np.fromiter(entries, complex, 12 * len(self)).reshape(-1, 12)
+        return _Exponent(*table[:, :4].T, *table[:, 4:].real.T)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        return np.array([_amplitudes(p) for p in self], dtype=float).reshape(-1, 2).T
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return np.exp(1j * np.array([p.phi for p in self], dtype=float))
+
+    @cached_property
+    def harmonics(self) -> tuple:
+        e, (amp_a, amp_b) = self.exponent, self.amplitudes
+        with np.errstate(all="ignore"):  # trig_coefficients reports the overflow
+            return _harmonics(e, amp_a, amp_b)
+
+
+def _series(params) -> _Series:
+    """The state of a sequence of points: ``params`` itself if it is one."""
+    return params if isinstance(params, _Series) else _Series(params)
+
+
 def _exponent_of(params, formula):
     """``formula(e)`` of the exponent entries e of one point, or of a sequence
-    as (n,) arrays from each point's cached table, with numpy's floating-point
+    as (n,) arrays (``_Series.exponent``), with numpy's floating-point
     warnings off: the callers' finiteness checks report its overflow."""
     if isinstance(params, InterferometerParams):
         return formula(moment_table(params)._exponent)
-    entries = chain.from_iterable(moment_table(p)._exponent for p in params)
-    table = np.fromiter(entries, complex, 12 * len(params)).reshape(-1, 12)
-    e = _Exponent(*table[:, :4].T, *table[:, 4:].real.T)
+    e = _series(params).exponent
     with np.errstate(all="ignore"):
         return formula(e)
 
@@ -296,18 +343,17 @@ def trig_coefficients(params):
     overflow raises ValueError naming a point: a sequence names the first
     point whose exponent overflows, else the first whose harmonics do.
     """
-    coeffs = _exponent_of(params, lambda e: _harmonics(e, params))
+    if isinstance(params, InterferometerParams):
+        coeffs = _harmonics(moment_table(params)._exponent, *_amplitudes(params))
+    else:
+        coeffs = _series(params).harmonics
     _check_finite("homodyne statistics overflow", coeffs, params)
     return coeffs
 
 
-def _harmonics(e, params):
-    """``trig_coefficients`` from the exponent entries e of ``params``."""
+def _harmonics(e, amp_a, amp_b):
+    """``trig_coefficients`` from the exponent entries e and the output amplitudes."""
     # output mode: sqrt(t1 t2) cosh g e^{-i phi} a + sqrt(t2) sinh g b' + noise
-    if isinstance(params, InterferometerParams):
-        amp_a, amp_b = _amplitudes(params)
-    else:
-        amp_a, amp_b = np.array([_amplitudes(p) for p in params], dtype=float).reshape(-1, 2).T
     m0 = amp_b * (e.l2 + e.l3).real
     v0 = 1.0 + amp_a * amp_a * 2.0 * e.p01
     v0 += amp_b * amp_b * (2.0 * e.p23 + 2.0 + e.p22 + e.p33)
@@ -354,6 +400,6 @@ def quadrature_stats(params) -> QuadratureStats:
     """
     if isinstance(params, InterferometerParams):
         return _homodyne(*trig_coefficients(params), cmath.exp(1j * params.phi))
-    z = np.exp(1j * np.array([p.phi for p in params], dtype=float))
+    state = _series(params)
     with np.errstate(all="ignore"):  # overflow is the callers' to report
-        return _homodyne(*trig_coefficients(params), z)
+        return _homodyne(*trig_coefficients(state), state.z)

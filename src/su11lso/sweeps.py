@@ -12,7 +12,9 @@ benchmarks stay in the output as flagged rows with the affected cells
 empty, never as silent omissions.
 
 One evaluator, ``_evaluate_series``, fills a series' cells, one call per
-quantity, and alone decides which overflow a failing series reports: the
+quantity on one series state (``moments._Series``: each point's table is
+read once, and the exponent, amplitudes, phases and harmonics are built
+once), and alone decides which overflow a failing series reports: the
 first that evaluating it point by point meets, ``delta_phi_min`` first.
 ``point`` evaluates its point as a series of one, so it prints the values,
 flags and overflow error of the sweep row at that point.
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .metrology import (
     sql_hl,
     total_photon_number,
 )
-from .moments import InterferometerParams
+from .moments import InterferometerParams, _Series
 
 
 def _cells(report, name):
@@ -103,30 +106,36 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
+# InterferometerParams' fields, in its positional order
+_FIELDS = tuple(f.name for f in fields(InterferometerParams))
+
+
 def _series_points(
     spec: SweepSpec, series: SweepSeries
 ) -> tuple[list[InterferometerParams], list[float]]:
     """Parameters and eta of each grid point of one series."""
-    f = spec.fixed
-    fields = {"g": f.g, "alpha": f.alpha, "r": f.r, "t1": f.t1, "t2": f.t2, "phi": f.phi}
-    fields["eta"] = spec.eta
-    fields.update(series.overrides)
-    sweep_target = fields.pop("sweep_target", None)
+    values = {name: getattr(spec.fixed, name) for name in _FIELDS}
+    values["eta"] = spec.eta
+    values.update(series.overrides)
+    sweep_target = values.pop("sweep_target", None)
     target = spec.variable
     if target == "t_k":
         if sweep_target not in ("t1", "t2"):
             raise ValueError("t_k sweeps need a series sweep_target of t1 or t2")
         target = sweep_target
-    eta = fields.pop("eta")
-    points, etas = [], []
-    for value in spec.grid().tolist():
-        if target == "eta":
-            eta = value
-        else:
-            fields[target] = value
-        points.append(InterferometerParams(**fields))
-        etas.append(eta)
-    return points, etas
+    eta = values.pop("eta")
+    args = [values.pop(name) for name in _FIELDS]
+    if values:
+        raise TypeError(f"series overrides name no parameter: {sorted(values)}")
+    grid = spec.grid().tolist()
+    if target == "eta":
+        return [InterferometerParams(*args)] * len(grid), grid
+    i = _FIELDS.index(target)
+    points = []
+    for value in grid:
+        args[i] = value
+        points.append(InterferometerParams(*args))
+    return points, [eta] * len(grid)
 
 
 _FLAG_BITS = {"divergent": 1, "degenerate": 2, "unbounded": 4}
@@ -143,9 +152,10 @@ def _evaluate_series(
 ) -> tuple[dict, list[str]]:
     """Cells of each quantity and the flags cell of each point of a series.
 
-    Each quantity is evaluated over the whole series in one call, and
-    ``delta_phi_min`` first (one ``optimal_phase`` call), so its overflow is
-    reported before any other quantity's.  A flagged point's cell is None.
+    Each quantity is evaluated over the whole series in one call on one
+    ``_Series`` state, and ``delta_phi_min`` first (one ``optimal_phase``
+    call), so its overflow is reported before any other quantity's.  A
+    flagged point's cell is None.
     A value that is not finite where its status is ok means overflow.  A
     failing call is replayed one point at a time, so a series raises the
     ValueError met first in point order: ``delta_phi_min``'s, else the
@@ -154,9 +164,10 @@ def _evaluate_series(
     for eta in etas:
         if not 0.0 <= eta <= 1.0:  # false for NaN too
             raise ValueError(f"eta must be finite and lie in [0, 1], got {eta}")
+    state = _Series(points)  # read by every quantity's call
     if "delta_phi_min" in quantities:  # solved for the whole series before the rest
         try:
-            optimum = _QUANTITY_TABLE["delta_phi_min"](points, etas)
+            optimum = _QUANTITY_TABLE["delta_phi_min"](state, etas)
         except ValueError:
             for p in points:  # raise the first point's own error
                 optimal_phase([p])
@@ -165,7 +176,7 @@ def _evaluate_series(
     cells = {}
     try:
         for q in quantities:
-            values, status = optimum if q == "delta_phi_min" else _QUANTITY_TABLE[q](points, etas)
+            values, status = optimum if q == "delta_phi_min" else _QUANTITY_TABLE[q](state, etas)
             values = np.asarray(values, dtype=float)
             flagged = np.zeros(len(points), dtype=bool)
             if status is not None:
@@ -258,15 +269,29 @@ def json_value(value):
     return value
 
 
+def _format_column(values: list) -> list:
+    """``_format_cell`` of each value of one column, a column at a time."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        # equal floats format alike, except the zeros: -0.0 == 0.0
+        if values[0] != 0.0 and values.count(values[0]) == len(values):
+            return [format(values[0], _NUMBER_FORMAT)] * len(values)
+        return list(map(format, values, repeat(_NUMBER_FORMAT)))
+    if kinds == {str} and values.count(values[0]) == len(values):
+        return [_format_cell(values[0])] * len(values)
+    return list(map(_format_cell, values))
+
+
+# rows formatted a column at a time together: bounds the cells held at once
+_CSV_BLOCK = 256
+
+
 def render_csv(rows: list[dict], columns: list[str]) -> str:
     lines = [",".join(columns)]
-    for row in rows:
-        # an exact float, nearly every cell, skips the general formatter
-        cells = [
-            format(v, _NUMBER_FORMAT) if type(v) is float else _format_cell(v)
-            for v in map(row.get, columns)
-        ]
-        lines.append(",".join(cells))
+    for start in range(0, len(rows), _CSV_BLOCK):
+        block = rows[start : start + _CSV_BLOCK]
+        cells = [_format_column(list(map(dict.get, block, repeat(c)))) for c in columns]
+        lines += map(",".join, zip(*cells)) if cells else [""] * len(block)
     return "\n".join(lines) + "\n"
 
 

@@ -219,6 +219,21 @@ class TestOptimalPhase:
         with pytest.raises(DivergentSensitivityError):
             optimal_phase(params(alpha=0))
 
+    def test_overflow_is_not_divergence(self):
+        # at r = 354 the quartic overflows and so does the variance at both
+        # bracket ends: no candidate is finite, yet the phase informs
+        p = params(r=354.0, phi=0.5)
+        message = "homodyne statistics overflow at g=1, alpha=1+0j, r=354"
+        for form in (p, [params(), p]):
+            with pytest.raises(ValueError) as exc:
+                optimal_phase(form)
+            assert str(exc.value) == message
+        # without displacement or with internal loss 1, r = 354 still diverges
+        for q in (params(alpha=0.0, r=354.0), params(t1=0.0, r=354.0), params(t1=0.0)):
+            with pytest.raises(DivergentSensitivityError):
+                optimal_phase(q)
+            assert optimal_phase([q, params()]).status.tolist() == ["divergent", "ok"]
+
     def test_minimum_bounded_by_evaluated_grid(self):
         res = optimal_phase(params(r=0.3))
         curve = sensitivity_curve(params(r=0.3), np.linspace(*PHASE_BRACKET, 501))

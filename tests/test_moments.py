@@ -1,8 +1,11 @@
 """Generating-function moments and homodyne statistics."""
 
 import cmath
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -20,6 +23,7 @@ from su11lso.moments import (
     q_moment,
     quadrature_stats,
 )
+from su11lso import moments
 from su11lso.series import series_exp
 from su11lso.sweeps import FIGURE_PRESETS, figure_preset, run_sweep
 
@@ -51,6 +55,63 @@ class TestParams:
         p = InterferometerParams(g=1, alpha=1, r=0.3)
         q = p.replace(phi=0.5)
         assert q.phi == 0.5 and q.g == 1 and p.phi == 0.0
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("g", math.nan, "g must be finite, got nan"),
+            ("alpha", complex(1.0, math.inf), "alpha must be finite, got (1+infj)"),
+            ("r", math.inf, "r must be finite, got inf"),
+            ("t1", -math.inf, "t1 must be finite, got -inf"),
+            ("t2", math.nan, "t2 must be finite, got nan"),
+            ("phi", math.inf, "phi must be finite, got inf"),
+            ("g", -0.5, "gain g must be >= 0"),
+            ("r", -1e-300, "squeezing r must be >= 0"),
+            ("t1", 1.2, "transmittance t1 must lie in [0, 1], got 1.2"),
+            ("t2", -0.1, "transmittance t2 must lie in [0, 1], got -0.1"),
+        ],
+    )
+    def test_invalid_field_message(self, name, value, message):
+        fields = dict(g=1.0, alpha=1.0, r=0.3, t1=1.0, t2=1.0, phi=0.2)
+        fields[name] = value
+        with pytest.raises(ValueError) as exc:
+            InterferometerParams(**fields)
+        assert str(exc.value) == message
+
+    def test_first_failing_check_names_the_error(self):
+        # finiteness is checked for every field before any range
+        with pytest.raises(ValueError, match=r"^phi must be finite, got nan$"):
+            InterferometerParams(g=-1.0, alpha=1.0, r=0.3, t1=2.0, phi=math.nan)
+        with pytest.raises(ValueError, match=r"^gain g must be >= 0$"):
+            InterferometerParams(g=-1.0, alpha=1.0, r=-0.3, t1=2.0)
+        # a field that does not compare fails as it always has
+        with pytest.raises(TypeError, match="'<' not supported"):
+            InterferometerParams(g=1j, alpha=1.0, r=0.3)
+
+    def test_edge_values_accepted(self):
+        for fields in (
+            dict(g=-0.0, alpha=-0.0, r=-0.0, t1=0.0, t2=1.0, phi=-1e308),
+            dict(g=1e308, alpha=complex(-1e308, 1e308), r=5e-324, t1=1.0, t2=0.0, phi=0.0),
+            dict(g=True, alpha=np.complex128(1j), r=np.float64(0.5), t1=1, t2=0.5, phi=2 + 0j),
+        ):
+            p = InterferometerParams(**fields)
+            assert [getattr(p, k) for k in fields] == list(fields.values())
+
+    def test_value_semantics(self):
+        p = InterferometerParams(1.0, 0.5 + 0.5j, 0.3, 0.9, 0.8, 0.2)
+        kw = InterferometerParams(g=1.0, alpha=0.5 + 0.5j, r=0.3, t1=0.9, t2=0.8, phi=0.2)
+        assert p == kw and hash(p) == hash(kw) and {p: 1}[kw] == 1
+        assert p != kw.replace(phi=0.3)
+        assert p.replace(phi=0.4) == InterferometerParams(1.0, 0.5 + 0.5j, 0.3, 0.9, 0.8, 0.4)
+        with pytest.raises(ValueError, match="t1 must lie"):
+            p.replace(t1=1.5)
+        copies = [copy.copy(p), copy.deepcopy(p)]
+        copies += [pickle.loads(pickle.dumps(p, protocol)) for protocol in range(6)]
+        for q in copies:
+            assert q == p and hash(q) == hash(p) and q.phi == 0.2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.g = 2.0
+        assert not hasattr(p, "__dict__")
 
 
 class TestWForm:
@@ -201,12 +262,28 @@ class TestTableCache:
         assert _table.cache_info().misses == 1604
 
     def test_long_series_reads_each_table_once(self):
-        # optimal_phase reads a series twice (the quartic, then
-        # sensitivity_curve); 513 points per series over 4 curves fit
+        # optimal_phase's quartic and its sensitivity_curve pass read one
+        # series state, so a table is read once; 513 points per series over
+        # 4 curves fit
         _table.cache_clear()
         run_sweep(figure_preset("fig3", points=513))
         info = _table.cache_info()
-        assert (info.misses, info.hits) == (2052, 2052)
+        assert (info.misses, info.hits) == (2052, 0)
+
+    @pytest.mark.parametrize("name", ["fig3", "fig11a"])
+    def test_series_reads_each_point_once(self, name, monkeypatch):
+        # fig3: the optimum's quartic and its sensitivity_curve pass; fig11a:
+        # qfi_lossy -> qfi_ideal -> total_photon_number and sql_hl
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return moment_table(params)
+
+        monkeypatch.setattr(moments, "moment_table", counted)
+        spec = figure_preset(name, points=50)
+        rows = run_sweep(spec)
+        assert len(calls) == len(rows) == 50 * len(spec.series)
 
     @pytest.mark.parametrize(
         "g, alpha, r", [(0.5, -0.0, 0.2), (-0.0, -0.0 - 0.0j, 0.3), (0.4, 1.0, -0.0)]

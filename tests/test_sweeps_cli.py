@@ -35,6 +35,7 @@ from su11lso.sweeps import (
     SweepSeries,
     SweepSpec,
     figure_preset,
+    _format_cell,
     render_csv,
     run_sweep,
     sweep_columns,
@@ -68,6 +69,11 @@ class TestSweepSpec:
             spec_(start=1.0, stop=0.5)
         with pytest.raises(ValueError):
             spec_(count=1)
+
+    def test_rejects_override_naming_no_parameter(self):
+        spec = spec_(series=(SweepSeries("typo", {"gain": 1.0}),))
+        with pytest.raises(TypeError, match=r"name no parameter: \['gain'\]"):
+            run_sweep(spec)
 
 
 class TestRunSweep:
@@ -119,6 +125,40 @@ class TestRunSweep:
         assert rows[2]["t2"] == 0.5 and rows[2]["t1"] == 1.0
 
 
+_MISSING = object()
+
+_CSV_CELLS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310]),
+    st.builds(complex, st.floats(allow_nan=False), st.sampled_from([0.0, -0.0])),
+    st.complex_numbers(),
+    st.booleans(),
+    st.integers(),
+    st.none(),
+    st.text(alphabet=' ,"ab', max_size=4),
+    st.just(_MISSING),
+)
+
+
+@st.composite
+def _csv_tables(draw):
+    """Rows and columns where a column is often constant but for one cell."""
+    count = draw(st.integers(0, 6))
+    columns = draw(st.lists(st.sampled_from("abcd"), max_size=4, unique=True))
+    rows = [{} for _ in range(count)]
+    for c in columns:
+        if draw(st.booleans()):
+            column = [draw(_CSV_CELLS)] * count
+            if count and draw(st.booleans()):
+                column[draw(st.integers(0, count - 1))] = draw(_CSV_CELLS)
+        else:
+            column = [draw(_CSV_CELLS) for _ in range(count)]
+        for row, value in zip(rows, column):
+            if value is not _MISSING:
+                row[c] = value
+    return rows, columns
+
+
 class TestCsv:
     def test_fifteen_significant_digits(self):
         rows = [{"series": "", "g": 1.0, "alpha": 1.0, "r": 0.0, "t1": 1.0,
@@ -142,6 +182,26 @@ class TestCsv:
     def test_quotes_cells_with_commas(self):
         rows = [{"series": "a,b", "flags": ""}]
         assert render_csv(rows, ["series", "flags"]).splitlines()[1] == '"a,b",'
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_csv_tables())
+    @example(table=([{"a": 0.0}, {"a": -0.0}, {"a": 0.0}], ["a"]))
+    @example(table=([{"a": -0.0}, {"a": -0.0}], ["a"]))
+    @example(table=([{"a": 2.5}, {"a": 2.5}, {}], ["a"]))
+    @example(table=([{"a": math.nan}, {"a": math.nan}, {"a": float("nan")}], ["a"]))
+    @example(table=([{"a": 1.0}, {"a": 1}, {"a": True}, {"a": 1 + 0j}], ["a"]))
+    @example(table=([{"a": complex(1, 0.0)}, {"a": complex(1, -0.0)}], ["a"]))
+    @example(table=([{"a": 'x,"y'}, {"a": 'x,"y'}], ["a", "b"]))
+    @example(table=([], ["a", "b"]))
+    # more rows than one block of columns formatted together
+    @example(table=([{"a": 0.5, "b": "x"}] * 300 + [{"a": -0.0}] + [{"a": 0.5}] * 300, ["a", "b"]))
+    @example(table=([{"a": i / 7, "b": 2.0} for i in range(1000)], ["b", "a"]))
+    @example(table=([{"a": 1.0}, {}], []))
+    def test_column_formatting_matches_each_cell(self, table):
+        rows, columns = table
+        lines = [",".join(columns)]
+        lines += [",".join(_format_cell(row.get(c)) for c in columns) for row in rows]
+        assert render_csv(rows, columns) == "\n".join(lines) + "\n"
 
 
 CAPTION_TABLE = {
@@ -241,6 +301,15 @@ class TestCli:
         proc = run_cli("point", "--alpha", "0", "--quantities", "delta_phi")
         assert proc.returncode == 2
         assert "divergent" in json.loads(proc.stdout)["flags"]
+
+    def test_point_optimum_overflow_is_invalid_input(self):
+        # no candidate phase is finite at r = 354 because the statistics
+        # overflow, so the point is invalid input, not divergent
+        proc = run_cli("point", "--r", "354", "--phi", "0.5", "--quantities", "delta_phi_min")
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "invalid input: homodyne statistics overflow at g=1, alpha=1+0j, r=354\n"
+        )
 
     def test_point_lossless_fisher_limit(self):
         proc = run_cli("point", "--g", "1", "--alpha", "1", "--r", "0",
