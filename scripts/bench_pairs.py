@@ -12,6 +12,13 @@ one ``--trace 1`` run of each workload at seed 0 per side gives the
 per-layer numbers (``<workload>_trace_seed0``).  The output holds each
 end-to-end metric's median and quartiles per side, the pairs the change won
 or tied, and the ratio of the medians.
+
+It also records each side's cache-guard ratio (``cache_guard``): the
+median over points of a repeat's best time over its first execution, which
+``perfbench/workload.py`` stops a ``points`` run for below its
+``CACHE_HIT_RATIO``.  It is read as its self-test provokes it: seeds 6 to 8,
+20 points, caches left uncleared, three runs per seed and side, each in a
+fresh interpreter importing ``perfbench/`` unchanged.
 """
 
 from __future__ import annotations
@@ -30,6 +37,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # Ten alternating pairs is the least the pairing rule accepts.
 PAIRS = 10
+# the setting of perfbench's test_cache_surviving_between_repeats_stops_the_run
+GUARD_SEEDS = (6, 7, 8)
+GUARD_POINTS = 20
+GUARD_RUNS = 3
+_GUARD_RUN = """
+import sys
+sys.path.insert(0, "perfbench")
+import speed, workload
+su11lso = workload.import_package()
+state = workload.points_setup({seed}, su11lso, count={points})
+state["sampler"] = speed.Sampler()
+state["caches"] = []  # left uncleared: every repeat hits the moment cache
+try:
+    workload.points_work(state, su11lso)
+except RuntimeError:  # the guard firing, as it should
+    pass
+print(state["best_over_first"])
+"""
 
 
 def side_stats(values: list[float]) -> dict:
@@ -86,6 +111,32 @@ def run_bench(root: Path, workload: str, seed: int, seconds: int, trace: int) ->
     if proc.returncode != 0 or not lines:
         return None
     return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+
+
+def guard_ratio(root: Path, seed: int) -> float | None:
+    """The cache guard's ratio of one uncleared ``points`` run in checkout
+    root, None if it failed."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD_RUN.format(seed=seed, points=GUARD_POINTS)],
+        cwd=root, stdout=subprocess.PIPE, check=False,
+    )
+    lines = proc.stdout.decode().strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return None
+    return float(lines[-1])
+
+
+def guard_summary(ratios: dict[int, list]) -> dict:
+    """One side's guard ratios ({seed: [ratio or None per run]}): every run
+    by seed, the failed runs, and the range and median of the rest."""
+    values = sorted(v for runs in ratios.values() for v in runs if v is not None)
+    out = {
+        "by_seed": {str(seed): runs for seed, runs in ratios.items()},
+        "failed_runs": sum(v is None for runs in ratios.values() for v in runs),
+    }
+    if values:
+        out.update(min=values[0], median=statistics.median(values), max=values[-1])
+    return out
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -152,6 +203,17 @@ def main(argv=None) -> int:
                 side: run_bench(sides[side], workload, 0, seconds, 1)
                 for side in ("parent", "change")
             }
+        guard = {side: {seed: [] for seed in GUARD_SEEDS} for side in sides}
+        for seed in GUARD_SEEDS:
+            for _ in range(GUARD_RUNS):
+                for side in sides:
+                    guard[side][seed].append(guard_ratio(sides[side], seed))
+        report["cache_guard"] = {
+            "what": f"median over {GUARD_POINTS} points of best repeat / first execution, "
+                    "caches left uncleared; perfbench stops a points run below "
+                    "CACHE_HIT_RATIO (0.4)",
+            **{side: guard_summary(guard[side]) for side in sides},
+        }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     text = json.dumps(report, indent=1) + "\n"

@@ -38,12 +38,16 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .moments import InterferometerParams, quadrature_stats, trig_coefficients
-from .moments import _check_finite, _exponent_of, _homodyne, _re_product, _series
+from .moments import _check, _check_finite, _exponent_of, _homodyne, _re_product, _series
 
 SLOPE_FLOOR = 1e-12
 
 # the phase interval that optimal_phase searches
 PHASE_BRACKET = (1e-3, math.pi - 1e-3)
+
+# a homodyne variance is positive; where its harmonics cancel to <= 0, the
+# sensitivity would read an exact 0
+_CANCELLED = "homodyne variance cancels to <= 0"
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,12 @@ def phase_sensitivity(params) -> SensitivityReport:
     A sequence of points gives (n,) arrays with status "divergent" (and
     delta_phi nan) where the slope is below SLOPE_FLOOR; one point raises
     ``DivergentSensitivityError`` there.  A variance or slope that
-    overflows raises ValueError.
+    overflows raises ValueError, and so does a variance that cancels to
+    <= 0 below rounding (strong squeezing near phi = pi/2).
     """
     stats = quadrature_stats(params)
     _check_finite("homodyne statistics overflow", (stats.variance, stats.dmean_dphi), params)
+    _check(_CANCELLED, stats.variance > 0.0, params)
     slope = abs(stats.dmean_dphi)
     if isinstance(params, InterferometerParams):
         if slope < SLOPE_FLOOR:
@@ -127,9 +133,7 @@ def total_photon_number(params):
 
     A sequence of points gives an (n,) array.
     """
-    n = _exponent_of(params, _photon_number)
-    _check_finite("photon number N overflows", (n,), params)
-    return n
+    return _exponent_of(params, _photon_number, "photon number N overflows")
 
 
 def sql_hl(params):
@@ -164,8 +168,7 @@ def qfi_ideal(params) -> QfiReport:
     in every field but N) where one point raises
     ``DegenerateConfigurationError``.
     """
-    fisher = _exponent_of(params, _ideal_fisher)
-    _check_finite("Fisher information overflows", (fisher,), params)
+    fisher = _exponent_of(params, _ideal_fisher, "Fisher information overflows")
     if isinstance(params, InterferometerParams):
         if fisher <= 0.0:
             raise DegenerateConfigurationError(
@@ -297,9 +300,10 @@ def optimal_phase(params):
     as one batch (one stacked eigensolve per companion size, one
     ``sensitivity_curve`` call) into (n,) arrays, with status "divergent"
     (and nan fields) where every candidate diverges (alpha = 0 or t1 = 0);
-    one point raises ``DivergentSensitivityError`` there.  Where no candidate
-    is finite because the statistics overflow (the quartic's coefficients
-    do), both forms raise ValueError.  A point's result does not depend on
+    one point raises ``DivergentSensitivityError`` there.  Where the quartic's
+    coefficients overflow, its stationary points are lost, and where the
+    variance at the best candidate cancels to <= 0, delta-phi would read 0:
+    both forms raise ValueError there.  A point's result does not depend on
     the batch it is solved in.
     """
     single = isinstance(params, InterferometerParams)
@@ -334,6 +338,7 @@ def optimal_phase(params):
         keep = np.abs(quartic) > 1e-15 * scale[:, None]
         quartic = np.where(keep, quartic / np.where(scale > 0.0, scale, 1.0)[:, None], 0.0)
         roots = np.angle(_quartic_roots(quartic)) % math.pi
+    _check_finite("homodyne statistics overflow", (scale,), points)
     inside = (roots >= lo) & (roots <= hi)
     phis = np.empty((len(points), 6))
     phis[:, 0], phis[:, 1] = lo, hi
@@ -346,9 +351,8 @@ def optimal_phase(params):
     value = curve[rows, best]
     phi_opt = np.where(np.isfinite(value), phis[rows, best], np.nan)
     divergent = np.isinf(value)
-    # no finite candidate, and a quartic that overflowed: the variance
-    # overflows there (a point without phase information has a finite quartic)
-    _check_finite("homodyne statistics overflow", (np.where(divergent, scale, 0.0),), points)
+    # delta-phi is 0 only where the variance at that candidate is <= 0
+    _check(_CANCELLED, value != 0.0, points)
     if not single:
         value = np.where(divergent, np.nan, value)
         return OptimalPhaseResult(phi_opt, value, _status(divergent, "divergent"))

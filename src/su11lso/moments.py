@@ -12,7 +12,10 @@ polynomial in four formal variables (lam1 <-> a', lam2 <-> a, lam3 <-> b',
 lam4 <-> b) whose coefficients are hyperbolic functions of g and r and
 linear/antilinear in alpha.  Each moment is a pairing sum over those
 coefficients, built from lower moments by a recurrence
-(``series.series_exp``).  Homodyne statistics of the full
+(``series.series_exp``).  A point's table, cached by (g, alpha, r), keeps
+the exponent's entries as Python numbers, the 70 moments, and the value of
+each closed form of the exponent a single-point call has read (N, <n_a>,
+F), so a query chain computes each once.  Homodyne statistics of the full
 circuit (phase shift phi, fictitious-beam-splitter transmittances t1
 internal and t2 external, second squeezer at gain g, phase pi) are
 trigonometric polynomials in phi whose coefficients come straight from
@@ -110,8 +113,9 @@ def _cosh_sinh(name: str, value: float) -> tuple[float, float]:
         raise ValueError(f"{name}={value:g} is too large: cosh/sinh overflow") from None
 
 
-def build_w_form(params: InterferometerParams) -> WForm:
-    """Exponent of the moment generating function for (g, r, alpha).
+def _exponent_entries(params: InterferometerParams):
+    """The exponent's linear part (4 complexes) and quadratic rows (4x4
+    floats, symmetric) for (g, r, alpha), as Python numbers.
 
     Raises ValueError naming (g, alpha, r) when a coefficient overflows.
     """
@@ -120,33 +124,37 @@ def build_w_form(params: InterferometerParams) -> WForm:
     alpha = complex(params.alpha)
     ac = alpha.conjugate()
 
-    quad = np.zeros((4, 4), dtype=complex)
+    # every entry is 0.0 + q, the value a numpy fill symmetrized by adding
+    # its transposed upper triangle held: -0.0 reads +0.0
     # lam1^2 and lam2^2: (1/2) cosh r sinh r plus the sinh^2 g echo
-    quad[0, 0] = 0.5 * cr * sr + cr * sr * sg * sg
-    quad[1, 1] = quad[0, 0]
-    # full monomial coefficients, halved into the symmetric off-diagonal slots
-    quad[0, 1] = 0.5 * (sr * sr + (cr * cr + sr * sr) * sg * sg)
-    quad[0, 2] = 0.5 * (-cr * cg * sg)
-    quad[0, 3] = 0.5 * (-sr * cg * sg)
-    quad[1, 2] = 0.5 * (-sr * cg * sg)
-    quad[1, 3] = 0.5 * (-cr * cg * sg)
-    quad[2, 3] = 0.5 * (sg * sg)
-    quad += np.triu(quad, 1).T
-
-    lin = np.array(
-        [
-            ac * cr * cg + alpha * sr * cg,
-            ac * sr * cg + alpha * cr * cg,
-            -alpha * sg,
-            -ac * sg,
-        ],
-        dtype=complex,
-    )
-    if not (np.isfinite(quad).all() and np.isfinite(lin).all()):
+    d = 0.0 + (0.5 * cr * sr + cr * sr * sg * sg)
+    # full monomial coefficients, halved into the symmetric off-diagonal slots;
+    # lam2 lam3 pairs as lam1 lam4 and lam2 lam4 as lam1 lam3
+    q01 = 0.0 + 0.5 * (sr * sr + (cr * cr + sr * sr) * sg * sg)
+    q02 = 0.0 + 0.5 * (-cr * cg * sg)
+    q03 = 0.0 + 0.5 * (-sr * cg * sg)
+    q23 = 0.0 + 0.5 * (sg * sg)
+    lin = [
+        ac * cr * cg + alpha * sr * cg,
+        ac * sr * cg + alpha * cr * cg,
+        -alpha * sg,
+        -ac * sg,
+    ]
+    if not all(map(cmath.isfinite, (d, q01, q02, q03, q23, *lin))):
         raise ValueError(
             f"generating exponent overflows at g={params.g:g}, alpha={alpha:g}, r={params.r:g}"
         )
-    return WForm(quadratic=quad, linear=lin)
+    quad = [[d, q01, q02, q03], [q01, d, q03, q02], [q02, q03, 0.0, q23], [q03, q02, q23, 0.0]]
+    return lin, quad
+
+
+def build_w_form(params: InterferometerParams) -> WForm:
+    """Exponent of the moment generating function for (g, r, alpha).
+
+    Raises ValueError naming (g, alpha, r) when a coefficient overflows.
+    """
+    lin, quad = _exponent_entries(params)
+    return WForm(quadratic=np.array(quad, dtype=complex), linear=np.array(lin, dtype=complex))
 
 
 # position of each moment key in a table's array, in series_exp's order
@@ -181,21 +189,28 @@ class MomentTable:
     """Every moment of degree <= 4 of one (g, r, alpha) point.
 
     All 70 moments are built once at construction, in one pass of the
-    Isserlis recurrence (``series_exp``), and kept as one complex array in
-    the recurrence's key order, so a moment is a dict lookup of its position;
-    a key is validated only when that lookup misses.  The exponent itself
-    stays available as ``w_form``, and its entries as Python numbers for the
-    closed forms.  Immutable after construction.
+    Isserlis recurrence (``series_exp``) on the exponent's entries as Python
+    numbers, and kept as one complex array in the recurrence's key order, so
+    a moment is a dict lookup of its position; a key is validated only when
+    that lookup misses.  The table keeps the exponent's entries for the
+    closed forms (``_exponent``) and each closed form's value once it is
+    read (``_exponent_of``); ``w_form`` builds the exponent's arrays when it
+    is read.  Immutable after construction, but for those stored values.
     """
 
-    __slots__ = ("w_form", "_exponent", "_moments")
+    __slots__ = ("_params", "_exponent", "_moments", "_values")
 
     def __init__(self, params: InterferometerParams):
-        w = self.w_form = build_w_form(params)
-        # Python complexes in, so the recurrence converts no numpy scalars
-        lin, pair = w.linear.tolist(), (2.0 * w.quadratic).tolist()
+        self._params = params
+        lin, quad = _exponent_entries(params)
+        pair = [[2.0 * q for q in row] for row in quad]
         self._moments = np.fromiter(series_exp(lin, pair).values(), complex, len(_ORDER))
-        self._exponent = _Exponent(*lin, *(pair[i][j].real for i, j in _PAIR_ENTRIES))
+        self._exponent = _Exponent(*lin, *(pair[i][j] for i, j in _PAIR_ENTRIES))
+        self._values = {}
+
+    @property
+    def w_form(self) -> WForm:
+        return build_w_form(self._params)
 
     def moment(self, key) -> complex:
         try:
@@ -268,15 +283,34 @@ def _series(params) -> _Series:
     return params if isinstance(params, _Series) else _Series(params)
 
 
-def _exponent_of(params, formula):
+def _exponent_of(params, formula, overflow=None):
     """``formula(e)`` of the exponent entries e of one point, or of a sequence
     as (n,) arrays (``_Series.exponent``), with numpy's floating-point
-    warnings off: the callers' finiteness checks report its overflow."""
+    warnings off.  Given an ``overflow`` message, a value that is not finite
+    raises it through ``_check_finite``; else the caller checks.
+
+    ``formula`` is a module-level closed form of the exponent alone, passed
+    with the same ``overflow`` by every caller: one point's value, once it
+    has passed its check, is stored on its cached table, keyed by the
+    function, and read from there by every later call
+    (``_table.cache_clear()`` drops it with the table).
+    """
     if isinstance(params, InterferometerParams):
-        return formula(moment_table(params)._exponent)
+        table = moment_table(params)
+        try:
+            return table._values[formula]
+        except KeyError:
+            value = formula(table._exponent)
+            if overflow is not None:
+                _check_finite(overflow, (value,), params)
+            table._values[formula] = value
+            return value
     e = _series(params).exponent
     with np.errstate(all="ignore"):
-        return formula(e)
+        value = formula(e)
+    if overflow is not None:
+        _check_finite(overflow, (value,), params)
+    return value
 
 
 def _re_product(a, b):
@@ -307,14 +341,24 @@ def _scaled(c, z):
 def _check_finite(what, values, params) -> None:
     """Raise ValueError naming the first point at which one of ``values`` is not finite."""
     if isinstance(params, InterferometerParams):
-        if all(map(cmath.isfinite, values)):
+        if all(map(cmath.isfinite, values)):  # the common case, without a further call
+            return
+        _check(what, False, params)
+    else:
+        _check(what, np.logical_and.reduce([np.isfinite(v) for v in values]), params)
+
+
+def _check(what, ok, params) -> None:
+    """Raise ValueError naming the first point at which ``ok`` fails: a bool
+    for one point, an (n,) mask for a sequence."""
+    if isinstance(params, InterferometerParams):
+        if ok:
             return
         point = params
     else:
-        finite = np.logical_and.reduce([np.isfinite(v) for v in values])
-        if finite.all():
+        if ok.all():
             return
-        point = params[int(np.argmin(finite))]
+        point = params[int(np.argmin(ok))]
     raise ValueError(
         f"{what} at g={point.g:g}, alpha={complex(point.alpha):g}, r={point.r:g}"
     )

@@ -11,7 +11,10 @@ the recurrence
 
 so each moment is a few products of lower ones and nothing is truncated.
 The order of evaluation and the lower moments each key reads are fixed
-once at import (``_PLAN``); a build is one pass over that plan.
+once at import (``_PLAN``), and the plan is written out as the source of
+one straight-line function, compiled once (``_recurrence``): one line per
+moment, the same products and sums in the same order as a loop over the
+plan, so a build runs no loop and looks up no plan entry.
 """
 
 from __future__ import annotations
@@ -42,6 +45,29 @@ def _compile_plan():
 _ORDER, _PLAN = _compile_plan()
 
 
+def _compile_recurrence(plan):
+    """One function doing ``plan``'s products and sums, in its order, on
+    locals: ``recurrence(lin, pr)`` returns the moments in key order."""
+    lines = ["def recurrence(lin, pr):", "    l0, l1, l2, l3 = lin"]
+    lines += [f"    p{i}0, p{i}1, p{i}2, p{i}3 = pr[{i}]" for i in range(4)]
+    lines.append("    m0 = 1.0 + 0j")
+    for n, (i, p, terms) in enumerate(plan, 1):
+        # a count of 1 is not multiplied in, so degree <= 2 keys round
+        # exactly as the pairing sum does
+        sums = "".join(
+            f" + p{i}{j} * m{q}" if count == 1 else f" + {count} * (p{i}{j} * m{q})"
+            for count, j, q in terms
+        )
+        lines.append(f"    m{n} = l{i} * m{p}{sums}")
+    lines.append(f"    return ({', '.join(f'm{n}' for n in range(len(plan) + 1))})")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["recurrence"]
+
+
+_recurrence = _compile_recurrence(_PLAN)
+
+
 def series_exp(linear, pair) -> dict[tuple[int, int, int, int], complex]:
     """Every derivative of exp(w) at the origin up to total order DEGREE_CAP.
 
@@ -50,14 +76,4 @@ def series_exp(linear, pair) -> dict[tuple[int, int, int, int], complex]:
     """
     lin = [complex(v) for v in linear]
     pr = [[complex(v) for v in row] for row in pair]
-    m = [1.0 + 0j]
-    for i, p, terms in _PLAN:
-        row = pr[i]
-        total = lin[i] * m[p]
-        for count, j, q in terms:
-            # a count of 1 is not multiplied in, so degree <= 2 keys round
-            # exactly as the pairing sum does
-            term = row[j] * m[q]
-            total += term if count == 1 else count * term
-        m.append(total)
-    return dict(zip(_ORDER, m))
+    return dict(zip(_ORDER, _recurrence(lin, pr)))

@@ -45,3 +45,12 @@ def test_failed_run_drops_its_pair():
     # one surviving pair has no quartiles: an empty summary, not an error
     one = bench_pairs.summarize(runs([10.0, None], [1.0] * 2), runs([9.0, 8.0], [1.0] * 2), SPEC)
     assert one == {}
+
+
+def test_guard_summary_by_seed_with_failed_runs():
+    out = bench_pairs.guard_summary({6: [0.31, 0.33, None], 7: [0.30, 0.34, 0.32], 8: [None] * 3})
+    assert out["by_seed"] == {"6": [0.31, 0.33, None], "7": [0.30, 0.34, 0.32], "8": [None] * 3}
+    assert out["failed_runs"] == 4
+    assert (out["min"], out["median"], out["max"]) == (0.30, 0.32, 0.34)
+    # every run failed: no range to report
+    assert bench_pairs.guard_summary({6: [None]}) == {"by_seed": {"6": [None]}, "failed_runs": 1}

@@ -68,6 +68,19 @@ class TestPhaseSensitivity:
             assert str(exc.value) == message
 
 
+    @pytest.mark.parametrize("r", [20.0, 100.0, 235.0, 236.0, 300.0, 353.0])
+    def test_cancelled_variance_raises(self, r):
+        # near phi = pi/2, v0 + 2 Re(v1 z + v2 z^2) cancels below rounding:
+        # v0 and 2|v2| grow like e^{2r}
+        p = params(r=r, phi=math.pi / 2)
+        assert quadrature_stats(p).variance <= 0.0
+        message = f"homodyne variance cancels to <= 0 at g=1, alpha=1+0j, r={r:g}"
+        for form in (p, [params(phi=0.5), p]):
+            with pytest.raises(ValueError) as exc:
+                phase_sensitivity(form)
+            assert str(exc.value) == message
+
+
 class TestPhotonNumber:
     def test_coherent_input_only(self):
         assert total_photon_number(params(g=0, alpha=0.8, r=0)) == pytest.approx(0.64)
@@ -233,6 +246,33 @@ class TestOptimalPhase:
             with pytest.raises(DivergentSensitivityError):
                 optimal_phase(q)
             assert optimal_phase([q, params()]).status.tolist() == ["divergent", "ok"]
+
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            # the variance at the best candidate cancels to <= 0: delta-phi read 0.0
+            (20.0, "homodyne variance cancels to <= 0"),
+            (100.0, "homodyne variance cancels to <= 0"),
+            (235.0, "homodyne variance cancels to <= 0"),
+            # the quartic's products m1 v overflow: its roots were lost, and the
+            # optimum read the bracket end pi - 1e-3 (628.4951481585998)
+            (236.0, "homodyne statistics overflow"),
+            (300.0, "homodyne statistics overflow"),
+            (353.0, "homodyne statistics overflow"),
+        ],
+    )
+    def test_large_squeezing_raises(self, r, message):
+        p = params(r=r)
+        for form in (p, [params(), p], [p, params()]):
+            with pytest.raises(ValueError) as exc:
+                optimal_phase(form)
+            assert str(exc.value) == f"{message} at g=1, alpha=1+0j, r={r:g}"
+
+    def test_strong_squeezing_below_cancellation_is_finite(self):
+        # r = 15 keeps a (rounding-limited) positive minimum
+        res = optimal_phase(params(r=15.0))
+        assert 0.0 < res.delta_phi_min < 1e-7
+        assert res.phi_opt == pytest.approx(math.pi / 2, abs=1e-6)
 
     def test_minimum_bounded_by_evaluated_grid(self):
         res = optimal_phase(params(r=0.3))

@@ -23,9 +23,11 @@ from su11lso.moments import (
     q_moment,
     quadrature_stats,
 )
-from su11lso import moments
+from su11lso import metrology, moments
 from su11lso.series import series_exp
 from su11lso.sweeps import FIGURE_PRESETS, figure_preset, run_sweep
+
+from exponent_route import numpy_fill_exponent, plan_loop
 
 
 class TestParams:
@@ -112,6 +114,67 @@ class TestParams:
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.g = 2.0
         assert not hasattr(p, "__dict__")
+
+
+_FIELD_NAMES = ("g", "alpha", "r", "t1", "t2", "phi")
+# a generic point and one whose every field is a signed zero or an edge value
+_VALUE_POINTS = (
+    InterferometerParams(1.25, 0.5 - 0.75j, 0.3, 0.9, 0.8, -0.2),
+    InterferometerParams(-0.0, complex(-0.0, -0.0), -0.0, 0.0, 1.0, -0.0),
+)
+
+
+def _field_bits(p):
+    return [_hex(complex(getattr(p, name))) for name in _FIELD_NAMES]
+
+
+class TestParamsValueSemantics:
+    """The slotted frozen ``InterferometerParams`` behaves as a value."""
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("p", _VALUE_POINTS, ids=["generic", "signed_zeros"])
+    def test_pickle_round_trip(self, p, protocol):
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert type(q) is InterferometerParams and q is not p
+        assert _field_bits(q) == _field_bits(p)
+        assert q == p and hash(q) == hash(p)
+        assert not hasattr(q, "__dict__")
+
+    @pytest.mark.parametrize("p", _VALUE_POINTS, ids=["generic", "signed_zeros"])
+    def test_copy_and_deepcopy(self, p):
+        for q in (copy.copy(p), copy.deepcopy(p)):
+            assert _field_bits(q) == _field_bits(p) and q == p and hash(q) == hash(p)
+        # deepcopy keeps one instance shared where the original shared it
+        first, second = copy.deepcopy([p, p])
+        assert first is second
+
+    @pytest.mark.parametrize("name", _FIELD_NAMES)
+    def test_replace_changes_one_field_and_validates(self, name):
+        p = _VALUE_POINTS[0]
+        value = 0.5 + 0.25j if name == "alpha" else 0.5
+        q = p.replace(**{name: value})
+        assert getattr(q, name) == value and getattr(p, name) != value
+        assert all(getattr(q, other) == getattr(p, other) for other in _FIELD_NAMES if other != name)
+        assert p.replace() == p
+        with pytest.raises(ValueError, match="finite"):
+            p.replace(**{name: math.nan})
+
+    def test_equality_and_hashing(self):
+        p = _VALUE_POINTS[0]
+        # equal values are equal points with equal hashes, whatever their type or zero sign
+        same = InterferometerParams(1.25, complex(0.5, -0.75), 0.3, 0.9, 0.8, -0.2)
+        assert same == p and hash(same) == hash(p)
+        ints = InterferometerParams(g=1, alpha=1, r=0)
+        floats = InterferometerParams(g=1.0, alpha=1.0 + 0j, r=0.0)
+        assert ints == floats and hash(ints) == hash(floats)
+        zeros = _VALUE_POINTS[1]
+        plain = InterferometerParams(0.0, 0j, 0.0, 0.0, 1.0, 0.0)
+        assert zeros == plain and hash(zeros) == hash(plain)
+        assert len({p, same, ints, floats, zeros, plain}) == 3
+        for name in _FIELD_NAMES:
+            other = p.replace(**{name: 0.5 + 0.25j if name == "alpha" else 0.5})
+            assert other != p, name
+        assert p != tuple(getattr(p, name) for name in _FIELD_NAMES)
 
 
 class TestWForm:
@@ -322,6 +385,89 @@ class TestTableCache:
         finally:
             tracemalloc.stop()
         assert per_table <= 2500, per_table
+
+
+def _signed_zero_sample(count, seed):
+    """Seeded points whose g, r, Re alpha and Im alpha are each 0.0 or -0.0
+    about a third of the time, and random otherwise."""
+    rng = np.random.default_rng(seed)
+
+    def pick(lo, hi):
+        u = rng.random()
+        return 0.0 if u < 1 / 6 else -0.0 if u < 1 / 3 else float(rng.uniform(lo, hi))
+
+    return [
+        InterferometerParams(g=pick(0, 2), alpha=complex(pick(-2, 2), pick(-2, 2)), r=pick(0, 2))
+        for _ in range(count)
+    ]
+
+
+class TestPythonNumberRoute:
+    """A table built on Python numbers and the generated recurrence keeps
+    every bit of the numpy fill, ``2.0 * quadratic`` and a loop over
+    ``series._PLAN``."""
+
+    def test_signed_zeros_reach_every_field(self):
+        points = _signed_zero_sample(400, 1)
+        for name in ("g", "r"):
+            signs = {math.copysign(1.0, getattr(p, name)) for p in points if getattr(p, name) == 0}
+            assert signs == {1.0, -1.0}, name
+        for part in ("real", "imag"):
+            signs = {math.copysign(1.0, getattr(p.alpha, part)) for p in points
+                     if getattr(p.alpha, part) == 0}
+            assert signs == {1.0, -1.0}, part
+
+    def test_table_keeps_the_numpy_fill_bits(self):
+        for p in _signed_zero_sample(2000, 7):
+            lin, quad = numpy_fill_exponent(p)
+            pair = 2.0 * quad
+            tab = MomentTable(p)
+            want = [*lin.tolist(), *(pair[i, j].real for i, j in moments._PAIR_ENTRIES)]
+            assert [_hex(v) for v in tab._exponent] == [_hex(v) for v in want], p
+            ref = np.array(plan_loop(lin.tolist(), pair.tolist()), dtype=complex)
+            assert tab._moments.tobytes() == ref.tobytes(), p
+            w = tab.w_form
+            assert w.quadratic.tobytes() == quad.tobytes(), p
+            assert w.linear.tobytes() == lin.tobytes(), p
+
+    def test_one_query_evaluates_each_closed_form_once(self, monkeypatch):
+        calls = []
+        for name in ("_photon_number", "_mode_a_number", "_ideal_fisher"):
+            formula = getattr(metrology, name)
+
+            def counted(e, formula=formula, name=name):
+                calls.append(name)
+                return formula(e)
+
+            monkeypatch.setattr(metrology, name, counted)
+        p = InterferometerParams(g=0.7, alpha=0.9 + 0.2j, r=0.4, t1=0.8, t2=0.9, phi=1.1)
+        _table.cache_clear()
+        metrology.phase_sensitivity(p)
+        metrology.total_photon_number(p)
+        metrology.sql_hl(p)
+        metrology.qfi_ideal(p)
+        metrology.qfi_lossy(p, 0.6)
+        assert sorted(calls) == ["_ideal_fisher", "_mode_a_number", "_photon_number"]
+        stored = moment_table(p)._values
+        assert set(stored) == {metrology._photon_number, metrology._mode_a_number,
+                               metrology._ideal_fisher}
+        e = moment_table(p)._exponent
+        assert all(_hex(value) == _hex(formula(e)) for formula, value in stored.items())
+        _table.cache_clear()
+        assert moment_table(p)._values == {}
+
+    def test_overflowing_closed_form_is_not_stored(self):
+        # |alpha|^2 overflows N while the exponent's entries stay finite, so
+        # every call raises and the table keeps no value to skip its check
+        p = InterferometerParams(g=0.0, alpha=1e200, r=0.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^photon number N overflows at g=0, "):
+                metrology.total_photon_number(p)
+        assert metrology._photon_number not in moment_table(p)._values
+
+
+def _hex(value):
+    return (value.real.hex(), value.imag.hex()) if isinstance(value, complex) else value.hex()
 
 
 GRID = [

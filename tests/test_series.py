@@ -8,7 +8,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11lso.series import DEGREE_CAP, series_exp
+from su11lso.series import _ORDER, DEGREE_CAP, series_exp
+
+from exponent_route import plan_loop
 
 ZERO = (0, 0, 0, 0)
 
@@ -133,3 +135,26 @@ def test_recurrence_matches_pairing_sum(linear, upper):
             # rounding only: bounded by the size of the terms, not of the sum
             scale = pairing_sum(indices(key), abs_lin, abs_pair).real
             assert abs(value - want) <= 1e-13 * scale, key
+
+
+# complex coefficients with each part a signed zero a third of the time
+signed = st.builds(
+    complex,
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+)
+
+
+@given(st.lists(signed, min_size=4, max_size=4), st.lists(signed, min_size=10, max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_straight_line_recurrence_equals_plan_loop(linear, upper):
+    """The generated function does a loop over _PLAN's products and sums in
+    its order: every moment has the loop's bits, signed zeros included."""
+    pair = [[0j] * 4 for _ in range(4)]
+    for (i, j), v in zip(((i, j) for i in range(4) for j in range(i, 4)), upper):
+        pair[i][j] = pair[j][i] = v
+    out = series_exp(linear, pair)
+    assert list(out) == list(_ORDER)
+    want = plan_loop(linear, pair)
+    got = list(out.values())
+    assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -311,6 +311,20 @@ class TestCli:
             "invalid input: homodyne statistics overflow at g=1, alpha=1+0j, r=354\n"
         )
 
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            ("100", "homodyne variance cancels to <= 0 at g=1, alpha=1+0j, r=100"),
+            ("300", "homodyne statistics overflow at g=1, alpha=1+0j, r=300"),
+        ],
+    )
+    def test_point_optimum_at_strong_squeezing_is_invalid_input(self, r, message):
+        # r = 100: the variance cancels near pi/2, where delta_phi_min read 0.0;
+        # r = 300: the quartic overflows, where the optimum read the bracket end
+        proc = run_cli("point", "--r", r, "--quantities", "delta_phi_min")
+        assert proc.returncode == 1
+        assert proc.stderr == f"invalid input: {message}\n"
+
     def test_point_lossless_fisher_limit(self):
         proc = run_cli("point", "--g", "1", "--alpha", "1", "--r", "0",
                        "--eta", "1", "--quantities", "qfi_lossy,qfi")
@@ -1018,7 +1032,7 @@ class TestBatchEqualsScalar:
             # delta_phi_min is solved for the whole series before the rest
             ("alpha", 1e150, 1e308, 9, {}, ("N", "delta_phi_min")),
             # the series' optimum names the exponent at g = 362.5; point by
-            # point, the harmonics at g = 212.5 come first
+            # point, the optimum's quartic at g = 137.5 overflows first
             ("g", 100.0, 400.0, 9, {"phi": 0.5}, ("delta_phi_min",)),
         ],
     )
