@@ -19,6 +19,10 @@ median over points of a repeat's best time over its first execution, which
 ``CACHE_HIT_RATIO``.  It is read as its self-test provokes it: seeds 6 to 8,
 20 points, caches left uncleared, three runs per seed and side, each in a
 fresh interpreter importing ``perfbench/`` unchanged.
+
+Before any run, each side writes the 13 default-size figure CSVs with
+``scripts/reproduce_figures.py``; ``figure_csvs`` records per preset
+whether the two sides' files are byte-identical.
 """
 
 from __future__ import annotations
@@ -139,6 +143,27 @@ def guard_summary(ratios: dict[int, list]) -> dict:
     return out
 
 
+def write_figure_csvs(root: Path, outdir: Path) -> None:
+    """The default-size figure CSVs of checkout root, into outdir."""
+    subprocess.run(
+        [sys.executable, "scripts/reproduce_figures.py", "--outdir", str(outdir)],
+        cwd=root, stdout=subprocess.DEVNULL, check=True,
+    )
+
+
+def csv_identity(parent_dir: Path, change_dir: Path) -> dict:
+    """Per CSV either side wrote (by preset name): whether both sides wrote
+    it with the same bytes."""
+    names = sorted({p.stem for d in (parent_dir, change_dir) for p in d.glob("*.csv")})
+    identical = {}
+    for name in names:
+        files = [d / f"{name}.csv" for d in (parent_dir, change_dir)]
+        identical[name] = all(f.exists() for f in files) and (
+            files[0].read_bytes() == files[1].read_bytes()
+        )
+    return {"identical": identical, "all_identical": bool(names) and all(identical.values())}
+
+
 def unpack(rev: str, dest: Path) -> None:
     archive = subprocess.run(
         ["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=subprocess.PIPE, check=True
@@ -182,9 +207,17 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    csvs = Path(tempfile.mkdtemp(prefix="bench_pairs_csv_"))
     try:
         unpack(parent_rev, tmp)
         sides = {"parent": tmp, "change": ROOT}
+        for side, root in sides.items():
+            write_figure_csvs(root, csvs / side)
+        report["figure_csvs"] = {
+            "what": "scripts/reproduce_figures.py at its default size on each side; "
+                    "per preset, whether the two CSVs are byte-identical",
+            **csv_identity(csvs / "parent", csvs / "change"),
+        }
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for seed in seeds:
@@ -216,6 +249,7 @@ def main(argv=None) -> int:
         }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(csvs, ignore_errors=True)
     text = json.dumps(report, indent=1) + "\n"
     if args.output:
         args.output.write_text(text, encoding="utf-8")

@@ -36,11 +36,11 @@ def main() -> int:
         path = outdir / f"{name}.csv"
         t0 = time.time()
         try:
-            rows = write_sweep(figure_preset(name, points=args.points), str(path), "csv")
+            result = write_sweep(figure_preset(name, points=args.points), str(path), "csv")
         except ValueError as exc:
             print(f"invalid input: {exc}", file=sys.stderr)
             return 1
-        print(f"{name}: {len(rows)} rows -> {path} ({time.time() - t0:.1f}s)")
+        print(f"{name}: {len(result)} rows -> {path} ({time.time() - t0:.1f}s)")
     return 0
 
 

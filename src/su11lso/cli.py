@@ -28,14 +28,16 @@ from .moments import InterferometerParams
 from .sweeps import (
     DEFAULT_POINTS,
     FIGURE_PRESETS,
+    PARAM_COLUMNS,
     QUANTITIES,
     SWEEP_VARIABLES,
     SweepSeries,
     SweepSpec,
-    _evaluate_series,
+    _FIELDS,
+    _param_columns,
+    _series_cells,
     figure_preset,
     json_value,
-    point_row,
     r_series,
     write_sweep,
 )
@@ -150,9 +152,10 @@ def _cmd_point(args) -> int:
         print(f"unknown quantities: {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
     params = _params(args)
-    cells, flags = _evaluate_series([params], [args.eta], quantities)
-    values = {q: cells[q][0] for q in quantities}
-    payload = {k: json_value(v) for k, v in point_row(params, args.eta, values).items()}
+    # the point's sweep row: a series of one
+    columns = _param_columns([getattr(params, name) for name in _FIELDS], args.eta, 1)
+    _, *cells, flags = _series_cells("", [params], [args.eta], columns, quantities)
+    payload = {c: json_value(v[0]) for c, v in zip((*PARAM_COLUMNS, *quantities), cells)}
     flags = flags[0].split(";") if flags[0] else []
     payload["flags"] = flags
     print(json.dumps(payload, allow_nan=False))

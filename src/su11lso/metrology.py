@@ -284,6 +284,47 @@ def _quartic_roots(quartic: np.ndarray) -> np.ndarray:
     return roots
 
 
+def _normalized_quartic(m1, v0, v1, v2) -> np.ndarray:
+    """The (n, 5) stationary-point quartic of ``optimal_phase``, each row
+    divided by its largest modulus, terms below 1e-15 of it dropped."""
+    mc = m1.conjugate()
+    # the five products of two complex harmonics, from real parts: numpy's
+    # complex multiply fuses multiply-adds where the CPU has them, so its
+    # last bit would depend on the machine
+    a = np.array([m1, 4.0 * mc, m1, 4.0 * m1, mc])
+    b = np.array([v1, v2, v1.conjugate(), v2.conjugate(), v1.conjugate()])
+    prod = np.empty_like(a)
+    prod.real = a.real * b.real - a.imag * b.imag
+    prod.imag = a.real * b.imag + a.imag * b.real
+    quartic = np.stack([
+        prod[0],
+        2.0 * m1 * v0 + prod[1],
+        6.0 * prod[2].real,
+        prod[3] + 2.0 * mc * v0,
+        prod[4],
+    ], axis=1)
+    scale = np.abs(quartic).max(axis=1)
+    # terms below rounding on the unit circle are dropped: a near-zero
+    # leading coefficient would otherwise overflow the companion matrix
+    keep = np.abs(quartic) > 1e-15 * scale[:, None]
+    return np.where(keep, quartic / np.where(scale > 0.0, scale, 1.0)[:, None], 0.0)
+
+
+def _unit_scaled(*harmonics) -> list:
+    """The harmonics of each point times the one power of two that brings
+    their largest real or imaginary part into [0.5, 1), or 1 where all are 0.
+
+    ``np.ldexp`` scales each part exactly, barring underflow.
+    """
+    parts = [(h.real, h.imag) if np.iscomplexobj(h) else (h,) for h in harmonics]
+    _, exponent = np.frexp(np.max(np.abs([x for p in parts for x in p]), axis=0))
+    scaled = [np.empty_like(h) for h in harmonics]
+    for out, p in zip(scaled, parts):
+        for part, x in zip((out.real, out.imag), p):
+            part[...] = np.ldexp(x, -exponent)
+    return scaled
+
+
 def optimal_phase(params):
     """Phase minimizing delta-phi over PHASE_BRACKET, exactly.
 
@@ -300,45 +341,22 @@ def optimal_phase(params):
     as one batch (one stacked eigensolve per companion size, one
     ``sensitivity_curve`` call) into (n,) arrays, with status "divergent"
     (and nan fields) where every candidate diverges (alpha = 0 or t1 = 0);
-    one point raises ``DivergentSensitivityError`` there.  Where the quartic's
-    coefficients overflow, its stationary points are lost, and where the
-    variance at the best candidate cancels to <= 0, delta-phi would read 0:
-    both forms raise ValueError there.  A point's result does not depend on
-    the batch it is solved in.
+    one point raises ``DivergentSensitivityError`` there.  The quartic is
+    formed from m1 and the v's each scaled by an exact power of two, so it
+    is finite wherever the harmonics are (they raise ValueError where they
+    overflow).  Where the variance at the best candidate cancels to <= 0,
+    delta-phi would read 0: both forms raise ValueError there.  A point's
+    result does not depend on the batch it is solved in.
     """
     single = isinstance(params, InterferometerParams)
     points = _series([params] if single else params)
     lo, hi = PHASE_BRACKET
     _, m1, v0, v1, v2 = trig_coefficients(points)
-    with np.errstate(all="ignore"):  # array arithmetic: overflow reads inf or nan
-        mc = m1.conjugate()
-        # the five products of two complex harmonics, from real parts: numpy's
-        # complex multiply fuses multiply-adds where the CPU has them, so its
-        # last bit would depend on the machine
-        a = np.array([m1, 4.0 * mc, m1, 4.0 * m1, mc])
-        b = np.array([v1, v2, v1.conjugate(), v2.conjugate(), v1.conjugate()])
-        prod = np.empty_like(a)
-        prod.real = a.real * b.real - a.imag * b.imag
-        prod.imag = a.real * b.imag + a.imag * b.real
-        quartic = np.stack([
-            prod[0],
-            2.0 * m1 * v0 + prod[1],
-            6.0 * prod[2].real,
-            prod[3] + 2.0 * mc * v0,
-            prod[4],
-        ], axis=1)
-        scale = np.abs(quartic).max(axis=1)
-        # numpy divides a complex by multiplying with 1/scale, which overflows
-        # for subnormal coefficients; lift them by an exact power of two
-        lift = (scale > 0.0) & (scale < 2.0**-600)
-        quartic[lift] *= 2.0**600
-        scale[lift] = np.abs(quartic[lift]).max(axis=1)
-        # terms below rounding on the unit circle are dropped: a near-zero
-        # leading coefficient would otherwise overflow the companion matrix
-        keep = np.abs(quartic) > 1e-15 * scale[:, None]
-        quartic = np.where(keep, quartic / np.where(scale > 0.0, scale, 1.0)[:, None], 0.0)
-        roots = np.angle(_quartic_roots(quartic)) % math.pi
-    _check_finite("homodyne statistics overflow", (scale,), points)
+    # each quartic term is m1 or its conjugate times one v: with m1 and the
+    # v's scaled by exact powers of two, no product overflows, and every
+    # term, so the normalized quartic, keeps its bits
+    quartic = _normalized_quartic(*_unit_scaled(m1), *_unit_scaled(v0, v1, v2))
+    roots = np.angle(_quartic_roots(quartic)) % math.pi
     inside = (roots >= lo) & (roots <= hi)
     phis = np.empty((len(points), 6))
     phis[:, 0], phis[:, 1] = lo, hi

@@ -18,6 +18,12 @@ once), and alone decides which overflow a failing series reports: the
 first that evaluating it point by point meets, ``delta_phi_min`` first.
 ``point`` evaluates its point as a series of one, so it prints the values,
 flags and overflow error of the sweep row at that point.
+
+A result stays in columns from evaluation to output: ``run_sweep`` returns
+a ``SweepResult`` holding, per series, the label, parameter, quantity and
+flags columns, and builds no row.  ``render_csv`` formats it a series and
+a column at a time, so a nonzero column constant within a series is
+formatted once; ``render_jsonl`` and ``point`` read the same columns.
 """
 
 from __future__ import annotations
@@ -110,10 +116,18 @@ class SweepSpec:
 _FIELDS = tuple(f.name for f in fields(InterferometerParams))
 
 
+def _param_columns(args: list, eta: float, n: int) -> list[list]:
+    """``PARAM_COLUMNS`` of n rows, each holding one value: the field values
+    args (alpha shown as its real part where that is all of it), then eta."""
+    g, alpha, *rest = args
+    return [[v] * n for v in (g, alpha.real if alpha.imag == 0 else alpha, *rest, eta)]
+
+
 def _series_points(
     spec: SweepSpec, series: SweepSeries
-) -> tuple[list[InterferometerParams], list[float]]:
-    """Parameters and eta of each grid point of one series."""
+) -> tuple[list[InterferometerParams], list[float], list[list]]:
+    """Parameters and eta of each grid point of one series, and its
+    parameter columns (``_param_columns``, the swept one the grid)."""
     values = {name: getattr(spec.fixed, name) for name in _FIELDS}
     values["eta"] = spec.eta
     values.update(series.overrides)
@@ -128,14 +142,17 @@ def _series_points(
     if values:
         raise TypeError(f"series overrides name no parameter: {sorted(values)}")
     grid = spec.grid().tolist()
+    columns = _param_columns(args, eta, len(grid))
     if target == "eta":
-        return [InterferometerParams(*args)] * len(grid), grid
+        columns[-1] = grid
+        return [InterferometerParams(*args)] * len(grid), grid, columns
     i = _FIELDS.index(target)
+    columns[i] = grid
     points = []
     for value in grid:
         args[i] = value
         points.append(InterferometerParams(*args))
-    return points, [eta] * len(grid)
+    return points, columns[-1], columns
 
 
 _FLAG_BITS = {"divergent": 1, "degenerate": 2, "unbounded": 4}
@@ -209,38 +226,46 @@ def _evaluate_series(
     return cells, [_FLAG_TEXT[b] for b in bits.tolist()]
 
 
-def point_row(params: InterferometerParams, eta: float, values) -> dict:
-    """One output row: the parameter columns, then the quantity values
-    (a dict or (quantity, value) pairs)."""
-    row = {
-        "g": params.g,
-        "alpha": params.alpha.real if params.alpha.imag == 0 else params.alpha,
-        "r": params.r,
-        "t1": params.t1,
-        "t2": params.t2,
-        "phi": params.phi,
-        "eta": eta,
-    }
-    row.update(values)
-    return row
+@dataclass(frozen=True)
+class SweepResult:
+    """A sweep's output by columns.
+
+    ``series`` holds one entry per series, in sweep order: one list per
+    name of ``columns``, each with one cell per grid point.
+    """
+
+    columns: tuple[str, ...]
+    series: tuple[tuple[list, ...], ...]
+
+    def __len__(self) -> int:
+        return sum(len(cells[0]) for cells in self.series)
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
+def _series_cells(
+    label: str,
+    points: list[InterferometerParams],
+    etas: list[float],
+    params: list[list],
+    quantities: tuple[str, ...],
+) -> tuple[list, ...]:
+    """One series' columns, in ``sweep_columns`` order: the label, the
+    parameter columns params, each quantity's cells (``_evaluate_series``),
+    the flags."""
+    cells, flags = _evaluate_series(points, etas, quantities)
+    return ([label] * len(points), *params, *(cells[q] for q in quantities), flags)
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep; series-major, grid-minor row order, deterministic.
 
     Each series is one ``_evaluate_series`` call, which also decides which
     overflow a failing sweep reports.
     """
-    rows = []
-    for series in spec.series:
-        points, etas = _series_points(spec, series)
-        cells, flags = _evaluate_series(points, etas, spec.quantities)
-        columns = [cells[q] for q in spec.quantities]
-        for params, eta, flag, *values in zip(points, etas, flags, *columns):
-            row = {"series": series.label, **point_row(params, eta, zip(spec.quantities, values))}
-            row["flags"] = flag
-            rows.append(row)
-    return rows
+    series = []
+    for s in spec.series:
+        points, etas, params = _series_points(spec, s)
+        series.append(_series_cells(s.label, points, etas, params, spec.quantities))
+    return SweepResult(tuple(sweep_columns(spec)), tuple(series))
 
 
 _NUMBER_FORMAT = ".15g"
@@ -261,7 +286,7 @@ def _format_cell(value) -> str:
 
 
 def json_value(value):
-    """A row cell as strict JSON: infinities as strings, complex as [re, im]."""
+    """A cell as strict JSON: infinities as strings, complex as [re, im]."""
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     if isinstance(value, complex):
@@ -276,7 +301,8 @@ def _format_column(values: list) -> list:
         # equal floats format alike, except the zeros: -0.0 == 0.0
         if values[0] != 0.0 and values.count(values[0]) == len(values):
             return [format(values[0], _NUMBER_FORMAT)] * len(values)
-        return list(map(format, values, repeat(_NUMBER_FORMAT)))
+        # float.__format__ spares format()'s dispatch: the same text, faster
+        return list(map(float.__format__, values, repeat(_NUMBER_FORMAT)))
     if kinds == {str} and values.count(values[0]) == len(values):
         return [_format_cell(values[0])] * len(values)
     return list(map(_format_cell, values))
@@ -286,37 +312,40 @@ def _format_column(values: list) -> list:
 _CSV_BLOCK = 256
 
 
-def render_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for start in range(0, len(rows), _CSV_BLOCK):
-        block = rows[start : start + _CSV_BLOCK]
-        cells = [_format_column(list(map(dict.get, block, repeat(c)))) for c in columns]
-        lines += map(",".join, zip(*cells)) if cells else [""] * len(block)
+def render_csv(result: SweepResult) -> str:
+    """The CSV text: one series at a time, at most ``_CSV_BLOCK`` rows of it
+    at once, so a column constant within a series (but for a zero) is
+    formatted once."""
+    lines = [",".join(result.columns)]
+    for cells in result.series:
+        for start in range(0, len(cells[0]), _CSV_BLOCK):
+            block = [_format_column(c[start : start + _CSV_BLOCK]) for c in cells]
+            lines += map(",".join, zip(*block))
     return "\n".join(lines) + "\n"
 
 
-def render_jsonl(rows: list[dict], columns: list[str]) -> str:
+def render_jsonl(result: SweepResult) -> str:
     out = [
-        json.dumps({c: json_value(row.get(c)) for c in columns}, allow_nan=False)
-        for row in rows
+        json.dumps(dict(zip(result.columns, map(json_value, row))), allow_nan=False)
+        for cells in result.series
+        for row in zip(*cells)
     ]
     return "\n".join(out) + "\n"
 
 
-def write_sweep(spec: SweepSpec, path: str, fmt: str = "csv") -> list[dict]:
-    rows = run_sweep(spec)
-    columns = sweep_columns(spec)
+def write_sweep(spec: SweepSpec, path: str, fmt: str = "csv") -> SweepResult:
+    result = run_sweep(spec)
     # called by name, not through a lookup table, so a wrapper installed on
     # this module's render_csv / render_jsonl sees the call
     if fmt == "csv":
-        text = render_csv(rows, columns)
+        text = render_csv(result)
     elif fmt == "jsonl":
-        text = render_jsonl(rows, columns)
+        text = render_jsonl(result)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
-    return rows
+    return result
 
 
 # ---------------------------------------------------------------------------

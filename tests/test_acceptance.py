@@ -23,7 +23,7 @@ from su11lso.metrology import (
     total_photon_number,
 )
 from su11lso.moments import InterferometerParams, quadrature_stats
-from su11lso.sweeps import R_SERIES, figure_preset, render_csv, run_sweep, sweep_columns
+from su11lso.sweeps import R_SERIES, figure_preset, render_csv, run_sweep
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -189,11 +189,10 @@ def test_criterion_08_derivative_correctness():
             worst <= 1e-7, f"worst rel dev {worst:.2e}")
 
 
-def _series_values(rows, quantity):
-    out = {}
-    for row in rows:
-        out.setdefault(row["series"], []).append(row[quantity])
-    return out
+def _series_values(result, quantity):
+    """One quantity's cells by series label."""
+    i = result.columns.index(quantity)
+    return {cells[0][0]: cells[i] for cells in result.series}
 
 
 def test_criterion_09_figure_trends():
@@ -207,8 +206,8 @@ def test_criterion_09_figure_trends():
         ("fig11a", "qfi_lossy", +1),
         ("fig11b", "qfi_lossy", +1),
     ]:
-        rows = run_sweep(figure_preset(name, points=25))
-        for label, vals in _series_values(rows, quantity).items():
+        result = run_sweep(figure_preset(name, points=25))
+        for label, vals in _series_values(result, quantity).items():
             vals = [v for v in vals if v is not None]
             mono = all(
                 (b - a) * direction > 0 for a, b in zip(vals, vals[1:])
@@ -218,8 +217,8 @@ def test_criterion_09_figure_trends():
                 notes.append(f"{name}/{label} not monotone")
     # increasing in r at fixed grid point, for each swept figure
     for name, quantity, direction in [("fig7a", "qfi", +1), ("fig8a", "qcrb", -1)]:
-        rows = run_sweep(figure_preset(name, points=5))
-        by_series = _series_values(rows, quantity)
+        result = run_sweep(figure_preset(name, points=5))
+        by_series = _series_values(result, quantity)
         stacks = [by_series[f"r={r:g}"] for r in R_SERIES]
         for point in zip(*stacks):
             vals = [v for v in point if v is not None]
@@ -227,12 +226,12 @@ def test_criterion_09_figure_trends():
                 ok = False
                 notes.append(f"{name} not monotone in r")
     # lossy Fisher information improves with transmittance
-    rows = run_sweep(figure_preset("fig10", points=21))
-    for label, vals in _series_values(rows, "qfi_lossy").items():
+    result = run_sweep(figure_preset("fig10", points=21))
+    for label, vals in _series_values(result, "qfi_lossy").items():
         if not all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])):
             ok = False
             notes.append(f"fig10/{label} F_L not improving")
-    for label, vals in _series_values(rows, "qcrb_lossy").items():
+    for label, vals in _series_values(result, "qcrb_lossy").items():
         if not all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])):
             ok = False
             notes.append(f"fig10/{label} QCRB_L not improving")
@@ -242,8 +241,8 @@ def test_criterion_09_figure_trends():
 
 def test_criterion_10_determinism(tmp_path):
     spec = figure_preset("fig2")
-    first = render_csv(run_sweep(spec), sweep_columns(spec)).encode()
-    second = render_csv(run_sweep(spec), sweep_columns(spec)).encode()
+    first = render_csv(run_sweep(spec)).encode()
+    second = render_csv(run_sweep(spec)).encode()
     (tmp_path / "fig2_a.csv").write_bytes(first)
     (tmp_path / "fig2_b.csv").write_bytes(second)
     _report(10, "repeated figure runs are byte-identical", first == second,

@@ -54,3 +54,33 @@ def test_guard_summary_by_seed_with_failed_runs():
     assert (out["min"], out["median"], out["max"]) == (0.30, 0.32, 0.34)
     # every run failed: no range to report
     assert bench_pairs.guard_summary({6: [None]}) == {"by_seed": {"6": [None]}, "failed_runs": 1}
+
+
+def test_csv_identity_per_preset(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+        (side / "fig2.csv").write_bytes(b"a,b\n1,2\n")
+    (parent / "fig3.csv").write_bytes(b"x\n-0\n")
+    (change / "fig3.csv").write_bytes(b"x\n0\n")
+    (change / "fig4.csv").write_bytes(b"x\n")  # the parent wrote none
+    out = bench_pairs.csv_identity(parent, change)
+    assert out == {
+        "identical": {"fig2": True, "fig3": False, "fig4": False},
+        "all_identical": False,
+    }
+    (change / "fig3.csv").write_bytes(b"x\n-0\n")
+    (change / "fig4.csv").unlink()
+    assert bench_pairs.csv_identity(parent, change)["all_identical"] is True
+    # no CSV at all is no evidence of identity
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert bench_pairs.csv_identity(empty, empty) == {"identical": {}, "all_identical": False}
+
+
+def test_figure_csvs_of_this_checkout(tmp_path):
+    # the script writes one default-size CSV per preset
+    bench_pairs.write_figure_csvs(bench_pairs.ROOT, tmp_path / "csv")
+    names = sorted(p.stem for p in (tmp_path / "csv").glob("*.csv"))
+    assert len(names) == 13
+    assert bench_pairs.csv_identity(tmp_path / "csv", tmp_path / "csv")["all_identical"]

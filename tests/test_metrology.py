@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from su11lso.errors import DegenerateConfigurationError, DivergentSensitivityError
 from su11lso.metrology import (
     PHASE_BRACKET,
+    _normalized_quartic,
+    _unit_scaled,
     optimal_phase,
     phase_sensitivity,
     qfi_ideal,
@@ -233,10 +235,10 @@ class TestOptimalPhase:
             optimal_phase(params(alpha=0))
 
     def test_overflow_is_not_divergence(self):
-        # at r = 354 the quartic overflows and so does the variance at both
-        # bracket ends: no candidate is finite, yet the phase informs
-        p = params(r=354.0, phi=0.5)
-        message = "homodyne statistics overflow at g=1, alpha=1+0j, r=354"
+        # at r = 354.5 the harmonics overflow: no candidate is finite, yet
+        # the phase informs
+        p = params(r=354.5, phi=0.5)
+        message = "homodyne statistics overflow at g=1, alpha=1+0j, r=354.5"
         for form in (p, [params(), p]):
             with pytest.raises(ValueError) as exc:
                 optimal_phase(form)
@@ -254,11 +256,14 @@ class TestOptimalPhase:
             (20.0, "homodyne variance cancels to <= 0"),
             (100.0, "homodyne variance cancels to <= 0"),
             (235.0, "homodyne variance cancels to <= 0"),
-            # the quartic's products m1 v overflow: its roots were lost, and the
-            # optimum read the bracket end pi - 1e-3 (628.4951481585998)
-            (236.0, "homodyne statistics overflow"),
-            (300.0, "homodyne statistics overflow"),
-            (353.0, "homodyne statistics overflow"),
+            # unscaled, the quartic's products m1 v overflowed from r = 236 on;
+            # scaled, its root near pi/2 is found, where the variance cancels
+            (236.0, "homodyne variance cancels to <= 0"),
+            (300.0, "homodyne variance cancels to <= 0"),
+            (353.0, "homodyne variance cancels to <= 0"),
+            (354.0, "homodyne variance cancels to <= 0"),
+            # the harmonics overflow
+            (354.5, "homodyne statistics overflow"),
         ],
     )
     def test_large_squeezing_raises(self, r, message):
@@ -267,6 +272,32 @@ class TestOptimalPhase:
             with pytest.raises(ValueError) as exc:
                 optimal_phase(form)
             assert str(exc.value) == f"{message} at g=1, alpha=1+0j, r={r:g}"
+
+    @pytest.mark.parametrize("g", [119.0, 137.5, 150.0, 175.0, 177.5])
+    def test_large_gain_is_finite(self, g):
+        # unscaled, the quartic's products m1 v0 overflowed from g = 119 on,
+        # though every candidate is finite; the harmonics overflow at g = 178
+        p = params(g=g)
+        for one in (optimal_phase(p), optimal_phase([params(), p])):
+            phi, value = np.ravel(one.phi_opt)[-1], np.ravel(one.delta_phi_min)[-1]
+            assert phi == PHASE_BRACKET[0]
+            assert value == sensitivity_curve(p, phi) == pytest.approx(math.sqrt(0.5), rel=1e-6)
+        phis = np.linspace(*PHASE_BRACKET, 2001)
+        assert value <= float(np.min(sensitivity_curve(p, phis)))
+        with pytest.raises(ValueError, match="homodyne statistics overflow at g=178,"):
+            optimal_phase(params(g=178.0))
+
+    def test_scaled_quartic_keeps_its_bits(self):
+        # scaling m1 and the v's by powers of two scales every term alike: the
+        # normalized quartic is the unscaled one's, bit for bit, wherever that
+        # one neither overflows nor leaves the normal range
+        points = _random_lossy_points(500, seed=5)
+        points += [params(g=g) for g in np.linspace(0.0, 118.0, 60).tolist()]
+        points += [params(g=0.0, alpha=1j, r=r) for r in (0.0, 1.0, 15.0, 100.0)]
+        _, m1, v0, v1, v2 = trig_coefficients(points)
+        plain = _normalized_quartic(m1, v0, v1, v2)
+        scaled = _normalized_quartic(*_unit_scaled(m1), *_unit_scaled(v0, v1, v2))
+        assert plain.tobytes() == scaled.tobytes()
 
     def test_strong_squeezing_below_cancellation_is_finite(self):
         # r = 15 keeps a (rounding-limited) positive minimum
@@ -377,10 +408,23 @@ _CLI_POINTS = st.builds(
 )
 
 
+def _unit(*harmonics):
+    """The harmonics times the power of two that brings their largest real
+    or imaginary part into [0.5, 1), by ``math.frexp`` and ``math.ldexp``."""
+    parts = [h.real for h in harmonics] + [h.imag for h in harmonics]
+    _, e = math.frexp(max(map(abs, parts)))
+    return [
+        complex(math.ldexp(h.real, -e), math.ldexp(h.imag, -e)) if isinstance(h, complex)
+        else math.ldexp(h, -e)
+        for h in harmonics
+    ]
+
+
 def _reference_optimum(p):
     """One point through np.roots, with Python complex arithmetic: the
     batch must reproduce it bit for bit; None where no phase is informative."""
     _, m1, v0, v1, v2 = trig_coefficients(p)
+    (m1,), (v0, v1, v2) = _unit(m1), _unit(v0, v1, v2)
     mc = m1.conjugate()
     quartic = np.array([
         m1 * v1,
@@ -390,9 +434,6 @@ def _reference_optimum(p):
         mc * v1.conjugate(),
     ])
     scale = np.abs(quartic).max()
-    if 0.0 < scale < 2.0**-600:
-        quartic = quartic * 2.0**600
-        scale = np.abs(quartic).max()
     if scale > 0.0:
         quartic = np.where(np.abs(quartic) > 1e-15 * scale, quartic / scale, 0.0)
     roots = np.angle(np.roots(quartic)) % math.pi
@@ -409,7 +450,7 @@ class TestBatchOptimum:
         params(g=0.0),  # v1 = 0: zero outer coefficients, a quadratic
         params(alpha=0, r=0.6),  # m1 = 0: no root at all, divergent
         params(alpha=1j, t1=2.2e-311),
-        # subnormal coefficients: lifted by 2^600 before scaling
+        # subnormal coefficients: scaled to unit size before the products
         params(g=0.0, alpha=2.7236848377039103e-261, r=1.0, t2=4.411651276914472e-127),
         params(r=0.0, t1=0.4),
         params(g=0.7, alpha=0.3 - 1.1j, r=0.9, t1=0.6, t2=0.8),
@@ -461,9 +502,9 @@ class TestBatchOptimum:
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         spec = SweepSpec(variable, start, 1.5, 200, params(r=0.6), ("delta_phi_min",))
-        rows = run_sweep(spec)
+        flags = [f for cells in run_sweep(spec).series for f in cells[-1]]
         assert sorted(seen, reverse=True) == shapes
-        assert [row["flags"] for row in rows].count("divergent") == (variable == "alpha")
+        assert flags.count("divergent") == (variable == "alpha")
 
 
 def _bits(value):

@@ -32,15 +32,19 @@ from su11lso.sweeps import (
     QUANTITIES,
     R_SERIES,
     SWEEP_VARIABLES,
+    SweepResult,
     SweepSeries,
     SweepSpec,
     figure_preset,
+    _CSV_BLOCK,
     _format_cell,
     render_csv,
     run_sweep,
     sweep_columns,
     write_sweep,
 )
+
+import row_route
 
 
 def spec_(variable="phi", start=0.1, stop=1.0, count=5, quantities=("delta_phi",), **kw):
@@ -53,6 +57,12 @@ def spec_(variable="phi", start=0.1, stop=1.0, count=5, quantities=("delta_phi",
         quantities=quantities,
         **kw,
     )
+
+
+def column(result, name):
+    """One column of a sweep result over every series, in row order."""
+    i = result.columns.index(name)
+    return [value for cells in result.series for value in cells[i]]
 
 
 class TestSweepSpec:
@@ -79,57 +89,76 @@ class TestSweepSpec:
 class TestRunSweep:
     def test_row_count_and_order(self):
         series = tuple(SweepSeries(f"r={r:g}", {"r": r}) for r in (0.0, 0.5))
-        rows = run_sweep(spec_(count=4, series=series))
-        assert len(rows) == 8
-        assert [r["series"] for r in rows] == ["r=0"] * 4 + ["r=0.5"] * 4
-        assert rows[0]["phi"] == pytest.approx(0.1)
-        assert rows[3]["phi"] == pytest.approx(1.0)
+        spec = spec_(count=4, series=series)
+        result = run_sweep(spec)
+        assert len(result) == 8
+        assert result.columns == tuple(sweep_columns(spec))
+        # one entry per series, one list per column
+        assert [len(cells) for cells in result.series] == [len(result.columns)] * 2
+        assert column(result, "series") == ["r=0"] * 4 + ["r=0.5"] * 4
+        assert column(result, "r") == [0.0] * 4 + [0.5] * 4
+        phi = column(result, "phi")
+        assert phi[0] == pytest.approx(0.1)
+        assert phi[3] == pytest.approx(1.0)
 
     def test_divergent_points_flagged_not_dropped(self):
-        rows = run_sweep(spec_(variable="phi", start=0.0, stop=1.0, count=3))
-        assert len(rows) == 3
-        assert rows[0]["flags"] == "divergent"
-        assert rows[0]["delta_phi"] is None
-        assert rows[1]["flags"] == ""
-        assert rows[1]["delta_phi"] > 0
+        result = run_sweep(spec_(variable="phi", start=0.0, stop=1.0, count=3))
+        assert len(result) == 3
+        flags, delta = column(result, "flags"), column(result, "delta_phi")
+        assert flags[0] == "divergent"
+        assert delta[0] is None
+        assert flags[1] == ""
+        assert delta[1] > 0
 
     def test_series_optimum_matches_point_optimum(self):
         # one optimal_phase call solves the series; alpha = 0 is divergent there
-        rows = run_sweep(
+        result = run_sweep(
             spec_(variable="alpha", start=0.0, stop=1.0, count=5, quantities=("delta_phi_min",))
         )
-        assert rows[0]["flags"] == "divergent" and rows[0]["delta_phi_min"] is None
-        for row in rows[1:]:
-            p = InterferometerParams(g=1, alpha=row["alpha"], r=0.3)
-            assert row["flags"] == ""
-            assert row["delta_phi_min"] == optimal_phase(p).delta_phi_min
+        rows = list(zip(*(column(result, c) for c in ("alpha", "delta_phi_min", "flags"))))
+        assert rows[0][1:] == (None, "divergent")
+        for alpha, best, flags in rows[1:]:
+            p = InterferometerParams(g=1, alpha=alpha, r=0.3)
+            assert flags == ""
+            assert best == optimal_phase(p).delta_phi_min
 
     def test_eta_sweep_hits_exact_limits(self):
-        rows = run_sweep(
+        result = run_sweep(
             spec_(variable="eta", start=0.0, stop=1.0, count=3, quantities=("qfi_lossy",))
         )
         p = InterferometerParams(g=1, alpha=1, r=0.3)
-        assert rows[0]["qfi_lossy"] == 0.0
-        assert rows[2]["qfi_lossy"] == qfi_ideal(p).fisher
+        fl = column(result, "qfi_lossy")
+        assert fl[0] == 0.0
+        assert fl[2] == qfi_ideal(p).fisher
 
     def test_t_k_sweep_routes_to_designated_loss(self):
         series = (
             SweepSeries("internal", {"sweep_target": "t1"}),
             SweepSeries("external", {"sweep_target": "t2"}),
         )
-        rows = run_sweep(
+        result = run_sweep(
             spec_(variable="t_k", start=0.5, stop=1.0, count=2, series=series,
                   quantities=("N",))
         )
-        assert rows[0]["t1"] == 0.5 and rows[0]["t2"] == 1.0
-        assert rows[2]["t2"] == 0.5 and rows[2]["t1"] == 1.0
+        t1, t2 = column(result, "t1"), column(result, "t2")
+        assert t1[0] == 0.5 and t2[0] == 1.0
+        assert t2[2] == 0.5 and t1[2] == 1.0
 
 
 _MISSING = object()
 
-_CSV_CELLS = st.one_of(
+# every kind of float the fast path of a float column must format as
+# _format_cell does: subnormals, signed zeros, infinities, nan of either sign
+_FLOAT_CELLS = st.one_of(
     st.floats(allow_subnormal=True),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310]),
+    st.sampled_from([
+        0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, -2.5e-310,
+        2.2250738585072014e-308, 1.7976931348623157e308,
+    ]),
+)
+
+_CSV_CELLS = st.one_of(
+    _FLOAT_CELLS,
     st.builds(complex, st.floats(allow_nan=False), st.sampled_from([0.0, -0.0])),
     st.complex_numbers(),
     st.booleans(),
@@ -142,66 +171,86 @@ _CSV_CELLS = st.one_of(
 
 @st.composite
 def _csv_tables(draw):
-    """Rows and columns where a column is often constant but for one cell."""
-    count = draw(st.integers(0, 6))
-    columns = draw(st.lists(st.sampled_from("abcd"), max_size=4, unique=True))
-    rows = [{} for _ in range(count)]
-    for c in columns:
-        if draw(st.booleans()):
-            column = [draw(_CSV_CELLS)] * count
-            if count and draw(st.booleans()):
-                column[draw(st.integers(0, count - 1))] = draw(_CSV_CELLS)
-        else:
-            column = [draw(_CSV_CELLS) for _ in range(count)]
-        for row, value in zip(rows, column):
-            if value is not _MISSING:
-                row[c] = value
-    return rows, columns
+    """Series of row dicts, and their columns.  A column of a series is
+    often constant but for one cell, and often all floats."""
+    columns = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    series = []
+    for _ in range(draw(st.integers(1, 3))):
+        count = draw(st.integers(0, 6))
+        rows = [{} for _ in range(count)]
+        for c in columns:
+            cells = draw(st.sampled_from([_CSV_CELLS, _FLOAT_CELLS]))
+            if draw(st.booleans()):
+                column = [draw(cells)] * count
+                if count and draw(st.booleans()):
+                    column[draw(st.integers(0, count - 1))] = draw(cells)
+            else:
+                column = [draw(cells) for _ in range(count)]
+            for row, value in zip(rows, column):
+                if value is not _MISSING:
+                    row[c] = value
+        series.append(rows)
+    return series, columns
+
+
+def table_result(series, columns) -> SweepResult:
+    """A SweepResult of series of row dicts; a cell a row lacks is None."""
+    return SweepResult(
+        tuple(columns),
+        tuple(tuple([row.get(c) for row in rows] for c in columns) for rows in series),
+    )
 
 
 class TestCsv:
     def test_fifteen_significant_digits(self):
         rows = [{"series": "", "g": 1.0, "alpha": 1.0, "r": 0.0, "t1": 1.0,
                  "t2": 1.0, "phi": 1 / 3, "eta": 1.0, "N": math.pi * 100, "flags": ""}]
-        text = render_csv(rows, ["phi", "N", "flags"])
+        text = render_csv(table_result([rows], ["phi", "N", "flags"]))
         assert "0.333333333333333" in text
         assert "314.159265358979" in text
 
     def test_infinity_and_empty_cells(self):
         rows = [{"phi": 0.0, "qcrb_lossy": math.inf, "delta_phi": None, "flags": "unbounded"}]
-        text = render_csv(rows, ["phi", "qcrb_lossy", "delta_phi", "flags"])
+        text = render_csv(table_result([rows], ["phi", "qcrb_lossy", "delta_phi", "flags"]))
         assert text.splitlines()[1] == "0,inf,,unbounded"
 
     def test_cell_types_format_as_before(self):
         # exact floats take the fast path; numpy floats, complexes and ints
         # keep the general formatter's output
         rows = [{"a": 1 / 3, "b": np.float64(1 / 3), "c": complex(0.5, -0.25), "d": 7}]
-        text = render_csv(rows, ["a", "b", "c", "d"])
+        text = render_csv(table_result([rows], ["a", "b", "c", "d"]))
         assert text.splitlines()[1] == "0.333333333333333,0.333333333333333,0.5-0.25j,7"
 
     def test_quotes_cells_with_commas(self):
         rows = [{"series": "a,b", "flags": ""}]
-        assert render_csv(rows, ["series", "flags"]).splitlines()[1] == '"a,b",'
+        assert render_csv(table_result([rows], ["series", "flags"])).splitlines()[1] == '"a,b",'
 
     @settings(max_examples=300, deadline=None)
     @given(table=_csv_tables())
-    @example(table=([{"a": 0.0}, {"a": -0.0}, {"a": 0.0}], ["a"]))
-    @example(table=([{"a": -0.0}, {"a": -0.0}], ["a"]))
-    @example(table=([{"a": 2.5}, {"a": 2.5}, {}], ["a"]))
-    @example(table=([{"a": math.nan}, {"a": math.nan}, {"a": float("nan")}], ["a"]))
-    @example(table=([{"a": 1.0}, {"a": 1}, {"a": True}, {"a": 1 + 0j}], ["a"]))
-    @example(table=([{"a": complex(1, 0.0)}, {"a": complex(1, -0.0)}], ["a"]))
-    @example(table=([{"a": 'x,"y'}, {"a": 'x,"y'}], ["a", "b"]))
-    @example(table=([], ["a", "b"]))
-    # more rows than one block of columns formatted together
-    @example(table=([{"a": 0.5, "b": "x"}] * 300 + [{"a": -0.0}] + [{"a": 0.5}] * 300, ["a", "b"]))
-    @example(table=([{"a": i / 7, "b": 2.0} for i in range(1000)], ["b", "a"]))
-    @example(table=([{"a": 1.0}, {}], []))
+    @example(table=([[{"a": 0.0}, {"a": -0.0}, {"a": 0.0}]], ["a"]))
+    @example(table=([[{"a": -0.0}, {"a": -0.0}, {"a": 0.0}]], ["a"]))
+    @example(table=([[{"a": -0.0}, {"a": -0.0}]], ["a"]))
+    @example(table=([[{"a": 2.5}, {"a": 2.5}, {}]], ["a"]))
+    @example(table=([[{"a": math.nan}, {"a": math.nan}, {"a": float("nan")}]], ["a"]))
+    @example(table=([[{"a": v} for v in (5e-324, -5e-324, 0.0, -0.0, math.inf, -math.inf,
+                                         math.nan, -math.nan)]], ["a"]))
+    @example(table=([[{"a": 5e-324}] * 3, [{"a": -math.inf}] * 3, [{"a": -math.nan}] * 2], ["a"]))
+    @example(table=([[{"a": 1.0}, {"a": 1}, {"a": True}, {"a": 1 + 0j}]], ["a"]))
+    @example(table=([[{"a": complex(1, 0.0)}, {"a": complex(1, -0.0)}]], ["a"]))
+    @example(table=([[{"a": 'x,"y'}, {"a": 'x,"y'}]], ["a", "b"]))
+    @example(table=([[]], ["a", "b"]))
+    # series longer than one block of rows formatted together, and a
+    # constant zero column whose sign changes from one series to the next
+    @example(table=([[{"a": 0.5, "b": "x"}] * 300 + [{"a": -0.0}] + [{"a": 0.5}] * 300],
+                    ["a", "b"]))
+    @example(table=([[{"a": i / 7, "b": 2.0} for i in range(1000)]], ["b", "a"]))
+    @example(table=([[{"a": -0.0}] * 300, [{"a": 0.0}] * 3, [{"a": -0.0}] * 2], ["a"]))
     def test_column_formatting_matches_each_cell(self, table):
-        rows, columns = table
+        series, columns = table
         lines = [",".join(columns)]
+        rows = [row for rows in series for row in rows]
         lines += [",".join(_format_cell(row.get(c)) for c in columns) for row in rows]
-        assert render_csv(rows, columns) == "\n".join(lines) + "\n"
+        assert render_csv(table_result(series, columns)) == "\n".join(lines) + "\n"
 
 
 CAPTION_TABLE = {
@@ -247,7 +296,9 @@ class TestFigurePresets:
 
     def test_fig2_row_count(self):
         spec = figure_preset("fig2", points=200)
-        assert len(run_sweep(spec)) == 4 * 200
+        result = run_sweep(spec)
+        assert len(result) == 4 * 200
+        assert [len(cells[0]) for cells in result.series] == [200] * 4
 
     def test_fig5_has_internal_and_external_series(self):
         spec = figure_preset("fig5")
@@ -262,20 +313,22 @@ class TestFigurePresets:
 
 class TestFigureTrends:
     def test_fig10_monotone_in_eta(self):
-        rows = run_sweep(figure_preset("fig10", points=21))
-        for r in R_SERIES:
-            series = [row for row in rows if row["series"] == f"r={r:g}"]
-            fl = [row["qfi_lossy"] for row in series]
+        result = run_sweep(figure_preset("fig10", points=21))
+        assert [cells[0][0] for cells in result.series] == [f"r={r:g}" for r in R_SERIES]
+        i, j = result.columns.index("qfi_lossy"), result.columns.index("qcrb_lossy")
+        for cells in result.series:
+            fl = cells[i]
             assert all(b >= a - 1e-12 for a, b in zip(fl, fl[1:]))
-            qc = [row["qcrb_lossy"] for row in series]
+            qc = cells[j]
             assert all(b <= a + 1e-12 for a, b in zip(qc, qc[1:]))
 
     def test_fig7_monotone_in_gain_and_amplitude(self):
         for name in ("fig7a", "fig7b"):
-            rows = run_sweep(figure_preset(name, points=25))
-            for r in R_SERIES:
-                series = [row for row in rows if row["series"] == f"r={r:g}"]
-                vals = [row["qfi"] for row in series if row["qfi"] is not None]
+            result = run_sweep(figure_preset(name, points=25))
+            assert [cells[0][0] for cells in result.series] == [f"r={r:g}" for r in R_SERIES]
+            i = result.columns.index("qfi")
+            for cells in result.series:
+                vals = [v for v in cells[i] if v is not None]
                 assert all(b > a for a, b in zip(vals, vals[1:])), name
 
 
@@ -303,24 +356,25 @@ class TestCli:
         assert "divergent" in json.loads(proc.stdout)["flags"]
 
     def test_point_optimum_overflow_is_invalid_input(self):
-        # no candidate phase is finite at r = 354 because the statistics
+        # no candidate phase is finite at r = 354.5 because the statistics
         # overflow, so the point is invalid input, not divergent
-        proc = run_cli("point", "--r", "354", "--phi", "0.5", "--quantities", "delta_phi_min")
+        proc = run_cli("point", "--r", "354.5", "--phi", "0.5", "--quantities", "delta_phi_min")
         assert proc.returncode == 1
         assert proc.stderr == (
-            "invalid input: homodyne statistics overflow at g=1, alpha=1+0j, r=354\n"
+            "invalid input: homodyne statistics overflow at g=1, alpha=1+0j, r=354.5\n"
         )
 
     @pytest.mark.parametrize(
         "r, message",
         [
             ("100", "homodyne variance cancels to <= 0 at g=1, alpha=1+0j, r=100"),
-            ("300", "homodyne statistics overflow at g=1, alpha=1+0j, r=300"),
+            ("300", "homodyne variance cancels to <= 0 at g=1, alpha=1+0j, r=300"),
         ],
     )
     def test_point_optimum_at_strong_squeezing_is_invalid_input(self, r, message):
         # r = 100: the variance cancels near pi/2, where delta_phi_min read 0.0;
-        # r = 300: the quartic overflows, where the optimum read the bracket end
+        # r = 300: likewise, once the quartic's scaled products find that root
+        # (unscaled, they overflowed, and the optimum read the bracket end)
         proc = run_cli("point", "--r", r, "--quantities", "delta_phi_min")
         assert proc.returncode == 1
         assert proc.stderr == f"invalid input: {message}\n"
@@ -896,6 +950,63 @@ class TestPointMatchesSweepRow:
         assert not out.exists()
 
 
+def _long_series_spec():
+    """Series longer than one CSV block, complex alpha, a constant -0.0
+    column (r = -0.0) and flagged rows (phi = 0 carries no information)."""
+    series = tuple(SweepSeries(f"r={r!r}", {"r": r}) for r in (0.0, -0.0, 0.5))
+    fixed = InterferometerParams(g=0.8, alpha=0.7 + 0.3j, r=0.0, t1=0.9)
+    return SweepSpec("phi", 0.0, 3.0, _CSV_BLOCK + 44, fixed, QUANTITIES, series, eta=0.6)
+
+
+def _vacuum_spec():
+    """Degenerate and divergent rows, an unbounded lossy bound (eta = 0),
+    a complex alpha shown as its real part, and a duplicated quantity."""
+    fixed = InterferometerParams(g=0.0, alpha=complex(-0.0, -0.0), r=0.0)
+    return SweepSpec("eta", 0.0, 1.0, 5, fixed, (*QUANTITIES, "N"))
+
+
+class TestRowRoute:
+    """The columnar result renders to the earlier row route's bytes
+    (``row_route``: a dict per row, CSV blocks of 256 rows across series)."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(_long_series_spec, id="long-series"),
+            pytest.param(_vacuum_spec, id="vacuum"),
+            pytest.param(lambda: figure_preset("fig5", points=_CSV_BLOCK + 44), id="fig5-long"),
+            *(pytest.param(lambda name=name: figure_preset(name, points=20), id=f"{name}-20")
+              for name in sorted(FIGURE_PRESETS)),
+        ],
+    )
+    def test_sweep_text_equals_row_route(self, tmp_path, spec, fmt):
+        spec = spec()
+        expected = row_route.sweep_text(spec, fmt)
+        result = write_sweep(spec, str(tmp_path / "out"), fmt)
+        assert (tmp_path / "out").read_bytes() == expected.encode()
+        assert len(result) == spec.count * len(spec.series)
+
+    @pytest.mark.parametrize(
+        "flags, quantities",
+        [
+            (("--g", "1", "--alpha", "1", "--r", "0.6", "--phi", "0.3"), ALL_QUANTITIES),
+            (("--g", "0.5", "--alpha", "0.7+0.3j", "--r", "0.2", "--t1", "0.8", "--t2", "0.6",
+              "--phi", "1.2", "--eta", "0.3"), ALL_QUANTITIES),
+            (("--alpha", "0", "--phi", "0.4", "--eta", "0"), ALL_QUANTITIES),
+            (("--g", "0", "--alpha", "0", "--r", "0", "--phi", "0.4", "--eta", "0.5"),
+             ALL_QUANTITIES),
+            (("--r=-0.0", "--alpha=-0.0-0.5j", "--g", "0.3"), "N,delta_phi_min,N,qcrb_lossy"),
+        ],
+    )
+    def test_point_json_equals_row_route(self, flags, quantities):
+        code, stdout, _ = run_main("point", *flags, "--quantities", quantities)
+        args = cli.build_parser().parse_args(["point", *flags])
+        expected = row_route.point_json(cli._params(args), args.eta, tuple(quantities.split(",")))
+        assert code in (0, 2)
+        assert stdout == expected + "\n"
+
+
 # each quantity of one point through the scalar API, as sweeps evaluated it
 # point by point
 SCALAR_QUANTITY = {
@@ -1008,15 +1119,14 @@ class TestBatchEqualsScalar:
             InterferometerParams(g=g, alpha=complex(re_a, im_a), r=r, t1=t1, t2=t2, phi=phi),
             QUANTITIES, T_K_SERIES if variable == "t_k" else (SweepSeries(),), eta,
         )
-        rows = run_sweep(spec)
+        result = run_sweep(spec)
         points = list(series_points(spec))
-        assert len(rows) == len(points)
-        for row, (p, point_eta) in zip(rows, points):
+        assert len(result) == len(points)
+        columns = list(zip(*(column(result, c) for c in (*QUANTITIES, "flags"))))
+        for (*row, row_flags), (p, point_eta) in zip(columns, points):
             cells, flags = scalar_row(p, point_eta, QUANTITIES)
-            assert row["flags"] == flags, p
-            assert {q: bits(row[q]) for q in QUANTITIES} == {
-                q: bits(v) for q, v in cells.items()
-            }, p
+            assert row_flags == flags, p
+            assert [bits(v) for v in row] == [bits(cells[q]) for q in QUANTITIES], p
 
     @pytest.mark.parametrize(
         "variable, start, stop, count, fixed, quantities",
@@ -1032,7 +1142,7 @@ class TestBatchEqualsScalar:
             # delta_phi_min is solved for the whole series before the rest
             ("alpha", 1e150, 1e308, 9, {}, ("N", "delta_phi_min")),
             # the series' optimum names the exponent at g = 362.5; point by
-            # point, the optimum's quartic at g = 137.5 overflows first
+            # point, the harmonics at g = 212.5 overflow first
             ("g", 100.0, 400.0, 9, {"phi": 0.5}, ("delta_phi_min",)),
         ],
     )
