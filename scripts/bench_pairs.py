@@ -21,8 +21,10 @@ median over points of a repeat's best time over its first execution, which
 fresh interpreter importing ``perfbench/`` unchanged.
 
 Before any run, each side writes the 13 default-size figure CSVs with
-``scripts/reproduce_figures.py``; ``figure_csvs`` records per preset
-whether the two sides' files are byte-identical.
+``scripts/reproduce_figures.py``, once by default and once with numpy's
+SIMD kernels switched off (``NO_SIMD``); ``figure_csvs`` records per preset
+whether the two sides' files are byte-identical, and ``figure_csvs.no_simd``
+the same for the second set.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ PAIRS = 10
 GUARD_SEEDS = (6, 7, 8)
 GUARD_POINTS = 20
 GUARD_RUNS = 3
+# numpy's SIMD kernels switched off, so a byte that depends on them shows
+NO_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 _GUARD_RUN = """
 import sys
 sys.path.insert(0, "perfbench")
@@ -143,11 +147,12 @@ def guard_summary(ratios: dict[int, list]) -> dict:
     return out
 
 
-def write_figure_csvs(root: Path, outdir: Path) -> None:
-    """The default-size figure CSVs of checkout root, into outdir."""
+def write_figure_csvs(root: Path, outdir: Path, env: dict | None = None) -> None:
+    """The default-size figure CSVs of checkout root, into outdir, with env
+    added to the environment."""
     subprocess.run(
         [sys.executable, "scripts/reproduce_figures.py", "--outdir", str(outdir)],
-        cwd=root, stdout=subprocess.DEVNULL, check=True,
+        cwd=root, stdout=subprocess.DEVNULL, check=True, env={**os.environ, **(env or {})},
     )
 
 
@@ -162,6 +167,18 @@ def csv_identity(parent_dir: Path, change_dir: Path) -> dict:
             files[0].read_bytes() == files[1].read_bytes()
         )
     return {"identical": identical, "all_identical": bool(names) and all(identical.values())}
+
+
+def figure_csv_report(csvs: Path) -> dict:
+    """``figure_csvs`` from the CSVs each side wrote under csvs: into
+    ``<side>`` by default and ``<side>-no-simd`` with ``NO_SIMD``."""
+    return {
+        "what": "scripts/reproduce_figures.py at its default size on each side; "
+                "per preset, whether the two CSVs are byte-identical; no_simd: the "
+                f"same with {' '.join(f'{k}={v!r}' for k, v in NO_SIMD.items())}",
+        **csv_identity(csvs / "parent", csvs / "change"),
+        "no_simd": csv_identity(csvs / "parent-no-simd", csvs / "change-no-simd"),
+    }
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -213,11 +230,8 @@ def main(argv=None) -> int:
         sides = {"parent": tmp, "change": ROOT}
         for side, root in sides.items():
             write_figure_csvs(root, csvs / side)
-        report["figure_csvs"] = {
-            "what": "scripts/reproduce_figures.py at its default size on each side; "
-                    "per preset, whether the two CSVs are byte-identical",
-            **csv_identity(csvs / "parent", csvs / "change"),
-        }
+            write_figure_csvs(root, csvs / f"{side}-no-simd", NO_SIMD)
+        report["figure_csvs"] = figure_csv_report(csvs)
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for seed in seeds:

@@ -24,7 +24,7 @@ from .errors import (
     DivergentSensitivityError,
     NonconvergedOracleError,
 )
-from .moments import InterferometerParams
+from .moments import InterferometerParams, _series
 from .sweeps import (
     DEFAULT_POINTS,
     FIGURE_PRESETS,
@@ -33,7 +33,6 @@ from .sweeps import (
     SWEEP_VARIABLES,
     SweepSeries,
     SweepSpec,
-    _FIELDS,
     _param_columns,
     _series_cells,
     figure_preset,
@@ -153,8 +152,9 @@ def _cmd_point(args) -> int:
         return EXIT_USAGE
     params = _params(args)
     # the point's sweep row: a series of one
-    columns = _param_columns([getattr(params, name) for name in _FIELDS], args.eta, 1)
-    _, *cells, flags = _series_cells("", [params], [args.eta], columns, quantities)
+    state = _series(params)
+    columns = _param_columns([*state.columns, args.eta], 1)
+    _, *cells, flags = _series_cells("", state, [args.eta], columns, quantities)
     payload = {c: json_value(v[0]) for c, v in zip((*PARAM_COLUMNS, *quantities), cells)}
     flags = flags[0].split(";") if flags[0] else []
     payload["flags"] = flags

@@ -349,7 +349,7 @@ def optimal_phase(params):
     result does not depend on the batch it is solved in.
     """
     single = isinstance(params, InterferometerParams)
-    points = _series([params] if single else params)
+    points = _series(params)
     lo, hi = PHASE_BRACKET
     _, m1, v0, v1, v2 = trig_coefficients(points)
     # each quartic term is m1 or its conjugate times one v: with m1 and the

@@ -15,7 +15,10 @@ coefficients, built from lower moments by a recurrence
 (``series.series_exp``).  A point's table, cached by (g, alpha, r), keeps
 the exponent's entries as Python numbers, the 70 moments, and the value of
 each closed form of the exponent a single-point call has read (N, <n_a>,
-F), so a query chain computes each once.  Homodyne statistics of the full
+F), so a query chain computes each once.  A sequence of points is one state
+of columns (``_Series``); where its (g, alpha, r) varies, one call of the
+same builder (``_exponent_entries``) on arrays gives every point's entries,
+each with its table's bits, and no table is built.  Homodyne statistics of the full
 circuit (phase shift phi, fictitious-beam-splitter transmittances t1
 internal and t2 external, second squeezer at gain g, phase pi) are
 trigonometric polynomials in phi whose coefficients come straight from
@@ -27,9 +30,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -106,22 +108,38 @@ class WForm:
         return complex(2.0 * self.quadratic[i, j])
 
 
-def _cosh_sinh(name: str, value: float) -> tuple[float, float]:
+def _cosh_sinh(name: str, value):
+    """cosh and sinh from ``math``, of a number or of each element of an (n,)
+    array: numpy's SIMD cosh/sinh differ from libm in the last bit.
+
+    A number raises ValueError naming it where they overflow; an array lets
+    ``math``'s OverflowError through.
+    """
+    if isinstance(value, np.ndarray):
+        values = value.tolist()
+        return (
+            np.fromiter(map(math.cosh, values), float, len(values)),
+            np.fromiter(map(math.sinh, values), float, len(values)),
+        )
     try:
         return math.cosh(value), math.sinh(value)
     except OverflowError:
         raise ValueError(f"{name}={value:g} is too large: cosh/sinh overflow") from None
 
 
-def _exponent_entries(params: InterferometerParams):
+def _exponent_entries(g, alpha, r):
     """The exponent's linear part (4 complexes) and quadratic rows (4x4
-    floats, symmetric) for (g, r, alpha), as Python numbers.
+    floats, symmetric) for (g, r, alpha), with alpha a complex.
 
-    Raises ValueError naming (g, alpha, r) when a coefficient overflows.
+    One builder for both routes: on Python numbers (a point's table), or on
+    (n,) arrays in place of any of g, alpha, r (a series), when the entries
+    that depend on an array are (n,) arrays, each element the bits of that
+    point's number, and the rest numbers.  On numbers, raises ValueError
+    naming (g, alpha, r) when a coefficient overflows; on arrays, the caller
+    checks (``_Series.exponent``).
     """
-    cr, sr = _cosh_sinh("r", params.r)
-    cg, sg = _cosh_sinh("g", params.g)
-    alpha = complex(params.alpha)
+    cr, sr = _cosh_sinh("r", r)
+    cg, sg = _cosh_sinh("g", g)
     ac = alpha.conjugate()
 
     # every entry is 0.0 + q, the value a numpy fill symmetrized by adding
@@ -134,16 +152,17 @@ def _exponent_entries(params: InterferometerParams):
     q02 = 0.0 + 0.5 * (-cr * cg * sg)
     q03 = 0.0 + 0.5 * (-sr * cg * sg)
     q23 = 0.0 + 0.5 * (sg * sg)
+    # complex times real as Python multiplies complex(c, 0) by z (``_scaled``)
     lin = [
-        ac * cr * cg + alpha * sr * cg,
-        ac * sr * cg + alpha * cr * cg,
-        -alpha * sg,
-        -ac * sg,
+        _scaled(cg, _scaled(cr, ac)) + _scaled(cg, _scaled(sr, alpha)),
+        _scaled(cg, _scaled(sr, ac)) + _scaled(cg, _scaled(cr, alpha)),
+        _scaled(sg, -alpha),
+        _scaled(sg, -ac),
     ]
-    if not all(map(cmath.isfinite, (d, q01, q02, q03, q23, *lin))):
-        raise ValueError(
-            f"generating exponent overflows at g={params.g:g}, alpha={alpha:g}, r={params.r:g}"
-        )
+    if isinstance(lin[0], complex) and not all(
+        map(cmath.isfinite, (d, q01, q02, q03, q23, *lin))
+    ):
+        raise ValueError(f"generating exponent overflows at g={g:g}, alpha={alpha:g}, r={r:g}")
     quad = [[d, q01, q02, q03], [q01, d, q03, q02], [q02, q03, 0.0, q23], [q03, q02, q23, 0.0]]
     return lin, quad
 
@@ -153,7 +172,7 @@ def build_w_form(params: InterferometerParams) -> WForm:
 
     Raises ValueError naming (g, alpha, r) when a coefficient overflows.
     """
-    lin, quad = _exponent_entries(params)
+    lin, quad = _exponent_entries(params.g, complex(params.alpha), params.r)
     return WForm(quadratic=np.array(quad, dtype=complex), linear=np.array(lin, dtype=complex))
 
 
@@ -202,7 +221,7 @@ class MomentTable:
 
     def __init__(self, params: InterferometerParams):
         self._params = params
-        lin, quad = _exponent_entries(params)
+        lin, quad = _exponent_entries(params.g, complex(params.alpha), params.r)
         pair = [[2.0 * q for q in row] for row in quad]
         self._moments = np.fromiter(series_exp(lin, pair).values(), complex, len(_ORDER))
         self._exponent = _Exponent(*lin, *(pair[i][j] for i, j in _PAIR_ENTRIES))
@@ -225,11 +244,10 @@ class MomentTable:
         return self._moments.item(_POSITION[key])
 
 
-# A default figure run sweeps g (figs 3, 7a, 8a, 11a) and alpha (figs 4, 7b,
-# 8b, 11b) over the same four r curves: 2 grids x 4 curves x 200 points, plus
-# the fixed points of the other presets, is 1,604 distinct (g, alpha, r).  So
-# each is built once per run; a sweep series reads each of its points' tables
-# once (``_Series``).
+# Single points and the series whose (g, alpha, r) is one point read a table;
+# a series whose (g, alpha, r) varies builds its exponent entries as arrays
+# and no table (``_Series``).  A default figure run builds 4 tables: one per
+# r curve at g = alpha = 1.
 @lru_cache(maxsize=2048)
 def _table(g: float, alpha: complex, r: float) -> MomentTable:
     return MomentTable(InterferometerParams(g=g, alpha=alpha, r=r))
@@ -246,30 +264,89 @@ def q_moment(params: InterferometerParams, key) -> complex:
     return moment_table(params).moment(key)
 
 
-class _Series(tuple):
-    """The points of a series, and what every sequence call on them reads.
+# InterferometerParams' fields, in its positional order
+_FIELDS = tuple(f.name for f in fields(InterferometerParams))
 
-    Each part is computed on first use and kept: the exponent entries as
-    (n,) arrays, stacked from each point's cached table; the output
+
+class _Series:
+    """A sequence of n points by columns, and what every sequence call on them reads.
+
+    ``columns`` holds g, alpha, r, t1, t2 and phi, in ``_FIELDS`` order: each
+    is one value shared by every point or a list of n values (a sweep's
+    swept column; every column of a plain list of points).  Each part is
+    computed on first use and kept: the exponent entries as (n,) arrays,
+    read from the point's cached table (``moment_table``) where (g, alpha, r)
+    is one point, else built once by ``_exponent_entries``; the output
     amplitudes; the phase factors e^{i phi}; the raw harmonics, which
-    ``trig_coefficients`` checks on every call.  A sequence call on a plain
-    list evaluates it through a state of its own; sweeps build one state per
-    series and pass it to every quantity, so each table is read once.
+    ``trig_coefficients`` checks on every call.  ``InterferometerParams``
+    are built only to read the one table, and to name a failing point
+    (``point``).
     """
+
+    def __init__(self, columns: list, n: int):
+        self.columns = columns
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def point(self, i: int) -> InterferometerParams:
+        return InterferometerParams(*(c[i] if isinstance(c, list) else c for c in self.columns))
+
+    def validate(self) -> None:
+        """Raise the error ``InterferometerParams`` gives the first point it
+        rejects: its bounds are checked once over the columns, and points are
+        built only where a check fails."""
+        g, alpha, r, t1, t2, phi = (
+            np.array(c) if isinstance(c, list) else c for c in self.columns
+        )
+        try:
+            with np.errstate(invalid="ignore"):
+                ok = np.all(
+                    (0.0 <= g) & (g < math.inf) & (0.0 <= r) & (r < math.inf)
+                    & (0.0 <= t1) & (t1 <= 1.0) & (0.0 <= t2) & (t2 <= 1.0)
+                    & (-math.inf < phi) & (phi < math.inf) & np.isfinite(alpha)
+                )
+        except (TypeError, ValueError, ArithmeticError):
+            ok = False
+        if not ok:
+            for i in range(self.n):
+                self.point(i)  # raises at the first point it rejects
 
     @cached_property
     def exponent(self) -> _Exponent:
-        entries = chain.from_iterable(moment_table(p)._exponent for p in self)
-        table = np.fromiter(entries, complex, 12 * len(self)).reshape(-1, 12)
-        return _Exponent(*table[:, :4].T, *table[:, 4:].real.T)
+        g, alpha, r = self.columns[:3]
+        if not any(isinstance(c, list) for c in (g, alpha, r)):
+            entries = moment_table(InterferometerParams(g, alpha, r))._exponent
+            return _Exponent(*(_per_point(v, self.n) for v in entries))
+        # -0.0 keys as +0.0, as in moment_table
+        g, r = (np.array(c, dtype=float) + 0.0 if isinstance(c, list) else float(c) + 0.0
+                for c in (g, r))
+        alpha = np.array(alpha, dtype=complex) + 0j if isinstance(alpha, list) else complex(alpha) + 0j
+        try:
+            with np.errstate(all="ignore"):  # a non-finite entry is replayed below
+                lin, quad = _exponent_entries(g, alpha, r)
+                entries = (*lin, *(2.0 * quad[i][j] for i, j in _PAIR_ENTRIES))
+            finite = all(np.isfinite(v).all() for v in (*lin, *quad[0], quad[2][3]))
+        except OverflowError:  # math.cosh or math.sinh of an element
+            finite = False
+        if not finite:  # raise the error of the first point that overflows alone
+            for point in zip(*(np.broadcast_to(v, (self.n,)).tolist() for v in (g, alpha, r))):
+                _exponent_entries(*point)
+        return _Exponent(*(_per_point(v, self.n) for v in entries))
 
     @cached_property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([_amplitudes(p) for p in self], dtype=float).reshape(-1, 2).T
+    def amplitudes(self) -> tuple:
+        """``_amplitudes`` of each point as (n,) arrays: math's cosh/sinh, and
+        sqrt, which numpy and math both round correctly."""
+        g, _, _, t1, t2, _ = self.columns
+        g, t1, t2 = (np.array(c, dtype=float) if isinstance(c, list) else c for c in (g, t1, t2))
+        cg, sg = _cosh_sinh("g", g)
+        return _per_point(np.sqrt(t1 * t2) * cg, self.n), _per_point(np.sqrt(t2) * sg, self.n)
 
     @cached_property
     def z(self) -> np.ndarray:
-        return np.exp(1j * np.array([p.phi for p in self], dtype=float))
+        return np.exp(1j * _per_point(np.array(self.columns[5], dtype=float), self.n))
 
     @cached_property
     def harmonics(self) -> tuple:
@@ -278,9 +355,21 @@ class _Series(tuple):
             return _harmonics(e, amp_a, amp_b)
 
 
+def _per_point(value, n: int) -> np.ndarray:
+    """An (n,) array of a column's values: value itself if it is one, else
+    value at every point."""
+    return value if np.ndim(value) else np.full(n, value)
+
+
 def _series(params) -> _Series:
-    """The state of a sequence of points: ``params`` itself if it is one."""
-    return params if isinstance(params, _Series) else _Series(params)
+    """The state of a sequence of points, or of one point as a series of one:
+    ``params`` itself if it is one."""
+    if isinstance(params, _Series):
+        return params
+    if isinstance(params, InterferometerParams):
+        return _Series([getattr(params, name) for name in _FIELDS], 1)
+    points = list(params)
+    return _Series([[getattr(p, name) for p in points] for name in _FIELDS], len(points))
 
 
 def _exponent_of(params, formula, overflow=None):
@@ -329,8 +418,9 @@ def _scaled(c, z):
 
     numpy's complex multiply can give a zero part of the product the other sign.
     """
-    re = c * z.real - 0.0 * z.imag
-    im = c * z.imag + 0.0 * z.real
+    zr, zi = z.real, z.imag
+    re = c * zr - 0.0 * zi
+    im = c * zi + 0.0 * zr
     if isinstance(re, float):
         return complex(re, im)
     out = np.empty(re.shape, dtype=complex)
@@ -358,7 +448,7 @@ def _check(what, ok, params) -> None:
     else:
         if ok.all():
             return
-        point = params[int(np.argmin(ok))]
+        point = _series(params).point(int(np.argmin(ok)))
     raise ValueError(
         f"{what} at g={point.g:g}, alpha={complex(point.alpha):g}, r={point.r:g}"
     )

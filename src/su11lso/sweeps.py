@@ -11,13 +11,16 @@ flags column; points with no phase information or vacuum-degenerate
 benchmarks stay in the output as flagged rows with the affected cells
 empty, never as silent omissions.
 
-One evaluator, ``_evaluate_series``, fills a series' cells, one call per
-quantity on one series state (``moments._Series``: each point's table is
-read once, and the exponent, amplitudes, phases and harmonics are built
-once), and alone decides which overflow a failing series reports: the
-first that evaluating it point by point meets, ``delta_phi_min`` first.
-``point`` evaluates its point as a series of one, so it prints the values,
-flags and overflow error of the sweep row at that point.
+A series is its columns (``moments._Series``): the swept parameter as the
+grid, every other one as one value, checked once against
+``InterferometerParams``' bounds; no point's parameters are built unless
+one fails, and then only to name it.  One evaluator, ``_evaluate_series``,
+fills a series' cells, one call per quantity on that one state (its
+exponent, amplitudes, phases and harmonics are each built once), and alone
+decides which overflow a failing series reports: the first that evaluating
+it point by point meets, ``delta_phi_min`` first.  ``point`` evaluates its
+point as a series of one, so it prints the values, flags and overflow
+error of the sweep row at that point.
 
 A result stays in columns from evaluation to output: ``run_sweep`` returns
 a ``SweepResult`` holding, per series, the label, parameter, quantity and
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -43,7 +46,7 @@ from .metrology import (
     sql_hl,
     total_photon_number,
 )
-from .moments import InterferometerParams, _Series
+from .moments import _FIELDS, InterferometerParams, _Series, _series
 
 
 def _cells(report, name):
@@ -112,22 +115,20 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-# InterferometerParams' fields, in its positional order
-_FIELDS = tuple(f.name for f in fields(InterferometerParams))
+def _param_columns(values: list, n: int) -> list[list]:
+    """``PARAM_COLUMNS`` of n rows from values (the fields, then eta): a list
+    as it is, any other value at every row (alpha shown as its real part
+    where that is all of it)."""
+    g, alpha, *rest = values
+    if not isinstance(alpha, list) and alpha.imag == 0:
+        alpha = alpha.real
+    return [v if isinstance(v, list) else [v] * n for v in (g, alpha, *rest)]
 
 
-def _param_columns(args: list, eta: float, n: int) -> list[list]:
-    """``PARAM_COLUMNS`` of n rows, each holding one value: the field values
-    args (alpha shown as its real part where that is all of it), then eta."""
-    g, alpha, *rest = args
-    return [[v] * n for v in (g, alpha.real if alpha.imag == 0 else alpha, *rest, eta)]
-
-
-def _series_points(
-    spec: SweepSpec, series: SweepSeries
-) -> tuple[list[InterferometerParams], list[float], list[list]]:
-    """Parameters and eta of each grid point of one series, and its
-    parameter columns (``_param_columns``, the swept one the grid)."""
+def _series_points(spec: SweepSpec, series: SweepSeries) -> tuple[_Series, list[float], list[list]]:
+    """The state of one series' grid points (``moments._Series``: the swept
+    column the grid, every other column one value), validated; the eta of
+    each point; its parameter columns (``_param_columns``)."""
     values = {name: getattr(spec.fixed, name) for name in _FIELDS}
     values["eta"] = spec.eta
     values.update(series.overrides)
@@ -137,22 +138,15 @@ def _series_points(
         if sweep_target not in ("t1", "t2"):
             raise ValueError("t_k sweeps need a series sweep_target of t1 or t2")
         target = sweep_target
-    eta = values.pop("eta")
-    args = [values.pop(name) for name in _FIELDS]
+    args = [values.pop(name) for name in PARAM_COLUMNS]
     if values:
         raise TypeError(f"series overrides name no parameter: {sorted(values)}")
     grid = spec.grid().tolist()
-    columns = _param_columns(args, eta, len(grid))
-    if target == "eta":
-        columns[-1] = grid
-        return [InterferometerParams(*args)] * len(grid), grid, columns
-    i = _FIELDS.index(target)
-    columns[i] = grid
-    points = []
-    for value in grid:
-        args[i] = value
-        points.append(InterferometerParams(*args))
-    return points, columns[-1], columns
+    args[PARAM_COLUMNS.index(target)] = grid
+    columns = _param_columns(args, len(grid))
+    state = _Series(args[:-1], len(grid))
+    state.validate()
+    return state, columns[-1], columns
 
 
 _FLAG_BITS = {"divergent": 1, "degenerate": 2, "unbounded": 4}
@@ -164,15 +158,14 @@ _FLAG_TEXT = tuple(
 )
 
 
-def _evaluate_series(
-    points: list[InterferometerParams], etas: list[float], quantities: tuple[str, ...]
-) -> tuple[dict, list[str]]:
-    """Cells of each quantity and the flags cell of each point of a series.
+def _evaluate_series(points, etas: list[float], quantities: tuple[str, ...]) -> tuple[dict, list[str]]:
+    """Cells of each quantity and the flags cell of each point of a series:
+    points is its state (``moments._Series``) or a list of points.
 
     Each quantity is evaluated over the whole series in one call on one
-    ``_Series`` state, and ``delta_phi_min`` first (one ``optimal_phase``
-    call), so its overflow is reported before any other quantity's.  A
-    flagged point's cell is None.
+    state, and ``delta_phi_min`` first (one ``optimal_phase`` call), so its
+    overflow is reported before any other quantity's.  A flagged point's
+    cell is None.
     A value that is not finite where its status is ok means overflow.  A
     failing call is replayed one point at a time, so a series raises the
     ValueError met first in point order: ``delta_phi_min``'s, else the
@@ -181,21 +174,22 @@ def _evaluate_series(
     for eta in etas:
         if not 0.0 <= eta <= 1.0:  # false for NaN too
             raise ValueError(f"eta must be finite and lie in [0, 1], got {eta}")
-    state = _Series(points)  # read by every quantity's call
+    state = _series(points)  # read by every quantity's call
+    n = len(state)
     if "delta_phi_min" in quantities:  # solved for the whole series before the rest
         try:
             optimum = _QUANTITY_TABLE["delta_phi_min"](state, etas)
         except ValueError:
-            for p in points:  # raise the first point's own error
-                optimal_phase([p])
+            for i in range(n):  # raise the first point's own error
+                optimal_phase([state.point(i)])
             raise
-    bits = np.zeros(len(points), dtype=int)
+    bits = np.zeros(n, dtype=int)
     cells = {}
     try:
         for q in quantities:
             values, status = optimum if q == "delta_phi_min" else _QUANTITY_TABLE[q](state, etas)
             values = np.asarray(values, dtype=float)
-            flagged = np.zeros(len(points), dtype=bool)
+            flagged = np.zeros(n, dtype=bool)
             if status is not None:
                 for name in ("divergent", "degenerate"):
                     hit = status == name
@@ -208,7 +202,7 @@ def _evaluate_series(
                 overflow &= ~inf
             if overflow.any():
                 i = int(np.argmax(overflow))
-                p, eta = points[i], etas[i]
+                p, eta = state.point(i), etas[i]
                 raise ValueError(
                     f"{q} = {float(values[i])} is not finite at g={p.g:g}, "
                     f"alpha={complex(p.alpha):g}, r={p.r:g}, t1={p.t1:g}, t2={p.t2:g}, "
@@ -219,9 +213,9 @@ def _evaluate_series(
                 column[i] = None
             cells[q] = column
     except ValueError:
-        if len(points) > 1:
-            for i in range(len(points)):
-                _evaluate_series(points[i : i + 1], etas[i : i + 1], quantities)
+        if n > 1:
+            for i in range(n):
+                _evaluate_series([state.point(i)], etas[i : i + 1], quantities)
         raise
     return cells, [_FLAG_TEXT[b] for b in bits.tolist()]
 
@@ -242,17 +236,13 @@ class SweepResult:
 
 
 def _series_cells(
-    label: str,
-    points: list[InterferometerParams],
-    etas: list[float],
-    params: list[list],
-    quantities: tuple[str, ...],
+    label: str, state: _Series, etas: list[float], params: list[list], quantities: tuple[str, ...]
 ) -> tuple[list, ...]:
     """One series' columns, in ``sweep_columns`` order: the label, the
-    parameter columns params, each quantity's cells (``_evaluate_series``),
-    the flags."""
-    cells, flags = _evaluate_series(points, etas, quantities)
-    return ([label] * len(points), *params, *(cells[q] for q in quantities), flags)
+    parameter columns params, each quantity's cells (``_evaluate_series``
+    of state), the flags."""
+    cells, flags = _evaluate_series(state, etas, quantities)
+    return ([label] * len(state), *params, *(cells[q] for q in quantities), flags)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -263,8 +253,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     series = []
     for s in spec.series:
-        points, etas, params = _series_points(spec, s)
-        series.append(_series_cells(s.label, points, etas, params, spec.quantities))
+        state, etas, params = _series_points(spec, s)
+        series.append(_series_cells(s.label, state, etas, params, spec.quantities))
     return SweepResult(tuple(sweep_columns(spec)), tuple(series))
 
 

@@ -5,10 +5,11 @@ A sweep was a list of row dicts: ``run_sweep`` built one per grid point
 label and flags), ``render_csv`` read them back a column at a time in
 blocks of 256 rows, whatever the series, and ``render_jsonl`` dumped one
 dict per row.  ``point`` printed ``point_row`` of its point as JSON.  The
-package now keeps a sweep's columns from evaluation to output; these
-helpers keep the old route so the tests can hold the new one to its bytes.
-Only evaluation (``_series_points``, ``_evaluate_series``) comes from the
-package.
+package now keeps a sweep's columns from evaluation to output, and a
+series' parameters as columns too; these helpers keep the old route so the
+tests can hold the new one to its bytes.  ``series_points`` builds one
+``InterferometerParams`` per grid point, as the package did; only
+evaluation (``_evaluate_series`` of those points) comes from the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import json
 import math
 from itertools import repeat
 
-from su11lso.sweeps import _evaluate_series, _series_points, sweep_columns
+from su11lso.moments import InterferometerParams
+from su11lso.sweeps import _FIELDS, _evaluate_series, sweep_columns
 
 
 def point_row(params, eta, values) -> dict:
@@ -34,10 +36,36 @@ def point_row(params, eta, values) -> dict:
     return row
 
 
+def series_points(spec, series) -> tuple[list, list[float]]:
+    """The parameters and the eta of each grid point of one series."""
+    values = {name: getattr(spec.fixed, name) for name in _FIELDS}
+    values["eta"] = spec.eta
+    values.update(series.overrides)
+    sweep_target = values.pop("sweep_target", None)
+    target = spec.variable
+    if target == "t_k":
+        if sweep_target not in ("t1", "t2"):
+            raise ValueError("t_k sweeps need a series sweep_target of t1 or t2")
+        target = sweep_target
+    eta = values.pop("eta")
+    args = [values.pop(name) for name in _FIELDS]
+    if values:
+        raise TypeError(f"series overrides name no parameter: {sorted(values)}")
+    grid = spec.grid().tolist()
+    if target == "eta":
+        return [InterferometerParams(*args)] * len(grid), grid
+    i = _FIELDS.index(target)
+    points = []
+    for value in grid:
+        args[i] = value
+        points.append(InterferometerParams(*args))
+    return points, [eta] * len(grid)
+
+
 def run_sweep(spec) -> list[dict]:
     rows = []
     for series in spec.series:
-        points, etas, _ = _series_points(spec, series)
+        points, etas = series_points(spec, series)
         cells, flags = _evaluate_series(points, etas, spec.quantities)
         columns = [cells[q] for q in spec.quantities]
         for params, eta, flag, *values in zip(points, etas, flags, *columns):

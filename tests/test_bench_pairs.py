@@ -1,6 +1,7 @@
 """The paired-benchmark summary of scripts/bench_pairs.py."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,18 @@ def test_figure_csvs_of_this_checkout(tmp_path):
     names = sorted(p.stem for p in (tmp_path / "csv").glob("*.csv"))
     assert len(names) == 13
     assert bench_pairs.csv_identity(tmp_path / "csv", tmp_path / "csv")["all_identical"]
+
+
+def test_figure_csv_report_without_simd(tmp_path):
+    # both sides' CSVs by default and without SIMD; the change side differs
+    # in one preset, and only without SIMD
+    bench_pairs.write_figure_csvs(bench_pairs.ROOT, tmp_path / "parent")
+    bench_pairs.write_figure_csvs(bench_pairs.ROOT, tmp_path / "parent-no-simd", bench_pairs.NO_SIMD)
+    shutil.copytree(tmp_path / "parent", tmp_path / "change")
+    shutil.copytree(tmp_path / "parent-no-simd", tmp_path / "change-no-simd")
+    (tmp_path / "change-no-simd" / "fig3.csv").write_bytes(b"x\n")
+    out = bench_pairs.figure_csv_report(tmp_path)
+    assert out["all_identical"] is True
+    assert out["no_simd"]["all_identical"] is False
+    assert [name for name, same in out["no_simd"]["identical"].items() if not same] == ["fig3"]
+    assert len(out["no_simd"]["identical"]) == 13

@@ -311,42 +311,62 @@ def test_compact_table_keeps_every_bit(g, re_a, im_a, r, key):
             tab.moment(key)
 
 
+def _count_builds(monkeypatch):
+    """Record each ``InterferometerParams`` built and each exponent builder
+    call (whether any of g, alpha, r was an array) from now on."""
+    built, builder = [], []
+    post_init = InterferometerParams.__post_init__
+    entries = moments._exponent_entries
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_entries(g, alpha, r):
+        builder.append(any(isinstance(v, np.ndarray) for v in (g, alpha, r)))
+        return entries(g, alpha, r)
+
+    monkeypatch.setattr(InterferometerParams, "__post_init__", counted_post_init)
+    monkeypatch.setattr(moments, "_exponent_entries", counted_entries)
+    return built, builder
+
+
 class TestTableCache:
-    """A figure run builds each distinct (g, alpha, r) once, and the cache
-    holds a whole run without growing the process much."""
+    """A figure run builds a table only for the series whose (g, alpha, r) is
+    one point; a series whose (g, alpha, r) varies builds its exponent once,
+    as arrays, and no point's parameters."""
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["sorted", "reversed"])
-    def test_figure_run_builds_each_distinct_point_once(self, reverse):
-        # the g grid and the alpha grid, 4 r curves of 200 points each, plus
-        # the fixed points of the other presets
+    def test_figure_run_builds_a_table_per_fixed_point(self, reverse, monkeypatch):
+        # figs 2, 5, 6a, 6b and 10 hold g = alpha = 1 on each of 4 r curves:
+        # 24 series, 4 distinct points; the g and alpha sweeps build none
+        specs = [figure_preset(name) for name in sorted(FIGURE_PRESETS, reverse=reverse)]
         _table.cache_clear()
-        for name in sorted(FIGURE_PRESETS, reverse=reverse):
-            run_sweep(figure_preset(name))
-        assert _table.cache_info().misses == 1604
+        built, builder = _count_builds(monkeypatch)
+        for spec in specs:
+            run_sweep(spec)
+        assert _table.cache_info().misses == 4
+        # one point per fixed-point series, to read its table, and one per
+        # table built; none per grid point
+        assert len(built) == 24 + 4
+        assert builder.count(False) == 4  # the tables
+        assert builder.count(True) == 8 * 4  # figs 3, 4, 7a, 7b, 8a, 8b, 11a, 11b
 
-    def test_long_series_reads_each_table_once(self):
-        # optimal_phase's quartic and its sensitivity_curve pass read one
-        # series state, so a table is read once; 513 points per series over
-        # 4 curves fit
-        _table.cache_clear()
-        run_sweep(figure_preset("fig3", points=513))
-        info = _table.cache_info()
-        assert (info.misses, info.hits) == (2052, 0)
-
-    @pytest.mark.parametrize("name", ["fig3", "fig11a"])
-    def test_series_reads_each_point_once(self, name, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, points", [("fig3", 50), ("fig11a", 50), ("fig3", 513)],
+        ids=["fig3", "fig11a", "fig3-long"],
+    )
+    def test_swept_series_builds_no_table_and_one_exponent(self, name, points, monkeypatch):
         # fig3: the optimum's quartic and its sensitivity_curve pass; fig11a:
         # qfi_lossy -> qfi_ideal -> total_photon_number and sql_hl
-        calls = []
-
-        def counted(params):
-            calls.append(params)
-            return moment_table(params)
-
-        monkeypatch.setattr(moments, "moment_table", counted)
-        spec = figure_preset(name, points=50)
-        rows = run_sweep(spec)
-        assert len(calls) == len(rows) == 50 * len(spec.series)
+        spec = figure_preset(name, points=points)
+        _table.cache_clear()
+        built, builder = _count_builds(monkeypatch)
+        result = run_sweep(spec)
+        assert len(result) == points * len(spec.series)
+        assert _table.cache_info().misses == 0
+        assert built == []
+        assert builder == [True] * len(spec.series)
 
     @pytest.mark.parametrize(
         "g, alpha, r", [(0.5, -0.0, 0.2), (-0.0, -0.0 - 0.0j, 0.3), (0.4, 1.0, -0.0)]
@@ -464,6 +484,92 @@ class TestPythonNumberRoute:
             with pytest.raises(ValueError, match="^photon number N overflows at g=0, "):
                 metrology.total_photon_number(p)
         assert metrology._photon_number not in moment_table(p)._values
+
+
+def _table_outcome(points):
+    """Each exponent entry of the points' tables, stacked as (dtype, bytes),
+    or the first point's ValueError text."""
+    try:
+        tables = [moment_table(p)._exponent for p in points]
+    except ValueError as exc:
+        return str(exc)
+    return [
+        (want.dtype.str, want.tobytes())
+        for want in (np.array(entry, dtype=complex if k < 4 else float)
+                     for k, entry in enumerate(zip(*tables)))
+    ]
+
+
+def _series_outcome(state):
+    """``_table_outcome`` of a series state's exponent arrays."""
+    try:
+        e = state.exponent
+    except ValueError as exc:
+        return str(exc)
+    assert all(v.shape == (len(state),) for v in e)
+    return [(v.dtype.str, v.tobytes()) for v in e]
+
+
+def _columns_state(rows, swept):
+    """A series of rows (g, Re alpha, Im alpha, r): every column a list, or
+    only the swept one, the others the first row's value."""
+    columns = {
+        "g": [row[0] for row in rows],
+        "alpha": [complex(row[1], row[2]) for row in rows],
+        "r": [row[3] for row in rows],
+    }
+    if swept != "all":
+        columns = {k: v if k == swept else v[0] for k, v in columns.items()}
+    return moments._Series([columns["g"], columns["alpha"], columns["r"], 0.8, 0.9, 0.4], len(rows))
+
+
+_ZERO = st.sampled_from([0.0, -0.0])
+# g and r where the entries or cosh/sinh overflow: sinh^2 near 355, cosh near 710.4759
+_LARGE = st.sampled_from([354.5, 355.0, 709.78, 710.4758, 710.476, 711.0])
+_GAIN = st.one_of(_ZERO, _LARGE, st.floats(0, 4))
+_PART = st.one_of(_ZERO, st.floats(-10, 10), st.sampled_from([1e300, -1e307]))
+
+
+class TestSeriesExponent:
+    """A series' exponent arrays, built once by ``_exponent_entries``, hold
+    each point's table entries byte for byte, and a series that overflows
+    raises the error of its first point's table."""
+
+    def test_seeded_series_equal_the_tables(self):
+        for seed in range(100):
+            points = _signed_zero_sample(200, 100 + seed)
+            assert _series_outcome(moments._series(points)) == _table_outcome(points), seed
+
+    @pytest.mark.parametrize("swept", ["g", "alpha", "r"])
+    def test_swept_column_equals_the_tables(self, swept):
+        rng = np.random.default_rng(5)
+        for fixed in _signed_zero_sample(20, 3):
+            rows = [(p.g, p.alpha.real, p.alpha.imag, p.r) for p in _signed_zero_sample(50, rng)]
+            rows[0] = (fixed.g, fixed.alpha.real, fixed.alpha.imag, fixed.r)
+            state = _columns_state(rows, swept)
+            points = [state.point(i) for i in range(len(state))]
+            assert _series_outcome(state) == _table_outcome(points), fixed
+            amplitudes = np.array([moments._amplitudes(p) for p in points]).T
+            assert np.array(state.amplitudes).tobytes() == amplitudes.tobytes()
+
+    @given(
+        rows=st.lists(st.tuples(_GAIN, _PART, _PART, _GAIN), min_size=1, max_size=12),
+        swept=st.sampled_from(["all", "g", "alpha", "r"]),
+    )
+    @example(rows=[(0.0, 0.0, 0.0, 0.0), (-0.0, -0.0, -0.0, -0.0)], swept="all")
+    @example(rows=[(-0.0, -0.0, 0.0, 0.5), (0.3, 1.0, -0.0, 0.5)], swept="g")
+    @example(rows=[(0.5, -0.0, -0.0, -0.0), (0.5, -1.5, 2.0, 0.1)], swept="alpha")
+    @example(rows=[(0.5, 1.0, 0.5, -0.0), (0.5, 1.0, 0.5, 0.0), (0.5, 1.0, 0.5, 2.0)], swept="r")
+    @example(rows=[(1.0, 1.0, 0.0, 0.0), (709.78, 1.0, 0.0, 0.0), (711.0, 1.0, 0.0, 0.0)], swept="g")
+    @example(rows=[(710.476, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)], swept="alpha")
+    @example(rows=[(1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 400.0), (1.0, 1.0, 0.0, 711.0)], swept="r")
+    @example(rows=[(1.0, 1.0, 0.0, 0.0), (1.0, 1e300, 0.0, 0.0), (355.0, 1.0, 0.0, 0.0)], swept="all")
+    @settings(max_examples=150, deadline=None)
+    def test_series_equals_the_tables(self, rows, swept):
+        state = _columns_state(rows, swept)
+        points = [state.point(i) for i in range(len(state))]
+        with np.errstate(all="raise"):  # the series' arithmetic warns of nothing
+            assert _series_outcome(state) == _table_outcome(points)
 
 
 def _hex(value):

@@ -1007,6 +1007,80 @@ class TestRowRoute:
         assert stdout == expected + "\n"
 
 
+    @staticmethod
+    def _spec(variable, start, stop, overrides, count=5, fixed=None, quantities=("N", "delta_phi_min")):
+        fixed = InterferometerParams(**{"g": 1.0, "alpha": 1.0, "r": 0.0, **(fixed or {})})
+        series = tuple(SweepSeries(f"s{i}", o) for i, o in enumerate(overrides))
+        return SweepSpec(variable, start, stop, count, fixed, quantities, series)
+
+    @pytest.mark.parametrize(
+        "variable, start, stop, overrides, error, message",
+        [
+            pytest.param("g", -1.0, 1.0, [{}], ValueError, "gain g must be >= 0", id="g-below-0"),
+            pytest.param("t1", 0.5, 1.5, [{}], ValueError,
+                         "transmittance t1 must lie in [0, 1], got 1.25", id="t1-above-1"),
+            pytest.param("g", 0.0, 1.0, [{"r": 0.5}, {"r": -0.3}], ValueError,
+                         "squeezing r must be >= 0", id="negative-r-override"),
+            pytest.param("eta", 0.0, 2.0, [{}], ValueError,
+                         "eta must be finite and lie in [0, 1], got 1.5", id="eta-above-1"),
+            pytest.param("g", 0.0, 1.0, [{"eta": -0.5}], ValueError,
+                         "eta must be finite and lie in [0, 1], got -0.5", id="eta-override"),
+            pytest.param("t_k", 0.2, 1.0, [{"r": 0.3}], ValueError,
+                         "t_k sweeps need a series sweep_target of t1 or t2", id="t_k-no-target"),
+            pytest.param("g", 0.0, 1.0, [{"gain": 1.0}], TypeError,
+                         "series overrides name no parameter: ['gain']", id="unknown-override"),
+            pytest.param("phi", 0.0, 1.0, [{"t2": math.nan}], ValueError,
+                         "t2 must be finite, got nan", id="nan-override"),
+            pytest.param("r", 0.0, 1.0, [{"g": 1j}], TypeError, None, id="complex-gain"),
+            pytest.param("g", 0.0, 1.0, [{"r": "1"}], TypeError, None, id="text-r"),
+        ],
+    )
+    def test_invalid_grid_raises_as_row_route(self, variable, start, stop, overrides, error, message):
+        # the series is validated once over its columns; the error is the one
+        # building each point's parameters in turn raised
+        spec = self._spec(variable, start, stop, overrides)
+        with pytest.raises(error) as want:
+            row_route.run_sweep(spec)
+        with pytest.raises(error) as got:
+            run_sweep(spec)
+        assert str(got.value) == str(want.value)
+        if message is not None:
+            assert str(got.value) == message
+
+    @pytest.mark.parametrize(
+        "variable, overrides",
+        [("g", {"g": -1.0}), ("eta", {"eta": 2.0}), ("t_k", {"sweep_target": "t1", "t1": 2.0}),
+         ("phi", {"phi": math.inf}), ("alpha", {"alpha": math.nan})],
+    )
+    def test_invalid_fixed_value_of_the_swept_field_runs(self, variable, overrides):
+        spec = self._spec(variable, 0.0, 1.0, [overrides], quantities=ALL_QUANTITIES.split(","))
+        assert render_csv(run_sweep(spec)) == row_route.sweep_text(spec, "csv")
+
+    @pytest.mark.parametrize(
+        "variable, start, stop, count, fixed, message",
+        [
+            ("g", 711.0, 720.0, 3, {}, "g=711 is too large: cosh/sinh overflow"),
+            ("r", 0.0, 800.0, 3, {}, "generating exponent overflows at g=1, alpha=1+0j, r=400"),
+            # cosh overflows from g = 715, the entries from g = 700
+            ("g", 700.0, 720.0, 5, {}, "generating exponent overflows at g=700, alpha=1+0j, r=0"),
+            ("alpha", 0.0, 2.0, 3, {"g": 711.0}, "g=711 is too large: cosh/sinh overflow"),
+            ("alpha", 0.0, 1e308, 5, {"g": 3.0},
+             "generating exponent overflows at g=3, alpha=2.5e+307+0j, r=0"),
+            ("g", 0.0, 720.0, 9, {"alpha": 1e300},
+             "generating exponent overflows at g=90, alpha=1e+300+0j, r=0"),
+            ("t1", 0.0, 1.0, 3, {"g": 710.48}, "g=710.48 is too large: cosh/sinh overflow"),
+        ],
+    )
+    def test_exponent_overflow_raises_as_row_route(self, variable, start, stop, count, fixed, message):
+        # a series whose entries overflow anywhere is replayed point by point
+        spec = self._spec(variable, start, stop, [{}], count=count, fixed=fixed)
+        with pytest.raises(ValueError) as want:
+            row_route.run_sweep(spec)
+        with pytest.raises(ValueError) as got:
+            run_sweep(spec)
+        assert str(got.value) == str(want.value) == message
+
+
 # each quantity of one point through the scalar API, as sweeps evaluated it
 # point by point
 SCALAR_QUANTITY = {
