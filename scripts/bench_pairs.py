@@ -23,8 +23,9 @@ fresh interpreter importing ``perfbench/`` unchanged.
 Before any run, each side writes the 13 default-size figure CSVs with
 ``scripts/reproduce_figures.py``, once by default and once with numpy's
 SIMD kernels switched off (``NO_SIMD``); ``figure_csvs`` records per preset
-whether the two sides' files are byte-identical, and ``figure_csvs.no_simd``
-the same for the second set.
+whether the two sides' files are byte-identical, ``figure_csvs.no_simd``
+the same for the second set, and ``figure_csvs.no_simd.<side>`` whether
+that side wrote the same bytes with and without SIMD.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 # Ten alternating pairs is the least the pairing rule accepts.
 PAIRS = 10
@@ -47,8 +50,12 @@ PAIRS = 10
 GUARD_SEEDS = (6, 7, 8)
 GUARD_POINTS = 20
 GUARD_RUNS = 3
-# numpy's SIMD kernels switched off, so a byte that depends on them shows
-NO_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+# numpy's SIMD kernels switched off, so a byte that depends on them shows: every
+# CPU feature this numpy dispatches on ("X86_V3 X86_V4 AVX512_ICL AVX512_SPR" on
+# numpy 2.4); numpy ignores a name it does not dispatch on, so none is hard-coded
+NO_SIMD = {"NPY_DISABLE_CPU_FEATURES": " ".join(
+    (getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_dispatch__
+)}
 _GUARD_RUN = """
 import sys
 sys.path.insert(0, "perfbench")
@@ -175,9 +182,14 @@ def figure_csv_report(csvs: Path) -> dict:
     return {
         "what": "scripts/reproduce_figures.py at its default size on each side; "
                 "per preset, whether the two CSVs are byte-identical; no_simd: the "
-                f"same with {' '.join(f'{k}={v!r}' for k, v in NO_SIMD.items())}",
+                f"same with {' '.join(f'{k}={v!r}' for k, v in NO_SIMD.items())}, "
+                "and no_simd.<side>: that side's CSVs with and without SIMD",
         **csv_identity(csvs / "parent", csvs / "change"),
-        "no_simd": csv_identity(csvs / "parent-no-simd", csvs / "change-no-simd"),
+        "no_simd": {
+            **csv_identity(csvs / "parent-no-simd", csvs / "change-no-simd"),
+            **{side: csv_identity(csvs / side, csvs / f"{side}-no-simd")
+               for side in ("parent", "change")},
+        },
     }
 
 

@@ -11,9 +11,9 @@ N, the benchmarks, and F always refer to the ideal internal state before
 the second squeezer; loss and phase never enter them.  The quadrature mean
 and variance are trigonometric polynomials of degree 1 and 2 in phi, so
 the phase of best sensitivity is exact: every stationary point of
-Var X / (d<X>/dphi)^2 is the angle of a root of one quartic in e^{i phi},
-which also covers the several stationary points the sensitivity curve
-develops at strong squeezing.
+Var X / (d<X>/dphi)^2 is a real root of one real quartic in tan(phi/2),
+found in closed form, which also covers the several stationary points the
+sensitivity curve develops at strong squeezing.
 
 Every function takes one ``InterferometerParams`` or a sequence of them.
 One point is evaluated on Python numbers: it returns floats and raises
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -262,67 +263,169 @@ def sensitivity_curve(params, phis) -> np.ndarray:
     return np.where(slope >= SLOPE_FLOOR, delta, np.inf)
 
 
-def _quartic_roots(quartic: np.ndarray) -> np.ndarray:
-    """Roots of each row of an (n, 5) array as ``np.roots`` finds them, NaN-padded.
+# The stationary-point quartic of ``optimal_phase`` is self-inversive: its
+# coefficients are (c0, c1, c2, conj c1, conj c0) with c2 real, so on the unit
+# circle z^-2 times it is T(phi) = c2 + 2 Re(c1 z) + 2 Re(c0 z^2).  For each
+# turn k = 0..7, (1 + w^2)^2 T(k pi/4 + 2 atan w) is a real quartic in w,
+# whose leading coefficient is T(k pi/4 + pi).  Each of its coefficients is a
+# fixed combination of the ten products of m1's parts (Re, Im) with the v's
+# parts (v0, Re v1, Im v1, Re v2, Im v2), product 5 a + b of m part a and v
+# part b.  _QUARTIC_WEIGHTS[j, k, i] weighs product j in coefficient i
+# (leading first) of turn k.
 
-    Leading and trailing zeros are stripped per row; the rows whose
-    companion matrices share a size go through one stacked eigensolve.
-    Roots at zero from trailing zeros are left out: their angle lies
-    outside PHASE_BRACKET.
-    """
-    nonzero = quartic != 0.0
-    lead = np.argmax(nonzero, axis=1)
-    size = np.where(nonzero.any(axis=1), 4 - lead - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    roots = np.full((len(quartic), 4), np.nan, dtype=complex)
-    for k in set(size.tolist()) - {0}:
-        rows = np.flatnonzero(size == k)
-        p = quartic[rows[:, None], lead[rows, None] + np.arange(k + 1)]
-        companion = np.zeros((rows.size, k, k), dtype=complex)
-        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-        roots[rows, :k] = np.linalg.eigvals(companion)
-    return roots
+# cos and sin of k pi/4, each times sqrt(2) where k is odd
+_EIGHTHS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
-def _normalized_quartic(m1, v0, v1, v2) -> np.ndarray:
-    """The (n, 5) stationary-point quartic of ``optimal_phase``, each row
-    divided by its largest modulus, terms below 1e-15 of it dropped."""
-    mc = m1.conjugate()
-    # the five products of two complex harmonics, from real parts: numpy's
-    # complex multiply fuses multiply-adds where the CPU has them, so its
-    # last bit would depend on the machine
-    a = np.array([m1, 4.0 * mc, m1, 4.0 * m1, mc])
-    b = np.array([v1, v2, v1.conjugate(), v2.conjugate(), v1.conjugate()])
-    prod = np.empty_like(a)
-    prod.real = a.real * b.real - a.imag * b.imag
-    prod.imag = a.real * b.imag + a.imag * b.real
-    quartic = np.stack([
-        prod[0],
-        2.0 * m1 * v0 + prod[1],
-        6.0 * prod[2].real,
-        prod[3] + 2.0 * mc * v0,
-        prod[4],
-    ], axis=1)
-    scale = np.abs(quartic).max(axis=1)
-    # terms below rounding on the unit circle are dropped: a near-zero
-    # leading coefficient would otherwise overflow the companion matrix
-    keep = np.abs(quartic) > 1e-15 * scale[:, None]
-    return np.where(keep, quartic / np.where(scale > 0.0, scale, 1.0)[:, None], 0.0)
+def _quartic_weights() -> np.ndarray:
+    # rows c2, Re c1, Im c1, Re c0, Im c0, from c0 = m1 v1,
+    # c1 = 2 m1 v0 + 4 conj(m1) v2 and c2 = 6 Re(m1 conj v1)
+    harmonics = np.zeros((5, 10), dtype=int)
+    for row, terms in enumerate((
+        {1: 6, 7: 6},
+        {0: 2, 3: 4, 9: 4},
+        {5: 2, 4: 4, 8: -4},
+        {1: 1, 7: -1},
+        {2: 1, 6: 1},
+    )):
+        for j, w in terms.items():
+            harmonics[row, j] = w
+    # the quartic in tan(phi/2), leading first, over the rows above
+    quartic = np.array([
+        [1, -2, 0, 2, 0],
+        [0, 0, -4, 0, 8],
+        [2, 0, 0, -12, 0],
+        [0, 0, -4, 0, -8],
+        [1, 2, 0, 2, 0],
+    ])
+    turns = []
+    for k, (cos1, sin1) in enumerate(_EIGHTHS):
+        # turn k rotates c1 by k pi/4 and c0 by k pi/2
+        cos2, sin2 = _EIGHTHS[2 * k % 8]
+        even = np.zeros((5, 5), dtype=int)
+        even[0, 0] = 1
+        even[3:, 3:] = [[cos2, -sin2], [sin2, cos2]]
+        odd = np.zeros((5, 5), dtype=int)
+        odd[1:3, 1:3] = [[cos1, -sin1], [sin1, cos1]]
+        scale = math.sqrt(0.5) if k % 2 else 1.0
+        turns.append(quartic @ even @ harmonics + scale * (quartic @ odd @ harmonics))
+    return np.stack(turns).transpose(2, 0, 1)
 
 
-def _unit_scaled(*harmonics) -> list:
-    """The harmonics of each point times the one power of two that brings
-    their largest real or imaginary part into [0.5, 1), or 1 where all are 0.
+_QUARTIC_WEIGHTS = _quartic_weights()
+
+
+def _parts(*harmonics) -> np.ndarray:
+    """The real and imaginary parts of the harmonics, one row each (one row
+    for a real harmonic)."""
+    return np.array([
+        x for h in harmonics for x in ((h.real, h.imag) if np.iscomplexobj(h) else (h,))
+    ])
+
+
+def _unit_scaled(parts: np.ndarray) -> np.ndarray:
+    """The parts of each point (a column) times the one power of two that
+    brings the largest of them into [0.5, 1), or 1 where all are 0.
 
     ``np.ldexp`` scales each part exactly, barring underflow.
     """
-    parts = [(h.real, h.imag) if np.iscomplexobj(h) else (h,) for h in harmonics]
-    _, exponent = np.frexp(np.max(np.abs([x for p in parts for x in p]), axis=0))
-    scaled = [np.empty_like(h) for h in harmonics]
-    for out, p in zip(scaled, parts):
-        for part, x in zip((out.real, out.imag), p):
-            part[...] = np.ldexp(x, -exponent)
-    return scaled
+    _, exponent = np.frexp(np.abs(parts).max(axis=0))
+    return np.ldexp(parts, -exponent)
+
+
+def _stationary_quartic(m_parts: np.ndarray, v_parts: np.ndarray):
+    """The turn k of each point whose T(k pi/4 + pi) is largest in magnitude,
+    and that turn's quartic, monic: (k, (A, B, C, D)) as (n,) arrays.
+
+    m_parts holds m1's parts and v_parts the v's (``_parts``).  Of eight
+    equally spaced values of a trigonometric polynomial of degree 2, the
+    largest is at least cos(pi/4) of its maximum, and |T'| <= 2 max |T|, so
+    every real root keeps |w| below 6: none lies near infinity, as one does
+    in tan(phi/2) where T(pi) = 0 (imaginary alpha).  Scaling either part set
+    by a power of two scales every coefficient alike, so the monic quartic
+    keeps its bits.  The weighted products are summed in a fixed order, so
+    the bits do not depend on numpy's SIMD dispatch either.  Where T
+    vanishes (alpha = 0, t1 = 0) the coefficients are nan.
+    """
+    products = (m_parts[:, None] * v_parts[None]).reshape(10, -1)
+    # one product at a time: numpy's sum pairs terms by the array's shape,
+    # so a point's bits would depend on its batch
+    coeffs = _QUARTIC_WEIGHTS[0, :, :, None] * products[0]
+    for weights, product in zip(_QUARTIC_WEIGHTS[1:, :, :, None], products[1:]):
+        coeffs = coeffs + weights * product
+    turn = np.argmax(np.abs(coeffs[:, 0]), axis=0)
+    a4, a3, a2, a1, a0 = coeffs[turn, :, np.arange(len(turn))].T
+    return turn, (a3 / a4, a2 / a4, a1 / a4, a0 / a4)
+
+
+def _cbrt(x: np.ndarray) -> np.ndarray:
+    """Real cube root of each element by Python's float power, which libm
+    rounds alike on every CPU (``math.cbrt`` needs Python 3.11)."""
+    root = np.fromiter(map(pow, np.abs(x).tolist(), repeat(1.0 / 3.0)), float, x.size)
+    return np.copysign(root, x)
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` on each element of x: numpy's SIMD versions of
+    acos, cos and atan differ from libm in the last bit."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _stationary_phases(m_parts: np.ndarray, v_parts: np.ndarray) -> np.ndarray:
+    """The (n, 4) phases in [0, pi) at the real parts of the stationary-point
+    quartic's roots, solved in closed form by Ferrari's method.
+
+    The quartic in w = tan((phi - k pi/4)/2), monic, is depressed by
+    w = y - A/4 to y^4 + p y^2 + q y + r and split as
+    (y^2 + s y + beta)(y^2 - s y + gamma), with s^2 = 2 m for the largest
+    root m of the resolvent cubic m^3 + p m^2 + (p^2/4 - r) m - q^2/8.
+    gamma - beta is taken as sign(q) sqrt((p + 2m)^2 - 4r) (+ at q = 0),
+    not q/s, which loses every digit where m is near 0 (q near 0).  Each
+    real root is polished by two Newton steps on the quartic; the real part
+    of a complex pair is kept as found: a merged pair's real part is where
+    the two stationary points met, and a Newton step there, where the slope
+    vanishes, would throw it away.  Only + - * / and sqrt come from numpy,
+    which rounds them correctly; the transcendental functions come from
+    ``math``, so the phases do not depend on the CPU.
+    """
+    turn, (a, b, c, d) = _stationary_quartic(m_parts, v_parts)
+    h = 0.25 * a
+    hh = h * h
+    p = b - 6.0 * hh
+    q = c - h * (2.0 * b - 8.0 * hh)
+    r = d - h * (c - h * (b - 3.0 * hh))
+    # the resolvent cubic, depressed by m = x - p/3: x^3 + 3 P3 x + 2 Q2
+    p3 = -(p * p) / 36.0 - r / 3.0
+    q2 = p * (r / 6.0 - (p * p) / 216.0) - 0.0625 * (q * q)
+    disc = q2 * q2 + p3 * p3 * p3
+    # one real root (disc > 0) by Cardano, else the largest of three by cosines
+    u = _cbrt(-(q2 + np.copysign(np.sqrt(disc), q2)))
+    rho = np.sqrt(-p3)
+    cosine = np.clip(-q2 / np.maximum(rho * rho * rho, 5e-324), -1.0, 1.0)
+    angle = _elementwise(math.acos, cosine) / 3.0
+    x = np.where(disc > 0.0, u - p3 / u, 2.0 * rho * _elementwise(math.cos, angle))
+    s2 = np.maximum(2.0 * x - (2.0 / 3.0) * p, 0.0)  # 2 m
+    s = np.sqrt(s2)
+    total = p + s2
+    diff = np.sqrt(np.maximum(total * total - 4.0 * r, 0.0))
+    diff = np.where(q < 0.0, -diff, diff)
+    # y^2 + s y + beta and y^2 - s y + gamma: discriminants s^2 - 4 beta, s^2 - 4 gamma
+    quad = s2 - 2.0 * np.array([total - diff, total + diff])
+    centre = np.array([-0.5 * s, 0.5 * s])
+    spread = 0.5 * np.sqrt(np.maximum(quad, 0.0))
+    w = np.concatenate([centre + spread, centre - spread]) - h
+    real = np.concatenate([quad, quad]) >= 0.0
+    a3, b2 = 3.0 * a, 2.0 * b
+    polished = w
+    for _ in range(2):
+        f = (((polished + a) * polished + b) * polished + c) * polished + d
+        slope = ((4.0 * polished + a3) * polished + b2) * polished + c
+        polished = polished - np.where(real, f / slope, 0.0)
+    # a zero slope (a double root) keeps the root as found
+    w = np.where(np.isfinite(polished), polished, w)
+    # phi = k pi/4 + 2 atan w, folded by pi
+    phis = 2.0 * _elementwise(math.atan, w) + (turn % 4) * (0.25 * math.pi)
+    return (phis % math.pi).T
 
 
 def optimal_phase(params):
@@ -332,13 +435,16 @@ def optimal_phase(params):
     P = V'S - 2VS' does.  In z = e^{i phi}, P has Laurent coefficients
     P_n = (3 - n) m1 V_{n-1} + (3 + n) conj(m1) V_{n+1}, where V_k are the
     variance harmonics (v0, v1, v2 and conjugates).  The z^{+-3} terms cancel
-    identically, so z^2 P is a quartic.  The candidates are the angles of its
-    roots, folded by pi into the bracket, plus the two bracket ends; the
-    smallest delta-phi among them (the first, on a tie) is the minimum.  No
-    grid is scanned, so the result has no resolution setting.
+    identically, so z^2 P is a quartic, and on the unit circle z^-2 times it
+    is real: a real quartic in tan(phi/2), solved in closed form
+    (``_stationary_phases``).  The candidates are the phases of the real
+    parts of its roots, folded by pi into the bracket, plus the two bracket
+    ends; the smallest delta-phi among them (the first, on a tie) is the
+    minimum.  No grid is scanned, so the result has no resolution setting,
+    and no step depends on numpy's SIMD dispatch.
 
     ``params`` is one point or a sequence of points; a sequence is solved
-    as one batch (one stacked eigensolve per companion size, one
+    as one batch (one array pass of the closed form, one
     ``sensitivity_curve`` call) into (n,) arrays, with status "divergent"
     (and nan fields) where every candidate diverges (alpha = 0 or t1 = 0);
     one point raises ``DivergentSensitivityError`` there.  The quartic is
@@ -352,11 +458,9 @@ def optimal_phase(params):
     points = _series(params)
     lo, hi = PHASE_BRACKET
     _, m1, v0, v1, v2 = trig_coefficients(points)
-    # each quartic term is m1 or its conjugate times one v: with m1 and the
-    # v's scaled by exact powers of two, no product overflows, and every
-    # term, so the normalized quartic, keeps its bits
-    quartic = _normalized_quartic(*_unit_scaled(m1), *_unit_scaled(v0, v1, v2))
-    roots = np.angle(_quartic_roots(quartic)) % math.pi
+    with np.errstate(all="ignore"):  # a point without a quartic has nan phases
+        # m1 and the v's scaled by exact powers of two: no product overflows
+        roots = _stationary_phases(_unit_scaled(_parts(m1)), _unit_scaled(_parts(v0, v1, v2)))
     inside = (roots >= lo) & (roots <= hi)
     phis = np.empty((len(points), 6))
     phis[:, 0], phis[:, 1] = lo, hi

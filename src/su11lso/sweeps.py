@@ -143,9 +143,9 @@ def _series_points(spec: SweepSpec, series: SweepSeries) -> tuple[_Series, list[
         raise TypeError(f"series overrides name no parameter: {sorted(values)}")
     grid = spec.grid().tolist()
     args[PARAM_COLUMNS.index(target)] = grid
-    columns = _param_columns(args, len(grid))
     state = _Series(args[:-1], len(grid))
-    state.validate()
+    state.validate()  # before the columns read alpha's real and imaginary parts
+    columns = _param_columns(args, len(grid))
     return state, columns[-1], columns
 
 

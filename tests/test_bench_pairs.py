@@ -100,3 +100,7 @@ def test_figure_csv_report_without_simd(tmp_path):
     assert out["no_simd"]["all_identical"] is False
     assert [name for name, same in out["no_simd"]["identical"].items() if not same] == ["fig3"]
     assert len(out["no_simd"]["identical"]) == 13
+    # each side against itself: this checkout's CSVs do not depend on SIMD
+    assert out["no_simd"]["parent"]["all_identical"] is True
+    assert out["no_simd"]["change"]["all_identical"] is False
+    assert [name for name, same in out["no_simd"]["change"]["identical"].items() if not same] == ["fig3"]

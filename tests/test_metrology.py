@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from su11lso.errors import DegenerateConfigurationError, DivergentSensitivityError
 from su11lso.metrology import (
+    _QUARTIC_WEIGHTS,
     PHASE_BRACKET,
-    _normalized_quartic,
+    _parts,
+    _stationary_quartic,
     _unit_scaled,
     optimal_phase,
     phase_sensitivity,
@@ -27,6 +29,8 @@ from su11lso.metrology import (
 )
 from su11lso.moments import InterferometerParams, quadrature_stats, trig_coefficients
 from su11lso.sweeps import SweepSpec, run_sweep
+
+from companion_route import companion_optimum, stationary_quartic, unit
 
 
 def params(g=1.0, alpha=1.0, r=0.0, t1=1.0, t2=1.0, phi=0.0):
@@ -289,15 +293,18 @@ class TestOptimalPhase:
 
     def test_scaled_quartic_keeps_its_bits(self):
         # scaling m1 and the v's by powers of two scales every term alike: the
-        # normalized quartic is the unscaled one's, bit for bit, wherever that
-        # one neither overflows nor leaves the normal range
+        # monic quartic and its turn are the unscaled ones', bit for
+        # bit, wherever those neither overflow nor leave the normal range
         points = _random_lossy_points(500, seed=5)
         points += [params(g=g) for g in np.linspace(0.0, 118.0, 60).tolist()]
         points += [params(g=0.0, alpha=1j, r=r) for r in (0.0, 1.0, 15.0, 100.0)]
         _, m1, v0, v1, v2 = trig_coefficients(points)
-        plain = _normalized_quartic(m1, v0, v1, v2)
-        scaled = _normalized_quartic(*_unit_scaled(m1), *_unit_scaled(v0, v1, v2))
-        assert plain.tobytes() == scaled.tobytes()
+        m, v = _parts(m1), _parts(v0, v1, v2)
+        with np.errstate(invalid="ignore"):  # T vanishes at g = 0, alpha = 1j, r = 15, 100
+            plain_turn, plain = _stationary_quartic(m, v)
+            scaled_turn, scaled = _stationary_quartic(_unit_scaled(m), _unit_scaled(v))
+        assert np.array_equal(plain_turn, scaled_turn)
+        assert np.asarray(plain).tobytes() == np.asarray(scaled).tobytes()
 
     def test_strong_squeezing_below_cancellation_is_finite(self):
         # r = 15 keeps a (rounding-limited) positive minimum
@@ -408,37 +415,76 @@ _CLI_POINTS = st.builds(
 )
 
 
-def _unit(*harmonics):
-    """The harmonics times the power of two that brings their largest real
-    or imaginary part into [0.5, 1), by ``math.frexp`` and ``math.ldexp``."""
-    parts = [h.real for h in harmonics] + [h.imag for h in harmonics]
-    _, e = math.frexp(max(map(abs, parts)))
-    return [
-        complex(math.ldexp(h.real, -e), math.ldexp(h.imag, -e)) if isinstance(h, complex)
-        else math.ldexp(h, -e)
-        for h in harmonics
-    ]
+def _closed_form_phases(p) -> list:
+    """The four candidate phases of ``optimal_phase`` at point p, from the
+    closed form on Python numbers, operation by operation; [] where the
+    quartic vanishes."""
+    _, m1, v0, v1, v2 = trig_coefficients(p)
+    (m1,), (v0, v1, v2) = unit(m1), unit(v0, v1, v2)
+    m = (m1.real, m1.imag)
+    v = (v0, v1.real, v1.imag, v2.real, v2.imag)
+    products = [x * y for x in m for y in v]
+    turns = []
+    for k in range(8):
+        coeffs = []
+        for i in range(5):
+            weights = _QUARTIC_WEIGHTS[:, k, i].tolist()
+            total = weights[0] * products[0]
+            for w, product in zip(weights[1:], products[1:]):
+                total += w * product
+            coeffs.append(total)
+        turns.append(coeffs)
+    turn = max(range(8), key=lambda k: abs(turns[k][0]))
+    lead, *rest = turns[turn]
+    if lead == 0.0:
+        return []
+    a, b, c, d = (x / lead for x in rest)
+    h = 0.25 * a
+    hh = h * h
+    p_ = b - 6.0 * hh
+    q = c - h * (2.0 * b - 8.0 * hh)
+    r = d - h * (c - h * (b - 3.0 * hh))
+    p3 = -(p_ * p_) / 36.0 - r / 3.0
+    q2 = p_ * (r / 6.0 - (p_ * p_) / 216.0) - 0.0625 * (q * q)
+    disc = q2 * q2 + p3 * p3 * p3
+    if disc > 0.0:
+        cube = -(q2 + math.copysign(math.sqrt(disc), q2))
+        u = math.copysign(abs(cube) ** (1.0 / 3.0), cube)
+        x = u - p3 / u
+    else:
+        rho = math.sqrt(-p3)
+        cosine = min(max(-q2 / max(rho * rho * rho, 5e-324), -1.0), 1.0)
+        x = 2.0 * rho * math.cos(math.acos(cosine) / 3.0)
+    m2 = max(2.0 * x - (2.0 / 3.0) * p_, 0.0)
+    s = math.sqrt(m2)
+    total = p_ + m2
+    diff = math.sqrt(max(total * total - 4.0 * r, 0.0))
+    if q < 0.0:
+        diff = -diff
+    quads = (m2 - 2.0 * (total - diff), m2 - 2.0 * (total + diff))
+    centres = (-0.5 * s, 0.5 * s)
+    spreads = [0.5 * math.sqrt(max(quad, 0.0)) for quad in quads]
+    phis = []
+    for sign in (1.0, -1.0):
+        for centre, spread, quad in zip(centres, spreads, quads):
+            w = (centre + sign * spread) - h
+            polished = w
+            if quad >= 0.0:
+                for _ in range(2):
+                    f = (((polished + a) * polished + b) * polished + c) * polished + d
+                    slope = ((4.0 * polished + 3.0 * a) * polished + 2.0 * b) * polished + c
+                    polished = polished - f / slope if slope != 0.0 else math.nan
+            if math.isfinite(polished):
+                w = polished
+            phis.append((2.0 * math.atan(w) + (turn % 4) * (0.25 * math.pi)) % math.pi)
+    return phis
 
 
 def _reference_optimum(p):
-    """One point through np.roots, with Python complex arithmetic: the
-    batch must reproduce it bit for bit; None where no phase is informative."""
-    _, m1, v0, v1, v2 = trig_coefficients(p)
-    (m1,), (v0, v1, v2) = _unit(m1), _unit(v0, v1, v2)
-    mc = m1.conjugate()
-    quartic = np.array([
-        m1 * v1,
-        2.0 * m1 * v0 + 4.0 * mc * v2,
-        6.0 * (m1 * v1.conjugate()).real,
-        4.0 * m1 * v2.conjugate() + 2.0 * mc * v0,
-        mc * v1.conjugate(),
-    ])
-    scale = np.abs(quartic).max()
-    if scale > 0.0:
-        quartic = np.where(np.abs(quartic) > 1e-15 * scale, quartic / scale, 0.0)
-    roots = np.angle(np.roots(quartic)) % math.pi
+    """One point through the closed form on Python numbers: the batch must
+    reproduce it bit for bit; None where no phase is informative."""
     lo, hi = PHASE_BRACKET
-    phis = np.concatenate(([lo, hi], roots[(roots >= lo) & (roots <= hi)]))
+    phis = np.array([lo, hi] + [phi for phi in _closed_form_phases(p) if lo <= phi <= hi])
     curve = sensitivity_curve(p, phis)
     best = int(np.argmin(curve))
     return (float(phis[best]), float(curve[best])) if math.isfinite(curve[best]) else None
@@ -483,28 +529,91 @@ class TestBatchOptimum:
             one = sensitivity_curve(p, phis[2])
             assert np.shape(one) == () and one.tobytes() == row[2].tobytes()
 
-    @pytest.mark.parametrize(
-        "variable, start, shapes",
-        [
-            # alpha = 0 has an all-zero quartic: no companion at all
-            ("alpha", 0.0, [(199, 4, 4)]),
-            # g = 0 keeps np.roots' stripped 2x2 companion
-            ("g", 0.0, [(199, 4, 4), (1, 2, 2)]),
-        ],
-    )
-    def test_one_stacked_eigensolve_per_series(self, monkeypatch, variable, start, shapes):
-        seen = []
-        eigvals = np.linalg.eigvals
+    @pytest.mark.parametrize("variable", ["alpha", "g"])
+    def test_no_eigensolve_per_series(self, monkeypatch, variable):
+        # the stationary points come in closed form; an alpha = 0 row is
+        # still flagged divergent, and a g = 0 row (the t^4 - 1 form) is not
+        def eigvals(a):
+            raise AssertionError("optimal_phase called np.linalg.eigvals")
 
-        def counting(a):
-            seen.append(a.shape)
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
-        spec = SweepSpec(variable, start, 1.5, 200, params(r=0.6), ("delta_phi_min",))
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        spec = SweepSpec(variable, 0.0, 1.5, 200, params(r=0.6), ("delta_phi_min",))
         flags = [f for cells in run_sweep(spec).series for f in cells[-1]]
-        assert sorted(seen, reverse=True) == shapes
         assert flags.count("divergent") == (variable == "alpha")
+        assert flags[1:] == [""] * 199
+
+
+# two stationary points of delta-phi merge near phi = 2.89: the real
+# quartic's discriminant changes sign at this r (found by bisection)
+_MERGED = params(
+    g=1.7448775226511415,
+    alpha=0.028699763920307042 - 0.9030253302176208j,
+    r=0.46227746198816694,
+    t1=0.8041273329371836,
+    t2=0.8778957424182071,
+)
+
+
+class TestClosedFormAccuracy:
+    """The closed-form optimum against the companion-matrix eigensolve
+    (``companion_route``) and a dense phase grid."""
+
+    @given(p=_CLI_POINTS)
+    @example(p=params(g=0.0))  # the quartic is t^4 - 1
+    @example(p=params(alpha=0.0, r=0.6))  # no quartic: divergent
+    @example(p=params(t1=0.0))  # divergent
+    # imaginary alpha: T(0) = T(pi) = 0, so the leading coefficient e4 in
+    # tan(phi/2) vanishes, with a root at phi = pi
+    @example(p=params(alpha=1j, r=0.5))
+    @example(p=params(r=15.0))  # a minimum about 1e-13 wide near pi/2
+    @example(p=_MERGED)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_companion_and_dense_grid(self, p):
+        reference = companion_optimum(p)
+        try:
+            best = optimal_phase(p).delta_phi_min
+        except DivergentSensitivityError:
+            assert reference is None, p
+            return
+        assert abs(best - reference[1]) <= 1e-13 * reference[1], p
+        grid = sensitivity_curve(p, np.linspace(*PHASE_BRACKET, 10001))
+        assert best <= float(np.min(grid)) * (1.0 + 1e-12), p
+
+    def test_weights_give_the_quartic_of_each_turn(self):
+        # (1 + w^2)^2 T(k pi/4 + 2 atan w) with T(phi) = c2 + 2 Re(c1 z) + 2 Re(c0 z^2),
+        # and T(k pi/4 + pi) its leading coefficient
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            m, v = rng.normal(size=2), rng.normal(size=5)
+            products = np.outer(m, v).ravel()
+            m1, v0, v1, v2 = complex(*m), v[0], complex(*v[1:3]), complex(*v[3:])
+            c0, c1 = m1 * v1, 2.0 * m1 * v0 + 4.0 * m1.conjugate() * v2
+            c2 = 6.0 * (m1 * v1.conjugate()).real
+
+            def t(phi):
+                return c2 + 2.0 * (c1 * cmath.exp(1j * phi) + c0 * cmath.exp(2j * phi)).real
+
+            for k in range(8):
+                quartic = products @ _QUARTIC_WEIGHTS[:, k]
+                assert quartic[0] == pytest.approx(t(k * math.pi / 4 + math.pi), abs=1e-12)
+                for w in rng.normal(size=3):
+                    expected = (1.0 + w * w) ** 2 * t(k * math.pi / 4 + 2.0 * math.atan(w))
+                    assert np.polyval(quartic, w) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_merged_example_has_two_close_stationary_points(self):
+        roots = np.roots(stationary_quartic(_MERGED))
+        gap, i, j = min(
+            (abs(roots[i] - roots[j]), i, j) for i in range(4) for j in range(i + 1, 4)
+        )
+        assert gap < 1e-6
+        for z in roots[[i, j]]:
+            assert abs(abs(z) - 1.0) < 1e-6 and abs(cmath.phase(z) % math.pi - 2.89) < 0.01
+
+    def test_imaginary_alpha_has_no_quartic_in_tan_half_phi(self):
+        # T(pi) and T(0), the outer coefficients in tan(phi/2), vanish
+        c0, c1, c2 = stationary_quartic(params(alpha=1j, r=0.5))[:3]
+        assert c2.real - 2.0 * c1.real + 2.0 * c0.real == 0.0
+        assert c2.real + 2.0 * c1.real + 2.0 * c0.real == 0.0
 
 
 def _bits(value):

@@ -85,6 +85,16 @@ class TestSweepSpec:
         with pytest.raises(TypeError, match=r"name no parameter: \['gain'\]"):
             run_sweep(spec)
 
+    @pytest.mark.parametrize("alpha", ["1", None])
+    def test_rejects_override_with_non_number_alpha(self, alpha):
+        # the parameter check's own TypeError, not one from reading alpha.imag
+        with pytest.raises(TypeError) as expected:
+            InterferometerParams(g=1.0, alpha=alpha, r=0.0)
+        spec = spec_(series=(SweepSeries("bad", {"alpha": alpha}),))
+        with pytest.raises(TypeError) as raised:
+            run_sweep(spec)
+        assert str(raised.value) == str(expected.value)
+
 
 class TestRunSweep:
     def test_row_count_and_order(self):
