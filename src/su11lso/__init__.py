@@ -29,8 +29,6 @@ from .moments import (
     InterferometerParams,
     MomentTable,
     QuadratureStats,
-    WForm,
-    build_w_form,
     moment_table,
     q_moment,
     quadrature_stats,
@@ -49,8 +47,6 @@ __all__ = [
     "QfiReport",
     "QuadratureStats",
     "SensitivityReport",
-    "WForm",
-    "build_w_form",
     "moment_table",
     "optimal_phase",
     "phase_sensitivity",

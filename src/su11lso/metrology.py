@@ -126,7 +126,7 @@ def _mode_a_number(e):
 
 def _photon_number(e):
     """N = <n_a> + <n_b>, each in the pairing order of ``series_exp``."""
-    return (_re_product(e.l0, e.l1) + e.p01) + (_re_product(e.l2, e.l3) + e.p23)
+    return _mode_a_number(e) + (_re_product(e.l2, e.l3) + e.p23)
 
 
 def total_photon_number(params):
@@ -160,8 +160,8 @@ def qfi_ideal(params) -> QfiReport:
     """Pure-state Fisher information and the associated bounds.
 
     F = 4 Var(n_a) of the internal state, in connected form from the
-    exponent's pair part P = 2 quadratic and linear part l:
-    Var n_a = P01 (P01 + 1) + P00 P11 + P00 l1^2 + P11 l0^2 + (2 P01 + 1) l0 l1,
+    exponent's pair part P (with P11 = P00) and linear part l:
+    Var n_a = P01 (P01 + 1) + P00^2 + P00 (l1^2 + l0^2) + (2 P01 + 1) l0 l1,
     which is Q2200 + Q1100 - Q1100^2 with the O(|alpha|^4) terms cancelled
     exactly.  The Cramer-Rao bound uses a single measurement (v = 1).
 
@@ -190,8 +190,8 @@ def qfi_ideal(params) -> QfiReport:
 def _ideal_fisher(e):
     """F = 4 Var(n_a) from the exponent entries (see ``qfi_ideal``)."""
     return 4.0 * (
-        e.p01 * (e.p01 + 1.0) + e.p00 * e.p11 + _re_product(e.p00 * e.l1, e.l1)
-        + _re_product(e.p11 * e.l0, e.l0) + _re_product((2.0 * e.p01 + 1.0) * e.l0, e.l1)
+        e.p01 * (e.p01 + 1.0) + e.p00 * e.p00 + _re_product(e.p00 * e.l1, e.l1)
+        + _re_product(e.p00 * e.l0, e.l0) + _re_product((2.0 * e.p01 + 1.0) * e.l0, e.l1)
     )
 
 

@@ -10,20 +10,21 @@ normally ordered moments
 derive from one generating function exp(w), where w is a quadratic+linear
 polynomial in four formal variables (lam1 <-> a', lam2 <-> a, lam3 <-> b',
 lam4 <-> b) whose coefficients are hyperbolic functions of g and r and
-linear/antilinear in alpha.  Each moment is a pairing sum over those
-coefficients, built from lower moments by a recurrence
-(``series.series_exp``).  A point's table, cached by (g, alpha, r), keeps
-the exponent's entries as Python numbers, the 70 moments, and the value of
-each closed form of the exponent a single-point call has read (N, <n_a>,
-F), so a query chain computes each once.  A sequence of points is one state
-of columns (``_Series``); where its (g, alpha, r) varies, one call of the
-same builder (``_exponent_entries``) on arrays gives every point's entries,
-each with its table's bits, and no table is built.  Homodyne statistics of the full
-circuit (phase shift phi, fictitious-beam-splitter transmittances t1
-internal and t2 external, second squeezer at gain g, phase pi) are
-trigonometric polynomials in phi whose coefficients come straight from
-that exponent: the mean from its linear part, the variance from its pair
-part with sqrt(t) weights.  So d<X>/dphi is available in closed form.
+linear/antilinear in alpha; one record (``_Exponent``) holds them.  Each
+moment is a pairing sum over those coefficients, built from lower moments
+by a recurrence (``series.series_exp``).  A point's table, cached by
+(g, alpha, r), keeps the record on Python numbers, the 70 moments, and the
+value of each closed form of the exponent a single-point call has read (N,
+<n_a>, F), so a query chain computes each once.  A sequence of points is
+one state of columns (``_Series``); where its (g, alpha, r) varies, one
+call of the same builder (``_exponent_entries``) on arrays gives the
+record as (n,) arrays, each element with its table's bits, and no table is
+built.  Homodyne statistics of the full circuit (phase shift phi,
+fictitious-beam-splitter transmittances t1 internal and t2 external,
+second squeezer at gain g, phase pi) are trigonometric polynomials in phi
+whose coefficients come straight from that record: the mean from its
+linear part, the variance from its pair part with sqrt(t) weights.  So
+d<X>/dphi is available in closed form.
 """
 
 from __future__ import annotations
@@ -88,26 +89,6 @@ class InterferometerParams:
         return replace(self, **kw)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class WForm:
-    """Quadratic + linear exponent of the moment generating function.
-
-    quadratic is a symmetric 4x4 array Q with w_quad = lam^T Q lam, so the
-    coefficient of lam_i^2 is Q[i, i] and the coefficient of the monomial
-    lam_i lam_j (i != j) is 2 Q[i, j].  linear[i] is the coefficient of
-    lam_{i+1}.  Depends only on (g, r, alpha); phases and transmittances
-    enter the homodyne assembly, not the generating function.
-    """
-
-    quadratic: np.ndarray
-    linear: np.ndarray
-
-    def monomial_coefficient(self, i: int, j: int) -> complex:
-        if i == j:
-            return complex(self.quadratic[i, i])
-        return complex(2.0 * self.quadratic[i, j])
-
-
 def _cosh_sinh(name: str, value):
     """cosh and sinh from ``math``, of a number or of each element of an (n,)
     array: numpy's SIMD cosh/sinh differ from libm in the last bit.
@@ -127,9 +108,34 @@ def _cosh_sinh(name: str, value):
         raise ValueError(f"{name}={value:g} is too large: cosh/sinh overflow") from None
 
 
-def _exponent_entries(g, alpha, r):
-    """The exponent's linear part (4 complexes) and quadratic rows (4x4
-    floats, symmetric) for (g, r, alpha), with alpha a complex.
+class _Exponent(NamedTuple):
+    """The generating exponent w of one (g, r, alpha) point, or of a sequence:
+    Python numbers for one point, (n,) arrays for a sequence of n points.
+
+    l0..l3, its linear part, are the coefficients of lam1..lam4.  Its pair
+    part P (the second derivatives, real and symmetric) has five free entries:
+    lam2 pairs with lam2, lam3, lam4 as lam1 with lam1, lam4, lam3, and
+    lam3 and lam4 have no square:
+
+        P = [[p00, p01, p02, p03],
+             [p01, p00, p03, p02],
+             [p02, p03, 0,   p23],
+             [p03, p02, p23, 0  ]]
+    """
+
+    l0: complex
+    l1: complex
+    l2: complex
+    l3: complex
+    p00: float
+    p01: float
+    p02: float
+    p03: float
+    p23: float
+
+
+def _exponent_entries(g, alpha, r) -> _Exponent:
+    """The exponent of (g, r, alpha), with alpha a complex.
 
     One builder for both routes: on Python numbers (a point's table), or on
     (n,) arrays in place of any of g, alpha, r (a series), when the entries
@@ -142,12 +148,9 @@ def _exponent_entries(g, alpha, r):
     cg, sg = _cosh_sinh("g", g)
     ac = alpha.conjugate()
 
-    # every entry is 0.0 + q, the value a numpy fill symmetrized by adding
-    # its transposed upper triangle held: -0.0 reads +0.0
-    # lam1^2 and lam2^2: (1/2) cosh r sinh r plus the sinh^2 g echo
+    # halved pair entries, each 0.0 + q as a symmetrized numpy fill held it
+    # (-0.0 reads +0.0); lam1^2: (1/2) cosh r sinh r plus the sinh^2 g echo
     d = 0.0 + (0.5 * cr * sr + cr * sr * sg * sg)
-    # full monomial coefficients, halved into the symmetric off-diagonal slots;
-    # lam2 lam3 pairs as lam1 lam4 and lam2 lam4 as lam1 lam3
     q01 = 0.0 + 0.5 * (sr * sr + (cr * cr + sr * sr) * sg * sg)
     q02 = 0.0 + 0.5 * (-cr * cg * sg)
     q03 = 0.0 + 0.5 * (-sr * cg * sg)
@@ -163,81 +166,48 @@ def _exponent_entries(g, alpha, r):
         map(cmath.isfinite, (d, q01, q02, q03, q23, *lin))
     ):
         raise ValueError(f"generating exponent overflows at g={g:g}, alpha={alpha:g}, r={r:g}")
-    quad = [[d, q01, q02, q03], [q01, d, q03, q02], [q02, q03, 0.0, q23], [q03, q02, q23, 0.0]]
-    return lin, quad
-
-
-def build_w_form(params: InterferometerParams) -> WForm:
-    """Exponent of the moment generating function for (g, r, alpha).
-
-    Raises ValueError naming (g, alpha, r) when a coefficient overflows.
-    """
-    lin, quad = _exponent_entries(params.g, complex(params.alpha), params.r)
-    return WForm(quadratic=np.array(quad, dtype=complex), linear=np.array(lin, dtype=complex))
+    return _Exponent(*lin, 2.0 * d, 2.0 * q01, 2.0 * q02, 2.0 * q03, 2.0 * q23)
 
 
 # position of each moment key in a table's array, in series_exp's order
 _POSITION = {key: n for n, key in enumerate(_ORDER)}
 
 
-class _Exponent(NamedTuple):
-    """The exponent's linear part l_i and the entries p_ij of its pair part
-    P = 2 quadratic that the closed forms read (P is real).
-
-    Python numbers for one point; (n,) arrays for a sequence of n points.
-    """
-
-    l0: complex
-    l1: complex
-    l2: complex
-    l3: complex
-    p00: float
-    p01: float
-    p02: float
-    p03: float
-    p11: float
-    p22: float
-    p23: float
-    p33: float
-
-
-_PAIR_ENTRIES = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (2, 3), (3, 3))
-
-
 class MomentTable:
     """Every moment of degree <= 4 of one (g, r, alpha) point.
 
-    All 70 moments are built once at construction, in one pass of the
-    Isserlis recurrence (``series_exp``) on the exponent's entries as Python
-    numbers, and kept as one complex array in the recurrence's key order, so
-    a moment is a dict lookup of its position; a key is validated only when
-    that lookup misses.  The table keeps the exponent's entries for the
-    closed forms (``_exponent``) and each closed form's value once it is
-    read (``_exponent_of``); ``w_form`` builds the exponent's arrays when it
-    is read.  Immutable after construction, but for those stored values.
+    The table holds the point's exponent record (``_exponent``, Python
+    numbers), which the closed forms read, and each closed form's value once
+    it is read (``_exponent_of``).  All 70 moments are built once at
+    construction, in one pass of the Isserlis recurrence (``series_exp``) on
+    the record's symmetric pair matrix, and kept as one complex array in the
+    recurrence's key order, so a moment is a dict lookup of its position; a
+    key is validated only when that lookup misses.  Immutable after
+    construction, but for the stored values.
     """
 
-    __slots__ = ("_params", "_exponent", "_moments", "_values")
+    __slots__ = ("_exponent", "_moments", "_values")
 
     def __init__(self, params: InterferometerParams):
-        self._params = params
-        lin, quad = _exponent_entries(params.g, complex(params.alpha), params.r)
-        pair = [[2.0 * q for q in row] for row in quad]
-        self._moments = np.fromiter(series_exp(lin, pair).values(), complex, len(_ORDER))
-        self._exponent = _Exponent(*lin, *(pair[i][j] for i, j in _PAIR_ENTRIES))
+        e = self._exponent = _exponent_entries(params.g, complex(params.alpha), params.r)
+        p00, p01, p02, p03, p23 = e[4:]
+        pair = [[p00, p01, p02, p03], [p01, p00, p03, p02], [p02, p03, 0.0, p23], [p03, p02, p23, 0.0]]
+        self._moments = np.fromiter(series_exp(e[:4], pair).values(), complex, len(_ORDER))
         self._values = {}
-
-    @property
-    def w_form(self) -> WForm:
-        return build_w_form(self._params)
 
     def moment(self, key) -> complex:
         try:
             return self._moments.item(_POSITION[key])
         except (KeyError, TypeError):  # not a hashable valid key: validate it
             pass
-        key = tuple(int(k) for k in key)
-        if len(key) != 4 or any(k < 0 for k in key):
+        key = tuple(key)
+        try:
+            ints = tuple(map(int, key))
+        except (TypeError, ValueError, ArithmeticError):  # not a number, or not finite
+            ints = None
+        if ints == key:  # every entry an integer, as 1 and 1.0 are
+            key = ints
+        if ints != key or len(key) != 4 or min(key) < 0:
             raise ValueError(f"moment key must be 4 non-negative integers, got {key!r}")
         if sum(key) > DEGREE_CAP:
             raise ValueError(f"moment order {key} exceeds degree cap {DEGREE_CAP}")
@@ -325,9 +295,8 @@ class _Series:
         alpha = np.array(alpha, dtype=complex) + 0j if isinstance(alpha, list) else complex(alpha) + 0j
         try:
             with np.errstate(all="ignore"):  # a non-finite entry is replayed below
-                lin, quad = _exponent_entries(g, alpha, r)
-                entries = (*lin, *(2.0 * quad[i][j] for i, j in _PAIR_ENTRIES))
-            finite = all(np.isfinite(v).all() for v in (*lin, *quad[0], quad[2][3]))
+                entries = _exponent_entries(g, alpha, r)
+            finite = all(np.isfinite(v).all() for v in entries)
         except OverflowError:  # math.cosh or math.sinh of an element
             finite = False
         if not finite:  # raise the error of the first point that overflows alone
@@ -468,7 +437,7 @@ def trig_coefficients(params):
     With z = e^{i phi}: <X> = m0 + 2 Re(m1 z), d<X>/dphi = -2 Im(m1 z) and
     Var X = v0 + 2 Re(v1 z + v2 z^2).  The m's are the generating exponent's
     linear coefficients (the internal first moments); the v's are its
-    connected pair parts 2 quadratic[i, j], so the variance never cancels
+    connected pair entries p_ij, so the variance never cancels
     against <X>^2 and does not depend on alpha.  The constant 1 + 2 t2 sinh^2 g
     is the vacuum unit from the commutators.
 
@@ -489,8 +458,7 @@ def _harmonics(e, amp_a, amp_b):
     """``trig_coefficients`` from the exponent entries e and the output amplitudes."""
     # output mode: sqrt(t1 t2) cosh g e^{-i phi} a + sqrt(t2) sinh g b' + noise
     m0 = amp_b * (e.l2 + e.l3).real
-    v0 = 1.0 + amp_a * amp_a * 2.0 * e.p01
-    v0 += amp_b * amp_b * (2.0 * e.p23 + 2.0 + e.p22 + e.p33)
+    v0 = (1.0 + amp_a * amp_a * 2.0 * e.p01) + amp_b * amp_b * (2.0 * e.p23 + 2.0)
     return (
         m0,
         _scaled(amp_a, e.l0),

@@ -268,8 +268,8 @@ def sweep_columns(spec: SweepSpec) -> list[str]:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return f'"{value}"' if ("," in value or '"' in value) else value
+    if isinstance(value, str):  # RFC 4180: quoted where needed, its quotes doubled
+        return '"' + value.replace('"', '""') + '"' if any(c in value for c in ',"\n\r') else value
     if isinstance(value, (float, complex)):  # infinities format as inf / -inf
         return format(value, _NUMBER_FORMAT)
     return str(value)

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from su11lso.moments import (
     InterferometerParams,
     MomentTable,
+    _exponent_entries,
     _table,
-    build_w_form,
     moment_table,
     q_moment,
     quadrature_stats,
@@ -177,36 +177,20 @@ class TestParamsValueSemantics:
         assert p != tuple(getattr(p, name) for name in _FIELD_NAMES)
 
 
-class TestWForm:
+class TestExponentEntries:
     def test_all_couplings_vanish_at_origin(self):
-        w = build_w_form(InterferometerParams(g=0, alpha=0, r=0))
-        assert not w.quadratic.any()
-        assert not w.linear.any()
+        e = _exponent_entries(0.0, 0j, 0.0)
+        assert len(e) == 9 and not any(e)
 
     def test_squeezed_vacuum_coefficients(self):
-        w = build_w_form(InterferometerParams(g=0, alpha=0, r=0.6))
-        assert w.monomial_coefficient(0, 1) == pytest.approx(math.sinh(0.6) ** 2)
-        assert w.monomial_coefficient(0, 0) == pytest.approx(
-            0.5 * math.cosh(0.6) * math.sinh(0.6)
-        )
+        e = _exponent_entries(0.0, 0j, 0.6)
+        assert e.p01 == pytest.approx(math.sinh(0.6) ** 2)
+        assert e.p00 == pytest.approx(math.cosh(0.6) * math.sinh(0.6))
 
     def test_two_mode_cross_coupling(self):
-        w = build_w_form(InterferometerParams(g=1, alpha=0, r=0))
-        assert w.linear[3] == 0
-        assert w.monomial_coefficient(1, 3) == pytest.approx(
-            -math.sinh(1.0) * math.cosh(1.0)
-        )
-
-    def test_quadratic_is_symmetric(self):
-        w = build_w_form(InterferometerParams(g=0.7, alpha=0.4 + 0.2j, r=0.9))
-        assert np.array_equal(w.quadratic, w.quadratic.T)
-
-    def test_independent_of_phase_and_loss(self):
-        base = InterferometerParams(g=0.8, alpha=0.5 + 0.1j, r=0.4)
-        w0 = build_w_form(base)
-        w1 = build_w_form(base.replace(phi=1.1, t1=0.3, t2=0.7))
-        assert np.array_equal(w0.quadratic, w1.quadratic)
-        assert np.array_equal(w0.linear, w1.linear)
+        e = _exponent_entries(1.0, 0j, 0.0)
+        assert e.l3 == 0
+        assert e.p02 == pytest.approx(-math.sinh(1.0) * math.cosh(1.0))
 
 
 class TestMoments:
@@ -245,6 +229,9 @@ class TestMoments:
             ((1, 1, 0), "moment key must be 4 non-negative integers, got (1, 1, 0)"),
             ((-1, 1, 0, 0), "moment key must be 4 non-negative integers, got (-1, 1, 0, 0)"),
             ((2, 2, 1, 0), "moment order (2, 2, 1, 0) exceeds degree cap 4"),
+            # entries are integers equal to themselves, not truncated to one
+            ((1.5, 0, 0, 0), "moment key must be 4 non-negative integers, got (1.5, 0, 0, 0)"),
+            ("1100", "moment key must be 4 non-negative integers, got ('1', '1', '0', '0')"),
         ],
     )
     def test_bad_keys_rejected(self, key, message):
@@ -297,8 +284,10 @@ def test_compact_table_keeps_every_bit(g, re_a, im_a, r, key):
     """Each of the 70 moments is a Python complex with the bits of the
     recurrence run on the numpy exponent; any key a table rejects, it rejects
     with the message a dict-backed table gave."""
-    tab = MomentTable(InterferometerParams(g=g, alpha=complex(re_a, im_a), r=r))
-    ref = series_exp(tab.w_form.linear, 2.0 * tab.w_form.quadratic)
+    p = InterferometerParams(g=g, alpha=complex(re_a, im_a), r=r)
+    tab = MomentTable(p)
+    lin, quad = numpy_fill_exponent(p)
+    ref = series_exp(lin, 2.0 * quad)
     assert len(ref) == 70
     for k, value in ref.items():
         got = tab.moment(k)
@@ -442,13 +431,15 @@ class TestPythonNumberRoute:
             lin, quad = numpy_fill_exponent(p)
             pair = 2.0 * quad
             tab = MomentTable(p)
-            want = [*lin.tolist(), *(pair[i, j].real for i, j in moments._PAIR_ENTRIES)]
+            # the record's nine fields: l0..l3, then P00, P01, P02, P03 and P23
+            entries = ((0, 0), (0, 1), (0, 2), (0, 3), (2, 3))
+            want = [*lin.tolist(), *(pair[i, j].real for i, j in entries)]
             assert [_hex(v) for v in tab._exponent] == [_hex(v) for v in want], p
+            # the structure the record drops: P11 = P00, and lam3, lam4 have no square
+            assert pair[1, 1].tobytes() == pair[0, 0].tobytes(), p
+            assert not pair[2, 2] and not pair[3, 3], p
             ref = np.array(plan_loop(lin.tolist(), pair.tolist()), dtype=complex)
             assert tab._moments.tobytes() == ref.tobytes(), p
-            w = tab.w_form
-            assert w.quadratic.tobytes() == quad.tobytes(), p
-            assert w.linear.tobytes() == lin.tobytes(), p
 
     def test_one_query_evaluates_each_closed_form_once(self, monkeypatch):
         calls = []
@@ -467,7 +458,9 @@ class TestPythonNumberRoute:
         metrology.sql_hl(p)
         metrology.qfi_ideal(p)
         metrology.qfi_lossy(p, 0.6)
-        assert sorted(calls) == ["_ideal_fisher", "_mode_a_number", "_photon_number"]
+        # N's formula calls <n_a>'s, so <n_a> is evaluated twice: inside N and for qfi_lossy
+        assert calls.count("_photon_number") == calls.count("_ideal_fisher") == 1
+        assert calls.count("_mode_a_number") == 2 and len(calls) == 4
         stored = moment_table(p)._values
         assert set(stored) == {metrology._photon_number, metrology._mode_a_number,
                                metrology._ideal_fisher}
@@ -616,10 +609,10 @@ def test_moments_match_cauchy_integral():
             g=rng.uniform(0, 1.2), alpha=complex(*rng.uniform(-1.5, 1.5, 2)), r=rng.uniform(0, 1)
         )
         tab = MomentTable(p)
-        w = tab.w_form
-        exponent = sum(w.linear[i] * lam[i] for i in range(4))
+        linear, quadratic = numpy_fill_exponent(p)
+        exponent = sum(linear[i] * lam[i] for i in range(4))
         exponent = exponent + sum(
-            w.quadratic[i, j] * lam[i] * lam[j] for i in range(4) for j in range(4)
+            quadratic[i, j] * lam[i] * lam[j] for i in range(4) for j in range(4)
         )
         coeffs = np.fft.fftn(np.exp(exponent)) / n**4
         ref = {

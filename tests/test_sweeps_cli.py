@@ -1,6 +1,7 @@
 """Sweep engine, figure presets, output formats, and the CLI surface."""
 
 import contextlib
+import csv
 import inspect
 import io
 import json
@@ -234,6 +235,16 @@ class TestCsv:
     def test_quotes_cells_with_commas(self):
         rows = [{"series": "a,b", "flags": ""}]
         assert render_csv(table_result([rows], ["series", "flags"])).splitlines()[1] == '"a,b",'
+
+    def test_labels_round_trip_through_csv_reader(self):
+        # a quote is doubled, and a line break stays inside its quoted cell
+        labels = ('a"b', "two\nlines", 'c,"d"\r')
+        spec = spec_(count=3, series=tuple(SweepSeries(label, {}) for label in labels))
+        result = run_sweep(spec)
+        rows = list(csv.reader(io.StringIO(render_csv(result), newline="")))
+        assert rows[0] == list(result.columns)
+        assert [row[0] for row in rows[1:]] == [label for label in labels for _ in range(3)]
+        assert all(len(row) == len(result.columns) for row in rows)
 
     @settings(max_examples=300, deadline=None)
     @given(table=_csv_tables())
