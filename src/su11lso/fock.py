@@ -85,9 +85,10 @@ DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_WORK_ERR_TOL = 2e-8
 DEFAULT_KRAUS_TOL = 1e-11
 DEFAULT_MAX_DIM = 1_400_000
-# the state preparation's dense single-mode squeezer (r > 0) is a d_a x d_a
-# matrix, about 30 bytes per cell at its peak while built: 0.5 GB at this
-# bound, twice the paper's largest preparation (1985 at alpha 2, g 1.5, r 1)
+# the state preparation's single-mode squeezer (r > 0) eigendecomposes its two
+# parity chains of d_a / 2 levels, about 6 bytes per d_a^2 cell at its peak:
+# 0.1 GB at this bound, twice the paper's largest preparation (1985 at
+# alpha 2, g 1.5, r 1); the bound stops a runaway escalation of mode a
 MAX_SQUEEZER_DIM = 4096
 
 
@@ -255,23 +256,6 @@ def _mul_real(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (v @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
-def single_mode_squeezer_matrix(r: float, d_a: int) -> np.ndarray:
-    """Dense exp[(r/2)(a'^2 - a^2)] on one mode; real orthogonal.
-
-    Parity is conserved, so the generator splits into two skew-symmetric
-    tridiagonal chains over even and odd photon numbers.
-    """
-    u = np.zeros((d_a, d_a))
-    for parity in (0, 1):
-        ns = np.arange(parity, d_a, 2)
-        if len(ns) == 0:
-            continue
-        sub = 0.5 * r * np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0))
-        block = _apply_skew_exp(sub, np.eye(len(ns), dtype=complex))
-        u[np.ix_(ns, ns)] = block.real
-    return u
-
-
 # ---------------------------------------------------------------------------
 # gates on states
 
@@ -306,9 +290,18 @@ def apply_two_mode_squeezer(psi: np.ndarray, g: float) -> np.ndarray:
 
 
 def apply_single_mode_squeezer(psi: np.ndarray, r: float) -> np.ndarray:
-    if r == 0.0:
-        return psi.copy()
-    return single_mode_squeezer_matrix(r, psi.shape[0]) @ psi
+    """exp[(r/2)(a'^2 - a^2)] on mode a of a copy of the state.
+
+    Parity is conserved, so the generator splits into two skew-symmetric
+    tridiagonal chains over even and odd photon numbers; each acts on its
+    rows of the state, and no d_a x d_a operator is formed.
+    """
+    out = psi.copy()
+    for parity in (0, 1):
+        n = np.arange(parity, psi.shape[0] - 2, 2)  # each level but the chain's last
+        sub = 0.5 * r * np.sqrt((n + 1.0) * (n + 2.0))
+        out[parity::2] = _apply_skew_exp(sub, psi[parity::2])
+    return out
 
 
 def _phase_factors(n: np.ndarray, phis) -> np.ndarray:
@@ -483,7 +476,7 @@ def auto_prepared_state(
     (alpha, g, r) are checked as in InterferometerParams, which raises
     ValueError naming a bad one, and a tail_tol that is negative or not
     finite raises ValueError.  A grid over max_dim, or for r > 0 a d_a over
-    MAX_SQUEEZER_DIM (the dense squeezer matrix), raises
+    MAX_SQUEEZER_DIM (the single-mode squeezer's levels), raises
     NonconvergedOracleError before its probe runs; so does a norm deficit
     over tail_tol once the tails pass.
     """
@@ -495,8 +488,8 @@ def auto_prepared_state(
     def probe(d_a, d_b):
         if r != 0.0 and d_a > MAX_SQUEEZER_DIM:
             raise NonconvergedOracleError(
-                f"state preparation: grid {d_a}x{d_b} needs a {d_a}x{d_a} squeezer "
-                f"matrix, over its bound {MAX_SQUEEZER_DIM}x{MAX_SQUEEZER_DIM}"
+                f"state preparation: grid {d_a}x{d_b} needs a {d_a}-level single-mode "
+                f"squeezer, over its bound {MAX_SQUEEZER_DIM}"
             )
         psi = prepared_state(alpha, g, r, d_a, d_b)
         # the raw top-layer masses are tested, the decay-scaled ones steer growth

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .moments import InterferometerParams, quadrature_stats, trig_coefficients
-from .moments import _check, _check_finite, _exponent_of, _homodyne, _re_product, _series
+from .moments import _check, _check_finite, _elementwise, _exponent_of, _homodyne, _re_product, _series
 
 SLOPE_FLOOR = 1e-12
 
@@ -359,16 +358,9 @@ def _stationary_quartic(m_parts: np.ndarray, v_parts: np.ndarray):
 
 
 def _cbrt(x: np.ndarray) -> np.ndarray:
-    """Real cube root of each element by Python's float power, which libm
-    rounds alike on every CPU (``math.cbrt`` needs Python 3.11)."""
-    root = np.fromiter(map(pow, np.abs(x).tolist(), repeat(1.0 / 3.0)), float, x.size)
-    return np.copysign(root, x)
-
-
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` from ``math`` on each element of x: numpy's SIMD versions of
-    acos, cos and atan differ from libm in the last bit."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    """Real cube root of each element by Python's float power
+    (``_elementwise``; ``math.cbrt`` needs Python 3.11)."""
+    return np.copysign(_elementwise(lambda v: v ** (1.0 / 3.0), np.abs(x)), x)
 
 
 def _stationary_phases(m_parts: np.ndarray, v_parts: np.ndarray) -> np.ndarray:

@@ -89,19 +89,21 @@ class InterferometerParams:
         return replace(self, **kw)
 
 
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn (libm's, through ``math``) on each element of x: libm rounds alike on
+    every CPU, numpy's SIMD cosh, sinh, acos, cos and atan do not."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _cosh_sinh(name: str, value):
     """cosh and sinh from ``math``, of a number or of each element of an (n,)
-    array: numpy's SIMD cosh/sinh differ from libm in the last bit.
+    array (``_elementwise``).
 
     A number raises ValueError naming it where they overflow; an array lets
     ``math``'s OverflowError through.
     """
     if isinstance(value, np.ndarray):
-        values = value.tolist()
-        return (
-            np.fromiter(map(math.cosh, values), float, len(values)),
-            np.fromiter(map(math.sinh, values), float, len(values)),
-        )
+        return _elementwise(math.cosh, value), _elementwise(math.sinh, value)
     try:
         return math.cosh(value), math.sinh(value)
     except OverflowError:

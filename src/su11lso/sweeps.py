@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -106,10 +107,16 @@ class SweepSpec:
         unknown = set(self.quantities) - set(QUANTITIES)
         if unknown:
             raise ValueError(f"unknown quantities: {sorted(unknown)}")
+        if not self.series:
+            raise ValueError("a sweep needs at least one series")
+        if not isinstance(self.count, numbers.Integral):
+            raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ValueError("count must be at least 2")
         if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
             raise ValueError("start and stop must be finite, with start below stop")
+        if not math.isfinite(float(self.stop) - float(self.start)):
+            raise ValueError(f"stop - start must be finite, got start={self.start!r}, stop={self.stop!r}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)

@@ -68,12 +68,26 @@ class TestGatesAgainstDenseExpm:
         assert np.abs(got - u_ref @ x).max() < 1e-12
 
     def test_single_mode_squeezer(self):
-        d = 12
-        a = dense_ladder(d)
-        gen = 0.5 * 0.8 * (a.T @ a.T - a @ a)
-        assert np.abs(
-            fock.single_mode_squeezer_matrix(0.8, d) - expm(gen)
-        ).max() < 1e-12
+        # an odd d gives chains of unequal length, d = 1 an empty odd chain
+        # and d = 2 two one-level chains
+        for d in (1, 2, 3, 12, 13):
+            a = dense_ladder(d)
+            gen = 0.5 * 0.8 * (a.T @ a.T - a @ a)
+            got = fock.apply_single_mode_squeezer(np.eye(d, dtype=complex), 0.8)
+            assert np.abs(got - expm(gen)).max() < 1e-12, d
+
+    def test_single_mode_squeezer_forms_no_dense_operator(self):
+        # each parity chain acts on its rows of the state: the peak stays a
+        # few bytes per d_a^2 cell (a dense d_a x d_a operator took 30)
+        d_a, d_b = 2000, 8
+        psi = fock.build_input(0.0, d_a, d_b)
+        tracemalloc.start()
+        try:
+            fock.apply_single_mode_squeezer(psi, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * d_a * d_a
 
 
 class TestGatePhysics:
@@ -291,24 +305,24 @@ def test_work_grid_budget_checked_before_the_first_probe(monkeypatch):
 
 
 def test_prep_bounds_the_squeezer_matrix():
-    # at r = 1e300 mode a escalates while d_a * d_b stays in budget; the
-    # dense d_a x d_a squeezer once grew to 12906^2 cells (1.3 GB) and kept going
+    # at r = 1e300 mode a escalates while d_a * d_b stays in budget; without
+    # the bound the single-mode squeezer once grew to 12906 levels and kept going
     start = time.perf_counter()
-    with pytest.raises(NonconvergedOracleError, match="4958x4958 squeezer matrix, over its bound"):
+    with pytest.raises(NonconvergedOracleError, match="4958-level single-mode squeezer, over its bound"):
         fock.auto_prepared_state(0.5, 0.5, 1e300)
     assert time.perf_counter() - start < 5.0
 
 
 def test_squeezer_bound_keeps_the_figure_domain_preparations():
-    # the (alpha 1, g 1.5, r 1) prep needs a 1394^2 squeezer matrix, over
-    # the work-grid budget max_dim but well inside the squeezer bound
+    # the (alpha 1, g 1.5, r 1) prep needs a 1394-level squeezer (1394^2
+    # is over the work-grid budget max_dim), well inside the squeezer bound
     p = InterferometerParams(g=1.5, alpha=1.0, r=1.0)
     oracle = fock.oracle_qfi_pure(p)
     assert abs(oracle - qfi_ideal(p).fisher) <= 1e-6 * oracle
 
 
 def test_squeezer_bound_skips_r_zero():
-    # at r = 0 no squeezer matrix is built, so a 1517-level coherent start
+    # at r = 0 no single-mode squeezer runs, so a 1517-level coherent start
     # grid is not refused; Var n_a of a coherent state is |alpha|^2
     psi, diag = fock.auto_prepared_state(35.0, 0.0, 0.0)
     assert psi.shape[0] > 1400 and diag.converged

@@ -9,6 +9,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -76,10 +77,21 @@ class TestSweepSpec:
             spec_(quantities=("delta_phi", "entropy"))
 
     def test_rejects_degenerate_range(self):
-        with pytest.raises(ValueError):
-            spec_(start=1.0, stop=0.5)
-        with pytest.raises(ValueError):
-            spec_(count=1)
+        for kw, match in [
+            ({"start": 1.0, "stop": 0.5}, "start below stop"),
+            ({"count": 1}, "count must be at least 2"),
+            ({"start": -math.inf, "stop": 0.0}, "start and stop must be finite"),
+            # a span that overflows, where np.linspace would warn and fill nan
+            ({"start": -1e308, "stop": 1e308}, "stop - start must be finite"),
+            # counts np.linspace cannot take
+            ({"count": 3.5}, r"count must be an integer, got 3\.5"),
+            ({"count": 3.0}, r"count must be an integer, got 3\.0"),
+            ({"series": ()}, "at least one series"),
+        ]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=match):
+                    spec_(**kw)
 
     def test_rejects_override_naming_no_parameter(self):
         spec = spec_(series=(SweepSeries("typo", {"gain": 1.0}),))
@@ -883,6 +895,26 @@ class TestInputDomain:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("invalid input:") and name in lines[0]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--series-r", ","), "a sweep needs at least one series"),
+            (("--start=-1e308", "--stop", "1e308"),
+             "stop - start must be finite, got start=-1e+308, stop=1e+308"),
+        ],
+    )
+    def test_rejected_sweep_writes_no_file(self, tmp_path, argv, message):
+        # no header-only file, and no numpy warning before the message
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "su11lso", "sweep", "--var", "phi",
+             "--start", "0", "--stop", "1", "--count", "3", *argv, "--output", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"invalid input: {message}\n"
+        assert not out.exists()
 
     def test_overflowing_sweep_names_the_quantity(self, tmp_path):
         out = tmp_path / "sweep.csv"
