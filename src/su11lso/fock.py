@@ -126,9 +126,9 @@ def _apply_skew_exp(sub: np.ndarray, block: np.ndarray) -> np.ndarray:
         return block.copy()
     lam, vec = eigh_tridiagonal(np.zeros(s), sub)
     d = _I_POW[np.arange(s) % 4]
-    t = vec.T @ (d.conj()[:, None] * block)
+    t = _mul_real(vec.T, d.conj()[:, None] * block)
     t *= np.exp(-1j * lam)[:, None]
-    return d[:, None] * (vec @ t)
+    return d[:, None] * _mul_real(vec, t)
 
 
 def _pair_sector_indices(d_a: int, d_b: int, k: int):

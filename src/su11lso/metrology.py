@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, DivergentSensitivityError
-from .moments import InterferometerParams, quadrature_stats, trig_coefficients
+from .moments import InterferometerParams, _point_or_series, quadrature_stats, trig_coefficients
 from .moments import _check, _check_finite, _elementwise, _exponent_of, _homodyne, _re_product, _series
 
 SLOPE_FLOOR = 1e-12
@@ -98,6 +98,7 @@ def phase_sensitivity(params) -> SensitivityReport:
     overflows raises ValueError, and so does a variance that cancels to
     <= 0 below rounding (strong squeezing near phi = pi/2).
     """
+    params = _point_or_series(params)
     stats = quadrature_stats(params)
     _check_finite("homodyne statistics overflow", (stats.variance, stats.dmean_dphi), params)
     _check(_CANCELLED, stats.variance > 0.0, params)
@@ -133,7 +134,7 @@ def total_photon_number(params):
 
     A sequence of points gives an (n,) array.
     """
-    return _exponent_of(params, _photon_number, "photon number N overflows")
+    return _exponent_of(_point_or_series(params), _photon_number, "photon number N overflows")
 
 
 def sql_hl(params):
@@ -168,6 +169,7 @@ def qfi_ideal(params) -> QfiReport:
     in every field but N) where one point raises
     ``DegenerateConfigurationError``.
     """
+    params = _point_or_series(params)
     fisher = _exponent_of(params, _ideal_fisher, "Fisher information overflows")
     if isinstance(params, InterferometerParams):
         if fisher <= 0.0:
@@ -209,6 +211,7 @@ def qfi_lossy(params, eta) -> LossyQfiReport:
     arrays with status "degenerate" (and nan F_L) where one point raises
     ``DegenerateConfigurationError``.
     """
+    params = _point_or_series(params)
     single = isinstance(params, InterferometerParams)
     if single:
         eta = float(eta)  # a numpy scalar would warn where F_L overflows

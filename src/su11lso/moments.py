@@ -16,15 +16,15 @@ by a recurrence (``series.series_exp``).  A point's table, cached by
 (g, alpha, r), keeps the record on Python numbers, the 70 moments, and the
 value of each closed form of the exponent a single-point call has read (N,
 <n_a>, F), so a query chain computes each once.  A sequence of points is
-one state of columns (``_Series``); where its (g, alpha, r) varies, one
-call of the same builder (``_exponent_entries``) on arrays gives the
-record as (n,) arrays, each element with its table's bits, and no table is
-built.  Homodyne statistics of the full circuit (phase shift phi,
-fictitious-beam-splitter transmittances t1 internal and t2 external,
-second squeezer at gain g, phase pi) are trigonometric polynomials in phi
-whose coefficients come straight from that record: the mean from its
-linear part, the variance from its pair part with sqrt(t) weights.  So
-d<X>/dphi is available in closed form.
+one state of columns (``_Series``), built once per call; where its
+(g, alpha, r) varies, one call of the same builder (``_exponent_entries``)
+on arrays gives the record as (n,) arrays, each element with its table's
+bits, and no table is built.  Homodyne statistics of the full circuit
+(phase shift phi, fictitious-beam-splitter transmittances t1 internal and
+t2 external, second squeezer at gain g, phase pi) are trigonometric
+polynomials in phi whose coefficients come straight from that record: the
+mean from its linear part, the variance from its pair part with sqrt(t)
+weights.  So d<X>/dphi is available in closed form.
 """
 
 from __future__ import annotations
@@ -245,14 +245,14 @@ class _Series:
 
     ``columns`` holds g, alpha, r, t1, t2 and phi, in ``_FIELDS`` order: each
     is one value shared by every point or a list of n values (a sweep's
-    swept column; every column of a plain list of points).  Each part is
-    computed on first use and kept: the exponent entries as (n,) arrays,
+    swept column; every column of a plain list of points), taken as valid
+    (a sweep checks its grid's ends: ``sweeps._series_points``).  Two parts
+    are computed on first use and kept: the exponent entries as (n,) arrays,
     read from the point's cached table (``moment_table``) where (g, alpha, r)
-    is one point, else built once by ``_exponent_entries``; the output
-    amplitudes; the phase factors e^{i phi}; the raw harmonics, which
-    ``trig_coefficients`` checks on every call.  ``InterferometerParams``
-    are built only to read the one table, and to name a failing point
-    (``point``).
+    is one point, else built once by ``_exponent_entries``; and the raw
+    harmonics, which ``trig_coefficients`` checks on every call.
+    ``InterferometerParams`` are built only to read the one table, and to
+    name a failing point (``point``).
     """
 
     def __init__(self, columns: list, n: int):
@@ -264,26 +264,6 @@ class _Series:
 
     def point(self, i: int) -> InterferometerParams:
         return InterferometerParams(*(c[i] if isinstance(c, list) else c for c in self.columns))
-
-    def validate(self) -> None:
-        """Raise the error ``InterferometerParams`` gives the first point it
-        rejects: its bounds are checked once over the columns, and points are
-        built only where a check fails."""
-        g, alpha, r, t1, t2, phi = (
-            np.array(c) if isinstance(c, list) else c for c in self.columns
-        )
-        try:
-            with np.errstate(invalid="ignore"):
-                ok = np.all(
-                    (0.0 <= g) & (g < math.inf) & (0.0 <= r) & (r < math.inf)
-                    & (0.0 <= t1) & (t1 <= 1.0) & (0.0 <= t2) & (t2 <= 1.0)
-                    & (-math.inf < phi) & (phi < math.inf) & np.isfinite(alpha)
-                )
-        except (TypeError, ValueError, ArithmeticError):
-            ok = False
-        if not ok:
-            for i in range(self.n):
-                self.point(i)  # raises at the first point it rejects
 
     @cached_property
     def exponent(self) -> _Exponent:
@@ -307,23 +287,15 @@ class _Series:
         return _Exponent(*(_per_point(v, self.n) for v in entries))
 
     @cached_property
-    def amplitudes(self) -> tuple:
-        """``_amplitudes`` of each point as (n,) arrays: math's cosh/sinh, and
-        sqrt, which numpy and math both round correctly."""
+    def harmonics(self) -> tuple:
+        e = self.exponent  # first: a point's own overflow names it before math.cosh's
         g, _, _, t1, t2, _ = self.columns
         g, t1, t2 = (np.array(c, dtype=float) if isinstance(c, list) else c for c in (g, t1, t2))
+        # the output amplitudes as one point forms them (``trig_coefficients``):
+        # math's cosh and sinh, and sqrt, which numpy and math both round correctly
         cg, sg = _cosh_sinh("g", g)
-        return _per_point(np.sqrt(t1 * t2) * cg, self.n), _per_point(np.sqrt(t2) * sg, self.n)
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        return np.exp(1j * _per_point(np.array(self.columns[5], dtype=float), self.n))
-
-    @cached_property
-    def harmonics(self) -> tuple:
-        e, (amp_a, amp_b) = self.exponent, self.amplitudes
         with np.errstate(all="ignore"):  # trig_coefficients reports the overflow
-            return _harmonics(e, amp_a, amp_b)
+            return _harmonics(e, np.sqrt(t1 * t2) * cg, np.sqrt(t2) * sg)
 
 
 def _per_point(value, n: int) -> np.ndarray:
@@ -341,6 +313,13 @@ def _series(params) -> _Series:
         return _Series([getattr(params, name) for name in _FIELDS], 1)
     points = list(params)
     return _Series([[getattr(p, name) for p in points] for name in _FIELDS], len(points))
+
+
+def _point_or_series(params):
+    """One point as it is, else its sequence's state (``_series``): a public
+    function reads its argument through this once and passes the result to
+    each call it chains, so a sequence (an iterator too) is read once."""
+    return params if isinstance(params, InterferometerParams) else _series(params)
 
 
 def _exponent_of(params, formula, overflow=None):
@@ -425,14 +404,6 @@ def _check(what, ok, params) -> None:
     )
 
 
-def _amplitudes(params: InterferometerParams) -> tuple[float, float]:
-    """Weights sqrt(t1 t2) cosh g of a and sqrt(t2) sinh g of b' in the output mode."""
-    return (
-        math.sqrt(params.t1 * params.t2) * math.cosh(params.g),
-        math.sqrt(params.t2) * math.sinh(params.g),
-    )
-
-
 def trig_coefficients(params):
     """Phase harmonics (m0, m1, v0, v1, v2) of X = a' + a at the output port.
 
@@ -448,10 +419,15 @@ def trig_coefficients(params):
     overflow raises ValueError naming a point: a sequence names the first
     point whose exponent overflows, else the first whose harmonics do.
     """
+    params = _point_or_series(params)
     if isinstance(params, InterferometerParams):
-        coeffs = _harmonics(moment_table(params)._exponent, *_amplitudes(params))
+        coeffs = _harmonics(
+            moment_table(params)._exponent,  # first: a point's overflow names it
+            math.sqrt(params.t1 * params.t2) * math.cosh(params.g),
+            math.sqrt(params.t2) * math.sinh(params.g),
+        )
     else:
-        coeffs = _series(params).harmonics
+        coeffs = params.harmonics
     _check_finite("homodyne statistics overflow", coeffs, params)
     return coeffs
 
@@ -505,5 +481,6 @@ def quadrature_stats(params) -> QuadratureStats:
     if isinstance(params, InterferometerParams):
         return _homodyne(*trig_coefficients(params), cmath.exp(1j * params.phi))
     state = _series(params)
+    z = np.exp(1j * _per_point(np.array(state.columns[5], dtype=float), state.n))
     with np.errstate(all="ignore"):  # overflow is the callers' to report
-        return _homodyne(*trig_coefficients(state), state.z)
+        return _homodyne(*trig_coefficients(state), z)

@@ -1,6 +1,7 @@
 """Sensitivity, photon-number benchmarks, and Fisher information."""
 
 import cmath
+import dataclasses
 import math
 import os
 import subprocess
@@ -27,6 +28,7 @@ from su11lso.metrology import (
     sql_hl,
     total_photon_number,
 )
+from su11lso import moments
 from su11lso.moments import InterferometerParams, quadrature_stats, trig_coefficients
 from su11lso.sweeps import SweepSpec, run_sweep
 
@@ -622,6 +624,24 @@ def _bits(value):
     return value.real.hex(), value.imag.hex()
 
 
+def _outcome(fn, points):
+    """The bits of every field of ``fn(points)``, or its error's type and text."""
+    try:
+        value = fn(points)
+    except (ValueError, TypeError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+
+    def bits(v):
+        if dataclasses.is_dataclass(v):
+            return [bits(getattr(v, f.name)) for f in dataclasses.fields(v)]
+        if isinstance(v, tuple):
+            return [bits(x) for x in v]
+        v = np.asarray(v)
+        return v.dtype.str, v.shape, v.tobytes()
+
+    return bits(value)
+
+
 def _one(fn, *args):
     """(status, result) of a single-point call, the status a sequence reports."""
     try:
@@ -734,6 +754,42 @@ class TestSequenceForms:
             with pytest.raises(ValueError) as exc:
                 fn(points)
         assert "overflow" in str(exc.value) and f"alpha={alpha:g}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            trig_coefficients,
+            quadrature_stats,
+            phase_sensitivity,
+            total_photon_number,
+            sql_hl,
+            qfi_ideal,
+            lambda p: qfi_lossy(p, 0.5),
+            lambda p: sensitivity_curve(p, [0.5, 1.0]),
+            optimal_phase,
+        ],
+        ids=["trig", "stats", "delta_phi", "N", "sql_hl", "qfi", "qfi_lossy", "curve", "optimum"],
+    )
+    @pytest.mark.parametrize("alpha", [0.5, 1e160, 1e307], ids=["finite", "N", "harmonics"])
+    def test_generator_reads_as_the_list(self, fn, alpha):
+        # a chained call reads the sequence once, so a one-shot iterable gives
+        # the list's values, statuses or error text
+        points = [params(g=0.0, alpha=0.0, r=0.0), params(g=2.0, alpha=alpha, phi=0.5),
+                  params(g=0.3, alpha=1.0 - 0.5j, r=0.4, t1=0.7)]
+        assert _outcome(fn, (p for p in points)) == _outcome(fn, points)
+
+    def test_chained_call_builds_the_exponent_once(self, monkeypatch):
+        calls = []
+        entries = moments._exponent_entries
+
+        def counted(g, alpha, r):
+            calls.append((g, alpha, r))
+            return entries(g, alpha, r)
+
+        monkeypatch.setattr(moments, "_exponent_entries", counted)
+        # qfi_lossy -> qfi_ideal -> total_photon_number and sql_hl, one state
+        qfi_lossy([params(g=g, r=0.2 * g) for g in (0.1, 0.5, 0.9)], 0.5)
+        assert len(calls) == 1
 
     def test_benchmark_overflow_is_no_warning(self):
         # 1/N overflows at a subnormal N: degenerate benchmarks, not a warning

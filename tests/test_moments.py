@@ -22,6 +22,7 @@ from su11lso.moments import (
     moment_table,
     q_moment,
     quadrature_stats,
+    trig_coefficients,
 )
 from su11lso import metrology, moments
 from su11lso.series import series_exp
@@ -323,7 +324,7 @@ def _count_builds(monkeypatch):
 class TestTableCache:
     """A figure run builds a table only for the series whose (g, alpha, r) is
     one point; a series whose (g, alpha, r) varies builds its exponent once,
-    as arrays, and no point's parameters."""
+    as arrays, and the parameters of its grid's two ends alone."""
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["sorted", "reversed"])
     def test_figure_run_builds_a_table_per_fixed_point(self, reverse, monkeypatch):
@@ -335,9 +336,9 @@ class TestTableCache:
         for spec in specs:
             run_sweep(spec)
         assert _table.cache_info().misses == 4
-        # one point per fixed-point series, to read its table, and one per
-        # table built; none per grid point
-        assert len(built) == 24 + 4
+        # one point per fixed-point series, to read its table, one per table
+        # built, and the grid's two ends of each of the 56 series
+        assert len(built) == 24 + 4 + 2 * 56
         assert builder.count(False) == 4  # the tables
         assert builder.count(True) == 8 * 4  # figs 3, 4, 7a, 7b, 8a, 8b, 11a, 11b
 
@@ -354,7 +355,9 @@ class TestTableCache:
         result = run_sweep(spec)
         assert len(result) == points * len(spec.series)
         assert _table.cache_info().misses == 0
-        assert built == []
+        # the grid's ends, not one point per grid point
+        ends = [getattr(p, spec.variable) for p in built]
+        assert ends == [spec.start, spec.stop] * len(spec.series)
         assert builder == [True] * len(spec.series)
 
     @pytest.mark.parametrize(
@@ -542,8 +545,10 @@ class TestSeriesExponent:
             state = _columns_state(rows, swept)
             points = [state.point(i) for i in range(len(state))]
             assert _series_outcome(state) == _table_outcome(points), fixed
-            amplitudes = np.array([moments._amplitudes(p) for p in points]).T
-            assert np.array(state.amplitudes).tobytes() == amplitudes.tobytes()
+            # and the harmonics, which add the output amplitudes
+            for k, column in enumerate(state.harmonics):
+                want = np.array([trig_coefficients(p)[k] for p in points])
+                assert (column.dtype, column.tobytes()) == (want.dtype, want.tobytes()), (fixed, k)
 
     @given(
         rows=st.lists(st.tuples(_GAIN, _PART, _PART, _GAIN), min_size=1, max_size=12),

@@ -93,6 +93,24 @@ class TestSweepSpec:
                 with pytest.raises(ValueError, match=match):
                     spec_(**kw)
 
+    @given(
+        start=st.floats(-1e300, 1e300),
+        stop=st.floats(-1e300, 1e300),
+        count=st.integers(2, 2000),
+    )
+    @example(start=0.5, stop=1.5, count=20)
+    @example(start=0.0, stop=math.nextafter(1.0, 2.0), count=3)
+    @example(start=math.nextafter(1.0, 0.0), stop=math.nextafter(1.0, 2.0), count=1000)
+    @example(start=-1e-310, stop=5e-324, count=2000)
+    @settings(max_examples=300, deadline=None)
+    def test_grid_runs_from_start_to_stop(self, start, stop, count):
+        # the parameter bounds are intervals, so a sweep checks its grid's two
+        # ends alone: that holds only if no point lies outside them
+        assume(start < stop)
+        grid = spec_(start=start, stop=stop, count=count).grid().tolist()
+        assert len(grid) == count and grid[0] == start and grid[-1] == stop
+        assert all(start <= x <= stop for x in grid)
+
     def test_rejects_override_naming_no_parameter(self):
         spec = spec_(series=(SweepSeries("typo", {"gain": 1.0}),))
         with pytest.raises(TypeError, match=r"name no parameter: \['gain'\]"):
@@ -1067,31 +1085,44 @@ class TestRowRoute:
         return SweepSpec(variable, start, stop, count, fixed, quantities, series)
 
     @pytest.mark.parametrize(
-        "variable, start, stop, overrides, error, message",
+        "variable, start, stop, count, overrides, error, message",
         [
-            pytest.param("g", -1.0, 1.0, [{}], ValueError, "gain g must be >= 0", id="g-below-0"),
-            pytest.param("t1", 0.5, 1.5, [{}], ValueError,
+            pytest.param("g", -1.0, 1.0, 5, [{}], ValueError, "gain g must be >= 0", id="g-below-0"),
+            pytest.param("t1", 0.5, 1.5, 5, [{}], ValueError,
                          "transmittance t1 must lie in [0, 1], got 1.25", id="t1-above-1"),
-            pytest.param("g", 0.0, 1.0, [{"r": 0.5}, {"r": -0.3}], ValueError,
+            pytest.param("t1", 0.5, 1.5, 20, [{}], ValueError,
+                         "transmittance t1 must lie in [0, 1], got 1.026315789473684",
+                         id="t1-above-1-at-20"),
+            # only the last grid point fails
+            pytest.param("t2", 0.0, math.nextafter(1.0, 2.0), 3, [{}], ValueError,
+                         "transmittance t2 must lie in [0, 1], got 1.0000000000000002",
+                         id="t2-one-ulp-above-1"),
+            pytest.param("g", 0.0, 1.0, 5, [{"r": 0.5}, {"r": -0.3}], ValueError,
                          "squeezing r must be >= 0", id="negative-r-override"),
-            pytest.param("eta", 0.0, 2.0, [{}], ValueError,
+            pytest.param("eta", 0.0, 2.0, 5, [{}], ValueError,
                          "eta must be finite and lie in [0, 1], got 1.5", id="eta-above-1"),
-            pytest.param("g", 0.0, 1.0, [{"eta": -0.5}], ValueError,
+            pytest.param("g", 0.0, 1.0, 5, [{"eta": -0.5}], ValueError,
                          "eta must be finite and lie in [0, 1], got -0.5", id="eta-override"),
-            pytest.param("t_k", 0.2, 1.0, [{"r": 0.3}], ValueError,
+            pytest.param("t_k", 0.2, 1.0, 5, [{"r": 0.3}], ValueError,
                          "t_k sweeps need a series sweep_target of t1 or t2", id="t_k-no-target"),
-            pytest.param("g", 0.0, 1.0, [{"gain": 1.0}], TypeError,
+            pytest.param("g", 0.0, 1.0, 5, [{"gain": 1.0}], TypeError,
                          "series overrides name no parameter: ['gain']", id="unknown-override"),
-            pytest.param("phi", 0.0, 1.0, [{"t2": math.nan}], ValueError,
+            pytest.param("phi", 0.0, 1.0, 5, [{"t2": math.nan}], ValueError,
                          "t2 must be finite, got nan", id="nan-override"),
-            pytest.param("r", 0.0, 1.0, [{"g": 1j}], TypeError, None, id="complex-gain"),
-            pytest.param("g", 0.0, 1.0, [{"r": "1"}], TypeError, None, id="text-r"),
+            pytest.param("r", 0.0, 1.0, 5, [{"g": 1j}], TypeError, None, id="complex-gain"),
+            pytest.param("g", 0.0, 1.0, 5, [{"r": "1"}], TypeError, None, id="text-r"),
+            # a list is one value, not a column of the grid, whatever its length
+            pytest.param("g", 0.0, 1.0, 3, [{"r": [0.1, -5.0, 0.3]}], TypeError,
+                         "must be real number, not list", id="list-override"),
+            pytest.param("g", 0.0, 1.0, 5, [{"r": [0.1, 0.3]}], TypeError,
+                         "must be real number, not list", id="short-list-override"),
         ],
     )
-    def test_invalid_grid_raises_as_row_route(self, variable, start, stop, overrides, error, message):
-        # the series is validated once over its columns; the error is the one
+    def test_invalid_grid_raises_as_row_route(self, variable, start, stop, count, overrides, error,
+                                              message):
+        # the series is checked at its grid's ends; the error is the one
         # building each point's parameters in turn raised
-        spec = self._spec(variable, start, stop, overrides)
+        spec = self._spec(variable, start, stop, overrides, count=count)
         with pytest.raises(error) as want:
             row_route.run_sweep(spec)
         with pytest.raises(error) as got:
