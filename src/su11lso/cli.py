@@ -33,8 +33,8 @@ from .sweeps import (
     SWEEP_VARIABLES,
     SweepSeries,
     SweepSpec,
+    _evaluate_series,
     _param_columns,
-    _series_cells,
     figure_preset,
     json_value,
     r_series,
@@ -154,8 +154,9 @@ def _cmd_point(args) -> int:
     # the point's sweep row: a series of one
     state = _series(params)
     columns = _param_columns([*state.columns, args.eta], 1)
-    _, *cells, flags = _series_cells("", state, [args.eta], columns, quantities)
-    payload = {c: json_value(v[0]) for c, v in zip((*PARAM_COLUMNS, *quantities), cells)}
+    cells, flags = _evaluate_series(state, [args.eta], quantities)
+    payload = {c: json_value(v[0]) for c, v in zip(PARAM_COLUMNS, columns)}
+    payload.update((q, json_value(cells[q][0])) for q in quantities)
     flags = flags[0].split(";") if flags[0] else []
     payload["flags"] = flags
     print(json.dumps(payload, allow_nan=False))

@@ -33,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -60,12 +61,14 @@ class InterferometerParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        # one comparison chain accepts every valid point; the field checks
-        # below run only for a point it rejects (or fails to compare), and
-        # name what is wrong
+        # one comparison chain accepts every valid point of Python floats
+        # (alpha complex too); the field checks below run only for a point it
+        # rejects (or fails to compare, or of other types), and name what is wrong
         try:
             if (
-                0.0 <= self.g < math.inf and 0.0 <= self.r < math.inf
+                float is type(self.g) is type(self.r) is type(self.t1) is type(self.t2)
+                is type(self.phi) and type(self.alpha) in _FLOAT_OR_COMPLEX
+                and 0.0 <= self.g < math.inf and 0.0 <= self.r < math.inf
                 and 0.0 <= self.t1 <= 1.0 and 0.0 <= self.t2 <= 1.0
                 and -math.inf < self.phi < math.inf and cmath.isfinite(self.alpha)
             ):
@@ -74,6 +77,7 @@ class InterferometerParams:
             pass
         for name in ("g", "alpha", "r", "t1", "t2", "phi"):
             value = getattr(self, name)
+            _check_number(name, value)
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.g < 0:
@@ -87,6 +91,15 @@ class InterferometerParams:
 
     def replace(self, **kw) -> "InterferometerParams":
         return replace(self, **kw)
+
+
+_FLOAT_OR_COMPLEX = frozenset((float, complex))
+
+
+def _check_number(name: str, value) -> None:
+    """Reject a bool or an array, which would compare and read as a number."""
+    if isinstance(value, (bool, np.bool_, np.ndarray)):
+        raise TypeError(f"{name} must be a number, not {type(value).__name__}")
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
@@ -267,10 +280,13 @@ class _Series:
 
     @cached_property
     def exponent(self) -> _Exponent:
+        return _Exponent(*(_per_point(v, self.n) for v in self.entries()))
+
+    def entries(self) -> _Exponent:
+        """The exponent entries, built on each call: numbers, or (n,) arrays."""
         g, alpha, r = self.columns[:3]
         if not any(isinstance(c, list) for c in (g, alpha, r)):
-            entries = moment_table(InterferometerParams(g, alpha, r))._exponent
-            return _Exponent(*(_per_point(v, self.n) for v in entries))
+            return moment_table(InterferometerParams(g, alpha, r))._exponent
         # -0.0 keys as +0.0, as in moment_table
         g, r = (np.array(c, dtype=float) + 0.0 if isinstance(c, list) else float(c) + 0.0
                 for c in (g, r))
@@ -284,7 +300,7 @@ class _Series:
         if not finite:  # raise the error of the first point that overflows alone
             for point in zip(*(np.broadcast_to(v, (self.n,)).tolist() for v in (g, alpha, r))):
                 _exponent_entries(*point)
-        return _Exponent(*(_per_point(v, self.n) for v in entries))
+        return entries
 
     @cached_property
     def harmonics(self) -> tuple:
@@ -296,6 +312,29 @@ class _Series:
         cg, sg = _cosh_sinh("g", g)
         with np.errstate(all="ignore"):  # trig_coefficients reports the overflow
             return _harmonics(e, np.sqrt(t1 * t2) * cg, np.sqrt(t2) * sg)
+
+
+def _joined(states: list[_Series]) -> _Series:
+    """The points of several states as one state: each state's exponent
+    entries are joined, so every point keeps its bits; a column is one
+    value where every state holds that same object."""
+    if len(states) == 1:
+        return states[0]
+    columns = []
+    for values in zip(*(s.columns for s in states)):
+        first = values[0]
+        if not isinstance(first, list) and all(v is first for v in values):
+            columns.append(first)
+        else:
+            columns.append(list(chain.from_iterable(
+                v if isinstance(v, list) else repeat(v, s.n) for s, v in zip(states, values)
+            )))
+    joined = _Series(columns, sum(s.n for s in states))
+    joined.exponent = _Exponent(*(
+        np.concatenate([np.broadcast_to(v, (s.n,)) for s, v in zip(states, values)])
+        for values in zip(*(s.entries() for s in states))
+    ))
+    return joined
 
 
 def _per_point(value, n: int) -> np.ndarray:

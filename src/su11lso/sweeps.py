@@ -14,19 +14,20 @@ empty, never as silent omissions.
 A series is its columns (``moments._Series``): the swept parameter as the
 grid, every other one as one value, checked by building
 ``InterferometerParams`` at the grid's two ends (at every point only
-where one fails).  One evaluator, ``_evaluate_series``, fills a series'
-cells, one call per quantity on that one state (its exponent and
-harmonics are each built once), and alone decides which overflow a
-failing series reports: the first that evaluating it point by point
-meets, ``delta_phi_min`` first.  ``point`` evaluates its point as a series
-of one, so it prints the values, flags and overflow error of the sweep
-row at that point.
+where one fails).  A sweep is one evaluation: one evaluator,
+``_evaluate_series``, fills the cells of its series' joined state
+(``moments._joined``), one call per quantity, and alone decides which
+overflow a failing series reports: the first that evaluating it point by
+point meets, ``delta_phi_min`` first.  A failing sweep replays series by
+series, so it reports the first failing series' error.  ``point``
+evaluates its point as a series of one, so it prints the values, flags
+and overflow error of the sweep row at that point.
 
 A result stays in columns from evaluation to output: ``run_sweep`` returns
 a ``SweepResult`` holding, per series, the label, parameter, quantity and
-flags columns, and builds no row.  ``render_csv`` formats it a series and
-a column at a time, so a nonzero column constant within a series is
-formatted once; ``render_jsonl`` and ``point`` read the same columns.
+flags columns, and builds no row.  ``render_csv`` renders each series
+through one row template (``render_csv``); ``render_jsonl`` and ``point``
+read the same columns.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from .metrology import (
     sql_hl,
     total_photon_number,
 )
-from .moments import _FIELDS, InterferometerParams, _Series, _series
+from .moments import _FIELDS, InterferometerParams, _check_number, _joined, _Series, _series
 
 
 def _cells(report, name):
@@ -132,13 +135,13 @@ def _param_columns(values: list, n: int) -> list[list]:
     return [v if isinstance(v, list) else [v] * n for v in (g, alpha, *rest)]
 
 
-def _series_points(spec: SweepSpec, series: SweepSeries) -> tuple[_Series, list[float], list[list]]:
-    """The state of one series' grid points (``moments._Series``: the swept
-    column the grid, every other column one value), validated; the eta of
-    each point; its parameter columns (``_param_columns``).  Each bound of
-    ``InterferometerParams`` is an interval and the grid runs from start to
-    stop, so its two ends check every point; only where one fails is each
-    point built in turn, to raise the first failing point's error."""
+def _series_points(spec: SweepSpec, series: SweepSeries, grid: list[float]) -> tuple[_Series, list]:
+    """The state of one series' points (``moments._Series``: the swept
+    column the grid, every other column one value), validated, and the eta
+    of each point.  Each bound of ``InterferometerParams`` is an interval
+    and the grid runs from start to stop, so its two ends check every
+    point; only where one fails is each point built in turn, to raise the
+    first failing point's error."""
     values = {name: getattr(spec.fixed, name) for name in _FIELDS}
     values["eta"] = spec.eta
     values.update(series.overrides)
@@ -151,7 +154,6 @@ def _series_points(spec: SweepSpec, series: SweepSeries) -> tuple[_Series, list[
     args = [values.pop(name) for name in PARAM_COLUMNS]
     if values:
         raise TypeError(f"series overrides name no parameter: {sorted(values)}")
-    grid = spec.grid().tolist()
     i = PARAM_COLUMNS.index(target)
     try:  # before the columns read alpha's real and imaginary parts
         for value in (grid[0], grid[-1]):
@@ -162,10 +164,11 @@ def _series_points(spec: SweepSpec, series: SweepSeries) -> tuple[_Series, list[
             args[i] = value
             InterferometerParams(*args[:-1])
         raise
+    if target != "eta":  # eta is no field of InterferometerParams
+        _check_number("eta", args[-1])
     args[i] = grid
-    state = _Series(args[:-1], len(grid))
-    columns = _param_columns(args, len(grid))
-    return state, columns[-1], columns
+    eta = args.pop()
+    return _Series(args, len(grid)), eta if isinstance(eta, list) else [eta] * len(grid)
 
 
 _FLAG_BITS = {"divergent": 1, "degenerate": 2, "unbounded": 4}
@@ -254,26 +257,32 @@ class SweepResult:
         return sum(len(cells[0]) for cells in self.series)
 
 
-def _series_cells(
-    label: str, state: _Series, etas: list[float], params: list[list], quantities: tuple[str, ...]
-) -> tuple[list, ...]:
-    """One series' columns, in ``sweep_columns`` order: the label, the
-    parameter columns params, each quantity's cells (``_evaluate_series``
-    of state), the flags."""
-    cells, flags = _evaluate_series(state, etas, quantities)
-    return ([label] * len(state), *params, *(cells[q] for q in quantities), flags)
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep; series-major, grid-minor row order, deterministic.
 
-    Each series is one ``_evaluate_series`` call, which also decides which
-    overflow a failing sweep reports.
+    All series are one ``_evaluate_series`` call on their joined state;
+    where it raises, they are replayed one at a time, so the sweep raises
+    the first failing series' error.  Every series holds the one grid list.
     """
-    series = []
-    for s in spec.series:
-        state, etas, params = _series_points(spec, s)
-        series.append(_series_cells(s.label, state, etas, params, spec.quantities))
+    grid = spec.grid().tolist()
+    try:
+        parts = [_series_points(spec, s, grid) for s in spec.series]
+        state = _joined([state for state, _ in parts])
+        etas = list(chain.from_iterable(etas for _, etas in parts))
+        cells, flags = _evaluate_series(state, etas, spec.quantities)
+    except (TypeError, ValueError):
+        for s in spec.series:
+            _evaluate_series(*_series_points(spec, s, grid), spec.quantities)
+        raise
+    series, start = [], 0
+    for s, (state, etas) in zip(spec.series, parts):
+        n = len(state)
+        rows = slice(start, start + n)
+        series.append((
+            [s.label] * n, *_param_columns([*state.columns, etas], n),
+            *(cells[q][rows] for q in spec.quantities), flags[rows],
+        ))
+        start += n
     return SweepResult(tuple(sweep_columns(spec)), tuple(series))
 
 
@@ -303,36 +312,56 @@ def json_value(value):
     return value
 
 
-def _format_column(values: list) -> list:
-    """``_format_cell`` of each value of one column, a column at a time."""
+def _column_text(values: list):
+    """``_format_cell`` of each value of one column: one text where every
+    cell reads alike, else the list of the cells' texts."""
+    first = values[0]
     kinds = set(map(type, values))
     if kinds == {float}:
-        # equal floats format alike, except the zeros: -0.0 == 0.0
-        if values[0] != 0.0 and values.count(values[0]) == len(values):
-            return [format(values[0], _NUMBER_FORMAT)] * len(values)
+        # equal floats format alike, but for the signs of zero: -0.0 == 0.0
+        if values.count(first) == len(values) and (
+            first or array("d", values).tobytes() == array("d", [first]).tobytes() * len(values)
+        ):
+            return format(first, _NUMBER_FORMAT)
         # float.__format__ spares format()'s dispatch: the same text, faster
         return list(map(float.__format__, values, repeat(_NUMBER_FORMAT)))
-    if kinds == {str} and values.count(values[0]) == len(values):
-        return [_format_cell(values[0])] * len(values)
+    if kinds <= {str, type(None)}:  # labels and flags: each distinct value once
+        texts = {v: _format_cell(v) for v in dict.fromkeys(values)}
+        return texts[first] if len(texts) == 1 else list(map(texts.__getitem__, values))
+    if kinds == {float, type(None)}:  # flagged cells among floats
+        return ["" if v is None else float.__format__(v, _NUMBER_FORMAT) for v in values]
     return list(map(_format_cell, values))
 
 
-# rows formatted a column at a time together: fewer cells held at once, and
-# faster (fig2 at 200,000 rows: a fifth less traced peak and about a third
-# less time than formatting each series whole)
-_CSV_BLOCK = 256
-
-
 def render_csv(result: SweepResult) -> str:
-    """The CSV text: one series at a time, at most ``_CSV_BLOCK`` rows of it
-    at once, so a column constant within a series (but for a zero) is
-    formatted once.  The blocks save memory and time (``_CSV_BLOCK``)."""
-    lines = [",".join(result.columns)]
+    """The CSV text, each series through one row template: a column constant
+    within the series is formatted once, into the template's pieces, and a
+    column list several series hold (the grid) once per render."""
+    held = Counter(id(c) for cells in result.series for c in cells)
+    shared = {}
+    chunks = [",".join(result.columns) + "\n"]
     for cells in result.series:
-        for start in range(0, len(cells[0]), _CSV_BLOCK):
-            block = [_format_column(c[start : start + _CSV_BLOCK]) for c in cells]
-            lines += map(",".join, zip(*block))
-    return "\n".join(lines) + "\n"
+        if not cells[0]:
+            continue
+        # a row is pieces[0], filled[0][i], pieces[1], ..., filled[-1][i], pieces[-1]
+        pieces, filled = [""], []
+        for c in cells:
+            text = shared.get(id(c))
+            if text is None:
+                text = _column_text(c)
+                if held[id(c)] > 1:
+                    shared[id(c)] = text
+            if isinstance(text, str):
+                pieces[-1] += text + ","
+            else:
+                filled.append(text)
+                pieces.append(",")
+        pieces[-1] = pieces[-1][:-1] + "\n"
+        row = [repeat(pieces[0], len(cells[0]))]
+        for texts, piece in zip(filled, pieces[1:]):
+            row += (texts, repeat(piece))
+        chunks.append("".join(chain.from_iterable(zip(*row))))
+    return "".join(chunks)
 
 
 def render_jsonl(result: SweepResult) -> str:

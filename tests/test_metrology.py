@@ -28,7 +28,7 @@ from su11lso.metrology import (
     sql_hl,
     total_photon_number,
 )
-from su11lso import moments
+from su11lso import metrology, moments
 from su11lso.moments import InterferometerParams, quadrature_stats, trig_coefficients
 from su11lso.sweeps import SweepSpec, run_sweep
 
@@ -519,6 +519,16 @@ class TestBatchOptimum:
             assert status == "ok" and type(one.delta_phi_min) is float, p
             assert (phi, best) == (one.phi_opt, one.delta_phi_min), p
             assert (phi, best) == reference, p
+
+    def test_quartic_blocks_keep_the_bits(self, monkeypatch):
+        # a batch forms its quartics in blocks of points; blocks of 7 (and a
+        # last one of 3) give every point the one-block bits
+        points = _random_lossy_points(38, seed=5)
+        whole = optimal_phase(points)
+        monkeypatch.setattr(metrology, "_QUARTIC_BLOCK", 7)
+        blocked = optimal_phase(points)
+        for a, b in zip(dataclasses.astuple(whole), dataclasses.astuple(blocked)):
+            assert a.tobytes() == b.tobytes()
 
     def test_batch_curve_rows_are_single_point_curves(self):
         points = _random_lossy_points(20, seed=3)

@@ -95,10 +95,28 @@ class TestParams:
         for fields in (
             dict(g=-0.0, alpha=-0.0, r=-0.0, t1=0.0, t2=1.0, phi=-1e308),
             dict(g=1e308, alpha=complex(-1e308, 1e308), r=5e-324, t1=1.0, t2=0.0, phi=0.0),
-            dict(g=True, alpha=np.complex128(1j), r=np.float64(0.5), t1=1, t2=0.5, phi=2 + 0j),
+            dict(g=1, alpha=np.complex128(1j), r=np.float64(0.5), t1=1, t2=0.5, phi=2 + 0j),
+            dict(g=np.float32(0.5), alpha=np.float64(-1.0), r=np.int64(2), t1=0.5, t2=1, phi=1),
         ):
             p = InterferometerParams(**fields)
             assert [getattr(p, k) for k in fields] == list(fields.values())
+
+    @pytest.mark.parametrize("name", ["g", "alpha", "r", "t1", "t2", "phi"])
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(True, "bool"), (False, "bool"), (np.bool_(True), "bool"), (np.array(0.5), "ndarray"),
+         (np.array([0.5]), "ndarray"), (np.array([[0.5]]), "ndarray"),
+         (np.array([0.5, 0.6]), "ndarray"), (np.array([]), "ndarray")],
+        ids=["True", "False", "np.True_", "0-d", "1-d", "2-d", "two", "empty"],
+    )
+    def test_bool_and_array_rejected(self, name, value, kind):
+        # each would compare as a number: a bool reads as 0 or 1, and a
+        # one-element array fails only later, in numpy
+        fields = dict(g=1.0, alpha=1.0, r=0.3, t1=1.0, t2=1.0, phi=0.2)
+        fields[name] = value
+        with pytest.raises(TypeError) as exc:
+            InterferometerParams(**fields)
+        assert str(exc.value) == f"{name} must be a number, not {kind}"
 
     def test_value_semantics(self):
         p = InterferometerParams(1.0, 0.5 + 0.5j, 0.3, 0.9, 0.8, 0.2)

@@ -38,7 +38,7 @@ from su11lso.sweeps import (
     SweepSeries,
     SweepSpec,
     figure_preset,
-    _CSV_BLOCK,
+    r_series,
     _format_cell,
     render_csv,
     run_sweep,
@@ -125,6 +125,28 @@ class TestSweepSpec:
         with pytest.raises(TypeError) as raised:
             run_sweep(spec)
         assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "overrides, eta, message",
+        [
+            ({"r": True}, 1.0, "r must be a number, not bool"),
+            ({"g": np.array([0.5])}, 1.0, "g must be a number, not ndarray"),
+            ({"alpha": np.array(1j)}, 1.0, "alpha must be a number, not ndarray"),
+            ({"t2": np.bool_(False)}, 1.0, "t2 must be a number, not bool"),
+            ({"eta": True}, 1.0, "eta must be a number, not bool"),
+            ({"eta": np.array([0.5])}, 1.0, "eta must be a number, not ndarray"),
+            ({}, False, "eta must be a number, not bool"),
+        ],
+        ids=["bool-r", "array-g", "0-d-alpha", "numpy-bool-t2", "bool-eta", "array-eta",
+             "bool-spec-eta"],
+    )
+    def test_rejects_bool_and_array_values(self, overrides, eta, message):
+        # a bool or an array would compare as a number; a valid series first
+        spec = spec_(series=(SweepSeries("ok"), SweepSeries("bad", overrides)), eta=eta,
+                     quantities=("qfi_lossy",))
+        with pytest.raises(TypeError) as raised:
+            run_sweep(spec)
+        assert str(raised.value) == message
 
 
 class TestRunSweep:
@@ -1021,12 +1043,17 @@ class TestPointMatchesSweepRow:
         assert not out.exists()
 
 
+# rows per series of the long specs: more than the 256-row blocks the CSV
+# was once formatted in
+LONG_SERIES = 300
+
+
 def _long_series_spec():
-    """Series longer than one CSV block, complex alpha, a constant -0.0
-    column (r = -0.0) and flagged rows (phi = 0 carries no information)."""
+    """Long series, complex alpha, a constant -0.0 column (r = -0.0) and
+    flagged rows (phi = 0 carries no information)."""
     series = tuple(SweepSeries(f"r={r!r}", {"r": r}) for r in (0.0, -0.0, 0.5))
     fixed = InterferometerParams(g=0.8, alpha=0.7 + 0.3j, r=0.0, t1=0.9)
-    return SweepSpec("phi", 0.0, 3.0, _CSV_BLOCK + 44, fixed, QUANTITIES, series, eta=0.6)
+    return SweepSpec("phi", 0.0, 3.0, LONG_SERIES, fixed, QUANTITIES, series, eta=0.6)
 
 
 def _vacuum_spec():
@@ -1046,7 +1073,7 @@ class TestRowRoute:
         [
             pytest.param(_long_series_spec, id="long-series"),
             pytest.param(_vacuum_spec, id="vacuum"),
-            pytest.param(lambda: figure_preset("fig5", points=_CSV_BLOCK + 44), id="fig5-long"),
+            pytest.param(lambda: figure_preset("fig5", points=LONG_SERIES), id="fig5-long"),
             *(pytest.param(lambda name=name: figure_preset(name, points=20), id=f"{name}-20")
               for name in sorted(FIGURE_PRESETS)),
         ],
@@ -1227,18 +1254,35 @@ SWEEP_RANGES = {
     "t1": (0.0, 1.0), "t2": (0.0, 1.0), "t_k": (0.0, 1.0), "eta": (0.0, 1.0),
 }
 
-T_K_SERIES = (
-    SweepSeries("internal", {"sweep_target": "t1"}),
-    SweepSeries("external", {"sweep_target": "t2"}),
-)
+# the series of a sweep: one, a family of r curves (r = 0 and -0.0 among
+# them), or of complex amplitudes (alpha = 0 among them); a t_k sweep places
+# each of them inside (t1) and after (t2) the second squeezer
+SERIES_FAMILIES = {
+    "one": (SweepSeries(),),
+    "r": (*r_series((0.0, 0.3, 1.2)), SweepSeries("r=-0", {"r": -0.0})),
+    "alpha": tuple(SweepSeries(f"alpha={a}", {"alpha": a}) for a in (0.5 - 0.7j, -1.2 + 0.3j, 0.0)),
+}
+
+
+def sweep_series(variable, family):
+    series = SERIES_FAMILIES[family]
+    if variable != "t_k":
+        return series
+    return tuple(
+        SweepSeries(f"{s.label} {place}", {**s.overrides, "sweep_target": target})
+        for s in series
+        for place, target in (("internal", "t1"), ("external", "t2"))
+    )
 
 
 class TestBatchEqualsScalar:
-    """run_sweep evaluates each quantity of a series in one call; every row
-    must still be the scalar API's point, bit for bit."""
+    """run_sweep evaluates each quantity of a whole sweep, all its series
+    joined, in one call; every row must still be the scalar API's point, bit
+    for bit."""
 
     @given(
         variable=st.sampled_from(SWEEP_VARIABLES),
+        family=st.sampled_from(sorted(SERIES_FAMILIES)),
         ends=st.tuples(st.floats(0, 1), st.floats(0, 1)),
         count=st.integers(2, 40),
         g=st.floats(0, 2),
@@ -1253,21 +1297,31 @@ class TestBatchEqualsScalar:
     # the grid starts at a zero of the swept variable, and the fixed point
     # sits on a zero: alpha = 0 and -0.0, g = 0, r = 0, t1 = 0, eta 0 and 1,
     # and the vacuum g = alpha = r = 0
-    @example(variable="phi", ends=(0.4, 0.6), count=5, g=0.0, re_a=0.0, im_a=0.0, r=0.0,
-             t1=1.0, t2=1.0, phi=0.0, eta=0.5)
-    @example(variable="g", ends=(0.0, 0.5), count=7, g=0.0, re_a=-0.0, im_a=0.0, r=0.3,
-             t1=0.8, t2=0.9, phi=0.7, eta=0.0)
-    @example(variable="alpha", ends=(0.25, 0.75), count=9, g=0.0, re_a=0.0, im_a=-0.0, r=0.0,
-             t1=1.0, t2=1.0, phi=1.1, eta=1.0)
-    @example(variable="r", ends=(0.0, 1.0), count=6, g=0.6, re_a=0.5, im_a=-0.5, r=0.0,
-             t1=0.0, t2=0.7, phi=0.9, eta=0.3)
-    @example(variable="eta", ends=(0.0, 1.0), count=3, g=0.0, re_a=0.0, im_a=0.0, r=0.0,
-             t1=1.0, t2=1.0, phi=0.4, eta=1.0)
-    @example(variable="t_k", ends=(0.0, 1.0), count=4, g=1.0, re_a=-0.0, im_a=-0.0, r=0.6,
-             t1=1.0, t2=1.0, phi=0.3, eta=0.0)
+    @example(variable="phi", family="one", ends=(0.4, 0.6), count=5, g=0.0, re_a=0.0,
+             im_a=0.0, r=0.0, t1=1.0, t2=1.0, phi=0.0, eta=0.5)
+    @example(variable="g", family="one", ends=(0.0, 0.5), count=7, g=0.0, re_a=-0.0, im_a=0.0,
+             r=0.3, t1=0.8, t2=0.9, phi=0.7, eta=0.0)
+    @example(variable="alpha", family="one", ends=(0.25, 0.75), count=9, g=0.0, re_a=0.0,
+             im_a=-0.0, r=0.0, t1=1.0, t2=1.0, phi=1.1, eta=1.0)
+    @example(variable="r", family="one", ends=(0.0, 1.0), count=6, g=0.6, re_a=0.5, im_a=-0.5,
+             r=0.0, t1=0.0, t2=0.7, phi=0.9, eta=0.3)
+    @example(variable="eta", family="one", ends=(0.0, 1.0), count=3, g=0.0, re_a=0.0, im_a=0.0,
+             r=0.0, t1=1.0, t2=1.0, phi=0.4, eta=1.0)
+    @example(variable="t_k", family="one", ends=(0.0, 1.0), count=4, g=1.0, re_a=-0.0,
+             im_a=-0.0, r=0.6, t1=1.0, t2=1.0, phi=0.3, eta=0.0)
+    # joined series: flagged and unflagged ones, a fixed point and a swept
+    # (g, alpha, r) side by side
+    @example(variable="phi", family="r", ends=(0.0, 0.5), count=5, g=1.0, re_a=1.0, im_a=0.0,
+             r=0.0, t1=1.0, t2=1.0, phi=0.0, eta=0.5)
+    @example(variable="g", family="alpha", ends=(0.0, 0.5), count=6, g=0.0, re_a=0.0, im_a=0.0,
+             r=0.3, t1=0.8, t2=0.9, phi=0.0, eta=0.0)
+    @example(variable="t_k", family="r", ends=(0.0, 1.0), count=4, g=1.0, re_a=0.7, im_a=0.3,
+             r=0.6, t1=1.0, t2=1.0, phi=0.3, eta=0.4)
+    @example(variable="eta", family="alpha", ends=(0.0, 1.0), count=3, g=0.0, re_a=0.0,
+             im_a=0.0, r=0.0, t1=1.0, t2=1.0, phi=0.4, eta=1.0)
     @settings(max_examples=40, deadline=None)
     def test_rows_equal_the_scalar_api(
-        self, variable, ends, count, g, re_a, im_a, r, t1, t2, phi, eta
+        self, variable, family, ends, count, g, re_a, im_a, r, t1, t2, phi, eta
     ):
         lo, hi = SWEEP_RANGES[variable]
         start, stop = (lo + (hi - lo) * u for u in sorted(ends))
@@ -1275,7 +1329,7 @@ class TestBatchEqualsScalar:
         spec = SweepSpec(
             variable, start, stop, count,
             InterferometerParams(g=g, alpha=complex(re_a, im_a), r=r, t1=t1, t2=t2, phi=phi),
-            QUANTITIES, T_K_SERIES if variable == "t_k" else (SweepSeries(),), eta,
+            QUANTITIES, sweep_series(variable, family), eta,
         )
         result = run_sweep(spec)
         points = list(series_points(spec))
@@ -1285,6 +1339,30 @@ class TestBatchEqualsScalar:
             cells, flags = scalar_row(p, point_eta, QUANTITIES)
             assert row_flags == flags, p
             assert [bits(v) for v in row] == [bits(cells[q]) for q in QUANTITIES], p
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            # fails only in its optimum, which a joined batch solves first
+            pytest.param({"r": 300.0}, id="optimum"),
+            # fails in its parameters, read before any series is evaluated
+            pytest.param({"r": -1.0}, id="parameters"),
+        ],
+    )
+    def test_first_failing_series_names_the_error(self, second):
+        # the first series' optimum is finite; only its N overflows
+        fixed = InterferometerParams(g=1.0, alpha=1.0, r=0.0)
+        series = (SweepSeries("a", {"alpha": 1e200}), SweepSeries("b", second))
+        spec = SweepSpec("phi", 0.0, 1.0, 3, fixed, ("N", "delta_phi_min"), series)
+        with pytest.raises(ValueError) as alone:
+            run_sweep(SweepSpec("phi", 0.0, 1.0, 3, fixed, ("N", "delta_phi_min"), series[1:]))
+        with pytest.raises(ValueError) as want:
+            row_route.run_sweep(spec)
+        with pytest.raises(ValueError) as got:
+            run_sweep(spec)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "photon number N overflows at g=1, alpha=1e+200+0j, r=0"
+        assert str(alone.value) != str(got.value)
 
     @pytest.mark.parametrize(
         "variable, start, stop, count, fixed, quantities",
