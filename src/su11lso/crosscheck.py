@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import DegenerateConfigurationError, DivergentSensitivityError
 from .fock import DEFAULT_MAX_DIM, SensitivityOracle
@@ -136,14 +137,15 @@ def run_cross_check(
 ) -> CrossCheckResult:
     """Compare delta-phi, N, and F across the two routes over the grid.
 
-    One oracle engine serves each (alpha, g, r); transmittance pairs are
-    grouped by internal loss so a single second-squeezer pass covers both
-    external-loss values and every requested phi.  The oracle returns <X>,
-    <X^2> and the exact phase slope d<X>/dphi, from which each cell forms
-    Var X and delta-phi.  A t1 group that the analytic route finds
-    divergent throughout skips the oracle only once an earlier such group
-    of the same engine had its divergence confirmed by the oracle.
-    progress, if given, receives each finished group's cells.
+    One oracle engine serves each (alpha, g, r), and one oracle call sweeps
+    all of its transmittance pairs, grouped by internal loss t1, at every
+    requested phi.  The oracle returns <X>, <X^2> and the exact phase slope
+    d<X>/dphi, from which each cell forms Var X and delta-phi.  Of the t1
+    groups that the analytic route finds divergent throughout, that call
+    sweeps only the first; a second call sweeps the rest only where the
+    oracle finds a phase slope in that first one, and does not confirm its
+    divergence.  progress, if given, receives each t1 group's cells, in
+    grid order, once its engine is done.
 
     A tolerance that is negative or not finite, a max_dim below 1, an
     empty grid axis, a non-real alpha, or a grid point that is no valid
@@ -182,9 +184,9 @@ def run_cross_check(
     t0 = time.time()
     result = CrossCheckResult(tolerance=rel_tol)
 
-    t1_groups: dict[float, list[float]] = {}
-    for t1, t2 in t_pairs:
-        t1_groups.setdefault(t1, []).append(t2)
+    phis = tuple(phis)
+    t1_groups = {t1: tuple(t2 for s, t2 in t_pairs if s == t1) for t1, _ in t_pairs}
+    keys = {t1: [(t1, t2, phi) for t2 in t2s for phi in phis] for t1, t2s in t1_groups.items()}
 
     for alpha, g, r, base, n_analytic, f_analytic in states:
         engine = SensitivityOracle(alpha, g, r, kraus_tol=_KRAUS_TOL, max_dim=max_dim)
@@ -192,14 +194,23 @@ def run_cross_check(
         f_oracle = engine.fisher_pure()
         f_oracle = f_oracle if abs(f_oracle) >= 1e-9 else None
         result.cells.append(_cell("F", "degeneracy", base, f_analytic, f_oracle))
-        divergence_confirmed = False
-        for t1, t2_values in t1_groups.items():
-            cells = _sensitivity_group(
-                base, engine, t1, tuple(t2_values), tuple(phis), divergence_confirmed
-            )
-            divergence_confirmed = divergence_confirmed or all(
-                c.flag == "divergent" for c in cells
-            )
+        analytic = {}
+        for t1, t2, phi in chain.from_iterable(keys.values()):
+            p = base.replace(t1=t1, t2=t2, phi=phi)
+            try:
+                analytic[t1, t2, phi] = phase_sensitivity(p).delta_phi
+            except DivergentSensitivityError:
+                analytic[t1, t2, phi] = None
+        # of the groups the analytic route finds divergent throughout, the
+        # oracle sweeps the rest only where it finds a slope in the first
+        divergent = [t1 for t1, group in keys.items() if all(analytic[k] is None for k in group)]
+        oracle = _oracle(engine, t1_groups, [t1 for t1 in keys if t1 not in divergent[1:]], phis)
+        if divergent[1:] and any(oracle[k] is not None for k in keys[divergent[0]]):
+            oracle.update(_oracle(engine, t1_groups, divergent[1:], phis))
+        for group in keys.values():
+            cells = [
+                _cell("delta_phi", "divergence", base, analytic[k], oracle.get(k), k) for k in group
+            ]
             result.cells.extend(cells)
             if progress is not None:
                 progress(cells)
@@ -207,23 +218,8 @@ def run_cross_check(
     return result
 
 
-def _sensitivity_group(base, engine, t1, t2_values, phis, divergence_confirmed):
-    """Delta-phi cells for one t1 group, all phases in one oracle batch."""
-    keys = [(t2, phi) for t2 in t2_values for phi in phis]
-    analytic = {}
-    for t2, phi in keys:
-        try:
-            analytic[t2, phi] = phase_sensitivity(base.replace(t1=t1, t2=t2, phi=phi)).delta_phi
-        except DivergentSensitivityError:
-            analytic[t2, phi] = None
-    oracle = dict.fromkeys(keys)
-    if not (divergence_confirmed and all(v is None for v in analytic.values())):
-        stats = engine.quadrature_statistics(t1, t2_values, phis)
-        for key in keys:
-            mean, second, slope = stats[key]
-            if abs(slope) >= SLOPE_FLOOR:
-                oracle[key] = math.sqrt(max(second - mean * mean, 0.0)) / abs(slope)
-    return [
-        _cell("delta_phi", "divergence", base, analytic[key], oracle[key], (t1, *key))
-        for key in keys
-    ]
+def _oracle(engine, t1_groups, t1s, phis):
+    """Oracle delta-phi per (t1, t2, phi) of the groups t1s; None without a phase slope."""
+    stats = engine.quadrature_statistics({t1: t1_groups[t1] for t1 in t1s}, phis)
+    return {k: math.sqrt(max(x2 - x * x, 0.0)) / abs(dx) if abs(dx) >= SLOPE_FLOOR else None
+            for k, (x, x2, dx) in stats.items()}

@@ -19,7 +19,8 @@ second squeezer roughly doubles that.
 A pure state is a (d_a, d_b) complex array psi[n_a, n_b].  The prep and
 the work grid escalate their cutoffs in one loop (``_escalate``), which
 checks the cell budget before every probe and grows each failing mode
-along its extrapolated occupation decay (``_predicted_dim``).
+along its extrapolated occupation decay (``_predicted_dim``).  One sweep
+per probe serves all internal-loss groups, and no call inherits a grid.
 
 Two routes compute these exponentials, on purpose.  The two-mode sectors
 carry most of the oracle's run time, so they use half-size factors of the
@@ -64,6 +65,7 @@ preparation and the mixed QFI keep the default count.  Without OpenBLAS
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -690,13 +692,13 @@ class SensitivityOracle:
     at a time together with its phase derivative, and reads <X>, <X^2> and
     the exact d<X>/dphi after external loss off the mode-a correlations
     (``_quadrature_moments``); ``su11lso.crosscheck`` forms Var X and
-    delta-phi from them.  One work grid serves all loss groups; it
-    escalates until the estimated relative moment error of the worst phase
-    block drops below tail_tol, which is where the post-gate amplification
-    bites.  Escalation starts from a grid around the engine's own prep
-    state (``_start_dims``) and only grows the grid; engines share no
-    state, so a result does not depend on which engines ran before.  A
-    tolerance that is negative or not finite raises ValueError naming it.
+    delta-phi from them.  One call sweeps all loss groups on one work grid;
+    it escalates until the estimated relative moment error of the worst
+    (group, phase) block drops below tail_tol, which is where the post-gate
+    amplification bites.  Escalation starts from a grid around the prep
+    (``_start_dims``) and only grows it; calls and engines share no state,
+    so a result does not depend on what ran before.  A tolerance that is
+    negative or not finite raises ValueError naming it.
     """
 
     def __init__(
@@ -723,8 +725,6 @@ class SensitivityOracle:
         # on the prep tails harder than the output quadratures do
         prep_tol = prep_tail_tol if prep_tail_tol is not None else min(tail_tol, DEFAULT_TAIL_TOL)
         self.prep, self.prep_diag = auto_prepared_state(alpha, g, r, prep_tol, max_dim)
-        self._work_dims: tuple | None = None
-        self._kraus_cache: dict = {}
 
     # -- pure-state quantities ----------------------------------------------
 
@@ -739,27 +739,25 @@ class SensitivityOracle:
         Kraus weight tolerance, cut the column count.  At t1 = 1 the family
         is the prep state itself.
         """
-        if t1 not in self._kraus_cache:
-            psi = self.prep
-            sigma = _mode_a_sigma(psi)
-            total = float(np.vdot(psi, psi).real)
-            u = _loss_family(sigma.diagonal().real, t1, total, self.kraus_tol)
-            lam, mix = np.linalg.eigh(_loss_grams(sigma, u, 1)[0])
-            lam = np.clip(lam[::-1], 0.0, None)
-            mix = mix[:, ::-1]
-            # keep the leading mixture components; the dropped weight obeys
-            # the same budget as the dropped Kraus tail
-            dropped_from = np.cumsum(lam[::-1])[::-1]
-            keep = int(np.searchsorted(-dropped_from, -self.kraus_tol))
-            keep = min(max(keep, 2), len(lam))
-            # row j = sum_l mix[l, j] Pi_l psi, with Pi_l psi = u_l * psi[l:]
-            d_a = psi.shape[0]
-            rows = np.zeros((keep,) + psi.shape, dtype=complex)
-            for l in range(u.shape[1]):
-                kraus = u[: d_a - l, l, None] * psi[l:]
-                rows[:, : d_a - l] += mix[l, :keep, None, None] * kraus
-            self._kraus_cache[t1] = rows.reshape(keep, -1)
-        return self._kraus_cache[t1]
+        psi = self.prep
+        sigma = _mode_a_sigma(psi)
+        total = float(np.vdot(psi, psi).real)
+        u = _loss_family(sigma.diagonal().real, t1, total, self.kraus_tol)
+        lam, mix = np.linalg.eigh(_loss_grams(sigma, u, 1)[0])
+        lam = np.clip(lam[::-1], 0.0, None)
+        mix = mix[:, ::-1]
+        # keep the leading mixture components; the dropped weight obeys
+        # the same budget as the dropped Kraus tail
+        dropped_from = np.cumsum(lam[::-1])[::-1]
+        keep = int(np.searchsorted(-dropped_from, -self.kraus_tol))
+        keep = min(max(keep, 2), len(lam))
+        # row j = sum_l mix[l, j] Pi_l psi, with Pi_l psi = u_l * psi[l:]
+        d_a = psi.shape[0]
+        rows = np.zeros((keep,) + psi.shape, dtype=complex)
+        for l in range(u.shape[1]):
+            kraus = u[: d_a - l, l, None] * psi[l:]
+            rows[:, : d_a - l] += mix[l, :keep, None, None] * kraus
+        return rows.reshape(keep, -1)
 
     def photon_number(self) -> float:
         na, _, nb = photon_number_stats(self.prep)
@@ -772,7 +770,7 @@ class SensitivityOracle:
     # -- lossy output statistics ----------------------------------------------
 
     def _start_dims(self, t1: float = 1.0) -> tuple[int, int]:
-        """The carried work grid, or a grid around the prep.
+        """A grid around the prep.
 
         The grid is square, d_a0 + 2 d_b0 + 12 for a (d_a0, d_b0) prep, with
         mode a widened to cosh(g)^2 t1 d_a0 where that is larger and the
@@ -783,8 +781,6 @@ class SensitivityOracle:
         """
         if self.g == 0.0:
             return self.prep.shape
-        if self._work_dims is not None:
-            return self._work_dims
         d_a0, d_b0 = self.prep.shape
         d = d_a0 + 2 * d_b0 + 12
         if d * d > self.max_dim:
@@ -794,63 +790,66 @@ class SensitivityOracle:
     @_one_blas_thread()
     def quadrature_statistics(
         self,
-        t1: float,
-        t2_values: tuple[float, ...],
+        groups: dict[float, tuple[float, ...]],
         phi_values: tuple[float, ...],
-    ) -> dict[tuple[float, float], tuple[float, float, float]]:
-        """{(t2, phi): (<X>, <X^2>, d<X>/dphi)} at the output, one t1 group per call.
+    ) -> dict[tuple[float, float, float], tuple[float, float, float]]:
+        """{(t1, t2, phi): (<X>, <X^2>, d<X>/dphi)} at the output, for loss groups {t1: t2s}.
 
         The slope is the exact derivative of the truncated model.  One work
-        grid serves every loss group of the engine: the first group
-        escalates it (``_escalate``, one ``_evaluate_at_dims`` sweep per
-        probe) and later groups start from it.  Convergence is judged on the
-        estimated relative second-moment error of the worst phase block; the
-        norm deficit, the prep truncation plus the dropped Kraus weight, may
-        reach four times their sum.  It all runs on one BLAS thread.
+        grid and one sweep per probe serve every group, so each sector chain
+        is factorized once for all of them.  It escalates (``_escalate``, one
+        ``_evaluate_at_dims`` sweep per probe) from ``_start_dims`` of the
+        largest t1 until the estimated relative second-moment error of the
+        worst (group, phase) block passes; the norm deficit, the prep
+        truncation plus the dropped Kraus weight, may reach four times their
+        sum.  It all runs on one BLAS thread.
         """
+        kraus = [self._kraus_rows_for(t1) for t1 in groups]
         norm_budget = 4.0 * (self.kraus_tol + self.prep_diag.norm_deficit + 1e-13)
-        result, _, self._work_dims = _escalate(
-            lambda d_a, d_b: self._evaluate_at_dims(t1, t2_values, phi_values, d_a, d_b),
-            self._start_dims(t1),
+        result, _, _ = _escalate(
+            lambda d_a, d_b: self._evaluate_at_dims(groups, kraus, phi_values, d_a, d_b),
+            self._start_dims(max(groups)),
             norm_budget,
             self.max_dim,
             "output statistics",
         )
         return result
 
-    def _evaluate_at_dims(self, t1, t2_values, phi_values, d_a, d_b):
+    def _evaluate_at_dims(self, groups, kraus, phi_values, d_a, d_b):
         """Output statistics at one work grid, streamed sector by sector.
 
         The second squeezer conserves n_a - n_b.  Each sector's columns,
-        one per phase and Kraus vector, are filled from the prep grid (the
-        chain's prefix inside it; the rest is zero) and joined by their phase
-        derivatives -i n_a x, transformed in one pass, and folded into the
-        mode-a correlations and mode-b marginals before the next sector.
-        Offset-o correlations pair sector k with sector k - o at equal n_b,
-        so only the last two outputs are kept; the offset-1 pairing also
-        gives the phase derivative of corr[1].  Diagnostics read the value
+        one per phase and Kraus vector (kraus: each group's rows), are filled
+        from the prep grid (the chain's prefix inside it; the rest is zero)
+        and joined by their phase derivatives -i n_a x, transformed in one
+        pass, and folded into the mode-a correlations and mode-b marginals
+        before the next sector.  Offset-o correlations pair sector k with
+        sector k - o at equal n_b, so only the last two outputs are kept; the
+        offset-1 pairing also gives the phase derivative of corr[1].  Each
+        (group, phase) block sums its own columns; diagnostics read the value
         columns only.  Returns a probe for ``_escalate``: the results, their
         diagnostics, the mean mode marginals, and the tested tails again as
         the growth estimates.
         """
         nphi = len(phi_values)
         d_a0, d_b0 = self.prep.shape
-        base = self._kraus_rows_for(t1)
-        width = base.shape[0]
+        bounds = np.cumsum([0] + [rows.shape[0] for rows in kraus])
+        group_cols = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        width = bounds[-1]
         ncols = nphi * width
         # the Kraus vectors of the phased state are the phased Kraus vectors,
         # up to per-vector global phases that cancel in the quadratic forms
-        base3t = base.reshape(width, d_a0, d_b0).transpose(1, 2, 0)
+        base3t = [rows.reshape(-1, d_a0, d_b0).transpose(1, 2, 0) for rows in kraus]
 
         # offsets 0, 1, 2, then the phase derivative of offset 1
         corr = [np.zeros((d_a - o, ncols)) for o in (0, 1, 2, 1)]
-        marg_b_blocks = np.zeros((d_b, nphi))
+        marg_b = np.zeros((d_b, ncols))
         kept = {}  # sector -> (its first n_b, its gate output, their derivative)
         for k in range(-(d_b0 - 1), d_a0):
             kept.pop(k - 3, None)
             na, nb, coupling = _pair_sector_indices(d_a, d_b, k)
             inside = min(d_a0 - na[0], d_b0 - nb[0])
-            filled = base3t[na[:inside], nb[:inside]]
+            filled = np.concatenate([b3t[na[:inside], nb[:inside]] for b3t in base3t], axis=1)
             if not filled.any():  # e.g. every odd sector at alpha = 0
                 continue
             s = len(na)
@@ -865,7 +864,7 @@ class SensitivityOracle:
             y, dy = out[:, :ncols], out[:, ncols:]
             dens = y.real**2 + y.imag**2
             corr[0][na[0] : na[0] + s] += dens
-            marg_b_blocks[nb[0] : nb[0] + s] += dens.reshape(s, nphi, width).sum(axis=2)
+            marg_b[nb[0] : nb[0] + s] += dens
             for o in (1, 2):
                 if k - o not in kept:
                     continue
@@ -881,17 +880,21 @@ class SensitivityOracle:
                         corr[3][rows] += da.real * b.real + da.imag * b.imag
             kept[k] = (nb[0], y, dy)
 
+        def blocks(per_column):  # (group, phase) block sums, one block a row
+            per_column = per_column.reshape(len(per_column), nphi, width)
+            return np.concatenate([per_column[:, :, cols].sum(axis=2).T for cols in group_cols])
+
+        moments = {t2: [blocks(v[None]) for v in _quadrature_moments(corr, t2)]
+                   for t2 in set(itertools.chain.from_iterable(groups.values()))}
         result = {}
-        for t2 in t2_values:
-            moments = [v.reshape(nphi, width) for v in _quadrature_moments(corr, t2)]
-            for j, phi in enumerate(phi_values):
-                result[(t2, phi)] = tuple(float(m[j].sum()) for m in moments)
+        for i, ((t1, t2s), phi) in enumerate(itertools.product(groups.items(), phi_values)):
+            for t2 in t2s:
+                result[(t1, t2, phi)] = tuple(float(m[i, 0]) for m in moments[t2])
 
         # convergence evidence: decay-scaled beyond-cutoff mass estimate of
-        # the worst phase block; the decay factor matters because heavy
-        # squeezed tails park most of the truncated mass past the top layers
-        marg_a_blocks = corr[0].reshape(d_a, nphi, width).sum(axis=2).T
-        marg_b_blocks = marg_b_blocks.T
+        # the worst block; the decay factor matters because heavy squeezed
+        # tails park most of the truncated mass past the top layers
+        marg_a_blocks, marg_b_blocks = blocks(corr[0]), blocks(marg_b)
         marg_a = marg_a_blocks.mean(axis=0)
         marg_b = marg_b_blocks.mean(axis=0)
         diag = CutoffDiagnostics(

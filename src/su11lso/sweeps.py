@@ -166,6 +166,7 @@ def _series_points(spec: SweepSpec, series: SweepSeries, grid: list[float]) -> t
         raise
     if target != "eta":  # eta is no field of InterferometerParams
         _check_number("eta", args[-1])
+        math.isfinite(args[-1])  # a list raises TypeError here, as for the fields
     args[i] = grid
     eta = args.pop()
     return _Series(args, len(grid)), eta if isinstance(eta, list) else [eta] * len(grid)

@@ -66,7 +66,8 @@ def test_criterion_02_standard_interferometer_reduction():
         worst = max(worst, n_dev, f_dev)
         for t1, t2, phi in [(1.0, 1.0, 0.5), (1.0, 1.0, 1.0), (0.8, 0.9, 0.7)]:
             p = base.replace(t1=t1, t2=t2, phi=phi)
-            mean, second, slope = engine.quadrature_statistics(t1, (t2,), (phi,))[(t2, phi)]
+            stats = engine.quadrature_statistics({t1: (t2,)}, (phi,))
+            mean, second, slope = stats[(t1, t2, phi)]
             oracle = math.sqrt(max(second - mean * mean, 0.0)) / abs(slope)
             dev = abs(phase_sensitivity(p).delta_phi - oracle) / oracle
             worst = max(worst, dev)

@@ -1,5 +1,6 @@
 """Fock-space oracle: gates, channels, diagnostics, and cross-path locks."""
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -301,7 +302,7 @@ def test_work_grid_budget_checked_before_the_first_probe(monkeypatch):
     monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", counting)
     eng = fock.SensitivityOracle(1.0, 1.5, 1.0)
     with pytest.raises(NonconvergedOracleError, match="1734x1734 exceeds dim budget 1400000"):
-        eng.quadrature_statistics(1.0, (1.0,), (0.8,))
+        eng.quadrature_statistics({1.0: (1.0,)}, (0.8,))
     assert probes == []
 
 
@@ -379,8 +380,10 @@ class TestOracleAgainstAnalyticPath:
         # trace cyclicity: identical matrices, reordered.  A 10x8 prep state
         # (the corner of a larger one, as the coherent input needs more than
         # 10 levels) padded into a 14x12 work grid; at alpha = 0 every odd
-        # sector is empty.  t2 = 1 takes the read-out's lossless case
-        g, r, t1, t2_values, phis = 0.6, 0.4, 0.75, (0.85, 1.0), (0.9, 0.4, 1.7)
+        # sector is empty.  Two t1 groups share the sweep, each with its own
+        # t2; t2 = 1 takes the read-out's lossless case
+        g, r, phis = 0.6, 0.4, (0.9, 0.4, 1.7)
+        groups = {0.75: (0.85,), 0.4: (1.0,)}
         d_a, d_b = 14, 12
         prep = fock.prepared_state(alpha, g, r, 20, 8)[:10].copy()
         a = np.kron(dense_ladder(d_a), np.eye(d_b))
@@ -389,8 +392,10 @@ class TestOracleAgainstAnalyticPath:
         n_a = np.repeat(np.arange(d_a, dtype=float), d_b)
         eng = fock.SensitivityOracle(alpha, g, r)
         eng.prep = prep
-        res, *_ = eng._evaluate_at_dims(t1, t2_values, phis, d_a, d_b)
-        for phi in phis:
+        kraus = [eng._kraus_rows_for(t1) for t1 in groups]
+        res, *_ = eng._evaluate_at_dims(groups, kraus, phis, d_a, d_b)
+        assert len(res) == 2 * len(phis)
+        for (t1, t2_values), phi in itertools.product(groups.items(), phis):
             psi = fock.apply_phase(np.pad(prep, ((0, d_a - 10), (0, d_b - 8))), phi)
             rho = apply_loss(psi, KrausChannel(t1, "a")).matrix
             # the exact slope: d rho / d phi = -i [n_a, rho] before the squeezer
@@ -399,7 +404,7 @@ class TestOracleAgainstAnalyticPath:
             for t2 in t2_values:
                 mean_lit, second_lit = density_quadrature_stats(apply_loss(rho, KrausChannel(t2, "a")))
                 slope_lit, _ = density_quadrature_stats(apply_loss(drho, KrausChannel(t2, "a")))
-                mean_fast, second_fast, slope_fast = res[(t2, phi)]
+                mean_fast, second_fast, slope_fast = res[(t1, t2, phi)]
                 assert mean_fast == pytest.approx(mean_lit, abs=1e-13)
                 assert second_fast == pytest.approx(second_lit, abs=1e-12)
                 assert slope_fast == pytest.approx(slope_lit, abs=1e-12)
@@ -412,13 +417,14 @@ class TestOracleAgainstAnalyticPath:
         eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
         d_a, d_b = eng.prep.shape[0] + 40, eng.prep.shape[1] + 40
         phis = (0.3, 0.8, 1.5)
-        ncols = len(phis) * eng._kraus_rows_for(0.7).shape[0]
+        kraus = [eng._kraus_rows_for(0.7)]
+        ncols = len(phis) * kraus[0].shape[0]
         block = min(d_a, d_b) * 2 * ncols * 16
         corr = 4 * d_a * ncols * 8
         batch = d_a * d_b * 2 * ncols * 16
         tracemalloc.start()
         try:
-            eng._evaluate_at_dims(0.7, (1.0, 0.7), phis, d_a, d_b)
+            eng._evaluate_at_dims({0.7: (1.0, 0.7)}, kraus, phis, d_a, d_b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -427,14 +433,31 @@ class TestOracleAgainstAnalyticPath:
 
 class TestOracleIsHistoryFree:
     def test_result_does_not_depend_on_earlier_engines(self):
-        args = (0.7, (1.0, 0.7), (0.3, 0.3 + 1e-5, 0.3 - 1e-5))
-        alone = fock.SensitivityOracle(0.5, 0.5, 0.5)
-        first = alone.quadrature_statistics(*args)
-        fock.SensitivityOracle(0.0, 0.5, 0.5).quadrature_statistics(*args)
-        later = fock.SensitivityOracle(0.5, 0.5, 0.5)
-        second = later.quadrature_statistics(*args)
-        assert later._work_dims == alone._work_dims
-        assert second == first
+        # the lossless group of (alpha 0.5, g 1.2, r 0) outgrows its start
+        # grid; a later call on that engine starts afresh all the same
+        phis = (0.8, 1.5)
+        used = fock.SensitivityOracle(0.5, 1.2, 0.0)
+        used.quadrature_statistics({1.0: (1.0,)}, phis)
+        fock.SensitivityOracle(0.0, 0.5, 0.5).quadrature_statistics({0.7: (1.0,)}, phis)
+        later = used.quadrature_statistics({0.7: (1.0, 0.7)}, phis)
+        fresh = fock.SensitivityOracle(0.5, 1.2, 0.0).quadrature_statistics({0.7: (1.0, 0.7)}, phis)
+        assert later == fresh
+
+    def test_cells_do_not_depend_on_the_order_of_loss_groups(self):
+        # one escalation, judged on every group's blocks, serves the engine
+        cells = {}
+        for t_pairs in (
+            ((1.0, 1.0), (1.0, 0.7), (0.7, 1.0), (0.7, 0.7)),
+            ((0.7, 1.0), (0.7, 0.7), (1.0, 1.0), (1.0, 0.7)),
+        ):
+            res = crosscheck.run_cross_check(
+                alphas=(0.5,), gs=(1.2,), rs=(0.3,), t_pairs=t_pairs, phis=(0.8, 1.5)
+            )
+            cells[t_pairs] = {(c.quantity, c.t1, c.t2, c.phi): c.oracle for c in res.cells}
+        first, second = cells.values()
+        assert first.keys() == second.keys()
+        for key, value in first.items():
+            assert second[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 class TestBlasThreadScope:
@@ -463,15 +486,15 @@ class TestBlasThreadScope:
                 set_(2)
             before = self._counts()
             eng = fock.SensitivityOracle(0.5, 0.3, 0.2)
-            eng.quadrature_statistics(0.7, (1.0,), (0.8,))
+            eng.quadrature_statistics({0.7: (1.0,)}, (0.8,))
             assert seen and all(c == [1] * len(controls) for c in seen)
             assert self._counts() == before
             # an escalation that cannot converge raises out of the scope
             seen.clear()
-            # a budget of exactly the carried grid: one probe, then the raise
+            # a budget of exactly the start grid: one probe, then the raise
             eng.tail_tol, eng.max_dim = 1e-300, math.prod(eng._start_dims())
             with pytest.raises(NonconvergedOracleError, match="dim budget"):
-                eng.quadrature_statistics(1.0, (1.0,), (0.8,))
+                eng.quadrature_statistics({1.0: (1.0,)}, (0.8,))
             assert seen and all(c == [1] * len(controls) for c in seen)
             assert self._counts() == before
         finally:
@@ -525,7 +548,7 @@ class TestQfiOracles:
         eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
         eng.prep[3, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NonconvergedOracleError, match="overflow"):
-            eng.quadrature_statistics(0.5, (1.0,), (0.8,))
+            eng.quadrature_statistics({0.5: (1.0,)}, (0.8,))
 
     def test_phase_placement_irrelevant(self):
         p = InterferometerParams(g=0.6, alpha=0.8, r=0.4, phi=0.9)

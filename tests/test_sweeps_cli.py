@@ -148,6 +148,20 @@ class TestSweepSpec:
             run_sweep(spec)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("etas", [[0.5, 0.6, 0.7], [0.5, 0.6]], ids=["per-point", "short"])
+    @pytest.mark.parametrize("where", ["override", "spec"])
+    def test_rejects_list_valued_eta(self, where, etas):
+        # a list is no eta column: it fails as a list-valued r does, before
+        # numpy reads it per point (or fails to broadcast it)
+        with pytest.raises(TypeError) as expected:
+            run_sweep(spec_(count=3, series=(SweepSeries("bad", {"r": [0.5]}),)))
+        series = (SweepSeries("ok"), SweepSeries("bad", {"eta": etas} if where == "override" else {}))
+        spec = spec_(count=3, series=series, quantities=("qfi_lossy",),
+                     **({"eta": etas} if where == "spec" else {}))
+        with pytest.raises(TypeError) as raised:
+            run_sweep(spec)
+        assert str(raised.value) == str(expected.value) == "must be real number, not list"
+
 
 class TestRunSweep:
     def test_row_count_and_order(self):
@@ -707,10 +721,10 @@ class TestCli:
         assert "overall: FAIL (tolerance 0, worst margin inf," in result.summary_lines()[-1]
 
 
-def _stub_oracle(fisher, runs):
+def _stub_oracle(fisher, runs, slope=0.0):
     """A stand-in Fock oracle: the analytic N, the given F (the analytic one
-    where None) and no phase slope anywhere; it records each (alpha, t1)
-    group it is asked for in runs."""
+    where None) and the given phase slope everywhere; it records each call
+    in runs, as (alpha, the t1 groups it sweeps)."""
 
     class StubOracle:
         def __init__(self, alpha, g, r, **_):
@@ -722,9 +736,12 @@ def _stub_oracle(fisher, runs):
         def fisher_pure(self):
             return qfi_ideal(self.base).fisher if fisher is None else fisher
 
-        def quadrature_statistics(self, t1, t2_values, phis):
-            runs.append((self.base.alpha.real, t1))
-            return {(t2, phi): (0.0, 1.0, 0.0) for t2 in t2_values for phi in phis}
+        def quadrature_statistics(self, groups, phis):
+            runs.append((self.base.alpha.real, tuple(groups)))
+            return {
+                (t1, t2, phi): (0.0, 1.0, slope)
+                for t1, t2_values in groups.items() for t2 in t2_values for phi in phis
+            }
 
     return StubOracle
 
@@ -765,13 +782,14 @@ class TestCheckVerdict:
     )
     def test_unconfirmed_divergent_group_runs_the_oracle(self, monkeypatch, t_pairs):
         # at t1 = 0 no phase reaches the output, so the analytic route is
-        # divergent throughout; only the oracle can confirm it
+        # divergent throughout; only the oracle can confirm it, in the one
+        # call that sweeps the engine's other group too
         runs = []
         monkeypatch.setattr(crosscheck, "SensitivityOracle", _stub_oracle(None, runs))
         crosscheck.run_cross_check(
             alphas=(0.5,), gs=(0.5,), rs=(0.5,), t_pairs=t_pairs, phis=(0.8,)
         )
-        assert sorted(runs) == [(0.5, 0.0), (0.5, 1.0)]
+        assert [(alpha, sorted(t1s)) for alpha, t1s in runs] == [(0.5, [0.0, 1.0])]
         # the Fock oracle finds no slope there either
         monkeypatch.undo()
         result = crosscheck.run_cross_check(
@@ -788,9 +806,22 @@ class TestCheckVerdict:
         result = crosscheck.run_cross_check(
             alphas=(0.0,), gs=(0.5,), rs=(0.5,), t_pairs=((1.0, 1.0), (0.7, 1.0)), phis=(0.8,)
         )
-        assert runs == [(0.0, 1.0)]
+        assert runs == [(0.0, (1.0,))]
         assert [c.flag for c in result.cells if c.quantity == "delta_phi"] == ["divergent"] * 2
         assert result.passed
+
+    def test_unconfirmed_divergence_sweeps_the_rest(self, monkeypatch):
+        # alpha = 0, but the oracle finds a slope in the first divergent
+        # group: one more call sweeps the engine's other divergent groups
+        runs = []
+        monkeypatch.setattr(crosscheck, "SensitivityOracle", _stub_oracle(None, runs, slope=1.0))
+        result = crosscheck.run_cross_check(
+            alphas=(0.0,), gs=(0.5,), rs=(0.5,), t_pairs=((1.0, 1.0), (0.7, 1.0), (0.4, 1.0)),
+            phis=(0.8,),
+        )
+        assert runs == [(0.0, (1.0,)), (0.0, (0.7, 0.4))]
+        flags = [c.flag for c in result.cells if c.quantity == "delta_phi"]
+        assert flags == ["divergence-mismatch"] * 3
 
     @pytest.mark.parametrize("phi", ["1e-4", "1e-6", "1e-8"])
     def test_near_stationary_phase_passes(self, phi):
@@ -813,16 +844,15 @@ class TestCheckVerdict:
         assert stdout.splitlines()[-1].startswith("overall: PASS (")
 
     def test_escalating_engine_passes(self, monkeypatch):
-        # the lossless group outgrows its start grid, and the lossy group
-        # starts from the grid it left
+        # both groups outgrow their shared start grid in one escalation
         from su11lso import fock
 
         probes = []
         evaluate = fock.SensitivityOracle._evaluate_at_dims
 
-        def recording(engine, t1, t2_values, phi_values, d_a, d_b):
-            probes.append((t1, d_a, d_b))
-            return evaluate(engine, t1, t2_values, phi_values, d_a, d_b)
+        def recording(engine, groups, kraus, phi_values, d_a, d_b):
+            probes.append((tuple(groups), d_a, d_b))
+            return evaluate(engine, groups, kraus, phi_values, d_a, d_b)
 
         monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", recording)
         code, stdout, _ = run_main(
@@ -831,10 +861,9 @@ class TestCheckVerdict:
         )
         assert code == 0
         assert stdout.splitlines()[-1].startswith("overall: PASS (")
-        (t1_a, *start), (t1_b, *grown), (t1_c, *carried) = probes
-        assert (t1_a, t1_b, t1_c) == (1.0, 1.0, 0.7)
+        (groups_a, *start), (groups_b, *grown) = probes
+        assert groups_a == groups_b == (1.0, 0.7)
         assert grown != start and all(g >= s for g, s in zip(grown, start))
-        assert carried == grown
 
     @pytest.mark.parametrize("alphas", [(0.5j,), (0.5, 1 + 1e-9j)], ids=["imaginary", "second"])
     def test_non_real_alpha_rejected_before_any_engine(self, monkeypatch, alphas):
