@@ -143,9 +143,9 @@ def run_cross_check(
     d<X>/dphi, from which each cell forms Var X and delta-phi.  Of the t1
     groups that the analytic route finds divergent throughout, that call
     sweeps only the first; a second call sweeps the rest only where the
-    oracle finds a phase slope in that first one, and does not confirm its
-    divergence.  progress, if given, receives each t1 group's cells, in
-    grid order, once its engine is done.
+    oracle finds a phase slope in that first one.  progress, if given,
+    receives each t1 group's cells, in grid order, once its engine is done;
+    an engine whose oracle call raises reports none of its groups.
 
     A tolerance that is negative or not finite, a max_dim below 1, an
     empty grid axis, a non-real alpha, or a grid point that is no valid

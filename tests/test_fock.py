@@ -380,10 +380,10 @@ class TestOracleAgainstAnalyticPath:
         # trace cyclicity: identical matrices, reordered.  A 10x8 prep state
         # (the corner of a larger one, as the coherent input needs more than
         # 10 levels) padded into a 14x12 work grid; at alpha = 0 every odd
-        # sector is empty.  Two t1 groups share the sweep, each with its own
-        # t2; t2 = 1 takes the read-out's lossless case
+        # sector is empty.  Two t1 groups share the sweep, the first with two
+        # t2 values; t2 = 1 takes the read-out's lossless case
         g, r, phis = 0.6, 0.4, (0.9, 0.4, 1.7)
-        groups = {0.75: (0.85,), 0.4: (1.0,)}
+        groups = {0.75: (0.85, 1.0), 0.4: (1.0,)}
         d_a, d_b = 14, 12
         prep = fock.prepared_state(alpha, g, r, 20, 8)[:10].copy()
         a = np.kron(dense_ladder(d_a), np.eye(d_b))
@@ -394,7 +394,7 @@ class TestOracleAgainstAnalyticPath:
         eng.prep = prep
         kraus = [eng._kraus_rows_for(t1) for t1 in groups]
         res, *_ = eng._evaluate_at_dims(groups, kraus, phis, d_a, d_b)
-        assert len(res) == 2 * len(phis)
+        assert len(res) == 3 * len(phis)
         for (t1, t2_values), phi in itertools.product(groups.items(), phis):
             psi = fock.apply_phase(np.pad(prep, ((0, d_a - 10), (0, d_b - 8))), phi)
             rho = apply_loss(psi, KrausChannel(t1, "a")).matrix
