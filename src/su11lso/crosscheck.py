@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 
-from .errors import DegenerateConfigurationError, DivergentSensitivityError
+from .errors import DegenerateConfigurationError
 from .fock import DEFAULT_MAX_DIM, SensitivityOracle
 from .metrology import SLOPE_FLOOR, phase_sensitivity, qfi_ideal, total_photon_number
 from .moments import InterferometerParams
@@ -147,10 +146,11 @@ def run_cross_check(
     receives each t1 group's cells, in grid order, once its engine is done;
     an engine whose oracle call raises reports none of its groups.
 
-    A tolerance that is negative or not finite, a max_dim below 1, an
-    empty grid axis, a non-real alpha, or a grid point that is no valid
-    configuration or overflows the analytic route raises ValueError, naming
-    the argument or parameter, before any engine runs.
+    Every delta-phi cell is computed, in one call, before the first engine.
+    A negative or non-finite tolerance, a max_dim below 1, an empty grid
+    axis, a non-real alpha, or a grid point that is no valid configuration,
+    overflows the analytic route or cancels its homodyne variance raises
+    ValueError, naming the argument or parameter, before any engine runs.
     """
     # a zero tolerance asks for exact agreement: it runs, and reports FAIL
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
@@ -178,9 +178,13 @@ def run_cross_check(
                 except DegenerateConfigurationError:
                     f = None
                 states.append((alpha, g, r, base, n, f))
-    for t1, t2 in t_pairs:
-        for phi in phis:
-            base.replace(t1=t1, t2=t2, phi=phi)  # raises on a bad t1, t2 or phi
+    # a point without a phase slope reads None, as its own call's DivergentSensitivityError
+    cell_keys = [(t1, t2, phi) for t1, t2 in t_pairs for phi in phis]
+    report = phase_sensitivity(
+        [state[3].replace(t1=t1, t2=t2, phi=phi) for state in states for t1, t2, phi in cell_keys]
+    )
+    deltas = (None if status == "divergent" else d
+              for d, status in zip(report.delta_phi.tolist(), report.status))
     t0 = time.time()
     result = CrossCheckResult(tolerance=rel_tol)
 
@@ -194,13 +198,7 @@ def run_cross_check(
         f_oracle = engine.fisher_pure()
         f_oracle = f_oracle if abs(f_oracle) >= 1e-9 else None
         result.cells.append(_cell("F", "degeneracy", base, f_analytic, f_oracle))
-        analytic = {}
-        for t1, t2, phi in chain.from_iterable(keys.values()):
-            p = base.replace(t1=t1, t2=t2, phi=phi)
-            try:
-                analytic[t1, t2, phi] = phase_sensitivity(p).delta_phi
-            except DivergentSensitivityError:
-                analytic[t1, t2, phi] = None
+        analytic = {k: next(deltas) for k in cell_keys}  # this engine's slice
         # of the groups the analytic route finds divergent throughout, the
         # oracle sweeps the rest only where it finds a slope in the first
         divergent = [t1 for t1, group in keys.items() if all(analytic[k] is None for k in group)]

@@ -746,6 +746,51 @@ def _stub_oracle(fisher, runs, slope=0.0):
     return StubOracle
 
 
+# small grids the check command accepts: alpha = 0 and t1 = 0 have no phase
+# slope, and near phi = pi/2 the homodyne variance cancels for r up to 120
+_CHECK_GRIDS = st.fixed_dictionaries({
+    "alphas": st.lists(st.one_of(st.just(0.0), st.floats(-3, 3)), min_size=1, max_size=2),
+    "gs": st.lists(st.floats(0, 2), min_size=1, max_size=2),
+    "rs": st.lists(st.one_of(st.floats(0, 2), st.floats(0, 120)), min_size=1, max_size=2),
+    "t_pairs": st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(0, 1)), st.floats(0, 1)), min_size=1, max_size=3
+    ),
+    "phis": st.lists(
+        st.one_of(
+            st.floats(0, math.pi), st.just(math.pi / 2),
+            st.floats(math.pi / 2 - 1e-6, math.pi / 2 + 1e-6),
+        ),
+        min_size=1, max_size=3,
+    ),
+})
+
+
+def _single_point_delta_phis(alphas, gs, rs, t_pairs, phis):
+    """Each grid point's delta-phi from its own single-point call, keyed as
+    the cells are, inf where that call finds no phase slope; None where a
+    single-point N, F or delta-phi call raises ValueError."""
+    delta_phis = {}
+    try:
+        for alpha in alphas:
+            for g in gs:
+                for r in rs:
+                    base = InterferometerParams(g=g, alpha=alpha, r=r)
+                    total_photon_number(base)
+                    with contextlib.suppress(DegenerateConfigurationError):
+                        qfi_ideal(base)
+                    for t1, t2 in t_pairs:
+                        for phi in phis:
+                            p = base.replace(t1=t1, t2=t2, phi=phi)
+                            try:
+                                delta_phi = phase_sensitivity(p).delta_phi
+                            except DivergentSensitivityError:
+                                delta_phi = math.inf
+                            delta_phis[p.alpha.real, g, r, t1, t2, phi] = delta_phi
+    except ValueError:
+        return None
+    return delta_phis
+
+
 class TestCheckVerdict:
     @pytest.mark.parametrize(
         "alpha, g, r, fisher, flag",
@@ -865,18 +910,74 @@ class TestCheckVerdict:
         assert groups_a == groups_b == (1.0, 0.7)
         assert grown != start and all(g >= s for g, s in zip(grown, start))
 
-    @pytest.mark.parametrize("alphas", [(0.5j,), (0.5, 1 + 1e-9j)], ids=["imaginary", "second"])
-    def test_non_real_alpha_rejected_before_any_engine(self, monkeypatch, alphas):
-        # cells carry alpha as a real number: 0.5j would read as alpha = 0
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            # cells carry alpha as a real number: 0.5j would read as alpha = 0
+            ({"alphas": (0.5j,)}, r"alpha must be real, got .*j"),
+            ({"alphas": (0.5, 1 + 1e-9j)}, r"alpha must be real, got .*j"),
+            # the homodyne variance cancels near pi/2 at r = 100, though the
+            # r = 0.5 engine before it would run
+            (
+                {"alphas": (1.0,), "gs": (1.0,), "rs": (0.5, 100.0), "phis": (math.pi / 2,)},
+                r"^homodyne variance cancels to <= 0 at g=1, alpha=1\+0j, r=100$",
+            ),
+            # N and F are checked engine by engine: F overflows at the first
+            # alpha before N does at the second
+            (
+                {"alphas": (3e153, 1e155), "gs": (0.6,), "rs": (0.4,)},
+                r"^Fisher information overflows at g=0.6, alpha=3e\+153\+0j, r=0.4$",
+            ),
+        ],
+        ids=["imaginary", "second", "cancelled-variance", "first-overflow"],
+    )
+    def test_rejected_before_any_engine(self, monkeypatch, grid, message):
         engines = []
         monkeypatch.setattr(
             crosscheck, "SensitivityOracle", lambda *a, **kw: engines.append(a)
         )
-        with pytest.raises(ValueError, match=r"alpha must be real, got .*j"):
-            crosscheck.run_cross_check(
-                alphas=alphas, gs=(0.5,), rs=(0.5,), t_pairs=((1.0, 1.0),), phis=(0.8,)
-            )
+        defaults = dict(alphas=(0.5,), gs=(0.5,), rs=(0.5,), t_pairs=((1.0, 1.0),), phis=(0.8,))
+        with pytest.raises(ValueError, match=message):
+            crosscheck.run_cross_check(**{**defaults, **grid})
         assert engines == []
+
+    @given(grid=_CHECK_GRIDS)
+    @example(grid={  # the homodyne variance cancels at the second engine
+        "alphas": [1.0], "gs": [1.0], "rs": [0.5, 100.0], "t_pairs": [(1.0, 1.0)],
+        "phis": [math.pi / 2],
+    })
+    @example(grid={  # F overflows at the first engine, N at the second
+        "alphas": [3e153, 1e155], "gs": [0.6], "rs": [0.4], "t_pairs": [(1.0, 1.0)],
+        "phis": [0.8],
+    })
+    @example(grid={  # no phase slope: alpha = 0 throughout, t1 = 0 at alpha = 0.5
+        "alphas": [0.0, 0.5], "gs": [0.5], "rs": [0.5], "t_pairs": [(1.0, 0.7), (0.0, 1.0)],
+        "phis": [0.8, 1.5],
+    })
+    @settings(max_examples=60, deadline=None)
+    def test_analytic_cells_are_single_point_calls(self, grid):
+        # the grid's delta-phi cells come from one sequence call: it raises
+        # where a single-point call would, before any engine, and otherwise
+        # gives each cell that call's bits
+        expected = _single_point_delta_phis(**grid)
+        engines = []
+        stub = _stub_oracle(1.0, [])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                crosscheck, "SensitivityOracle", lambda *a, **kw: engines.append(a) or stub(*a, **kw)
+            )
+            if expected is None:
+                with pytest.raises(ValueError):
+                    crosscheck.run_cross_check(**grid)
+                assert engines == []
+                return
+            result = crosscheck.run_cross_check(**grid)
+        cells = {
+            (c.alpha, c.g, c.r, c.t1, c.t2, c.phi): c.analytic
+            for c in result.cells if c.quantity == "delta_phi"
+        }
+        assert cells.keys() == expected.keys()
+        assert all(cells[k].hex() == expected[k].hex() for k in cells), grid
 
 
 def run_main(*args):
