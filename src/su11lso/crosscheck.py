@@ -148,9 +148,10 @@ def run_cross_check(
 
     Every delta-phi cell is computed, in one call, before the first engine.
     A negative or non-finite tolerance, a max_dim below 1, an empty grid
-    axis, a non-real alpha, or a grid point that is no valid configuration,
-    overflows the analytic route or cancels its homodyne variance raises
-    ValueError, naming the argument or parameter, before any engine runs.
+    axis or one that repeats a value, a non-real alpha, or a grid point that
+    is no valid configuration, overflows the analytic route or cancels its
+    homodyne variance raises ValueError, naming the argument or parameter,
+    before any engine runs.
     """
     # a zero tolerance asks for exact agreement: it runs, and reports FAIL
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
@@ -162,6 +163,10 @@ def run_cross_check(
     ):
         if len(values) == 0:
             raise ValueError(f"the {name} grid is empty")
+        # a repeated value would run, and count, its cells twice
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"the {name} grid repeats {value!r}")
     # every grid point is checked before the first engine, which may run
     # long (or never finish) on a point the analytic route already rejects
     states = []  # (alpha, g, r, base, analytic N, analytic F or None)

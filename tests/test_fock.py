@@ -47,6 +47,35 @@ class TestBuildInput:
         with pytest.raises(InsufficientCutoffError):
             fock.build_input(2.0, 8, 4)
 
+    def test_first_squeezer_sweeps_only_the_held_sectors(self, monkeypatch):
+        # amplitudes under 1e-32 in weight are zeroed, so the first squeezer
+        # skips their sectors: it sweeps 21 of the 427 at alpha 0.5
+        psi = fock.build_input(0.5, 427, 57)
+        held = np.flatnonzero(psi[:, 0])
+        assert held.tolist() == list(range(21))
+        assert np.abs(psi[held, 0]).min() ** 2 >= 1e-32
+        calls = []
+        sector_exp = fock._sector_exp
+        monkeypatch.setattr(
+            fock, "_sector_exp", lambda x, *args: calls.append(len(x)) or sector_exp(x, *args)
+        )
+        fock.apply_two_mode_squeezer(psi, 1.0)
+        assert len(calls) == len(held)
+
+    def test_cut_moves_the_prepared_state_at_rounding_level(self):
+        # against the same gates on the whole coherent column
+        alpha, g, r, d_a, d_b = 0.5, 1.0, 0.5, 164, 57
+        n = np.arange(d_a)
+        log_amps = n * math.log(alpha) - 0.5 * alpha**2 - 0.5 * np.array(
+            [math.lgamma(k + 1.0) for k in n]
+        )
+        full = np.zeros((d_a, d_b), dtype=complex)
+        full[:, 0] = np.exp(log_amps)
+        assert np.count_nonzero(full[:, 0]) > 100
+        full = fock.apply_single_mode_squeezer(fock.apply_two_mode_squeezer(full, g), r)
+        cut = fock.prepared_state(alpha, g, r, d_a, d_b)
+        assert np.abs(cut - full).max() <= 1e-14 * np.abs(full).max()
+
 
 class TestGatesAgainstDenseExpm:
     """The sector-eigendecomposition exponentials against scipy expm."""
@@ -408,6 +437,34 @@ class TestOracleAgainstAnalyticPath:
                 assert mean_fast == pytest.approx(mean_lit, abs=1e-13)
                 assert second_fast == pytest.approx(second_lit, abs=1e-12)
                 assert slope_fast == pytest.approx(slope_lit, abs=1e-12)
+
+    def test_sweep_skips_only_sectors_within_the_weight_budget(self, monkeypatch):
+        # the reference keeps every sector of the prep grid
+        groups, phis = {1.0: (1.0, 0.7), 0.7: (1.0,)}, (0.3, 0.8, 1.5)
+        eng = fock.SensitivityOracle(0.5, 1.0, 0.5)
+        selections = []
+        select = fock._swept_sectors
+
+        def recording(weights, budget):
+            swept = select(weights, budget)
+            selections.append((weights, budget, swept))
+            return swept
+
+        monkeypatch.setattr(fock, "_swept_sectors", recording)
+        fast = eng.quadrature_statistics(groups, phis)
+        monkeypatch.setattr(
+            fock, "_swept_sectors", lambda weights, budget: np.ones(weights.shape[1], dtype=bool)
+        )
+        full = eng.quadrature_statistics(groups, phis)
+        assert fast.keys() == full.keys()
+        for key, value in full.items():
+            assert fast[key] == pytest.approx(value, rel=1e-10, abs=0.0), key
+        for weights, budget, swept in selections:
+            assert budget == 1e-4 * eng.kraus_tol
+            assert weights.shape[0] == len(groups)
+            assert weights.sum(axis=1) == pytest.approx(1.0, abs=1e-9)
+            assert np.all(weights[:, ~swept].sum(axis=1) <= budget)
+            assert 0 < swept.sum() < 0.8 * len(swept)
 
     def test_sector_sweep_peak_memory_is_a_few_sector_blocks(self):
         # one sector's columns at a time plus the correlations, never the

@@ -701,6 +701,18 @@ class TestCli:
         assert stdout == ""
         assert named in err
 
+    def test_check_rejects_a_repeated_grid_value(self, monkeypatch):
+        # --ts 1,1 pairs t = 1 with itself four times, which would run and
+        # count each of the point's cells four times over, and phase 0.8 twice
+        engines = []
+        monkeypatch.setattr(crosscheck, "SensitivityOracle", lambda *a, **kw: engines.append(a))
+        code, stdout, err = run_main(
+            "check", "--alphas", "0.5", "--gs", "0.5", "--rs", "0.5", "--ts", "1,1",
+            "--phis", "0.8,0.8",
+        )
+        assert (code, stdout, engines) == (1, "", [])
+        assert err == "invalid input: the t_pairs grid repeats (1.0, 1.0)\n"
+
     def test_check_names_a_start_grid_over_the_budget(self):
         # a valid point whose oracle cannot even start inside max_dim
         code, stdout, err = run_main(
@@ -768,7 +780,10 @@ _CHECK_GRIDS = st.fixed_dictionaries({
 def _single_point_delta_phis(alphas, gs, rs, t_pairs, phis):
     """Each grid point's delta-phi from its own single-point call, keyed as
     the cells are, inf where that call finds no phase slope; None where a
-    single-point N, F or delta-phi call raises ValueError."""
+    single-point N, F or delta-phi call raises ValueError, or where a grid
+    axis repeats a value."""
+    if any(v in axis[:i] for axis in (alphas, gs, rs, t_pairs, phis) for i, v in enumerate(axis)):
+        return None
     delta_phis = {}
     try:
         for alpha in alphas:
@@ -928,8 +943,16 @@ class TestCheckVerdict:
                 {"alphas": (3e153, 1e155), "gs": (0.6,), "rs": (0.4,)},
                 r"^Fisher information overflows at g=0.6, alpha=3e\+153\+0j, r=0.4$",
             ),
+            # a repeated value would run and count its cells twice; -0.0 == 0.0
+            ({"alphas": (0.0, 0.5, -0.0)}, r"^the alphas grid repeats -0\.0$"),
+            ({"rs": (0.5, 0.5)}, r"^the rs grid repeats 0\.5$"),
+            ({"t_pairs": ((1.0, 1.0), (1, 1))}, r"^the t_pairs grid repeats \(1, 1\)$"),
+            ({"phis": (0.8, 0.3, 0.8)}, r"^the phis grid repeats 0\.8$"),
         ],
-        ids=["imaginary", "second", "cancelled-variance", "first-overflow"],
+        ids=[
+            "imaginary", "second", "cancelled-variance", "first-overflow",
+            "repeated-alpha", "repeated-r", "repeated-t-pair", "repeated-phi",
+        ],
     )
     def test_rejected_before_any_engine(self, monkeypatch, grid, message):
         engines = []
