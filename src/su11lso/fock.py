@@ -25,6 +25,8 @@ the work grid escalate their cutoffs in one loop (``_escalate``), which
 checks the cell budget before every probe and grows each failing mode
 along its extrapolated occupation decay (``_predicted_dim``).  One sweep
 per probe serves all internal-loss groups, and no call inherits a grid.
+The pure-state Fisher information is 4 Var(n_a) of the prepared state
+(``SensitivityOracle.fisher_pure``).
 
 Two routes compute these exponentials, on purpose.  The two-mode sectors
 carry most of the oracle's run time, so they use half-size factors of the
@@ -54,8 +56,9 @@ every Kraus family comes from one place: one amplitude routine
 (``_loss_amplitudes``) and one stop rule give the family, and one builder
 gives its L x L Gram matrices K^H N^k K from the d_a x d_a mode-a reduced
 matrix.  The sweep's family is the orthogonal recombination that
-diagonalizes G_0; the lossy Fisher information needs only G_0, G_1 and
-G_2 and never forms the Kraus vectors.  The tests hold both to a literal
+diagonalizes G_0; the mixed-state Fisher information of a prepared state
+under loss (``mixed_qfi_from_state``) needs only G_0, G_1 and G_2 and
+never forms the Kraus vectors.  The tests hold both to a literal
 density-operator construction at small cutoffs.
 
 The second-squeezer sweep runs with every loaded OpenBLAS set to one
@@ -330,11 +333,6 @@ def _phase_factors(n: np.ndarray, phis) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(n, theta))
 
 
-def apply_phase(psi: np.ndarray, phi: float) -> np.ndarray:
-    """Multiply by e^{-i phi n_a}."""
-    return _phase_factors(np.arange(psi.shape[0]), phi)[:, None] * psi
-
-
 def _marginals(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Photon-number distributions (mode a, mode b) of a state."""
     dens = np.abs(psi) ** 2
@@ -596,8 +594,7 @@ def _predicted_dim(marginal: np.ndarray, tol: float, current: int, estimate: flo
     if estimate <= 0.0 or slope is None or tol == 0.0:
         return fallback
     extra = (math.log(estimate) - math.log(0.45 * tol)) / (-slope)
-    # mild overshoot: amplified states need headroom and repeat callers at
-    # other phases should land inside the same grid without re-escalating
+    # mild overshoot: amplified states need headroom
     target = int((current + math.ceil(extra) + 8) * 1.06)
     target = min(target, int(current * 2.6) + 16)
     return max(target, int(current * 1.15) + 4)
@@ -791,6 +788,7 @@ class SensitivityOracle:
         return na + nb
 
     def fisher_pure(self) -> float:
+        """4 Var(n_a) of the prep: the pure-state Fisher information."""
         na, na2, _ = photon_number_stats(self.prep)
         return 4.0 * (na2 - na * na)
 
@@ -830,8 +828,23 @@ class SensitivityOracle:
         worst (group, phase) block passes; the norm deficit, the prep
         truncation plus the dropped Kraus weight and the skipped sectors'
         (``_evaluate_at_dims``), may reach four times the sum of the first
-        two's bounds.  It all runs on one BLAS thread.
+        two's bounds.  It all runs on one BLAS thread.  Before any probe, no
+        group, a group without t2, no phase, a t1 or t2 outside [0, 1] or a
+        phase that is not finite raises ValueError naming it.
         """
+        if not groups:
+            raise ValueError(f"groups must hold at least one loss group, got {groups!r}")
+        for t1, t2s in groups.items():
+            if not t2s:
+                raise ValueError(f"loss group t1={t1!r} must hold at least one t2, got {t2s!r}")
+            for name, t in [("t1", t1), *(("t2", t2) for t2 in t2s)]:
+                if not 0.0 <= t <= 1.0:  # false for NaN too
+                    raise ValueError(f"transmittance {name} must lie in [0, 1], got {t!r}")
+        if len(phi_values) == 0:
+            raise ValueError(f"phi_values must hold at least one phase, got {phi_values!r}")
+        for phi in phi_values:
+            if not math.isfinite(phi):
+                raise ValueError(f"phase phi must be finite, got {phi!r}")
         kraus = [self._kraus_rows_for(t1) for t1 in groups]
         norm_budget = 4.0 * (self.kraus_tol + self.prep_diag.norm_deficit + 1e-13)
         result, _, _ = _escalate(
@@ -950,23 +963,7 @@ class SensitivityOracle:
 
 
 # ---------------------------------------------------------------------------
-# Fisher information oracles
-
-
-def oracle_qfi_pure(params: InterferometerParams, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """4 Var(n_a) of the internal state: the pure-state Fisher information."""
-    psi, _ = auto_prepared_state(params.alpha, params.g, params.r, tail_tol)
-    na, na2, _ = photon_number_stats(psi)
-    return 4.0 * (na2 - na * na)
-
-
-def oracle_qfi_mixed(
-    params: InterferometerParams, eta: float, tail_tol: float = DEFAULT_TAIL_TOL
-) -> float:
-    """Exact mixed-state Fisher information after loss eta on mode a."""
-    psi, _ = auto_prepared_state(params.alpha, params.g, params.r, tail_tol)
-    psi = apply_phase(psi, params.phi)
-    return mixed_qfi_from_state(psi, eta, weight_tol=min(tail_tol, 1e-12))
+# mixed-state Fisher information
 
 
 def mixed_qfi_from_state(psi: np.ndarray, eta: float, weight_tol: float = 1e-12) -> float:
@@ -984,11 +981,11 @@ def mixed_qfi_from_state(psi: np.ndarray, eta: float, weight_tol: float = 1e-12)
 
     the Braunstein-Caves form 4 tr(rho N^2) - 8 sum p_i p_j / (p_i + p_j)
     |N_ij|^2 of rho restricted to those components.  The Kraus count L
-    stops once the neglected weight falls below weight_tol; a weight_tol
-    that is negative or not finite raises ValueError.
+    stops once the neglected weight falls below weight_tol.  An eta outside
+    [0, 1], or a weight_tol that is negative or not finite, raises ValueError.
     """
     if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     _check_tolerance("weight_tol", weight_tol)
     sigma = _mode_a_sigma(psi)
     total = float(np.vdot(psi, psi).real)

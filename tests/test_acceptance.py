@@ -134,7 +134,7 @@ def test_criterion_06_qfi_identities():
     worst_oracle = 0.0
     for g, a, r in [(1.0, 1.0, 0.6), (0.7, 0.5, 1.0)]:
         p = InterferometerParams(g=g, alpha=a, r=r)
-        oracle = fock.oracle_qfi_pure(p, tail_tol=1e-12)
+        oracle = fock.SensitivityOracle(a, g, r, prep_tail_tol=1e-12).fisher_pure()
         worst_oracle = max(worst_oracle, abs(qfi_ideal(p).fisher - oracle) / oracle)
     ok = worst_closed <= 1e-10 and worst_oracle <= 1e-8
     _report(6, "Fisher-information identities (closed forms 1e-10, oracle 1e-8)",

@@ -153,11 +153,12 @@ class TestGatePhysics:
         assert abs(got.imag) < 1e-12
 
     def test_phase_gate(self):
+        # the sweep's phase factors e^{-i phi n_a}, one column per phase
         st = fock.build_input(1.0, 20, 2)
-        assert np.array_equal(fock.apply_phase(st, 0.0), st)
-        full_turn = fock.apply_phase(st, 2 * math.pi)
+        factors = fock._phase_factors(np.arange(20), (0.0, 2 * math.pi, 0.7))
+        zero, full_turn, rotated = factors.T[:, :, None] * st
+        assert np.array_equal(zero, st)
         assert np.abs(full_turn - st).max() < 1e-12
-        rotated = fock.apply_phase(st, 0.7)
         assert pure_moment(rotated, (0, 1, 0, 0)) == pytest.approx(
             np.exp(-1j * 0.7)
         )
@@ -240,11 +241,7 @@ class TestSweepKrausFamily:
     "call, error, match",
     [
         (lambda: fock.SensitivityOracle(1e200, 0.5, 0.5), NonconvergedOracleError, "start grid"),
-        (
-            lambda: fock.oracle_qfi_pure(InterferometerParams(g=0.5, alpha=1e200, r=0.5)),
-            NonconvergedOracleError,
-            "start grid",
-        ),
+        (lambda: fock.auto_prepared_state(1e200, 0.5, 0.5), NonconvergedOracleError, "start grid"),
         (lambda: fock.SensitivityOracle(math.nan, 0.5, 0.5), ValueError, "alpha must be finite"),
         (lambda: fock.SensitivityOracle(math.inf, 0.5, 0.5), ValueError, "alpha must be finite"),
         (lambda: fock.SensitivityOracle(0.5, math.nan, 0.5), ValueError, "g must be finite"),
@@ -263,11 +260,7 @@ class TestSweepKrausFamily:
             ValueError,
             "tail_tol",
         ),
-        (
-            lambda: fock.oracle_qfi_mixed(InterferometerParams(g=0.5, alpha=0.5, r=0.5), 0.5, -1.0),
-            ValueError,
-            "tail_tol",
-        ),
+        (lambda: fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=-1.0), ValueError, "tail_tol"),
         (
             lambda: fock.mixed_qfi_from_state(
                 fock.prepared_state(0.5, 0.5, 0.5, 40, 20), 0.5, weight_tol=math.nan
@@ -282,6 +275,16 @@ class TestSweepKrausFamily:
             ValueError,
             "weight_tol",
         ),
+        (
+            lambda: fock.mixed_qfi_from_state(fock.prepared_state(0.5, 0.5, 0.5, 40, 20), 1.5),
+            ValueError,
+            r"^eta must lie in \[0, 1\], got 1\.5$",
+        ),
+        (
+            lambda: fock.mixed_qfi_from_state(fock.prepared_state(0.5, 0.5, 0.5, 40, 20), math.nan),
+            ValueError,
+            r"^eta must lie in \[0, 1\], got nan$",
+        ),
         # tails pass at 95x36, but rounding leaves a deficit no grid recovers
         (
             lambda: fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=1e-14),
@@ -295,11 +298,11 @@ class TestSweepKrausFamily:
         ),
     ],
     ids=[
-        "alpha-huge", "qfi-alpha-huge", "alpha-nan", "alpha-inf", "g-nan", "r-negative",
+        "alpha-huge", "auto-prep-alpha-huge", "alpha-nan", "alpha-inf", "g-nan", "r-negative",
         "tail_tol-nan", "tail_tol-negative", "kraus_tol-nan", "kraus_tol-negative",
-        "prep_tail_tol-inf", "auto-prep-tail_tol-nan", "qfi-tail_tol-negative",
-        "qfi-weight_tol-nan", "qfi-weight_tol-negative", "auto-prep-norm-deficit",
-        "engine-norm-deficit",
+        "prep_tail_tol-inf", "auto-prep-tail_tol-nan", "auto-prep-tail_tol-negative",
+        "qfi-weight_tol-nan", "qfi-weight_tol-negative", "qfi-eta-above-1", "qfi-eta-nan",
+        "auto-prep-norm-deficit", "engine-norm-deficit",
     ],
 )
 def test_oracle_rejects_bad_input(call, error, match):
@@ -335,6 +338,35 @@ def test_work_grid_budget_checked_before_the_first_probe(monkeypatch):
     assert probes == []
 
 
+@pytest.mark.parametrize(
+    "groups, phis, message",
+    [
+        # once a silent (0.0, 1.5568..., 0.0)
+        ({1.0: (-0.2,)}, (0.8,), "transmittance t2 must lie in [0, 1], got -0.2"),
+        # once a norm deficit of 0.0369, a math domain error and NaN casts
+        ({-0.1: (1.0,)}, (0.8,), "transmittance t1 must lie in [0, 1], got -0.1"),
+        ({1.0: (1.2,)}, (0.8,), "transmittance t2 must lie in [0, 1], got 1.2"),
+        ({math.nan: (1.0,)}, (0.8,), "transmittance t1 must lie in [0, 1], got nan"),
+        ({1.0: (1.0,)}, (0.8, math.nan), "phase phi must be finite, got nan"),
+        ({1.0: (1.0,)}, (-math.inf,), "phase phi must be finite, got -inf"),
+        # once max() and zero-size reduction errors
+        ({}, (0.8,), "groups must hold at least one loss group, got {}"),
+        ({1.0: (1.0,), 0.7: ()}, (0.8,), "loss group t1=0.7 must hold at least one t2, got ()"),
+        ({1.0: (1.0,)}, (), "phi_values must hold at least one phase, got ()"),
+    ],
+    ids=["t2-negative", "t1-negative", "t2-above-1", "t1-nan", "phi-nan", "phi-inf", "no-group",
+         "group-without-t2", "no-phase"],
+)
+def test_output_statistics_reject_bad_groups_and_phases(monkeypatch, groups, phis, message):
+    probes = []
+    monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", lambda *args: probes.append(args))
+    eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
+    with pytest.raises(ValueError) as exc:
+        eng.quadrature_statistics(groups, phis)
+    assert str(exc.value) == message
+    assert probes == []
+
+
 def test_prep_bounds_the_squeezer_matrix():
     # at r = 1e300 mode a escalates while d_a * d_b stays in budget; without
     # the bound the single-mode squeezer once grew to 12906 levels and kept going
@@ -348,16 +380,16 @@ def test_squeezer_bound_keeps_the_figure_domain_preparations():
     # the (alpha 1, g 1.5, r 1) prep needs a 1394-level squeezer (1394^2
     # is over the work-grid budget max_dim), well inside the squeezer bound
     p = InterferometerParams(g=1.5, alpha=1.0, r=1.0)
-    oracle = fock.oracle_qfi_pure(p)
+    oracle = fock.SensitivityOracle(p.alpha, p.g, p.r).fisher_pure()
     assert abs(oracle - qfi_ideal(p).fisher) <= 1e-6 * oracle
 
 
 def test_squeezer_bound_skips_r_zero():
     # at r = 0 no single-mode squeezer runs, so a 1517-level coherent start
     # grid is not refused; Var n_a of a coherent state is |alpha|^2
-    psi, diag = fock.auto_prepared_state(35.0, 0.0, 0.0)
-    assert psi.shape[0] > 1400 and diag.converged
-    assert fock.oracle_qfi_pure(InterferometerParams(g=0, alpha=35.0, r=0)) == pytest.approx(4900.0, rel=1e-9)
+    eng = fock.SensitivityOracle(35.0, 0, 0)
+    assert eng.prep.shape[0] > 1400 and eng.prep_diag.converged
+    assert eng.fisher_pure() == pytest.approx(4900.0, rel=1e-9)
 
 
 class TestCutoffCheck:
@@ -425,7 +457,8 @@ class TestOracleAgainstAnalyticPath:
         res, *_ = eng._evaluate_at_dims(groups, kraus, phis, d_a, d_b)
         assert len(res) == 3 * len(phis)
         for (t1, t2_values), phi in itertools.product(groups.items(), phis):
-            psi = fock.apply_phase(np.pad(prep, ((0, d_a - 10), (0, d_b - 8))), phi)
+            psi = np.pad(prep, ((0, d_a - 10), (0, d_b - 8)))
+            psi = np.exp(-1j * phi * np.arange(d_a))[:, None] * psi
             rho = apply_loss(psi, KrausChannel(t1, "a")).matrix
             # the exact slope: d rho / d phi = -i [n_a, rho] before the squeezer
             drho = -1j * (n_a[:, None] * rho - rho * n_a[None, :])
@@ -561,33 +594,32 @@ class TestBlasThreadScope:
 
 class TestQfiOracles:
     def test_pure_coherent(self):
-        f = fock.oracle_qfi_pure(InterferometerParams(g=0, alpha=1, r=0))
+        f = fock.SensitivityOracle(1, 0, 0).fisher_pure()
         assert f == pytest.approx(4.0, abs=1e-9)
 
     def test_pure_squeezed_vacuum(self):
-        f = fock.oracle_qfi_pure(InterferometerParams(g=0, alpha=0, r=0.6))
+        f = fock.SensitivityOracle(0, 0, 0.6).fisher_pure()
         assert f == pytest.approx(2.0 * math.sinh(1.2) ** 2, rel=1e-9)
 
     def test_pure_matches_analytic(self):
         p = InterferometerParams(g=1, alpha=1, r=1)
-        f = fock.oracle_qfi_pure(p, tail_tol=1e-12)
+        f = fock.SensitivityOracle(p.alpha, p.g, p.r, prep_tail_tol=1e-12).fisher_pure()
         assert f == pytest.approx(qfi_ideal(p).fisher, rel=1e-8)
 
     def test_mixed_reduces_to_pure_at_full_transmission(self):
-        p = InterferometerParams(g=0.8, alpha=0.7, r=0.5)
-        pure = fock.oracle_qfi_pure(p, tail_tol=1e-12)
-        mixed = fock.oracle_qfi_mixed(p, 1.0, tail_tol=1e-12)
-        assert mixed == pytest.approx(pure, rel=1e-8)
+        eng = fock.SensitivityOracle(0.7, 0.8, 0.5, prep_tail_tol=1e-12)
+        mixed = fock.mixed_qfi_from_state(eng.prep, 1.0)
+        assert mixed == pytest.approx(eng.fisher_pure(), rel=1e-8)
 
     def test_mixed_lossy_coherent_closed_form(self):
         # a lossy coherent state stays coherent at sqrt(eta) alpha
-        p = InterferometerParams(g=0, alpha=1.0, r=0)
+        psi, _ = fock.auto_prepared_state(1.0, 0, 0)
         for eta in (0.3, 0.7):
-            f = fock.oracle_qfi_mixed(p, eta)
+            f = fock.mixed_qfi_from_state(psi, eta)
             assert f == pytest.approx(4.0 * eta, rel=1e-8)
 
     def test_mixed_vanishes_at_complete_loss(self):
-        f = fock.oracle_qfi_mixed(InterferometerParams(g=0.5, alpha=0.5, r=0.5), 0.0)
+        f = fock.mixed_qfi_from_state(fock.auto_prepared_state(0.5, 0.5, 0.5)[0], 0.0)
         assert abs(f) < 1e-10
 
     @pytest.mark.parametrize("eta", [0.5, 0.2, 0.1])
@@ -598,7 +630,7 @@ class TestQfiOracles:
         r = 2.0
         a = eta * math.exp(2 * r) + 1 - eta
         b = eta * math.exp(-2 * r) + 1 - eta
-        f = fock.oracle_qfi_mixed(InterferometerParams(g=0, alpha=0, r=r), eta)
+        f = fock.mixed_qfi_from_state(fock.auto_prepared_state(0, 0, r)[0], eta)
         assert f == pytest.approx((a - b) ** 2 / (a * b + 1), rel=1e-7)
 
     def test_non_finite_kraus_row_raises(self):
@@ -608,10 +640,10 @@ class TestQfiOracles:
             eng.quadrature_statistics({0.5: (1.0,)}, (0.8,))
 
     def test_phase_placement_irrelevant(self):
-        p = InterferometerParams(g=0.6, alpha=0.8, r=0.4, phi=0.9)
-        f1 = fock.oracle_qfi_mixed(p, 0.6)
-        f2 = fock.oracle_qfi_mixed(p.replace(phi=0.0), 0.6)
-        assert f1 == pytest.approx(f2, rel=1e-10)
+        psi, _ = fock.auto_prepared_state(0.8, 0.6, 0.4)
+        phased = np.exp(-1j * 0.9 * np.arange(len(psi)))[:, None] * psi
+        f1 = fock.mixed_qfi_from_state(phased, 0.6)
+        assert f1 == pytest.approx(fock.mixed_qfi_from_state(psi, 0.6), rel=1e-10)
 
     @pytest.mark.parametrize("eta", [0.3, 0.7, 0.95])
     @pytest.mark.parametrize("d_b", [12, 1], ids=["two-mode", "fewer-rows-than-columns"])

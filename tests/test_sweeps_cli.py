@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from su11lso.cli import main
-from su11lso import cli, crosscheck
+from su11lso import cli, crosscheck, sweeps
 from su11lso.crosscheck import CellResult, CrossCheckResult
 from su11lso.errors import DegenerateConfigurationError, DivergentSensitivityError
 from su11lso.metrology import (
@@ -1572,3 +1572,30 @@ class TestBatchEqualsScalar:
         with pytest.raises(ValueError) as sweep:
             run_sweep(spec)
         assert str(sweep.value) == expected
+
+    def test_non_finite_ok_cell_names_its_point(self, monkeypatch):
+        # N reads inf with status ok at one point of the second series: the
+        # joined call, each series and each point replay it, and the error
+        # names that point
+        entry = sweeps._QUANTITY_TABLE["N"]
+        calls = []
+
+        def patched(state, etas):
+            calls.append(len(state))
+            values, status = entry(state, etas)
+            values = np.array(values, dtype=float)
+            hit = [(p.r, p.phi) == (0.5, 0.5) for p in map(state.point, range(len(state)))]
+            values[np.array(hit)] = np.inf
+            return values, status
+
+        monkeypatch.setitem(sweeps._QUANTITY_TABLE, "N", patched)
+        fixed = InterferometerParams(g=1.0, alpha=1.0, r=0.0)
+        series = (SweepSeries("a", {"r": 0.0}), SweepSeries("b", {"r": 0.5}))
+        with pytest.raises(ValueError) as exc:
+            run_sweep(SweepSpec("phi", 0.0, 1.0, 3, fixed, ("N",), series))
+        assert str(exc.value) == (
+            "N = inf is not finite at g=1, alpha=1+0j, r=0.5, t1=1, t2=1, phi=0.5, eta=1"
+        )
+        # joined, then its points up to the failing fifth; then series a
+        # whole, and series b with its points up to the failing second
+        assert calls == [6, 1, 1, 1, 1, 1, 3, 3, 1, 1]
