@@ -125,7 +125,9 @@ def build_parser() -> _Parser:
     p_check.add_argument("--rs")
     p_check.add_argument("--ts", help="transmittance values; all pairs are checked")
     p_check.add_argument("--phis")
-    p_check.add_argument("--max-dim", type=int, help="cells d_a * d_b per oracle work grid")
+    p_check.add_argument(
+        "--max-dim", type=int, help="cells d_a * d_b per oracle state-preparation grid"
+    )
     parser.sub_map = (p_point, p_sweep, p_fig, p_check)
     return parser
 

@@ -25,10 +25,6 @@ DEFAULT_RS = (0.0, 0.5, 1.0)
 DEFAULT_T_PAIRS = ((1.0, 1.0), (1.0, 0.7), (0.7, 1.0), (0.7, 0.7))
 DEFAULT_PHIS = (0.3, 0.8, 1.5)
 
-# Kraus weight each engine may drop per loss family (fock's default is 1e-11);
-# the work-grid and prep tolerances are fock's defaults
-_KRAUS_TOL = 1e-9
-
 # kind of missing information: (flag where both routes lack it, the value
 # a route without it reads)
 _NO_INFORMATION = {"divergence": ("divergent", math.inf), "degeneracy": ("degenerate", 0.0)}
@@ -136,15 +132,14 @@ def run_cross_check(
 ) -> CrossCheckResult:
     """Compare delta-phi, N, and F across the two routes over the grid.
 
-    One oracle engine serves each (alpha, g, r), and one oracle call sweeps
+    One oracle engine serves each (alpha, g, r), and one oracle call reads
     all of its transmittance pairs, grouped by internal loss t1, at every
     requested phi.  The oracle returns <X>, <X^2> and the exact phase slope
-    d<X>/dphi, from which each cell forms Var X and delta-phi.  Of the t1
-    groups that the analytic route finds divergent throughout, that call
-    sweeps only the first; a second call sweeps the rest only where the
-    oracle finds a phase slope in that first one.  progress, if given,
-    receives each t1 group's cells, in grid order, once its engine is done;
-    an engine whose oracle call raises reports none of its groups.
+    d<X>/dphi, from which each cell forms Var X and delta-phi; a cell
+    without a phase slope on both routes is flagged divergent.  progress,
+    if given, receives each t1 group's cells, in grid order, once its
+    engine is done; an engine whose oracle call raises reports none of its
+    groups.
 
     Every delta-phi cell is computed, in one call, before the first engine.
     A negative or non-finite tolerance, a max_dim below 1, an empty grid
@@ -198,21 +193,19 @@ def run_cross_check(
     keys = {t1: [(t1, t2, phi) for t2 in t2s for phi in phis] for t1, t2s in t1_groups.items()}
 
     for alpha, g, r, base, n_analytic, f_analytic in states:
-        engine = SensitivityOracle(alpha, g, r, kraus_tol=_KRAUS_TOL, max_dim=max_dim)
+        engine = SensitivityOracle(alpha, g, r, max_dim=max_dim)
         result.cells.append(_cell("N", "", base, n_analytic, engine.photon_number()))
         f_oracle = engine.fisher_pure()
         f_oracle = f_oracle if abs(f_oracle) >= 1e-9 else None
         result.cells.append(_cell("F", "degeneracy", base, f_analytic, f_oracle))
         analytic = {k: next(deltas) for k in cell_keys}  # this engine's slice
-        # of the groups the analytic route finds divergent throughout, the
-        # oracle sweeps the rest only where it finds a slope in the first
-        divergent = [t1 for t1, group in keys.items() if all(analytic[k] is None for k in group)]
-        oracle = _oracle(engine, t1_groups, [t1 for t1 in keys if t1 not in divergent[1:]], phis)
-        if divergent[1:] and any(oracle[k] is not None for k in keys[divergent[0]]):
-            oracle.update(_oracle(engine, t1_groups, divergent[1:], phis))
+        oracle = {
+            k: math.sqrt(max(x2 - x * x, 0.0)) / abs(dx) if abs(dx) >= SLOPE_FLOOR else None
+            for k, (x, x2, dx) in engine.quadrature_statistics(t1_groups, phis).items()
+        }
         for group in keys.values():
             cells = [
-                _cell("delta_phi", "divergence", base, analytic[k], oracle.get(k), k) for k in group
+                _cell("delta_phi", "divergence", base, analytic[k], oracle[k], k) for k in group
             ]
             result.cells.extend(cells)
             if progress is not None:
@@ -220,9 +213,3 @@ def run_cross_check(
     result.runtime = time.time() - t0
     return result
 
-
-def _oracle(engine, t1_groups, t1s, phis):
-    """Oracle delta-phi per (t1, t2, phi) of the groups t1s; None without a phase slope."""
-    stats = engine.quadrature_statistics({t1: t1_groups[t1] for t1 in t1s}, phis)
-    return {k: math.sqrt(max(x2 - x * x, 0.0)) / abs(dx) if abs(dx) >= SLOPE_FLOOR else None
-            for k, (x, x2, dx) in stats.items()}

@@ -1,7 +1,7 @@
 """Literal density-operator route of the Fock oracle, for small cutoffs.
 
 The oracle never forms a density operator; these helpers do, so tests can
-check its streamed sector sweep, its Kraus family and its mixed-state
+check its Heisenberg read-out of the output quadrature and its mixed-state
 Fisher information against the plain textbook construction.  Pure states
 are the oracle's (d_a, d_b) arrays; ``pure_moment`` reads normally ordered
 moments off them by explicit ladder applications.
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from su11lso import fock
 
 # largest d_a*d_b for which the explicit density operator is formed
 DENSITY_DIM_LIMIT = 4096
@@ -110,7 +108,7 @@ def pure_moment(psi: np.ndarray, key) -> complex:
 
 
 def loss_kraus_rows(
-    psi: np.ndarray, transmittance: float, weight_tol: float = fock.DEFAULT_KRAUS_TOL
+    psi: np.ndarray, transmittance: float, weight_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows Pi_l |psi> of the loss channel on mode a, stacked (L, dim), plus weights.
 
@@ -160,9 +158,9 @@ def apply_loss(target, channel: KrausChannel) -> FockDensityOperator:
     out = np.zeros_like(rho4)
     for k in kraus:
         if channel.mode == "a":
-            out += np.einsum("ij,jklm,nl->iknm", k, rho4, k.conj())
+            out += np.einsum("ij,jklm,nl->iknm", k, rho4, k.conj(), optimize=True)
         else:
-            out += np.einsum("ij,kjlm,nm->kiln", k, rho4, k.conj())
+            out += np.einsum("ij,kjlm,nm->kiln", k, rho4, k.conj(), optimize=True)
     return FockDensityOperator(da, db, out.reshape(da * db, da * db))
 
 

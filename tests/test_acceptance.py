@@ -56,9 +56,7 @@ def test_criterion_02_standard_interferometer_reduction():
     worst = 0.0
     for alpha, g in [(0.5, 1.0), (1.0, 0.6), (1.0, 1.0)]:
         base = InterferometerParams(g=g, alpha=alpha, r=0.0)
-        engine = fock.SensitivityOracle(
-            alpha, g, 0.0, tail_tol=1e-9, kraus_tol=1e-12, prep_tail_tol=1e-12
-        )
+        engine = fock.SensitivityOracle(alpha, g, 0.0, prep_tail_tol=1e-12)
         n_dev = abs(total_photon_number(base) - engine.photon_number()) / max(
             engine.photon_number(), 1e-12
         )

@@ -55,9 +55,9 @@ class TestBuildInput:
         assert held.tolist() == list(range(21))
         assert np.abs(psi[held, 0]).min() ** 2 >= 1e-32
         calls = []
-        sector_exp = fock._sector_exp
+        skew_exp = fock._apply_skew_exp
         monkeypatch.setattr(
-            fock, "_sector_exp", lambda x, *args: calls.append(len(x)) or sector_exp(x, *args)
+            fock, "_apply_skew_exp", lambda sub, x: calls.append(len(x)) or skew_exp(sub, x)
         )
         fock.apply_two_mode_squeezer(psi, 1.0)
         assert len(calls) == len(held)
@@ -81,8 +81,8 @@ class TestGatesAgainstDenseExpm:
     """The sector-eigendecomposition exponentials against scipy expm."""
 
     # xi = g e^{i theta} with theta 0 or pi is the signed gain g cos(theta):
-    # pi is the phase-flipped squeezer.  The two tiny gains take the
-    # near-singular full-spectrum fallback
+    # pi is the phase-flipped squeezer.  The two tiny gains give
+    # near-singular chains
     @pytest.mark.parametrize(
         "g,theta", [(0.7, 0.0), (0.5, math.pi), (1e-9, math.pi), (1e-200, 0.0)]
     )
@@ -153,7 +153,7 @@ class TestGatePhysics:
         assert abs(got.imag) < 1e-12
 
     def test_phase_gate(self):
-        # the sweep's phase factors e^{-i phi n_a}, one column per phase
+        # the read-out's phase factors e^{-i phi n_a}, one column per phase
         st = fock.build_input(1.0, 20, 2)
         factors = fock._phase_factors(np.arange(20), (0.0, 2 * math.pi, 0.7))
         zero, full_turn, rotated = factors.T[:, :, None] * st
@@ -215,28 +215,6 @@ class TestLossChannel:
         assert np.abs(rho.matrix - rho_ref).max() < 1e-12
 
 
-class TestSweepKrausFamily:
-    """The sweep's compressed Kraus family against the reference Kraus rows."""
-
-    @pytest.mark.parametrize("t1", [0.0, 0.3, 0.7])
-    def test_mixture_matches_reference_rows(self, t1):
-        # a tolerance under the 1e-12 comparison, so truncation cannot hide in it
-        eng = fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=1e-13)
-        eng.prep = fock.prepared_state(0.7, 0.6, 0.5, 16, 10)
-        rows = eng._kraus_rows_for(t1)
-        ref, _ = loss_kraus_rows(eng.prep, t1, weight_tol=1e-16)
-        mixture = rows.T @ rows.conj()
-        assert np.abs(mixture - ref.T @ ref.conj()).max() < 1e-12
-        kept_weight = np.vdot(rows, rows).real
-        assert abs(kept_weight - np.linalg.norm(eng.prep) ** 2) <= eng.kraus_tol
-
-    def test_lossless_family_is_the_prep_state(self):
-        eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
-        rows = eng._kraus_rows_for(1.0)
-        assert rows.shape == (1, eng.prep.size)
-        assert np.array_equal(rows[0], eng.prep.reshape(-1))
-
-
 @pytest.mark.parametrize(
     "call, error, match",
     [
@@ -246,10 +224,16 @@ class TestSweepKrausFamily:
         (lambda: fock.SensitivityOracle(math.inf, 0.5, 0.5), ValueError, "alpha must be finite"),
         (lambda: fock.SensitivityOracle(0.5, math.nan, 0.5), ValueError, "g must be finite"),
         (lambda: fock.SensitivityOracle(0.5, 0.5, -1.0), ValueError, "squeezing r"),
-        (lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, tail_tol=math.nan), ValueError, "tail_tol"),
-        (lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, tail_tol=-1.0), ValueError, "tail_tol"),
-        (lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=math.nan), ValueError, "kraus_tol"),
-        (lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=-1.0), ValueError, "kraus_tol"),
+        (
+            lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, prep_tail_tol=math.nan),
+            ValueError,
+            "prep_tail_tol",
+        ),
+        (
+            lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, prep_tail_tol=-1.0),
+            ValueError,
+            "prep_tail_tol",
+        ),
         (
             lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, prep_tail_tol=math.inf),
             ValueError,
@@ -285,22 +269,21 @@ class TestSweepKrausFamily:
             ValueError,
             r"^eta must lie in \[0, 1\], got nan$",
         ),
-        # tails pass at 95x36, but rounding leaves a deficit no grid recovers
+        # tails pass at 107x39, but rounding leaves a deficit no grid recovers
         (
-            lambda: fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=1e-14),
+            lambda: fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=1e-16),
             NonconvergedOracleError,
-            "norm deficit 3.75e-13",
+            r"norm deficit \S+ exceeds its budget 1e-16 at grid 107x39",
         ),
         (
-            lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, tail_tol=1e-14),
+            lambda: fock.SensitivityOracle(0.5, 0.5, 0.5, prep_tail_tol=1e-16),
             NonconvergedOracleError,
-            "norm deficit 3.75e-13",
+            r"norm deficit \S+ exceeds its budget 1e-16 at grid 107x39",
         ),
     ],
     ids=[
         "alpha-huge", "auto-prep-alpha-huge", "alpha-nan", "alpha-inf", "g-nan", "r-negative",
-        "tail_tol-nan", "tail_tol-negative", "kraus_tol-nan", "kraus_tol-negative",
-        "prep_tail_tol-inf", "auto-prep-tail_tol-nan", "auto-prep-tail_tol-negative",
+        "prep_tail_tol-nan", "prep_tail_tol-negative", "prep_tail_tol-inf", "auto-prep-tail_tol-nan", "auto-prep-tail_tol-negative",
         "qfi-weight_tol-nan", "qfi-weight_tol-negative", "qfi-eta-above-1", "qfi-eta-nan",
         "auto-prep-norm-deficit", "engine-norm-deficit",
     ],
@@ -316,26 +299,31 @@ def test_oracle_rejects_bad_input(call, error, match):
 
 def test_oracle_accepts_zero_tolerance():
     # zero asks for exact truncation: it is valid input, and unattainable
-    fock.SensitivityOracle(0.5, 0.5, 0.5, kraus_tol=0.0)
+    fock.mixed_qfi_from_state(fock.prepared_state(0.5, 0.5, 0.5, 40, 20), 0.5, weight_tol=0.0)
     with pytest.raises(NonconvergedOracleError, match="dim budget"):
         fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=0.0, max_dim=2_000)
 
 
-def test_work_grid_budget_checked_before_the_first_probe(monkeypatch):
-    # the (alpha 1, g 1.5, r 1) start grid is 1734^2 cells, over the
-    # budget; it once ran a 37 s probe before raising
+def test_prep_budget_checked_before_the_first_probe(monkeypatch):
+    # the prep's 21x6 start grid at (alpha 1, g 1.5, r 1) is over a budget
+    # of 100 cells: refused before any state is prepared
     probes = []
-    evaluate = fock.SensitivityOracle._evaluate_at_dims
-
-    def counting(engine, *args):
-        probes.append(args)
-        return evaluate(engine, *args)
-
-    monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", counting)
-    eng = fock.SensitivityOracle(1.0, 1.5, 1.0)
-    with pytest.raises(NonconvergedOracleError, match="1734x1734 exceeds dim budget 1400000"):
-        eng.quadrature_statistics({1.0: (1.0,)}, (0.8,))
+    monkeypatch.setattr(fock, "prepared_state", lambda *args: probes.append(args))
+    with pytest.raises(NonconvergedOracleError, match="start grid 21x6 exceeds dim budget 100$"):
+        fock.SensitivityOracle(1.0, 1.5, 1.0, max_dim=100)
     assert probes == []
+
+
+@pytest.mark.parametrize("alpha, g, r", [(2.0, 1.5, 1.0), (1.0, 1.5, 1.0), (1.5, 1.2, 1.5)])
+def test_figure_domain_engines_pass(alpha, g, r):
+    # the figure presets reach g 1.5, alpha 2 and t 0.2; the paper's largest
+    # preparation is (alpha 2, g 1.5, r 1) at 1985x251
+    res = crosscheck.run_cross_check(
+        alphas=(alpha,), gs=(g,), rs=(r,),
+        t_pairs=((1.0, 1.0), (0.2, 1.0), (1.0, 0.2), (0.5, 0.5)), phis=(0.05, 1.5, 3.0),
+    )
+    assert not any(c.flag for c in res.cells)
+    assert res.passed, res.summary_lines()
 
 
 @pytest.mark.parametrize(
@@ -377,8 +365,8 @@ def test_prep_bounds_the_squeezer_matrix():
 
 
 def test_squeezer_bound_keeps_the_figure_domain_preparations():
-    # the (alpha 1, g 1.5, r 1) prep needs a 1394-level squeezer (1394^2
-    # is over the work-grid budget max_dim), well inside the squeezer bound
+    # the (alpha 1, g 1.5, r 1) prep needs a 1394-level squeezer, well
+    # inside the squeezer bound
     p = InterferometerParams(g=1.5, alpha=1.0, r=1.0)
     oracle = fock.SensitivityOracle(p.alpha, p.g, p.r).fisher_pure()
     assert abs(oracle - qfi_ideal(p).fisher) <= 1e-6 * oracle
@@ -436,95 +424,85 @@ class TestOracleAgainstAnalyticPath:
         assert [c.flag for c in res.cells if c.quantity == "delta_phi"] == [""]
         assert res.max_deviation("delta_phi") <= 1e-6
 
-    @pytest.mark.parametrize("alpha", [0.8, 0.0], ids=["alpha0.8", "alpha0-empty-sectors"])
+    @pytest.mark.parametrize(
+        "alpha", [0.8, 0.0, 0.6 + 0.5j], ids=["alpha0.8", "alpha0-empty-sectors", "complex-alpha"]
+    )
     def test_production_route_equals_literal_density_route(self, alpha):
-        # trace cyclicity: identical matrices, reordered.  A 10x8 prep state
-        # (the corner of a larger one, as the coherent input needs more than
-        # 10 levels) padded into a 14x12 work grid; at alpha = 0 every odd
-        # sector is empty.  Two t1 groups share the sweep, the first with two
-        # t2 values; t2 = 1 takes the read-out's lossless case
-        g, r, phis = 0.6, 0.4, (0.9, 0.4, 1.7)
-        groups = {0.75: (0.85, 1.0), 0.4: (1.0,)}
-        d_a, d_b = 14, 12
+        # the read-out against Schroedinger's picture: the 10x8 prep (the
+        # corner of a larger one, as the coherent input needs more than 10
+        # levels) padded into a 26x26 grid, where the literal phase-flipped
+        # squeezer at g 0.25 moves the moments below 1e-14; at alpha = 0
+        # every odd sector is empty, and a complex alpha gives complex
+        # moments.  Two t1 groups share the read-out, the first with two t2
+        # values, every transmittance under 1
+        g, r, phis = 0.25, 0.4, (0.9, 1.7)
+        groups = {0.75: (0.85, 0.5), 0.4: (0.9,)}
+        d = 26
         prep = fock.prepared_state(alpha, g, r, 20, 8)[:10].copy()
-        a = np.kron(dense_ladder(d_a), np.eye(d_b))
-        b = np.kron(np.eye(d_a), dense_ladder(d_b))
+        a = np.kron(dense_ladder(d), np.eye(d))
+        b = np.kron(np.eye(d), dense_ladder(d))
         u2 = expm(-g * (a @ b) + g * (a.T @ b.T))  # the phase-flipped squeezer
-        n_a = np.repeat(np.arange(d_a, dtype=float), d_b)
+        n_a = np.repeat(np.arange(d, dtype=float), d)
         eng = fock.SensitivityOracle(alpha, g, r)
         eng.prep = prep
-        kraus = [eng._kraus_rows_for(t1) for t1 in groups]
-        res, *_ = eng._evaluate_at_dims(groups, kraus, phis, d_a, d_b)
+        res = eng.quadrature_statistics(groups, phis)
         assert len(res) == 3 * len(phis)
         for (t1, t2_values), phi in itertools.product(groups.items(), phis):
-            psi = np.pad(prep, ((0, d_a - 10), (0, d_b - 8)))
-            psi = np.exp(-1j * phi * np.arange(d_a))[:, None] * psi
+            psi = np.pad(prep, ((0, d - 10), (0, d - 8)))
+            psi = np.exp(-1j * phi * np.arange(d))[:, None] * psi
             rho = apply_loss(psi, KrausChannel(t1, "a")).matrix
             # the exact slope: d rho / d phi = -i [n_a, rho] before the squeezer
             drho = -1j * (n_a[:, None] * rho - rho * n_a[None, :])
-            rho, drho = (FockDensityOperator(d_a, d_b, u2 @ m @ u2.conj().T) for m in (rho, drho))
+            rho, drho = (FockDensityOperator(d, d, u2 @ m @ u2.conj().T) for m in (rho, drho))
             for t2 in t2_values:
                 mean_lit, second_lit = density_quadrature_stats(apply_loss(rho, KrausChannel(t2, "a")))
                 slope_lit, _ = density_quadrature_stats(apply_loss(drho, KrausChannel(t2, "a")))
-                mean_fast, second_fast, slope_fast = res[(t1, t2, phi)]
-                assert mean_fast == pytest.approx(mean_lit, abs=1e-13)
-                assert second_fast == pytest.approx(second_lit, abs=1e-12)
-                assert slope_fast == pytest.approx(slope_lit, abs=1e-12)
+                mean, second, slope = res[(t1, t2, phi)]
+                assert mean == pytest.approx(mean_lit, abs=1e-12)
+                assert second == pytest.approx(second_lit, abs=1e-12)
+                assert slope == pytest.approx(slope_lit, abs=1e-12)
 
-    def test_sweep_skips_only_sectors_within_the_weight_budget(self, monkeypatch):
-        # the reference keeps every sector of the prep grid
-        groups, phis = {1.0: (1.0, 0.7), 0.7: (1.0,)}, (0.3, 0.8, 1.5)
-        eng = fock.SensitivityOracle(0.5, 1.0, 0.5)
-        selections = []
-        select = fock._swept_sectors
+    @pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
+    def test_gate_pair_is_the_bogoliubov_pair(self, g):
+        # read off the literal gate, never typed: U2' a U2 = cosh(g) a + sinh(g) b'
+        c, s = fock._gate_pair(g, fock.DEFAULT_MAX_DIM)
+        assert abs(c * c - s * s - 1.0) <= 1e-13
+        assert abs(c - math.cosh(g)) <= 1e-14 * math.cosh(g)
+        assert s > 0.0
 
-        def recording(weights, budget):
-            swept = select(weights, budget)
-            selections.append((weights, budget, swept))
-            return swept
+    def test_gate_pair_over_the_budget_raises(self):
+        # at g 1.5 the chains need 256 levels; a budget of 400 cells allows 20
+        with pytest.raises(NonconvergedOracleError, match="20-level chains .* dim budget 400$"):
+            fock._gate_pair(1.5, 400)
 
-        monkeypatch.setattr(fock, "_swept_sectors", recording)
-        fast = eng.quadrature_statistics(groups, phis)
-        monkeypatch.setattr(
-            fock, "_swept_sectors", lambda weights, budget: np.ones(weights.shape[1], dtype=bool)
-        )
-        full = eng.quadrature_statistics(groups, phis)
-        assert fast.keys() == full.keys()
-        for key, value in full.items():
-            assert fast[key] == pytest.approx(value, rel=1e-10, abs=0.0), key
-        for weights, budget, swept in selections:
-            assert budget == 1e-4 * eng.kraus_tol
-            assert weights.shape[0] == len(groups)
-            assert weights.sum(axis=1) == pytest.approx(1.0, abs=1e-9)
-            assert np.all(weights[:, ~swept].sum(axis=1) <= budget)
-            assert 0 < swept.sum() < 0.8 * len(swept)
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_lossy_bands_scale_the_ladder_operators(self, t):
+        # the adjoint loss channel maps n_a, a and a^2 to t n_a, sqrt(t) a and
+        # t a^2, on every row of the truncated bands
+        n = np.arange(12.0)
+        lossy_n, lossy_a, lossy_aa = fock._lossy_bands(t, 12)
+        assert np.abs(lossy_n - t * n).max() <= 1e-14 * n.max()
+        assert np.abs(lossy_a - math.sqrt(t) * np.sqrt(n[1:])).max() <= 1e-14 * n.max()
+        assert np.abs(lossy_aa - t * np.sqrt(n[1:-1] * n[2:])).max() <= 1e-14 * n.max()
+        assert fock._loss_factors(t) == pytest.approx((t, math.sqrt(t), t), abs=1e-15)
 
-    def test_sector_sweep_peak_memory_is_a_few_sector_blocks(self):
-        # one sector's columns at a time plus the correlations, never the
-        # (dim, columns) batch of every phase and Kraus vector.  Each column
-        # streams with its phase derivative, and the offset-1 correlation
-        # has its derivative too
-        eng = fock.SensitivityOracle(0.5, 0.5, 0.5)
-        d_a, d_b = eng.prep.shape[0] + 40, eng.prep.shape[1] + 40
+    def test_read_out_peak_memory_is_a_few_prep_blocks(self):
+        # the read-out holds a few prep-sized arrays at a time, never a
+        # density operator or a grid the second squeezer has widened
+        eng = fock.SensitivityOracle(1.0, 1.0, 1.0)
         phis = (0.3, 0.8, 1.5)
-        kraus = [eng._kraus_rows_for(0.7)]
-        ncols = len(phis) * kraus[0].shape[0]
-        block = min(d_a, d_b) * 2 * ncols * 16
-        corr = 4 * d_a * ncols * 8
-        batch = d_a * d_b * 2 * ncols * 16
         tracemalloc.start()
         try:
-            eng._evaluate_at_dims({0.7: (1.0, 0.7)}, kraus, phis, d_a, d_b)
+            eng.quadrature_statistics({1.0: (1.0, 0.7), 0.7: (1.0, 0.7)}, phis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= corr + 12 * block < batch / 4
+        assert peak <= 4 * eng.prep.nbytes
 
 
 class TestOracleIsHistoryFree:
     def test_result_does_not_depend_on_earlier_engines(self):
-        # the lossless group of (alpha 0.5, g 1.2, r 0) outgrows its start
-        # grid; a later call on that engine starts afresh all the same
+        # a later call on an engine reads the same prep as a fresh engine's
         phis = (0.8, 1.5)
         used = fock.SensitivityOracle(0.5, 1.2, 0.0)
         used.quadrature_statistics({1.0: (1.0,)}, phis)
@@ -534,7 +512,7 @@ class TestOracleIsHistoryFree:
         assert later == fresh
 
     def test_cells_do_not_depend_on_the_order_of_loss_groups(self):
-        # one escalation, judged on every group's blocks, serves the engine
+        # one read-out of the prep serves all of the engine's groups
         cells = {}
         for t_pairs in (
             ((1.0, 1.0), (1.0, 0.7), (0.7, 1.0), (0.7, 0.7)),
@@ -548,48 +526,6 @@ class TestOracleIsHistoryFree:
         assert first.keys() == second.keys()
         for key, value in first.items():
             assert second[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
-
-
-class TestBlasThreadScope:
-    """The sweep runs on one OpenBLAS thread and restores the counts after."""
-
-    @staticmethod
-    def _counts():
-        return [get() for get, _ in fock._openblas_thread_controls()]
-
-    def test_sweep_runs_on_one_thread_and_restores_counts(self, monkeypatch):
-        controls = fock._openblas_thread_controls()
-        if not controls:
-            pytest.skip("no OpenBLAS loaded")
-        seen = []
-        evaluate = fock.SensitivityOracle._evaluate_at_dims
-
-        def recording(engine, *args):
-            seen.append(self._counts())
-            return evaluate(engine, *args)
-
-        monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", recording)
-        original = self._counts()
-        try:
-            # two threads before the call, so restoring is not a no-op
-            for _, set_ in controls:
-                set_(2)
-            before = self._counts()
-            eng = fock.SensitivityOracle(0.5, 0.3, 0.2)
-            eng.quadrature_statistics({0.7: (1.0,)}, (0.8,))
-            assert seen and all(c == [1] * len(controls) for c in seen)
-            assert self._counts() == before
-            # an escalation that cannot converge raises out of the scope
-            seen.clear()
-            # a budget of exactly the start grid: one probe, then the raise
-            eng.tail_tol, eng.max_dim = 1e-300, math.prod(eng._start_dims())
-            with pytest.raises(NonconvergedOracleError, match="dim budget"):
-                eng.quadrature_statistics({1.0: (1.0,)}, (0.8,))
-            assert seen and all(c == [1] * len(controls) for c in seen)
-            assert self._counts() == before
-        finally:
-            for (_, set_), count in zip(controls, original):
-                set_(count)
 
 
 class TestQfiOracles:

@@ -736,7 +736,7 @@ class TestCli:
 def _stub_oracle(fisher, runs, slope=0.0):
     """A stand-in Fock oracle: the analytic N, the given F (the analytic one
     where None) and the given phase slope everywhere; it records each call
-    in runs, as (alpha, the t1 groups it sweeps)."""
+    in runs, as (alpha, the t1 groups it reads)."""
 
     class StubOracle:
         def __init__(self, alpha, g, r, **_):
@@ -843,7 +843,7 @@ class TestCheckVerdict:
     def test_unconfirmed_divergent_group_runs_the_oracle(self, monkeypatch, t_pairs):
         # at t1 = 0 no phase reaches the output, so the analytic route is
         # divergent throughout; only the oracle can confirm it, in the one
-        # call that sweeps the engine's other group too
+        # call that reads the engine's other group too
         runs = []
         monkeypatch.setattr(crosscheck, "SensitivityOracle", _stub_oracle(None, runs))
         crosscheck.run_cross_check(
@@ -858,30 +858,23 @@ class TestCheckVerdict:
         assert [c.flag for c in result.cells if c.t1 == 0.0] == ["divergent"]
         assert result.passed
 
-    def test_confirmed_divergence_is_reused(self, monkeypatch):
-        # alpha = 0: the first group's divergence is confirmed by the
-        # oracle, so the engine's later divergent groups skip it
+    @pytest.mark.parametrize(
+        "slope, flag", [(0.0, "divergent"), (1.0, "divergence-mismatch")],
+        ids=["confirmed", "unconfirmed"],
+    )
+    def test_oracle_reads_every_divergent_group(self, monkeypatch, slope, flag):
+        # alpha = 0: the analytic route finds no slope in any group, and one
+        # oracle call per engine reads them all, so each group's flag is the
+        # oracle's own verdict
         runs = []
-        monkeypatch.setattr(crosscheck, "SensitivityOracle", _stub_oracle(None, runs))
+        monkeypatch.setattr(crosscheck, "SensitivityOracle", _stub_oracle(None, runs, slope))
         result = crosscheck.run_cross_check(
-            alphas=(0.0,), gs=(0.5,), rs=(0.5,), t_pairs=((1.0, 1.0), (0.7, 1.0)), phis=(0.8,)
+            alphas=(0.0,), gs=(0.5, 1.0), rs=(0.5,),
+            t_pairs=((1.0, 1.0), (0.7, 1.0), (0.4, 1.0)), phis=(0.8,),
         )
-        assert runs == [(0.0, (1.0,))]
-        assert [c.flag for c in result.cells if c.quantity == "delta_phi"] == ["divergent"] * 2
-        assert result.passed
-
-    def test_unconfirmed_divergence_sweeps_the_rest(self, monkeypatch):
-        # alpha = 0, but the oracle finds a slope in the first divergent
-        # group: one more call sweeps the engine's other divergent groups
-        runs = []
-        monkeypatch.setattr(crosscheck, "SensitivityOracle", _stub_oracle(None, runs, slope=1.0))
-        result = crosscheck.run_cross_check(
-            alphas=(0.0,), gs=(0.5,), rs=(0.5,), t_pairs=((1.0, 1.0), (0.7, 1.0), (0.4, 1.0)),
-            phis=(0.8,),
-        )
-        assert runs == [(0.0, (1.0,)), (0.0, (0.7, 0.4))]
-        flags = [c.flag for c in result.cells if c.quantity == "delta_phi"]
-        assert flags == ["divergence-mismatch"] * 3
+        assert runs == [(0.0, (1.0, 0.7, 0.4))] * 2
+        assert [c.flag for c in result.cells if c.quantity == "delta_phi"] == [flag] * 6
+        assert result.passed == (slope == 0.0)
 
     @pytest.mark.parametrize("phi", ["1e-4", "1e-6", "1e-8"])
     def test_near_stationary_phase_passes(self, phi):
@@ -904,26 +897,32 @@ class TestCheckVerdict:
         assert stdout.splitlines()[-1].startswith("overall: PASS (")
 
     def test_escalating_engine_passes(self, monkeypatch):
-        # both groups outgrow their shared start grid in one escalation
+        # the prep outgrows its start grid, and one read-out of the grown
+        # prep serves both groups
         from su11lso import fock
 
-        probes = []
-        evaluate = fock.SensitivityOracle._evaluate_at_dims
+        preps, reads = [], []
+        prepare, evaluate = fock.prepared_state, fock.SensitivityOracle._evaluate_at_dims
 
-        def recording(engine, groups, kraus, phi_values, d_a, d_b):
-            probes.append((tuple(groups), d_a, d_b))
-            return evaluate(engine, groups, kraus, phi_values, d_a, d_b)
+        def preparing(alpha, g, r, d_a, d_b):
+            preps.append((d_a, d_b))
+            return prepare(alpha, g, r, d_a, d_b)
 
-        monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", recording)
+        def reading(engine, groups, pair, phi_values, d_a, d_b):
+            reads.append((tuple(groups), d_a, d_b))
+            return evaluate(engine, groups, pair, phi_values, d_a, d_b)
+
+        monkeypatch.setattr(fock, "prepared_state", preparing)
+        monkeypatch.setattr(fock.SensitivityOracle, "_evaluate_at_dims", reading)
         code, stdout, _ = run_main(
             "check", "--alphas", "0.5", "--gs", "1.2", "--rs", "0.3", "--ts", "1,0.7",
             "--phis", "0.8,1.5",
         )
         assert code == 0
         assert stdout.splitlines()[-1].startswith("overall: PASS (")
-        (groups_a, *start), (groups_b, *grown) = probes
-        assert groups_a == groups_b == (1.0, 0.7)
+        start, *_, grown = preps
         assert grown != start and all(g >= s for g, s in zip(grown, start))
+        assert reads == [((1.0, 0.7), *grown)]
 
     @pytest.mark.parametrize(
         "grid, message",
