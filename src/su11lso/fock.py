@@ -37,13 +37,30 @@ circuit are fixed combinations of eight moments of the prepared state
 (``SensitivityOracle._evaluate_at_dims``).  No density operator is ever
 formed: the mixed-state Fisher information of a prepared state under loss
 (``mixed_qfi_from_state``) needs only the Gram matrices K^H N^k K of its
-Kraus family (``_loss_grams``).  The tests hold both to a literal
-density-operator construction at small cutoffs.
+Kraus family (``_loss_grams``), summed over the rows that carry weight.
+The tests hold both to a literal density-operator construction at small
+cutoffs.
+
+The three heavy entry points, ``auto_prepared_state``,
+``SensitivityOracle.quadrature_statistics`` and ``mixed_qfi_from_state``,
+run with every loaded OpenBLAS set to one thread (``_one_blas_thread``)
+and restore the earlier counts when they return or raise.  Their dense
+products are small (a prep of a few hundred by a few dozen levels, Grams
+of a few hundred Kraus orders), so a second BLAS thread costs more in
+hand-off than it saves, and while it spins it slows the tridiagonal
+eigensolver on the main thread.  On a 2-core host the default
+``su11lso check`` took 1.1 s with two threads and 0.33 s with one.  One
+thread also keeps every oracle value independent of the process's thread
+count: a threaded GEMM splits its sums differently, which moved cells by
+up to 4e-13.  Without OpenBLAS (or off Linux) the scope does nothing and
+only the speed is lost.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +98,67 @@ class CutoffDiagnostics:
     @property
     def converged(self) -> bool:
         return max(self.norm_deficit, self.top_mass_a, self.top_mass_b) <= self.tolerance
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread scope
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple, ...]:
+    """(get, set) thread-count functions of every OpenBLAS in this process.
+
+    Found once per process, on the first call, from the shared objects
+    mapped into it (Linux only; elsewhere there are none).  numpy and scipy
+    load theirs on import, before this module runs.
+    """
+    import ctypes  # only the oracle's entry points need it, not every importer
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split()[-1] for line in f if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in paths if ".so" in p):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # numpy's 64-bit-index scipy-openblas, scipy's 32-bit one, a plain OpenBLAS
+        for get_name, set_name in (
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        ):
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body, or each call of a decorated function, with every
+    loaded OpenBLAS on one thread.
+
+    The earlier counts come back in a ``finally``, on return and on a
+    raise.  The counts are process-global, so the scope is not meant for
+    concurrent callers: one that leaves it restores counts the other still
+    relies on.
+    """
+    saved = []
+    try:
+        for get, set_ in _openblas_thread_controls():
+            saved.append((set_, get()))
+            set_(1)
+        yield
+    finally:
+        for set_, count in saved:
+            set_(count)
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +200,16 @@ def apply_two_mode_squeezer_batch(
     The generator conserves n_a - n_b, so the transform runs in place one
     sector at a time, a chain with sub-diagonal -g * coupling
     (``_apply_skew_exp``); the input array is mutated and returned.
-    All-zero sectors are skipped.
+    Only the sectors that hold a nonzero row are visited: row n_a d_b + n_b
+    lies in sector n_a - n_b.
     """
     if g == 0.0:
         return batch
-    for k in range(-(d_b - 1), d_a):
+    rows = np.flatnonzero(batch.any(axis=1))
+    for k in np.unique(rows // d_b - rows % d_b).tolist():
         na, nb, coupling = _pair_sector_indices(d_a, d_b, k)
         flat = na * d_b + nb
-        x = batch[flat]
-        if x.any():
-            batch[flat] = _apply_skew_exp(-g * coupling, x)
+        batch[flat] = _apply_skew_exp(-g * coupling, batch[flat])
     return batch
 
 
@@ -290,25 +368,32 @@ def _mode_a_sigma(psi: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _loss_grams(sigma: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+def _loss_grams(sigma: np.ndarray, u: np.ndarray, k: int, total: float) -> np.ndarray:
     """Gram matrices G_j = K^H n_a^j K (j < k) of the Kraus vectors K_l = Pi_l psi.
 
     G_j[l, l'] is the sum over n of n^j u_l(n) u_l'(n) sigma[n+l, n+l'],
     from the upper triangle of sigma (``_mode_a_sigma``) and the loss
-    family u (``_loss_family``); one real GEMM per diagonal offset.
+    family u (``_loss_family``); one real GEMM per diagonal offset.  The
+    sum stops at the last row n where some order keeps a weight
+    u_l(n)^2 sigma[n+l, n+l] above 1e-32 of the squared norm total, the cut
+    of ``build_input``: sigma is positive semidefinite, so each term left
+    out is at most n^j 1e-32 total in magnitude.
     """
     d, count = u.shape
+    padded = np.zeros(d + count, dtype=complex)
+    windows = sliding_window_view(padded, count)  # windows[n, l] = padded[n + l]
+    padded[:d] = sigma.diagonal()
+    weighty = np.flatnonzero((u**2 * windows[:d].real > 1e-32 * total).any(axis=1))
+    end = weighty[-1] + 1 if weighty.size else 0
     # G_j[l, l + delta] pairs u_l(n) u_{l+delta}(n), zero from n = d - delta
     # on, with the delta-th diagonal of sigma read from n + l; the lower
     # triangles are the conjugates
-    powers = np.arange(d, dtype=float) ** np.arange(float(k))[:, None]
+    powers = np.arange(end, dtype=float) ** np.arange(float(k))[:, None]
     gram = np.zeros((k, count, count), dtype=complex)
-    padded = np.zeros(d + count, dtype=complex)
-    windows = sliding_window_view(padded, count)  # windows[n, l] = padded[n + l]
     for delta in range(count):
         padded[: d - delta] = sigma.diagonal(delta)
         padded[d - delta : d] = 0.0
-        rows, cols = count - delta, d - delta
+        rows, cols = count - delta, min(end, d - delta)
         band = (u[:cols, :rows] * u[:cols, delta:]) * windows[:cols, :rows]
         upper = _mul_real(powers[:, :cols], band)
         idx = np.arange(rows)
@@ -397,6 +482,7 @@ def _predicted_dim(marginal: np.ndarray, tol: float, current: int, estimate: flo
     return max(target, int(current * 1.15) + 4)
 
 
+@_one_blas_thread()
 def auto_prepared_state(
     alpha: complex,
     g: float,
@@ -567,6 +653,7 @@ class SensitivityOracle:
 
     # -- lossy output statistics ----------------------------------------------
 
+    @_one_blas_thread()
     def quadrature_statistics(
         self,
         groups: dict[float, tuple[float, ...]],
@@ -653,6 +740,7 @@ class SensitivityOracle:
 # mixed-state Fisher information
 
 
+@_one_blas_thread()
 def mixed_qfi_from_state(psi: np.ndarray, eta: float, weight_tol: float = 1e-12) -> float:
     """Mixed-state Fisher information of a prepared state under loss eta.
 
@@ -677,7 +765,7 @@ def mixed_qfi_from_state(psi: np.ndarray, eta: float, weight_tol: float = 1e-12)
     sigma = _mode_a_sigma(psi)
     total = float(np.vdot(psi, psi).real)
     u = _loss_family(sigma.diagonal().real, eta, total, weight_tol)
-    gram = _loss_grams(sigma, u, 3)
+    gram = _loss_grams(sigma, u, 3, total)
     lam, vec = np.linalg.eigh(gram[0])
     keep = lam > u.shape[1] * np.finfo(float).eps * lam[-1]
     lam, vec = lam[keep], vec[:, keep]

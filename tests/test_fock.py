@@ -49,18 +49,23 @@ class TestBuildInput:
 
     def test_first_squeezer_sweeps_only_the_held_sectors(self, monkeypatch):
         # amplitudes under 1e-32 in weight are zeroed, so the first squeezer
-        # skips their sectors: it sweeps 21 of the 427 at alpha 0.5
+        # skips their sectors: it sweeps 21 of the 427 at alpha 0.5, and
+        # gathers no other of the grid's 483 sectors
         psi = fock.build_input(0.5, 427, 57)
         held = np.flatnonzero(psi[:, 0])
         assert held.tolist() == list(range(21))
         assert np.abs(psi[held, 0]).min() ** 2 >= 1e-32
-        calls = []
-        skew_exp = fock._apply_skew_exp
+        calls, sectors = [], []
+        skew_exp, indices = fock._apply_skew_exp, fock._pair_sector_indices
         monkeypatch.setattr(
             fock, "_apply_skew_exp", lambda sub, x: calls.append(len(x)) or skew_exp(sub, x)
         )
+        monkeypatch.setattr(
+            fock, "_pair_sector_indices", lambda d_a, d_b, k: sectors.append(k) or indices(d_a, d_b, k)
+        )
         fock.apply_two_mode_squeezer(psi, 1.0)
         assert len(calls) == len(held)
+        assert sectors == held.tolist()
 
     def test_cut_moves_the_prepared_state_at_rounding_level(self):
         # against the same gates on the whole coherent column
@@ -526,6 +531,113 @@ class TestOracleIsHistoryFree:
         assert first.keys() == second.keys()
         for key, value in first.items():
             assert second[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+class TestBlasThreadScope:
+    """The oracle's entry points run on one OpenBLAS thread and restore the counts."""
+
+    @staticmethod
+    def _counts():
+        return [get() for get, _ in fock._openblas_thread_controls()]
+
+    def _record(self, monkeypatch, owner, name, seen):
+        inner = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            seen.append(self._counts())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+
+    @pytest.mark.parametrize("entry", ["prep", "read-out", "mixed"])
+    def test_entry_runs_on_one_thread_and_restores_counts(self, monkeypatch, entry):
+        controls = fock._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        # found once per process
+        assert fock._openblas_thread_controls() is controls
+        seen = []
+        if entry == "prep":
+            self._record(monkeypatch, fock, "prepared_state", seen)
+
+            def run():
+                fock.auto_prepared_state(0.5, 0.3, 0.2)
+
+            def fail():
+                # a budget of exactly the 17 x 6 start grid: one probe, then the raise
+                with pytest.raises(NonconvergedOracleError, match="dim budget"):
+                    fock.auto_prepared_state(0.5, 0.3, 0.2, tail_tol=1e-300, max_dim=17 * 6)
+        elif entry == "read-out":
+            eng = fock.SensitivityOracle(0.5, 0.3, 0.2)
+            self._record(monkeypatch, fock.SensitivityOracle, "_evaluate_at_dims", seen)
+
+            def run():
+                eng.quadrature_statistics({0.7: (1.0,)}, (0.8,))
+
+            def fail():
+                eng.prep[3, 0] = np.inf
+                with np.errstate(invalid="ignore"), pytest.raises(
+                    NonconvergedOracleError, match="overflows"
+                ):
+                    eng.quadrature_statistics({0.7: (1.0,)}, (0.8,))
+        else:
+            psi = fock.build_input(0.5, 20, 2)
+            bad = psi.copy()
+            bad[3, 1] = np.inf
+            self._record(monkeypatch, fock, "_mode_a_sigma", seen)
+
+            def run():
+                fock.mixed_qfi_from_state(psi, 0.5)
+
+            def fail():
+                with np.errstate(invalid="ignore"), pytest.raises(
+                    NonconvergedOracleError, match="overflows"
+                ):
+                    fock.mixed_qfi_from_state(bad, 0.5)
+
+        original = self._counts()
+        try:
+            # two threads before each call, so restoring is not a no-op
+            for _, set_ in controls:
+                set_(2)
+            for call in (run, fail):
+                seen.clear()
+                call()
+                assert seen and all(c == [1] * len(controls) for c in seen)
+                assert self._counts() == [2] * len(controls)
+        finally:
+            for (_, set_), count in zip(controls, original):
+                set_(count)
+
+
+class TestGramRowCut:
+    """The Gram sum skips rows under 1e-32 of the weight; F stays put."""
+
+    @staticmethod
+    def _all_row_grams(sigma, u, k, total):
+        # G_j = sum over every row n of n^j (u(n) u(n)^T) * sigma[n + l, n + l'],
+        # on the Hermitian completion of sigma's upper triangle; row n has
+        # orders l < d - n only
+        d, count = u.shape
+        full = np.triu(sigma) + np.triu(sigma, 1).conj().T
+        gram = np.zeros((k, count, count), dtype=complex)
+        for n in range(d):
+            m = min(count, d - n)
+            term = np.outer(u[n, :m], u[n, :m]) * full[n : n + m, n : n + m]
+            for j in range(k):
+                gram[j, :m, :m] += float(n) ** j * term
+        return gram
+
+    @pytest.mark.parametrize(
+        "alpha, g, r, tail, eta",
+        [(1.0, 1.0, 0.6, 1e-12, 0.1), (1.0, 1.0, 0.6, 1e-12, 0.5),
+         (1.0, 1.0, 0.6, 1e-12, 0.9), (0.0, 0.0, 2.0, fock.DEFAULT_TAIL_TOL, 0.1)],
+    )
+    def test_cut_matches_the_gram_over_all_rows(self, monkeypatch, alpha, g, r, tail, eta):
+        psi, _ = fock.auto_prepared_state(alpha, g, r, tail_tol=tail)
+        cut = fock.mixed_qfi_from_state(psi, eta)
+        monkeypatch.setattr(fock, "_loss_grams", self._all_row_grams)
+        assert cut == pytest.approx(fock.mixed_qfi_from_state(psi, eta), rel=1e-11, abs=0.0)
 
 
 class TestQfiOracles:
