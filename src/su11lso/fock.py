@@ -17,7 +17,13 @@ internal state reaches mean photon numbers ~25 with heavy super-Poissonian
 tails.  The first squeezer factorizes only the sectors that carry weight:
 the coherent input zeroes its amplitudes below 1e-32 in weight
 (``build_input``), so about 20 chains run at alpha 0.5 instead of one per
-amplitude that has not underflowed, some 240.
+amplitude that has not underflowed, some 240.  Each of those sectors holds
+amplitude only at its first level, so it needs only that level's response,
+which depends on the gain, the sector and the chain's length alone.  The
+responses are memoized per process (``_chain_response``), and the second
+squeezer's pair reads its chains from the same memo: engines share these
+and nothing else, and since each is a pure function of its key, no result
+depends on which engines ran before.
 
 A pure state is a (d_a, d_b) complex array psi[n_a, n_b].  The prepared
 state escalates its cutoffs (``auto_prepared_state``), checking the cell
@@ -37,7 +43,8 @@ circuit are fixed combinations of eight moments of the prepared state
 (``SensitivityOracle._evaluate_at_dims``).  No density operator is ever
 formed: the mixed-state Fisher information of a prepared state under loss
 (``mixed_qfi_from_state``) needs only the Gram matrices K^H N^k K of its
-Kraus family (``_loss_grams``), summed over the rows that carry weight.
+Kraus family (``_loss_grams``), summed over the rows that carry weight, and
+solved in G_0's numerical rank after a pivoted Cholesky.
 The tests hold both to a literal density-operator construction at small
 cutoffs.
 
@@ -67,6 +74,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import zpstrf
 
 from .errors import InsufficientCutoffError, NonconvergedOracleError
 from .moments import InterferometerParams
@@ -183,12 +191,39 @@ def _apply_skew_exp(sub: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _pair_sector_indices(d_a: int, d_b: int, k: int):
-    """(n_a, n_b) along the n_a - n_b = k chain, and its couplings."""
-    s = min(d_a - k, d_b) if k >= 0 else min(d_a, d_b + k)
-    nb = np.arange(s) + max(-k, 0)
+    """(n_a, n_b) along the n_a - n_b = k chain of a d_a x d_b grid, and its couplings."""
+    return _sector_chain(k, min(d_a - k, d_b) if k >= 0 else min(d_a, d_b + k))
+
+
+def _sector_chain(k: int, length: int):
+    """(n_a, n_b) of the first length levels of the n_a - n_b = k chain, and
+    their couplings sqrt((n_a + 1)(n_b + 1))."""
+    nb = np.arange(length) + max(-k, 0)
     na = nb + k
     coupling = np.sqrt((na[:-1] + 1.0) * (nb[:-1] + 1.0))
     return na, nb, coupling
+
+
+@functools.lru_cache(maxsize=256)
+def _chain_response(g: float, k: int, length: int) -> np.ndarray:
+    """exp(A) e_0 on the length-level sector-k chain of the two-mode squeezer
+    with signed gain g: the response to the chain's first level, read-only.
+
+    A pure function of its key, computed by ``_apply_skew_exp`` on one BLAS
+    thread whatever the caller's count, so a value does not depend on which
+    call filled the memo.  An entry holds 16 B per level, and the oracle's
+    chains have at most sqrt(max_dim) levels (1183 at DEFAULT_MAX_DIM,
+    19 kB), so the 256 entries hold at most 4.8 MB at the default budget.
+    The default ``su11lso check`` fills 323 keys, and the evictions cost
+    it no extra miss.
+    """
+    _, _, coupling = _sector_chain(k, length)
+    start = np.zeros((length, 1), dtype=complex)
+    start[0] = 1.0
+    with _one_blas_thread():
+        response = _apply_skew_exp(-g * coupling, start)[:, 0]
+    response.flags.writeable = False
+    return response
 
 
 def apply_two_mode_squeezer_batch(
@@ -201,7 +236,9 @@ def apply_two_mode_squeezer_batch(
     sector at a time, a chain with sub-diagonal -g * coupling
     (``_apply_skew_exp``); the input array is mutated and returned.
     Only the sectors that hold a nonzero row are visited: row n_a d_b + n_b
-    lies in sector n_a - n_b.
+    lies in sector n_a - n_b.  A sector whose block holds amplitude only at
+    its first level, as every sector of |alpha>|0> does, takes the memoized
+    response of that level (``_chain_response``) times the amplitude.
     """
     if g == 0.0:
         return batch
@@ -209,7 +246,11 @@ def apply_two_mode_squeezer_batch(
     for k in np.unique(rows // d_b - rows % d_b).tolist():
         na, nb, coupling = _pair_sector_indices(d_a, d_b, k)
         flat = na * d_b + nb
-        batch[flat] = _apply_skew_exp(-g * coupling, batch[flat])
+        block = batch[flat]
+        if block[1:].any():
+            batch[flat] = _apply_skew_exp(-g * coupling, block)
+        else:
+            batch[flat] = _chain_response(g, k, len(flat))[:, None] * block[0]
     return batch
 
 
@@ -580,20 +621,18 @@ def _gate_pair(g: float, max_dim: int) -> tuple[float, float]:
     """(c, s) of the phase-flipped second squeezer: U2' a U2 = c a + s b'.
 
     Read off the literal gate, exp(-g ab + g a'b') on the n_a - n_b chains
-    through |0,0>, |1,0> and |0,1> (``_apply_skew_exp``): c = <U2 00|a|U2 10>
-    and s = <U2 01|a|U2 00>.  The chains double from 16 levels until
-    c^2 - s^2 = 1 to 1e-13, each inside an L x L grid of at most
-    max_dim cells; a pair that has not converged there raises
+    through |0,0>, |1,0> and |0,1> (``_chain_response`` at gain -g):
+    c = <U2 00|a|U2 10> and s = <U2 01|a|U2 00>.  The chains double from
+    16 levels until c^2 - s^2 = 1 to 1e-13, each inside an L x L grid of at
+    most max_dim cells; a pair that has not converged there raises
     NonconvergedOracleError.
     """
     length = 16
     while True:
         chains = []
         for k in (0, 1, -1):
-            na, _, coupling = _pair_sector_indices(length, length, k)
-            start = np.zeros((len(na), 1), dtype=complex)
-            start[0] = 1.0
-            chains.append((na, _apply_skew_exp(g * coupling, start)[:, 0]))
+            na, _, _ = _pair_sector_indices(length, length, k)
+            chains.append((na, _chain_response(-g, k, len(na))))
         (na_00, u_00), (na_10, u_10), (_, u_01) = chains
         # a|j+1, j> = sqrt(j+1) |j, j> and a|j+1, j+1> = sqrt(j+1) |j, j+1>
         c = np.vdot(u_00[:-1], np.sqrt(na_10) * u_10).real
@@ -618,9 +657,10 @@ class SensitivityOracle:
     DEFAULT_TAIL_TOL) within max_dim cells.  Each measurement reads <X>,
     <X^2> and the exact d<X>/dphi at the output off that state
     (``quadrature_statistics``); ``su11lso.crosscheck`` forms Var X and
-    delta-phi from them.  Calls and engines share no state, so a result
-    does not depend on what ran before.  A prep_tail_tol that is negative
-    or not finite raises ValueError naming it.
+    delta-phi from them.  Engines share only the memoized two-mode chain
+    responses (``_chain_response``), pure functions of their key, so a
+    result does not depend on what ran before.  A prep_tail_tol that is
+    negative or not finite raises ValueError naming it.
     """
 
     def __init__(
@@ -749,15 +789,24 @@ def mixed_qfi_from_state(psi: np.ndarray, eta: float, weight_tol: float = 1e-12)
     only, so F depends on psi only through the Gram matrices
     G_k = K^H N^k K (k = 0, 1, 2), sums over n of
     n^k u_l(n) u_l'(n) sigma[n+l, n+l'] with the mode-a reduced matrix
-    sigma = conj(Psi) Psi^T.  With G_0 = V diag(lam) V^H, the components
-    above L eps lam_max are kept whole, and C = V^H G_1 V,
+    sigma = conj(Psi) Psi^T.
+
+    G_0 is solved in its numerical rank k (64 of L = 211 at alpha 1, g 1,
+    r 0.6 and eta 0.1).  A pivoted Cholesky (LAPACK zpstrf) stops at the
+    first pivot below eps times G_0's largest diagonal entry, so every
+    component it leaves out lies below (L - k) eps max(diag G_0) <=
+    L eps lam_max.  The k pivoted columns of G_0, orthonormalized, span the
+    rest, and the k x k eigenproblem of G_0 in that basis gives
+    G_0 ~ V diag(lam) V^H with V orthonormal, L x k.  The components above
+    L eps lam_max are kept whole, and with C = V^H G_1 V,
 
         F = 4 sum_i (V^H G_2 V)_ii - 8 sum_ij |C_ij|^2 / (lam_i + lam_j),
 
     the Braunstein-Caves form 4 tr(rho N^2) - 8 sum p_i p_j / (p_i + p_j)
-    |N_ij|^2 of rho restricted to those components.  The Kraus count L
-    stops once the neglected weight falls below weight_tol.  An eta outside
-    [0, 1], or a weight_tol that is negative or not finite, raises ValueError.
+    |N_ij|^2 of rho restricted to those components.  A Gram of rank 0 (a
+    zero state) gives F = 0.  The Kraus count L stops once the neglected
+    weight falls below weight_tol.  An eta outside [0, 1], or a weight_tol
+    that is negative or not finite, raises ValueError.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
@@ -766,8 +815,14 @@ def mixed_qfi_from_state(psi: np.ndarray, eta: float, weight_tol: float = 1e-12)
     total = float(np.vdot(psi, psi).real)
     u = _loss_family(sigma.diagonal().real, eta, total, weight_tol)
     gram = _loss_grams(sigma, u, 3, total)
-    lam, vec = np.linalg.eigh(gram[0])
-    keep = lam > u.shape[1] * np.finfo(float).eps * lam[-1]
+    eps = np.finfo(float).eps
+    _, piv, rank, _ = zpstrf(gram[0], tol=eps * gram[0].diagonal().real.max())
+    if rank == 0:
+        return 0.0
+    basis = np.linalg.qr(gram[0][:, piv[:rank] - 1])[0]  # piv counts from 1
+    lam, vec = np.linalg.eigh(basis.conj().T @ gram[0] @ basis)
+    vec = basis @ vec
+    keep = lam > u.shape[1] * eps * lam[-1]
     lam, vec = lam[keep], vec[:, keep]
     c = vec.conj().T @ gram[1] @ vec
     second = np.sum(vec.conj() * (gram[2] @ vec)).real

@@ -50,11 +50,13 @@ class TestBuildInput:
     def test_first_squeezer_sweeps_only_the_held_sectors(self, monkeypatch):
         # amplitudes under 1e-32 in weight are zeroed, so the first squeezer
         # skips their sectors: it sweeps 21 of the 427 at alpha 0.5, and
-        # gathers no other of the grid's 483 sectors
+        # gathers no other of the grid's 483 sectors.  From a cleared memo
+        # each held sector is one miss, one chain factorized
         psi = fock.build_input(0.5, 427, 57)
         held = np.flatnonzero(psi[:, 0])
         assert held.tolist() == list(range(21))
         assert np.abs(psi[held, 0]).min() ** 2 >= 1e-32
+        fock._chain_response.cache_clear()
         calls, sectors = [], []
         skew_exp, indices = fock._apply_skew_exp, fock._pair_sector_indices
         monkeypatch.setattr(
@@ -66,6 +68,7 @@ class TestBuildInput:
         fock.apply_two_mode_squeezer(psi, 1.0)
         assert len(calls) == len(held)
         assert sectors == held.tolist()
+        assert fock._chain_response.cache_info().misses == len(held)
 
     def test_cut_moves_the_prepared_state_at_rounding_level(self):
         # against the same gates on the whole coherent column
@@ -100,6 +103,20 @@ class TestGatesAgainstDenseExpm:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(d_a * d_b, 3)) + 1j * rng.normal(size=(d_a * d_b, 3))
         got = fock.apply_two_mode_squeezer_batch(x.copy(), g * math.cos(theta), d_a, d_b)
+        assert np.abs(got - u_ref @ x).max() < 1e-12
+
+    @pytest.mark.parametrize("g", [0.7, -0.5])
+    def test_two_mode_squeezer_on_first_levels(self, g):
+        # |psi>|0> columns: every sector's block holds amplitude only at its
+        # first level, so each takes the memoized chain response
+        d_a, d_b = 10, 8
+        a = np.kron(dense_ladder(d_a), np.eye(d_b))
+        b = np.kron(np.eye(d_a), dense_ladder(d_b))
+        u_ref = expm(g * (a @ b) - g * (a.T @ b.T))
+        rng = np.random.default_rng(2)
+        x = np.zeros((d_a * d_b, 3), dtype=complex)
+        x[::d_b] = rng.normal(size=(d_a, 3)) + 1j * rng.normal(size=(d_a, 3))
+        got = fock.apply_two_mode_squeezer_batch(x.copy(), g, d_a, d_b)
         assert np.abs(got - u_ref @ x).max() < 1e-12
 
     def test_single_mode_squeezer(self):
@@ -533,6 +550,66 @@ class TestOracleIsHistoryFree:
             assert second[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
+class TestChainResponseMemo:
+    """Engines share only the memoized chain responses, pure functions of their key."""
+
+    @pytest.mark.parametrize(
+        "g, k, length", [(1.0, 0, 57), (1.0, 20, 57), (-0.5, -1, 31), (0.3, 4, 1), (-1.5, 1, 255)]
+    )
+    def test_response_is_the_first_level_exponential(self, g, k, length):
+        fock._chain_response.cache_clear()
+        d_a, d_b = length + max(k, 0), length + max(-k, 0)
+        _, _, coupling = fock._pair_sector_indices(d_a, d_b, k)
+        start = np.zeros((length, 1), dtype=complex)
+        start[0] = 1.0
+        with fock._one_blas_thread():  # as the memo computes its entries
+            direct = fock._apply_skew_exp(-g * coupling, start)[:, 0]
+        for _ in range(2):  # a miss, then a hit
+            response = fock._chain_response(g, k, length)
+            assert np.array_equal(response, direct)
+            assert not response.flags.writeable
+        assert fock._chain_response.cache_info()[:2] == (1, 1)  # hits, misses
+
+    @pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
+    def test_gate_pair_equals_the_direct_chains(self, g):
+        # the chains of exp(-g ab + g a'b') through |0,0>, |1,0> and |0,1>,
+        # factorized here without the memo on one BLAS thread, doubled from
+        # 16 levels as the oracle doubles them
+        length = 16
+        while True:
+            chains = []
+            for k in (0, 1, -1):
+                na, _, coupling = fock._pair_sector_indices(length, length, k)
+                start = np.zeros((len(na), 1), dtype=complex)
+                start[0] = 1.0
+                with fock._one_blas_thread():
+                    chains.append((na, fock._apply_skew_exp(g * coupling, start)[:, 0]))
+            (na_00, u_00), (na_10, u_10), (_, u_01) = chains
+            c = np.vdot(u_00[:-1], np.sqrt(na_10) * u_10).real
+            s = np.vdot(u_01, np.sqrt(na_00[1:]) * u_00[1:]).real
+            if abs(c * c - s * s - 1.0) <= 1e-13:
+                break
+            length *= 2
+        fock._chain_response.cache_clear()
+        assert fock._gate_pair(g, fock.DEFAULT_MAX_DIM) == (float(c), float(s))
+        assert fock._gate_pair(g, fock.DEFAULT_MAX_DIM) == (float(c), float(s))
+
+    def test_cells_do_not_depend_on_the_memo(self):
+        # cold, warm, and with the engines' order reversed: the same cells
+        def cells(alphas):
+            res = crosscheck.run_cross_check(
+                alphas=alphas, gs=(1.0,), rs=(1.0,), t_pairs=((1.0, 1.0), (0.7, 0.7)),
+                phis=(0.3, 0.8),
+            )
+            return {(c.quantity, c.alpha, c.t1, c.t2, c.phi): c.oracle for c in res.cells}
+
+        fock._chain_response.cache_clear()
+        cold = cells((0.5, 1.0))
+        assert fock._chain_response.cache_info().hits > 0
+        assert cells((0.5, 1.0)) == cold
+        assert cells((1.0, 0.5)) == cold
+
+
 class TestBlasThreadScope:
     """The oracle's entry points run on one OpenBLAS thread and restore the counts."""
 
@@ -638,6 +715,50 @@ class TestGramRowCut:
         cut = fock.mixed_qfi_from_state(psi, eta)
         monkeypatch.setattr(fock, "_loss_grams", self._all_row_grams)
         assert cut == pytest.approx(fock.mixed_qfi_from_state(psi, eta), rel=1e-11, abs=0.0)
+
+
+class TestMixedQfiRankReduction:
+    """The Gram's pivoted-Cholesky reduction against a full eigensolve of G_0."""
+
+    @staticmethod
+    def _full_eigh_qfi(psi, eta):
+        # the Braunstein-Caves sum over every eigenvector of the L x L G_0
+        # above L eps lam_max
+        sigma = fock._mode_a_sigma(psi)
+        total = float(np.vdot(psi, psi).real)
+        u = fock._loss_family(sigma.diagonal().real, eta, total, 1e-12)
+        gram = fock._loss_grams(sigma, u, 3, total)
+        lam, vec = np.linalg.eigh(gram[0])
+        keep = lam > u.shape[1] * np.finfo(float).eps * lam[-1]
+        lam, vec = lam[keep], vec[:, keep]
+        c = vec.conj().T @ gram[1] @ vec
+        second = np.sum(vec.conj() * (gram[2] @ vec)).real
+        return float(4.0 * second - 8.0 * np.sum(np.abs(c) ** 2 / (lam[:, None] + lam[None, :])))
+
+    @pytest.mark.parametrize(
+        "alpha, g, r, tail, eta",
+        [(1.0, 1.0, 0.6, 1e-12, 0.1), (1.0, 1.0, 0.6, 1e-12, 0.5),
+         (1.0, 1.0, 0.6, 1e-12, 0.9), (0.0, 0.0, 2.0, fock.DEFAULT_TAIL_TOL, 0.1),
+         (1.0, 1.0, 0.6, 1e-12, 1.0)],
+    )
+    def test_reduced_matches_the_full_eigensolve(self, alpha, g, r, tail, eta):
+        psi, _ = fock.auto_prepared_state(alpha, g, r, tail_tol=tail)
+        full = self._full_eigh_qfi(psi, eta)
+        assert full > 0.0
+        assert fock.mixed_qfi_from_state(psi, eta) == pytest.approx(full, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "params, eta",
+        [((1.0, 1.0, 0.6), 0.0), ((0.0, 0.0, 0.0), 0.5), (None, 0.5)],
+        ids=["complete-loss", "vacuum", "zero-gram"],
+    )
+    def test_no_information_reads_exactly_zero(self, params, eta):
+        # no photons left, none there, or no state (a Gram of rank 0)
+        if params is None:
+            psi = np.zeros((12, 4), dtype=complex)
+        else:
+            psi, _ = fock.auto_prepared_state(*params)
+        assert fock.mixed_qfi_from_state(psi, eta) == 0.0 == self._full_eigh_qfi(psi, eta)
 
 
 class TestQfiOracles:
