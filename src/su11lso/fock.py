@@ -14,12 +14,13 @@ chains (``_apply_skew_exp``).  This is the same matrix exponential a dense
 scaling-and-squaring routine would produce, but it scales to per-mode
 cutoffs of several hundred, which strong squeezing genuinely demands: the
 internal state reaches mean photon numbers ~25 with heavy super-Poissonian
-tails.  The first squeezer factorizes only the sectors that carry weight:
-the coherent input zeroes its amplitudes below 1e-32 in weight
-(``build_input``), so about 20 chains run at alpha 0.5 instead of one per
-amplitude that has not underflowed, some 240.  Each of those sectors holds
-amplitude only at its first level, so it needs only that level's response,
-which depends on the gain, the sector and the chain's length alone.  The
+tails.  The first squeezer acts on |alpha>|0> only, so it takes only states
+with amplitude at n_b = 0 (``apply_two_mode_squeezer_batch``): each held
+amplitude |k, 0> is the first level of the n_a - n_b = k chain, and needs
+only that level's response, which depends on the gain, the sector and the
+chain's length alone.  The coherent input zeroes its amplitudes below
+1e-32 in weight (``build_input``), so about 20 chains run at alpha 0.5
+instead of one per amplitude that has not underflowed, some 240.  The
 responses are memoized per process (``_chain_response``), and the second
 squeezer's pair reads its chains from the same memo: engines share these
 and nothing else, and since each is a pure function of its key, no result
@@ -28,9 +29,9 @@ depends on which engines ran before.
 A pure state is a (d_a, d_b) complex array psi[n_a, n_b].  The prepared
 state escalates its cutoffs (``auto_prepared_state``), checking the cell
 budget before every probe and growing each failing mode along its
-extrapolated occupation decay (``_predicted_dim``); it is the oracle's only
-escalation.  The pure-state Fisher information is 4 Var(n_a) of the
-prepared state (``SensitivityOracle.fisher_pure``).
+occupation decay, fitted once per failing tail (``_next_dim``); it is the
+oracle's only escalation.  The pure-state Fisher information is 4 Var(n_a)
+of the prepared state (``SensitivityOracle.fisher_pure``).
 
 The output is read in the Heisenberg picture.  The second squeezer is
 Gaussian, so U2' a U2 = c a + s b' holds exactly, with (c, s) read off the
@@ -190,11 +191,6 @@ def _apply_skew_exp(sub: np.ndarray, block: np.ndarray) -> np.ndarray:
     return d[:, None] * _mul_real(vec, t)
 
 
-def _pair_sector_indices(d_a: int, d_b: int, k: int):
-    """(n_a, n_b) along the n_a - n_b = k chain of a d_a x d_b grid, and its couplings."""
-    return _sector_chain(k, min(d_a - k, d_b) if k >= 0 else min(d_a, d_b + k))
-
-
 def _sector_chain(k: int, length: int):
     """(n_a, n_b) of the first length levels of the n_a - n_b = k chain, and
     their couplings sqrt((n_a + 1)(n_b + 1))."""
@@ -211,9 +207,11 @@ def _chain_response(g: float, k: int, length: int) -> np.ndarray:
 
     A pure function of its key, computed by ``_apply_skew_exp`` on one BLAS
     thread whatever the caller's count, so a value does not depend on which
-    call filled the memo.  An entry holds 16 B per level, and the oracle's
-    chains have at most sqrt(max_dim) levels (1183 at DEFAULT_MAX_DIM,
-    19 kB), so the 256 entries hold at most 4.8 MB at the default budget.
+    call filled the memo.  An entry holds 16 B per level.  The second
+    squeezer's chains have at most MAX_SQUEEZER_DIM // 2 = 2048 levels
+    (33 kB) and the preparation's at most sqrt(max_dim) (1183 at
+    DEFAULT_MAX_DIM), so the 256 entries hold at most 8.4 MB at the default
+    budget.
     The default ``su11lso check`` fills 323 keys, and the evictions cost
     it no extra miss.
     """
@@ -229,28 +227,23 @@ def _chain_response(g: float, k: int, length: int) -> np.ndarray:
 def apply_two_mode_squeezer_batch(
     batch: np.ndarray, g: float, d_a: int, d_b: int
 ) -> np.ndarray:
-    """exp(g ab - g a'b') applied to (d_a*d_b, C) column-stacked states.
+    """exp(g ab - g a'b') applied in place to (d_a*d_b, C) column-stacked
+    states that hold amplitude only at n_b = 0, as |alpha>|0> does.
 
-    g is signed: g >= 0 is the first squeezer, -g its phase-flipped twin.
-    The generator conserves n_a - n_b, so the transform runs in place one
-    sector at a time, a chain with sub-diagonal -g * coupling
-    (``_apply_skew_exp``); the input array is mutated and returned.
-    Only the sectors that hold a nonzero row are visited: row n_a d_b + n_b
-    lies in sector n_a - n_b.  A sector whose block holds amplitude only at
-    its first level, as every sector of |alpha>|0> does, takes the memoized
-    response of that level (``_chain_response``) times the amplitude.
+    g is signed.  The generator conserves n_a - n_b, so the amplitude a_k at
+    |k, 0> spreads along the n_a - n_b = k chain alone, as a_k times that
+    chain's memoized first-level response (``_chain_response``); rows
+    k d_b + j (d_b + 1) hold its levels.  Only the held amplitudes are
+    visited.  A batch with amplitude at n_b > 0 raises ValueError.
     """
+    if batch.reshape(d_a, d_b, -1)[:, 1:].any():
+        raise ValueError("the first squeezer takes states with amplitude only at n_b = 0")
     if g == 0.0:
         return batch
-    rows = np.flatnonzero(batch.any(axis=1))
-    for k in np.unique(rows // d_b - rows % d_b).tolist():
-        na, nb, coupling = _pair_sector_indices(d_a, d_b, k)
-        flat = na * d_b + nb
-        block = batch[flat]
-        if block[1:].any():
-            batch[flat] = _apply_skew_exp(-g * coupling, block)
-        else:
-            batch[flat] = _chain_response(g, k, len(flat))[:, None] * block[0]
+    for k in np.flatnonzero(batch[::d_b].any(axis=1)).tolist():
+        length = min(d_a - k, d_b)
+        response = _chain_response(g, k, length)
+        batch[k * d_b :: d_b + 1][:length] = response[:, None] * batch[k * d_b]
     return batch
 
 
@@ -291,13 +284,6 @@ def build_input(alpha: complex, cutoff_a: int, cutoff_b: int) -> np.ndarray:
     psi = np.zeros((cutoff_a, cutoff_b), dtype=complex)
     psi[:, 0] = amps
     return psi
-
-
-def apply_two_mode_squeezer(psi: np.ndarray, g: float) -> np.ndarray:
-    """The first squeezer on a copy of the state."""
-    d_a, d_b = psi.shape
-    batch = psi.reshape(-1, 1).copy()
-    return apply_two_mode_squeezer_batch(batch, g, d_a, d_b).reshape(d_a, d_b)
 
 
 def apply_single_mode_squeezer(psi: np.ndarray, r: float) -> np.ndarray:
@@ -466,7 +452,7 @@ def prepared_state(
 ) -> np.ndarray:
     """Fixed-cutoff internal state: single-mode squeeze after the first squeezer."""
     psi = build_input(alpha, cutoff_a, cutoff_b)
-    psi = apply_two_mode_squeezer(psi, g)
+    apply_two_mode_squeezer_batch(psi.reshape(-1, 1), g, cutoff_a, cutoff_b)
     return apply_single_mode_squeezer(psi, r)
 
 
@@ -476,46 +462,28 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
-def _tail_slope(marginal: np.ndarray) -> float | None:
-    """Log-decay per level of the occupation tail, or None without a clean fit."""
-    m = np.asarray(marginal, dtype=float)
-    i0 = max(int(0.65 * len(m)), 1)
-    window = m[i0:]
-    if len(window) < 6 or np.any(window <= 0.0):
-        return None
-    slope = float(np.polyfit(np.arange(len(window)), np.log(window), 1)[0])
-    if slope > -1e-3:
-        return None
-    return slope
+def _next_dim(marginal: np.ndarray, tol: float, current: int) -> int:
+    """The next cutoff of a mode whose top two layers hold more than tol.
 
-
-def _beyond_cutoff_factor(marginal: np.ndarray) -> float:
-    """Estimated ratio of beyond-cutoff mass to top-layer mass.
-
-    A geometric tail with per-level ratio q carries q/(1-q) of its top-layer
-    mass beyond the cutoff; heavy squeezed tails (q near 1) make the raw
-    top-layer mass a severe underestimate of what truncation discards.
-    """
-    slope = _tail_slope(marginal)
-    if slope is None:
-        return 1.0 if float(np.asarray(marginal)[-2:].sum()) <= 0.0 else 200.0
-    q = math.exp(slope)
-    return min(max(q / (1.0 - q), 1.0), 200.0)
-
-
-def _predicted_dim(marginal: np.ndarray, tol: float, current: int, estimate: float) -> int:
-    """Extrapolate the cutoff at which the convergence estimate reaches tol.
-
-    Fits the exponential decay of the occupation tail over its top stretch;
-    falls back to a fixed growth factor when no clean decay is visible, or
-    when tol is zero and no cutoff reaches it.  ``estimate`` is the current
-    value of the decay-scaled beyond-cutoff mass.  The result always
-    exceeds ``current``.
+    Fits the exponential decay of the occupation over its top 35% once.  A
+    geometric tail with per-level ratio q carries q/(1-q) of its top-layer
+    mass beyond the cutoff (heavy squeezed tails, q near 1, make the raw
+    top-layer mass a severe underestimate), so that factor, clamped to
+    [1, 200], scales the top-layer mass, and the cutoff grows to where the
+    fitted decay takes it to 0.45 tol, with a mild overshoot.  Without a
+    clean fit (under six levels, an empty level, or a slope above -1e-3),
+    or at tol zero, it grows by 1.45 plus 8.  The result always exceeds
+    ``current``.
     """
     fallback = int(current * 1.45) + 8
-    slope = _tail_slope(marginal)
-    if estimate <= 0.0 or slope is None or tol == 0.0:
+    window = marginal[max(int(0.65 * len(marginal)), 1) :]
+    if len(window) < 6 or np.any(window <= 0.0):
         return fallback
+    slope = float(np.polyfit(np.arange(len(window)), np.log(window), 1)[0])
+    if slope > -1e-3 or tol == 0.0:
+        return fallback
+    q = math.exp(slope)
+    estimate = float(marginal[-2:].sum()) * min(max(q / (1.0 - q), 1.0), 200.0)
     extra = (math.log(estimate) - math.log(0.45 * tol)) / (-slope)
     # mild overshoot: amplified states need headroom
     target = int((current + math.ceil(extra) + 8) * 1.06)
@@ -537,7 +505,7 @@ def auto_prepared_state(
     (alpha, g, r) are checked as in InterferometerParams, which raises
     ValueError naming a bad one, and a tail_tol that is negative or not
     finite raises ValueError.  Each probe that fails a mode's tail grows
-    that mode along its extrapolated decay (``_predicted_dim``, always
+    that mode along its extrapolated decay (``_next_dim``, always
     upward, so the budget checked before every probe ends the escalation).
     A grid over max_dim, or for r > 0 a d_a over MAX_SQUEEZER_DIM (the
     single-mode squeezer's levels), raises NonconvergedOracleError before
@@ -575,11 +543,9 @@ def auto_prepared_state(
         # the raw top-layer masses are tested, the decay-scaled ones steer growth
         marg_a, marg_b = _marginals(psi)
         if not pass_a:
-            estimate = float(marg_a[-2:].sum()) * _beyond_cutoff_factor(marg_a)
-            d_a = _predicted_dim(marg_a, tail_tol, d_a, estimate)
+            d_a = _next_dim(marg_a, tail_tol, d_a)
         if not pass_b:
-            estimate = float(marg_b[-2:].sum()) * _beyond_cutoff_factor(marg_b)
-            d_b = _predicted_dim(marg_b, tail_tol, d_b, estimate)
+            d_b = _next_dim(marg_b, tail_tol, d_b)
 
 
 # ---------------------------------------------------------------------------
@@ -617,21 +583,22 @@ def _loss_factors(t: float) -> tuple[float, float, float]:
     return float(lossy_n[1]), float(lossy_a[0]), float(lossy_aa[0] / math.sqrt(2.0))
 
 
-def _gate_pair(g: float, max_dim: int) -> tuple[float, float]:
+def _gate_pair(g: float) -> tuple[float, float]:
     """(c, s) of the phase-flipped second squeezer: U2' a U2 = c a + s b'.
 
     Read off the literal gate, exp(-g ab + g a'b') on the n_a - n_b chains
     through |0,0>, |1,0> and |0,1> (``_chain_response`` at gain -g):
     c = <U2 00|a|U2 10> and s = <U2 01|a|U2 00>.  The chains double from
-    16 levels until c^2 - s^2 = 1 to 1e-13, each inside an L x L grid of at
-    most max_dim cells; a pair that has not converged there raises
+    16 levels until c^2 - s^2 = 1 to 1e-13, up to MAX_SQUEEZER_DIM // 2
+    levels, the longest chain the preparation's single-mode squeezer
+    eigendecomposes; a pair that has not converged there raises
     NonconvergedOracleError.
     """
     length = 16
     while True:
         chains = []
         for k in (0, 1, -1):
-            na, _, _ = _pair_sector_indices(length, length, k)
+            na, _, _ = _sector_chain(k, length - abs(k))
             chains.append((na, _chain_response(-g, k, len(na))))
         (na_00, u_00), (na_10, u_10), (_, u_01) = chains
         # a|j+1, j> = sqrt(j+1) |j, j> and a|j+1, j+1> = sqrt(j+1) |j, j+1>
@@ -640,11 +607,11 @@ def _gate_pair(g: float, max_dim: int) -> tuple[float, float]:
         error = abs(c * c - s * s - 1.0)
         if error <= 1e-13:
             return float(c), float(s)
-        longer = min(2 * length, math.isqrt(max_dim))
+        longer = min(2 * length, MAX_SQUEEZER_DIM // 2)
         if longer <= length:
             raise NonconvergedOracleError(
                 f"second squeezer: {length}-level chains leave c^2 - s^2 - 1 = {error:.3g}, "
-                f"and longer ones exceed dim budget {max_dim}"
+                f"and longer ones exceed the {longer}-level chain bound"
             )
         length = longer
 
@@ -676,7 +643,6 @@ class SensitivityOracle:
         self.alpha = complex(alpha)
         self.g = float(g)
         self.r = float(r)
-        self.max_dim = max_dim
         prep_tol = DEFAULT_TAIL_TOL if prep_tail_tol is None else prep_tail_tol
         self.prep, self.prep_diag = auto_prepared_state(alpha, g, r, prep_tol, max_dim)
 
@@ -720,7 +686,7 @@ class SensitivityOracle:
         for phi in phi_values:
             if not math.isfinite(phi):
                 raise ValueError(f"phase phi must be finite, got {phi!r}")
-        pair = _gate_pair(self.g, self.max_dim)
+        pair = _gate_pair(self.g)
         d_a, d_b = self.prep.shape
         return self._evaluate_at_dims(groups, pair, phi_values, d_a, d_b)
 

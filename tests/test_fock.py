@@ -58,14 +58,14 @@ class TestBuildInput:
         assert np.abs(psi[held, 0]).min() ** 2 >= 1e-32
         fock._chain_response.cache_clear()
         calls, sectors = [], []
-        skew_exp, indices = fock._apply_skew_exp, fock._pair_sector_indices
+        skew_exp, chain = fock._apply_skew_exp, fock._sector_chain
         monkeypatch.setattr(
             fock, "_apply_skew_exp", lambda sub, x: calls.append(len(x)) or skew_exp(sub, x)
         )
         monkeypatch.setattr(
-            fock, "_pair_sector_indices", lambda d_a, d_b, k: sectors.append(k) or indices(d_a, d_b, k)
+            fock, "_sector_chain", lambda k, length: sectors.append(k) or chain(k, length)
         )
-        fock.apply_two_mode_squeezer(psi, 1.0)
+        fock.apply_two_mode_squeezer_batch(psi.reshape(-1, 1), 1.0, 427, 57)
         assert len(calls) == len(held)
         assert sectors == held.tolist()
         assert fock._chain_response.cache_info().misses == len(held)
@@ -80,7 +80,8 @@ class TestBuildInput:
         full = np.zeros((d_a, d_b), dtype=complex)
         full[:, 0] = np.exp(log_amps)
         assert np.count_nonzero(full[:, 0]) > 100
-        full = fock.apply_single_mode_squeezer(fock.apply_two_mode_squeezer(full, g), r)
+        fock.apply_two_mode_squeezer_batch(full.reshape(-1, 1), g, d_a, d_b)
+        full = fock.apply_single_mode_squeezer(full, r)
         cut = fock.prepared_state(alpha, g, r, d_a, d_b)
         assert np.abs(cut - full).max() <= 1e-14 * np.abs(full).max()
 
@@ -88,9 +89,10 @@ class TestBuildInput:
 class TestGatesAgainstDenseExpm:
     """The sector-eigendecomposition exponentials against scipy expm."""
 
-    # xi = g e^{i theta} with theta 0 or pi is the signed gain g cos(theta):
-    # pi is the phase-flipped squeezer.  The two tiny gains give
-    # near-singular chains
+    # |psi>|0> columns: each held amplitude is the first level of its
+    # sector's chain, and takes the memoized chain response.  xi = g e^{i
+    # theta} with theta 0 or pi is the signed gain g cos(theta): pi is the
+    # phase-flipped squeezer.  The two tiny gains give near-singular chains
     @pytest.mark.parametrize(
         "g,theta", [(0.7, 0.0), (0.5, math.pi), (1e-9, math.pi), (1e-200, 0.0)]
     )
@@ -100,24 +102,21 @@ class TestGatesAgainstDenseExpm:
         b = np.kron(np.eye(d_a), dense_ladder(d_b))
         xi = g * np.exp(1j * theta)
         u_ref = expm(np.conj(xi) * (a @ b) - xi * (a.conj().T @ b.conj().T))
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(d_a * d_b, 3)) + 1j * rng.normal(size=(d_a * d_b, 3))
-        got = fock.apply_two_mode_squeezer_batch(x.copy(), g * math.cos(theta), d_a, d_b)
-        assert np.abs(got - u_ref @ x).max() < 1e-12
-
-    @pytest.mark.parametrize("g", [0.7, -0.5])
-    def test_two_mode_squeezer_on_first_levels(self, g):
-        # |psi>|0> columns: every sector's block holds amplitude only at its
-        # first level, so each takes the memoized chain response
-        d_a, d_b = 10, 8
-        a = np.kron(dense_ladder(d_a), np.eye(d_b))
-        b = np.kron(np.eye(d_a), dense_ladder(d_b))
-        u_ref = expm(g * (a @ b) - g * (a.T @ b.T))
         rng = np.random.default_rng(2)
         x = np.zeros((d_a * d_b, 3), dtype=complex)
         x[::d_b] = rng.normal(size=(d_a, 3)) + 1j * rng.normal(size=(d_a, 3))
-        got = fock.apply_two_mode_squeezer_batch(x.copy(), g, d_a, d_b)
+        got = fock.apply_two_mode_squeezer_batch(x.copy(), g * math.cos(theta), d_a, d_b)
         assert np.abs(got - u_ref @ x).max() < 1e-12
+
+    @pytest.mark.parametrize("g", [0.7, 0.0])
+    @pytest.mark.parametrize("n_a, n_b", [(0, 1), (3, 2), (9, 7)])
+    def test_two_mode_squeezer_rejects_amplitude_above_n_b_0(self, g, n_a, n_b):
+        # the first squeezer acts on |alpha>|0> alone
+        x = np.zeros((10 * 8, 2), dtype=complex)
+        x[::8] = 1.0
+        x[n_a * 8 + n_b, 1] = 1e-300
+        with pytest.raises(ValueError, match="amplitude only at n_b = 0"):
+            fock.apply_two_mode_squeezer_batch(x, g, 10, 8)
 
     def test_single_mode_squeezer(self):
         # an odd d gives chains of unequal length, d = 1 an empty odd chain
@@ -146,11 +145,11 @@ class TestGatesAgainstDenseExpm:
 class TestGatePhysics:
     def test_two_mode_identity_at_zero_gain(self):
         st = fock.build_input(0.7, 16, 4)
-        out = fock.apply_two_mode_squeezer(st, 0.0)
-        assert np.array_equal(out, st)
+        out = fock.apply_two_mode_squeezer_batch(st.reshape(-1, 1).copy(), 0.0, 16, 4)
+        assert np.array_equal(out.reshape(16, 4), st)
 
     def test_two_mode_vacuum_photon_number(self):
-        st = fock.apply_two_mode_squeezer(fock.build_input(0.0, 30, 30), 1.0)
+        st = fock.prepared_state(0.0, 1.0, 0.0, 30, 30)
         na, _, nb = fock.photon_number_stats(st)
         assert na == pytest.approx(math.sinh(1.0) ** 2, abs=1e-6)
         assert nb == pytest.approx(na, abs=1e-12)
@@ -326,6 +325,34 @@ def test_oracle_accepts_zero_tolerance():
         fock.auto_prepared_state(0.5, 0.5, 0.5, tail_tol=0.0, max_dim=2_000)
 
 
+@pytest.mark.parametrize(
+    "alpha, g, r, kwargs, probes, ends",
+    [
+        (0.5, 1.0, 1.0, {}, [(17, 6), (60, 16), (172, 57), (427, 57)], None),
+        (1.0, 1.0, 0.6, {"tail_tol": 1e-12}, [(21, 6), (38, 16), (114, 57), (293, 82)], None),
+        # no fit reaches a zero tail: each failing mode grows by 1.45 plus 8
+        (
+            0.5, 0.5, 0.5, {"tail_tol": 0.0, "max_dim": 2_000}, [(17, 6), (32, 16), (54, 31)],
+            "grid 86x52 exceeds dim budget 2000$",
+        ),
+        (35.0, 0.0, 0.0, {}, [(1517, 6)], None),
+    ],
+    ids=["default-tail", "tail-1e-12", "tail-0-fallback", "alpha-35"],
+)
+def test_escalation_probes_the_pinned_grids(monkeypatch, alpha, g, r, kwargs, probes, ends):
+    # every probe's (d_a, d_b), as the tail fits steer them
+    seen, prepare = [], fock.prepared_state
+    monkeypatch.setattr(
+        fock, "prepared_state", lambda *args: seen.append(args[3:]) or prepare(*args)
+    )
+    if ends is None:
+        fock.auto_prepared_state(alpha, g, r, **kwargs)
+    else:
+        with pytest.raises(NonconvergedOracleError, match=ends):
+            fock.auto_prepared_state(alpha, g, r, **kwargs)
+    assert seen == probes
+
+
 def test_prep_budget_checked_before_the_first_probe(monkeypatch):
     # the prep's 21x6 start grid at (alpha 1, g 1.5, r 1) is over a budget
     # of 100 cells: refused before any state is prepared
@@ -487,15 +514,30 @@ class TestOracleAgainstAnalyticPath:
     @pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
     def test_gate_pair_is_the_bogoliubov_pair(self, g):
         # read off the literal gate, never typed: U2' a U2 = cosh(g) a + sinh(g) b'
-        c, s = fock._gate_pair(g, fock.DEFAULT_MAX_DIM)
+        c, s = fock._gate_pair(g)
         assert abs(c * c - s * s - 1.0) <= 1e-13
         assert abs(c - math.cosh(g)) <= 1e-14 * math.cosh(g)
         assert s > 0.0
 
     def test_gate_pair_over_the_budget_raises(self):
-        # at g 1.5 the chains need 256 levels; a budget of 400 cells allows 20
-        with pytest.raises(NonconvergedOracleError, match="20-level chains .* dim budget 400$"):
-            fock._gate_pair(1.5, 400)
+        # the chains stop at the 2048 levels the prep's single-mode squeezer
+        # also eigendecomposes (MAX_SQUEEZER_DIM // 2), short of g 3.0's need
+        with pytest.raises(
+            NonconvergedOracleError,
+            match=r"^second squeezer: 2048-level chains leave c\^2 - s\^2 - 1 = 1.24e-05, "
+            r"and longer ones exceed the 2048-level chain bound$",
+        ):
+            fock._gate_pair(3.0)
+
+    def test_second_squeezer_reaches_past_the_prep_budget(self):
+        # at g 2.5 the prep fits 968x977 cells, but the pair needs chains
+        # longer than sqrt(DEFAULT_MAX_DIM) = 1183 levels: 1183 leave
+        # c^2 - s^2 - 1 = 6.7e-11
+        phi = 0.8
+        eng = fock.SensitivityOracle(0.0, 2.5, 0.0)
+        x, x2, _ = eng.quadrature_statistics({1.0: (1.0,)}, (phi,))[(1.0, 1.0, phi)]
+        analytic = quadrature_stats(InterferometerParams(g=2.5, alpha=0.0, r=0.0, phi=phi))
+        assert x2 - x * x == pytest.approx(analytic.variance, rel=1e-6)
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
     def test_lossy_bands_scale_the_ladder_operators(self, t):
@@ -558,8 +600,7 @@ class TestChainResponseMemo:
     )
     def test_response_is_the_first_level_exponential(self, g, k, length):
         fock._chain_response.cache_clear()
-        d_a, d_b = length + max(k, 0), length + max(-k, 0)
-        _, _, coupling = fock._pair_sector_indices(d_a, d_b, k)
+        _, _, coupling = fock._sector_chain(k, length)
         start = np.zeros((length, 1), dtype=complex)
         start[0] = 1.0
         with fock._one_blas_thread():  # as the memo computes its entries
@@ -579,7 +620,7 @@ class TestChainResponseMemo:
         while True:
             chains = []
             for k in (0, 1, -1):
-                na, _, coupling = fock._pair_sector_indices(length, length, k)
+                na, _, coupling = fock._sector_chain(k, length - abs(k))
                 start = np.zeros((len(na), 1), dtype=complex)
                 start[0] = 1.0
                 with fock._one_blas_thread():
@@ -591,8 +632,8 @@ class TestChainResponseMemo:
                 break
             length *= 2
         fock._chain_response.cache_clear()
-        assert fock._gate_pair(g, fock.DEFAULT_MAX_DIM) == (float(c), float(s))
-        assert fock._gate_pair(g, fock.DEFAULT_MAX_DIM) == (float(c), float(s))
+        assert fock._gate_pair(g) == (float(c), float(s))
+        assert fock._gate_pair(g) == (float(c), float(s))
 
     def test_cells_do_not_depend_on_the_memo(self):
         # cold, warm, and with the engines' order reversed: the same cells
