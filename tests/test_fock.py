@@ -108,6 +108,20 @@ class TestGatesAgainstDenseExpm:
         got = fock.apply_two_mode_squeezer_batch(x.copy(), g * math.cos(theta), d_a, d_b)
         assert np.abs(got - u_ref @ x).max() < 1e-12
 
+    @pytest.mark.parametrize("g", [0.7, -0.5])
+    def test_two_mode_squeezer_on_first_levels(self, g):
+        # the signed gain passed as is, against the real generator
+        # g (ab - a^dag b^dag)
+        d_a, d_b = 10, 8
+        a = np.kron(dense_ladder(d_a), np.eye(d_b))
+        b = np.kron(np.eye(d_a), dense_ladder(d_b))
+        u_ref = expm(g * (a @ b) - g * (a.T @ b.T))
+        rng = np.random.default_rng(2)
+        x = np.zeros((d_a * d_b, 3), dtype=complex)
+        x[::d_b] = rng.normal(size=(d_a, 3)) + 1j * rng.normal(size=(d_a, 3))
+        got = fock.apply_two_mode_squeezer_batch(x.copy(), g, d_a, d_b)
+        assert np.abs(got - u_ref @ x).max() < 1e-12
+
     @pytest.mark.parametrize("g", [0.7, 0.0])
     @pytest.mark.parametrize("n_a, n_b", [(0, 1), (3, 2), (9, 7)])
     def test_two_mode_squeezer_rejects_amplitude_above_n_b_0(self, g, n_a, n_b):
