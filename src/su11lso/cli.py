@@ -6,8 +6,9 @@ Subcommands:
   figure   run a named figure preset to CSV / JSON-lines
   check    analytic-versus-oracle cross validation over a parameter grid
 
-Exit codes: 0 ok, 1 usage or I/O error, 2 divergent or degenerate physics,
-3 oracle non-convergence or a failed check.  A flat key=value config file
+Exit codes: 0 ok, 1 usage or I/O error, 2 a ``point`` flagged divergent or
+degenerate (``sweep`` and ``check`` only report such flags), 3 oracle
+non-convergence or a failed check.  A flat key=value config file
 may supply flag defaults of any subcommand, parsed as the flags are;
 explicit flags win, and an unknown key or a value that any flag owning its
 key rejects is a usage error, whichever subcommand runs.
@@ -19,11 +20,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    DegenerateConfigurationError,
-    DivergentSensitivityError,
-    NonconvergedOracleError,
-)
+from .errors import NonconvergedOracleError
 from .moments import InterferometerParams, _series
 from .sweeps import (
     DEFAULT_POINTS,
@@ -251,9 +248,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergentSensitivityError, DegenerateConfigurationError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DEGENERATE
     except NonconvergedOracleError as exc:
         print(f"oracle non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED

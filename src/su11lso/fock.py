@@ -30,8 +30,8 @@ A pure state is a (d_a, d_b) complex array psi[n_a, n_b].  The prepared
 state escalates its cutoffs (``auto_prepared_state``), checking the cell
 budget before every probe and growing each failing mode along its
 occupation decay, fitted once per failing tail (``_next_dim``); it is the
-oracle's only escalation.  The pure-state Fisher information is 4 Var(n_a)
-of the prepared state (``SensitivityOracle.fisher_pure``).
+oracle's only escalation and convergence test.  The pure-state Fisher
+information is 4 Var(n_a) of the prep (``SensitivityOracle.fisher_pure``).
 
 The output is read in the Heisenberg picture.  The second squeezer is
 Gaussian, so U2' a U2 = c a + s b' holds exactly, with (c, s) read off the
@@ -44,10 +44,10 @@ circuit are fixed combinations of eight moments of the prepared state
 (``SensitivityOracle._evaluate_at_dims``).  No density operator is ever
 formed: the mixed-state Fisher information of a prepared state under loss
 (``mixed_qfi_from_state``) needs only the Gram matrices K^H N^k K of its
-Kraus family (``_loss_grams``), summed over the rows that carry weight, and
-solved in G_0's numerical rank after a pivoted Cholesky.
-The tests hold both to a literal density-operator construction at small
-cutoffs.
+Kraus family (``_loss_grams``), cut at 1e-12 of neglected weight, summed
+over the rows that carry weight, and solved in G_0's numerical rank after
+a pivoted Cholesky.  The tests hold both to a literal density-operator
+construction at small cutoffs.
 
 The three heavy entry points, ``auto_prepared_state``,
 ``SensitivityOracle.quadrature_statistics`` and ``mixed_qfi_from_state``,
@@ -97,16 +97,11 @@ MAX_SQUEEZER_DIM = 4096
 
 @dataclass(frozen=True)
 class CutoffDiagnostics:
-    """Convergence evidence for a truncated state."""
+    """What ``cutoff_check`` measures of a truncated state."""
 
     norm_deficit: float
     top_mass_a: float
     top_mass_b: float
-    tolerance: float
-
-    @property
-    def converged(self) -> bool:
-        return max(self.norm_deficit, self.top_mass_a, self.top_mass_b) <= self.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +187,12 @@ def _apply_skew_exp(sub: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _sector_chain(k: int, length: int):
-    """(n_a, n_b) of the first length levels of the n_a - n_b = k chain, and
-    their couplings sqrt((n_a + 1)(n_b + 1))."""
+    """n_a of the first length levels of the n_a - n_b = k chain, and their
+    couplings sqrt((n_a + 1)(n_b + 1))."""
     nb = np.arange(length) + max(-k, 0)
     na = nb + k
     coupling = np.sqrt((na[:-1] + 1.0) * (nb[:-1] + 1.0))
-    return na, nb, coupling
+    return na, coupling
 
 
 @functools.lru_cache(maxsize=256)
@@ -215,7 +210,7 @@ def _chain_response(g: float, k: int, length: int) -> np.ndarray:
     The default ``su11lso check`` fills 323 keys, and the evictions cost
     it no extra miss.
     """
-    _, _, coupling = _sector_chain(k, length)
+    _, coupling = _sector_chain(k, length)
     start = np.zeros((length, 1), dtype=complex)
     start[0] = 1.0
     with _one_blas_thread():
@@ -293,23 +288,12 @@ def apply_single_mode_squeezer(psi: np.ndarray, r: float) -> np.ndarray:
     tridiagonal chains over even and odd photon numbers; each acts on its
     rows of the state, and no d_a x d_a operator is formed.
     """
-    out = psi.copy()
+    out = np.empty_like(psi)  # the two chains write every row
     for parity in (0, 1):
         n = np.arange(parity, psi.shape[0] - 2, 2)  # each level but the chain's last
         sub = 0.5 * r * np.sqrt((n + 1.0) * (n + 2.0))
         out[parity::2] = _apply_skew_exp(sub, psi[parity::2])
     return out
-
-
-def _phase_factors(n: np.ndarray, phis) -> np.ndarray:
-    """e^{-i phi n} for every n (rows) and phi (columns).
-
-    Built as e^{i n theta} from the folded angle theta of e^{-i phi}: the
-    product n phi would carry phi's rounding n-fold, which at phi ~ 1e12
-    and n ~ 100 is already 0.016 rad.
-    """
-    theta = np.angle(np.exp(-1j * np.asarray(phis, dtype=float)))
-    return np.exp(1j * np.multiply.outer(n, theta))
 
 
 def _marginals(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,13 +342,13 @@ def _loss_amplitudes(t: float, d: int):
         yield u
 
 
-def _loss_family(occupation: np.ndarray, t: float, total: float, weight_tol: float) -> np.ndarray:
+def _loss_family(occupation: np.ndarray, t: float, total: float) -> np.ndarray:
     """Loss amplitudes of the Kraus orders a state needs, as columns u[n, l] = u_l(n).
 
     occupation is the state's mode-a photon-number distribution and total
     its squared norm.  Order l carries the weight sum_n u_l(n)^2
     occupation[n + l]; the family stops once the weight left out falls below
-    weight_tol, or where no photons are left to lose.
+    1e-12, or where no photons are left to lose.
     """
     d = len(occupation)
     amps = []
@@ -374,7 +358,7 @@ def _loss_family(occupation: np.ndarray, t: float, total: float, weight_tol: flo
             break
         amps.append(amp)
         accumulated += float(amp**2 @ occupation[l:])
-        if total - accumulated < weight_tol:
+        if total - accumulated < 1e-12:
             break
     u = np.zeros((d, len(amps)))
     for l, amp in enumerate(amps):
@@ -395,8 +379,8 @@ def _mode_a_sigma(psi: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _loss_grams(sigma: np.ndarray, u: np.ndarray, k: int, total: float) -> np.ndarray:
-    """Gram matrices G_j = K^H n_a^j K (j < k) of the Kraus vectors K_l = Pi_l psi.
+def _loss_grams(sigma: np.ndarray, u: np.ndarray, total: float) -> np.ndarray:
+    """Gram matrices G_j = K^H n_a^j K (j = 0, 1, 2) of the Kraus vectors K_l = Pi_l psi.
 
     G_j[l, l'] is the sum over n of n^j u_l(n) u_l'(n) sigma[n+l, n+l'],
     from the upper triangle of sigma (``_mode_a_sigma``) and the loss
@@ -415,8 +399,8 @@ def _loss_grams(sigma: np.ndarray, u: np.ndarray, k: int, total: float) -> np.nd
     # G_j[l, l + delta] pairs u_l(n) u_{l+delta}(n), zero from n = d - delta
     # on, with the delta-th diagonal of sigma read from n + l; the lower
     # triangles are the conjugates
-    powers = np.arange(end, dtype=float) ** np.arange(float(k))[:, None]
-    gram = np.zeros((k, count, count), dtype=complex)
+    powers = np.arange(end, dtype=float) ** np.arange(3.0)[:, None]
+    gram = np.zeros((3, count, count), dtype=complex)
     for delta in range(count):
         padded[: d - delta] = sigma.diagonal(delta)
         padded[d - delta : d] = 0.0
@@ -433,8 +417,9 @@ def _loss_grams(sigma: np.ndarray, u: np.ndarray, k: int, total: float) -> np.nd
 # state preparation
 
 
-def cutoff_check(psi: np.ndarray, tolerance: float = DEFAULT_TAIL_TOL) -> CutoffDiagnostics:
-    """Norm deficit plus occupation mass of the top two Fock layers."""
+def cutoff_check(psi: np.ndarray) -> CutoffDiagnostics:
+    """Norm deficit plus occupation mass of the top two Fock layers; only
+    ``auto_prepared_state`` tests them, against its tail_tol."""
     deficit = abs(1.0 - float(np.vdot(psi, psi).real))
     pa, pb = _marginals(psi)
     la = min(2, len(pa) - 1)
@@ -443,7 +428,6 @@ def cutoff_check(psi: np.ndarray, tolerance: float = DEFAULT_TAIL_TOL) -> Cutoff
         norm_deficit=deficit,
         top_mass_a=float(np.sum(pa[len(pa) - la :])),
         top_mass_b=float(np.sum(pb[len(pb) - lb :])),
-        tolerance=tolerance,
     )
 
 
@@ -530,7 +514,7 @@ def auto_prepared_state(
                 f"squeezer, over its bound {MAX_SQUEEZER_DIM}"
             )
         psi = prepared_state(alpha, g, r, d_a, d_b)
-        diag = cutoff_check(psi, tail_tol)
+        diag = cutoff_check(psi)
         pass_a, pass_b = diag.top_mass_a <= tail_tol, diag.top_mass_b <= tail_tol
         if pass_a and pass_b:
             if not diag.norm_deficit <= tail_tol:
@@ -598,7 +582,7 @@ def _gate_pair(g: float) -> tuple[float, float]:
     while True:
         chains = []
         for k in (0, 1, -1):
-            na, _, _ = _sector_chain(k, length - abs(k))
+            na, _ = _sector_chain(k, length - abs(k))
             chains.append((na, _chain_response(-g, k, len(na))))
         (na_00, u_00), (na_10, u_10), (_, u_01) = chains
         # a|j+1, j> = sqrt(j+1) |j, j> and a|j+1, j+1> = sqrt(j+1) |j, j+1>
@@ -620,12 +604,11 @@ class SensitivityOracle:
     """Reusable output-port evaluator for one (alpha, g, r).
 
     Prepares the internal state once, a (d_a, d_b) array ``prep``, escalated
-    to tail masses and a norm deficit of prep_tail_tol (default
-    DEFAULT_TAIL_TOL) within max_dim cells.  Each measurement reads <X>,
-    <X^2> and the exact d<X>/dphi at the output off that state
-    (``quadrature_statistics``); ``su11lso.crosscheck`` forms Var X and
-    delta-phi from them.  Engines share only the memoized two-mode chain
-    responses (``_chain_response``), pure functions of their key, so a
+    to tail masses and a norm deficit of prep_tail_tol within max_dim cells.
+    Each measurement reads <X>, <X^2> and the exact d<X>/dphi at the output
+    off that state (``quadrature_statistics``); ``su11lso.crosscheck`` forms
+    Var X and delta-phi from them.  Engines share only the memoized two-mode
+    chain responses (``_chain_response``), pure functions of their key, so a
     result does not depend on what ran before.  A prep_tail_tol that is
     negative or not finite raises ValueError naming it.
     """
@@ -636,15 +619,11 @@ class SensitivityOracle:
         g: float,
         r: float,
         max_dim: int = DEFAULT_MAX_DIM,
-        prep_tail_tol: float | None = None,
+        prep_tail_tol: float = DEFAULT_TAIL_TOL,
     ):
-        if prep_tail_tol is not None:
-            _check_tolerance("prep_tail_tol", prep_tail_tol)
-        self.alpha = complex(alpha)
+        _check_tolerance("prep_tail_tol", prep_tail_tol)
         self.g = float(g)
-        self.r = float(r)
-        prep_tol = DEFAULT_TAIL_TOL if prep_tail_tol is None else prep_tail_tol
-        self.prep, self.prep_diag = auto_prepared_state(alpha, g, r, prep_tol, max_dim)
+        self.prep, _ = auto_prepared_state(alpha, g, r, prep_tail_tol, max_dim)
 
     # -- pure-state quantities ----------------------------------------------
 
@@ -720,7 +699,10 @@ class SensitivityOracle:
         mean_b = np.vdot(psi[:, :-1], raise_b * psi[:, 1:])
         pair_b = np.vdot(psi[:, :-2], raise_b[:-1] * raise_b[1:] * psi[:, 2:])
         count_b = photon_number_stats(psi)[2]
-        turn, turn2 = _phase_factors(np.array([1, 2]), phi_values)
+        # e^{-i phi} and e^{-2i phi} from the folded angle theta of e^{-i phi}:
+        # the product 2 phi would double phi's rounding
+        theta = np.angle(np.exp(-1j * np.asarray(phi_values, dtype=float)))
+        turn, turn2 = np.exp(1j * theta), np.exp(2j * theta)
         result = {}
         for t1, t2s in groups.items():
             lossy_n, lossy_a, lossy_aa = _lossy_bands(t1, d_a)
@@ -747,7 +729,7 @@ class SensitivityOracle:
 
 
 @_one_blas_thread()
-def mixed_qfi_from_state(psi: np.ndarray, eta: float, weight_tol: float = 1e-12) -> float:
+def mixed_qfi_from_state(psi: np.ndarray, eta: float) -> float:
     """Mixed-state Fisher information of a prepared state under loss eta.
 
     rho = K K^H for the Kraus vectors K = [Pi_0 psi, Pi_1 psi, ...], and
@@ -770,17 +752,16 @@ def mixed_qfi_from_state(psi: np.ndarray, eta: float, weight_tol: float = 1e-12)
 
     the Braunstein-Caves form 4 tr(rho N^2) - 8 sum p_i p_j / (p_i + p_j)
     |N_ij|^2 of rho restricted to those components.  A Gram of rank 0 (a
-    zero state) gives F = 0.  The Kraus count L stops once the neglected
-    weight falls below weight_tol.  An eta outside [0, 1], or a weight_tol
-    that is negative or not finite, raises ValueError.
+    zero state) gives F = 0.  The Kraus family stops once the weight it
+    leaves out falls below 1e-12 (``_loss_family``); there is no knob.  An
+    eta outside [0, 1] raises ValueError.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    _check_tolerance("weight_tol", weight_tol)
     sigma = _mode_a_sigma(psi)
     total = float(np.vdot(psi, psi).real)
-    u = _loss_family(sigma.diagonal().real, eta, total, weight_tol)
-    gram = _loss_grams(sigma, u, 3, total)
+    u = _loss_family(sigma.diagonal().real, eta, total)
+    gram = _loss_grams(sigma, u, total)
     eps = np.finfo(float).eps
     _, piv, rank, _ = zpstrf(gram[0], tol=eps * gram[0].diagonal().real.max())
     if rank == 0:

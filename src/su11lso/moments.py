@@ -62,19 +62,16 @@ class InterferometerParams:
 
     def __post_init__(self):
         # one comparison chain accepts every valid point of Python floats
-        # (alpha complex too); the field checks below run only for a point it
-        # rejects (or fails to compare, or of other types), and name what is wrong
-        try:
-            if (
-                float is type(self.g) is type(self.r) is type(self.t1) is type(self.t2)
-                is type(self.phi) and type(self.alpha) in _FLOAT_OR_COMPLEX
-                and 0.0 <= self.g < math.inf and 0.0 <= self.r < math.inf
-                and 0.0 <= self.t1 <= 1.0 and 0.0 <= self.t2 <= 1.0
-                and -math.inf < self.phi < math.inf and cmath.isfinite(self.alpha)
-            ):
-                return
-        except (TypeError, ValueError, ArithmeticError):
-            pass
+        # (alpha complex too), and cannot raise: its type tests run first.  The
+        # field checks below run only for a point it rejects, and name what is wrong
+        if (
+            float is type(self.g) is type(self.r) is type(self.t1) is type(self.t2)
+            is type(self.phi) and type(self.alpha) in _FLOAT_OR_COMPLEX
+            and 0.0 <= self.g < math.inf and 0.0 <= self.r < math.inf
+            and 0.0 <= self.t1 <= 1.0 and 0.0 <= self.t2 <= 1.0
+            and -math.inf < self.phi < math.inf and cmath.isfinite(self.alpha)
+        ):
+            return
         for name in ("g", "alpha", "r", "t1", "t2", "phi"):
             value = getattr(self, name)
             _check_number(name, value)

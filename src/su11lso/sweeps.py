@@ -375,15 +375,12 @@ def render_jsonl(result: SweepResult) -> str:
 
 
 def write_sweep(spec: SweepSpec, path: str, fmt: str = "csv") -> SweepResult:
+    if fmt not in ("csv", "jsonl"):  # refused before the sweep runs
+        raise ValueError(f"unknown format {fmt!r}")
     result = run_sweep(spec)
     # called by name, not through a lookup table, so a wrapper installed on
     # this module's render_csv / render_jsonl sees the call
-    if fmt == "csv":
-        text = render_csv(result)
-    elif fmt == "jsonl":
-        text = render_jsonl(result)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    text = render_csv(result) if fmt == "csv" else render_jsonl(result)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
     return result

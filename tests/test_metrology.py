@@ -197,6 +197,9 @@ class TestQfiLossy:
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
             qfi_lossy(params(), 1.2)
+        # a sequence names the first eta outside [0, 1]
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\], got 1\.2$"):
+            qfi_lossy([params(), params(r=0.2), params(r=0.4)], [0.5, 1.2, -0.1])
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
     def test_eta_non_finite(self, eta):

@@ -251,12 +251,16 @@ class TestMoments:
             # entries are integers equal to themselves, not truncated to one
             ((1.5, 0, 0, 0), "moment key must be 4 non-negative integers, got (1.5, 0, 0, 0)"),
             ("1100", "moment key must be 4 non-negative integers, got ('1', '1', '0', '0')"),
+            # entries that are no number, or no finite one
+            (("a", 1, 0, 0), "moment key must be 4 non-negative integers, got ('a', 1, 0, 0)"),
+            ((math.inf, 0, 0, 0), "moment key must be 4 non-negative integers, got (inf, 0, 0, 0)"),
         ],
     )
     def test_bad_keys_rejected(self, key, message):
-        tab = MomentTable(InterferometerParams(g=0.5, alpha=1, r=0.2))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            tab.moment(key)
+        p = InterferometerParams(g=0.5, alpha=1, r=0.2)
+        for moment in (MomentTable(p).moment, lambda key: q_moment(p, key)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                moment(key)
 
     def test_table_is_memoized_per_state(self):
         p = InterferometerParams(g=0.5, alpha=1, r=0.2, phi=0.1)

@@ -221,6 +221,15 @@ class TestRunSweep:
         assert t1[0] == 0.5 and t2[0] == 1.0
         assert t2[2] == 0.5 and t1[2] == 1.0
 
+    def test_unknown_format_is_refused_before_the_sweep(self, tmp_path, monkeypatch):
+        # once found only after all 80,000 points of this spec were evaluated
+        runs = []
+        monkeypatch.setattr(sweeps, "run_sweep", lambda spec: runs.append(spec))
+        out = tmp_path / "fig3.xml"
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            write_sweep(figure_preset("fig3", points=20000), str(out), "xml")
+        assert runs == [] and not out.exists()
+
 
 _MISSING = object()
 
@@ -721,6 +730,77 @@ class TestCli:
         assert code == 3
         assert stdout == ""
         assert "start grid" in err and "exceeds dim budget 1400000" in err
+
+    def test_config_file_skips_comments_and_blank_lines(self, tmp_path):
+        cfg = tmp_path / "commented.cfg"
+        cfg.write_text("# shared defaults\n\nr = 0.6\n")
+        code, stdout, _ = run_main("--config", str(cfg), "point", "--quantities", "N")
+        assert code == 0 and json.loads(stdout)["r"] == 0.6
+
+    def test_config_line_without_equals_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text("r = 0.6\nfoo\n")
+        code, stdout, err = run_main("--config", str(cfg), "point", "--quantities", "N")
+        assert (code, stdout, err) == (1, "", "config error: config line without '=': 'foo'\n")
+
+    def test_config_format_is_checked_by_the_sweep_flag(self, tmp_path, capsys):
+        # point has no --format; the sweep flag that owns the key names the error
+        cfg = tmp_path / "format.cfg"
+        cfg.write_text("format = xml\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "point", "--quantities", "N"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "su11lso sweep: error: argument --format: invalid choice: 'xml'"
+        )
+
+    def test_point_rejects_unknown_quantities(self):
+        assert run_main("point", "--quantities", "N,bogus") == (
+            1, "", "unknown quantities: ['bogus']\n"
+        )
+
+    def test_figure_writes_the_presets_bytes(self, tmp_path):
+        out, api = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert run_main("figure", "fig3", "--points", "20", "--output", str(out)) == (0, "", "")
+        write_sweep(figure_preset("fig3", points=20), str(api))
+        assert out.read_bytes() == api.read_bytes()
+
+    def test_output_in_a_missing_directory_is_an_io_error(self, tmp_path):
+        out = tmp_path / "missing" / "fig3.csv"
+        code, stdout, err = run_main("figure", "fig3", "--points", "4", "--output", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("I/O error: ") and str(out) in err
+
+    @pytest.mark.parametrize(
+        "g, alpha, r, flags, check_rows",
+        [
+            ("1", "0", "0.5", ["divergent"], ("F 1 0", "delta_phi 1 1")),
+            ("0", "0", "0", ["degenerate", "divergent"], ("F 1 1", "delta_phi 1 1")),
+        ],
+        ids=["alpha-0", "vacuum"],
+    )
+    def test_flagged_point_exits_by_subcommand(self, tmp_path, g, alpha, r, flags, check_rows):
+        # every subcommand evaluates sequences, which flag such a point rather
+        # than raise: point exits 2 on its flags, sweep and check report them
+        point = ("--g", g, "--alpha", alpha, "--r", r)
+        code, stdout, _ = run_main("point", *point, "--quantities", "delta_phi,delta_phi_min,qfi")
+        assert code == 2 and json.loads(stdout)["flags"] == flags
+        out = tmp_path / "flagged.csv"
+        code, _, _ = run_main(
+            "sweep", *point, "--var", "phi", "--start", "0.3", "--stop", "0.8", "--count", "2",
+            "--quantities", "delta_phi,delta_phi_min,qfi", "--output", str(out),
+        )
+        assert code == 0
+        with out.open(newline="") as f:
+            assert [row["flags"] for row in csv.DictReader(f)] == [";".join(flags)] * 2
+        code, stdout, _ = run_main(
+            "check", "--alphas", alpha, "--gs", g, "--rs", r, "--ts", "1", "--phis", "0.8"
+        )
+        assert code == 0 and stdout.splitlines()[-1].startswith("overall: PASS (")
+        rows = {" ".join(line.split()[:3]) for line in stdout.splitlines()}
+        assert set(check_rows) <= rows
 
     def test_check_summary_reports_worst_margin(self):
         result = CrossCheckResult(tolerance=1e-6)
